@@ -31,9 +31,6 @@ UNIT_TAGS = {
     "kg*m/s": "momentum",
     "m/s": "speed",
     "m/s^2": "acceleration",
-    "C": "charge",
-    "V/m": "electric_field",
-    "N/m": "spring_constant",
 }
 
 KINDS = (
@@ -114,16 +111,12 @@ SCHEMAS: dict[str, list[ParamSpec]] = {
         ParamSpec("box.dq", "length", 1e-6),
         ParamSpec("box.t", "time", 1.0),
         ParamSpec("box.g", "acceleration", 9.81),
-        ParamSpec("box.spring_k", "spring_constant"),
-        ParamSpec("box.spring_l", "length"),
     ],
     "GEDANKEN_EFIELD": [
         ParamSpec("efield.dq", "length", 1e-6),
         ParamSpec("efield.t", "time", 1.0),
         # v must stay below c, which is 1 in the default natural units
         ParamSpec("efield.v", "speed", 0.5),
-        ParamSpec("efield.e_field", "electric_field"),
-        ParamSpec("efield.charge", "charge"),
     ],
     "CLASSICAL_TRAJECTORY": [
         ParamSpec("classical.metric", kind="string", default="flat",
@@ -193,6 +186,9 @@ def _parse_number(key: str, text: str, dimension: str, units: UnitSystem,
     except (ValueError, IndexError):
         violations.append(f"{key}: non-numeric value {text!r}")
         return None
+    if not math.isfinite(value):
+        violations.append(f"{key}: value must be finite, got {text!r}")
+        return None
     if len(parts) == 2:
         tag = parts[1].strip()
         tag_dim = UNIT_TAGS.get(tag)
@@ -213,10 +209,14 @@ def _parse_list(key: str, text: str, violations: list[str]) -> tuple[float, ...]
     out = []
     for tok in text.split(","):
         try:
-            out.append(float(tok.strip()))
+            value = float(tok.strip())
         except ValueError:
             violations.append(f"{key}: non-numeric list entry {tok.strip()!r}")
             return None
+        if not math.isfinite(value):
+            violations.append(f"{key}: list entries must be finite, got {tok.strip()!r}")
+            return None
+        out.append(value)
     if not out:
         violations.append(f"{key}: empty list")
         return None
@@ -326,9 +326,14 @@ def parse_config(text: str, kind_hint: str | None = None) -> ScenarioConfig:
                 params[key] = parsed
         elif spec.kind == "int":
             try:
-                params[key] = int(value)
+                count = int(value)
             except ValueError:
                 violations.append(f"{key}: non-integer value {value!r}")
+            else:
+                if count < 1:
+                    violations.append(f"{key}: must be at least 1, got {count}")
+                else:
+                    params[key] = count
         elif spec.kind == "list":
             parsed_list = _parse_list(key, value, violations)
             if parsed_list is not None:

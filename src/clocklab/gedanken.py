@@ -23,8 +23,6 @@ class BoxExperiment:
     delta_q: float
     t: float
     g: float
-    spring_k: float | None = None
-    spring_l: float | None = None
 
     def __post_init__(self) -> None:
         if self.delta_q <= 0.0 or self.t <= 0.0 or self.g <= 0.0:
@@ -39,8 +37,6 @@ class EFieldExperiment:
     delta_q: float
     t: float
     v: float
-    e_field: float | None = None
-    charge: float | None = None
 
     def __post_init__(self) -> None:
         if self.delta_q <= 0.0 or self.t <= 0.0:

@@ -127,29 +127,36 @@ class StaticMetric:
         return np.asarray(fn(x), dtype=float)
 
 
+def _linear_a0(a0_slope: float) -> dict:
+    """Scalar potential A_0 = a0_slope * x^1 and its gradient."""
+    if a0_slope == 0.0:
+        return dict(a0=_zero_scalar, grad_a0=lambda x: np.zeros(3))
+    return dict(a0=lambda x: a0_slope * x[0],
+                grad_a0=lambda x: np.array([a0_slope, 0.0, 0.0]))
+
+
 def flat_metric(a0_slope: float = 0.0) -> StaticMetric:
     """Flat space; optionally with a scalar potential A_0 = a0_slope * x^1,
     which exerts a constant force on a charged clock."""
     return StaticMetric(
-        a0=(lambda x: a0_slope * x[0]) if a0_slope != 0.0 else _zero_scalar,
-        grad_a0=((lambda x: np.array([a0_slope, 0.0, 0.0])) if a0_slope != 0.0
-                 else (lambda x: np.zeros(3))),
         grad_f=lambda x: np.zeros(3),
         grad_g_spatial=lambda x: np.zeros((3, 3, 3)),
         grad_a_spatial=lambda x: np.zeros((3, 3)),
+        **_linear_a0(a0_slope),
     )
 
 
-def uniform_lapse_metric(g_accel: float, c: float = 1.0) -> StaticMetric:
+def uniform_lapse_metric(g_accel: float, c: float = 1.0, a0_slope: float = 0.0) -> StaticMetric:
     """Weak-field lapse f = 1 + g x^1 / c^2 over flat spatial sections;
-    a clock held at height q runs fast by g q / c^2 relative to one at 0."""
+    a clock held at height q runs fast by g q / c^2 relative to one at 0.
+    ``a0_slope`` adds the scalar potential of ``flat_metric``."""
     slope = g_accel / c**2
     return StaticMetric(
         f=lambda x: 1.0 + slope * x[0],
         grad_f=lambda x: np.array([slope, 0.0, 0.0]),
         grad_g_spatial=lambda x: np.zeros((3, 3, 3)),
-        grad_a0=lambda x: np.zeros(3),
         grad_a_spatial=lambda x: np.zeros((3, 3)),
+        **_linear_a0(a0_slope),
     )
 
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
+    _diagonal_expectation,
     dilation_multiplier,
     energy_multiplier,
     evolve,
@@ -84,6 +85,7 @@ class BoundCheck:
     rhs_rest_energy: float
     slow_clock: bool
     sharpness: float
+    reading: TauMoments  # the simulated reading at t; lhs is its variance
 
 
 @dataclass(frozen=True)
@@ -95,11 +97,6 @@ class UncertaintyProduct:
     lower: float
 
 
-def _weighted(state: MomentumSpaceState, mult: np.ndarray) -> float:
-    rho = np.abs(state.values) ** 2
-    return float((mult * rho).sum() * state.cell_measure())
-
-
 def tau_moments_simulated(state: MomentumSpaceState, t: float) -> TauMoments:
     """Evolve to coordinate time t, then measure the clock reading."""
     mean, second, _ = tau_statistics(evolve(state, t))
@@ -109,8 +106,8 @@ def tau_moments_simulated(state: MomentumSpaceState, t: float) -> TauMoments:
 def variance_law_predict(state: MomentumSpaceState) -> VarianceLawCoefficients:
     """Coefficients of the exact quadratic variance growth, from t = 0 data."""
     d = dilation_multiplier(state)
-    d_mean = _weighted(state, d)
-    d2_mean = _weighted(state, d * d)
+    d_mean = _diagonal_expectation(state, d)
+    d2_mean = _diagonal_expectation(state, d * d)
     tau_mean, tau_sq, tpsi = tau_statistics(state)
     anti = 2.0 * float((np.conj(d * state.values) * tpsi).sum().real * state.cell_measure())
     return VarianceLawCoefficients(
@@ -123,8 +120,8 @@ def variance_law_predict(state: MomentumSpaceState) -> VarianceLawCoefficients:
 def energy_sharpness(state: MomentumSpaceState) -> tuple[float, float]:
     """(<H>, dH/<H>) for the total-energy multiplier."""
     h = energy_multiplier(state)
-    h_mean = _weighted(state, h)
-    h_var = _weighted(state, h * h) - h_mean**2
+    h_mean = _diagonal_expectation(state, h)
+    h_var = _diagonal_expectation(state, h * h) - h_mean**2
     if h_mean <= 0.0:
         raise ValueError("total energy expectation must be positive")
     return h_mean, math.sqrt(max(h_var, 0.0)) / h_mean
@@ -137,8 +134,8 @@ def peaked_approximation_report(state: MomentumSpaceState) -> PeakedApproximatio
     coeffs = variance_law_predict(state)
     e_scale, sharp = energy_sharpness(state)
     E = state.e_grid.nodes[:, None]
-    e_mean = _weighted(state, np.broadcast_to(E, state.values.shape))
-    e2_mean = _weighted(state, np.broadcast_to(E * E, state.values.shape))
+    e_mean = _diagonal_expectation(state, E)
+    e2_mean = _diagonal_expectation(state, E * E)
     tau_mean, _, tpsi = tau_statistics(state)
     anti_e = 2.0 * float((np.conj(E * state.values) * tpsi).sum().real * state.cell_measure())
     return PeakedApproximationReport(
@@ -158,17 +155,19 @@ def salecker_wigner_check(state: MomentumSpaceState, t: float) -> BoundCheck:
     if t <= 0.0:
         raise ValueError("the bound applies for t > 0")
     e_scale, sharp = energy_sharpness(state)
-    lhs = tau_moments_simulated(state, t).var_tau
+    reading = tau_moments_simulated(state, t)
+    lhs = reading.var_tau
     hbar = state.units.hbar
     rhs = hbar * t / e_scale
     E = state.e_grid.nodes[:, None]
     P = state.p_grid.nodes[None, :]
-    e_mean = _weighted(state, np.broadcast_to(E, state.values.shape))
-    p2c2 = _weighted(state, np.broadcast_to((state.units.c * P) ** 2, state.values.shape))
+    e_mean = _diagonal_expectation(state, E)
+    p2c2 = _diagonal_expectation(state, (state.units.c * P) ** 2)
     slow = p2c2 < SLOW_CLOCK_MOMENTUM_FRACTION * e_mean**2
     rhs_rest = hbar * t / e_mean if e_mean > 0.0 else math.inf
     return BoundCheck(lhs=lhs, rhs=rhs, satisfied=lhs >= rhs, margin=lhs - rhs,
-                      rhs_rest_energy=rhs_rest, slow_clock=bool(slow), sharpness=sharp)
+                      rhs_rest_energy=rhs_rest, slow_clock=bool(slow), sharpness=sharp,
+                      reading=reading)
 
 
 def uncertainty_product(state: MomentumSpaceState) -> UncertaintyProduct:
@@ -176,8 +175,8 @@ def uncertainty_product(state: MomentumSpaceState) -> UncertaintyProduct:
     tau_mean, tau_sq, _ = tau_statistics(state)
     d_tau = math.sqrt(max(tau_sq - tau_mean**2, 0.0))
     E = state.e_grid.nodes[:, None]
-    e_mean = _weighted(state, np.broadcast_to(E, state.values.shape))
-    e2_mean = _weighted(state, np.broadcast_to(E * E, state.values.shape))
+    e_mean = _diagonal_expectation(state, E)
+    e2_mean = _diagonal_expectation(state, E * E)
     d_e = math.sqrt(max(e2_mean - e_mean**2, 0.0))
     c = state.units.c
     return UncertaintyProduct(d_tau=d_tau, d_e=d_e, d_m=d_e / c**2,

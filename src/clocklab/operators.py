@@ -119,10 +119,10 @@ def expectation(state: MomentumSpaceState, observable: Observable | str) -> floa
     obs = Observable(observable) if not isinstance(observable, Observable) else observable
     if obs is Observable.E:
         E, _ = _axes(state)
-        return _diagonal_expectation(state, np.broadcast_to(E, state.values.shape))
+        return _diagonal_expectation(state, E)
     if obs is Observable.P:
         _, P = _axes(state)
-        return _diagonal_expectation(state, np.broadcast_to(P, state.values.shape))
+        return _diagonal_expectation(state, P)
     if obs is Observable.H:
         return _diagonal_expectation(state, energy_multiplier(state))
     if obs is Observable.D:

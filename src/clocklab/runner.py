@@ -7,16 +7,11 @@ bracket table), trajectory constraint/conservation/rate checks,
 ``commutator``, ``uncertainty_floor``, ``variance_law``/``mean_linearity``
 (exact reading statistics), and ``sw_bound``/``sw_bound_floor``/
 ``sw_saturation`` (clock-bound checks).
-
-Sweep members run in parallel (capped by the CLOCKLAB_THREADS environment
-variable) and are merged in input order, so outputs are deterministic.
 """
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -35,9 +30,16 @@ from .dynamics import (
     total_hamiltonian,
 )
 from .gedanken import BoxExperiment, EFieldExperiment, box_uncertainties, efield_uncertainties
-from .metric import StaticMetric
-from .moments import salecker_wigner_check, tau_moments_simulated, uncertainty_product, variance_law_predict
-from .operators import commutator_residual, dilation_multiplier
+from .metric import flat_metric, uniform_lapse_metric
+from .moments import (
+    VarianceLawCoefficients,
+    energy_sharpness,
+    salecker_wigner_check,
+    tau_moments_simulated,
+    uncertainty_product,
+    variance_law_predict,
+)
+from .operators import Observable, commutator_residual, expectation
 from .search import optimize_clock_width
 from .states import GaussianClockSpec, gaussian_state
 from .units import NATURAL_UNITS, SI_UNITS, UnitContext, UnitSystem, convert_units
@@ -89,12 +91,6 @@ def _check(name: str, measured: float) -> CheckResult:
                        tolerance=tol)
 
 
-def _worker_count(n_members: int) -> int:
-    env = os.environ.get("CLOCKLAB_THREADS")
-    cap = int(env) if env else min(4, os.cpu_count() or 1)
-    return max(1, min(cap, n_members))
-
-
 def _to_natural(params: dict[str, Any], dims: dict[str, str], units: UnitSystem) -> dict[str, Any]:
     if units is not UnitSystem.SI:
         return dict(params)
@@ -135,9 +131,7 @@ _EFIELD_HEADER = ["delta_q", "t", "v", "delta_p", "delta_m", "delta_tau",
 
 
 def _run_gedanken_box(params: dict[str, Any], seed: int, ctx: UnitContext):
-    exp = BoxExperiment(delta_q=params["box.dq"], t=params["box.t"], g=params["box.g"],
-                        spring_k=params.get("box.spring_k"),
-                        spring_l=params.get("box.spring_l"))
+    exp = BoxExperiment(delta_q=params["box.dq"], t=params["box.t"], g=params["box.g"])
     rep = box_uncertainties(exp, ctx)
     row = [exp.delta_q, exp.t, exp.g, rep.delta_p, rep.delta_m, rep.delta_tau,
            rep.product_ratio, rep.product_ratio_half_hbar]
@@ -147,9 +141,7 @@ def _run_gedanken_box(params: dict[str, Any], seed: int, ctx: UnitContext):
 
 def _run_gedanken_efield(params: dict[str, Any], seed: int, ctx: UnitContext):
     exp = EFieldExperiment(delta_q=params["efield.dq"], t=params["efield.t"],
-                           v=params["efield.v"],
-                           e_field=params.get("efield.e_field"),
-                           charge=params.get("efield.charge"))
+                           v=params["efield.v"])
     rep = efield_uncertainties(exp, ctx)
     row = [exp.delta_q, exp.t, exp.v, rep.delta_p, rep.delta_m, rep.delta_tau,
            rep.product_ratio, rep.product_ratio_half_hbar]
@@ -165,28 +157,12 @@ _TRAJ_COLS = [("t", "time"), ("tau", "time"), ("p_tau", "energy"), ("M", "energy
               ("phi1", "energy"), ("phi2", "time"), ("H", "energy")]
 
 
-def _build_metric(name: str, lapse_g: float, a0_slope: float) -> StaticMetric:
-    slope = lapse_g  # natural units: c = 1
-    kwargs = dict(
-        grad_g_spatial=lambda x: np.zeros((3, 3, 3)),
-        grad_a_spatial=lambda x: np.zeros((3, 3)),
-    )
-    if name == "uniform_lapse":
-        kwargs["f"] = lambda x: 1.0 + slope * x[0]
-        kwargs["grad_f"] = lambda x: np.array([slope, 0.0, 0.0])
-    else:
-        kwargs["grad_f"] = lambda x: np.zeros(3)
-    if a0_slope != 0.0:
-        kwargs["a0"] = lambda x: a0_slope * x[0]
-        kwargs["grad_a0"] = lambda x: np.array([a0_slope, 0.0, 0.0])
-    else:
-        kwargs["grad_a0"] = lambda x: np.zeros(3)
-    return StaticMetric(**kwargs)
-
-
 def _run_classical_trajectory(params: dict[str, Any], seed: int, ctx: UnitContext):
-    metric = _build_metric(params["classical.metric"], params["classical.lapse_g"],
-                           params["classical.a0_slope"])
+    a0_slope = params["classical.a0_slope"]
+    if params["classical.metric"] == "uniform_lapse":
+        metric = uniform_lapse_metric(params["classical.lapse_g"], a0_slope=a0_slope)
+    else:
+        metric = flat_metric(a0_slope)
     charge = params["classical.charge"]
     m = params["classical.m"]
     pt0 = ExtendedPhaseSpacePoint(
@@ -251,18 +227,20 @@ def _spec_from(params: dict[str, Any]) -> GaussianClockSpec:
         sigma_p=params["quantum.sigma_p"], x0=params.get("quantum.x0", 0.0))
 
 
-def _moment_row(state, t: float):
-    sim = tau_moments_simulated(state, t)
-    law = variance_law_predict(state)
+def _moment_row(state, t: float, law: VarianceLawCoefficients):
+    """CSV row of the reading at time t, from a single evolution of the state;
+    returns the row, the reading and, for t > 0, the bound check."""
     if t > 0.0:
         bc = salecker_wigner_check(state, t)
+        sim = bc.reading
         bound, satisfied, sharp = bc.rhs, bc.satisfied, bc.sharpness
     else:
-        from .moments import energy_sharpness
+        bc = None
+        sim = tau_moments_simulated(state, t)
         _, sharp = energy_sharpness(state)
         bound, satisfied = 0.0, True
     return ([sim.t, sim.mean_tau, sim.var_tau, law.predict(t), law.quad, law.lin,
-             law.const, bound, satisfied, sharp], sim, law)
+             law.const, bound, satisfied, sharp], sim, bc)
 
 
 def _write_snapshot(state, path: str) -> None:
@@ -280,14 +258,14 @@ def _run_quantum_moments(params: dict[str, Any], seed: int, ctx: UnitContext):
                            n_e=params["grid.e.n"], n_p=params["grid.p.n"])
     if params.get("quantum.snapshot"):
         _write_snapshot(state, params["quantum.snapshot"])
-    d_mean = float((dilation_multiplier(state) * np.abs(state.values) ** 2).sum()
-                   * state.cell_measure())
+    d_mean = expectation(state, Observable.D)
+    law = variance_law_predict(state)
     mean0 = tau_moments_simulated(state, 0.0).mean_tau
     rows = []
     law_dev = 0.0
     lin_dev = 0.0
     for t in times:
-        row, sim, law = _moment_row(state, t)
+        row, sim, _ = _moment_row(state, t, law)
         rows.append(row)
         law_dev = max(law_dev, abs(sim.var_tau - law.predict(t)) / max(law.predict(t), 1e-300))
         expected_mean = mean0 + d_mean * t
@@ -305,9 +283,10 @@ def _run_quantum_moments(params: dict[str, Any], seed: int, ctx: UnitContext):
 def _run_quantum_bound(params: dict[str, Any], seed: int, ctx: UnitContext):
     spec = _spec_from(params)
     t = params["quantum.t"]
+    if t <= 0.0:
+        raise ValueError("the bound applies for t > 0")
     state = gaussian_state(spec, t_max=t, n_e=params["grid.e.n"], n_p=params["grid.p.n"])
-    row, _, _ = _moment_row(state, t)
-    bc = salecker_wigner_check(state, t)
+    row, _, bc = _moment_row(state, t, variance_law_predict(state))
     up = uncertainty_product(state)
     checks = [
         _check("sw_bound", (-bc.margin) if bc.sharpness <= PEAKED_SHARPNESS else 0.0),
@@ -385,8 +364,7 @@ def run(config: ScenarioConfig) -> RunReport:
             member_params[config.sweep.param] = value
             return runner(member_params, config.seed, ctx)
 
-        with ThreadPoolExecutor(max_workers=_worker_count(len(values))) as pool:
-            results = list(pool.map(member, values))
+        results = [member(v) for v in values]
         header = ["sweep_value"] + results[0][0]
         rows = []
         for value, (_, member_rows, _) in zip(config.sweep.values, results):

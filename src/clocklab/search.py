@@ -21,7 +21,18 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 class OptimizerBracketError(RuntimeError):
-    """The minimum sits at a bracket edge; the search interval is wrong."""
+    """The minimum sits at a bracket edge; the search interval is wrong.
+
+    ``sigma_e`` is the width the search stopped at and ``bounds`` the
+    (lo, hi) bracket it searched.
+    """
+
+    def __init__(self, sigma_e: float, bounds: tuple[float, float]):
+        self.sigma_e = sigma_e
+        self.bounds = bounds
+        super().__init__(
+            f"variance minimum sits at the bracket edge (sigma_e = {sigma_e:.4g}); "
+            "widen sigma_bounds")
 
 
 def golden_section_min(fn: Callable[[float], float], lo: float, hi: float,
@@ -99,9 +110,7 @@ def optimize_clock_width(e0: float, p0: float, sigma_p: float, t: float,
     log_opt, min_var, evals = golden_section_min(var_at, log_lo, log_hi, tol=log_tol)
     span = log_hi - log_lo
     if min(log_opt - log_lo, log_hi - log_opt) < 0.02 * span:
-        raise OptimizerBracketError(
-            f"variance minimum sits at the bracket edge (sigma_e = {math.exp(log_opt):.4g}); "
-            "widen sigma_bounds")
+        raise OptimizerBracketError(math.exp(log_opt), (lo, hi))
     sigma_opt = math.exp(log_opt)
     best = gaussian_state(GaussianClockSpec(e0=e0, sigma_e=sigma_opt, p0=p0, sigma_p=sigma_p),
                           units, t_max=t, n_e=n_e, n_p=n_p)

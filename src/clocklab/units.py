@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 PLANCK_SI = 6.62607015e-34          # J s (exact, SI definition)
 HBAR_SI = PLANCK_SI / (2.0 * math.pi)
 LIGHT_SPEED_SI = 299792458.0        # m/s (exact)
-STANDARD_GRAVITY_SI = 9.80665       # m/s^2
 
 
 class UnitSystem(enum.Enum):
@@ -26,13 +25,11 @@ class UnitContext:
     """Constants in force for a calculation plus the unit-system tag.
 
     ``h`` is always 2*pi*hbar; it is filled in automatically and validated
-    if passed explicitly.  ``g`` is the local gravitational acceleration
-    used as a default by the weighing calculators.
+    if passed explicitly.
     """
 
     hbar: float
     c: float
-    g: float
     system: UnitSystem
     h: float = field(default=0.0)
 
@@ -48,9 +45,8 @@ class UnitContext:
             raise ValueError("h must equal 2*pi*hbar")
 
 
-SI_UNITS = UnitContext(hbar=HBAR_SI, c=LIGHT_SPEED_SI, g=STANDARD_GRAVITY_SI,
-                       system=UnitSystem.SI)
-NATURAL_UNITS = UnitContext(hbar=1.0, c=1.0, g=1.0, system=UnitSystem.NATURAL)
+SI_UNITS = UnitContext(hbar=HBAR_SI, c=LIGHT_SPEED_SI, system=UnitSystem.SI)
+NATURAL_UNITS = UnitContext(hbar=1.0, c=1.0, system=UnitSystem.NATURAL)
 
 # Size of one natural unit of each dimension, expressed in SI units.
 # The natural system is hbar = c = 1 with the second as base unit, so the
@@ -66,9 +62,6 @@ _NATURAL_UNIT_SI = {
     "action": HBAR_SI,
     "dimensionless": 1.0,
 }
-
-DIMENSIONS = frozenset(_NATURAL_UNIT_SI)
-
 
 def _unit_scale(dimension: str, ctx: UnitContext) -> float:
     try:

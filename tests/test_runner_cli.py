@@ -170,6 +170,25 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("group, sub, setting", [
+    ("gedanken", "box", "box.dq=nan"),
+    ("quantum", "moments", "quantum.sigma_e=inf"),
+    ("quantum", "moments", "quantum.times=0, nan"),
+    ("classical", "trajectory", "classical.dt=nan"),
+    ("classical", "brackets", "brackets.points=0"),
+    ("classical", "brackets", "brackets.points=-3"),
+    ("quantum", "bound", "grid.e.n=0"),
+    ("quantum", "moments", "grid.p.n=-4"),
+])
+def test_cli_rejects_nonfinite_numbers_and_nonpositive_counts(tmp_path, capsys, group, sub,
+                                                              setting):
+    out = tmp_path / "x.csv"
+    code = main([group, sub, "--set", setting, "--output", str(out)])
+    assert code == 2
+    assert f"config error: {setting.split('=')[0]}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_missing_config_file(tmp_path, capsys):
     code = main(["gedanken", "box", "--config", str(tmp_path / "absent.cfg")])
     assert code == 2
@@ -200,15 +219,51 @@ def test_cli_determinism_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_thread_cap_does_not_change_output(tmp_path, monkeypatch):
-    body = "sweep.param = box.dq\nsweep.min = 1e-7\nsweep.max = 1e-5\nsweep.count = 8\n"
-    cfg1, out1 = _cfg(tmp_path, "GEDANKEN_BOX", body, name="p1.csv")
-    monkeypatch.setenv("CLOCKLAB_THREADS", "1")
-    run(cfg1)
-    cfg2, out2 = _cfg(tmp_path, "GEDANKEN_BOX", body, name="p2.csv")
-    monkeypatch.setenv("CLOCKLAB_THREADS", "4")
-    run(cfg2)
-    assert out1.read_text() == out2.read_text()
+@pytest.mark.parametrize("kind, sweep", [
+    ("QUANTUM_BOUND_SWEEP", "sweep.param = quantum.sigma_e\nsweep.values = 0.1, 0.5, 2.0\n"),
+    ("GEDANKEN_BOX", "sweep.param = box.dq\nsweep.min = 1e-7\nsweep.max = 1e-5\nsweep.count = 8\n"),
+], ids=["quantum-bound", "gedanken-box"])
+def test_sweep_matches_member_runs(tmp_path, kind, sweep):
+    cfg, out = _cfg(tmp_path, kind, sweep, name="sweep.csv")
+    report = run(cfg)
+    sweep_lines = out.read_text().splitlines()
+    expected_lines = None
+    worst = {}
+    for i, value in enumerate(cfg.sweep.values):
+        member_cfg, member_out = _cfg(tmp_path, kind, f"{cfg.sweep.param} = {value!r}\n",
+                                      name=f"member{i}.csv")
+        member_report = run(member_cfg)
+        header, *rows = member_out.read_text().splitlines()
+        if expected_lines is None:
+            expected_lines = ["sweep_value," + header]
+        expected_lines += [f"{value:.14e}," + row for row in rows]
+        for c in member_report.checks:
+            if c.name not in worst or c.measured > worst[c.name].measured:
+                worst[c.name] = c
+    assert sweep_lines == expected_lines
+    assert {c.name: c for c in report.checks} == worst
+
+
+def test_one_evolve_per_reading(tmp_path, monkeypatch):
+    import clocklab.moments as moments
+    evolve = moments.evolve
+    times = []
+
+    def counting_evolve(state, t):
+        if t != 0.0:
+            times.append(t)
+        return evolve(state, t)
+
+    monkeypatch.setattr(moments, "evolve", counting_evolve)
+    cfg, _ = _cfg(tmp_path, "QUANTUM_BOUND_SWEEP",
+                  "sweep.param = quantum.sigma_e\nsweep.values = 0.1, 0.5, 2.0\n",
+                  name="bound.csv")
+    assert run(cfg).all_passed
+    assert times == [100.0] * 3
+    times.clear()
+    cfg, _ = _cfg(tmp_path, "QUANTUM_MOMENTS", "quantum.times = 0, 1, 10\n", name="moments.csv")
+    assert run(cfg).all_passed
+    assert times == [1.0, 10.0]
 
 
 def test_quantum_moments_snapshot_export(tmp_path):

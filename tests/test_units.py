@@ -24,12 +24,12 @@ def test_natural_units_are_exactly_unity():
     assert NATURAL_UNITS.hbar == 1.0
     assert NATURAL_UNITS.c == 1.0
     with pytest.raises(ValueError):
-        UnitContext(hbar=2.0, c=1.0, g=1.0, system=UnitSystem.NATURAL)
+        UnitContext(hbar=2.0, c=1.0, system=UnitSystem.NATURAL)
 
 
 def test_explicit_h_must_match():
     with pytest.raises(ValueError):
-        UnitContext(hbar=1.0, c=1.0, g=1.0, system=UnitSystem.NATURAL, h=6.0)
+        UnitContext(hbar=1.0, c=1.0, system=UnitSystem.NATURAL, h=6.0)
 
 
 def test_one_kilogram_in_natural_units():
