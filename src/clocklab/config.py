@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from .units import UnitSystem
+from .units import NATURAL_UNITS, SI_UNITS, UnitSystem, convert_units
 
 UNIT_TAGS = {
     "kg": "mass",
@@ -54,12 +54,29 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ParamSpec:
+    """One config key.  ``above`` and ``below`` are open bounds on a number,
+    given in natural units; an SI value is held to the bound converted to SI."""
+
     key: str
     dimension: str = "dimensionless"
     default: Any = None
     required: bool = False
     kind: str = "number"  # number | int | list | string
     choices: tuple[str, ...] | None = None
+    above: float | None = None
+    below: float | None = None
+
+    def range_violation(self, value: float, units: UnitSystem) -> str | None:
+        """The config error for a value outside the bounds, or None."""
+        if self.above is None and self.below is None:
+            return None
+        scale = (convert_units(1.0, self.dimension, NATURAL_UNITS, SI_UNITS)
+                 if units is UnitSystem.SI else 1.0)
+        if self.above is not None and not value > self.above * scale:
+            return f"{self.key}: must be greater than {self.above * scale!r}, got {value!r}"
+        if self.below is not None and not value < self.below * scale:
+            return f"{self.key}: must be less than {self.below * scale!r}, got {value!r}"
+        return None
 
 
 @dataclass(frozen=True)
@@ -96,27 +113,27 @@ class ScenarioConfig:
 def _quantum_state_params(sigma_e: float, p0: float, sigma_p: float) -> list[ParamSpec]:
     return [
         ParamSpec("quantum.e0", "energy", 10.0),
-        ParamSpec("quantum.sigma_e", "energy", sigma_e),
+        ParamSpec("quantum.sigma_e", "energy", sigma_e, above=0.0),
         ParamSpec("quantum.tau0", "time", 0.0),
         ParamSpec("quantum.p0", "momentum", p0),
-        ParamSpec("quantum.sigma_p", "momentum", sigma_p),
+        ParamSpec("quantum.sigma_p", "momentum", sigma_p, above=0.0),
         ParamSpec("quantum.x0", "length", 0.0),
-        ParamSpec("grid.e.n", "dimensionless", 1024, kind="int"),
-        ParamSpec("grid.p.n", "dimensionless", 256, kind="int"),
+        ParamSpec("grid.e.n", "dimensionless", 1024, kind="int", above=0),
+        ParamSpec("grid.p.n", "dimensionless", 256, kind="int", above=0),
     ]
 
 
 SCHEMAS: dict[str, list[ParamSpec]] = {
     "GEDANKEN_BOX": [
-        ParamSpec("box.dq", "length", 1e-6),
-        ParamSpec("box.t", "time", 1.0),
-        ParamSpec("box.g", "acceleration", 9.81),
+        ParamSpec("box.dq", "length", 1e-6, above=0.0),
+        ParamSpec("box.t", "time", 1.0, above=0.0),
+        ParamSpec("box.g", "acceleration", 9.81, above=0.0),
     ],
     "GEDANKEN_EFIELD": [
-        ParamSpec("efield.dq", "length", 1e-6),
-        ParamSpec("efield.t", "time", 1.0),
-        # v must stay below c, which is 1 in the default natural units
-        ParamSpec("efield.v", "speed", 0.5),
+        ParamSpec("efield.dq", "length", 1e-6, above=0.0),
+        ParamSpec("efield.t", "time", 1.0, above=0.0),
+        # the clock must move, slower than light (c = 1 natural speed unit)
+        ParamSpec("efield.v", "speed", 0.5, above=0.0, below=1.0),
     ],
     "CLASSICAL_TRAJECTORY": [
         ParamSpec("classical.metric", kind="string", default="flat",
@@ -130,33 +147,33 @@ SCHEMAS: dict[str, list[ParamSpec]] = {
         ParamSpec("classical.p1", "momentum", 0.75),
         ParamSpec("classical.p2", "momentum", 0.0),
         ParamSpec("classical.p3", "momentum", 0.0),
-        ParamSpec("classical.t_end", "time", 10.0),
-        ParamSpec("classical.dt", "time", 1e-3),
+        ParamSpec("classical.t_end", "time", 10.0, above=0.0),
+        ParamSpec("classical.dt", "time", 1e-3, above=0.0),
         ParamSpec("classical.lapse_g", "acceleration", 0.0),
         ParamSpec("classical.a0_slope", "dimensionless", 0.0),
         ParamSpec("classical.hold", "dimensionless", 0.0),
     ],
     "CLASSICAL_BRACKETS": [
-        ParamSpec("brackets.points", "dimensionless", 50, kind="int"),
-        ParamSpec("brackets.h_step", "dimensionless", 1e-5),
-        ParamSpec("brackets.scale", "dimensionless", 2.0),
+        ParamSpec("brackets.points", "dimensionless", 50, kind="int", above=0),
+        ParamSpec("brackets.h_step", "dimensionless", 1e-5, above=0.0),
+        ParamSpec("brackets.scale", "dimensionless", 2.0, above=0.0),
     ],
     "QUANTUM_MOMENTS": _quantum_state_params(0.5, 0.0, 0.5) + [
         ParamSpec("quantum.times", "time", (0.0, 1.0, 10.0, 100.0), kind="list"),
         ParamSpec("quantum.snapshot", kind="string", default=""),
     ],
     "QUANTUM_BOUND_SWEEP": _quantum_state_params(0.5, 1000.0, 0.05) + [
-        ParamSpec("quantum.t", "time", 100.0),
+        ParamSpec("quantum.t", "time", 100.0, above=0.0),
     ],
     "QUANTUM_OPTIMIZE": [
         ParamSpec("quantum.e0", "energy", 10.0),
         ParamSpec("quantum.p0", "momentum", 1000.0),
-        ParamSpec("quantum.sigma_p", "momentum", 0.05),
-        ParamSpec("quantum.t", "time", 100.0),
+        ParamSpec("quantum.sigma_p", "momentum", 0.05, above=0.0),
+        ParamSpec("quantum.t", "time", 100.0, above=0.0),
         ParamSpec("optimize.sigma_lo", "energy", 0.0),
         ParamSpec("optimize.sigma_hi", "energy", 0.0),
-        ParamSpec("grid.e.n", "dimensionless", 1024, kind="int"),
-        ParamSpec("grid.p.n", "dimensionless", 256, kind="int"),
+        ParamSpec("grid.e.n", "dimensionless", 1024, kind="int", above=0),
+        ParamSpec("grid.p.n", "dimensionless", 256, kind="int", above=0),
     ],
 }
 
@@ -320,30 +337,27 @@ def parse_config(text: str, kind_hint: str | None = None) -> ScenarioConfig:
         if spec is None:
             violations.append(f"unknown key for {kind}: {key}")
             continue
+        parsed: Any = None
         if spec.kind == "number":
             parsed = _parse_number(key, value, spec.dimension, units, violations)
-            if parsed is not None:
-                params[key] = parsed
         elif spec.kind == "int":
             try:
-                count = int(value)
+                parsed = int(value)
             except ValueError:
                 violations.append(f"{key}: non-integer value {value!r}")
-            else:
-                if count < 1:
-                    violations.append(f"{key}: must be at least 1, got {count}")
-                else:
-                    params[key] = count
         elif spec.kind == "list":
-            parsed_list = _parse_list(key, value, violations)
-            if parsed_list is not None:
-                params[key] = parsed_list
-        elif spec.kind == "string":
-            if spec.choices is not None and value not in spec.choices:
-                violations.append(
-                    f"{key}: {value!r} is not one of {', '.join(spec.choices)}")
-            else:
-                params[key] = value
+            parsed = _parse_list(key, value, violations)
+        elif spec.choices is not None and value not in spec.choices:
+            violations.append(f"{key}: {value!r} is not one of {', '.join(spec.choices)}")
+        else:
+            parsed = value
+        if parsed is None:
+            continue
+        problem = spec.range_violation(parsed, units)
+        if problem is not None:
+            violations.append(problem)
+        else:
+            params[key] = parsed
 
     for spec in SCHEMAS[kind]:
         if spec.key in params:
@@ -354,8 +368,13 @@ def parse_config(text: str, kind_hint: str | None = None) -> ScenarioConfig:
             violations.append(f"missing required key: {spec.key}")
 
     sweep = _resolve_sweep(raw, schema, units, violations)
-    if sweep is not None and not all(math.isfinite(v) for v in sweep.values):
-        violations.append("sweep: values must be finite")
+    if sweep is not None:
+        if not all(math.isfinite(v) for v in sweep.values):
+            violations.append("sweep: values must be finite")
+        for value in sweep.values:
+            problem = schema[sweep.param].range_violation(value, units)
+            if problem is not None:
+                violations.append(problem)
 
     if violations:
         raise ConfigError(violations)

@@ -249,16 +249,23 @@ def constraint_drift(traj: Trajectory) -> tuple[float, float]:
     return float(np.abs(phi1).max()), float(np.abs(phi2).max())
 
 
+def hamiltonian_series(traj: Trajectory, metric: StaticMetric, charge: float = 0.0,
+                       units: UnitContext = NATURAL_UNITS) -> np.ndarray:
+    """Total Hamiltonian at every sample of the trajectory."""
+    return np.array([total_hamiltonian(traj.point(i), metric, charge, units)
+                     for i in range(len(traj))])
+
+
+def relative_drift(series: np.ndarray) -> float:
+    """Peak-to-peak spread of a conserved quantity relative to its first sample."""
+    return float((series.max() - series.min()) / max(abs(series[0]), 1e-300))
+
+
 def conservation_drift(traj: Trajectory, metric: StaticMetric, charge: float = 0.0,
                        units: UnitContext = NATURAL_UNITS) -> tuple[float, float]:
     """Relative peak-to-peak drift of (H, M) along the trajectory."""
-    H = np.array([total_hamiltonian(traj.point(i), metric, charge, units)
-                  for i in range(len(traj))])
-    M = traj.states[:, 2]
-    h_scale = max(abs(H[0]), 1e-300)
-    m_scale = max(abs(M[0]), 1e-300)
-    return (float((H.max() - H.min()) / h_scale),
-            float((M.max() - M.min()) / m_scale))
+    return (relative_drift(hamiltonian_series(traj, metric, charge, units)),
+            relative_drift(traj.states[:, 2]))
 
 
 def proper_time_residual(traj: Trajectory, metric: StaticMetric,

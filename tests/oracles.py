@@ -6,13 +6,18 @@ trapezoid quadrature with analytic derivatives for proper-time spreads of
 1D profiles, closed forms for constant-force motion and the sharp-energy
 variance minimum, and the exact reading-variance law of an unchirped
 Gaussian clock with its minimizer over the rest-energy spread (quadrature
-plus a golden section on the quadrature itself).
+plus a golden section on the quadrature itself).  The bracket oracle is the
+scalar finite-difference algorithm the package replaced with its gradient
+matrix: fresh gradients for every Poisson bracket and a Python sum over the
+conjugate pairs.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from clocklab.dynamics import ExtendedPhaseSpacePoint
 
 
 def gauss_hermite_mean(fn, e0, sigma_e, p0, sigma_p, n=120):
@@ -118,3 +123,53 @@ def exact_gaussian_variance_minimum(e0, p0, sigma_p, t, lo, hi, hbar=1.0, c=1.0,
             a = x1
     x = 0.5 * (a + b)
     return math.exp(x), var(x)
+
+
+ORACLE_COORDINATES = ("tau", "p_tau", "M", "p_M", "x1", "x2", "x3", "p1", "p2", "p3")
+_ORACLE_PAIRS = ((0, 1), (2, 3), (4, 7), (5, 8), (6, 9))
+
+
+def oracle_coordinate(name):
+    idx = ORACLE_COORDINATES.index(name)
+    return lambda pt: pt.as_vector()[idx]
+
+
+def oracle_phi1(pt):
+    return pt.M - pt.p_tau
+
+
+def oracle_phi2(pt):
+    return pt.p_M
+
+
+def _fd_gradient(obs, z, h_step):
+    g = np.empty(10)
+    for i in range(10):
+        h = h_step * max(1.0, abs(z[i]))
+        zp = z.copy(); zp[i] += h
+        zm = z.copy(); zm[i] -= h
+        g[i] = (obs(ExtendedPhaseSpacePoint.from_vector(zp))
+                - obs(ExtendedPhaseSpacePoint.from_vector(zm))) / (2.0 * h)
+    return g
+
+
+def per_pair_poisson_bracket(obs_a, obs_b, pt, h_step=1e-5):
+    """Central-difference canonical bracket, both gradients taken afresh."""
+    z = pt.as_vector()
+    ga = _fd_gradient(obs_a, z, h_step)
+    gb = _fd_gradient(obs_b, z, h_step)
+    return float(sum(ga[q] * gb[p] - ga[p] * gb[q] for q, p in _ORACLE_PAIRS))
+
+
+def per_pair_dirac_bracket(obs_a, obs_b, pt, h_step=1e-5):
+    """{A, B} + {A, phi1}{phi2, B} - {A, phi2}{phi1, B} from five Poisson brackets."""
+    pb = lambda f, g: per_pair_poisson_bracket(f, g, pt, h_step)
+    return (pb(obs_a, obs_b) + pb(obs_a, oracle_phi1) * pb(oracle_phi2, obs_b)
+            - pb(obs_a, oracle_phi2) * pb(oracle_phi1, obs_b))
+
+
+def per_pair_dirac_table(pt, h_step=1e-5):
+    """Dirac brackets of the coordinate pairs (upper triangle, name order)."""
+    names = ORACLE_COORDINATES
+    return {(a, b): per_pair_dirac_bracket(oracle_coordinate(a), oracle_coordinate(b), pt, h_step)
+            for i, a in enumerate(names) for b in names[i + 1:]}

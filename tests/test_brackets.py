@@ -16,6 +16,13 @@ from clocklab.brackets import (
     reduced_canonical_pair,
 )
 from clocklab.dynamics import ExtendedPhaseSpacePoint
+from oracles import (
+    oracle_phi1,
+    oracle_phi2,
+    per_pair_dirac_bracket,
+    per_pair_dirac_table,
+    per_pair_poisson_bracket,
+)
 
 PT = random_points(seed=3, count=1)[0]
 
@@ -170,3 +177,52 @@ def test_probe_points_are_reproducible():
         assert np.array_equal(pa.as_vector(), pb.as_vector())
     c = random_points(seed=43, count=3)
     assert not np.array_equal(a[0].as_vector(), c[0].as_vector())
+
+
+def _hex(value):
+    return float(value).hex()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 29])
+def test_dirac_table_bitwise_equals_per_pair_oracle(seed):
+    for pt in random_points(seed=seed, count=20):
+        table = dirac_table(pt)
+        oracle = per_pair_dirac_table(pt)
+        assert list(table) == list(oracle)
+        assert {k: _hex(v) for k, v in table.items()} == {k: _hex(v) for k, v in oracle.items()}
+
+
+def test_wrapper_brackets_bitwise_equal_per_pair_oracle():
+    def T_obs(pt):
+        return reduced_canonical_pair(pt)[0]
+
+    def E_obs(pt):
+        return reduced_canonical_pair(pt)[1]
+
+    for pt in random_points(seed=17, count=10):
+        assert _hex(dirac_bracket(T_obs, E_obs, pt)) == _hex(
+            per_pair_dirac_bracket(T_obs, E_obs, pt))
+        assert _hex(poisson_bracket(phi1, phi2, pt)) == _hex(
+            per_pair_poisson_bracket(oracle_phi1, oracle_phi2, pt))
+
+
+def test_dirac_table_takes_each_gradient_once(monkeypatch):
+    from_vector = ExtendedPhaseSpacePoint.from_vector
+    calls = []
+
+    def counting(z):
+        calls.append(1)
+        return from_vector(z)
+
+    monkeypatch.setattr(ExtendedPhaseSpacePoint, "from_vector", staticmethod(counting))
+    dirac_table(PT)
+    # 12 gradients (10 coordinates, phi1, phi2) of 20 evaluations each
+    assert len(calls) == 240
+
+
+@pytest.mark.parametrize("h_step", [0.0, -1e-5])
+def test_nonpositive_step_rejected(h_step):
+    with pytest.raises(ValueError, match="h_step must be positive"):
+        dirac_table(PT, h_step)
+    with pytest.raises(ValueError, match="h_step must be positive"):
+        poisson_bracket(phi1, phi2, PT, h_step)

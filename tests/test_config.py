@@ -169,6 +169,8 @@ def test_every_schema_key_is_reachable():
                 value = spec.choices[0] if spec.choices else "flat"
             elif spec.kind == "list":
                 value = "1, 2"
+            elif spec.below is not None:
+                value = "0.5"  # inside the open bound (efield.v < c = 1)
             else:
                 value = "1"
             cfg = parse_config(f"kind = {kind}\n{spec.key} = {value}")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -189,6 +190,30 @@ def test_cli_rejects_nonfinite_numbers_and_nonpositive_counts(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("group, sub, settings, key", [
+    ("quantum", "bound", ["quantum.t=0"], "quantum.t"),
+    ("quantum", "optimize", ["quantum.t=-5"], "quantum.t"),
+    ("gedanken", "box", ["box.dq=-1"], "box.dq"),
+    ("gedanken", "efield", ["efield.v=2"], "efield.v"),
+    ("gedanken", "efield", ["units=SI", "efield.v=299792458"], "efield.v"),
+    ("classical", "brackets", ["brackets.h_step=0"], "brackets.h_step"),
+    ("classical", "brackets", ["brackets.scale=-2"], "brackets.scale"),
+    ("classical", "trajectory", ["classical.dt=0"], "classical.dt"),
+    ("quantum", "bound", ["sweep.param=quantum.sigma_e", "sweep.min=-0.5", "sweep.max=1.0",
+                          "sweep.count=4"], "quantum.sigma_e"),
+], ids=["bound-t", "optimize-t", "box-dq", "efield-v", "efield-v-si", "h-step", "scale", "dt",
+        "sweep-sigma-e"])
+def test_cli_rejects_out_of_range_values(tmp_path, capsys, group, sub, settings, key):
+    out = tmp_path / "x.csv"
+    argv = [group, sub]
+    for setting in settings:
+        argv += ["--set", setting]
+    code = main(argv + ["--output", str(out)])
+    assert code == 2
+    assert f"config error: {key}: must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_missing_config_file(tmp_path, capsys):
     code = main(["gedanken", "box", "--config", str(tmp_path / "absent.cfg")])
     assert code == 2
@@ -281,3 +306,47 @@ def test_quantum_moments_snapshot_export(tmp_path):
     e_dens = np.array([float(r[2]) for r in e_rows])
     de = e_coords[1] - e_coords[0]
     assert e_dens.sum() * de == pytest.approx(1.0, abs=1e-10)
+
+
+def test_one_hamiltonian_pass_per_trajectory(tmp_path, monkeypatch):
+    import clocklab.dynamics as dynamics
+    import clocklab.runner as runner
+    total_hamiltonian = dynamics.total_hamiltonian
+    calls = []
+
+    def counting_hamiltonian(*args, **kwargs):
+        calls.append(1)
+        return total_hamiltonian(*args, **kwargs)
+
+    # every module that binds the name, so a direct import is counted too
+    for module in (dynamics, runner):
+        if hasattr(module, "total_hamiltonian"):
+            monkeypatch.setattr(module, "total_hamiltonian", counting_hamiltonian)
+    cfg, _ = _cfg(tmp_path, "CLASSICAL_TRAJECTORY", "classical.t_end = 2\nclassical.dt = 1e-2\n")
+    report = run(cfg)
+    assert report.all_passed
+    assert report.rows_written == 201
+    assert len(calls) == 201
+
+
+# sha256 of each scenario's CSV at its default config, recorded before the
+# Dirac brackets moved to one gradient matrix per point; a change to any of
+# them must be justified in CHANGES.md.
+GOLDEN_CSV_SHA256 = {
+    ("gedanken", "box"): "ba3f2e47f9571ed247c570a49564d3c9a32e08a3618991dbdf82ddc2e5926b63",
+    ("gedanken", "efield"): "7c4cf442d9d227228fdfd5b6183e6a8216a0abf370beb88d9dd945b352f93116",
+    ("classical", "trajectory"):
+        "954fd1869f7e4717491064471a419359e8bbd3eee953eadedfd3b23247554eae",
+    ("classical", "brackets"): "16c0f3de7af22263db6e15ce1153b03334a9ff27c8ad5d3bd4f39c6da8d566ac",
+    ("quantum", "moments"): "e2cb06e912cfc7a0476d29bfc3518d84c8fb9deaec9d587947a4a06b05ee0dc9",
+    ("quantum", "bound"): "ed12b09d3b2712b1296e38e0c19a6796a5cedb63bfa8a0298fc18030f05e2112",
+    ("quantum", "optimize"): "d88fedd4fb7818310984d28372efcd480e81aa5486f9facb88866fbdbee5b16c",
+}
+
+
+@pytest.mark.parametrize("group, sub", list(GOLDEN_CSV_SHA256),
+                         ids=[f"{g}-{s}" for g, s in GOLDEN_CSV_SHA256])
+def test_default_scenario_csv_matches_golden_digest(tmp_path, group, sub):
+    out = tmp_path / "default.csv"
+    assert main([group, sub, "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV_SHA256[(group, sub)]
