@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
+from .dynamics import whole_steps
 from .units import NATURAL_UNITS, SI_UNITS, UnitSystem, convert_units
 
 UNIT_TAGS = {
@@ -290,6 +291,26 @@ def _resolve_sweep(raw: dict[str, str], schema: dict[str, ParamSpec], units: Uni
     return SweepSpec(param=param, values=values)
 
 
+def _step_rule_violations(params: dict[str, Any], sweep: SweepSpec | None,
+                          units: UnitSystem) -> list[str]:
+    """classical.t_end must be a whole number of classical.dt steps, for the
+    single run or for every sweep member."""
+    members = [params]
+    if sweep is not None and sweep.param in ("classical.t_end", "classical.dt"):
+        members = [{**params, sweep.param: value} for value in sweep.values]
+    violations = []
+    for member in members:
+        t_end, dt = member["classical.t_end"], member["classical.dt"]
+        if units is UnitSystem.SI:
+            t_end, dt = (convert_units(v, "time", SI_UNITS, NATURAL_UNITS) for v in (t_end, dt))
+        if whole_steps(t_end, dt) is None:
+            violations.append(
+                f"classical.t_end: must be a whole number of classical.dt steps, got "
+                f"classical.t_end = {member['classical.t_end']!r} and "
+                f"classical.dt = {member['classical.dt']!r}")
+    return violations
+
+
 def parse_config(text: str, kind_hint: str | None = None) -> ScenarioConfig:
     """Validate a config document; every violation is collected and reported
     together in the raised ConfigError."""
@@ -375,6 +396,10 @@ def parse_config(text: str, kind_hint: str | None = None) -> ScenarioConfig:
             problem = schema[sweep.param].range_violation(value, units)
             if problem is not None:
                 violations.append(problem)
+
+    step_keys = ("classical.t_end:", "classical.dt:", "sweep")
+    if kind == "CLASSICAL_TRAJECTORY" and not any(v.startswith(step_keys) for v in violations):
+        violations += _step_rule_violations(params, sweep, units)
 
     if violations:
         raise ConfigError(violations)

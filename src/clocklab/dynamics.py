@@ -203,6 +203,15 @@ class Trajectory:
         return self.states[:, 2] - self.states[:, 1], self.states[:, 3]
 
 
+def whole_steps(t_end: float, dt: float) -> int | None:
+    """Number of dt steps that make up t_end (natural units), or None when
+    t_end is not a whole positive number of steps to within 1e-9 max(1, t_end)."""
+    n_steps = int(round(t_end / dt))
+    if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
+        return None
+    return n_steps
+
+
 def integrate(pt0: ExtendedPhaseSpacePoint, metric: StaticMetric, charge: float,
               t_end: float, dt: float, units: UnitContext = NATURAL_UNITS,
               hold_x: bool = False) -> Trajectory:
@@ -218,8 +227,8 @@ def integrate(pt0: ExtendedPhaseSpacePoint, metric: StaticMetric, charge: float,
             f"initial data off the constraint surface: phi1={phi1:.3e}, phi2={phi2:.3e}")
     if dt <= 0.0 or t_end <= 0.0:
         raise ValueError("need dt > 0 and t_end > 0")
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
+    n_steps = whole_steps(t_end, dt)
+    if n_steps is None:
         raise ValueError("t_end must be an integer number of steps")
 
     c = units.c

@@ -8,6 +8,7 @@ boundary it converges faster than any power of the step.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -115,15 +116,34 @@ def wavenumbers(grid: UniformGrid) -> np.ndarray:
     return k
 
 
-def spectral_derivative_array(values: np.ndarray, grid: UniformGrid, axis: int = 0) -> np.ndarray:
+def spectral_derivative_array(values: np.ndarray, grid: UniformGrid, axis: int = 0,
+                              edge_band: float | None = None
+                              ) -> np.ndarray | tuple[np.ndarray, float]:
+    """Derivative of ``values`` along ``axis`` by DFT.
+
+    With ``edge_band`` set, also return the share of the spectral power
+    whose wavenumber lies in the outer ``edge_band`` fraction of the
+    conjugate window, ``|k| >= (1 - edge_band) * k_Nyquist``, taken from the
+    same transform: content there is about to wrap around the window.
+    """
     if values.shape[axis] != grid.n:
         raise ValueError("axis length does not match the supplied grid")
     k = wavenumbers(grid)
     shape = [1] * values.ndim
     shape[axis] = grid.n
     spec = np.fft.fft(values, axis=axis)
+    edge_fraction = None
+    if edge_band is not None:
+        # in DFT order |k| >= first_edge * dk is the one slice [first_edge, n - first_edge]
+        first_edge = math.ceil((1.0 - edge_band) * grid.n / 2)
+        band = [slice(None)] * values.ndim
+        band[axis] = slice(first_edge, grid.n - first_edge + 1)
+        edge = spec[tuple(band)]
+        total = np.vdot(spec, spec).real
+        edge_fraction = float(np.vdot(edge, edge).real / total) if total > 0.0 else 0.0
     spec *= (1j * k).reshape(shape)
-    return np.fft.ifft(spec, axis=axis)
+    deriv = np.fft.ifft(spec, axis=axis)
+    return deriv if edge_fraction is None else (deriv, edge_fraction)
 
 
 def spectral_derivative(fld: Field, axis_grid: UniformGrid | None = None, axis: int = 0) -> Field:

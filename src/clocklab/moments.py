@@ -12,6 +12,19 @@ the quadratic
 ``tau_moments_simulated`` measures the left side by evolving the state and
 ``variance_law_predict`` computes the coefficients at t = 0; agreement of
 the two independent routes is one of the main self-checks of this module.
+
+Readings are taken in a frame that moves with the clock.  The evolved state
+is translated in tau by -t v with the E-only phase exp(+i t v E / hbar),
+where v = ``states.frame_velocity`` is the dilation rate at the centre node
+of the grids; the frame mean plus t v is the lab-frame mean, and the
+variance is the same in every frame.  The proper-time window of the E grid
+then has to hold only the residual drift t (D - v), not the whole drift
+t D, so ``suggest_grids`` keeps the E grid small at long times.  v is a
+property of the grids, not an expectation of the state, so the runner's
+``mean_linearity`` check against <D> stays independent of the frame.  Each
+reading carries the share of it that lies near the edge of the window
+(``TauMoments.tau_window``).
+
 The sharp-energy approximation replaces D by E / <H>; its quality is
 reported, not assumed.  The clock bound var_tau(t) >= hbar t / <H> is that
 approximation's estimate, not a consequence of the exact law: it holds
@@ -33,7 +46,7 @@ from .operators import (
     evolve,
     tau_statistics,
 )
-from .states import MomentumSpaceState
+from .states import MomentumSpaceState, frame_velocity
 
 DISCRIMINANT_TOL = 1e-8
 SLOW_CLOCK_MOMENTUM_FRACTION = 0.01
@@ -44,6 +57,7 @@ class TauMoments:
     t: float
     mean_tau: float
     var_tau: float
+    tau_window: float  # share of the reading in the outer band of the tau window
 
     def __post_init__(self) -> None:
         if self.var_tau < -1e-12:
@@ -97,21 +111,33 @@ class UncertaintyProduct:
     lower: float
 
 
-def tau_moments_simulated(state: MomentumSpaceState, t: float) -> TauMoments:
-    """Evolve to coordinate time t, then measure the clock reading."""
-    mean, second, _ = tau_statistics(evolve(state, t))
-    return TauMoments(t=t, mean_tau=mean, var_tau=second - mean * mean)
+def tau_moments_simulated(state: MomentumSpaceState, t: float,
+                          strict: bool = False) -> TauMoments:
+    """Evolve to coordinate time t, then measure the clock reading in the
+    co-moving frame and return it in the lab frame.  A reading that reaches
+    the edge of the proper-time window warns, or raises AliasingError under
+    ``strict``."""
+    evolved = evolve(state, t)
+    shift = t * frame_velocity(state)
+    if shift != 0.0:
+        evolved = evolved.rephased(
+            np.exp((1j * shift / state.units.hbar) * state.e_grid.nodes)[:, None])
+    stats = tau_statistics(evolved, strict=strict)
+    return TauMoments(t=t, mean_tau=stats.mean + shift,
+                      var_tau=stats.second - stats.mean * stats.mean,
+                      tau_window=stats.window)
 
 
 def variance_law_predict(state: MomentumSpaceState) -> VarianceLawCoefficients:
     """Coefficients of the exact quadratic variance growth, from t = 0 data."""
     d = dilation_multiplier(state)
     d_mean = _diagonal_expectation(state, d)
-    d2_mean = _diagonal_expectation(state, d * d)
-    tau_mean, tau_sq, tpsi = tau_statistics(state)
+    tau_mean, tau_sq, tpsi, _ = tau_statistics(state)
     anti = 2.0 * float((np.conj(d * state.values) * tpsi).sum().real * state.cell_measure())
     return VarianceLawCoefficients(
-        quad=d2_mean - d_mean**2,
+        # centred: <D^2> - <D>^2 loses every digit of Var D below 1e-16 when
+        # D is pinned near 1, as for a clock at rest
+        quad=_diagonal_expectation(state, (d - d_mean) ** 2),
         lin=anti - 2.0 * d_mean * tau_mean,
         const=tau_sq - tau_mean**2,
     )
@@ -136,7 +162,7 @@ def peaked_approximation_report(state: MomentumSpaceState) -> PeakedApproximatio
     E = state.e_grid.nodes[:, None]
     e_mean = _diagonal_expectation(state, E)
     e2_mean = _diagonal_expectation(state, E * E)
-    tau_mean, _, tpsi = tau_statistics(state)
+    tau_mean, _, tpsi, _ = tau_statistics(state)
     anti_e = 2.0 * float((np.conj(E * state.values) * tpsi).sum().real * state.cell_measure())
     return PeakedApproximationReport(
         exact_quad=coeffs.quad,
@@ -172,7 +198,7 @@ def salecker_wigner_check(state: MomentumSpaceState, t: float) -> BoundCheck:
 
 def uncertainty_product(state: MomentumSpaceState) -> UncertaintyProduct:
     """Spread product d_tau * d_E against its floor hbar/2."""
-    tau_mean, tau_sq, _ = tau_statistics(state)
+    tau_mean, tau_sq, _, _ = tau_statistics(state)
     d_tau = math.sqrt(max(tau_sq - tau_mean**2, 0.0))
     E = state.e_grid.nodes[:, None]
     e_mean = _diagonal_expectation(state, E)

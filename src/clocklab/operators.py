@@ -7,20 +7,35 @@ fixed by the canonical commutator [tau, E] = i*hbar.  The dilation-rate
 observable D = E / sqrt(E^2 + c^2 p^2) is the operator form of the inverse
 Lorentz factor and is singular at the cone tip E = p = 0, so states must
 keep clear of it.
+
+The E step fixes a periodic proper-time window |tau| < pi hbar / dE.  A
+reading whose tau content reaches the window edge wraps around it and comes
+out wrong with no other symptom, since |psi(E)| is unchanged by evolution;
+``apply_tau`` therefore reports the share of |psi~(tau)|^2 in the outer
+``TAU_EDGE_BAND`` of the window, from the transform it takes anyway.
 """
 from __future__ import annotations
 
 import enum
 import math
+import warnings
+from typing import NamedTuple
 
 import numpy as np
 
-from .grids import BOUNDARY_HEALTH_LIMIT, ComplexField2D, spectral_derivative_array
-from .states import MomentumSpaceState, state_from_values
+from .grids import (
+    BOUNDARY_HEALTH_LIMIT,
+    ComplexField2D,
+    NumericalHealthWarning,
+    spectral_derivative_array,
+)
+from .states import MomentumSpaceState
 
 IMAG_RESIDUE_LIMIT = 1e-8
 TIP_CLEARANCE_CELLS = 5.0
 TIP_AMPLITUDE_LIMIT = 1e-8
+TAU_EDGE_BAND = 0.1          # outer tenth of each half of the proper-time window
+TAU_WINDOW_LIMIT = 1e-8      # largest healthy share of |psi~(tau)|^2 in that band
 
 
 class AliasingError(RuntimeError):
@@ -70,14 +85,30 @@ def check_tip_clearance(state: MomentumSpaceState) -> None:
             f"{TIP_CLEARANCE_CELLS:.0f} grid cells of E = p = 0")
 
 
-def apply_tau(state: MomentumSpaceState, strict: bool = False) -> ComplexField2D:
-    """i*hbar times the spectral E-derivative of the state."""
+def _tau_and_window(state: MomentumSpaceState, strict: bool) -> tuple[np.ndarray, float]:
+    """(tau psi values, tau-window edge share); an edge share above
+    TAU_WINDOW_LIMIT warns, or raises AliasingError under strict."""
     if strict and state.boundary_ratio() > BOUNDARY_HEALTH_LIMIT:
         raise AliasingError(
             f"state boundary amplitude ratio {state.boundary_ratio():.2e} "
             "is above the band-limit health threshold")
-    deriv = spectral_derivative_array(state.values, state.e_grid, axis=0)
-    return ComplexField2D(state.psi.grids, 1j * state.units.hbar * deriv)
+    deriv, window = spectral_derivative_array(state.values, state.e_grid, axis=0,
+                                              edge_band=TAU_EDGE_BAND)
+    if window > TAU_WINDOW_LIMIT:
+        message = (f"share {window:.2e} of |psi(tau)|^2 lies in the outer "
+                   f"{TAU_EDGE_BAND:.0%} of the proper-time window "
+                   f"|tau| < {math.pi * state.units.hbar / state.e_grid.step:.4g} "
+                   f"(limit {TAU_WINDOW_LIMIT:.0e}); the reading may wrap around it, "
+                   "so refine the E grid")
+        if strict:
+            raise AliasingError(message)
+        warnings.warn(message, NumericalHealthWarning, stacklevel=3)
+    return 1j * state.units.hbar * deriv, window
+
+
+def apply_tau(state: MomentumSpaceState, strict: bool = False) -> ComplexField2D:
+    """i*hbar times the spectral E-derivative of the state."""
+    return ComplexField2D(state.psi.grids, _tau_and_window(state, strict)[0])
 
 
 def evolve(state: MomentumSpaceState, t: float) -> MomentumSpaceState:
@@ -86,9 +117,7 @@ def evolve(state: MomentumSpaceState, t: float) -> MomentumSpaceState:
         raise ValueError("evolution time must be finite")
     if t == 0.0:
         return state
-    phase = np.exp((-1j * t / state.units.hbar) * energy_multiplier(state))
-    return state_from_values(state.e_grid, state.p_grid, phase * state.values,
-                             state.units, normalize=False)
+    return state.rephased(np.exp((-1j * t / state.units.hbar) * energy_multiplier(state)))
 
 
 def _grid_inner(state: MomentumSpaceState, bra: np.ndarray, ket: np.ndarray) -> complex:
@@ -107,12 +136,20 @@ def _diagonal_expectation(state: MomentumSpaceState, mult: np.ndarray) -> float:
     return float((mult * rho).sum() * state.cell_measure())
 
 
-def tau_statistics(state: MomentumSpaceState) -> tuple[float, float, np.ndarray]:
-    """(<tau>, <tau^2>, tau psi) computed with one spectral derivative."""
-    tpsi = apply_tau(state).values
+class TauStatistics(NamedTuple):
+    mean: float
+    second: float
+    tpsi: np.ndarray
+    window: float  # share of |psi(tau)|^2 in the outer TAU_EDGE_BAND of the window
+
+
+def tau_statistics(state: MomentumSpaceState, strict: bool = False) -> TauStatistics:
+    """<tau>, <tau^2>, tau psi and the tau-window edge share, computed with
+    one spectral derivative."""
+    tpsi, window = _tau_and_window(state, strict)
     mean = _real_part(_grid_inner(state, state.values, tpsi), "<tau>")
     second = float(np.vdot(tpsi, tpsi).real * state.cell_measure())
-    return mean, second, tpsi
+    return TauStatistics(mean, second, tpsi, window)
 
 
 def expectation(state: MomentumSpaceState, observable: Observable | str) -> float:
@@ -128,9 +165,9 @@ def expectation(state: MomentumSpaceState, observable: Observable | str) -> floa
     if obs is Observable.D:
         return _diagonal_expectation(state, dilation_multiplier(state))
     if obs is Observable.TAU:
-        return tau_statistics(state)[0]
+        return tau_statistics(state).mean
     if obs is Observable.TAU_SQ:
-        return tau_statistics(state)[1]
+        return tau_statistics(state).second
     raise ValueError(f"unknown observable: {observable!r}")
 
 

@@ -5,8 +5,12 @@ Check names are stable identifiers for the invariants they verify:
 ``product_ratio`` (weighing cancellation), ``dirac_table`` (canonical
 bracket table), trajectory constraint/conservation/rate checks,
 ``commutator``, ``uncertainty_floor``, ``variance_law``/``mean_linearity``
-(exact reading statistics), and ``sw_bound``/``sw_bound_floor``/
+(exact reading statistics), ``tau_window`` (share of a reading in the
+outer band of the proper-time window), and ``sw_bound``/``sw_bound_floor``/
 ``sw_saturation`` (clock-bound checks).
+
+Quantum runs also report the grid sizes they used (``diagnostics``: n_e and
+n_p, the largest over sweep members) in the JSON run report.
 """
 from __future__ import annotations
 
@@ -39,7 +43,7 @@ from .moments import (
     uncertainty_product,
     variance_law_predict,
 )
-from .operators import Observable, commutator_residual, expectation
+from .operators import TAU_WINDOW_LIMIT, Observable, commutator_residual, expectation
 from .search import optimize_clock_width
 from .states import GaussianClockSpec, gaussian_state
 from .units import NATURAL_UNITS, SI_UNITS, UnitContext, UnitSystem, convert_units
@@ -56,6 +60,7 @@ TOLERANCES = {
     "mean_linearity": 1e-8,
     "uncertainty_floor": 1e-6,
     "commutator": 1e-8,
+    "tau_window": TAU_WINDOW_LIMIT,
     "sw_bound": 0.0,
     "sw_bound_floor": 1e-3,
     "sw_saturation": 0.05,
@@ -79,6 +84,7 @@ class RunReport:
     scenario: ScenarioConfig
     rows_written: int
     checks: tuple[CheckResult, ...]
+    diagnostics: dict[str, int]  # grid sizes of quantum runs, empty otherwise
 
     @property
     def all_passed(self) -> bool:
@@ -106,15 +112,18 @@ def _to_natural(params: dict[str, Any], dims: dict[str, str], units: UnitSystem)
     return out
 
 
-def _row_to_si(row: list, col_dims: list[str]) -> list:
-    out = []
-    for value, dim in zip(row, col_dims):
-        if isinstance(value, float) and dim:
-            base, _, power = dim.partition("^")
-            factor = convert_units(1.0, base, NATURAL_UNITS, SI_UNITS)
-            value = value * factor ** (int(power) if power else 1)
-        out.append(value)
-    return out
+def _si_factor(dim: str) -> float | None:
+    """Natural-to-SI factor of an output column tagged ``dim`` (e.g.
+    "time^2"); None for an untagged column."""
+    if not dim:
+        return None
+    base, _, power = dim.partition("^")
+    return convert_units(1.0, base, NATURAL_UNITS, SI_UNITS) ** (int(power) if power else 1)
+
+
+def _row_to_si(row: list, factors: list[float | None]) -> list:
+    return [value * factor if factor is not None and isinstance(value, float) else value
+            for value, factor in zip(row, factors)]
 
 
 def _param_dims(kind: str) -> dict[str, str]:
@@ -136,7 +145,7 @@ def _run_gedanken_box(params: dict[str, Any], seed: int, ctx: UnitContext):
     row = [exp.delta_q, exp.t, exp.g, rep.delta_p, rep.delta_m, rep.delta_tau,
            rep.product_ratio, rep.product_ratio_half_hbar]
     checks = [_check("product_ratio", abs(rep.product_ratio - 1.0))]
-    return _BOX_HEADER, [row], checks
+    return _BOX_HEADER, [row], checks, {}
 
 
 def _run_gedanken_efield(params: dict[str, Any], seed: int, ctx: UnitContext):
@@ -146,7 +155,7 @@ def _run_gedanken_efield(params: dict[str, Any], seed: int, ctx: UnitContext):
     row = [exp.delta_q, exp.t, exp.v, rep.delta_p, rep.delta_m, rep.delta_tau,
            rep.product_ratio, rep.product_ratio_half_hbar]
     checks = [_check("product_ratio", abs(rep.product_ratio - 1.0))]
-    return _EFIELD_HEADER, [row], checks
+    return _EFIELD_HEADER, [row], checks, {}
 
 
 # --- classical ------------------------------------------------------------
@@ -193,7 +202,7 @@ def _run_classical_trajectory(params: dict[str, Any], seed: int, ctx: UnitContex
         expected_tau = params["classical.tau0"] + params["classical.t_end"] * m / h0
         checks.append(_check("tau_final", abs(traj.tau[-1] - expected_tau)))
     header = [name for name, _ in _TRAJ_COLS]
-    return header, rows, checks
+    return header, rows, checks, {}
 
 
 def _run_classical_brackets(params: dict[str, Any], seed: int, ctx: UnitContext):
@@ -208,7 +217,7 @@ def _run_classical_brackets(params: dict[str, Any], seed: int, ctx: UnitContext)
             worst = max(worst, err)
             rows.append([i, f"{a}|{b}", value, expected[(a, b)], err])
     checks = [_check("dirac_table", worst)]
-    return ["point", "pair", "value", "expected", "error"], rows, checks
+    return ["point", "pair", "value", "expected", "error"], rows, checks, {}
 
 
 # --- quantum ----------------------------------------------------------------
@@ -242,6 +251,10 @@ def _moment_row(state, t: float, law: VarianceLawCoefficients):
              law.const, bound, satisfied, sharp], sim, bc)
 
 
+def _grid_sizes(state) -> dict[str, int]:
+    return {"n_e": state.e_grid.n, "n_p": state.p_grid.n}
+
+
 def _write_snapshot(state, path: str) -> None:
     from .states import probability_marginals
     e_nodes, e_density, p_nodes, p_density = probability_marginals(state)
@@ -259,24 +272,27 @@ def _run_quantum_moments(params: dict[str, Any], seed: int, ctx: UnitContext):
         _write_snapshot(state, params["quantum.snapshot"])
     d_mean = expectation(state, Observable.D)
     law = variance_law_predict(state)
-    mean0 = tau_moments_simulated(state, 0.0).mean_tau
+    start = tau_moments_simulated(state, 0.0)
     rows = []
     law_dev = 0.0
     lin_dev = 0.0
+    window = start.tau_window
     for t in times:
         row, sim, _ = _moment_row(state, t, law)
         rows.append(row)
         law_dev = max(law_dev, abs(sim.var_tau - law.predict(t)) / max(law.predict(t), 1e-300))
-        expected_mean = mean0 + d_mean * t
+        expected_mean = start.mean_tau + d_mean * t
         lin_dev = max(lin_dev, abs(sim.mean_tau - expected_mean) / max(abs(expected_mean), 1.0))
+        window = max(window, sim.tau_window)
     up = uncertainty_product(state)
     checks = [
         _check("variance_law", law_dev),
         _check("mean_linearity", lin_dev),
+        _check("tau_window", window),
         _check("uncertainty_floor", up.lower - up.product),
         _check("commutator", commutator_residual(state)),
     ]
-    return [name for name, _ in _MOMENT_COLS], rows, checks
+    return [name for name, _ in _MOMENT_COLS], rows, checks, _grid_sizes(state)
 
 
 def _run_quantum_bound(params: dict[str, Any], seed: int, ctx: UnitContext):
@@ -285,13 +301,14 @@ def _run_quantum_bound(params: dict[str, Any], seed: int, ctx: UnitContext):
     if t <= 0.0:
         raise ValueError("the bound applies for t > 0")
     state = gaussian_state(spec, t_max=t, n_e=params["grid.e.n"], n_p=params["grid.p.n"])
-    row, _, bc = _moment_row(state, t, variance_law_predict(state))
+    row, sim, bc = _moment_row(state, t, variance_law_predict(state))
     up = uncertainty_product(state)
     checks = [
         _check("sw_bound", (-bc.margin) if bc.sharpness <= PEAKED_SHARPNESS else 0.0),
+        _check("tau_window", sim.tau_window),
         _check("uncertainty_floor", up.lower - up.product),
     ]
-    return [name for name, _ in _MOMENT_COLS], [row], checks
+    return [name for name, _ in _MOMENT_COLS], [row], checks, _grid_sizes(state)
 
 
 def _run_quantum_optimize(params: dict[str, Any], seed: int, ctx: UnitContext):
@@ -307,7 +324,8 @@ def _run_quantum_optimize(params: dict[str, Any], seed: int, ctx: UnitContext):
         _check("sw_bound_floor", result.bound - result.min_var),
         _check("sw_saturation", result.min_var / result.bound - 1.0),
     ]
-    return ["eval", "sigma_e", "var_tau"], rows, checks
+    n_e, n_p = result.grid_sizes
+    return ["eval", "sigma_e", "var_tau"], rows, checks, {"n_e": n_e, "n_p": n_p}
 
 
 _RUNNERS: dict[str, Callable] = {
@@ -338,6 +356,14 @@ def _merge_checks(all_checks: list[list[CheckResult]]) -> list[CheckResult]:
     return list(merged.values())
 
 
+def _merge_diagnostics(all_diagnostics: list[dict[str, int]]) -> dict[str, int]:
+    merged: dict[str, int] = {}
+    for diagnostics in all_diagnostics:
+        for name, value in diagnostics.items():
+            merged[name] = max(merged.get(name, value), value)
+    return merged
+
+
 def run(config: ScenarioConfig) -> RunReport:
     """Execute a scenario: write the CSV (and a JSON run report next to it),
     returning the per-invariant check results."""
@@ -349,7 +375,7 @@ def run(config: ScenarioConfig) -> RunReport:
                       else dict(config.params))
 
     if config.sweep is None:
-        header, rows, checks = runner(natural_params, config.seed, ctx)
+        header, rows, checks, diagnostics = runner(natural_params, config.seed, ctx)
     else:
         sweep_dim = dims.get(config.sweep.param, "dimensionless")
         values = config.sweep.values
@@ -366,18 +392,22 @@ def run(config: ScenarioConfig) -> RunReport:
         results = [member(v) for v in values]
         header = ["sweep_value"] + results[0][0]
         rows = []
-        for value, (_, member_rows, _) in zip(config.sweep.values, results):
+        for value, (_, member_rows, _, _) in zip(config.sweep.values, results):
             for row in member_rows:
                 rows.append([value] + row)
         checks = _merge_checks([r[2] for r in results])
+        diagnostics = _merge_diagnostics([r[3] for r in results])
 
     col_dims = _OUTPUT_DIMS.get(config.kind)
     if config.units is UnitSystem.SI and col_dims is not None:
-        dims_row = ([""] if config.sweep is not None else []) + col_dims
-        rows = [_row_to_si(row, dims_row) for row in rows]
+        # one factor per column, not per cell: SI trajectories have 10k rows
+        factors = [_si_factor(dim)
+                   for dim in ([""] if config.sweep is not None else []) + col_dims]
+        rows = [_row_to_si(row, factors) for row in rows]
 
     count = emit_csv(rows, header, config.output)
-    report = RunReport(scenario=config, rows_written=count, checks=tuple(checks))
+    report = RunReport(scenario=config, rows_written=count, checks=tuple(checks),
+                       diagnostics=diagnostics)
     _write_json_report(report)
     return report
 
@@ -389,6 +419,7 @@ def _write_json_report(report: RunReport) -> None:
         "checks": [{"name": c.name, "passed": c.passed, "measured": c.measured,
                     "tolerance": c.tolerance} for c in report.checks],
         "all_passed": report.all_passed,
+        "diagnostics": report.diagnostics,
     }
     path = Path(report.scenario.output).with_suffix(".report.json")
     with open(path, "w") as fh:

@@ -74,6 +74,7 @@ class ClockWidthResult:
     sharpness: float
     n_evals: int
     trace: tuple[tuple[float, float], ...]
+    grid_sizes: tuple[int, int]  # largest (n_e, n_p) over the evaluated states
 
 
 def optimize_clock_width(e0: float, p0: float, sigma_p: float, t: float,
@@ -97,11 +98,14 @@ def optimize_clock_width(e0: float, p0: float, sigma_p: float, t: float,
         raise ValueError("sigma bounds must satisfy 0 < lo < hi")
 
     trace: list[tuple[float, float]] = []
+    grid_sizes = (n_e, n_p)
 
     def var_at(log_sigma: float) -> float:
+        nonlocal grid_sizes
         sigma_e = math.exp(log_sigma)
         spec = GaussianClockSpec(e0=e0, sigma_e=sigma_e, p0=p0, sigma_p=sigma_p)
         state = gaussian_state(spec, units, t_max=t, n_e=n_e, n_p=n_p)
+        grid_sizes = (max(grid_sizes[0], state.e_grid.n), max(grid_sizes[1], state.p_grid.n))
         var = tau_moments_simulated(state, t).var_tau
         trace.append((sigma_e, var))
         return var
@@ -123,4 +127,5 @@ def optimize_clock_width(e0: float, p0: float, sigma_p: float, t: float,
         sharpness=sharp,
         n_evals=evals,
         trace=tuple(trace),
+        grid_sizes=grid_sizes,
     )

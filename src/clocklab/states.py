@@ -30,6 +30,14 @@ MIN_SIGMA_COVERAGE = 8.0     # window must span at least this many sigma per sid
 MIN_CELLS_PER_SIGMA = 3.0
 DEFAULT_SIGMA_MARGIN = 12.0
 MAX_GRID_SIZE = 1 << 15
+# The proper-time half-window pi hbar / dE is at least this many times the
+# reach of the co-moving reading, which takes D at the 4-sigma corners.  A
+# rest clock has D - v ~ -p^2 / 2E^2, a heavy one-sided tail: read where the
+# power-of-two rounding of n_e leaves no headroom, it misses the exact
+# variance by about 1e-6 at a margin of 1.3 (e0 = 10, sigma_p = 0.5,
+# t = 6500); at 1.6 the worst case probed missed by 1e-7, and the tau-window
+# health check flags it.
+TAU_WINDOW_MARGIN = 1.6
 
 
 @dataclass(frozen=True)
@@ -82,6 +90,16 @@ class MomentumSpaceState:
 
     def boundary_ratio(self) -> float:
         return boundary_amplitude_ratio(self.psi)
+
+    def rephased(self, phase: np.ndarray) -> MomentumSpaceState:
+        """This state times a unimodular phase array (broadcast over the
+        grid).  |psi| is unchanged, so the normalization and boundary checks
+        made when this state was built hold for the result and are not
+        repeated."""
+        out = object.__new__(MomentumSpaceState)
+        object.__setattr__(out, "psi", ComplexField2D(self.psi.grids, phase * self.values))
+        object.__setattr__(out, "units", self.units)
+        return out
 
     def cell_measure(self) -> float:
         return self.e_grid.step * self.p_grid.step
@@ -145,16 +163,27 @@ def _next_pow2(n: float) -> int:
     return 1 << max(3, math.ceil(math.log2(max(n, 8.0))))
 
 
-def _dilation_corners(spec: GaussianClockSpec, c: float) -> tuple[float, float]:
-    """Rough center and half-range of E/sqrt(E^2 + c^2 p^2) over the state."""
-    es = [spec.e0 - 4 * spec.sigma_e, spec.e0, spec.e0 + 4 * spec.sigma_e]
-    ps = [spec.p0 - 4 * spec.sigma_p, spec.p0, spec.p0 + 4 * spec.sigma_p]
-    vals = []
-    for e in es:
-        for p in ps:
-            denom = math.hypot(e, c * p)
-            vals.append(0.0 if denom == 0.0 else e / denom)
-    return (max(vals) + min(vals)) / 2.0, (max(vals) - min(vals)) / 2.0
+def _dilation_rate(e: float, p: float, c: float) -> float:
+    denom = math.hypot(e, c * p)
+    return 0.0 if denom == 0.0 else e / denom
+
+
+def frame_velocity(state: MomentumSpaceState) -> float:
+    """Dilation rate E/sqrt(E^2 + c^2 p^2) at the centre node of the state's
+    grids, (e0, p0) for grids from ``suggest_grids``: the rate of the
+    co-moving frame in which readings are measured."""
+    eg, pg = state.e_grid, state.p_grid
+    return _dilation_rate(eg.lo + eg.step * (eg.n // 2), pg.lo + pg.step * (pg.n // 2),
+                          state.units.c)
+
+
+def _residual_dilation(spec: GaussianClockSpec, c: float) -> float:
+    """Largest |D - v| over the 4-sigma corners of the state, with D the
+    dilation rate and v its value at (e0, p0), the frame velocity."""
+    v = _dilation_rate(spec.e0, spec.p0, c)
+    return max(abs(_dilation_rate(spec.e0 + i * 4 * spec.sigma_e,
+                                  spec.p0 + j * 4 * spec.sigma_p, c) - v)
+               for i in (-1, 0, 1) for j in (-1, 0, 1))
 
 
 def suggest_grids(spec: GaussianClockSpec, units: UnitContext = NATURAL_UNITS,
@@ -164,15 +193,16 @@ def suggest_grids(spec: GaussianClockSpec, units: UnitContext = NATURAL_UNITS,
 
     The E window covers ``sigma_margin`` sigma each side of e0, and the E
     resolution is raised until the conjugate proper-time window comfortably
-    contains the evolved reading tau0 + t*<dilation> plus its spread.
+    contains the reading in the co-moving frame: tau0 plus the residual
+    drift t*(D - v) and the initial spread.  The common drift t*v is added
+    after the measurement and needs no window.
     """
     hbar = units.hbar
     half_e = sigma_margin * spec.sigma_e
-    d_center, d_spread = _dilation_corners(spec, units.c)
     dtau0 = hbar / (2.0 * spec.sigma_e)
-    tau_reach = (abs(spec.tau0) + abs(t_max) * (abs(d_center) + d_spread)
+    tau_reach = (abs(spec.tau0) + abs(t_max) * _residual_dilation(spec, units.c)
                  + 10.0 * dtau0 + 2.0)
-    de_max = math.pi * hbar / (1.3 * tau_reach)
+    de_max = math.pi * hbar / (TAU_WINDOW_MARGIN * tau_reach)
     n_e_needed = max(n_e, _next_pow2(2.0 * half_e / de_max))
     if n_e_needed > MAX_GRID_SIZE:
         raise ValueError("requested evolution span needs an impractically large E grid")

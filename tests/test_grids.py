@@ -9,6 +9,7 @@ from clocklab.grids import (
     UniformGrid,
     boundary_amplitude_ratio,
     spectral_derivative,
+    spectral_derivative_array,
     trapezoid_norm_squared,
 )
 
@@ -140,3 +141,18 @@ def test_derivative_linearity(fa, fb, alpha, beta):
            + beta * spectral_derivative(ComplexField1D(grid, g)).values)
     scale = max(np.abs(rhs).max(), 1.0)
     assert np.abs(lhs - rhs).max() / scale < 1e-12
+
+
+def test_edge_band_share_of_spectral_power():
+    # on [0, 2 pi) with 64 nodes the wavenumbers are integers up to 32, and
+    # the outer tenth of the window is |k| >= 29
+    grid = UniformGrid(0.0, 2.0 * np.pi, 64)
+    low = np.exp(3j * grid.nodes)
+    high = np.exp(-30j * grid.nodes)
+    deriv, share = spectral_derivative_array(low, grid, edge_band=0.1)
+    assert np.allclose(deriv, 3j * low, atol=1e-12)
+    assert share < 1e-28
+    assert spectral_derivative_array(high, grid, edge_band=0.1)[1] == pytest.approx(1.0)
+    mixed = np.outer(np.ones(4), low + 1e-3 * high)  # the band is along axis 1
+    _, share = spectral_derivative_array(mixed, grid, axis=1, edge_band=0.1)
+    assert share == pytest.approx(1e-6 / (1.0 + 1e-6), rel=1e-9)

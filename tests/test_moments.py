@@ -1,7 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from clocklab.operators import Observable, expectation
+from clocklab.grids import NumericalHealthWarning
+from clocklab.operators import (
+    TAU_WINDOW_LIMIT,
+    AliasingError,
+    Observable,
+    apply_tau,
+    evolve,
+    expectation,
+)
 from clocklab.moments import (
     peaked_approximation_report,
     salecker_wigner_check,
@@ -9,11 +19,18 @@ from clocklab.moments import (
     uncertainty_product,
     variance_law_predict,
 )
-from clocklab.states import GaussianClockSpec, gaussian_state, state_from_profiles, suggest_grids
+from clocklab.states import (
+    GaussianClockSpec,
+    gaussian_state,
+    make_gaussian_state,
+    state_from_profiles,
+    suggest_grids,
+)
 
 from oracles import (
     chirped_product,
     dilation,
+    exact_gaussian_variance,
     gauss_hermite_mean,
     gaussian_profile,
     profile_spreads,
@@ -208,3 +225,73 @@ def test_negative_rest_energy_clock_runs_backwards():
     for t in (10.0, 50.0):
         assert tau_moments_simulated(state, t).var_tau == pytest.approx(
             law.predict(t), rel=1e-7)
+
+
+# --- co-moving frame --------------------------------------------------------
+
+@pytest.mark.parametrize("t", [1e3, 1e4])
+def test_frame_reading_matches_exact_variance_at_long_times(t):
+    spec = GaussianClockSpec(e0=10.0, sigma_e=0.5, sigma_p=0.5)
+    state = gaussian_state(spec, t_max=t)
+    assert state.e_grid.n <= 2048
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reading = tau_moments_simulated(state, t)
+    assert reading.var_tau == pytest.approx(
+        exact_gaussian_variance(10.0, 0.5, 0.0, 0.5, t), rel=1e-7)
+
+
+@pytest.mark.parametrize("spec", [
+    GaussianClockSpec(e0=10.0, sigma_e=0.5, sigma_p=0.5),
+    GaussianClockSpec(e0=10.0, sigma_e=0.5, tau0=0.5, p0=3.0, sigma_p=0.4),
+    GaussianClockSpec(e0=-10.0, sigma_e=0.5, sigma_p=0.5),
+], ids=["rest", "moving", "negative"])
+def test_frame_reading_matches_lab_frame_on_fine_grid(spec):
+    t = 1000.0
+    reading = tau_moments_simulated(gaussian_state(spec, t_max=t), t)
+    # lab frame: the whole drift t <D> fits the tau window of 8192 E nodes
+    lab = evolve(make_gaussian_state(spec, *suggest_grids(spec, n_e=8192)), t)
+    tpsi = apply_tau(lab).values
+    mean = np.vdot(lab.values, tpsi).real * lab.cell_measure()
+    # centred, since <tau^2> - <tau>^2 loses digits to <tau> ~ t
+    centred = tpsi - mean * lab.values
+    var = np.vdot(centred, centred).real * lab.cell_measure()
+    assert reading.mean_tau == pytest.approx(mean, rel=1e-9)
+    assert reading.var_tau == pytest.approx(var, rel=1e-9)
+
+
+def test_reading_beyond_tau_window_warns_and_strict_raises():
+    # D - v spans about +-0.14, so t = 3000 drifts the reading some 430
+    # past its centre, beyond the |tau| < 268 window of a grid sized for t = 0
+    spec = GaussianClockSpec(e0=10.0, sigma_e=0.5, p0=10.0, sigma_p=0.5)
+    state = make_gaussian_state(spec, *suggest_grids(spec))
+    t = 3000.0
+    with pytest.warns(NumericalHealthWarning, match="proper-time window"):
+        reading = tau_moments_simulated(state, t)
+    assert reading.tau_window > TAU_WINDOW_LIMIT
+    # the check is not a false alarm: the wrapped reading is wrong
+    exact = exact_gaussian_variance(10.0, 0.5, 10.0, 0.5, t)
+    assert abs(reading.var_tau - exact) > 1e-4 * exact
+    with pytest.raises(AliasingError, match="proper-time window"):
+        tau_moments_simulated(state, t, strict=True)
+
+
+def test_healthy_boosted_reading_is_silent():
+    spec = GaussianClockSpec(e0=10.0, sigma_e=2.0, p0=1000.0, sigma_p=0.05)
+    state = make_gaussian_state(spec, *suggest_grids(spec, n_e=4096))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reading = tau_moments_simulated(state, 1e4, strict=True)
+    assert reading.tau_window <= TAU_WINDOW_LIMIT
+    assert reading.var_tau == pytest.approx(variance_law_predict(state).predict(1e4), rel=1e-7)
+
+
+@pytest.mark.parametrize("sigma_p", [0.5, 0.05, 0.01])
+def test_variance_law_keeps_digits_of_a_pinned_dilation(sigma_p):
+    # a rest clock's D sits within (sigma_p/e0)^2 of 1, so Var D is far
+    # below the rounding of <D^2> - <D>^2; the law is read from t = 0 data
+    state = gaussian_state(GaussianClockSpec(e0=10.0, sigma_e=0.5, sigma_p=sigma_p))
+    law = variance_law_predict(state)
+    for t in (1e3, 1e5):
+        assert law.predict(t) == pytest.approx(
+            exact_gaussian_variance(10.0, 0.5, 0.0, sigma_p, t), rel=1e-9)

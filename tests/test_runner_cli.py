@@ -135,6 +135,44 @@ def test_si_trajectory_columns_scale(tmp_path):
     assert m_si == pytest.approx(1.0, rel=1e-12)
 
 
+def test_si_output_converts_each_column_once(tmp_path, monkeypatch):
+    import clocklab.runner as runner
+    convert = runner.convert_units
+    calls = []
+
+    def counting_convert(*args):
+        calls.append(args)
+        return convert(*args)
+
+    monkeypatch.setattr(runner, "convert_units", counting_convert)
+    counts = {}
+    for t_end in ("0.5", "2"):
+        calls.clear()
+        cfg, _ = _cfg(tmp_path, "CLASSICAL_TRAJECTORY",
+                      f"units = SI\nclassical.t_end = {t_end} s\nclassical.dt = 1e-2 s\n"
+                      "classical.p1 = 0 kg*m/s\n")
+        report = run(cfg)
+        assert report.all_passed
+        counts[report.rows_written] = len(calls)
+    assert sorted(counts) == [51, 201]
+    assert counts[51] == counts[201]
+
+
+def test_quantum_readings_report_tau_window_and_grids(tmp_path):
+    cfg, _ = _cfg(tmp_path, "QUANTUM_BOUND_SWEEP", "quantum.t = 100\n")
+    report = run(cfg)
+    window = {c.name: c for c in report.checks}["tau_window"]
+    assert window.passed and 0.0 <= window.measured <= window.tolerance
+    assert report.diagnostics == {"n_e": 1024, "n_p": 256}
+    # a sweep reports the largest grid of its members
+    cfg, _ = _cfg(tmp_path, "QUANTUM_MOMENTS", "quantum.times = 0, 3000\n"
+                  "sweep.param = quantum.sigma_p\nsweep.values = 0.5, 1.0\n", name="s.csv")
+    report = run(cfg)
+    assert report.all_passed
+    assert "tau_window" in {c.name for c in report.checks}
+    assert report.diagnostics == {"n_e": 2048, "n_p": 256}
+
+
 def test_report_json_contents(tmp_path):
     cfg, out = _cfg(tmp_path, "GEDANKEN_EFIELD")
     run(cfg)
@@ -142,6 +180,14 @@ def test_report_json_contents(tmp_path):
     assert payload["all_passed"] is True
     assert payload["scenario"]["kind"] == "GEDANKEN_EFIELD"
     assert payload["checks"][0]["name"] == "product_ratio"
+    assert payload["diagnostics"] == {}
+    # quantum runs report the grid they used: a rest clock read at t = 1000
+    # needs only the residual drift in its tau window, so n_e stays at 1024
+    # (sized for the whole drift t <D>, it would be 8192)
+    cfg, out = _cfg(tmp_path, "QUANTUM_MOMENTS", "quantum.times = 0, 1000\n", name="q.csv")
+    run(cfg)
+    payload = json.loads(out.with_suffix(".report.json").read_text())
+    assert payload["diagnostics"] == {"n_e": 1024, "n_p": 256}
 
 
 # --- cli ---------------------------------------------------------------------
@@ -211,6 +257,25 @@ def test_cli_rejects_out_of_range_values(tmp_path, capsys, group, sub, settings,
     code = main(argv + ["--output", str(out)])
     assert code == 2
     assert f"config error: {key}: must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("settings", [
+    ["classical.dt=0.3"],
+    ["units=SI", "classical.t_end=1 s", "classical.dt=0.3 s"],
+    ["sweep.param=classical.dt", "sweep.values=0.001, 0.3"],
+    ["classical.dt=0.25", "sweep.param=classical.t_end", "sweep.values=1, 1.1, 2"],
+], ids=["dt", "dt-si", "sweep-dt", "sweep-t-end"])
+def test_cli_rejects_partial_integration_step(tmp_path, capsys, settings):
+    out = tmp_path / "x.csv"
+    argv = ["classical", "trajectory"]
+    for setting in settings:
+        argv += ["--set", setting]
+    code = main(argv + ["--output", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error: classical.t_end: must be a whole number of classical.dt steps" in err
+    assert err.count("config error") == 1
     assert not out.exists()
 
 
@@ -330,17 +395,20 @@ def test_one_hamiltonian_pass_per_trajectory(tmp_path, monkeypatch):
 
 
 # sha256 of each scenario's CSV at its default config, recorded before the
-# Dirac brackets moved to one gradient matrix per point; a change to any of
-# them must be justified in CHANGES.md.
+# Dirac brackets moved to one gradient matrix per point (the three quantum
+# ones re-recorded when readings moved to the co-moving frame and the law's
+# quad coefficient to a centred moment, which move the last digits of
+# mean_tau, var_tau_sim, var_tau_law and quad); a change to any of them must
+# be justified in CHANGES.md.
 GOLDEN_CSV_SHA256 = {
     ("gedanken", "box"): "ba3f2e47f9571ed247c570a49564d3c9a32e08a3618991dbdf82ddc2e5926b63",
     ("gedanken", "efield"): "7c4cf442d9d227228fdfd5b6183e6a8216a0abf370beb88d9dd945b352f93116",
     ("classical", "trajectory"):
         "954fd1869f7e4717491064471a419359e8bbd3eee953eadedfd3b23247554eae",
     ("classical", "brackets"): "16c0f3de7af22263db6e15ce1153b03334a9ff27c8ad5d3bd4f39c6da8d566ac",
-    ("quantum", "moments"): "e2cb06e912cfc7a0476d29bfc3518d84c8fb9deaec9d587947a4a06b05ee0dc9",
-    ("quantum", "bound"): "ed12b09d3b2712b1296e38e0c19a6796a5cedb63bfa8a0298fc18030f05e2112",
-    ("quantum", "optimize"): "d88fedd4fb7818310984d28372efcd480e81aa5486f9facb88866fbdbee5b16c",
+    ("quantum", "moments"): "50b6c5990090cc7a5c32a81dd115f7cb14e9323dd63073a6d4a23a5214211e10",
+    ("quantum", "bound"): "51cfaeab560e7e1c95f74efd361fc8395b5ad5fea2f99767af4a95744faea252",
+    ("quantum", "optimize"): "69489179d00b59d0ffb85b6a1f7ee73a42996cf303fcdf4adf4d5cc3c0f33961",
 }
 
 

@@ -12,6 +12,8 @@ from clocklab.states import (
     suggest_grids,
 )
 
+from oracles import dilation
+
 
 def test_gaussian_state_is_normalized_and_centered():
     spec = GaussianClockSpec(e0=10.0, sigma_e=0.5, sigma_p=0.5)
@@ -75,13 +77,28 @@ def test_boundary_health_warning_for_wide_state():
         make_gaussian_state(spec, e_grid, p_grid)
 
 
+def _residual_reach(spec, t):
+    """tau0 plus t * max |D - v| over the 4-sigma corners, v = D(e0, p0)."""
+    v = dilation(spec.e0, spec.p0)
+    return abs(spec.tau0) + t * max(
+        abs(dilation(spec.e0 + i * 4 * spec.sigma_e, spec.p0 + j * 4 * spec.sigma_p) - v)
+        for i in (-1, 0, 1) for j in (-1, 0, 1))
+
+
 def test_suggest_grids_scales_resolution_with_time():
     spec = GaussianClockSpec(e0=10.0, sigma_e=0.5, sigma_p=0.5)
     short, _ = suggest_grids(spec, t_max=1.0)
     long, _ = suggest_grids(spec, t_max=400.0)
     assert long.n >= short.n
-    # conjugate proper-time window must cover the evolved reading
-    assert np.pi / long.step > 400.0
+    # the conjugate proper-time window must cover the reading in the
+    # co-moving frame: its residual drift, not the whole drift t <D>
+    assert np.pi / long.step >= 1.3 * _residual_reach(spec, 400.0)
+    # a dilation spread of +-0.14 about v still makes n_e grow with t
+    spread = GaussianClockSpec(e0=10.0, sigma_e=0.5, p0=10.0, sigma_p=0.5)
+    grids = [suggest_grids(spread, t_max=t)[0] for t in (1.0, 2e3, 1e4)]
+    assert grids[0].n < grids[1].n < grids[2].n
+    for grid, t in zip(grids, (1.0, 2e3, 1e4)):
+        assert np.pi / grid.step >= 1.3 * _residual_reach(spread, t)
 
 
 def test_profile_builder_normalizes():
