@@ -139,7 +139,7 @@ SCHEMAS: dict[str, list[ParamSpec]] = {
     "CLASSICAL_TRAJECTORY": [
         ParamSpec("classical.metric", kind="string", default="flat",
                   choices=("flat", "uniform_lapse")),
-        ParamSpec("classical.m", "energy", 1.0),
+        ParamSpec("classical.m", "energy", 1.0, above=0.0),
         ParamSpec("classical.charge", "dimensionless", 0.0),
         ParamSpec("classical.tau0", "time", 0.0),
         ParamSpec("classical.x1", "length", 0.0),
@@ -293,8 +293,9 @@ def _resolve_sweep(raw: dict[str, str], schema: dict[str, ParamSpec], units: Uni
 
 def _step_rule_violations(params: dict[str, Any], sweep: SweepSpec | None,
                           units: UnitSystem) -> list[str]:
-    """classical.t_end must be a whole number of classical.dt steps, for the
-    single run or for every sweep member."""
+    """classical.t_end must be a whole number of classical.dt steps, at least
+    two (the trajectory audits take central differences), for the single run
+    or for every sweep member."""
     members = [params]
     if sweep is not None and sweep.param in ("classical.t_end", "classical.dt"):
         members = [{**params, sweep.param: value} for value in sweep.values]
@@ -303,10 +304,11 @@ def _step_rule_violations(params: dict[str, Any], sweep: SweepSpec | None,
         t_end, dt = member["classical.t_end"], member["classical.dt"]
         if units is UnitSystem.SI:
             t_end, dt = (convert_units(v, "time", SI_UNITS, NATURAL_UNITS) for v in (t_end, dt))
-        if whole_steps(t_end, dt) is None:
+        n_steps = whole_steps(t_end, dt)
+        if n_steps is None or n_steps < 2:
             violations.append(
-                f"classical.t_end: must be a whole number of classical.dt steps, got "
-                f"classical.t_end = {member['classical.t_end']!r} and "
+                f"classical.t_end: must be a whole number of classical.dt steps, at least 2, "
+                f"got classical.t_end = {member['classical.t_end']!r} and "
                 f"classical.dt = {member['classical.dt']!r}")
     return violations
 

@@ -1,11 +1,17 @@
 """Static background fields for the clock: lapse, spatial metric and
 electromagnetic potentials, all functions of the spatial position only.
 
-The four-metric is diag(-f^2, g_ij) with x^0 = c*t.  Factories cover the
-cases the test problems need: flat space, a uniform weak-field lapse
+The four-metric is diag(-f^2, g_ij) with x^0 = c*t and a conformally flat
+spatial metric g_ij = w(x) delta_ij, so its inverse is delta_ij / w and no
+matrix is inverted or checked per point.  Factories cover the cases the
+test problems need: flat space, a uniform weak-field lapse
 f = 1 + g x^1 / c^2, an isotropic weak field, and linear scalar potentials
-for constant-force motion.  Gradients may be supplied analytically;
-otherwise central finite differences are used.
+for constant-force motion.
+
+Every callable takes positions of shape (..., 3) and returns values with the
+same leading shape, so one call serves a batch of clocks or a whole
+trajectory.  Each field comes with its analytic spatial gradient; the
+derivative direction is the first axis after the leading ones.
 """
 from __future__ import annotations
 
@@ -14,136 +20,91 @@ from typing import Callable
 
 import numpy as np
 
-ScalarFn = Callable[[np.ndarray], float]
-VectorFn = Callable[[np.ndarray], np.ndarray]
-MatrixFn = Callable[[np.ndarray], np.ndarray]
-
-_FD_STEP = 1e-6
+ScalarFn = Callable[[np.ndarray], np.ndarray]   # (..., 3) -> (...)
+VectorFn = Callable[[np.ndarray], np.ndarray]   # (..., 3) -> (..., 3)
+MatrixFn = Callable[[np.ndarray], np.ndarray]   # (..., 3) -> (..., 3, 3)
 
 
-def _fd_scalar_grad(fn: ScalarFn) -> VectorFn:
-    def grad(x: np.ndarray) -> np.ndarray:
-        out = np.empty(3)
-        for k in range(3):
-            h = _FD_STEP * max(1.0, abs(x[k]))
-            xp = x.copy(); xp[k] += h
-            xm = x.copy(); xm[k] -= h
-            out[k] = (fn(xp) - fn(xm)) / (2.0 * h)
-        return out
-    return grad
+def _positive(values: np.ndarray, what: str) -> np.ndarray:
+    if values.min() <= 0.0:
+        raise ValueError(f"{what} must stay positive; got {values.min()}")
+    return values
 
 
-def _fd_array_grad(fn: Callable[[np.ndarray], np.ndarray], shape: tuple[int, ...]):
-    def grad(x: np.ndarray) -> np.ndarray:
-        out = np.empty((3,) + shape)
-        for k in range(3):
-            h = _FD_STEP * max(1.0, abs(x[k]))
-            xp = x.copy(); xp[k] += h
-            xm = x.copy(); xm[k] -= h
-            out[k] = (fn(xp) - fn(xm)) / (2.0 * h)
-        return out
-    return grad
+# field -> name of its gradient
+_GRADIENTS = {"f": "grad_f", "w": "grad_w", "a0": "grad_a0", "a_spatial": "grad_a_spatial"}
 
 
-def _zero_scalar(x: np.ndarray) -> float:
-    return 0.0
-
-
-def _zero_vector(x: np.ndarray) -> np.ndarray:
-    return np.zeros(3)
-
-
-def _identity3(x: np.ndarray) -> np.ndarray:
-    return np.eye(3)
-
-
-def _one(x: np.ndarray) -> float:
-    return 1.0
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StaticMetric:
-    """Lapse f (g_00 = -f^2), spatial metric g_ij, potentials A_0 and A_i.
+    """Lapse f (g_00 = -f^2), spatial metric g_ij = w delta_ij, potentials
+    A_0 and A_i.
 
-    All callables take a length-3 position array.  ``grad_*`` entries return
-    the spatial gradient (leading axis indexes the derivative direction);
-    pass None to fall back to central finite differences.
+    A field left as None is absent: f = w = 1 and A = 0, and the dynamics
+    skip its terms.  A field that is given needs its gradient: ``grad_f``,
+    ``grad_w`` and ``grad_a0`` return values broadcastable to (..., 3),
+    ``grad_a_spatial`` to (..., 3, 3) indexed [..., k, i] = d A_i/dx^k.  The
+    accessors below return floats for absent fields, which broadcast.
     """
 
-    f: ScalarFn = _one
-    g_spatial: MatrixFn = _identity3
-    a0: ScalarFn = _zero_scalar
-    a_spatial: VectorFn = _zero_vector
+    f: ScalarFn | None = None
+    w: ScalarFn | None = None
+    a0: ScalarFn | None = None
+    a_spatial: VectorFn | None = None
     grad_f: VectorFn | None = None
-    grad_g_spatial: Callable[[np.ndarray], np.ndarray] | None = None  # (3,3,3): [k,i,j]
+    grad_w: VectorFn | None = None
     grad_a0: VectorFn | None = None
-    grad_a_spatial: Callable[[np.ndarray], np.ndarray] | None = None  # (3,3): [k,i]
+    grad_a_spatial: MatrixFn | None = None
 
-    def lapse(self, x: np.ndarray) -> float:
-        val = self.f(x)
-        if val <= 0.0:
-            raise ValueError(f"lapse must stay positive; got {val} at x={x}")
-        return val
+    def __post_init__(self) -> None:
+        for name, grad_name in _GRADIENTS.items():
+            if (getattr(self, name) is None) != (getattr(self, grad_name) is None):
+                raise ValueError(f"StaticMetric.{name} and {grad_name} go together")
 
-    def lapse_grad(self, x: np.ndarray) -> np.ndarray:
-        fn = self.grad_f if self.grad_f is not None else _fd_scalar_grad(self.f)
-        return np.asarray(fn(x), dtype=float)
+    def lapse(self, x: np.ndarray):
+        return 1.0 if self.f is None else _positive(self.f(x), "lapse")
+
+    def lapse_grad(self, x: np.ndarray):
+        return 0.0 if self.grad_f is None else self.grad_f(x)
+
+    def conformal(self, x: np.ndarray):
+        return 1.0 if self.w is None else _positive(self.w(x), "spatial conformal factor")
 
     def metric3(self, x: np.ndarray) -> np.ndarray:
-        g = np.asarray(self.g_spatial(x), dtype=float)
-        if g.shape != (3, 3) or (abs(g[0, 1] - g[1, 0]) > 1e-12
-                                 or abs(g[0, 2] - g[2, 0]) > 1e-12
-                                 or abs(g[1, 2] - g[2, 1]) > 1e-12):
-            raise ValueError("spatial metric must be a symmetric 3x3 matrix")
-        return g
+        return np.multiply.outer(self.conformal(x), np.eye(3))
 
     def inverse_metric3(self, x: np.ndarray) -> np.ndarray:
-        g = self.metric3(x)
-        try:
-            return np.linalg.inv(g)
-        except np.linalg.LinAlgError:
-            raise ValueError(f"singular spatial metric at x={x}") from None
+        return np.multiply.outer(1.0 / self.conformal(x), np.eye(3))
 
-    def metric3_grad(self, x: np.ndarray) -> np.ndarray:
-        fn = self.grad_g_spatial
-        if fn is None:
-            fn = _fd_array_grad(self.g_spatial, (3, 3))
-        return np.asarray(fn(x), dtype=float)
+    def metric3_grad(self, x: np.ndarray):
+        """d g_ij / dx^k, broadcastable to (..., 3, 3, 3) indexed [..., k, i, j]."""
+        return 0.0 if self.grad_w is None else np.multiply.outer(self.grad_w(x), np.eye(3))
 
-    def pot0(self, x: np.ndarray) -> float:
-        return self.a0(x)
+    def pot0(self, x: np.ndarray):
+        return 0.0 if self.a0 is None else self.a0(x)
 
-    def pot0_grad(self, x: np.ndarray) -> np.ndarray:
-        fn = self.grad_a0 if self.grad_a0 is not None else _fd_scalar_grad(self.a0)
-        return np.asarray(fn(x), dtype=float)
+    def pot0_grad(self, x: np.ndarray):
+        return 0.0 if self.grad_a0 is None else self.grad_a0(x)
 
-    def pot3(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.a_spatial(x), dtype=float)
+    def pot3(self, x: np.ndarray):
+        return 0.0 if self.a_spatial is None else self.a_spatial(x)
 
-    def pot3_grad(self, x: np.ndarray) -> np.ndarray:
-        fn = self.grad_a_spatial
-        if fn is None:
-            fn = _fd_array_grad(self.a_spatial, (3,))
-        return np.asarray(fn(x), dtype=float)
+    def pot3_grad(self, x: np.ndarray):
+        return 0.0 if self.grad_a_spatial is None else self.grad_a_spatial(x)
 
 
 def _linear_a0(a0_slope: float) -> dict:
     """Scalar potential A_0 = a0_slope * x^1 and its gradient."""
     if a0_slope == 0.0:
-        return dict(a0=_zero_scalar, grad_a0=lambda x: np.zeros(3))
-    return dict(a0=lambda x: a0_slope * x[0],
-                grad_a0=lambda x: np.array([a0_slope, 0.0, 0.0]))
+        return {}
+    direction = np.array([a0_slope, 0.0, 0.0])
+    return dict(a0=lambda x: a0_slope * x[..., 0], grad_a0=lambda x: direction)
 
 
 def flat_metric(a0_slope: float = 0.0) -> StaticMetric:
     """Flat space; optionally with a scalar potential A_0 = a0_slope * x^1,
     which exerts a constant force on a charged clock."""
-    return StaticMetric(
-        grad_f=lambda x: np.zeros(3),
-        grad_g_spatial=lambda x: np.zeros((3, 3, 3)),
-        grad_a_spatial=lambda x: np.zeros((3, 3)),
-        **_linear_a0(a0_slope),
-    )
+    return StaticMetric(**_linear_a0(a0_slope))
 
 
 def uniform_lapse_metric(g_accel: float, c: float = 1.0, a0_slope: float = 0.0) -> StaticMetric:
@@ -151,73 +112,59 @@ def uniform_lapse_metric(g_accel: float, c: float = 1.0, a0_slope: float = 0.0) 
     a clock held at height q runs fast by g q / c^2 relative to one at 0.
     ``a0_slope`` adds the scalar potential of ``flat_metric``."""
     slope = g_accel / c**2
+    direction = np.array([slope, 0.0, 0.0])
     return StaticMetric(
-        f=lambda x: 1.0 + slope * x[0],
-        grad_f=lambda x: np.array([slope, 0.0, 0.0]),
-        grad_g_spatial=lambda x: np.zeros((3, 3, 3)),
-        grad_a_spatial=lambda x: np.zeros((3, 3)),
+        f=lambda x: 1.0 + slope * x[..., 0],
+        grad_f=lambda x: direction,
         **_linear_a0(a0_slope),
     )
 
 
 def isotropic_weak_field_metric(phi: ScalarFn, grad_phi: VectorFn, c: float = 1.0) -> StaticMetric:
-    """Isotropic weak field: f = 1 + phi/c^2, g_ij = (1 - 2 phi/c^2) delta_ij."""
+    """Isotropic weak field: f = 1 + phi/c^2, g_ij = (1 - 2 phi/c^2) delta_ij.
+    ``phi`` and ``grad_phi`` take (..., 3) positions."""
     inv_c2 = 1.0 / c**2
-
-    def g_sp(x: np.ndarray) -> np.ndarray:
-        return (1.0 - 2.0 * inv_c2 * phi(x)) * np.eye(3)
-
-    def g_sp_grad(x: np.ndarray) -> np.ndarray:
-        dphi = np.asarray(grad_phi(x), dtype=float)
-        return -2.0 * inv_c2 * dphi[:, None, None] * np.eye(3)[None, :, :]
-
     return StaticMetric(
         f=lambda x: 1.0 + inv_c2 * phi(x),
-        g_spatial=g_sp,
-        grad_f=lambda x: inv_c2 * np.asarray(grad_phi(x), dtype=float),
-        grad_g_spatial=g_sp_grad,
-        grad_a0=lambda x: np.zeros(3),
-        grad_a_spatial=lambda x: np.zeros((3, 3)),
+        grad_f=lambda x: inv_c2 * grad_phi(x),
+        w=lambda x: 1.0 - 2.0 * inv_c2 * phi(x),
+        grad_w=lambda x: -2.0 * inv_c2 * grad_phi(x),
     )
 
 
 def four_metric(metric: StaticMetric, x: np.ndarray, c: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Four-metric g_{mu nu} = diag(-f^2, g_ij) and its spatial gradients.
+    """Four-metric g_{mu nu} = diag(-f^2, g_ij) and its spatial gradients at
+    positions x of shape (..., 3).
 
-    Returns ``(g4, dg4)`` with ``dg4[k]`` the derivative of g4 with respect
-    to x^k (k = 1..3 stored at index 0..2); time derivatives vanish.
+    Returns ``(g4, dg4)`` of shapes (..., 4, 4) and (..., 3, 4, 4), with
+    ``dg4[..., k, :, :]`` the derivative with respect to x^k (k = 1..3 stored
+    at index 0..2); time derivatives vanish.
     """
     f = metric.lapse(x)
-    df = metric.lapse_grad(x)
-    g3 = metric.metric3(x)
-    dg3 = metric.metric3_grad(x)
-    g4 = np.zeros((4, 4))
-    g4[0, 0] = -f * f
-    g4[1:, 1:] = g3
-    dg4 = np.zeros((3, 4, 4))
-    dg4[:, 0, 0] = -2.0 * f * df
-    dg4[:, 1:, 1:] = dg3
+    lead = x.shape[:-1]
+    g4 = np.zeros(lead + (4, 4))
+    g4[..., 0, 0] = -f * f
+    g4[..., 1:, 1:] = metric.metric3(x)
+    dg4 = np.zeros(lead + (3, 4, 4))
+    dg4[..., 0, 0] = -2.0 * np.expand_dims(f, -1) * metric.lapse_grad(x)
+    dg4[..., 1:, 1:] = metric.metric3_grad(x)
     return g4, dg4
 
 
-def christoffel(metric: StaticMetric, x: np.ndarray, c: float = 1.0) -> np.ndarray:
-    """Connection coefficients Gamma^rho_{mu nu} of the static four-metric."""
-    g4, dg4 = four_metric(metric, x, c)
-    g4_inv = np.linalg.inv(g4)
-    # D[mu, nu, sigma] = partial_mu g_{nu sigma}; time derivative is zero
-    D = np.zeros((4, 4, 4))
-    D[1:] = dg4
-    # term[m, n, s] = d_m g_{n s} + d_n g_{s m} - d_s g_{m n}
-    term = D + D.transpose(2, 0, 1) - D.transpose(1, 2, 0)
-    return 0.5 * np.einsum("rs,mns->rmn", g4_inv, term)
+def inverse_four_metric(metric: StaticMetric, x: np.ndarray) -> np.ndarray:
+    """g^{mu nu} = diag(-1/f^2, g^ij) at positions x of shape (..., 3)."""
+    f = metric.lapse(x)
+    inv = np.zeros(x.shape[:-1] + (4, 4))
+    inv[..., 0, 0] = -1.0 / (f * f)
+    inv[..., 1:, 1:] = metric.inverse_metric3(x)
+    return inv
 
 
 def field_tensor(metric: StaticMetric, x: np.ndarray) -> np.ndarray:
     """Electromagnetic tensor f_{mu nu} = d_mu A_nu - d_nu A_mu for the
-    static potentials (time derivatives vanish)."""
-    da0 = metric.pot0_grad(x)
-    da3 = metric.pot3_grad(x)
-    dA = np.zeros((4, 4))        # dA[mu, nu] = d_mu A_nu
-    dA[1:, 0] = da0
-    dA[1:, 1:] = da3
-    return dA - dA.T
+    static potentials (time derivatives vanish), at positions x of shape
+    (..., 3); shape (..., 4, 4)."""
+    dA = np.zeros(x.shape[:-1] + (4, 4))        # dA[..., mu, nu] = d_mu A_nu
+    dA[..., 1:, 0] = metric.pot0_grad(x)
+    dA[..., 1:, 1:] = metric.pot3_grad(x)
+    return dA - np.swapaxes(dA, -1, -2)

@@ -3,35 +3,45 @@ write CSV rows, and self-check the run against the module tolerances.
 
 Check names are stable identifiers for the invariants they verify:
 ``product_ratio`` (weighing cancellation), ``dirac_table`` (canonical
-bracket table), trajectory constraint/conservation/rate checks,
+bracket table), trajectory constraint/conservation/rate checks and
+``motion_residual`` (the covariant equation of motion, for unheld clocks),
 ``commutator``, ``uncertainty_floor``, ``variance_law``/``mean_linearity``
 (exact reading statistics), ``tau_window`` (share of a reading in the
 outer band of the proper-time window), and ``sw_bound``/``sw_bound_floor``/
 ``sw_saturation`` (clock-bound checks).
 
-Quantum runs also report the grid sizes they used (``diagnostics``: n_e and
-n_p, the largest over sweep members) in the JSON run report.
+The JSON run report also carries ``diagnostics`` (quantum runs: the grid
+sizes n_e and n_p, the largest over sweep members; classical trajectories:
+``rk4_steps`` over all batches and ``batch_members``, the largest batch),
+``timings`` (``compute_s`` and ``write_s``) and the clocklab, numpy and
+Python ``versions``.
 """
 from __future__ import annotations
 
 import json
 import math
+import platform
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
 
+from . import __version__
 from .brackets import dirac_table, expected_dirac_table, random_points
-from .config import ScenarioConfig
-from .csvio import emit_csv
+from .config import SCHEMAS, ScenarioConfig
+from .csvio import FloatBlock, emit_csv
 from .dynamics import (
     ExtendedPhaseSpacePoint,
     constraint_drift,
+    geodesic_lorentz_residual,
     hamiltonian_series,
     integrate,
+    motion_rounding_floor,
     proper_time_residual,
     relative_drift,
+    whole_steps,
 )
 from .gedanken import BoxExperiment, EFieldExperiment, box_uncertainties, efield_uncertainties
 from .metric import flat_metric, uniform_lapse_metric
@@ -55,6 +65,7 @@ TOLERANCES = {
     "h_conservation": 1e-9,
     "m_conservation": 1e-9,
     "proper_time_residual": 1e-8,
+    "motion_residual": 1e-6,
     "tau_final": 1e-9,
     "variance_law": 1e-7,
     "mean_linearity": 1e-8,
@@ -84,21 +95,27 @@ class RunReport:
     scenario: ScenarioConfig
     rows_written: int
     checks: tuple[CheckResult, ...]
-    diagnostics: dict[str, int]  # grid sizes of quantum runs, empty otherwise
+    diagnostics: dict[str, int]  # grid sizes or RK4 work, empty for the other kinds
+    timings: dict[str, float]    # compute_s (everything before the CSV), write_s
 
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
 
-def _check(name: str, measured: float) -> CheckResult:
-    tol = TOLERANCES[name]
+def _check(name: str, measured: float, floor: float = 0.0) -> CheckResult:
+    """Check against the tolerance of ``name``, or against ``floor`` where the
+    audit's own rounding bound is larger."""
+    tol = max(TOLERANCES[name], float(floor))
     return CheckResult(name=name, passed=bool(measured <= tol), measured=float(measured),
                        tolerance=tol)
 
 
-def _to_natural(params: dict[str, Any], dims: dict[str, str], units: UnitSystem) -> dict[str, Any]:
-    if units is not UnitSystem.SI:
+def _to_natural(params: dict[str, Any], dims: dict[str, str],
+                config: ScenarioConfig) -> dict[str, Any]:
+    """Member params in natural units; the gedanken modules take SI values
+    together with the unit context instead."""
+    if config.units is not UnitSystem.SI or config.kind.startswith("GEDANKEN"):
         return dict(params)
     out = {}
     for key, value in params.items():
@@ -121,14 +138,9 @@ def _si_factor(dim: str) -> float | None:
     return convert_units(1.0, base, NATURAL_UNITS, SI_UNITS) ** (int(power) if power else 1)
 
 
-def _row_to_si(row: list, factors: list[float | None]) -> list:
-    return [value * factor if factor is not None and isinstance(value, float) else value
-            for value, factor in zip(row, factors)]
-
-
-def _param_dims(kind: str) -> dict[str, str]:
-    from .config import SCHEMAS
-    return {spec.key: spec.dimension for spec in SCHEMAS[kind]}
+def _each(fn: Callable) -> Callable:
+    """A scenario that runs its members one at a time."""
+    return lambda members, seed, ctx: [fn(params, seed, ctx) for params in members]
 
 
 # --- gedanken -------------------------------------------------------------
@@ -166,43 +178,66 @@ _TRAJ_COLS = [("t", "time"), ("tau", "time"), ("p_tau", "energy"), ("M", "energy
               ("phi1", "energy"), ("phi2", "time"), ("H", "energy")]
 
 
-def _run_classical_trajectory(params: dict[str, Any], seed: int, ctx: UnitContext):
-    a0_slope = params["classical.a0_slope"]
-    if params["classical.metric"] == "uniform_lapse":
-        metric = uniform_lapse_metric(params["classical.lapse_g"], a0_slope=a0_slope)
-    else:
-        metric = flat_metric(a0_slope)
-    charge = params["classical.charge"]
-    m = params["classical.m"]
-    pt0 = ExtendedPhaseSpacePoint(
-        tau=params["classical.tau0"], p_tau=m, M=m, p_M=0.0,
-        x=[params["classical.x1"], params["classical.x2"], params["classical.x3"]],
-        p=[params["classical.p1"], params["classical.p2"], params["classical.p3"]],
-    )
-    hold = params["classical.hold"] != 0.0
-    traj = integrate(pt0, metric, charge, params["classical.t_end"],
-                     params["classical.dt"], hold_x=hold)
-    H = hamiltonian_series(traj, metric, charge)
-    rows = []
-    for i in range(len(traj)):
-        z = traj.states[i]
-        rows.append([traj.times[i], z[0], z[1], z[2], z[3], z[4], z[5], z[6],
-                     z[7], z[8], z[9], z[2] - z[1], z[3], float(H[i])])
-    phi1_max, phi2_max = constraint_drift(traj)
-    checks = [
-        _check("constraint_drift", max(phi1_max, phi2_max)),
-        _check("h_conservation", relative_drift(H)),
-        _check("m_conservation", relative_drift(traj.states[:, 2])),
-        _check("proper_time_residual", proper_time_residual(traj, metric)),
-    ]
-    if params["classical.metric"] == "flat" and charge == 0.0 and not hold:
-        p_vec = np.array([params["classical.p1"], params["classical.p2"],
-                          params["classical.p3"]])
-        h0 = math.sqrt(m * m + float(p_vec @ p_vec))
-        expected_tau = params["classical.tau0"] + params["classical.t_end"] * m / h0
-        checks.append(_check("tau_final", abs(traj.tau[-1] - expected_tau)))
+# Members that agree on these keys share their dynamics and integrate as one batch.
+_DYNAMICS_KEYS = ("classical.metric", "classical.lapse_g", "classical.a0_slope",
+                  "classical.charge", "classical.t_end", "classical.dt", "classical.hold")
+
+
+def _run_classical_trajectory(members: list[dict[str, Any]], seed: int, ctx: UnitContext):
+    """Integrate the members that share their dynamics as one batch each."""
+    batches: dict[tuple, list[int]] = {}
+    for j, params in enumerate(members):
+        batches.setdefault(tuple(params[key] for key in _DYNAMICS_KEYS), []).append(j)
+    # every member reports the RK4 work of the whole call
+    diagnostics = {"rk4_steps": 0, "batch_members": max(map(len, batches.values()))}
     header = [name for name, _ in _TRAJ_COLS]
-    return header, rows, checks, {}
+    results: list = [None] * len(members)
+    for indices in batches.values():
+        batch = [members[j] for j in indices]
+        params = batch[0]
+        a0_slope = params["classical.a0_slope"]
+        if params["classical.metric"] == "uniform_lapse":
+            metric = uniform_lapse_metric(params["classical.lapse_g"], a0_slope=a0_slope)
+        else:
+            metric = flat_metric(a0_slope)
+        charge = params["classical.charge"]
+        hold = params["classical.hold"] != 0.0
+        points = [ExtendedPhaseSpacePoint(
+            tau=p["classical.tau0"], p_tau=p["classical.m"], M=p["classical.m"], p_M=0.0,
+            x=[p["classical.x1"], p["classical.x2"], p["classical.x3"]],
+            p=[p["classical.p1"], p["classical.p2"], p["classical.p3"]]) for p in batch]
+        # every member's rows, (members, samples, columns), in one allocation that
+        # also receives the integrated states
+        n_steps = whole_steps(params["classical.t_end"], params["classical.dt"])
+        table = np.empty((len(batch), n_steps + 1, len(_TRAJ_COLS)))
+        traj = integrate(points, metric, charge, params["classical.t_end"],
+                         params["classical.dt"], hold_x=hold,
+                         out=np.moveaxis(table[..., 1:11], 0, 1))
+        diagnostics["rk4_steps"] += n_steps
+        H = hamiltonian_series(traj, metric, charge)
+        table[..., 0] = traj.times
+        phi1, phi2 = traj.constraint_values()
+        table[..., 11], table[..., 12], table[..., 13] = phi1.T, phi2.T, H.T
+        audits = {
+            "constraint_drift": np.maximum(*constraint_drift(traj)),
+            "h_conservation": relative_drift(H),
+            "m_conservation": relative_drift(traj.states[..., 2]),
+            "proper_time_residual": proper_time_residual(traj, metric),
+        }
+        if not hold:  # a held clock is pushed off its free motion by the mount
+            motion = geodesic_lorentz_residual(traj, metric, charge)
+            floor = motion_rounding_floor(traj)
+        for k, (j, p) in enumerate(zip(indices, batch)):
+            checks = [_check(name, values[k]) for name, values in audits.items()]
+            if not hold:
+                checks.append(_check("motion_residual", motion[k], floor[k]))
+            if params["classical.metric"] == "flat" and charge == 0.0 and not hold:
+                m, p_vec = p["classical.m"], points[k].p
+                h0 = math.sqrt(m * m + float(p_vec @ p_vec))
+                expected_tau = p["classical.tau0"] + p["classical.t_end"] * m / h0
+                checks.append(_check("tau_final", abs(traj.tau[-1, k] - expected_tau)))
+            results[j] = (header, table[k], checks, diagnostics)
+    return results
 
 
 def _run_classical_brackets(params: dict[str, Any], seed: int, ctx: UnitContext):
@@ -328,14 +363,16 @@ def _run_quantum_optimize(params: dict[str, Any], seed: int, ctx: UnitContext):
     return ["eval", "sigma_e", "var_tau"], rows, checks, {"n_e": n_e, "n_p": n_p}
 
 
+# kind -> runner(member params, seed, ctx) -> one (header, rows, checks,
+# diagnostics) per member; rows are a float matrix or a list of mixed rows
 _RUNNERS: dict[str, Callable] = {
-    "GEDANKEN_BOX": _run_gedanken_box,
-    "GEDANKEN_EFIELD": _run_gedanken_efield,
+    "GEDANKEN_BOX": _each(_run_gedanken_box),
+    "GEDANKEN_EFIELD": _each(_run_gedanken_efield),
     "CLASSICAL_TRAJECTORY": _run_classical_trajectory,
-    "CLASSICAL_BRACKETS": _run_classical_brackets,
-    "QUANTUM_MOMENTS": _run_quantum_moments,
-    "QUANTUM_BOUND_SWEEP": _run_quantum_bound,
-    "QUANTUM_OPTIMIZE": _run_quantum_optimize,
+    "CLASSICAL_BRACKETS": _each(_run_classical_brackets),
+    "QUANTUM_MOMENTS": _each(_run_quantum_moments),
+    "QUANTUM_BOUND_SWEEP": _each(_run_quantum_bound),
+    "QUANTUM_OPTIMIZE": _each(_run_quantum_optimize),
 }
 
 _OUTPUT_DIMS: dict[str, list[str]] = {
@@ -364,50 +401,49 @@ def _merge_diagnostics(all_diagnostics: list[dict[str, int]]) -> dict[str, int]:
     return merged
 
 
+def _to_si(rows, factors: list[float | None]):
+    """Rows with each float cell scaled by its column's natural-to-SI factor;
+    a float matrix is scaled in place."""
+    if isinstance(rows, np.ndarray):
+        rows *= np.array([1.0 if factor is None else factor for factor in factors])
+        return rows
+    return [[value * factor if factor is not None and isinstance(value, float) else value
+             for value, factor in zip(row, factors)] for row in rows]
+
+
 def run(config: ScenarioConfig) -> RunReport:
     """Execute a scenario: write the CSV (and a JSON run report next to it),
-    returning the per-invariant check results."""
+    returning the per-invariant check results.  A single run is a sweep of
+    one member without the sweep_value column."""
+    start = time.perf_counter()
     runner = _RUNNERS[config.kind]
     ctx = SI_UNITS if config.units is UnitSystem.SI else NATURAL_UNITS
-    dims = _param_dims(config.kind)
-    natural_params = (_to_natural(config.params, dims, config.units)
-                      if config.kind.startswith(("CLASSICAL", "QUANTUM"))
-                      else dict(config.params))
-
-    if config.sweep is None:
-        header, rows, checks, diagnostics = runner(natural_params, config.seed, ctx)
-    else:
-        sweep_dim = dims.get(config.sweep.param, "dimensionless")
-        values = config.sweep.values
-        if (config.units is UnitSystem.SI and sweep_dim in _CONVERTIBLE
-                and config.kind.startswith(("CLASSICAL", "QUANTUM"))):
-            values = tuple(convert_units(v, sweep_dim, SI_UNITS, NATURAL_UNITS)
-                           for v in values)
-
-        def member(value: float):
-            member_params = dict(natural_params)
-            member_params[config.sweep.param] = value
-            return runner(member_params, config.seed, ctx)
-
-        results = [member(v) for v in values]
-        header = ["sweep_value"] + results[0][0]
-        rows = []
-        for value, (_, member_rows, _, _) in zip(config.sweep.values, results):
-            for row in member_rows:
-                rows.append([value] + row)
-        checks = _merge_checks([r[2] for r in results])
-        diagnostics = _merge_diagnostics([r[3] for r in results])
-
+    dims = {spec.key: spec.dimension for spec in SCHEMAS[config.kind]}
+    members = [config.params] if config.sweep is None else [
+        {**config.params, config.sweep.param: value} for value in config.sweep.values]
+    results = runner([_to_natural(params, dims, config) for params in members],
+                     config.seed, ctx)
+    header, leads = results[0][0], [()]
+    if config.sweep is not None:  # the swept value, as given, leads each row
+        header, leads = ["sweep_value"] + header, [(value,) for value in config.sweep.values]
     col_dims = _OUTPUT_DIMS.get(config.kind)
-    if config.units is UnitSystem.SI and col_dims is not None:
-        # one factor per column, not per cell: SI trajectories have 10k rows
-        factors = [_si_factor(dim)
-                   for dim in ([""] if config.sweep is not None else []) + col_dims]
-        rows = [_row_to_si(row, factors) for row in rows]
+    # one factor per column, not per cell: SI trajectories have 10k rows
+    factors = ([_si_factor(dim) for dim in col_dims]
+               if config.units is UnitSystem.SI and col_dims is not None else None)
+    rows = []
+    for lead, (_, member_rows, _, _) in zip(leads, results):
+        if factors is not None:
+            member_rows = _to_si(member_rows, factors)
+        rows += ([FloatBlock(lead, member_rows)] if isinstance(member_rows, np.ndarray)
+                 else [[*lead, *row] for row in member_rows])
+    checks = _merge_checks([r[2] for r in results])
+    diagnostics = _merge_diagnostics([r[3] for r in results])
 
+    written = time.perf_counter()
     count = emit_csv(rows, header, config.output)
+    timings = {"compute_s": written - start, "write_s": time.perf_counter() - written}
     report = RunReport(scenario=config, rows_written=count, checks=tuple(checks),
-                       diagnostics=diagnostics)
+                       diagnostics=diagnostics, timings=timings)
     _write_json_report(report)
     return report
 
@@ -420,6 +456,9 @@ def _write_json_report(report: RunReport) -> None:
                     "tolerance": c.tolerance} for c in report.checks],
         "all_passed": report.all_passed,
         "diagnostics": report.diagnostics,
+        "timings": report.timings,
+        "versions": {"clocklab": __version__, "numpy": np.__version__,
+                     "python": platform.python_version()},
     }
     path = Path(report.scenario.output).with_suffix(".report.json")
     with open(path, "w") as fh:

@@ -173,3 +173,54 @@ def per_pair_dirac_table(pt, h_step=1e-5):
     names = ORACLE_COORDINATES
     return {(a, b): per_pair_dirac_bracket(oracle_coordinate(a), oracle_coordinate(b), pt, h_step)
             for i, a in enumerate(names) for b in names[i + 1:]}
+
+
+def per_sample_rate_residual(traj, metric, c=1.0):
+    """Proper-time rate residual of a single trajectory, one sample at a
+    time: the loop the package replaced with array arithmetic."""
+    worst = 0.0
+    two_dt = 2.0 * traj.dt
+    for i in range(1, len(traj) - 1):
+        tau_dot = (traj.tau[i + 1] - traj.tau[i - 1]) / two_dt
+        x_dot = (traj.x[i + 1] - traj.x[i - 1]) / two_dt
+        f = float(metric.lapse(traj.x[i]))
+        rate2 = f * f - float(x_dot @ metric.metric3(traj.x[i]) @ x_dot) / (c * c)
+        worst = max(worst, abs(tau_dot - math.sqrt(max(rate2, 0.0))))
+    return worst
+
+
+def christoffel(g4, dg4):
+    """Connection coefficients Gamma^rho_{mu nu} at one point of a static
+    four-metric g4 with spatial gradients dg4 (time derivatives vanish)."""
+    # D[mu, nu, sigma] = partial_mu g_{nu sigma}
+    D = np.zeros((4, 4, 4))
+    D[1:] = dg4
+    # term[m, n, s] = d_m g_{n s} + d_n g_{s m} - d_s g_{m n}
+    term = D + D.transpose(2, 0, 1) - D.transpose(1, 2, 0)
+    return 0.5 * np.einsum("rs,mns->rmn", np.linalg.inv(g4), term)
+
+
+def per_sample_motion_residual(traj, metric, charge=0.0, c=1.0):
+    """Covariant equation-of-motion residual per unit rest mass of a single
+    trajectory, one sample at a time, from the full connection and a
+    numerically inverted four-metric at each sample."""
+    from clocklab.metric import field_tensor, four_metric
+    dt = traj.dt
+    worst = 0.0
+    for i in range(1, len(traj) - 1):
+        # x^0 = c t: its rate is c and its second derivative 0
+        x = traj.x
+        dx_dt = np.concatenate(([c], (x[i + 1] - x[i - 1]) / (2.0 * dt)))
+        d2x_dt2 = np.concatenate(([0.0], (x[i + 1] - 2.0 * x[i] + x[i - 1]) / (dt * dt)))
+        w = (traj.tau[i + 1] - traj.tau[i - 1]) / (2.0 * dt)
+        d2tau = (traj.tau[i + 1] - 2.0 * traj.tau[i] + traj.tau[i - 1]) / (dt * dt)
+        xdot = dx_dt / w
+        xddot = (d2x_dt2 * w - dx_dt * d2tau) / w**3
+        xi = traj.x[i]
+        g4, dg4 = four_metric(metric, xi, c)
+        g4_inv = np.linalg.inv(g4)
+        f_up = g4_inv @ field_tensor(metric, xi) @ g4_inv.T
+        lhs = xddot + np.einsum("rmn,m,n->r", christoffel(g4, dg4), xdot, xdot)
+        rhs = (charge * c * c / traj.states[i, 2]) * (f_up @ (g4 @ xdot))
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
+    return worst

@@ -402,10 +402,12 @@ def test_criterion_11_cli_determinism_and_exit_codes(tmp_path, capsys):
                 out = tmp_path / f"{kind}_{tag}.csv"
                 cfg = parse_config(f"kind = {kind}\nseed = 11\noutput = {out}\n{body}")
                 run_scenario(cfg)
-                # the JSON report embeds the output path, which necessarily
-                # differs between the two runs; normalize it away
+                # the JSON report embeds the output path and the wall times,
+                # which necessarily differ between the two runs; normalize
+                # them away
                 report = json.loads(out.with_suffix(".report.json").read_text())
                 report["scenario"]["output"] = "<out>"
+                report["timings"] = "<wall>"
                 outs.append((out.read_bytes(), json.dumps(report, sort_keys=True)))
             identical = identical and outs[0] == outs[1]
         code_ok = main(["gedanken", "box",

@@ -10,6 +10,7 @@ from clocklab.dynamics import (
     constraints,
     geodesic_lorentz_residual,
     hamilton_rhs,
+    hamiltonian_series,
     integrate,
     moving_clock,
     proper_time_residual,
@@ -17,7 +18,7 @@ from clocklab.dynamics import (
 )
 from clocklab.metric import StaticMetric, flat_metric, isotropic_weak_field_metric, uniform_lapse_metric
 
-from oracles import hyperbolic_motion
+from oracles import hyperbolic_motion, per_sample_motion_residual, per_sample_rate_residual
 
 FLAT = flat_metric()
 
@@ -32,7 +33,7 @@ def test_base_hamiltonian_three_four_five():
 
 
 def test_base_hamiltonian_potential_shift():
-    metric = StaticMetric(a0=lambda x: 2.0)
+    metric = StaticMetric(a0=lambda x: 2.0, grad_a0=lambda x: np.zeros(3))
     pt = clock_at_rest(1.0)
     assert base_hamiltonian(pt, metric, charge=1.0) == pytest.approx(-1.0, abs=1e-15)
 
@@ -159,7 +160,7 @@ def test_weak_field_fall_newtonian_limit():
 
 def test_isotropic_weak_field_residuals():
     metric = isotropic_weak_field_metric(
-        lambda x: 1e-3 * x[0], lambda x: np.array([1e-3, 0.0, 0.0]))
+        lambda x: 1e-3 * x[..., 0], lambda x: np.array([1e-3, 0.0, 0.0]))
     traj = integrate(moving_clock(1.0, (0.1, 0.05, 0.0)), metric, 0.0, 5.0, 1e-3)
     assert proper_time_residual(traj, metric) < 1e-8
     assert geodesic_lorentz_residual(traj, metric) < 1e-5
@@ -178,3 +179,48 @@ def test_prepared_points_require_positive_rest_energy():
         clock_at_rest(-1.0)
     with pytest.raises(ValueError):
         moving_clock(0.0, (0.1, 0.0, 0.0))
+
+
+def test_metric_fields_need_their_gradients():
+    with pytest.raises(ValueError, match="grad_a0"):
+        StaticMetric(a0=lambda x: 2.0 * x[..., 0])
+    with pytest.raises(ValueError, match="grad_f"):
+        StaticMetric(grad_f=lambda x: np.zeros(3))
+    with pytest.raises(ValueError, match="grad_w"):
+        StaticMetric(w=lambda x: 1.0 + x[..., 0] ** 2)
+
+
+def test_batch_integration_matches_one_clock_at_a_time():
+    metric = uniform_lapse_metric(0.05)
+    points = [moving_clock(1.0, (0.2, 0.0, 0.0)), moving_clock(2.0, (0.7, -0.3, 0.1), x=(1.0, 0.0, 0.5)),
+              clock_at_rest(0.5, x=(-2.0, 1.0, 0.0))]
+    batch = integrate(points, metric, 0.0, 1.0, 1e-3)
+    assert batch.states.shape == (1001, 3, 10)
+    H = hamiltonian_series(batch, metric)
+    rate = proper_time_residual(batch, metric)
+    motion = geodesic_lorentz_residual(batch, metric)
+    assert H.shape == (1001, 3) and rate.shape == motion.shape == (3,)
+    for j, pt in enumerate(points):
+        single = integrate(pt, metric, 0.0, 1.0, 1e-3)
+        assert np.array_equal(batch.states[:, j], single.states)
+        assert np.array_equal(H[:, j], hamiltonian_series(single, metric))
+        assert rate[j] == proper_time_residual(single, metric)
+        assert motion[j] == geodesic_lorentz_residual(single, metric)
+
+
+@pytest.mark.parametrize("case", ["isotropic", "constant-force"])
+def test_vectorized_audits_match_per_sample_loops(case):
+    if case == "isotropic":
+        metric, charge = isotropic_weak_field_metric(
+            lambda x: 1e-2 * x[..., 0] + 5e-3 * x[..., 1], lambda x: np.array([1e-2, 5e-3, 0.0])), 0.0
+    else:
+        metric, charge = flat_metric(a0_slope=0.02), 0.5
+    # 5001 samples: the motion audit takes them in several windows
+    traj = integrate(moving_clock(1.0, (0.3, 0.1, 0.0)), metric, charge, 5.0, 1e-3)
+    H = hamiltonian_series(traj, metric, charge)
+    assert np.array_equal(H, [total_hamiltonian(ExtendedPhaseSpacePoint.from_vector(z), metric,
+                                                charge) for z in traj.states])
+    assert proper_time_residual(traj, metric) == pytest.approx(
+        per_sample_rate_residual(traj, metric), rel=1e-9, abs=1e-16)
+    assert geodesic_lorentz_residual(traj, metric, charge) == pytest.approx(
+        per_sample_motion_residual(traj, metric, charge), rel=1e-9, abs=1e-16)

@@ -1,13 +1,15 @@
 import hashlib
 import json
 import os
+import platform
 
 import numpy as np
 import pytest
 
+import clocklab
 from clocklab.cli import main
 from clocklab.config import parse_config
-from clocklab.csvio import emit_csv
+from clocklab.csvio import FloatBlock, emit_csv
 from clocklab.runner import run
 from clocklab.units import NATURAL_UNITS, SI_UNITS, convert_units
 
@@ -37,6 +39,23 @@ def test_emit_csv_counts_rows(tmp_path):
 def test_emit_csv_rejects_ragged_rows(tmp_path):
     with pytest.raises(ValueError, match="row 1"):
         emit_csv([[1, 2], [3]], ["a", "b"], tmp_path / "bad.csv")
+
+
+def test_emit_csv_float_blocks_match_cell_path(tmp_path):
+    rng = np.random.default_rng(3)
+    matrix = rng.standard_normal((5000, 4)) * 10.0 ** rng.integers(-300, 300, (5000, 4))
+    matrix[0] = [0.0, -0.0, np.inf, np.nan]
+    header = ["lead", "a", "b", "c", "d"]
+    fast, cells = tmp_path / "fast.csv", tmp_path / "cells.csv"
+    blocks = [FloatBlock((0.25,), matrix[:4097]), [7, "x|y", True, -1.5, 2.0],
+              FloatBlock((-3e-7,), matrix[4097:])]
+    assert emit_csv(blocks, header, fast) == 5001
+    rows = ([[0.25] + row for row in matrix[:4097].tolist()] + [[7, "x|y", True, -1.5, 2.0]]
+            + [[-3e-7] + row for row in matrix[4097:].tolist()])
+    assert emit_csv(rows, header, cells) == 5001
+    assert fast.read_bytes() == cells.read_bytes()
+    with pytest.raises(ValueError, match="row 0 has 4 cells, header has 5"):
+        emit_csv([FloatBlock((), matrix)], header, tmp_path / "bad.csv")
 
 
 def test_float_format_has_at_least_12_significant_digits(tmp_path):
@@ -76,7 +95,28 @@ def test_trajectory_run_columns_and_checks(tmp_path):
                       "p1", "p2", "p3", "phi1", "phi2", "H"]
     names = {c.name for c in report.checks}
     assert {"constraint_drift", "h_conservation", "m_conservation",
-            "proper_time_residual", "tau_final"} <= names
+            "proper_time_residual", "motion_residual", "tau_final"} <= names
+    # a held clock is pushed off its free motion, so the covariant audit is skipped
+    cfg, out = _cfg(tmp_path, "CLASSICAL_TRAJECTORY",
+                    "classical.t_end = 2\nclassical.dt = 1e-2\nclassical.metric = uniform_lapse\n"
+                    "classical.lapse_g = 0.05\nclassical.x1 = 1\nclassical.p1 = 0\n"
+                    "classical.hold = 1\n", name="held.csv")
+    report = run(cfg)
+    assert report.all_passed
+    assert "motion_residual" not in {c.name for c in report.checks}
+
+
+def test_motion_residual_passes_at_fine_steps(tmp_path, capsys):
+    # At dt = 1e-5 the second differences of the samples round to about
+    # 2e-5 here, above the fixed 1e-6; the tolerance follows the rounding bound.
+    code = main(["classical", "trajectory", "--set", "classical.metric=uniform_lapse",
+                 "--set", "classical.lapse_g=0.08", "--set", "classical.p1=0.8",
+                 "--set", "classical.tau0=5", "--set", "classical.t_end=0.05",
+                 "--set", "classical.dt=1e-5", "--output", str(tmp_path / "fine.csv")])
+    assert code == 0
+    report = json.loads((tmp_path / "fine.report.json").read_text())
+    motion = next(c for c in report["checks"] if c["name"] == "motion_residual")
+    assert 1e-6 < motion["measured"] < motion["tolerance"]
 
 
 def test_brackets_run(tmp_path):
@@ -188,6 +228,24 @@ def test_report_json_contents(tmp_path):
     run(cfg)
     payload = json.loads(out.with_suffix(".report.json").read_text())
     assert payload["diagnostics"] == {"n_e": 1024, "n_p": 256}
+    # every report says how long it computed and wrote, and with what
+    assert set(payload["timings"]) == {"compute_s", "write_s"}
+    assert all(isinstance(v, float) and v >= 0.0 for v in payload["timings"].values())
+    assert payload["versions"] == {"clocklab": clocklab.__version__, "numpy": np.__version__,
+                                   "python": platform.python_version()}
+    # classical trajectories report their RK4 work: a p1 sweep is one batch
+    # of all its members, a lapse_g sweep one batch per member
+    steps = "classical.t_end = 1\nclassical.dt = 1e-2\n"
+    for body, diagnostics in (
+            ("", {"rk4_steps": 100, "batch_members": 1}),
+            ("sweep.param = classical.p1\nsweep.values = 0.2, 0.4, 0.6\n",
+             {"rk4_steps": 100, "batch_members": 3}),
+            ("classical.metric = uniform_lapse\nsweep.param = classical.lapse_g\n"
+             "sweep.values = 0.01, 0.02\n", {"rk4_steps": 200, "batch_members": 1})):
+        cfg, out = _cfg(tmp_path, "CLASSICAL_TRAJECTORY", steps + body, name="c.csv")
+        run(cfg)
+        payload = json.loads(out.with_suffix(".report.json").read_text())
+        assert payload["diagnostics"] == diagnostics
 
 
 # --- cli ---------------------------------------------------------------------
@@ -245,10 +303,12 @@ def test_cli_rejects_nonfinite_numbers_and_nonpositive_counts(tmp_path, capsys, 
     ("classical", "brackets", ["brackets.h_step=0"], "brackets.h_step"),
     ("classical", "brackets", ["brackets.scale=-2"], "brackets.scale"),
     ("classical", "trajectory", ["classical.dt=0"], "classical.dt"),
+    ("classical", "trajectory", ["classical.m=0", "classical.p1=0.75"], "classical.m"),
+    ("classical", "trajectory", ["sweep.param=classical.m", "sweep.values=1, -1"], "classical.m"),
     ("quantum", "bound", ["sweep.param=quantum.sigma_e", "sweep.min=-0.5", "sweep.max=1.0",
                           "sweep.count=4"], "quantum.sigma_e"),
 ], ids=["bound-t", "optimize-t", "box-dq", "efield-v", "efield-v-si", "h-step", "scale", "dt",
-        "sweep-sigma-e"])
+        "m", "sweep-m", "sweep-sigma-e"])
 def test_cli_rejects_out_of_range_values(tmp_path, capsys, group, sub, settings, key):
     out = tmp_path / "x.csv"
     argv = [group, sub]
@@ -265,7 +325,9 @@ def test_cli_rejects_out_of_range_values(tmp_path, capsys, group, sub, settings,
     ["units=SI", "classical.t_end=1 s", "classical.dt=0.3 s"],
     ["sweep.param=classical.dt", "sweep.values=0.001, 0.3"],
     ["classical.dt=0.25", "sweep.param=classical.t_end", "sweep.values=1, 1.1, 2"],
-], ids=["dt", "dt-si", "sweep-dt", "sweep-t-end"])
+    ["classical.t_end=0.001"],
+    ["sweep.param=classical.t_end", "sweep.values=1, 0.001"],
+], ids=["dt", "dt-si", "sweep-dt", "sweep-t-end", "one-step", "sweep-one-step"])
 def test_cli_rejects_partial_integration_step(tmp_path, capsys, settings):
     out = tmp_path / "x.csv"
     argv = ["classical", "trajectory"]
@@ -275,6 +337,7 @@ def test_cli_rejects_partial_integration_step(tmp_path, capsys, settings):
     assert code == 2
     err = capsys.readouterr().err
     assert "config error: classical.t_end: must be a whole number of classical.dt steps" in err
+    assert "classical.dt = " in err
     assert err.count("config error") == 1
     assert not out.exists()
 
@@ -309,18 +372,31 @@ def test_cli_determinism_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-@pytest.mark.parametrize("kind, sweep", [
-    ("QUANTUM_BOUND_SWEEP", "sweep.param = quantum.sigma_e\nsweep.values = 0.1, 0.5, 2.0\n"),
-    ("GEDANKEN_BOX", "sweep.param = box.dq\nsweep.min = 1e-7\nsweep.max = 1e-5\nsweep.count = 8\n"),
-], ids=["quantum-bound", "gedanken-box"])
-def test_sweep_matches_member_runs(tmp_path, kind, sweep):
-    cfg, out = _cfg(tmp_path, kind, sweep, name="sweep.csv")
+_SHORT_RUN = "classical.t_end = 2\nclassical.dt = 1e-2\n"
+_HELD = ("classical.metric = uniform_lapse\nclassical.lapse_g = 0.05\nclassical.p1 = 0\n"
+         "classical.hold = 1\n")
+
+
+@pytest.mark.parametrize("kind, base, sweep", [
+    ("QUANTUM_BOUND_SWEEP", "", "sweep.param = quantum.sigma_e\nsweep.values = 0.1, 0.5, 2.0\n"),
+    ("GEDANKEN_BOX", "",
+     "sweep.param = box.dq\nsweep.min = 1e-7\nsweep.max = 1e-5\nsweep.count = 8\n"),
+    ("CLASSICAL_TRAJECTORY", _SHORT_RUN + "classical.p2 = 0.1\n",
+     "sweep.param = classical.p1\nsweep.values = 0.2, 0.45, 0.7, 0.9\n"),
+    ("CLASSICAL_TRAJECTORY", _SHORT_RUN + _HELD,
+     "sweep.param = classical.x1\nsweep.values = 0.5, 1.5, 3.0\n"),
+    ("CLASSICAL_TRAJECTORY", _SHORT_RUN + "classical.metric = uniform_lapse\n",
+     "sweep.param = classical.lapse_g\nsweep.values = 0.01, 0.04, 0.08\n"),
+], ids=["quantum-bound", "gedanken-box", "classical-flat-p1", "classical-held-x1",
+        "classical-lapse-g"])
+def test_sweep_matches_member_runs(tmp_path, kind, base, sweep):
+    cfg, out = _cfg(tmp_path, kind, base + sweep, name="sweep.csv")
     report = run(cfg)
     sweep_lines = out.read_text().splitlines()
     expected_lines = None
     worst = {}
     for i, value in enumerate(cfg.sweep.values):
-        member_cfg, member_out = _cfg(tmp_path, kind, f"{cfg.sweep.param} = {value!r}\n",
+        member_cfg, member_out = _cfg(tmp_path, kind, base + f"{cfg.sweep.param} = {value!r}\n",
                                       name=f"member{i}.csv")
         member_report = run(member_cfg)
         header, *rows = member_out.read_text().splitlines()
@@ -373,25 +449,49 @@ def test_quantum_moments_snapshot_export(tmp_path):
     assert e_dens.sum() * de == pytest.approx(1.0, abs=1e-10)
 
 
-def test_one_hamiltonian_pass_per_trajectory(tmp_path, monkeypatch):
-    import clocklab.dynamics as dynamics
-    import clocklab.runner as runner
-    total_hamiltonian = dynamics.total_hamiltonian
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Record the arguments of every call to ``module.name``."""
+    original = getattr(module, name)
     calls = []
 
-    def counting_hamiltonian(*args, **kwargs):
-        calls.append(1)
-        return total_hamiltonian(*args, **kwargs)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
 
-    # every module that binds the name, so a direct import is counted too
-    for module in (dynamics, runner):
-        if hasattr(module, "total_hamiltonian"):
-            monkeypatch.setattr(module, "total_hamiltonian", counting_hamiltonian)
-    cfg, _ = _cfg(tmp_path, "CLASSICAL_TRAJECTORY", "classical.t_end = 2\nclassical.dt = 1e-2\n")
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_one_hamiltonian_pass_per_trajectory(tmp_path, monkeypatch):
+    # one vectorized pass over all samples of each integrated batch
+    import clocklab.dynamics as dynamics
+    calls = _count_calls(monkeypatch, dynamics, "total_hamiltonian")
+    cfg, _ = _cfg(tmp_path, "CLASSICAL_TRAJECTORY", _SHORT_RUN)
     report = run(cfg)
     assert report.all_passed
     assert report.rows_written == 201
-    assert len(calls) == 201
+    assert [args[0].shape for args in calls] == [(201, 1, 10)]
+    calls.clear()
+    cfg, _ = _cfg(tmp_path, "CLASSICAL_TRAJECTORY",
+                  _SHORT_RUN + "sweep.param = classical.p1\nsweep.values = 0.2, 0.4, 0.6, 0.8\n")
+    assert run(cfg).all_passed
+    assert [args[0].shape for args in calls] == [(201, 4, 10)]
+    calls.clear()
+    cfg, _ = _cfg(tmp_path, "CLASSICAL_TRAJECTORY", _SHORT_RUN + "classical.metric = uniform_lapse\n"
+                  "sweep.param = classical.lapse_g\nsweep.values = 0.01, 0.02\n")
+    assert run(cfg).all_passed
+    assert [args[0].shape for args in calls] == [(201, 1, 10)] * 2
+
+
+def test_sweep_integrates_as_one_batch(tmp_path, monkeypatch):
+    import clocklab.dynamics as dynamics
+    calls = _count_calls(monkeypatch, dynamics, "_rhs_vector")
+    cfg, _ = _cfg(tmp_path, "CLASSICAL_TRAJECTORY",
+                  _SHORT_RUN + "sweep.param = classical.p1\nsweep.values = 0.2, 0.4, 0.6, 0.8\n")
+    assert run(cfg).all_passed
+    # four RHS evaluations per RK4 step for the whole batch, not per member
+    assert len(calls) == 4 * 200
+    assert {args[0].shape for args in calls} == {(4, 10)}
 
 
 # sha256 of each scenario's CSV at its default config, recorded before the
