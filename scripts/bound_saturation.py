@@ -8,7 +8,14 @@ from pathlib import Path
 
 import numpy as np
 
-from clocklab import GaussianClockSpec, gaussian_state, optimize_clock_width, salecker_wigner_check
+from clocklab import (
+    GaussianClockSpec,
+    gaussian_state,
+    optimize_clock_width,
+    salecker_wigner_check,
+    state_moments,
+    tau_moments_simulated,
+)
 from clocklab.csvio import emit_csv
 from clocklab.search import OptimizerBracketError
 
@@ -25,7 +32,7 @@ def main() -> None:
     for sigma_e in np.logspace(np.log10(0.05), np.log10(2.0), 12):
         state = gaussian_state(GaussianClockSpec(args.e0, sigma_e, p0=args.p0,
                                                  sigma_p=0.05), t_max=args.t)
-        chk = salecker_wigner_check(state, args.t)
+        chk = salecker_wigner_check(state_moments(state), tau_moments_simulated(state, args.t))
         rows.append([sigma_e, chk.lhs, chk.rhs, int(chk.satisfied), chk.sharpness])
     path = args.out_dir / "bound_sweep.csv"
     emit_csv(rows, ["sigma_e", "var_tau", "bound", "satisfied", "sharpness"], path)
@@ -42,7 +49,7 @@ def main() -> None:
     except OptimizerBracketError as err:
         state = gaussian_state(GaussianClockSpec(args.e0, 1.0, p0=0.0, sigma_p=0.05),
                                t_max=args.t)
-        chk = salecker_wigner_check(state, args.t)
+        chk = salecker_wigner_check(state_moments(state), tau_moments_simulated(state, args.t))
         print("rest clock: no interior optimum; variance stays reading-dominated "
               f"({chk.lhs:.4f} at the widest admissible width vs bound {chk.rhs:.4f}) "
               f"[{err}]")

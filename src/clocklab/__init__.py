@@ -31,24 +31,22 @@ from .gedanken import (
     spring_mass,
 )
 from .grids import (
-    ComplexField1D,
     ComplexField2D,
     UniformGrid,
     boundary_amplitude_ratio,
-    spectral_derivative,
     trapezoid_norm_squared,
 )
 from .metric import StaticMetric, flat_metric, isotropic_weak_field_metric, uniform_lapse_metric
 from .moments import (
+    StateMoments,
     TauMoments,
     VarianceLawCoefficients,
     peaked_approximation_report,
     salecker_wigner_check,
+    state_moments,
     tau_moments_simulated,
-    uncertainty_product,
-    variance_law_predict,
 )
-from .operators import Observable, apply_tau, commutator_residual, evolve, expectation
+from .operators import Observable, commutator_residual, evolve, expectation
 from .search import optimize_clock_width
 from .states import (
     GaussianClockSpec,
@@ -64,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoxExperiment",
-    "ComplexField1D",
     "ComplexField2D",
     "EFieldExperiment",
     "ExtendedPhaseSpacePoint",
@@ -73,6 +70,7 @@ __all__ = [
     "NATURAL_UNITS",
     "Observable",
     "SI_UNITS",
+    "StateMoments",
     "StaticMetric",
     "TauMoments",
     "Trajectory",
@@ -81,7 +79,6 @@ __all__ = [
     "UnitContext",
     "UnitSystem",
     "VarianceLawCoefficients",
-    "apply_tau",
     "base_hamiltonian",
     "boundary_amplitude_ratio",
     "box_uncertainties",
@@ -110,13 +107,11 @@ __all__ = [
     "reduced_canonical_pair",
     "rest_energy",
     "salecker_wigner_check",
-    "spectral_derivative",
     "spring_mass",
+    "state_moments",
     "suggest_grids",
     "tau_moments_simulated",
     "total_hamiltonian",
     "trapezoid_norm_squared",
-    "uncertainty_product",
     "uniform_lapse_metric",
-    "variance_law_predict",
 ]

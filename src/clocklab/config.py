@@ -61,7 +61,6 @@ class ParamSpec:
     key: str
     dimension: str = "dimensionless"
     default: Any = None
-    required: bool = False
     kind: str = "number"  # number | int | list | string
     choices: tuple[str, ...] | None = None
     above: float | None = None
@@ -291,6 +290,23 @@ def _resolve_sweep(raw: dict[str, str], schema: dict[str, ParamSpec], units: Uni
     return SweepSpec(param=param, values=values)
 
 
+def _bracket_violations(params: dict[str, Any], sweep: SweepSpec | None) -> list[str]:
+    """The optimizer bracket is the default (both ends 0) or 0 < lo < hi,
+    for the single run or for every sweep member."""
+    keys = ("optimize.sigma_lo", "optimize.sigma_hi")
+    members = [params]
+    if sweep is not None and sweep.param in keys:
+        members = [{**params, sweep.param: value} for value in sweep.values]
+    violations = []
+    for member in members:
+        lo, hi = (member[key] for key in keys)
+        if not (lo == hi == 0.0 or 0.0 < lo < hi):
+            violations.append(
+                f"optimize.sigma_lo: must be 0 with optimize.sigma_hi (the default bracket) "
+                f"or satisfy 0 < optimize.sigma_lo < optimize.sigma_hi, got {lo!r} and {hi!r}")
+    return violations
+
+
 def _step_rule_violations(params: dict[str, Any], sweep: SweepSpec | None,
                           units: UnitSystem) -> list[str]:
     """classical.t_end must be a whole number of classical.dt steps, at least
@@ -383,12 +399,7 @@ def parse_config(text: str, kind_hint: str | None = None) -> ScenarioConfig:
             params[key] = parsed
 
     for spec in SCHEMAS[kind]:
-        if spec.key in params:
-            continue
-        if spec.default is not None:
-            params[spec.key] = spec.default
-        elif spec.required:
-            violations.append(f"missing required key: {spec.key}")
+        params.setdefault(spec.key, spec.default)
 
     sweep = _resolve_sweep(raw, schema, units, violations)
     if sweep is not None:
@@ -402,6 +413,9 @@ def parse_config(text: str, kind_hint: str | None = None) -> ScenarioConfig:
     step_keys = ("classical.t_end:", "classical.dt:", "sweep")
     if kind == "CLASSICAL_TRAJECTORY" and not any(v.startswith(step_keys) for v in violations):
         violations += _step_rule_violations(params, sweep, units)
+    bracket_keys = ("optimize.sigma_lo:", "optimize.sigma_hi:", "sweep")
+    if kind == "QUANTUM_OPTIMIZE" and not any(v.startswith(bracket_keys) for v in violations):
+        violations += _bracket_violations(params, sweep)
 
     if violations:
         raise ConfigError(violations)

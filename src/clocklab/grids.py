@@ -9,7 +9,6 @@ boundary it converges faster than any power of the step.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,18 +49,6 @@ class UniformGrid:
 
 
 @dataclass(frozen=True, eq=False)
-class ComplexField1D:
-    grid: UniformGrid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.grid.n,):
-            raise ValueError("value array does not match grid size")
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True, eq=False)
 class ComplexField2D:
     """Row-major field: values[i, j] lives at (grids[0].nodes[i], grids[1].nodes[j])."""
 
@@ -75,23 +62,14 @@ class ComplexField2D:
         object.__setattr__(self, "values", v)
 
 
-Field = ComplexField1D | ComplexField2D
-
-
-def _steps_product(fld: Field) -> float:
-    if isinstance(fld, ComplexField1D):
-        return fld.grid.step
-    return fld.grids[0].step * fld.grids[1].step
-
-
-def trapezoid_norm_squared(fld: Field) -> float:
+def trapezoid_norm_squared(fld: ComplexField2D) -> float:
     """Grid quadrature of |psi|^2 (rectangle rule; identical to the trapezoid
     rule on periodic data that has decayed at the boundary)."""
     v = fld.values
-    return float(np.vdot(v, v).real * _steps_product(fld))
+    return float(np.vdot(v, v).real * (fld.grids[0].step * fld.grids[1].step))
 
 
-def boundary_amplitude_ratio(fld: Field) -> float:
+def boundary_amplitude_ratio(fld: ComplexField2D) -> float:
     """max |value| on the grid boundary divided by max |value| overall.
 
     A small ratio certifies the field is numerically band-limited, which the
@@ -101,10 +79,7 @@ def boundary_amplitude_ratio(fld: Field) -> float:
     peak = mag.max()
     if peak == 0.0:
         return 0.0
-    if isinstance(fld, ComplexField1D):
-        edge = max(mag[0], mag[-1])
-    else:
-        edge = max(mag[0, :].max(), mag[-1, :].max(), mag[:, 0].max(), mag[:, -1].max())
+    edge = max(mag[0, :].max(), mag[-1, :].max(), mag[:, 0].max(), mag[:, -1].max())
     return float(edge / peak)
 
 
@@ -145,27 +120,3 @@ def spectral_derivative_array(values: np.ndarray, grid: UniformGrid, axis: int =
     deriv = np.fft.ifft(spec, axis=axis)
     return deriv if edge_fraction is None else (deriv, edge_fraction)
 
-
-def spectral_derivative(fld: Field, axis_grid: UniformGrid | None = None, axis: int = 0) -> Field:
-    """DFT-based derivative of a field along one axis.
-
-    Parameters
-    ----------
-    fld : ComplexField1D or ComplexField2D
-    axis_grid : optional cross-check; must match the grid of ``axis``.
-    axis : which axis of a 2D field to differentiate (ignored for 1D).
-    """
-    grid = fld.grid if isinstance(fld, ComplexField1D) else fld.grids[axis]
-    if axis_grid is not None and axis_grid != grid:
-        raise ValueError("axis_grid does not match the field grid on that axis")
-    ratio = boundary_amplitude_ratio(fld)
-    if ratio > BOUNDARY_HEALTH_LIMIT:
-        warnings.warn(
-            f"field boundary amplitude ratio {ratio:.2e} exceeds "
-            f"{BOUNDARY_HEALTH_LIMIT:.0e}; spectral derivative may alias",
-            NumericalHealthWarning,
-            stacklevel=2,
-        )
-    if isinstance(fld, ComplexField1D):
-        return ComplexField1D(grid, spectral_derivative_array(fld.values, grid, axis=0))
-    return ComplexField2D(fld.grids, spectral_derivative_array(fld.values, grid, axis=axis))

@@ -9,9 +9,13 @@ the quadratic
     lin   = <[D, tau]_+> - 2 <D> <tau>,
     const = <tau^2> - <tau>^2.
 
-``tau_moments_simulated`` measures the left side by evolving the state and
-``variance_law_predict`` computes the coefficients at t = 0; agreement of
-the two independent routes is one of the main self-checks of this module.
+``tau_moments_simulated`` measures the left side by evolving the state;
+``state_moments`` takes the coefficients from t = 0 data, and agreement of
+the two routes is one of the main self-checks of this module.  It is the
+one place where a state's t = 0 statistics are taken, from one |psi|^2,
+one E, H and D multiplier each and one tau psi, into a frozen
+``StateMoments`` record; the bound check and the peaked-energy report are
+arithmetic on that record.
 
 Readings are taken in a frame that moves with the clock.  The evolved state
 is translated in tau by -t v with the E-only phase exp(+i t v E / hbar),
@@ -39,13 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (
-    _diagonal_expectation,
-    dilation_multiplier,
-    energy_multiplier,
-    evolve,
-    tau_statistics,
-)
+from .operators import _axes, dilation_multiplier, energy_multiplier, evolve, tau_statistics
 from .states import MomentumSpaceState, frame_velocity
 
 DISCRIMINANT_TOL = 1e-8
@@ -87,7 +85,6 @@ class PeakedApproximationReport:
     exact_lin: float
     approx_lin: float
     sharpness: float
-    energy_scale: float
 
 
 @dataclass(frozen=True)
@@ -99,16 +96,40 @@ class BoundCheck:
     rhs_rest_energy: float
     slow_clock: bool
     sharpness: float
-    reading: TauMoments  # the simulated reading at t; lhs is its variance
 
 
 @dataclass(frozen=True)
-class UncertaintyProduct:
-    d_tau: float
+class StateMoments:
+    """Every t = 0 statistic of one state.  ``law`` and ``d_mean`` need the
+    dilation rate D: where the support reaches the cone tip, D is undefined
+    and reading them raises the tip-clearance ValueError."""
+
+    reading: TauMoments            # the reading at t = 0
+    dilation: tuple[VarianceLawCoefficients, float] | str  # (law, <D>), or why D is undefined
+    e_mean: float                  # <E>
+    e_var: float                   # <E^2> - <E>^2
+    e_lin: float                   # <[E, tau]_+> - 2 <E> <tau>
+    h_mean: float                  # <H>, the energy scale of the clock bound
+    sharpness: float               # dH / <H>
+    p2c2: float                    # <c^2 p^2>
     d_e: float
-    d_m: float
-    product: float
-    lower: float
+    d_m: float                     # d_e / c^2
+    spread_product: float          # d_tau d_E, at least spread_floor = hbar / 2
+    spread_floor: float
+    hbar: float
+
+    def _dilation(self) -> tuple[VarianceLawCoefficients, float]:
+        if isinstance(self.dilation, str):
+            raise ValueError(self.dilation)
+        return self.dilation
+
+    @property
+    def law(self) -> VarianceLawCoefficients:
+        return self._dilation()[0]
+
+    @property
+    def d_mean(self) -> float:
+        return self._dilation()[1]
 
 
 def tau_moments_simulated(state: MomentumSpaceState, t: float,
@@ -128,82 +149,91 @@ def tau_moments_simulated(state: MomentumSpaceState, t: float,
                       tau_window=stats.window)
 
 
-def variance_law_predict(state: MomentumSpaceState) -> VarianceLawCoefficients:
-    """Coefficients of the exact quadratic variance growth, from t = 0 data."""
-    d = dilation_multiplier(state)
-    d_mean = _diagonal_expectation(state, d)
-    tau_mean, tau_sq, tpsi, _ = tau_statistics(state)
-    anti = 2.0 * float((np.conj(d * state.values) * tpsi).sum().real * state.cell_measure())
-    return VarianceLawCoefficients(
-        # centred: <D^2> - <D>^2 loses every digit of Var D below 1e-16 when
-        # D is pinned near 1, as for a clock at rest
-        quad=_diagonal_expectation(state, (d - d_mean) ** 2),
-        lin=anti - 2.0 * d_mean * tau_mean,
-        const=tau_sq - tau_mean**2,
+def state_moments(state: MomentumSpaceState) -> StateMoments:
+    """The t = 0 statistics of a state: its reading, the coefficients of
+    the exact variance law, and the E, H, D and c^2 p^2 moments they and
+    the clock bound rest on."""
+    try:
+        d = dilation_multiplier(state)
+    except ValueError as err:  # the support reaches the cone tip
+        d, dilation = None, str(err)
+    E, P = _axes(state)
+    cell = state.cell_measure()
+    stats = tau_statistics(state)
+
+    def anti(mult: np.ndarray) -> float:
+        """<[mult, tau]_+> of a real diagonal multiplier."""
+        return 2.0 * float((np.conj(mult * state.values) * stats.tpsi).sum().real * cell)
+
+    # before |psi|^2 and H exist, so that the complex temporaries share the
+    # memory peak with tau psi alone
+    anti_e = anti(E)
+    anti_d = None if d is None else anti(d)
+    rho = state.density()
+
+    def mean(mult: np.ndarray) -> float:
+        return float((mult * rho).sum() * cell)
+
+    const = stats.second - stats.mean**2
+    if d is not None:
+        d_mean = mean(d)
+        dilation = (VarianceLawCoefficients(
+            # centred: <D^2> - <D>^2 loses every digit of Var D below 1e-16
+            # when D is pinned near 1, as for a clock at rest
+            quad=mean((d - d_mean) ** 2),
+            lin=anti_d - 2.0 * d_mean * stats.mean,
+            const=const,
+        ), d_mean)
+    h = energy_multiplier(state)
+    e_mean = mean(E)
+    e_var = mean(E * E) - e_mean**2
+    h_mean = mean(h)
+    d_e = math.sqrt(max(e_var, 0.0))
+    return StateMoments(
+        # the shift is signed as tau_moments_simulated signs it at t = 0
+        reading=TauMoments(t=0.0, mean_tau=stats.mean + 0.0 * frame_velocity(state),
+                           var_tau=stats.second - stats.mean * stats.mean,
+                           tau_window=stats.window),
+        dilation=dilation,
+        e_mean=e_mean,
+        e_var=e_var,
+        e_lin=anti_e - 2.0 * e_mean * stats.mean,
+        h_mean=h_mean,
+        sharpness=math.sqrt(max(mean(h * h) - h_mean**2, 0.0)) / h_mean,
+        p2c2=mean((state.units.c * P) ** 2),
+        d_e=d_e,
+        d_m=d_e / state.units.c**2,
+        spread_product=math.sqrt(max(const, 0.0)) * d_e,
+        spread_floor=0.5 * state.units.hbar,
+        hbar=state.units.hbar,
     )
 
 
-def energy_sharpness(state: MomentumSpaceState) -> tuple[float, float]:
-    """(<H>, dH/<H>) for the total-energy multiplier."""
-    h = energy_multiplier(state)
-    h_mean = _diagonal_expectation(state, h)
-    h_var = _diagonal_expectation(state, h * h) - h_mean**2
-    if h_mean <= 0.0:
-        raise ValueError("total energy expectation must be positive")
-    return h_mean, math.sqrt(max(h_var, 0.0)) / h_mean
-
-
-def peaked_approximation_report(state: MomentumSpaceState) -> PeakedApproximationReport:
+def peaked_approximation_report(moments: StateMoments) -> PeakedApproximationReport:
     """Exact variance-growth coefficients next to their sharp-energy
     estimates quad ~ (dE)^2/EE^2 and lin ~ (<[E,tau]_+> - 2<E><tau>)/EE,
     with EE = <H>.  The sharpness dH/<H> governs how far to trust them."""
-    coeffs = variance_law_predict(state)
-    e_scale, sharp = energy_sharpness(state)
-    E = state.e_grid.nodes[:, None]
-    e_mean = _diagonal_expectation(state, E)
-    e2_mean = _diagonal_expectation(state, E * E)
-    tau_mean, _, tpsi, _ = tau_statistics(state)
-    anti_e = 2.0 * float((np.conj(E * state.values) * tpsi).sum().real * state.cell_measure())
     return PeakedApproximationReport(
-        exact_quad=coeffs.quad,
-        approx_quad=(e2_mean - e_mean**2) / e_scale**2,
-        exact_lin=coeffs.lin,
-        approx_lin=(anti_e - 2.0 * e_mean * tau_mean) / e_scale,
-        sharpness=sharp,
-        energy_scale=e_scale,
+        exact_quad=moments.law.quad,
+        approx_quad=moments.e_var / moments.h_mean**2,
+        exact_lin=moments.law.lin,
+        approx_lin=moments.e_lin / moments.h_mean,
+        sharpness=moments.sharpness,
     )
 
 
-def salecker_wigner_check(state: MomentumSpaceState, t: float) -> BoundCheck:
-    """Compare the simulated variance of the reading at time t against the
-    clock bound hbar t / <H>; for slow clocks the bound is also reported in
-    its rest-energy form hbar t / <E>."""
+def salecker_wigner_check(moments: StateMoments, reading: TauMoments) -> BoundCheck:
+    """Compare the simulated variance of a reading at time t > 0 against the
+    clock bound hbar t / <H> of the state it was evolved from; for slow
+    clocks the bound is also reported in its rest-energy form hbar t / <E>."""
+    t = reading.t
     if t <= 0.0:
         raise ValueError("the bound applies for t > 0")
-    e_scale, sharp = energy_sharpness(state)
-    reading = tau_moments_simulated(state, t)
     lhs = reading.var_tau
-    hbar = state.units.hbar
-    rhs = hbar * t / e_scale
-    E = state.e_grid.nodes[:, None]
-    P = state.p_grid.nodes[None, :]
-    e_mean = _diagonal_expectation(state, E)
-    p2c2 = _diagonal_expectation(state, (state.units.c * P) ** 2)
-    slow = p2c2 < SLOW_CLOCK_MOMENTUM_FRACTION * e_mean**2
-    rhs_rest = hbar * t / e_mean if e_mean > 0.0 else math.inf
+    hbar = moments.hbar
+    rhs = hbar * t / moments.h_mean
+    slow = moments.p2c2 < SLOW_CLOCK_MOMENTUM_FRACTION * moments.e_mean**2
+    rhs_rest = hbar * t / moments.e_mean if moments.e_mean > 0.0 else math.inf
     return BoundCheck(lhs=lhs, rhs=rhs, satisfied=lhs >= rhs, margin=lhs - rhs,
-                      rhs_rest_energy=rhs_rest, slow_clock=bool(slow), sharpness=sharp,
-                      reading=reading)
-
-
-def uncertainty_product(state: MomentumSpaceState) -> UncertaintyProduct:
-    """Spread product d_tau * d_E against its floor hbar/2."""
-    tau_mean, tau_sq, _, _ = tau_statistics(state)
-    d_tau = math.sqrt(max(tau_sq - tau_mean**2, 0.0))
-    E = state.e_grid.nodes[:, None]
-    e_mean = _diagonal_expectation(state, E)
-    e2_mean = _diagonal_expectation(state, E * E)
-    d_e = math.sqrt(max(e2_mean - e_mean**2, 0.0))
-    c = state.units.c
-    return UncertaintyProduct(d_tau=d_tau, d_e=d_e, d_m=d_e / c**2,
-                              product=d_tau * d_e, lower=0.5 * state.units.hbar)
+                      rhs_rest_energy=rhs_rest, slow_clock=bool(slow),
+                      sharpness=moments.sharpness)

@@ -11,7 +11,7 @@ keep clear of it.
 The E step fixes a periodic proper-time window |tau| < pi hbar / dE.  A
 reading whose tau content reaches the window edge wraps around it and comes
 out wrong with no other symptom, since |psi(E)| is unchanged by evolution;
-``apply_tau`` therefore reports the share of |psi~(tau)|^2 in the outer
+``tau_statistics`` therefore reports the share of |psi~(tau)|^2 in the outer
 ``TAU_EDGE_BAND`` of the window, from the transform it takes anyway.
 """
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 
 from .grids import (
     BOUNDARY_HEALTH_LIMIT,
-    ComplexField2D,
     NumericalHealthWarning,
     spectral_derivative_array,
 )
@@ -106,11 +105,6 @@ def _tau_and_window(state: MomentumSpaceState, strict: bool) -> tuple[np.ndarray
     return 1j * state.units.hbar * deriv, window
 
 
-def apply_tau(state: MomentumSpaceState, strict: bool = False) -> ComplexField2D:
-    """i*hbar times the spectral E-derivative of the state."""
-    return ComplexField2D(state.psi.grids, _tau_and_window(state, strict)[0])
-
-
 def evolve(state: MomentumSpaceState, t: float) -> MomentumSpaceState:
     """Unitary evolution by the diagonal phase exp(-i t sqrt(E^2+c^2p^2)/hbar)."""
     if not math.isfinite(t):
@@ -118,22 +112,6 @@ def evolve(state: MomentumSpaceState, t: float) -> MomentumSpaceState:
     if t == 0.0:
         return state
     return state.rephased(np.exp((-1j * t / state.units.hbar) * energy_multiplier(state)))
-
-
-def _grid_inner(state: MomentumSpaceState, bra: np.ndarray, ket: np.ndarray) -> complex:
-    return complex(np.vdot(bra, ket) * state.cell_measure())
-
-
-def _real_part(value: complex, what: str) -> float:
-    if abs(value.imag) > IMAG_RESIDUE_LIMIT:
-        raise ValueError(
-            f"imaginary residue {value.imag:.3e} of {what} exceeds {IMAG_RESIDUE_LIMIT:.0e}")
-    return value.real
-
-
-def _diagonal_expectation(state: MomentumSpaceState, mult: np.ndarray) -> float:
-    rho = np.abs(state.values) ** 2
-    return float((mult * rho).sum() * state.cell_measure())
 
 
 class TauStatistics(NamedTuple):
@@ -147,28 +125,28 @@ def tau_statistics(state: MomentumSpaceState, strict: bool = False) -> TauStatis
     """<tau>, <tau^2>, tau psi and the tau-window edge share, computed with
     one spectral derivative."""
     tpsi, window = _tau_and_window(state, strict)
-    mean = _real_part(_grid_inner(state, state.values, tpsi), "<tau>")
+    mean = complex(np.vdot(state.values, tpsi) * state.cell_measure())
+    if abs(mean.imag) > IMAG_RESIDUE_LIMIT:
+        raise ValueError(
+            f"imaginary residue {mean.imag:.3e} of <tau> exceeds {IMAG_RESIDUE_LIMIT:.0e}")
     second = float(np.vdot(tpsi, tpsi).real * state.cell_measure())
-    return TauStatistics(mean, second, tpsi, window)
+    return TauStatistics(mean.real, second, tpsi, window)
 
 
 def expectation(state: MomentumSpaceState, observable: Observable | str) -> float:
-    obs = Observable(observable) if not isinstance(observable, Observable) else observable
-    if obs is Observable.E:
-        E, _ = _axes(state)
-        return _diagonal_expectation(state, E)
-    if obs is Observable.P:
-        _, P = _axes(state)
-        return _diagonal_expectation(state, P)
-    if obs is Observable.H:
-        return _diagonal_expectation(state, energy_multiplier(state))
-    if obs is Observable.D:
-        return _diagonal_expectation(state, dilation_multiplier(state))
+    obs = Observable(observable)
     if obs is Observable.TAU:
         return tau_statistics(state).mean
     if obs is Observable.TAU_SQ:
         return tau_statistics(state).second
-    raise ValueError(f"unknown observable: {observable!r}")
+    E, P = _axes(state)
+    if obs is Observable.H:
+        mult = energy_multiplier(state)
+    elif obs is Observable.D:
+        mult = dilation_multiplier(state)
+    else:
+        mult = E if obs is Observable.E else P
+    return float((mult * state.density()).sum() * state.cell_measure())
 
 
 def commutator_residual(state: MomentumSpaceState) -> float:

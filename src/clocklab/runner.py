@@ -45,15 +45,8 @@ from .dynamics import (
 )
 from .gedanken import BoxExperiment, EFieldExperiment, box_uncertainties, efield_uncertainties
 from .metric import flat_metric, uniform_lapse_metric
-from .moments import (
-    VarianceLawCoefficients,
-    energy_sharpness,
-    salecker_wigner_check,
-    tau_moments_simulated,
-    uncertainty_product,
-    variance_law_predict,
-)
-from .operators import TAU_WINDOW_LIMIT, Observable, commutator_residual, expectation
+from .moments import StateMoments, salecker_wigner_check, state_moments, tau_moments_simulated
+from .operators import TAU_WINDOW_LIMIT, commutator_residual
 from .search import optimize_clock_width
 from .states import GaussianClockSpec, gaussian_state
 from .units import NATURAL_UNITS, SI_UNITS, UnitContext, UnitSystem, convert_units
@@ -145,29 +138,20 @@ def _each(fn: Callable) -> Callable:
 
 # --- gedanken -------------------------------------------------------------
 
-_BOX_HEADER = ["delta_q", "t", "g", "delta_p", "delta_m", "delta_tau",
-               "product_ratio", "product_ratio_half_hbar"]
-_EFIELD_HEADER = ["delta_q", "t", "v", "delta_p", "delta_m", "delta_tau",
-                  "product_ratio", "product_ratio_half_hbar"]
-
-
-def _run_gedanken_box(params: dict[str, Any], seed: int, ctx: UnitContext):
-    exp = BoxExperiment(delta_q=params["box.dq"], t=params["box.t"], g=params["box.g"])
-    rep = box_uncertainties(exp, ctx)
-    row = [exp.delta_q, exp.t, exp.g, rep.delta_p, rep.delta_m, rep.delta_tau,
+def _run_gedanken(params: dict[str, Any], seed: int, ctx: UnitContext):
+    """One weighing: the box (third column g) or the moved clock (third column v)."""
+    if "box.dq" in params:
+        exp = BoxExperiment(delta_q=params["box.dq"], t=params["box.t"], g=params["box.g"])
+        rep, knob, value = box_uncertainties(exp, ctx), "g", exp.g
+    else:
+        exp = EFieldExperiment(delta_q=params["efield.dq"], t=params["efield.t"],
+                               v=params["efield.v"])
+        rep, knob, value = efield_uncertainties(exp, ctx), "v", exp.v
+    header = ["delta_q", "t", knob, "delta_p", "delta_m", "delta_tau",
+              "product_ratio", "product_ratio_half_hbar"]
+    row = [exp.delta_q, exp.t, value, rep.delta_p, rep.delta_m, rep.delta_tau,
            rep.product_ratio, rep.product_ratio_half_hbar]
-    checks = [_check("product_ratio", abs(rep.product_ratio - 1.0))]
-    return _BOX_HEADER, [row], checks, {}
-
-
-def _run_gedanken_efield(params: dict[str, Any], seed: int, ctx: UnitContext):
-    exp = EFieldExperiment(delta_q=params["efield.dq"], t=params["efield.t"],
-                           v=params["efield.v"])
-    rep = efield_uncertainties(exp, ctx)
-    row = [exp.delta_q, exp.t, exp.v, rep.delta_p, rep.delta_m, rep.delta_tau,
-           rep.product_ratio, rep.product_ratio_half_hbar]
-    checks = [_check("product_ratio", abs(rep.product_ratio - 1.0))]
-    return _EFIELD_HEADER, [row], checks, {}
+    return header, [row], [_check("product_ratio", abs(rep.product_ratio - 1.0))], {}
 
 
 # --- classical ------------------------------------------------------------
@@ -270,20 +254,19 @@ def _spec_from(params: dict[str, Any]) -> GaussianClockSpec:
         sigma_p=params["quantum.sigma_p"], x0=params.get("quantum.x0", 0.0))
 
 
-def _moment_row(state, t: float, law: VarianceLawCoefficients):
-    """CSV row of the reading at time t, from a single evolution of the state;
-    returns the row, the reading and, for t > 0, the bound check."""
+def _moment_row(state, moments: StateMoments, t: float):
+    """CSV row, reading and (for t > 0) bound check at time t, from at most
+    one evolution of the state."""
+    law = moments.law  # first: it raises for a state that reaches the cone tip
     if t > 0.0:
-        bc = salecker_wigner_check(state, t)
-        sim = bc.reading
-        bound, satisfied, sharp = bc.rhs, bc.satisfied, bc.sharpness
-    else:
-        bc = None
         sim = tau_moments_simulated(state, t)
-        _, sharp = energy_sharpness(state)
-        bound, satisfied = 0.0, True
-    return ([sim.t, sim.mean_tau, sim.var_tau, law.predict(t), law.quad, law.lin,
-             law.const, bound, satisfied, sharp], sim, bc)
+        bc = salecker_wigner_check(moments, sim)
+        bound, satisfied = bc.rhs, bc.satisfied
+    else:
+        sim = moments.reading if t == 0.0 else tau_moments_simulated(state, t)
+        bc, bound, satisfied = None, 0.0, True
+    return ([t, sim.mean_tau, sim.var_tau, law.predict(t), law.quad, law.lin,
+             law.const, bound, satisfied, moments.sharpness], sim, bc)
 
 
 def _grid_sizes(state) -> dict[str, int]:
@@ -305,26 +288,24 @@ def _run_quantum_moments(params: dict[str, Any], seed: int, ctx: UnitContext):
                            n_e=params["grid.e.n"], n_p=params["grid.p.n"])
     if params.get("quantum.snapshot"):
         _write_snapshot(state, params["quantum.snapshot"])
-    d_mean = expectation(state, Observable.D)
-    law = variance_law_predict(state)
-    start = tau_moments_simulated(state, 0.0)
+    moments = state_moments(state)
+    law, start = moments.law, moments.reading
     rows = []
     law_dev = 0.0
     lin_dev = 0.0
     window = start.tau_window
     for t in times:
-        row, sim, _ = _moment_row(state, t, law)
+        row, sim, _ = _moment_row(state, moments, t)
         rows.append(row)
         law_dev = max(law_dev, abs(sim.var_tau - law.predict(t)) / max(law.predict(t), 1e-300))
-        expected_mean = start.mean_tau + d_mean * t
+        expected_mean = start.mean_tau + moments.d_mean * t
         lin_dev = max(lin_dev, abs(sim.mean_tau - expected_mean) / max(abs(expected_mean), 1.0))
         window = max(window, sim.tau_window)
-    up = uncertainty_product(state)
     checks = [
         _check("variance_law", law_dev),
         _check("mean_linearity", lin_dev),
         _check("tau_window", window),
-        _check("uncertainty_floor", up.lower - up.product),
+        _check("uncertainty_floor", moments.spread_floor - moments.spread_product),
         _check("commutator", commutator_residual(state)),
     ]
     return [name for name, _ in _MOMENT_COLS], rows, checks, _grid_sizes(state)
@@ -333,23 +314,20 @@ def _run_quantum_moments(params: dict[str, Any], seed: int, ctx: UnitContext):
 def _run_quantum_bound(params: dict[str, Any], seed: int, ctx: UnitContext):
     spec = _spec_from(params)
     t = params["quantum.t"]
-    if t <= 0.0:
-        raise ValueError("the bound applies for t > 0")
     state = gaussian_state(spec, t_max=t, n_e=params["grid.e.n"], n_p=params["grid.p.n"])
-    row, sim, bc = _moment_row(state, t, variance_law_predict(state))
-    up = uncertainty_product(state)
+    moments = state_moments(state)
+    row, sim, bc = _moment_row(state, moments, t)
     checks = [
         _check("sw_bound", (-bc.margin) if bc.sharpness <= PEAKED_SHARPNESS else 0.0),
         _check("tau_window", sim.tau_window),
-        _check("uncertainty_floor", up.lower - up.product),
+        _check("uncertainty_floor", moments.spread_floor - moments.spread_product),
     ]
     return [name for name, _ in _MOMENT_COLS], [row], checks, _grid_sizes(state)
 
 
 def _run_quantum_optimize(params: dict[str, Any], seed: int, ctx: UnitContext):
-    lo = params["optimize.sigma_lo"]
-    hi = params["optimize.sigma_hi"]
-    bounds = (lo, hi) if lo > 0.0 and hi > lo else None
+    lo, hi = params["optimize.sigma_lo"], params["optimize.sigma_hi"]
+    bounds = None if lo == hi == 0.0 else (lo, hi)  # both 0: the default bracket
     result = optimize_clock_width(
         e0=params["quantum.e0"], p0=params["quantum.p0"],
         sigma_p=params["quantum.sigma_p"], t=params["quantum.t"],
@@ -366,8 +344,8 @@ def _run_quantum_optimize(params: dict[str, Any], seed: int, ctx: UnitContext):
 # kind -> runner(member params, seed, ctx) -> one (header, rows, checks,
 # diagnostics) per member; rows are a float matrix or a list of mixed rows
 _RUNNERS: dict[str, Callable] = {
-    "GEDANKEN_BOX": _each(_run_gedanken_box),
-    "GEDANKEN_EFIELD": _each(_run_gedanken_efield),
+    "GEDANKEN_BOX": _each(_run_gedanken),
+    "GEDANKEN_EFIELD": _each(_run_gedanken),
     "CLASSICAL_TRAJECTORY": _run_classical_trajectory,
     "CLASSICAL_BRACKETS": _each(_run_classical_brackets),
     "QUANTUM_MOMENTS": _each(_run_quantum_moments),

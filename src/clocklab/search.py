@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .moments import energy_sharpness, tau_moments_simulated
+from .moments import state_moments, tau_moments_simulated
 from .states import GaussianClockSpec, gaussian_state
 from .units import NATURAL_UNITS, UnitContext
 
@@ -116,15 +116,15 @@ def optimize_clock_width(e0: float, p0: float, sigma_p: float, t: float,
     if min(log_opt - log_lo, log_hi - log_opt) < 0.02 * span:
         raise OptimizerBracketError(math.exp(log_opt), (lo, hi))
     sigma_opt = math.exp(log_opt)
-    best = gaussian_state(GaussianClockSpec(e0=e0, sigma_e=sigma_opt, p0=p0, sigma_p=sigma_p),
-                          units, t_max=t, n_e=n_e, n_p=n_p)
-    e_scale, sharp = energy_sharpness(best)
+    best = state_moments(gaussian_state(
+        GaussianClockSpec(e0=e0, sigma_e=sigma_opt, p0=p0, sigma_p=sigma_p),
+        units, t_max=t, n_e=n_e, n_p=n_p))
     return ClockWidthResult(
         sigma_e_opt=sigma_opt,
         min_var=min_var,
-        bound=units.hbar * t / e_scale,
-        energy_scale=e_scale,
-        sharpness=sharp,
+        bound=units.hbar * t / best.h_mean,
+        energy_scale=best.h_mean,
+        sharpness=best.sharpness,
         n_evals=evals,
         trace=tuple(trace),
         grid_sizes=grid_sizes,

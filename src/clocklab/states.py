@@ -88,6 +88,10 @@ class MomentumSpaceState:
     def values(self) -> np.ndarray:
         return self.psi.values
 
+    def density(self) -> np.ndarray:
+        """|psi|^2 over the grid."""
+        return np.abs(self.values) ** 2
+
     def boundary_ratio(self) -> float:
         return boundary_amplitude_ratio(self.psi)
 
@@ -230,7 +234,7 @@ def probability_marginals(state: MomentumSpaceState) -> tuple[np.ndarray, np.nda
     """(E nodes, |psi|^2 marginal over p, p nodes, marginal over E), each
     marginal normalized to unit quadrature on its own axis; the plottable
     snapshot of a state."""
-    rho = np.abs(state.values) ** 2
+    rho = state.density()
     e_density = rho.sum(axis=1) * state.p_grid.step
     p_density = rho.sum(axis=0) * state.e_grid.step
     return state.e_grid.nodes, e_density, state.p_grid.nodes, p_density

@@ -6,7 +6,12 @@ trapezoid quadrature with analytic derivatives for proper-time spreads of
 1D profiles, closed forms for constant-force motion and the sharp-energy
 variance minimum, and the exact reading-variance law of an unchirped
 Gaussian clock with its minimizer over the rest-energy spread (quadrature
-plus a golden section on the quadrature itself).  The bracket oracle is the
+plus a golden section on the quadrature itself).  The t = 0 moment oracles
+are the package's former per-function formulas (``variance_law_predict``,
+``energy_sharpness``, ``uncertainty_product`` and the E and c^2 p^2
+moments of the peaked-energy report and the bound check), each taking its
+own |psi|^2, multipliers and DFT of the state with numpy alone, in the
+same expressions and summation order.  The bracket oracle is the
 scalar finite-difference algorithm the package replaced with its gradient
 matrix: fresh gradients for every Poisson bracket and a Python sum over the
 conjugate pairs.
@@ -123,6 +128,75 @@ def exact_gaussian_variance_minimum(e0, p0, sigma_p, t, lo, hi, hbar=1.0, c=1.0,
             a = x1
     x = 0.5 * (a + b)
     return math.exp(x), var(x)
+
+
+def _diagonal(state, mult):
+    rho = np.abs(state.values) ** 2
+    return float((mult * rho).sum() * state.cell_measure())
+
+
+def _axes(state):
+    return state.e_grid.nodes[:, None], state.p_grid.nodes[None, :]
+
+
+def _tau_statistics(state):
+    """(<tau>, <tau^2>, tau psi) with tau psi = i hbar dpsi/dE by DFT along
+    E, the Nyquist wavenumber zeroed."""
+    grid = state.e_grid
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.step)
+    k[grid.n // 2] = 0.0
+    spec = np.fft.fft(state.values, axis=0)
+    spec *= (1j * k).reshape(grid.n, 1)
+    tpsi = 1j * state.units.hbar * np.fft.ifft(spec, axis=0)
+    cell = state.cell_measure()
+    mean = complex(np.vdot(state.values, tpsi) * cell).real
+    return mean, float(np.vdot(tpsi, tpsi).real * cell), tpsi
+
+
+def _anti(state, mult, tpsi):
+    return 2.0 * float((np.conj(mult * state.values) * tpsi).sum().real * state.cell_measure())
+
+
+def per_function_variance_law(state):
+    """(quad, lin, const, <D>) as ``variance_law_predict`` took them."""
+    E, P = _axes(state)
+    denom = np.sqrt(E * E + (state.units.c * P) ** 2)
+    d = np.divide(E, denom, out=np.zeros_like(denom), where=denom > 0.0)
+    d_mean = _diagonal(state, d)
+    tau_mean, tau_sq, tpsi = _tau_statistics(state)
+    return (_diagonal(state, (d - d_mean) ** 2), _anti(state, d, tpsi) - 2.0 * d_mean * tau_mean,
+            tau_sq - tau_mean**2, d_mean)
+
+
+def per_function_energy_sharpness(state):
+    """(<H>, dH/<H>) as ``energy_sharpness`` took them."""
+    E, P = _axes(state)
+    h = np.sqrt(E * E + (state.units.c * P) ** 2)
+    h_mean = _diagonal(state, h)
+    h_var = _diagonal(state, h * h) - h_mean**2
+    return h_mean, math.sqrt(max(h_var, 0.0)) / h_mean
+
+
+def per_function_uncertainty_product(state):
+    """(d_tau, d_E, d_m, d_tau d_E, hbar/2) as ``uncertainty_product`` took them."""
+    tau_mean, tau_sq, _ = _tau_statistics(state)
+    d_tau = math.sqrt(max(tau_sq - tau_mean**2, 0.0))
+    E, _ = _axes(state)
+    e_mean = _diagonal(state, E)
+    e2_mean = _diagonal(state, E * E)
+    d_e = math.sqrt(max(e2_mean - e_mean**2, 0.0))
+    return d_tau, d_e, d_e / state.units.c**2, d_tau * d_e, 0.5 * state.units.hbar
+
+
+def per_function_energy_moments(state):
+    """(<E>, Var E, <[E, tau]_+> - 2<E><tau>, <c^2 p^2>) as the peaked-energy
+    report and the bound check took them."""
+    E, P = _axes(state)
+    e_mean = _diagonal(state, E)
+    e2_mean = _diagonal(state, E * E)
+    tau_mean, _, tpsi = _tau_statistics(state)
+    return (e_mean, e2_mean - e_mean**2, _anti(state, E, tpsi) - 2.0 * e_mean * tau_mean,
+            _diagonal(state, (state.units.c * P) ** 2))
 
 
 ORACLE_COORDINATES = ("tau", "p_tau", "M", "p_M", "x1", "x2", "x3", "p1", "p2", "p3")

@@ -25,7 +25,7 @@ from clocklab.dynamics import (
 )
 from clocklab.gedanken import BoxExperiment, EFieldExperiment, box_uncertainties, efield_uncertainties
 from clocklab.metric import flat_metric, uniform_lapse_metric
-from clocklab.moments import salecker_wigner_check, tau_moments_simulated, uncertainty_product, variance_law_predict
+from clocklab.moments import salecker_wigner_check, state_moments, tau_moments_simulated
 from clocklab.operators import Observable, commutator_residual, evolve, expectation
 from clocklab.search import OptimizerBracketError, optimize_clock_width
 from clocklab.states import GaussianClockSpec, gaussian_state, state_from_profiles, suggest_grids
@@ -182,7 +182,7 @@ def test_criterion_06_uncertainty_floor():
     worst_gauss_sat = 0.0
     with _Stopwatch() as sw:
         for kind, state in _floor_corpus():
-            product = uncertainty_product(state).product
+            product = state_moments(state).spread_product
             worst_violation = max(worst_violation, hbar_half - product)
             if kind == "gaussian":
                 worst_gauss_sat = max(worst_gauss_sat, abs(product - hbar_half))
@@ -214,7 +214,7 @@ def test_criterion_07_exact_variance_law():
     with _Stopwatch() as sw:
         for spec in _LAW_SPECS:
             state = gaussian_state(spec, t_max=100.0)
-            law = variance_law_predict(state)
+            law = state_moments(state).law
             d_mean = expectation(state, Observable.D)
             tau0 = expectation(state, Observable.TAU)
             for t in (1.0, 10.0, 100.0):
@@ -236,7 +236,7 @@ def test_criterion_08_gaussian_cross_term():
         for tau0 in (0.0, 1.0, -3.0, 17.0, -40.0, 5.5):
             state = gaussian_state(GaussianClockSpec(10.0, 0.5, tau0=tau0, sigma_p=0.5),
                                    t_max=abs(tau0))
-            worst = max(worst, abs(variance_law_predict(state).lin))
+            worst = max(worst, abs(state_moments(state).law.lin))
     ok = worst <= 1e-9
     _line("8 Gaussian cross-term cancellation", ok, sw.elapsed, f"max |lin| = {worst:.2e}")
     assert worst <= 1e-9
@@ -251,7 +251,7 @@ def test_criterion_09a_bound_on_peaked_families():
             state = gaussian_state(
                 GaussianClockSpec(10.0, sigma_e, p0=1000.0, sigma_p=0.05), t_max=100.0)
             for t in (1.0, 10.0, 100.0):
-                check = salecker_wigner_check(state, t)
+                check = salecker_wigner_check(state_moments(state), tau_moments_simulated(state, t))
                 worst_sharp = max(worst_sharp, check.sharpness)
                 worst_margin = min(worst_margin, check.margin)
                 assert check.sharpness <= 0.05
@@ -260,7 +260,7 @@ def test_criterion_09a_bound_on_peaked_families():
             state = gaussian_state(
                 GaussianClockSpec(10.0, sigma_e, p0=0.0, sigma_p=0.5), t_max=100.0)
             for t in (1.0, 10.0, 100.0):
-                check = salecker_wigner_check(state, t)
+                check = salecker_wigner_check(state_moments(state), tau_moments_simulated(state, t))
                 worst_sharp = max(worst_sharp, check.sharpness)
                 worst_margin = min(worst_margin, check.margin)
                 assert check.sharpness <= 0.05
@@ -324,8 +324,8 @@ def test_criterion_09c_rest_clock_saturation():
                                       sigma_bounds=bracket_b)
         sigma_exact, var_exact = exact_gaussian_variance_minimum(
             e0_b, 0.0, sigma_p_b, t_b, *bracket_b)
-        law_b = variance_law_predict(gaussian_state(
-            GaussianClockSpec(e0_b, sigma_exact, p0=0.0, sigma_p=sigma_p_b), t_max=t_b))
+        law_b = state_moments(gaussian_state(
+            GaussianClockSpec(e0_b, sigma_exact, p0=0.0, sigma_p=sigma_p_b), t_max=t_b)).law
         law_dev = abs(law_b.predict(t_b) - var_exact) / var_exact
         bound_b = hbar * t_b / e0_b
         h_mean = gauss_hermite_mean(lambda E, P: np.hypot(E, P), e0_b, sigma_exact,
@@ -362,7 +362,7 @@ def test_criterion_10_negative_rest_energy_clock():
         evolved = evolve(state, 100.0)
         norm = float(np.vdot(evolved.values, evolved.values).real * evolved.cell_measure())
         means = [tau_moments_simulated(state, t).mean_tau for t in (0.0, 10.0, 100.0)]
-        law = variance_law_predict(state)
+        law = state_moments(state).law
         worst_var = max(abs(tau_moments_simulated(state, t).var_tau - law.predict(t))
                         / law.predict(t) for t in (1.0, 10.0, 100.0))
     decreasing = means[0] > means[1] > means[2]

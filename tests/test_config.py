@@ -173,5 +173,8 @@ def test_every_schema_key_is_reachable():
                 value = "0.5"  # inside the open bound (efield.v < c = 1)
             else:
                 value = "1"
-            cfg = parse_config(f"kind = {kind}\n{spec.key} = {value}")
+            # the optimizer bracket takes both ends, 0 < lo < hi
+            partner = {"optimize.sigma_lo": "\noptimize.sigma_hi = 2",
+                       "optimize.sigma_hi": "\noptimize.sigma_lo = 0.5"}.get(spec.key, "")
+            cfg = parse_config(f"kind = {kind}\n{spec.key} = {value}{partner}")
             assert spec.key in cfg.params

@@ -3,15 +3,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clocklab.grids import (
-    ComplexField1D,
     ComplexField2D,
-    NumericalHealthWarning,
     UniformGrid,
     boundary_amplitude_ratio,
-    spectral_derivative,
     spectral_derivative_array,
     trapezoid_norm_squared,
 )
+
+UNIT = UniformGrid(0.0, 1.0, 8)
+
+
+def _field(grid, f):
+    """The profile f on ``grid`` as a 2-D field, constant over the unit
+    interval on the second axis, so its norm is the profile's own."""
+    return ComplexField2D((grid, UNIT), np.outer(f, np.ones(UNIT.n)))
 
 
 def test_grid_nodes_and_step():
@@ -29,43 +34,41 @@ def test_grid_rejects_non_power_of_two(n):
 
 def test_norm_constant_field():
     grid = UniformGrid(0.0, 1.0, 8)
-    fld = ComplexField1D(grid, np.ones(8, dtype=complex))
+    fld = _field(grid, np.ones(8, dtype=complex))
     assert trapezoid_norm_squared(fld) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_norm_zero_field():
     grid = UniformGrid(0.0, 1.0, 8)
-    assert trapezoid_norm_squared(ComplexField1D(grid, np.zeros(8))) == 0.0
+    assert trapezoid_norm_squared(_field(grid, np.zeros(8))) == 0.0
 
 
 def test_norm_unit_gaussian():
     grid = UniformGrid(-16.0, 16.0, 1024)
     # |psi|^2 is the standard normal density
     psi = (2.0 * np.pi) ** (-0.25) * np.exp(-grid.nodes**2 / 4.0)
-    assert trapezoid_norm_squared(ComplexField1D(grid, psi)) == pytest.approx(1.0, abs=1e-12)
+    assert trapezoid_norm_squared(_field(grid, psi)) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore::clocklab.grids.NumericalHealthWarning")
 def test_derivative_single_fourier_mode():
     grid = UniformGrid(0.0, 1.0, 64)
     f = np.exp(2j * np.pi * grid.nodes)
-    df = spectral_derivative(ComplexField1D(grid, f))
-    assert np.allclose(df.values, 2j * np.pi * f, atol=1e-12)
+    df = spectral_derivative_array(f, grid)
+    assert np.allclose(df, 2j * np.pi * f, atol=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore::clocklab.grids.NumericalHealthWarning")
 def test_derivative_constant_is_zero():
     grid = UniformGrid(0.0, 1.0, 64)
-    df = spectral_derivative(ComplexField1D(grid, np.ones(64, dtype=complex)))
-    assert np.abs(df.values).max() < 1e-14
+    df = spectral_derivative_array(np.ones(64, dtype=complex), grid)
+    assert np.abs(df).max() < 1e-14
 
 
 def test_derivative_gaussian():
     grid = UniformGrid(-16.0, 16.0, 1024)
     E = grid.nodes
     f = np.exp(-E**2 / 2.0)
-    df = spectral_derivative(ComplexField1D(grid, f))
-    assert np.abs(df.values - (-E * f)).max() < 1e-10
+    df = spectral_derivative_array(f, grid)
+    assert np.abs(df - (-E * f)).max() < 1e-10
 
 
 def test_derivative_2d_along_first_axis():
@@ -75,29 +78,14 @@ def test_derivative_2d_along_first_axis():
     P = gp.nodes[None, :]
     f = np.exp(-(E**2) / 2.0) * np.exp(-(P**2))
     fld = ComplexField2D((ge, gp), f)
-    df = spectral_derivative(fld, axis_grid=ge, axis=0)
-    assert np.abs(df.values - (-E * f)).max() < 1e-9
-
-
-def test_derivative_warns_on_unhealthy_boundary():
-    grid = UniformGrid(-2.0, 2.0, 64)
-    f = np.exp(-grid.nodes**2 / 2.0)  # only ~e^-2 at the edge
-    with pytest.warns(NumericalHealthWarning):
-        spectral_derivative(ComplexField1D(grid, f))
-
-
-def test_axis_grid_mismatch_rejected():
-    grid = UniformGrid(0.0, 1.0, 64)
-    other = UniformGrid(0.0, 2.0, 64)
-    fld = ComplexField1D(grid, np.ones(64, dtype=complex))
-    with pytest.raises(ValueError):
-        spectral_derivative(fld, axis_grid=other)
+    df = spectral_derivative_array(fld.values, ge, axis=0)
+    assert np.abs(df - (-E * f)).max() < 1e-9
 
 
 def test_boundary_ratio():
     grid = UniformGrid(-16.0, 16.0, 256)
     f = np.exp(-grid.nodes**2 / 2.0)
-    ratio = boundary_amplitude_ratio(ComplexField1D(grid, f))
+    ratio = boundary_amplitude_ratio(ComplexField2D((grid, grid), np.outer(f, f)))
     assert ratio == pytest.approx(np.exp(-16.0**2 / 2.0), rel=1e-6)
 
 
@@ -118,27 +106,25 @@ def band_limited(draw):
     return grid, f
 
 
-@pytest.mark.filterwarnings("ignore::clocklab.grids.NumericalHealthWarning")
 @given(band_limited())
 @settings(max_examples=30, deadline=None)
 def test_parseval_round_trip(data):
     grid, f = data
-    fld = ComplexField1D(grid, f)
-    back = ComplexField1D(grid, np.fft.ifft(np.fft.fft(f)))
+    fld = _field(grid, f)
+    back = _field(grid, np.fft.ifft(np.fft.fft(f)))
     nrm = trapezoid_norm_squared(fld)
     assert trapezoid_norm_squared(back) == pytest.approx(nrm, rel=1e-12, abs=1e-15)
 
 
-@pytest.mark.filterwarnings("ignore::clocklab.grids.NumericalHealthWarning")
 @given(band_limited(), band_limited(),
        st.floats(-2, 2, allow_nan=False), st.floats(-2, 2, allow_nan=False))
 @settings(max_examples=30, deadline=None)
 def test_derivative_linearity(fa, fb, alpha, beta):
     grid, f = fa
     _, g = fb
-    lhs = spectral_derivative(ComplexField1D(grid, alpha * f + beta * g)).values
-    rhs = (alpha * spectral_derivative(ComplexField1D(grid, f)).values
-           + beta * spectral_derivative(ComplexField1D(grid, g)).values)
+    lhs = spectral_derivative_array(alpha * f + beta * g, grid)
+    rhs = (alpha * spectral_derivative_array(f, grid)
+           + beta * spectral_derivative_array(g, grid))
     scale = max(np.abs(rhs).max(), 1.0)
     assert np.abs(lhs - rhs).max() / scale < 1e-12
 

@@ -8,16 +8,15 @@ from clocklab.operators import (
     TAU_WINDOW_LIMIT,
     AliasingError,
     Observable,
-    apply_tau,
     evolve,
     expectation,
+    tau_statistics,
 )
 from clocklab.moments import (
     peaked_approximation_report,
     salecker_wigner_check,
+    state_moments,
     tau_moments_simulated,
-    uncertainty_product,
-    variance_law_predict,
 )
 from clocklab.states import (
     GaussianClockSpec,
@@ -33,6 +32,10 @@ from oracles import (
     exact_gaussian_variance,
     gauss_hermite_mean,
     gaussian_profile,
+    per_function_energy_moments,
+    per_function_energy_sharpness,
+    per_function_uncertainty_product,
+    per_function_variance_law,
     profile_spreads,
     two_hump_profile,
 )
@@ -66,7 +69,7 @@ def test_mean_reading_is_linear_in_time():
 ])
 def test_variance_growth_matches_quadratic_law(spec):
     state = gaussian_state(spec, t_max=100.0)
-    law = variance_law_predict(state)
+    law = state_moments(state).law
     for t in (0.0, 1.0, 10.0, 100.0):
         sim = tau_moments_simulated(state, t).var_tau
         assert sim == pytest.approx(law.predict(t), rel=1e-7)
@@ -74,14 +77,14 @@ def test_variance_growth_matches_quadratic_law(spec):
 
 def test_variance_at_t50_matches_law():
     state = _state(t_max=50.0)
-    law = variance_law_predict(state)
+    law = state_moments(state).law
     sim = tau_moments_simulated(state, 50.0).var_tau
     assert sim == pytest.approx(law.predict(50.0), rel=1e-8)
 
 
 def test_quad_coefficient_against_quadrature_oracle():
     state = _state()
-    law = variance_law_predict(state)
+    law = state_moments(state).law
     d1 = gauss_hermite_mean(dilation, 10.0, 0.5, 0.0, 0.5)
     d2 = gauss_hermite_mean(lambda E, P: dilation(E, P) ** 2, 10.0, 0.5, 0.0, 0.5)
     assert law.quad == pytest.approx(d2 - d1**2, rel=1e-5)
@@ -91,7 +94,7 @@ def test_quad_coefficient_against_quadrature_oracle():
 def test_cross_term_vanishes_for_real_gaussians():
     for tau0 in (0.0, 3.0, -7.0, 17.0):
         state = _state(tau0=tau0)
-        law = variance_law_predict(state)
+        law = state_moments(state).law
         assert abs(law.lin) <= 1e-9
 
 
@@ -103,13 +106,13 @@ def test_cross_term_nonzero_for_chirped_state():
         e_grid, p_grid,
         lambda E: np.exp(-(E - 10.0) ** 2 / 1.0 + 1j * beta * (E - 10.0) ** 2),
         lambda p: np.exp(-((p - 1000.0) ** 2)))
-    law = variance_law_predict(state)
+    law = state_moments(state).law
     assert abs(law.lin) > 1e-5
 
 
 def test_sharp_energy_estimate_valid_for_boosted_clock():
     state = _state(e0=10.0, sigma_e=0.1, p0=1000.0, sigma_p=0.1)
-    report = peaked_approximation_report(state)
+    report = peaked_approximation_report(state_moments(state))
     assert report.sharpness < 0.05
     assert report.exact_quad == pytest.approx(report.approx_quad, rel=2e-4)
     assert report.exact_lin == pytest.approx(0.0, abs=1e-9)
@@ -121,14 +124,14 @@ def test_sharp_energy_estimate_fails_for_rest_clock():
     # the (dE/<H>)^2 estimate: the rest-energy fluctuation cancels between
     # numerator and denominator of D = E/H when H ~ |E|
     state = _state(e0=10.0, sigma_e=0.1, p0=0.0, sigma_p=0.1)
-    report = peaked_approximation_report(state)
+    report = peaked_approximation_report(state_moments(state))
     assert report.sharpness < 0.05
     assert report.exact_quad < 1e-2 * report.approx_quad
 
 
 def test_sharpness_shrinks_with_narrower_spreads():
-    wide = peaked_approximation_report(_state(sigma_e=1.0, sigma_p=1.0)).sharpness
-    narrow = peaked_approximation_report(_state(sigma_e=0.1, sigma_p=0.1)).sharpness
+    wide = peaked_approximation_report(state_moments(_state(sigma_e=1.0, sigma_p=1.0))).sharpness
+    narrow = peaked_approximation_report(state_moments(_state(sigma_e=0.1, sigma_p=0.1))).sharpness
     assert narrow < wide
 
 
@@ -136,13 +139,13 @@ def test_broad_state_reported_without_assertion():
     # momentum window sits away from p = 0, keeping the dilation rate defined
     # even though the rest-energy support crosses zero
     report = peaked_approximation_report(
-        _state(e0=10.0, sigma_e=5.0, p0=3.0, sigma_p=0.2))
+        state_moments(_state(e0=10.0, sigma_e=5.0, p0=3.0, sigma_p=0.2)))
     assert report.sharpness > 0.1
 
 
 def test_bound_check_fields():
     state = _state(e0=10.0, sigma_e=0.2, sigma_p=0.5, t_max=10.0)
-    check = salecker_wigner_check(state, 10.0)
+    check = salecker_wigner_check(state_moments(state), tau_moments_simulated(state, 10.0))
     assert check.margin == pytest.approx(check.lhs - check.rhs)
     assert check.satisfied == (check.lhs >= check.rhs)
     assert check.slow_clock
@@ -152,20 +155,21 @@ def test_bound_check_fields():
 
 def test_bound_trivial_as_time_vanishes():
     state = _state(sigma_e=0.2)
-    check = salecker_wigner_check(state, 1e-9)
+    check = salecker_wigner_check(state_moments(state), tau_moments_simulated(state, 1e-9))
     assert check.satisfied  # var(0) > 0 while the bound goes to zero
 
 
 def test_bound_rejects_nonpositive_time():
+    state = _state()
     with pytest.raises(ValueError):
-        salecker_wigner_check(_state(), 0.0)
+        salecker_wigner_check(state_moments(state), tau_moments_simulated(state, 0.0))
 
 
 def test_bound_satisfied_across_boosted_family():
     for sigma_e in (0.05, 0.2, 0.7, 2.0):
         state = _state(e0=10.0, sigma_e=sigma_e, p0=1000.0, sigma_p=0.05, t_max=100.0)
         for t in (1.0, 10.0, 100.0):
-            check = salecker_wigner_check(state, t)
+            check = salecker_wigner_check(state_moments(state), tau_moments_simulated(state, t))
             assert check.sharpness <= 0.05
             assert check.satisfied, (sigma_e, t, check.margin)
 
@@ -173,14 +177,14 @@ def test_bound_satisfied_across_boosted_family():
 def test_near_saturation_width_for_boosted_clock():
     # sigma_e = sqrt(hbar <H> / 2t) should sit within a few percent of the bound
     state = _state(e0=10.0, sigma_e=2.236, p0=1000.0, sigma_p=0.05, t_max=100.0)
-    check = salecker_wigner_check(state, 100.0)
+    check = salecker_wigner_check(state_moments(state), tau_moments_simulated(state, 100.0))
     assert check.lhs == pytest.approx(check.rhs, rel=0.05)
 
 
 def test_gaussian_saturates_uncertainty_floor():
     for sigma_e in (0.1, 0.5, 2.0):
-        product = uncertainty_product(_state(sigma_e=sigma_e))
-        assert product.product == pytest.approx(0.5, abs=1e-6)
+        product = state_moments(_state(sigma_e=sigma_e))
+        assert product.spread_product == pytest.approx(0.5, abs=1e-6)
         assert product.d_m == pytest.approx(product.d_e, rel=1e-12)  # c = 1
 
 
@@ -192,10 +196,10 @@ def test_chirped_gaussian_exceeds_floor():
         e_grid, p_grid,
         lambda E: np.exp(-(E - 10.0) ** 2 / (4 * sigma**2) + 1j * beta * E**2),
         lambda p: np.exp(-(p**2)))
-    product = uncertainty_product(state)
+    product = state_moments(state)
     expected = chirped_product(sigma, beta)
-    assert product.product == pytest.approx(expected, rel=1e-6)
-    assert product.product > 0.5 + 1e-3
+    assert product.spread_product == pytest.approx(expected, rel=1e-6)
+    assert product.spread_product > 0.5 + 1e-3
 
 
 def test_two_hump_superposition_far_above_floor():
@@ -208,9 +212,9 @@ def test_two_hump_superposition_far_above_floor():
     p_grid = UniformGrid(-10.0, 10.0, 64)
     state = state_from_profiles(e_grid, p_grid, lambda E: g(E) + 0j,
                                 lambda p: np.exp(-p**2 / 4.0))
-    product = uncertainty_product(state)
-    assert product.product == pytest.approx(prod, rel=1e-6)
-    assert product.product > 5 * product.lower
+    product = state_moments(state)
+    assert product.spread_product == pytest.approx(prod, rel=1e-6)
+    assert product.spread_product > 5 * product.spread_floor
 
 
 def test_negative_rest_energy_clock_runs_backwards():
@@ -221,7 +225,7 @@ def test_negative_rest_energy_clock_runs_backwards():
     m1 = tau_moments_simulated(state, 10.0).mean_tau
     m2 = tau_moments_simulated(state, 50.0).mean_tau
     assert m1 < m0 and m2 < m1
-    law = variance_law_predict(state)
+    law = state_moments(state).law
     for t in (10.0, 50.0):
         assert tau_moments_simulated(state, t).var_tau == pytest.approx(
             law.predict(t), rel=1e-7)
@@ -251,7 +255,7 @@ def test_frame_reading_matches_lab_frame_on_fine_grid(spec):
     reading = tau_moments_simulated(gaussian_state(spec, t_max=t), t)
     # lab frame: the whole drift t <D> fits the tau window of 8192 E nodes
     lab = evolve(make_gaussian_state(spec, *suggest_grids(spec, n_e=8192)), t)
-    tpsi = apply_tau(lab).values
+    tpsi = tau_statistics(lab).tpsi
     mean = np.vdot(lab.values, tpsi).real * lab.cell_measure()
     # centred, since <tau^2> - <tau>^2 loses digits to <tau> ~ t
     centred = tpsi - mean * lab.values
@@ -283,7 +287,7 @@ def test_healthy_boosted_reading_is_silent():
         warnings.simplefilter("error")
         reading = tau_moments_simulated(state, 1e4, strict=True)
     assert reading.tau_window <= TAU_WINDOW_LIMIT
-    assert reading.var_tau == pytest.approx(variance_law_predict(state).predict(1e4), rel=1e-7)
+    assert reading.var_tau == pytest.approx(state_moments(state).law.predict(1e4), rel=1e-7)
 
 
 @pytest.mark.parametrize("sigma_p", [0.5, 0.05, 0.01])
@@ -291,7 +295,67 @@ def test_variance_law_keeps_digits_of_a_pinned_dilation(sigma_p):
     # a rest clock's D sits within (sigma_p/e0)^2 of 1, so Var D is far
     # below the rounding of <D^2> - <D>^2; the law is read from t = 0 data
     state = gaussian_state(GaussianClockSpec(e0=10.0, sigma_e=0.5, sigma_p=sigma_p))
-    law = variance_law_predict(state)
+    law = state_moments(state).law
     for t in (1e3, 1e5):
         assert law.predict(t) == pytest.approx(
             exact_gaussian_variance(10.0, 0.5, 0.0, sigma_p, t), rel=1e-9)
+
+
+# --- one moment pass per state ----------------------------------------------
+
+def _chirped_state():
+    spec = GaussianClockSpec(10.0, 0.5, p0=1000.0, sigma_p=0.5)
+    return state_from_profiles(
+        *suggest_grids(spec),
+        lambda E: np.exp(-(E - 10.0) ** 2 / 1.0 + 1j * 0.4 * (E - 10.0) ** 2),
+        lambda p: np.exp(-((p - 1000.0) ** 2)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _state(e0=10.0, sigma_e=0.5, tau0=1.5, sigma_p=0.5),
+    lambda: _state(e0=10.0, sigma_e=2.0, p0=1000.0, sigma_p=0.05, t_max=100.0),
+    _chirped_state,
+    lambda: _state(e0=-10.0, sigma_e=0.5, p0=3.0, sigma_p=0.4, t_max=50.0),
+], ids=["rest", "boosted", "chirped", "negative"])
+def test_state_moments_equal_per_function_formulas_bitwise(make):
+    state = make()
+    moments = state_moments(state)
+    quad, lin, const, d_mean = per_function_variance_law(state)
+    h_mean, sharpness = per_function_energy_sharpness(state)
+    _, d_e, d_m, product, floor = per_function_uncertainty_product(state)
+    e_mean, e_var, e_lin, p2c2 = per_function_energy_moments(state)
+    reading = tau_moments_simulated(state, 0.0)
+    fields = {
+        "reading.mean_tau": (moments.reading.mean_tau, reading.mean_tau),
+        "reading.var_tau": (moments.reading.var_tau, reading.var_tau),
+        "reading.tau_window": (moments.reading.tau_window, reading.tau_window),
+        "law.quad": (moments.law.quad, quad),
+        "law.lin": (moments.law.lin, lin),
+        "law.const": (moments.law.const, const),
+        "e_mean": (moments.e_mean, e_mean),
+        "e_var": (moments.e_var, e_var),
+        "e_lin": (moments.e_lin, e_lin),
+        "h_mean": (moments.h_mean, h_mean),
+        "sharpness": (moments.sharpness, sharpness),
+        "d_mean": (moments.d_mean, d_mean),
+        "p2c2": (moments.p2c2, p2c2),
+        "d_e": (moments.d_e, d_e),
+        "d_m": (moments.d_m, d_m),
+        "spread_product": (moments.spread_product, product),
+        "spread_floor": (moments.spread_floor, floor),
+    }
+    assert ({name: float.hex(got) for name, (got, _) in fields.items()}
+            == {name: float.hex(want) for name, (_, want) in fields.items()})
+    assert moments.reading.t == 0.0 and moments.hbar == state.units.hbar
+    report = peaked_approximation_report(moments)
+    assert (report.approx_quad, report.approx_lin) == (e_var / h_mean**2, e_lin / h_mean)
+
+
+def test_state_moments_at_the_cone_tip():
+    # sigma_e = 2 spreads a rest clock's support over E = p = 0, where D is
+    # undefined: the spreads stay defined, the D moments raise
+    moments = state_moments(_state(sigma_e=2.0))
+    assert moments.spread_product == pytest.approx(0.5, abs=1e-6)
+    for name in ("law", "d_mean"):
+        with pytest.raises(ValueError, match="dilation rate undefined"):
+            getattr(moments, name)

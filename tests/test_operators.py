@@ -6,10 +6,10 @@ from clocklab.grids import UniformGrid
 from clocklab.operators import (
     AliasingError,
     Observable,
-    apply_tau,
     commutator_residual,
     evolve,
     expectation,
+    tau_statistics,
 )
 from clocklab.states import GaussianClockSpec, gaussian_state, make_gaussian_state
 
@@ -101,7 +101,7 @@ def test_strict_tau_rejects_unhealthy_state():
     with pytest.warns(UserWarning):
         state = make_gaussian_state(spec, e_grid, p_grid)
     with pytest.raises(AliasingError):
-        apply_tau(state, strict=True)
+        tau_statistics(state, strict=True)
 
 
 def test_observable_accepts_string_names():

@@ -307,8 +307,13 @@ def test_cli_rejects_nonfinite_numbers_and_nonpositive_counts(tmp_path, capsys, 
     ("classical", "trajectory", ["sweep.param=classical.m", "sweep.values=1, -1"], "classical.m"),
     ("quantum", "bound", ["sweep.param=quantum.sigma_e", "sweep.min=-0.5", "sweep.max=1.0",
                           "sweep.count=4"], "quantum.sigma_e"),
+    ("quantum", "optimize", ["optimize.sigma_lo=0.5"], "optimize.sigma_lo"),
+    ("quantum", "optimize", ["optimize.sigma_lo=3", "optimize.sigma_hi=1"], "optimize.sigma_lo"),
+    ("quantum", "optimize", ["optimize.sigma_lo=-1", "optimize.sigma_hi=20"],
+     "optimize.sigma_lo"),
 ], ids=["bound-t", "optimize-t", "box-dq", "efield-v", "efield-v-si", "h-step", "scale", "dt",
-        "m", "sweep-m", "sweep-sigma-e"])
+        "m", "sweep-m", "sweep-sigma-e", "bracket-hi-unset", "bracket-reversed",
+        "bracket-negative"])
 def test_cli_rejects_out_of_range_values(tmp_path, capsys, group, sub, settings, key):
     out = tmp_path / "x.csv"
     argv = [group, sub]
@@ -411,7 +416,10 @@ def test_sweep_matches_member_runs(tmp_path, kind, base, sweep):
 
 
 def test_one_evolve_per_reading(tmp_path, monkeypatch):
+    # and one moment pass per state: one tau transform per reading plus one
+    # per state, one dilation multiplier and one |psi|^2 per state
     import clocklab.moments as moments
+    from clocklab.states import MomentumSpaceState
     evolve = moments.evolve
     times = []
 
@@ -421,15 +429,21 @@ def test_one_evolve_per_reading(tmp_path, monkeypatch):
         return evolve(state, t)
 
     monkeypatch.setattr(moments, "evolve", counting_evolve)
+    transforms = _count_calls(monkeypatch, moments, "tau_statistics")
+    dilations = _count_calls(monkeypatch, moments, "dilation_multiplier")
+    densities = _count_calls(monkeypatch, MomentumSpaceState, "density")
     cfg, _ = _cfg(tmp_path, "QUANTUM_BOUND_SWEEP",
                   "sweep.param = quantum.sigma_e\nsweep.values = 0.1, 0.5, 2.0\n",
                   name="bound.csv")
     assert run(cfg).all_passed
     assert times == [100.0] * 3
-    times.clear()
+    assert (len(transforms), len(dilations), len(densities)) == (6, 3, 3)
+    for calls in (times, transforms, dilations, densities):
+        calls.clear()
     cfg, _ = _cfg(tmp_path, "QUANTUM_MOMENTS", "quantum.times = 0, 1, 10\n", name="moments.csv")
     assert run(cfg).all_passed
     assert times == [1.0, 10.0]
+    assert (len(transforms), len(dilations), len(densities)) == (3, 1, 1)
 
 
 def test_quantum_moments_snapshot_export(tmp_path):
