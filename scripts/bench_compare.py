@@ -13,8 +13,9 @@ first when i is odd and the change first when it is even.  The first seed
 also gets one traced run per side, for the per-layer figures.  The output
 holds the machine (nproc, Python and numpy versions), and per workload the
 median, quartiles and win count of every end-to-end metric that
-``BENCHMARK.json`` declares, the traced per-layer figures, and whether every
-operation's CSV sha256 matched between the sides.
+``BENCHMARK.json`` declares, the traced per-layer figures, whether every
+operation's CSV sha256 matched between the sides, and the (seed, operation
+index, label) of each operation whose digests differ.
 
 A timed run repeats the workload for a fixed time, so the faster side runs
 more passes, and ``peak_rss_mb`` grows with the passes run until the
@@ -102,16 +103,17 @@ def equal_pass_rss(tree: Path, workload: str, seed: int, passes: int) -> float:
     return float(done.stdout.split()[-1])
 
 
-def pass_digests(tree: Path, workload: str, seed: int, digests: list) -> list:
-    """The digests of one pass over the workload's operation list, or [] if
-    a repeated pass wrote different bytes."""
+def pass_digests(tree: Path, workload: str, seed: int, digests: list) -> tuple[list, bool]:
+    """The (label, digest) of each operation in the first pass over the
+    workload's operation list, and whether every repeated pass wrote the
+    same bytes."""
     name = f"workloads_{tree.name}"
     spec = importlib.util.spec_from_file_location(name, tree / "perfbench" / "workloads.py")
     module = sys.modules[name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     size = len(module.generate(workload, seed))
     one = digests[:size]
-    return one if all(digests[i] == one[i % size] for i in range(len(digests))) else []
+    return one, all(digests[i] == one[i % size] for i in range(len(digests)))
 
 
 def quartiles(values: list[float]) -> dict:
@@ -159,7 +161,7 @@ def main() -> int:
               "seconds": args.seconds, "seeds": args.seeds, "workloads": {}}
     try:
         for workload in args.workload:
-            runs, match = [], True
+            runs, match, differ = [], True, []
             for seed in args.seeds:
                 order = ("parent", "change") if seed % 2 else ("change", "parent")
                 run = {"seed": seed, "first": order[0]}
@@ -167,9 +169,12 @@ def main() -> int:
                     run[side] = bench(trees[side], workload, seed, args.seconds, 0)
                     print(f"{workload} seed {seed} {side}: wall_s "
                           f"{run[side]['metrics']['wall_s']:.3f}", flush=True)
-                digests = [pass_digests(trees[side], workload, seed, run[side].pop("digests"))
-                           for side in ("parent", "change")]
-                run["csv_sha256_match"] = bool(digests[0]) and digests[0] == digests[1]
+                (p_digests, stable_p), (c_digests, stable_c) = (
+                    pass_digests(trees[side], workload, seed, run[side].pop("digests"))
+                    for side in ("parent", "change"))
+                differ += [[seed, i, label] for i, ((label, a), (_, b))
+                           in enumerate(zip(p_digests, c_digests)) if a != b]
+                run["csv_sha256_match"] = stable_p and stable_c and p_digests == c_digests
                 if args.rss_passes:
                     run["equal_pass_rss_mb"] = {
                         side: equal_pass_rss(trees[side], workload, seed, args.rss_passes)
@@ -181,6 +186,7 @@ def main() -> int:
             result["workloads"][workload] = {
                 "end_to_end": summarize(runs, spec),
                 "csv_sha256_match": match,
+                "csv_sha256_differ": differ,
                 "traced_seed": args.seeds[0],
                 "per_layer": {name: {"parent": traced["parent"].get(name),
                                      "change": traced["change"].get(name)}

@@ -8,7 +8,8 @@ Subcommands mirror the scenario kinds:
 
 Every run writes the scenario CSV plus a JSON run report, prints one line
 per self-check, and exits 0 when all checks pass, 1 on a check failure,
-2 on a config error, and 3 on a runtime error.
+2 on a config error (also one the run finds, such as a clock state that
+reaches the cone tip), and 3 on a runtime error.
 """
 from __future__ import annotations
 
@@ -57,8 +58,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _compose_config_text(args: argparse.Namespace) -> str:
     pieces = []
     if args.config:
-        with open(args.config) as fh:
-            pieces.append(fh.read())
+        try:
+            with open(args.config) as fh:
+                pieces.append(fh.read())
+        except OSError as err:
+            raise ConfigError([str(err)]) from None
     for entry in args.set:
         if "=" not in entry:
             raise ConfigError([f"--set needs KEY=VALUE, got {entry!r}"])
@@ -82,19 +86,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = _compose_config_text(args)
-        config = parse_config(text, kind_hint=args.kind)
+        config = parse_config(_compose_config_text(args), kind_hint=args.kind)
+        report = run(config)  # may also raise ConfigError, for an input its physics refuses
     except ConfigError as err:
         for violation in err.violations:
             print(f"config error: {violation}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except OSError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    try:
-        report = run(config)
     except Exception as err:  # noqa: BLE001 - scenario context then contract exit code
-        print(f"runtime error in {config.kind}: {err}", file=sys.stderr)
+        print(f"runtime error in {args.kind}: {err}", file=sys.stderr)
         return EXIT_RUNTIME_ERROR
     _print_report(report)
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED

@@ -11,6 +11,11 @@ Reserved top-level keys: ``kind``, ``units`` (SI or NATURAL), ``seed``,
 ``sweep.values`` or ``sweep.min``/``sweep.max``/``sweep.count`` (with
 optional ``sweep.scale`` = linear|log).
 
+This module is the unit boundary for input: schema defaults and bounds are
+natural-unit values, ``ScenarioConfig.members`` holds one param dict per run
+(sweep value applied, defaults filled) in natural units for the runner, and
+``.params`` and ``.sweep`` keep the values in the config's own units.
+
 Randomized probes (bracket points) are derived from ``seed`` with a
 splittable counter scheme: probe i draws from a Philox stream keyed
 (seed, i), so runs are reproducible and parallelizable.
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .dynamics import whole_steps
-from .units import NATURAL_UNITS, SI_UNITS, UnitSystem, convert_units
+from .units import NATURAL_UNITS, SI_UNITS, UnitContext, UnitSystem, convert_units
 
 UNIT_TAGS = {
     "kg": "mass",
@@ -55,8 +60,10 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """One config key.  ``above`` and ``below`` are open bounds on a number,
-    given in natural units; an SI value is held to the bound converted to SI."""
+    """One config key.  ``default`` and the open bounds ``above`` and
+    ``below`` are natural-unit values: a key left out takes the default as
+    is, and a given value is held to the bounds converted to the config's
+    units."""
 
     key: str
     dimension: str = "dimensionless"
@@ -66,12 +73,11 @@ class ParamSpec:
     above: float | None = None
     below: float | None = None
 
-    def range_violation(self, value: float, units: UnitSystem) -> str | None:
+    def range_violation(self, value: float, ctx: UnitContext) -> str | None:
         """The config error for a value outside the bounds, or None."""
         if self.above is None and self.below is None:
             return None
-        scale = (convert_units(1.0, self.dimension, NATURAL_UNITS, SI_UNITS)
-                 if units is UnitSystem.SI else 1.0)
+        scale = convert_units(1.0, self.dimension, NATURAL_UNITS, ctx)
         if self.above is not None and not value > self.above * scale:
             return f"{self.key}: must be greater than {self.above * scale!r}, got {value!r}"
         if self.below is not None and not value < self.below * scale:
@@ -88,11 +94,12 @@ class SweepSpec:
 @dataclass(frozen=True)
 class ScenarioConfig:
     kind: str
-    params: dict[str, Any]
-    sweep: SweepSpec | None
+    params: dict[str, Any]  # given values plus defaults, in the config's units
+    sweep: SweepSpec | None  # swept values as given
     output: str
     units: UnitSystem
     seed: int
+    members: tuple[dict[str, Any], ...]  # one param dict per run, in natural units
 
     def echo(self) -> dict[str, Any]:
         """JSON-friendly snapshot for run reports."""
@@ -290,48 +297,44 @@ def _resolve_sweep(raw: dict[str, str], schema: dict[str, ParamSpec], units: Uni
     return SweepSpec(param=param, values=values)
 
 
-def _bracket_violations(params: dict[str, Any], sweep: SweepSpec | None) -> list[str]:
-    """The optimizer bracket is the default (both ends 0) or 0 < lo < hi,
-    for the single run or for every sweep member."""
-    keys = ("optimize.sigma_lo", "optimize.sigma_hi")
-    members = [params]
-    if sweep is not None and sweep.param in keys:
-        members = [{**params, sweep.param: value} for value in sweep.values]
-    violations = []
-    for member in members:
-        lo, hi = (member[key] for key in keys)
-        if not (lo == hi == 0.0 or 0.0 < lo < hi):
-            violations.append(
-                f"optimize.sigma_lo: must be 0 with optimize.sigma_hi (the default bracket) "
-                f"or satisfy 0 < optimize.sigma_lo < optimize.sigma_hi, got {lo!r} and {hi!r}")
-    return violations
+def _bracket_violation(member: dict[str, Any]) -> str | None:
+    """The optimizer bracket is the default (both ends 0) or 0 < lo < hi."""
+    lo, hi = member["optimize.sigma_lo"], member["optimize.sigma_hi"]
+    if lo == hi == 0.0 or 0.0 < lo < hi:
+        return None
+    return (f"optimize.sigma_lo: must be 0 with optimize.sigma_hi (the default bracket) "
+            f"or satisfy 0 < optimize.sigma_lo < optimize.sigma_hi, got {lo!r} and {hi!r}")
 
 
-def _step_rule_violations(params: dict[str, Any], sweep: SweepSpec | None,
-                          units: UnitSystem) -> list[str]:
+def _step_rule_violation(member: dict[str, Any]) -> str | None:
     """classical.t_end must be a whole number of classical.dt steps, at least
-    two (the trajectory audits take central differences), for the single run
-    or for every sweep member."""
-    members = [params]
-    if sweep is not None and sweep.param in ("classical.t_end", "classical.dt"):
-        members = [{**params, sweep.param: value} for value in sweep.values]
-    violations = []
-    for member in members:
-        t_end, dt = member["classical.t_end"], member["classical.dt"]
-        if units is UnitSystem.SI:
-            t_end, dt = (convert_units(v, "time", SI_UNITS, NATURAL_UNITS) for v in (t_end, dt))
-        n_steps = whole_steps(t_end, dt)
-        if n_steps is None or n_steps < 2:
-            violations.append(
-                f"classical.t_end: must be a whole number of classical.dt steps, at least 2, "
-                f"got classical.t_end = {member['classical.t_end']!r} and "
-                f"classical.dt = {member['classical.dt']!r}")
-    return violations
+    two (the trajectory audits take central differences)."""
+    t_end, dt = member["classical.t_end"], member["classical.dt"]
+    n_steps = whole_steps(t_end, dt)
+    if n_steps is not None and n_steps >= 2:
+        return None
+    return (f"classical.t_end: must be a whole number of classical.dt steps, at least 2, "
+            f"got classical.t_end = {t_end!r} and classical.dt = {dt!r}")
+
+
+# Rules that join keys, checked on every run member once each key has passed alone.
+_CROSS_KEY_RULES = {"CLASSICAL_TRAJECTORY": _step_rule_violation,
+                    "QUANTUM_OPTIMIZE": _bracket_violation}
+
+
+def _convert(spec: ParamSpec, value: Any, src: UnitContext, dst: UnitContext) -> Any:
+    """A value of ``spec`` moved between unit systems; ints and strings have none."""
+    if src is dst or spec.kind not in ("number", "list"):
+        return value
+    if isinstance(value, tuple):
+        return tuple(convert_units(v, spec.dimension, src, dst) for v in value)
+    return convert_units(value, spec.dimension, src, dst)
 
 
 def parse_config(text: str, kind_hint: str | None = None) -> ScenarioConfig:
-    """Validate a config document; every violation is collected and reported
-    together in the raised ConfigError."""
+    """Validate a config document: every per-key violation is reported
+    together in one ConfigError, then the rules joining keys are checked on
+    the run members."""
     violations: list[str] = []
     raw: dict[str, str] = {}
     for key, value in _split_lines(text):
@@ -365,6 +368,7 @@ def parse_config(text: str, kind_hint: str | None = None) -> ScenarioConfig:
     if kind is None:
         raise ConfigError(violations)
 
+    ctx = SI_UNITS if units is UnitSystem.SI else NATURAL_UNITS
     output = raw.get("output", f"{kind.lower()}.csv")
     schema = {spec.key: spec for spec in SCHEMAS[kind]}
     params: dict[str, Any] = {}
@@ -392,32 +396,36 @@ def parse_config(text: str, kind_hint: str | None = None) -> ScenarioConfig:
             parsed = value
         if parsed is None:
             continue
-        problem = spec.range_violation(parsed, units)
+        problem = spec.range_violation(parsed, ctx)
         if problem is not None:
             violations.append(problem)
         else:
             params[key] = parsed
-
-    for spec in SCHEMAS[kind]:
-        params.setdefault(spec.key, spec.default)
 
     sweep = _resolve_sweep(raw, schema, units, violations)
     if sweep is not None:
         if not all(math.isfinite(v) for v in sweep.values):
             violations.append("sweep: values must be finite")
         for value in sweep.values:
-            problem = schema[sweep.param].range_violation(value, units)
+            problem = schema[sweep.param].range_violation(value, ctx)
             if problem is not None:
                 violations.append(problem)
-
-    step_keys = ("classical.t_end:", "classical.dt:", "sweep")
-    if kind == "CLASSICAL_TRAJECTORY" and not any(v.startswith(step_keys) for v in violations):
-        violations += _step_rule_violations(params, sweep, units)
-    bracket_keys = ("optimize.sigma_lo:", "optimize.sigma_hi:", "sweep")
-    if kind == "QUANTUM_OPTIMIZE" and not any(v.startswith(bracket_keys) for v in violations):
-        violations += _bracket_violations(params, sweep)
-
     if violations:
         raise ConfigError(violations)
+
+    natural = {spec.key: (_convert(spec, params[spec.key], ctx, NATURAL_UNITS)
+                          if spec.key in params else spec.default) for spec in SCHEMAS[kind]}
+    members = (natural,) if sweep is None else tuple(
+        {**natural, sweep.param: _convert(schema[sweep.param], value, ctx, NATURAL_UNITS)}
+        for value in sweep.values)
+    rule = _CROSS_KEY_RULES.get(kind)
+    if rule is not None:
+        # members that differ only in other keys break a rule with one message
+        violations = list(dict.fromkeys(filter(None, map(rule, members))))
+        if violations:
+            raise ConfigError(violations)
+
+    for spec in SCHEMAS[kind]:
+        params.setdefault(spec.key, _convert(spec, spec.default, NATURAL_UNITS, ctx))
     return ScenarioConfig(kind=kind, params=params, sweep=sweep, output=output,
-                          units=units, seed=seed)
+                          units=units, seed=seed, members=members)

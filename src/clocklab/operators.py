@@ -68,6 +68,10 @@ def dilation_multiplier(state: MomentumSpaceState) -> np.ndarray:
     return np.divide(E, denom, out=np.zeros_like(denom), where=denom > 0.0)
 
 
+class TipClearanceError(ValueError):
+    """The state's support reaches the cone tip E = p = 0."""
+
+
 def check_tip_clearance(state: MomentumSpaceState) -> None:
     """Reject states with support near E = p = 0, where the dilation rate
     is an ill-defined 0/0."""
@@ -79,7 +83,7 @@ def check_tip_clearance(state: MomentumSpaceState) -> None:
         return
     mag = np.abs(state.values)
     if mag[near].max() > TIP_AMPLITUDE_LIMIT * mag.max():
-        raise ValueError(
+        raise TipClearanceError(
             "dilation rate undefined: state support reaches within "
             f"{TIP_CLEARANCE_CELLS:.0f} grid cells of E = p = 0")
 

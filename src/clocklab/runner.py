@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .brackets import dirac_table, expected_dirac_table, random_points
-from .config import SCHEMAS, ScenarioConfig
+from .config import ConfigError, ScenarioConfig
 from .csvio import FloatBlock, emit_csv
 from .dynamics import (
     ExtendedPhaseSpacePoint,
@@ -46,10 +46,10 @@ from .dynamics import (
 from .gedanken import BoxExperiment, EFieldExperiment, box_uncertainties, efield_uncertainties
 from .metric import flat_metric, uniform_lapse_metric
 from .moments import StateMoments, salecker_wigner_check, state_moments, tau_moments_simulated
-from .operators import TAU_WINDOW_LIMIT, commutator_residual
+from .operators import TAU_WINDOW_LIMIT, TipClearanceError, commutator_residual
 from .search import optimize_clock_width
-from .states import GaussianClockSpec, gaussian_state
-from .units import NATURAL_UNITS, SI_UNITS, UnitContext, UnitSystem, convert_units
+from .states import GaussianClockSpec, GridSizeError, gaussian_state
+from .units import NATURAL_UNITS, SI_UNITS, UnitSystem, convert_units
 
 TOLERANCES = {
     "product_ratio": 1e-12,
@@ -71,8 +71,6 @@ TOLERANCES = {
 }
 
 PEAKED_SHARPNESS = 0.05
-
-_CONVERTIBLE = ("mass", "time", "energy", "length", "momentum", "speed", "acceleration")
 
 
 @dataclass(frozen=True)
@@ -104,24 +102,6 @@ def _check(name: str, measured: float, floor: float = 0.0) -> CheckResult:
                        tolerance=tol)
 
 
-def _to_natural(params: dict[str, Any], dims: dict[str, str],
-                config: ScenarioConfig) -> dict[str, Any]:
-    """Member params in natural units; the gedanken modules take SI values
-    together with the unit context instead."""
-    if config.units is not UnitSystem.SI or config.kind.startswith("GEDANKEN"):
-        return dict(params)
-    out = {}
-    for key, value in params.items():
-        dim = dims.get(key, "dimensionless")
-        if dim in _CONVERTIBLE:
-            if isinstance(value, tuple):
-                value = tuple(convert_units(v, dim, SI_UNITS, NATURAL_UNITS) for v in value)
-            else:
-                value = convert_units(value, dim, SI_UNITS, NATURAL_UNITS)
-        out[key] = value
-    return out
-
-
 def _si_factor(dim: str) -> float | None:
     """Natural-to-SI factor of an output column tagged ``dim`` (e.g.
     "time^2"); None for an untagged column."""
@@ -133,25 +113,26 @@ def _si_factor(dim: str) -> float | None:
 
 def _each(fn: Callable) -> Callable:
     """A scenario that runs its members one at a time."""
-    return lambda members, seed, ctx: [fn(params, seed, ctx) for params in members]
+    return lambda members, seed: [fn(params, seed) for params in members]
 
 
 # --- gedanken -------------------------------------------------------------
 
-def _run_gedanken(params: dict[str, Any], seed: int, ctx: UnitContext):
+def _run_gedanken(params: dict[str, Any], seed: int):
     """One weighing: the box (third column g) or the moved clock (third column v)."""
     if "box.dq" in params:
         exp = BoxExperiment(delta_q=params["box.dq"], t=params["box.t"], g=params["box.g"])
-        rep, knob, value = box_uncertainties(exp, ctx), "g", exp.g
+        rep, knob, value = box_uncertainties(exp, NATURAL_UNITS), ("g", "acceleration"), exp.g
     else:
         exp = EFieldExperiment(delta_q=params["efield.dq"], t=params["efield.t"],
                                v=params["efield.v"])
-        rep, knob, value = efield_uncertainties(exp, ctx), "v", exp.v
-    header = ["delta_q", "t", knob, "delta_p", "delta_m", "delta_tau",
-              "product_ratio", "product_ratio_half_hbar"]
+        rep, knob, value = efield_uncertainties(exp, NATURAL_UNITS), ("v", "speed"), exp.v
+    cols = [("delta_q", "length"), ("t", "time"), knob, ("delta_p", "momentum"),
+            ("delta_m", "mass"), ("delta_tau", "time"), ("product_ratio", ""),
+            ("product_ratio_half_hbar", "")]
     row = [exp.delta_q, exp.t, value, rep.delta_p, rep.delta_m, rep.delta_tau,
            rep.product_ratio, rep.product_ratio_half_hbar]
-    return header, [row], [_check("product_ratio", abs(rep.product_ratio - 1.0))], {}
+    return cols, [row], [_check("product_ratio", abs(rep.product_ratio - 1.0))], {}
 
 
 # --- classical ------------------------------------------------------------
@@ -167,14 +148,13 @@ _DYNAMICS_KEYS = ("classical.metric", "classical.lapse_g", "classical.a0_slope",
                   "classical.charge", "classical.t_end", "classical.dt", "classical.hold")
 
 
-def _run_classical_trajectory(members: list[dict[str, Any]], seed: int, ctx: UnitContext):
+def _run_classical_trajectory(members: list[dict[str, Any]], seed: int):
     """Integrate the members that share their dynamics as one batch each."""
     batches: dict[tuple, list[int]] = {}
     for j, params in enumerate(members):
         batches.setdefault(tuple(params[key] for key in _DYNAMICS_KEYS), []).append(j)
     # every member reports the RK4 work of the whole call
     diagnostics = {"rk4_steps": 0, "batch_members": max(map(len, batches.values()))}
-    header = [name for name, _ in _TRAJ_COLS]
     results: list = [None] * len(members)
     for indices in batches.values():
         batch = [members[j] for j in indices]
@@ -220,11 +200,11 @@ def _run_classical_trajectory(members: list[dict[str, Any]], seed: int, ctx: Uni
                 h0 = math.sqrt(m * m + float(p_vec @ p_vec))
                 expected_tau = p["classical.tau0"] + p["classical.t_end"] * m / h0
                 checks.append(_check("tau_final", abs(traj.tau[-1, k] - expected_tau)))
-            results[j] = (header, table[k], checks, diagnostics)
+            results[j] = (_TRAJ_COLS, table[k], checks, diagnostics)
     return results
 
 
-def _run_classical_brackets(params: dict[str, Any], seed: int, ctx: UnitContext):
+def _run_classical_brackets(params: dict[str, Any], seed: int):
     points = random_points(seed, params["brackets.points"], params["brackets.scale"])
     expected = expected_dirac_table()
     rows = []
@@ -235,8 +215,8 @@ def _run_classical_brackets(params: dict[str, Any], seed: int, ctx: UnitContext)
             err = abs(value - expected[(a, b)])
             worst = max(worst, err)
             rows.append([i, f"{a}|{b}", value, expected[(a, b)], err])
-    checks = [_check("dirac_table", worst)]
-    return ["point", "pair", "value", "expected", "error"], rows, checks, {}
+    cols = [(name, "") for name in ("point", "pair", "value", "expected", "error")]
+    return cols, rows, [_check("dirac_table", worst)], {}
 
 
 # --- quantum ----------------------------------------------------------------
@@ -247,17 +227,27 @@ _MOMENT_COLS = [("t", "time"), ("mean_tau", "time"), ("var_tau_sim", "time^2"),
                 ("sharpness", "")]
 
 
-def _spec_from(params: dict[str, Any]) -> GaussianClockSpec:
-    return GaussianClockSpec(
-        e0=params["quantum.e0"], sigma_e=params["quantum.sigma_e"],
-        tau0=params.get("quantum.tau0", 0.0), p0=params["quantum.p0"],
-        sigma_p=params["quantum.sigma_p"], x0=params.get("quantum.x0", 0.0))
+def _clock_state(params: dict[str, Any], t_max: float, time_key: str):
+    """The member's clock state and its t = 0 moments.  A state the runtime
+    refuses is a config error naming the time key (an E grid too large for
+    t_max) or quantum.e0 (support at the cone tip)."""
+    spec = GaussianClockSpec(
+        e0=params["quantum.e0"], sigma_e=params["quantum.sigma_e"], tau0=params["quantum.tau0"],
+        p0=params["quantum.p0"], sigma_p=params["quantum.sigma_p"], x0=params["quantum.x0"])
+    try:
+        state = gaussian_state(spec, t_max=t_max, n_e=params["grid.e.n"], n_p=params["grid.p.n"])
+    except GridSizeError as err:
+        raise ConfigError([f"{time_key}: {err}"]) from None
+    moments = state_moments(state)
+    if isinstance(moments.dilation, str):
+        raise ConfigError([f"quantum.e0: {moments.dilation}"])
+    return state, moments
 
 
 def _moment_row(state, moments: StateMoments, t: float):
     """CSV row, reading and (for t > 0) bound check at time t, from at most
     one evolution of the state."""
-    law = moments.law  # first: it raises for a state that reaches the cone tip
+    law = moments.law
     if t > 0.0:
         sim = tau_moments_simulated(state, t)
         bc = salecker_wigner_check(moments, sim)
@@ -281,14 +271,11 @@ def _write_snapshot(state, path: str) -> None:
     emit_csv(rows, ["axis", "coordinate", "density"], path)
 
 
-def _run_quantum_moments(params: dict[str, Any], seed: int, ctx: UnitContext):
-    spec = _spec_from(params)
+def _run_quantum_moments(params: dict[str, Any], seed: int):
     times = params["quantum.times"]
-    state = gaussian_state(spec, t_max=max(abs(t) for t in times),
-                           n_e=params["grid.e.n"], n_p=params["grid.p.n"])
+    state, moments = _clock_state(params, max(abs(t) for t in times), "quantum.times")
     if params.get("quantum.snapshot"):
         _write_snapshot(state, params["quantum.snapshot"])
-    moments = state_moments(state)
     law, start = moments.law, moments.reading
     rows = []
     law_dev = 0.0
@@ -308,41 +295,46 @@ def _run_quantum_moments(params: dict[str, Any], seed: int, ctx: UnitContext):
         _check("uncertainty_floor", moments.spread_floor - moments.spread_product),
         _check("commutator", commutator_residual(state)),
     ]
-    return [name for name, _ in _MOMENT_COLS], rows, checks, _grid_sizes(state)
+    return _MOMENT_COLS, rows, checks, _grid_sizes(state)
 
 
-def _run_quantum_bound(params: dict[str, Any], seed: int, ctx: UnitContext):
-    spec = _spec_from(params)
+def _run_quantum_bound(params: dict[str, Any], seed: int):
     t = params["quantum.t"]
-    state = gaussian_state(spec, t_max=t, n_e=params["grid.e.n"], n_p=params["grid.p.n"])
-    moments = state_moments(state)
+    state, moments = _clock_state(params, t, "quantum.t")
     row, sim, bc = _moment_row(state, moments, t)
     checks = [
         _check("sw_bound", (-bc.margin) if bc.sharpness <= PEAKED_SHARPNESS else 0.0),
         _check("tau_window", sim.tau_window),
         _check("uncertainty_floor", moments.spread_floor - moments.spread_product),
     ]
-    return [name for name, _ in _MOMENT_COLS], [row], checks, _grid_sizes(state)
+    return _MOMENT_COLS, [row], checks, _grid_sizes(state)
 
 
-def _run_quantum_optimize(params: dict[str, Any], seed: int, ctx: UnitContext):
+def _run_quantum_optimize(params: dict[str, Any], seed: int):
     lo, hi = params["optimize.sigma_lo"], params["optimize.sigma_hi"]
     bounds = None if lo == hi == 0.0 else (lo, hi)  # both 0: the default bracket
-    result = optimize_clock_width(
-        e0=params["quantum.e0"], p0=params["quantum.p0"],
-        sigma_p=params["quantum.sigma_p"], t=params["quantum.t"],
-        sigma_bounds=bounds, n_e=params["grid.e.n"], n_p=params["grid.p.n"])
+    try:
+        result = optimize_clock_width(
+            e0=params["quantum.e0"], p0=params["quantum.p0"],
+            sigma_p=params["quantum.sigma_p"], t=params["quantum.t"],
+            sigma_bounds=bounds, n_e=params["grid.e.n"], n_p=params["grid.p.n"])
+    except GridSizeError as err:
+        raise ConfigError([f"quantum.t: {err}"]) from None
+    except TipClearanceError as err:
+        raise ConfigError([f"quantum.e0: {err}"]) from None
     rows = [[i, sigma, var] for i, (sigma, var) in enumerate(result.trace)]
     checks = [
         _check("sw_bound_floor", result.bound - result.min_var),
         _check("sw_saturation", result.min_var / result.bound - 1.0),
     ]
     n_e, n_p = result.grid_sizes
-    return ["eval", "sigma_e", "var_tau"], rows, checks, {"n_e": n_e, "n_p": n_p}
+    cols = [("eval", ""), ("sigma_e", "energy"), ("var_tau", "time^2")]
+    return cols, rows, checks, {"n_e": n_e, "n_p": n_p}
 
 
-# kind -> runner(member params, seed, ctx) -> one (header, rows, checks,
-# diagnostics) per member; rows are a float matrix or a list of mixed rows
+# kind -> runner(member params, seed) -> one (columns, rows, checks,
+# diagnostics) per member; columns are (name, output dimension) pairs, rows
+# are a float matrix or a list of mixed rows
 _RUNNERS: dict[str, Callable] = {
     "GEDANKEN_BOX": _each(_run_gedanken),
     "GEDANKEN_EFIELD": _each(_run_gedanken),
@@ -351,13 +343,6 @@ _RUNNERS: dict[str, Callable] = {
     "QUANTUM_MOMENTS": _each(_run_quantum_moments),
     "QUANTUM_BOUND_SWEEP": _each(_run_quantum_bound),
     "QUANTUM_OPTIMIZE": _each(_run_quantum_optimize),
-}
-
-_OUTPUT_DIMS: dict[str, list[str]] = {
-    "CLASSICAL_TRAJECTORY": [dim for _, dim in _TRAJ_COLS],
-    "QUANTUM_MOMENTS": [dim for _, dim in _MOMENT_COLS],
-    "QUANTUM_BOUND_SWEEP": [dim for _, dim in _MOMENT_COLS],
-    "QUANTUM_OPTIMIZE": ["", "energy", "time^2"],
 }
 
 
@@ -394,20 +379,14 @@ def run(config: ScenarioConfig) -> RunReport:
     returning the per-invariant check results.  A single run is a sweep of
     one member without the sweep_value column."""
     start = time.perf_counter()
-    runner = _RUNNERS[config.kind]
-    ctx = SI_UNITS if config.units is UnitSystem.SI else NATURAL_UNITS
-    dims = {spec.key: spec.dimension for spec in SCHEMAS[config.kind]}
-    members = [config.params] if config.sweep is None else [
-        {**config.params, config.sweep.param: value} for value in config.sweep.values]
-    results = runner([_to_natural(params, dims, config) for params in members],
-                     config.seed, ctx)
-    header, leads = results[0][0], [()]
+    results = _RUNNERS[config.kind](config.members, config.seed)
+    cols = results[0][0]
+    header, leads = [name for name, _ in cols], [()]
     if config.sweep is not None:  # the swept value, as given, leads each row
         header, leads = ["sweep_value"] + header, [(value,) for value in config.sweep.values]
-    col_dims = _OUTPUT_DIMS.get(config.kind)
     # one factor per column, not per cell: SI trajectories have 10k rows
-    factors = ([_si_factor(dim) for dim in col_dims]
-               if config.units is UnitSystem.SI and col_dims is not None else None)
+    factors = ([_si_factor(dim) for _, dim in cols]
+               if config.units is UnitSystem.SI else None)
     rows = []
     for lead, (_, member_rows, _, _) in zip(leads, results):
         if factors is not None:

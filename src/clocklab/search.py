@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .moments import state_moments, tau_moments_simulated
+from .operators import check_tip_clearance
 from .states import GaussianClockSpec, gaussian_state
 from .units import NATURAL_UNITS, UnitContext
 
@@ -85,7 +86,8 @@ def optimize_clock_width(e0: float, p0: float, sigma_p: float, t: float,
     """Minimize the simulated reading variance at time t over sigma_e.
 
     The default bracket spans a factor of ten either side of the
-    sharp-energy estimate sqrt(hbar <H> / (2 t)) of the best width.
+    sharp-energy estimate sqrt(hbar <H> / (2 t)) of the best width.  A trial
+    state whose support reaches the cone tip raises TipClearanceError.
     """
     if t <= 0.0:
         raise ValueError("need t > 0")
@@ -105,6 +107,7 @@ def optimize_clock_width(e0: float, p0: float, sigma_p: float, t: float,
         sigma_e = math.exp(log_sigma)
         spec = GaussianClockSpec(e0=e0, sigma_e=sigma_e, p0=p0, sigma_p=sigma_p)
         state = gaussian_state(spec, units, t_max=t, n_e=n_e, n_p=n_p)
+        check_tip_clearance(state)
         grid_sizes = (max(grid_sizes[0], state.e_grid.n), max(grid_sizes[1], state.p_grid.n))
         var = tau_moments_simulated(state, t).var_tau
         trace.append((sigma_e, var))

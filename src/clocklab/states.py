@@ -40,6 +40,10 @@ MAX_GRID_SIZE = 1 << 15
 TAU_WINDOW_MARGIN = 1.6
 
 
+class GridSizeError(ValueError):
+    """The evolution span needs an E grid larger than MAX_GRID_SIZE."""
+
+
 @dataclass(frozen=True)
 class GaussianClockSpec:
     """Product Gaussian in (E, p): center e0 with spread sigma_e, proper-time
@@ -209,7 +213,7 @@ def suggest_grids(spec: GaussianClockSpec, units: UnitContext = NATURAL_UNITS,
     de_max = math.pi * hbar / (TAU_WINDOW_MARGIN * tau_reach)
     n_e_needed = max(n_e, _next_pow2(2.0 * half_e / de_max))
     if n_e_needed > MAX_GRID_SIZE:
-        raise ValueError("requested evolution span needs an impractically large E grid")
+        raise GridSizeError("requested evolution span needs an impractically large E grid")
     e_grid = UniformGrid(spec.e0 - half_e, spec.e0 + half_e, n_e_needed)
 
     half_p = sigma_margin * spec.sigma_p

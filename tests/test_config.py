@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clocklab.config import KINDS, ConfigError, SCHEMAS, parse_config
-from clocklab.units import UnitSystem
+from clocklab.units import NATURAL_UNITS, SI_UNITS, UnitSystem, convert_units
 
 
 def test_minimal_box_config():
@@ -178,3 +178,62 @@ def test_every_schema_key_is_reachable():
                        "optimize.sigma_hi": "\noptimize.sigma_lo = 0.5"}.get(spec.key, "")
             cfg = parse_config(f"kind = {kind}\n{spec.key} = {value}{partner}")
             assert spec.key in cfg.params
+
+
+# One key per kind to sweep, for the member comparison below.
+_SWEPT_KEY = {
+    "GEDANKEN_BOX": "box.dq",
+    "GEDANKEN_EFIELD": "efield.t",
+    "CLASSICAL_TRAJECTORY": "classical.p1",
+    "CLASSICAL_BRACKETS": "brackets.scale",
+    "QUANTUM_MOMENTS": "quantum.sigma_e",
+    "QUANTUM_BOUND_SWEEP": "quantum.sigma_p",
+    "QUANTUM_OPTIMIZE": "quantum.e0",
+}
+
+
+def _assert_members_close(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.keys() == b.keys()
+        for key in b:
+            x, y = a[key], b[key]
+            if isinstance(y, (tuple, float)):
+                assert x == pytest.approx(y, rel=1e-15, abs=0.0), key
+            else:
+                assert x == y, key
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_si_and_natural_configs_give_the_same_members(kind):
+    """Members are natural-unit values whatever the config's units: an SI
+    config that gives every number in SI, and one that takes the defaults,
+    resolve to the members of the NATURAL config with the same physics."""
+    specs = {spec.key: spec for spec in SCHEMAS[kind]}
+
+    def si(value, dimension):
+        return convert_units(value, dimension, NATURAL_UNITS, SI_UNITS)
+
+    def si_text(values, dimension):
+        return ", ".join(repr(si(v, dimension)) for v in values)
+
+    swept = specs[_SWEPT_KEY[kind]]
+    values = (swept.default, 2.0 * swept.default)
+    sweep = f"sweep.param = {swept.key}\nsweep.values = "
+    natural = parse_config(f"kind = {kind}\n{sweep}{values[0]!r}, {values[1]!r}")
+    assert natural.members[1][swept.key] == values[1]
+    si_sweep = sweep + si_text(values, swept.dimension)
+    lines = [f"{spec.key} = " + si_text(spec.default if spec.kind == "list" else (spec.default,),
+                                        spec.dimension)
+             for spec in specs.values() if spec.kind in ("number", "list")]
+    given = parse_config(f"kind = {kind}\nunits = SI\n{si_sweep}\n" + "\n".join(lines))
+    defaults = parse_config(f"kind = {kind}\nunits = SI\n{si_sweep}")
+    _assert_members_close(given.members, natural.members)
+    _assert_members_close(defaults.members, natural.members)
+    # params echo the defaults in the config's own units
+    for key, spec in specs.items():
+        if spec.kind == "number":
+            assert defaults.params[key] == pytest.approx(si(spec.default, spec.dimension),
+                                                         rel=1e-15, abs=0.0)
+        else:
+            assert natural.params[key] == spec.default

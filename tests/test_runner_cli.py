@@ -159,7 +159,7 @@ def test_quantum_optimize_run(tmp_path):
 def test_si_trajectory_columns_scale(tmp_path):
     # a clock at rest with a 1 J rest energy, run for one SI second
     body = ("classical.t_end = 1 s\nclassical.dt = 1e-2 s\nclassical.p1 = 0 kg*m/s\n"
-            "units = SI\n")
+            "classical.m = 1 J\nunits = SI\n")
     cfg_si, out_si = _cfg(tmp_path, "CLASSICAL_TRAJECTORY", body, name="si.csv")
     report = run(cfg_si)
     assert report.all_passed
@@ -532,3 +532,69 @@ def test_default_scenario_csv_matches_golden_digest(tmp_path, group, sub):
     out = tmp_path / "default.csv"
     assert main([group, sub, "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV_SHA256[(group, sub)]
+
+
+# The SI dimension of every dimensioned CSV column; the others carry no unit.
+_COLUMN_DIMS = {
+    "delta_q": "length", "t": "time", "g": "acceleration", "v": "speed",
+    "delta_p": "momentum", "delta_m": "mass", "delta_tau": "time",
+    "tau": "time", "p_tau": "energy", "M": "energy", "p_M": "time",
+    "x1": "length", "x2": "length", "x3": "length",
+    "p1": "momentum", "p2": "momentum", "p3": "momentum",
+    "phi1": "energy", "phi2": "time", "H": "energy",
+    "mean_tau": "time", "var_tau_sim": "time^2", "var_tau_law": "time^2", "lin": "time",
+    "const": "time^2", "bound": "time^2", "sigma_e": "energy", "var_tau": "time^2",
+}
+
+
+@pytest.mark.parametrize("group, sub", list(GOLDEN_CSV_SHA256),
+                         ids=[f"{g}-{s}" for g, s in GOLDEN_CSV_SHA256])
+def test_si_default_run_is_the_natural_default_in_si(tmp_path, group, sub):
+    """Defaults are natural-unit values, so an SI run that takes them is the
+    default scenario, written in SI."""
+    natural, si = tmp_path / "natural.csv", tmp_path / "si.csv"
+    assert main([group, sub, "--output", str(natural)]) == 0
+    assert main([group, sub, "--set", "units=SI", "--output", str(si)]) == 0
+    header, *natural_rows = [line.split(",") for line in natural.read_text().splitlines()]
+    si_header, *si_rows = [line.split(",") for line in si.read_text().splitlines()]
+    assert si_header == header and len(si_rows) == len(natural_rows)
+    for name, column in zip(header, zip(*natural_rows), strict=True):
+        si_column = [row[header.index(name)] for row in si_rows]
+        if name not in _COLUMN_DIMS:
+            assert si_column == list(column), name
+            continue
+        base, _, power = _COLUMN_DIMS[name].partition("^")
+        factor = convert_units(1.0, base, NATURAL_UNITS, SI_UNITS) ** int(power or 1)
+        assert [float(cell) for cell in si_column] == pytest.approx(
+            [float(cell) * factor for cell in column], rel=1e-12, abs=0.0), name
+
+
+def test_bracket_rule_checks_each_sweep_member(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(["quantum", "optimize", "--set", "optimize.sigma_lo=0.5",
+                 "--set", "sweep.param=optimize.sigma_hi", "--set", "sweep.values=2, 0.1",
+                 "--output", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("config error") == 1
+    assert "config error: optimize.sigma_lo: must be" in err
+    assert "got 0.5 and 0.1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub, settings, key", [
+    ("moments", ["quantum.e0=0"], "quantum.e0"),
+    ("optimize", ["quantum.e0=0.5", "quantum.p0=0"], "quantum.e0"),
+    ("moments", ["quantum.times=0,1e7"], "quantum.times"),
+], ids=["moments-tip", "optimize-tip", "moments-e-grid"])
+def test_cli_refused_clock_state_is_a_config_error(tmp_path, capsys, sub, settings, key):
+    """A clock state the runtime refuses (support at the cone tip, or an E
+    grid too large to build) exits 2 naming the key, and writes nothing."""
+    out, snapshot = tmp_path / "x.csv", tmp_path / "snapshot.csv"
+    argv = ["quantum", sub]
+    for setting in settings + ([f"quantum.snapshot={snapshot}"] if sub == "moments" else []):
+        argv += ["--set", setting]
+    code = main(argv + ["--output", str(out)])
+    assert code == 2
+    assert f"config error: {key}: " in capsys.readouterr().err
+    assert not out.exists() and not snapshot.exists()
