@@ -14,8 +14,10 @@ also gets one traced run per side, for the per-layer figures.  The output
 holds the machine (nproc, Python and numpy versions), and per workload the
 median, quartiles and win count of every end-to-end metric that
 ``BENCHMARK.json`` declares, the traced per-layer figures, whether every
-operation's CSV sha256 matched between the sides, and the (seed, operation
-index, label) of each operation whose digests differ.
+operation's CSV sha256 matched between the sides, the (seed, operation
+index, label) of each operation whose digests differ, and per operation of
+one pass its label and each side's median ``wall_s`` over the seeds, which
+shows the operations that carry a gain.
 
 A timed run repeats the workload for a fixed time, so the faster side runs
 more passes, and ``peak_rss_mb`` grows with the passes run until the
@@ -77,7 +79,8 @@ def bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> d
                         .read_text())
     return {"metrics": {name: m["value"] for name, m in summary["metrics"].items()},
             "failed": summary["failed"], "attempted": summary["attempted"],
-            "digests": [(op["label"], op["csv_sha256"]) for op in record["operations"]]}
+            "digests": [(op["label"], op["csv_sha256"]) for op in record["operations"]],
+            "walls": [op["wall_s"] for op in record["operations"]]}
 
 
 # P passes of perfbench's own loop over the workload, then the peak RSS in MB;
@@ -121,6 +124,18 @@ def quartiles(values: list[float]) -> dict:
     return {"median": float(median), "q1": float(q1), "q3": float(q3), "iqr": float(q3 - q1)}
 
 
+def per_operation(labels: list[str], walls: list[dict]) -> list[dict]:
+    """Each operation of one pass, ``labels[i]`` at index i, with each side's
+    median wall_s over the seeds; a seed's figure for an operation is the
+    median over its passes.  ``walls`` holds one {side: [wall_s of every
+    operation run, in order]} per seed."""
+    size = len(labels)
+    return [{"index": i, "label": label,
+             "wall_s": {side: float(np.median([np.median(w[side][i::size]) for w in walls]))
+                        for side in ("parent", "change")}}
+            for i, label in enumerate(labels)]
+
+
 def summarize(runs: list[dict], spec: list[dict]) -> dict:
     out = {}
     for metric in spec:
@@ -161,7 +176,7 @@ def main() -> int:
               "seconds": args.seconds, "seeds": args.seeds, "workloads": {}}
     try:
         for workload in args.workload:
-            runs, match, differ = [], True, []
+            runs, match, differ, walls = [], True, [], []
             for seed in args.seeds:
                 order = ("parent", "change") if seed % 2 else ("change", "parent")
                 run = {"seed": seed, "first": order[0]}
@@ -169,6 +184,7 @@ def main() -> int:
                     run[side] = bench(trees[side], workload, seed, args.seconds, 0)
                     print(f"{workload} seed {seed} {side}: wall_s "
                           f"{run[side]['metrics']['wall_s']:.3f}", flush=True)
+                walls.append({side: run[side].pop("walls") for side in order})
                 (p_digests, stable_p), (c_digests, stable_c) = (
                     pass_digests(trees[side], workload, seed, run[side].pop("digests"))
                     for side in ("parent", "change"))
@@ -187,6 +203,7 @@ def main() -> int:
                 "end_to_end": summarize(runs, spec),
                 "csv_sha256_match": match,
                 "csv_sha256_differ": differ,
+                "per_operation": per_operation([label for label, _ in p_digests], walls),
                 "traced_seed": args.seeds[0],
                 "per_layer": {name: {"parent": traced["parent"].get(name),
                                      "change": traced["change"].get(name)}

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from .dynamics import whole_steps
 from .units import NATURAL_UNITS, SI_UNITS, UnitContext, UnitSystem, convert_units
@@ -72,9 +72,12 @@ class ParamSpec:
     choices: tuple[str, ...] | None = None
     above: float | None = None
     below: float | None = None
+    power_of_two: bool = False  # a grid size: a power of two, at least 8
 
     def range_violation(self, value: float, ctx: UnitContext) -> str | None:
         """The config error for a value outside the bounds, or None."""
+        if self.power_of_two and not (value >= 8 and value & (value - 1) == 0):
+            return f"{self.key}: must be a power of two, at least 8, got {value!r}"
         if self.above is None and self.below is None:
             return None
         scale = convert_units(1.0, self.dimension, NATURAL_UNITS, ctx)
@@ -125,8 +128,8 @@ def _quantum_state_params(sigma_e: float, p0: float, sigma_p: float) -> list[Par
         ParamSpec("quantum.p0", "momentum", p0),
         ParamSpec("quantum.sigma_p", "momentum", sigma_p, above=0.0),
         ParamSpec("quantum.x0", "length", 0.0),
-        ParamSpec("grid.e.n", "dimensionless", 1024, kind="int", above=0),
-        ParamSpec("grid.p.n", "dimensionless", 256, kind="int", above=0),
+        ParamSpec("grid.e.n", "dimensionless", 1024, kind="int", power_of_two=True),
+        ParamSpec("grid.p.n", "dimensionless", 256, kind="int", power_of_two=True),
     ]
 
 
@@ -179,8 +182,8 @@ SCHEMAS: dict[str, list[ParamSpec]] = {
         ParamSpec("quantum.t", "time", 100.0, above=0.0),
         ParamSpec("optimize.sigma_lo", "energy", 0.0),
         ParamSpec("optimize.sigma_hi", "energy", 0.0),
-        ParamSpec("grid.e.n", "dimensionless", 1024, kind="int", above=0),
-        ParamSpec("grid.p.n", "dimensionless", 256, kind="int", above=0),
+        ParamSpec("grid.e.n", "dimensionless", 1024, kind="int", power_of_two=True),
+        ParamSpec("grid.p.n", "dimensionless", 256, kind="int", power_of_two=True),
     ],
 }
 
@@ -297,27 +300,30 @@ def _resolve_sweep(raw: dict[str, str], schema: dict[str, ParamSpec], units: Uni
     return SweepSpec(param=param, values=values)
 
 
-def _bracket_violation(member: dict[str, Any]) -> str | None:
+def _bracket_violation(member: dict[str, Any], written: Callable[[str], str]) -> str | None:
     """The optimizer bracket is the default (both ends 0) or 0 < lo < hi."""
     lo, hi = member["optimize.sigma_lo"], member["optimize.sigma_hi"]
     if lo == hi == 0.0 or 0.0 < lo < hi:
         return None
     return (f"optimize.sigma_lo: must be 0 with optimize.sigma_hi (the default bracket) "
-            f"or satisfy 0 < optimize.sigma_lo < optimize.sigma_hi, got {lo!r} and {hi!r}")
+            f"or satisfy 0 < optimize.sigma_lo < optimize.sigma_hi, "
+            f"got {written('optimize.sigma_lo')} and {written('optimize.sigma_hi')}")
 
 
-def _step_rule_violation(member: dict[str, Any]) -> str | None:
+def _step_rule_violation(member: dict[str, Any], written: Callable[[str], str]) -> str | None:
     """classical.t_end must be a whole number of classical.dt steps, at least
     two (the trajectory audits take central differences)."""
-    t_end, dt = member["classical.t_end"], member["classical.dt"]
-    n_steps = whole_steps(t_end, dt)
+    n_steps = whole_steps(member["classical.t_end"], member["classical.dt"])
     if n_steps is not None and n_steps >= 2:
         return None
     return (f"classical.t_end: must be a whole number of classical.dt steps, at least 2, "
-            f"got classical.t_end = {t_end!r} and classical.dt = {dt!r}")
+            f"got classical.t_end = {written('classical.t_end')} and "
+            f"classical.dt = {written('classical.dt')}")
 
 
-# Rules that join keys, checked on every run member once each key has passed alone.
+# Rules that join keys, checked on every run member (natural units) once each
+# key has passed alone; a message quotes the member's values as the config
+# gives them.
 _CROSS_KEY_RULES = {"CLASSICAL_TRAJECTORY": _step_rule_violation,
                     "QUANTUM_OPTIMIZE": _bracket_violation}
 
@@ -418,14 +424,21 @@ def parse_config(text: str, kind_hint: str | None = None) -> ScenarioConfig:
     members = (natural,) if sweep is None else tuple(
         {**natural, sweep.param: _convert(schema[sweep.param], value, ctx, NATURAL_UNITS)}
         for value in sweep.values)
-    rule = _CROSS_KEY_RULES.get(kind)
-    if rule is not None:
-        # members that differ only in other keys break a rule with one message
-        violations = list(dict.fromkeys(filter(None, map(rule, members))))
-        if violations:
-            raise ConfigError(violations)
-
     for spec in SCHEMAS[kind]:
         params.setdefault(spec.key, _convert(spec, spec.default, NATURAL_UNITS, ctx))
+    rule = _CROSS_KEY_RULES.get(kind)
+    if rule is not None:
+        tags = {dim: tag for tag, dim in UNIT_TAGS.items()} if units is UnitSystem.SI else {}
+
+        def written_in(given: dict[str, Any]) -> Callable[[str], str]:
+            return lambda key: f"{given[key]!r} {tags.get(schema[key].dimension, '')}".rstrip()
+
+        given = [params] if sweep is None else [{**params, sweep.param: value}
+                                                for value in sweep.values]
+        # members that differ only in other keys break a rule with one message
+        violations = list(dict.fromkeys(filter(None, (
+            rule(member, written_in(values)) for member, values in zip(members, given)))))
+        if violations:
+            raise ConfigError(violations)
     return ScenarioConfig(kind=kind, params=params, sweep=sweep, output=output,
                           units=units, seed=seed, members=members)

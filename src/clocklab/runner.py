@@ -12,7 +12,8 @@ outer band of the proper-time window), and ``sw_bound``/``sw_bound_floor``/
 
 The JSON run report also carries ``diagnostics`` (quantum runs: the grid
 sizes n_e and n_p, the largest over sweep members; classical trajectories:
-``rk4_steps`` over all batches and ``batch_members``, the largest batch),
+``rk4_steps`` and ``rhs_evals`` over all batches, and ``batch_members``, the
+largest batch),
 ``timings`` (``compute_s`` and ``write_s``) and the clocklab, numpy and
 Python ``versions``.
 """
@@ -48,7 +49,7 @@ from .metric import flat_metric, uniform_lapse_metric
 from .moments import StateMoments, salecker_wigner_check, state_moments, tau_moments_simulated
 from .operators import TAU_WINDOW_LIMIT, TipClearanceError, commutator_residual
 from .search import optimize_clock_width
-from .states import GaussianClockSpec, GridSizeError, gaussian_state
+from .states import GaussianClockSpec, GridAxisError, GridSizeError, gaussian_state
 from .units import NATURAL_UNITS, SI_UNITS, UnitSystem, convert_units
 
 TOLERANCES = {
@@ -154,7 +155,8 @@ def _run_classical_trajectory(members: list[dict[str, Any]], seed: int):
     for j, params in enumerate(members):
         batches.setdefault(tuple(params[key] for key in _DYNAMICS_KEYS), []).append(j)
     # every member reports the RK4 work of the whole call
-    diagnostics = {"rk4_steps": 0, "batch_members": max(map(len, batches.values()))}
+    diagnostics = {"rk4_steps": 0, "rhs_evals": 0,
+                   "batch_members": max(map(len, batches.values()))}
     results: list = [None] * len(members)
     for indices in batches.values():
         batch = [members[j] for j in indices]
@@ -178,6 +180,7 @@ def _run_classical_trajectory(members: list[dict[str, Any]], seed: int):
                          params["classical.dt"], hold_x=hold,
                          out=np.moveaxis(table[..., 1:11], 0, 1))
         diagnostics["rk4_steps"] += n_steps
+        diagnostics["rhs_evals"] += traj.rhs_evals
         H = hamiltonian_series(traj, metric, charge)
         table[..., 0] = traj.times
         phi1, phi2 = traj.constraint_values()
@@ -230,7 +233,8 @@ _MOMENT_COLS = [("t", "time"), ("mean_tau", "time"), ("var_tau_sim", "time^2"),
 def _clock_state(params: dict[str, Any], t_max: float, time_key: str):
     """The member's clock state and its t = 0 moments.  A state the runtime
     refuses is a config error naming the time key (an E grid too large for
-    t_max) or quantum.e0 (support at the cone tip)."""
+    t_max), the grid key of an axis that does not resolve the state, or
+    quantum.e0 (support at the cone tip)."""
     spec = GaussianClockSpec(
         e0=params["quantum.e0"], sigma_e=params["quantum.sigma_e"], tau0=params["quantum.tau0"],
         p0=params["quantum.p0"], sigma_p=params["quantum.sigma_p"], x0=params["quantum.x0"])
@@ -238,6 +242,8 @@ def _clock_state(params: dict[str, Any], t_max: float, time_key: str):
         state = gaussian_state(spec, t_max=t_max, n_e=params["grid.e.n"], n_p=params["grid.p.n"])
     except GridSizeError as err:
         raise ConfigError([f"{time_key}: {err}"]) from None
+    except GridAxisError as err:
+        raise ConfigError([f"grid.{err.axis.lower()}.n: {err}"]) from None
     moments = state_moments(state)
     if isinstance(moments.dilation, str):
         raise ConfigError([f"quantum.e0: {moments.dilation}"])
@@ -320,6 +326,8 @@ def _run_quantum_optimize(params: dict[str, Any], seed: int):
             sigma_bounds=bounds, n_e=params["grid.e.n"], n_p=params["grid.p.n"])
     except GridSizeError as err:
         raise ConfigError([f"quantum.t: {err}"]) from None
+    except GridAxisError as err:
+        raise ConfigError([f"grid.{err.axis.lower()}.n: {err}"]) from None
     except TipClearanceError as err:
         raise ConfigError([f"quantum.e0: {err}"]) from None
     rows = [[i, sigma, var] for i, (sigma, var) in enumerate(result.trace)]

@@ -44,6 +44,14 @@ class GridSizeError(ValueError):
     """The evolution span needs an E grid larger than MAX_GRID_SIZE."""
 
 
+class GridAxisError(ValueError):
+    """A grid that does not resolve the state on one axis ("E" or "p")."""
+
+    def __init__(self, axis: str, message: str):
+        self.axis = axis
+        super().__init__(message)
+
+
 @dataclass(frozen=True)
 class GaussianClockSpec:
     """Product Gaussian in (E, p): center e0 with spread sigma_e, proper-time
@@ -140,12 +148,12 @@ def _check_axis(name: str, grid: UniformGrid, center: float, sigma: float) -> No
     left = center - grid.lo
     right = grid.hi - center
     if min(left, right) < MIN_SIGMA_COVERAGE * sigma:
-        raise ValueError(
-            f"grid too small on the {name} axis: window must extend at least "
+        raise GridAxisError(
+            name, f"grid too small on the {name} axis: window must extend at least "
             f"{MIN_SIGMA_COVERAGE:.0f} sigma on each side of the center")
     if sigma < MIN_CELLS_PER_SIGMA * grid.step:
-        raise ValueError(
-            f"grid too coarse on the {name} axis: sigma spans fewer than "
+        raise GridAxisError(
+            name, f"grid too coarse on the {name} axis: sigma spans fewer than "
             f"{MIN_CELLS_PER_SIGMA:.0f} cells")
 
 

@@ -14,7 +14,8 @@ own |psi|^2, multipliers and DFT of the state with numpy alone, in the
 same expressions and summation order.  The bracket oracle is the
 scalar finite-difference algorithm the package replaced with its gradient
 matrix: fresh gradients for every Poisson bracket and a Python sum over the
-conjugate pairs.
+conjugate pairs.  The RK4 oracle is the plain four-stage loop, which
+``integrate`` no longer runs for stationary flows.
 """
 from __future__ import annotations
 
@@ -298,3 +299,31 @@ def per_sample_motion_residual(traj, metric, charge=0.0, c=1.0):
         rhs = (charge * c * c / traj.states[i, 2]) * (f_up @ (g4 @ xdot))
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
+
+
+def rk4_reference(pt0, metric, charge, t_end, dt, hold_x=False, c=1.0):
+    """States of the plain four-stage RK4 loop over ``dynamics._rhs_vector``
+    for one point or a sequence of points: every step evaluates all four
+    stages, whatever the metric."""
+    from clocklab.dynamics import _rhs_vector
+
+    def rhs(z):
+        dz = _rhs_vector(z, metric, charge, c)
+        if hold_x:
+            dz[..., 4:10] = 0.0
+        return dz
+
+    z = pt0.as_vector() if isinstance(pt0, ExtendedPhaseSpacePoint) else np.array(
+        [pt.as_vector() for pt in pt0])
+    n_steps = int(round(t_end / dt))
+    half, sixth = 0.5 * dt, dt / 6.0
+    states = np.empty((n_steps + 1,) + z.shape)
+    states[0] = z
+    for i in range(n_steps):
+        k1 = rhs(z)
+        k2 = rhs(z + half * k1)
+        k3 = rhs(z + half * k2)
+        k4 = rhs(z + dt * k3)
+        z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states[i + 1] = z
+    return states

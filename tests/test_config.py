@@ -171,6 +171,8 @@ def test_every_schema_key_is_reachable():
                 value = "1, 2"
             elif spec.below is not None:
                 value = "0.5"  # inside the open bound (efield.v < c = 1)
+            elif spec.power_of_two:
+                value = "8"  # the smallest grid size
             else:
                 value = "1"
             # the optimizer bracket takes both ends, 0 < lo < hi

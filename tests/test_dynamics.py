@@ -18,7 +18,12 @@ from clocklab.dynamics import (
 )
 from clocklab.metric import StaticMetric, flat_metric, isotropic_weak_field_metric, uniform_lapse_metric
 
-from oracles import hyperbolic_motion, per_sample_motion_residual, per_sample_rate_residual
+from oracles import (
+    hyperbolic_motion,
+    per_sample_motion_residual,
+    per_sample_rate_residual,
+    rk4_reference,
+)
 
 FLAT = flat_metric()
 
@@ -206,6 +211,37 @@ def test_batch_integration_matches_one_clock_at_a_time():
         assert np.array_equal(H[:, j], hamiltonian_series(single, metric))
         assert rate[j] == proper_time_residual(single, metric)
         assert motion[j] == geodesic_lorentz_residual(single, metric)
+
+
+_ISOTROPIC = isotropic_weak_field_metric(
+    lambda x: 1e-2 * x[..., 0] + 5e-3 * x[..., 1], lambda x: np.array([1e-2, 5e-3, 0.0]))
+
+
+@pytest.mark.parametrize("pt0, metric, charge, hold", [
+    (moving_clock(1.0, (0.75, 0.1, 0.0)), FLAT, 0.0, False),
+    ([moving_clock(1.0, (p1, 0.0, 0.0)) for p1 in (0.0, -0.0, 0.3, -0.7)], FLAT, 0.0, False),
+    (moving_clock(1.0, (0.4, -0.0, 0.2)), FLAT, 0.7, False),
+    (clock_at_rest(1.0, x=(1.5, -0.0, 0.0)), uniform_lapse_metric(0.05), 0.0, True),
+    (clock_at_rest(2.0, x=(0.5, 0.2, -0.0)), _ISOTROPIC, 0.0, True),
+], ids=["flat-free", "flat-batch", "flat-charged", "lapse-held", "isotropic-held"])
+def test_stationary_flows_equal_the_four_stage_loop(pt0, metric, charge, hold):
+    """A held clock, or a free one in flat space without potentials, takes
+    one RHS evaluation per batch, and every sample is bitwise the loop's."""
+    traj = integrate(pt0, metric, charge, 2.0, 1e-3, hold_x=hold)
+    reference = rk4_reference(pt0, metric, charge, 2.0, 1e-3, hold_x=hold)
+    assert traj.states.tobytes() == reference.tobytes()
+    assert traj.rhs_evals == 1
+
+
+def test_unheld_clock_in_a_field_takes_four_evaluations_per_step(monkeypatch):
+    import clocklab.dynamics as dynamics
+    pt0, metric = moving_clock(1.0, (0.3, 0.0, 0.0)), uniform_lapse_metric(0.05)
+    reference = rk4_reference(pt0, metric, 0.0, 1.0, 1e-2)
+    calls, original = [], dynamics._rhs_vector
+    monkeypatch.setattr(dynamics, "_rhs_vector", lambda *a: calls.append(a) or original(*a))
+    traj = integrate(pt0, metric, 0.0, 1.0, 1e-2)
+    assert len(calls) == traj.rhs_evals == 4 * 100
+    assert traj.states.tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("case", ["isotropic", "constant-force"])

@@ -234,14 +234,17 @@ def test_report_json_contents(tmp_path):
     assert payload["versions"] == {"clocklab": clocklab.__version__, "numpy": np.__version__,
                                    "python": platform.python_version()}
     # classical trajectories report their RK4 work: a p1 sweep is one batch
-    # of all its members, a lapse_g sweep one batch per member
+    # of all its members, a lapse_g sweep one batch per member; a free flat
+    # clock takes one RHS evaluation per batch, an unheld lapse clock four
+    # per step
     steps = "classical.t_end = 1\nclassical.dt = 1e-2\n"
     for body, diagnostics in (
-            ("", {"rk4_steps": 100, "batch_members": 1}),
+            ("", {"rk4_steps": 100, "rhs_evals": 1, "batch_members": 1}),
             ("sweep.param = classical.p1\nsweep.values = 0.2, 0.4, 0.6\n",
-             {"rk4_steps": 100, "batch_members": 3}),
+             {"rk4_steps": 100, "rhs_evals": 1, "batch_members": 3}),
             ("classical.metric = uniform_lapse\nsweep.param = classical.lapse_g\n"
-             "sweep.values = 0.01, 0.02\n", {"rk4_steps": 200, "batch_members": 1})):
+             "sweep.values = 0.01, 0.02\n",
+             {"rk4_steps": 200, "rhs_evals": 800, "batch_members": 1})):
         cfg, out = _cfg(tmp_path, "CLASSICAL_TRAJECTORY", steps + body, name="c.csv")
         run(cfg)
         payload = json.loads(out.with_suffix(".report.json").read_text())
@@ -322,6 +325,33 @@ def test_cli_rejects_out_of_range_values(tmp_path, capsys, group, sub, settings,
     code = main(argv + ["--output", str(out)])
     assert code == 2
     assert f"config error: {key}: must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub, settings, key, message", [
+    ("moments", ["grid.p.n=4"], "grid.p.n", "must be a power of two, at least 8, got 4"),
+    ("bound", ["grid.e.n=12"], "grid.e.n", "must be a power of two, at least 8, got 12"),
+    ("bound", ["grid.e.n=8", "quantum.sigma_e=0.05"], "grid.e.n",
+     "grid too coarse on the E axis"),
+    ("optimize", ["grid.p.n=64"], "grid.p.n", "grid too coarse on the p axis"),
+], ids=["p-not-grid-size", "e-not-power-of-two", "e-too-coarse", "optimize-p-too-coarse"])
+def test_cli_rejects_grid_counts_that_cannot_hold_the_state(tmp_path, capsys, sub, settings,
+                                                            key, message):
+    out = tmp_path / "x.csv"
+    argv = ["quantum", sub]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert main(argv + ["--output", str(out)]) == 2
+    assert f"config error: {key}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_cross_key_message_quotes_si_values_as_written(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(["quantum", "optimize", "--set", "units=SI", "--set", "optimize.sigma_lo=1e-33 J",
+                 "--set", "optimize.sigma_hi=5e-34 J", "--output", str(out)])
+    assert code == 2
+    assert "got 1e-33 J and 5e-34 J" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -500,12 +530,17 @@ def test_one_hamiltonian_pass_per_trajectory(tmp_path, monkeypatch):
 def test_sweep_integrates_as_one_batch(tmp_path, monkeypatch):
     import clocklab.dynamics as dynamics
     calls = _count_calls(monkeypatch, dynamics, "_rhs_vector")
-    cfg, _ = _cfg(tmp_path, "CLASSICAL_TRAJECTORY",
-                  _SHORT_RUN + "sweep.param = classical.p1\nsweep.values = 0.2, 0.4, 0.6, 0.8\n")
-    assert run(cfg).all_passed
-    # four RHS evaluations per RK4 step for the whole batch, not per member
-    assert len(calls) == 4 * 200
-    assert {args[0].shape for args in calls} == {(4, 10)}
+    # RHS evaluations for the whole batch, not per member: four per RK4 step
+    # under a lapse, one for the stationary flat flow
+    for metric, rhs_calls in (("uniform_lapse", 4 * 200), ("flat", 1)):
+        calls.clear()
+        cfg, _ = _cfg(tmp_path, "CLASSICAL_TRAJECTORY",
+                      "classical.t_end = 0.2\nclassical.dt = 1e-3\n"
+                      f"classical.metric = {metric}\nclassical.lapse_g = 0.05\n"
+                      "sweep.param = classical.p1\nsweep.values = 0.2, 0.4, 0.6, 0.8\n")
+        assert run(cfg).all_passed
+        assert len(calls) == rhs_calls
+        assert {args[0].shape for args in calls} == {(4, 10)}
 
 
 # sha256 of each scenario's CSV at its default config, recorded before the

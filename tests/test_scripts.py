@@ -1,5 +1,7 @@
 """Smoke test of the example scripts: each runs to completion and writes
-the CSV files it names."""
+the CSV files it names; and the benchmark comparison's per-operation
+summary on synthetic runs."""
+import importlib.util
 import os
 import subprocess
 import sys
@@ -23,3 +25,19 @@ def test_example_script_writes_its_csvs(tmp_path, script, outputs):
     assert proc.returncode == 0, proc.stderr
     for name in outputs:
         assert (tmp_path / name).is_file(), name
+
+
+def test_bench_compare_per_operation_summary():
+    spec = importlib.util.spec_from_file_location("bench_compare",
+                                                  ROOT / "scripts" / "bench_compare.py")
+    bench_compare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_compare)
+    labels = ["classical-trajectory", "gedanken-box"]
+    # two seeds: the first ran two passes on the parent side and three on the
+    # change side, the second one pass on each
+    walls = [{"parent": [4.0, 1.0, 6.0, 3.0], "change": [1.0, 1.0, 2.0, 1.0, 3.0, 2.0]},
+             {"parent": [9.0, 2.0], "change": [4.0, 0.5]}]
+    assert bench_compare.per_operation(labels, walls) == [
+        {"index": 0, "label": "classical-trajectory", "wall_s": {"parent": 7.0, "change": 3.0}},
+        {"index": 1, "label": "gedanken-box", "wall_s": {"parent": 2.0, "change": 0.75}},
+    ]
