@@ -321,11 +321,24 @@ def _step_rule_violation(member: dict[str, Any], written: Callable[[str], str]) 
             f"classical.dt = {written('classical.dt')}")
 
 
+def _lapse_horizon_violation(member: dict[str, Any],
+                             written: Callable[[str], str]) -> str | None:
+    """A uniform_lapse clock starts where the lapse 1 + g x^1 / c^2 is
+    positive, the same sum the metric checks at run time (c = 1 in a member)."""
+    if (member["classical.metric"] != "uniform_lapse"
+            or 1.0 + member["classical.lapse_g"] * member["classical.x1"] > 0.0):
+        return None
+    return (f"classical.x1: must start where the lapse "
+            f"1 + classical.lapse_g * classical.x1 / c^2 is positive, "
+            f"got classical.lapse_g = {written('classical.lapse_g')} and "
+            f"classical.x1 = {written('classical.x1')}")
+
+
 # Rules that join keys, checked on every run member (natural units) once each
 # key has passed alone; a message quotes the member's values as the config
 # gives them.
-_CROSS_KEY_RULES = {"CLASSICAL_TRAJECTORY": _step_rule_violation,
-                    "QUANTUM_OPTIMIZE": _bracket_violation}
+_CROSS_KEY_RULES = {"CLASSICAL_TRAJECTORY": (_step_rule_violation, _lapse_horizon_violation),
+                    "QUANTUM_OPTIMIZE": (_bracket_violation,)}
 
 
 def _convert(spec: ParamSpec, value: Any, src: UnitContext, dst: UnitContext) -> Any:
@@ -426,8 +439,8 @@ def parse_config(text: str, kind_hint: str | None = None) -> ScenarioConfig:
         for value in sweep.values)
     for spec in SCHEMAS[kind]:
         params.setdefault(spec.key, _convert(spec, spec.default, NATURAL_UNITS, ctx))
-    rule = _CROSS_KEY_RULES.get(kind)
-    if rule is not None:
+    rules = _CROSS_KEY_RULES.get(kind, ())
+    if rules:
         tags = {dim: tag for tag, dim in UNIT_TAGS.items()} if units is UnitSystem.SI else {}
 
         def written_in(given: dict[str, Any]) -> Callable[[str], str]:
@@ -437,7 +450,8 @@ def parse_config(text: str, kind_hint: str | None = None) -> ScenarioConfig:
                                                 for value in sweep.values]
         # members that differ only in other keys break a rule with one message
         violations = list(dict.fromkeys(filter(None, (
-            rule(member, written_in(values)) for member, values in zip(members, given)))))
+            rule(member, written_in(values)) for rule in rules
+            for member, values in zip(members, given)))))
         if violations:
             raise ConfigError(violations)
     return ScenarioConfig(kind=kind, params=params, sweep=sweep, output=output,

@@ -14,6 +14,7 @@ something to hide.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -141,7 +142,9 @@ def total_hamiltonian(pt, metric: StaticMetric, charge: float = 0.0,
 
 def _rhs_vector(z: np.ndarray, metric: StaticMetric, charge: float, c: float) -> np.ndarray:
     """Hamilton's equations at states z of shape (..., 10).  Per-clock
-    quantities are (..., 1) columns; absent metric fields drop out."""
+    quantities are (..., 1) columns; absent metric fields drop out.
+    ``_rhs_floats`` repeats it operation for operation on one state, for the
+    stepped flows; the tests pin the two bitwise equal, so change both."""
     p_tau, M = z[..., 1:2], z[..., 2:3]
     x = z[..., 4:7]
     gu, qf, R, w = _kinetic(z, metric, charge, c)
@@ -173,6 +176,66 @@ def _rhs_vector(z: np.ndarray, metric: StaticMetric, charge: float, c: float) ->
     return out
 
 
+def _floats3(value) -> list[float]:
+    """A vector field or gradient at one point as three floats; the metric
+    may give it broadcastable to (3,)."""
+    value = np.asarray(value, dtype=float)
+    return value.tolist() if value.shape == (3,) else np.broadcast_to(value, (3,)).tolist()
+
+
+def _rhs_floats(z: list[float], metric: StaticMetric, charge: float, c: float) -> list[float]:
+    """``_rhs_vector`` at one state given as ten Python floats, operation for
+    operation, with its checks and messages.  Float + - * / and math.sqrt
+    round as numpy's; the dot products stay ``np.vecdot``, which rounds
+    unlike a plain sum.  So the rates are bitwise those of ``_rhs_vector``."""
+    p_tau, M = z[1], z[2]
+    x = np.array(z[4:7])
+    u = z[7:10]
+    if metric.a_spatial is not None:
+        u = [p - charge * a for p, a in zip(u, _floats3(metric.pot3(x)))]
+    if metric.w is not None:
+        w = float(metric.conformal(x))
+        gu = [v / w for v in u]
+    else:
+        gu = [v + 0.0 for v in u]
+    gu_vec = np.array(gu)
+    qf = float(np.vecdot(np.array(u), gu_vec))
+    K2 = M * M + c * c * qf
+    if K2 <= 0.0:
+        raise ValueError("degenerate point: vanishing square-root argument")
+    R = math.sqrt(K2)
+    f = float(metric.lapse(x))
+    try:  # R^3 may underflow to 0, where numpy divides to inf or nan
+        phi1 = M - p_tau
+        c2 = c * c
+        R2 = R * R
+        R3 = R2 * R
+
+        fc2, s = f * c2, 1.0 / R + M * phi1 / R3
+        rates = [f * M / R, 0.0, 0.0, f * phi1 * c2 * qf / R3, *(fc2 * v * s for v in gu)]
+        dH = [0.0, 0.0, 0.0]
+        if metric.f is not None:
+            b = R - M * phi1 / R
+            dH = [g * b for g in _floats3(metric.lapse_grad(x))]
+        if metric.w is not None or metric.a_spatial is not None:
+            dqf = [0.0, 0.0, 0.0]
+            if metric.w is not None:
+                q = qf / w
+                dqf = [-g * q for g in _floats3(metric.grad_w(x))]
+            if metric.a_spatial is not None:
+                e2 = 2.0 * charge
+                grad_a_gu = np.vecdot(metric.pot3_grad(x), gu_vec).tolist()
+                dqf = [d - e2 * v for d, v in zip(dqf, grad_a_gu)]
+            R2x, k = 2.0 * R, f + f * M * phi1 / R2
+            dH = [h + c2 * d / R2x * k for h, d in zip(dH, dqf)]
+        if metric.a0 is not None:
+            ce = c * charge
+            dH = [h - ce * g for h, g in zip(dH, _floats3(metric.pot0_grad(x)))]
+        return rates + [-h for h in dH]
+    except ZeroDivisionError:
+        return _rhs_vector(np.array(z), metric, charge, c).tolist()
+
+
 def hamilton_rhs(pt: ExtendedPhaseSpacePoint, metric: StaticMetric,
                  charge: float = 0.0, units: UnitContext = NATURAL_UNITS) -> PhaseSpaceRates:
     """Canonical equations of motion from analytic partials of H."""
@@ -185,7 +248,8 @@ class Trajectory:
     """Coordinate times and the matching states: ``states[i]`` is the
     10-component state at ``times[i]``, or the (N, 10) states of a batch of
     N clocks integrated together.  ``rhs_evals`` counts the right-hand-side
-    evaluations that made them.  The audits below reduce over time and
+    evaluations that made them, over all clocks: 4 n_steps N for a stepped
+    batch, one for a stationary one.  The audits below reduce over time and
     return one value per clock of a batch."""
 
     times: np.ndarray
@@ -231,6 +295,23 @@ def whole_steps(t_end: float, dt: float) -> int | None:
     return n_steps
 
 
+def _rk4_floats(states: np.ndarray, metric: StaticMetric, charge: float, c: float,
+                dt: float) -> None:
+    """RK4 steps of one clock from ``states[0]`` into ``states[1:]``, with each
+    stage on ten Python floats: on one clock, numpy's per-call dispatch would
+    cost more than the arithmetic."""
+    stage, half, sixth = _rhs_floats, 0.5 * dt, dt / 6.0
+    z = states[0].tolist()
+    for i in range(1, len(states)):
+        k1 = stage(z, metric, charge, c)
+        k2 = stage([a + half * k for a, k in zip(z, k1)], metric, charge, c)
+        k3 = stage([a + half * k for a, k in zip(z, k2)], metric, charge, c)
+        k4 = stage([a + dt * k for a, k in zip(z, k3)], metric, charge, c)
+        z = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
+        states[i] = z
+
+
 def integrate(pt0, metric: StaticMetric, charge: float, t_end: float, dt: float,
               units: UnitContext = NATURAL_UNITS, hold_x: bool = False,
               out: np.ndarray | None = None) -> Trajectory:
@@ -247,8 +328,10 @@ def integrate(pt0, metric: StaticMetric, charge: float, t_end: float, dt: float,
     The rates read x and p only through the metric's fields, and p_tau and M
     do not move, so a held clock, or any clock in flat space without
     potentials, has the same rates at every RK4 stage.  Such a stationary
-    flow takes one evaluation, and the samples are summed step by step with
-    the loop's own increment, so they are bitwise those of the loop.
+    flow takes one evaluation for the batch, and the samples are summed step
+    by step with the loop's own increment, so they are bitwise those of the
+    loop.  Every other flow steps clock by clock, its stages on Python floats
+    (``_rhs_floats``), bitwise equal to the loop over ``_rhs_vector``.
     """
     z = pt0.as_vector() if isinstance(pt0, ExtendedPhaseSpacePoint) else np.array(
         [pt.as_vector() for pt in pt0])
@@ -262,31 +345,20 @@ def integrate(pt0, metric: StaticMetric, charge: float, t_end: float, dt: float,
     if n_steps is None:
         raise ValueError("t_end must be an integer number of steps")
 
-    c = units.c
-
-    def rhs(z: np.ndarray) -> np.ndarray:
-        dz = _rhs_vector(z, metric, charge, c)
-        if hold_x:
-            dz[..., 4:10] = 0.0
-        return dz
-
-    half, sixth = 0.5 * dt, dt / 6.0
     states = np.empty((n_steps + 1,) + z.shape) if out is None else out
     states[0] = z
     if hold_x or all(getattr(metric, name) is None for name in ("f", "w", "a0", "a_spatial")):
-        k = rhs(z)
-        states[1:] = sixth * (k + 2.0 * k + 2.0 * k + k)
+        k = _rhs_vector(z, metric, charge, units.c)
+        if hold_x:
+            k[..., 4:10] = 0.0
+        states[1:] = dt / 6.0 * (k + 2.0 * k + 2.0 * k + k)
         np.add.accumulate(states, axis=0, out=states)
         rhs_evals = 1
     else:
-        for i in range(n_steps):
-            k1 = rhs(z)
-            k2 = rhs(z + half * k1)
-            k3 = rhs(z + half * k2)
-            k4 = rhs(z + dt * k3)
-            z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            states[i + 1] = z
-        rhs_evals = 4 * n_steps
+        clocks = states[:, None] if z.ndim == 1 else states
+        for j in range(clocks.shape[1]):
+            _rk4_floats(clocks[:, j], metric, charge, units.c, dt)
+        rhs_evals = 4 * n_steps * clocks.shape[1]
     times = dt * np.arange(n_steps + 1)
     return Trajectory(times=times, states=states, dt=dt, rhs_evals=rhs_evals)
 

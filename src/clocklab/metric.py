@@ -26,8 +26,9 @@ MatrixFn = Callable[[np.ndarray], np.ndarray]   # (..., 3) -> (..., 3, 3)
 
 
 def _positive(values: np.ndarray, what: str) -> np.ndarray:
-    if values.min() <= 0.0:
-        raise ValueError(f"{what} must stay positive; got {values.min()}")
+    low = values.min() if isinstance(values, np.ndarray) else values  # a scalar at one point
+    if low <= 0.0:
+        raise ValueError(f"{what} must stay positive; got {low}")
     return values
 
 

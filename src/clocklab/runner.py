@@ -12,10 +12,11 @@ outer band of the proper-time window), and ``sw_bound``/``sw_bound_floor``/
 
 The JSON run report also carries ``diagnostics`` (quantum runs: the grid
 sizes n_e and n_p, the largest over sweep members; classical trajectories:
-``rk4_steps`` and ``rhs_evals`` over all batches, and ``batch_members``, the
-largest batch),
-``timings`` (``compute_s`` and ``write_s``) and the clocklab, numpy and
-Python ``versions``.
+``rk4_steps`` and ``rhs_evals`` over all batches and clocks, and
+``batch_members``, the largest batch),
+``timings`` (``compute_s`` and ``write_s``; classical trajectories also
+``integrate_s`` and ``audit_s``, the phases inside ``compute_s``, summed over
+batches) and the clocklab, numpy and Python ``versions``.
 """
 from __future__ import annotations
 
@@ -88,7 +89,7 @@ class RunReport:
     rows_written: int
     checks: tuple[CheckResult, ...]
     diagnostics: dict[str, int]  # grid sizes or RK4 work, empty for the other kinds
-    timings: dict[str, float]    # compute_s (everything before the CSV), write_s
+    timings: dict[str, float]    # compute_s (everything before the CSV), phases in it, write_s
 
     @property
     def all_passed(self) -> bool:
@@ -113,8 +114,8 @@ def _si_factor(dim: str) -> float | None:
 
 
 def _each(fn: Callable) -> Callable:
-    """A scenario that runs its members one at a time."""
-    return lambda members, seed: [fn(params, seed) for params in members]
+    """A scenario that runs its members one at a time, reporting no phases."""
+    return lambda members, seed: [(*fn(params, seed), {}) for params in members]
 
 
 # --- gedanken -------------------------------------------------------------
@@ -154,9 +155,10 @@ def _run_classical_trajectory(members: list[dict[str, Any]], seed: int):
     batches: dict[tuple, list[int]] = {}
     for j, params in enumerate(members):
         batches.setdefault(tuple(params[key] for key in _DYNAMICS_KEYS), []).append(j)
-    # every member reports the RK4 work of the whole call
+    # every member reports the RK4 work and the phase timings of the whole call
     diagnostics = {"rk4_steps": 0, "rhs_evals": 0,
                    "batch_members": max(map(len, batches.values()))}
+    phases = {"integrate_s": 0.0, "audit_s": 0.0}
     results: list = [None] * len(members)
     for indices in batches.values():
         batch = [members[j] for j in indices]
@@ -176,9 +178,11 @@ def _run_classical_trajectory(members: list[dict[str, Any]], seed: int):
         # also receives the integrated states
         n_steps = whole_steps(params["classical.t_end"], params["classical.dt"])
         table = np.empty((len(batch), n_steps + 1, len(_TRAJ_COLS)))
+        start = time.perf_counter()
         traj = integrate(points, metric, charge, params["classical.t_end"],
                          params["classical.dt"], hold_x=hold,
                          out=np.moveaxis(table[..., 1:11], 0, 1))
+        integrated = time.perf_counter()
         diagnostics["rk4_steps"] += n_steps
         diagnostics["rhs_evals"] += traj.rhs_evals
         H = hamiltonian_series(traj, metric, charge)
@@ -194,6 +198,8 @@ def _run_classical_trajectory(members: list[dict[str, Any]], seed: int):
         if not hold:  # a held clock is pushed off its free motion by the mount
             motion = geodesic_lorentz_residual(traj, metric, charge)
             floor = motion_rounding_floor(traj)
+        phases["integrate_s"] += integrated - start
+        phases["audit_s"] += time.perf_counter() - integrated
         for k, (j, p) in enumerate(zip(indices, batch)):
             checks = [_check(name, values[k]) for name, values in audits.items()]
             if not hold:
@@ -203,7 +209,7 @@ def _run_classical_trajectory(members: list[dict[str, Any]], seed: int):
                 h0 = math.sqrt(m * m + float(p_vec @ p_vec))
                 expected_tau = p["classical.tau0"] + p["classical.t_end"] * m / h0
                 checks.append(_check("tau_final", abs(traj.tau[-1, k] - expected_tau)))
-            results[j] = (_TRAJ_COLS, table[k], checks, diagnostics)
+            results[j] = (_TRAJ_COLS, table[k], checks, diagnostics, phases)
     return results
 
 
@@ -341,8 +347,8 @@ def _run_quantum_optimize(params: dict[str, Any], seed: int):
 
 
 # kind -> runner(member params, seed) -> one (columns, rows, checks,
-# diagnostics) per member; columns are (name, output dimension) pairs, rows
-# are a float matrix or a list of mixed rows
+# diagnostics, phase timings) per member; columns are (name, output dimension)
+# pairs, rows are a float matrix or a list of mixed rows
 _RUNNERS: dict[str, Callable] = {
     "GEDANKEN_BOX": _each(_run_gedanken),
     "GEDANKEN_EFIELD": _each(_run_gedanken),
@@ -364,8 +370,9 @@ def _merge_checks(all_checks: list[list[CheckResult]]) -> list[CheckResult]:
     return list(merged.values())
 
 
-def _merge_diagnostics(all_diagnostics: list[dict[str, int]]) -> dict[str, int]:
-    merged: dict[str, int] = {}
+def _merge_diagnostics(all_diagnostics: list[dict[str, float]]) -> dict[str, float]:
+    """The largest value of each name over the members."""
+    merged: dict[str, float] = {}
     for diagnostics in all_diagnostics:
         for name, value in diagnostics.items():
             merged[name] = max(merged.get(name, value), value)
@@ -396,17 +403,18 @@ def run(config: ScenarioConfig) -> RunReport:
     factors = ([_si_factor(dim) for _, dim in cols]
                if config.units is UnitSystem.SI else None)
     rows = []
-    for lead, (_, member_rows, _, _) in zip(leads, results):
+    for lead, (_, member_rows, *_) in zip(leads, results):
         if factors is not None:
             member_rows = _to_si(member_rows, factors)
         rows += ([FloatBlock(lead, member_rows)] if isinstance(member_rows, np.ndarray)
                  else [[*lead, *row] for row in member_rows])
     checks = _merge_checks([r[2] for r in results])
     diagnostics = _merge_diagnostics([r[3] for r in results])
+    phases = _merge_diagnostics([r[4] for r in results])
 
     written = time.perf_counter()
     count = emit_csv(rows, header, config.output)
-    timings = {"compute_s": written - start, "write_s": time.perf_counter() - written}
+    timings = {"compute_s": written - start, **phases, "write_s": time.perf_counter() - written}
     report = RunReport(scenario=config, rows_written=count, checks=tuple(checks),
                        diagnostics=diagnostics, timings=timings)
     _write_json_report(report)

@@ -3,6 +3,8 @@ import pytest
 
 from clocklab.dynamics import (
     ExtendedPhaseSpacePoint,
+    _rhs_floats,
+    _rhs_vector,
     base_hamiltonian,
     clock_at_rest,
     conservation_drift,
@@ -233,15 +235,73 @@ def test_stationary_flows_equal_the_four_stage_loop(pt0, metric, charge, hold):
     assert traj.rhs_evals == 1
 
 
+_B = np.array([[0.0, 0.02, -0.01], [0.03, 0.0, 0.01], [-0.02, 0.01, 0.0]])
+_VECTOR_POTENTIAL = StaticMetric(a_spatial=lambda x: x @ _B, grad_a_spatial=lambda x: _B)
+
+
+@pytest.mark.parametrize("pt0, metric, charge", [
+    (moving_clock(1.0, (0.3, -0.2, 0.1)), uniform_lapse_metric(0.05), 0.0),
+    (moving_clock(1.0, (0.3, 0.0, 0.1)), uniform_lapse_metric(0.05, a0_slope=0.02), 0.5),
+    (clock_at_rest(1.0), flat_metric(a0_slope=0.02), 0.5),
+    (moving_clock(1.0, (0.1, 0.05, -0.0), x=(0.5, 0.2, 0.0)), _ISOTROPIC, 0.0),
+    (moving_clock(1.0, (0.2, 0.1, -0.1), x=(0.5, -0.3, 0.2)), _VECTOR_POTENTIAL, 0.7),
+    ([moving_clock(1.0, (0.2, 0.0, 0.0)), moving_clock(2.0, (0.7, -0.3, 0.1), x=(1.0, 0.0, 0.5)),
+      clock_at_rest(0.5, x=(-2.0, 1.0, 0.0))], uniform_lapse_metric(0.05), 0.0),
+], ids=["lapse", "lapse-charged", "constant-force", "isotropic", "vector-potential",
+        "lapse-batch"])
+def test_stepped_flows_equal_the_four_stage_loop(pt0, metric, charge):
+    """A flow that is not stationary steps each clock on Python floats, and
+    every sample is bitwise the loop's over ``_rhs_vector``."""
+    traj = integrate(pt0, metric, charge, 1.0, 2e-3)
+    reference = rk4_reference(pt0, metric, charge, 1.0, 2e-3)
+    assert traj.states.tobytes() == reference.tobytes()
+    assert traj.rhs_evals == 4 * 500 * (1 if isinstance(pt0, ExtendedPhaseSpacePoint) else 3)
+
+
 def test_unheld_clock_in_a_field_takes_four_evaluations_per_step(monkeypatch):
     import clocklab.dynamics as dynamics
-    pt0, metric = moving_clock(1.0, (0.3, 0.0, 0.0)), uniform_lapse_metric(0.05)
-    reference = rk4_reference(pt0, metric, 0.0, 1.0, 1e-2)
-    calls, original = [], dynamics._rhs_vector
-    monkeypatch.setattr(dynamics, "_rhs_vector", lambda *a: calls.append(a) or original(*a))
-    traj = integrate(pt0, metric, 0.0, 1.0, 1e-2)
-    assert len(calls) == traj.rhs_evals == 4 * 100
-    assert traj.states.tobytes() == reference.tobytes()
+    metric = uniform_lapse_metric(0.05)
+    calls, original = [], dynamics._rhs_floats
+    monkeypatch.setattr(dynamics, "_rhs_floats", lambda *a: calls.append(a) or original(*a))
+    for clocks in (1, 3):  # four stage evaluations per step per clock
+        calls.clear()
+        traj = integrate([moving_clock(1.0, (0.1 * (j + 1), 0.0, 0.0)) for j in range(clocks)],
+                         metric, 0.0, 1.0, 1e-2)
+        assert len(calls) == traj.rhs_evals == 4 * 100 * clocks
+
+
+def _raised(fn, *args) -> str:
+    with pytest.raises(ValueError) as err:
+        fn(*args)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("pt, metric, start", [
+    (clock_at_rest(1.0, x=(-20.0, 0.0, 0.0)), uniform_lapse_metric(0.08),
+     "lapse must stay positive; got -0.6"),
+    (ExtendedPhaseSpacePoint(0.0, 0.0, 0.0, 0.0, np.zeros(3), np.zeros(3)),
+     uniform_lapse_metric(0.05), "degenerate point"),
+    (moving_clock(1.0, (0.1, 0.0, 0.0), x=(2.0, 0.0, 0.0)), isotropic_weak_field_metric(
+        lambda x: 0.3 * x[..., 0], lambda x: np.array([0.3, 0.0, 0.0])),
+     "spatial conformal factor must stay positive; got -0.1"),
+], ids=["lapse-non-positive", "degenerate", "conformal-non-positive"])
+def test_float_stages_raise_the_vector_messages(pt, metric, start):
+    z = pt.as_vector()
+    message = _raised(_rhs_vector, z, metric, 0.0, 1.0)
+    assert message.startswith(start)
+    assert _raised(_rhs_floats, z.tolist(), metric, 0.0, 1.0) == message
+    assert _raised(integrate, pt, metric, 0.0, 1.0, 1e-2) == message
+
+
+def test_float_stages_divide_as_numpy_where_a_product_underflows():
+    """At rest energy 1e-120, R^3 underflows to 0: the stage falls back to
+    ``_rhs_vector``, whose 0/0 gives nan (a failed check, not a crash)."""
+    pt0, metric = clock_at_rest(1e-120), uniform_lapse_metric(0.01)
+    with np.errstate(all="ignore"):
+        traj = integrate(pt0, metric, 0.0, 0.1, 1e-3)
+        reference = rk4_reference(pt0, metric, 0.0, 0.1, 1e-3)
+    assert np.isnan(traj.states[1:, 3]).all()
+    assert np.array_equal(traj.states, reference, equal_nan=True)
 
 
 @pytest.mark.parametrize("case", ["isotropic", "constant-force"])

@@ -235,8 +235,8 @@ def test_report_json_contents(tmp_path):
                                    "python": platform.python_version()}
     # classical trajectories report their RK4 work: a p1 sweep is one batch
     # of all its members, a lapse_g sweep one batch per member; a free flat
-    # clock takes one RHS evaluation per batch, an unheld lapse clock four
-    # per step
+    # batch takes one RHS evaluation, an unheld lapse clock four per step;
+    # their timings split compute_s into the integrate and audit phases
     steps = "classical.t_end = 1\nclassical.dt = 1e-2\n"
     for body, diagnostics in (
             ("", {"rk4_steps": 100, "rhs_evals": 1, "batch_members": 1}),
@@ -244,11 +244,18 @@ def test_report_json_contents(tmp_path):
              {"rk4_steps": 100, "rhs_evals": 1, "batch_members": 3}),
             ("classical.metric = uniform_lapse\nsweep.param = classical.lapse_g\n"
              "sweep.values = 0.01, 0.02\n",
-             {"rk4_steps": 200, "rhs_evals": 800, "batch_members": 1})):
+             {"rk4_steps": 200, "rhs_evals": 800, "batch_members": 1}),
+            ("classical.metric = uniform_lapse\nclassical.lapse_g = 0.01\n"
+             "sweep.param = classical.p1\nsweep.values = 0.2, 0.4, 0.6\n",
+             {"rk4_steps": 100, "rhs_evals": 1200, "batch_members": 3})):
         cfg, out = _cfg(tmp_path, "CLASSICAL_TRAJECTORY", steps + body, name="c.csv")
         run(cfg)
         payload = json.loads(out.with_suffix(".report.json").read_text())
         assert payload["diagnostics"] == diagnostics
+        timings = payload["timings"]
+        assert set(timings) == {"compute_s", "integrate_s", "audit_s", "write_s"}
+        assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+        assert timings["integrate_s"] + timings["audit_s"] <= timings["compute_s"]
 
 
 # --- cli ---------------------------------------------------------------------
@@ -529,18 +536,23 @@ def test_one_hamiltonian_pass_per_trajectory(tmp_path, monkeypatch):
 
 def test_sweep_integrates_as_one_batch(tmp_path, monkeypatch):
     import clocklab.dynamics as dynamics
-    calls = _count_calls(monkeypatch, dynamics, "_rhs_vector")
-    # RHS evaluations for the whole batch, not per member: four per RK4 step
-    # under a lapse, one for the stationary flat flow
-    for metric, rhs_calls in (("uniform_lapse", 4 * 200), ("flat", 1)):
-        calls.clear()
+    vector_calls = _count_calls(monkeypatch, dynamics, "_rhs_vector")
+    float_calls = _count_calls(monkeypatch, dynamics, "_rhs_floats")
+    # one integration of the whole batch: the stationary flat flow takes one
+    # (4, 10) RHS evaluation; under a lapse each member steps on floats, four
+    # stage evaluations per RK4 step
+    for metric, vector_shapes, stages in (("uniform_lapse", [], 4 * 200 * 4),
+                                          ("flat", [(4, 10)], 0)):
+        vector_calls.clear()
+        float_calls.clear()
         cfg, _ = _cfg(tmp_path, "CLASSICAL_TRAJECTORY",
                       "classical.t_end = 0.2\nclassical.dt = 1e-3\n"
                       f"classical.metric = {metric}\nclassical.lapse_g = 0.05\n"
                       "sweep.param = classical.p1\nsweep.values = 0.2, 0.4, 0.6, 0.8\n")
-        assert run(cfg).all_passed
-        assert len(calls) == rhs_calls
-        assert {args[0].shape for args in calls} == {(4, 10)}
+        report = run(cfg)
+        assert report.all_passed and report.diagnostics["batch_members"] == 4
+        assert [args[0].shape for args in vector_calls] == vector_shapes
+        assert len(float_calls) == stages
 
 
 # sha256 of each scenario's CSV at its default config, recorded before the
@@ -614,6 +626,29 @@ def test_bracket_rule_checks_each_sweep_member(tmp_path, capsys):
     assert err.count("config error") == 1
     assert "config error: optimize.sigma_lo: must be" in err
     assert "got 0.5 and 0.1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("settings, written", [
+    (["classical.lapse_g=0.08", "classical.x1=-20"],
+     "classical.lapse_g = 0.08 and classical.x1 = -20.0"),
+    (["classical.lapse_g=0.08", "classical.x1=-12.5"],
+     "classical.lapse_g = 0.08 and classical.x1 = -12.5"),
+    (["units=SI", "classical.lapse_g=9.8", "classical.x1=-1e16"],
+     "classical.lapse_g = 9.8 m/s^2 and classical.x1 = -1e+16 m"),
+], ids=["below", "on-horizon", "si"])
+def test_cli_start_below_the_lapse_horizon_is_a_config_error(tmp_path, capsys, settings,
+                                                             written):
+    """A uniform_lapse clock that starts where 1 + g x1 / c^2 <= 0 exits 2
+    naming classical.x1, quoting the values as written, and writes nothing."""
+    out = tmp_path / "x.csv"
+    argv = ["classical", "trajectory", "--set", "classical.metric=uniform_lapse"]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert main(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: classical.x1: must start where the lapse" in err
+    assert f"got {written}" in err
     assert not out.exists()
 
 
