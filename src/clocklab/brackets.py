@@ -122,10 +122,12 @@ def dirac_table(pt: ExtendedPhaseSpacePoint, h_step: float = DEFAULT_H_STEP
 
 def random_points(seed: int, count: int, scale: float = 2.0) -> list[ExtendedPhaseSpacePoint]:
     """Reproducible off-surface probe points; stream i is keyed (seed, i)
-    under the counter-based Philox generator, so probes are splittable."""
+    under the counter-based Philox generator, so probes are splittable.
+    The key is built as uint64: a plain list of a seed above 2**63 would
+    pass through float64 and lose its low bits."""
     pts = []
     for i in range(count):
-        rng = np.random.Generator(np.random.Philox(key=[seed, i]))
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
         z = rng.uniform(-scale, scale, size=10)
         z[2] += 2.0 * scale  # keep M away from zero so square roots stay off the cone
         pts.append(ExtendedPhaseSpacePoint.from_vector(z))

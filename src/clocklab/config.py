@@ -6,10 +6,10 @@ are numbers, comma-separated number lists, or enumerated strings; in SI
 configs a numeric value may carry a unit tag, e.g. ``box.g = 9.81 m/s^2``,
 which must match the dimension the schema declares for that key.
 
-Reserved top-level keys: ``kind``, ``units`` (SI or NATURAL), ``seed``,
-``output``, and the sweep block ``sweep.param`` plus either
-``sweep.values`` or ``sweep.min``/``sweep.max``/``sweep.count`` (with
-optional ``sweep.scale`` = linear|log).
+Reserved top-level keys: ``kind``, ``units`` (SI or NATURAL), ``seed`` (an
+integer in [0, 2**64)), ``output``, and the sweep block ``sweep.param`` plus
+either ``sweep.values`` alone or ``sweep.min``/``sweep.max``/``sweep.count``
+(with optional ``sweep.scale`` = linear|log).
 
 This module is the unit boundary for input: schema defaults and bounds are
 natural-unit values, ``ScenarioConfig.members`` holds one param dict per run
@@ -264,6 +264,12 @@ def _resolve_sweep(raw: dict[str, str], schema: dict[str, ParamSpec], units: Uni
         violations.append(f"sweep: parameter {param!r} is not a sweepable numeric key")
         return None
     if "sweep.values" in raw:
+        ignored = [k for k in ("sweep.min", "sweep.max", "sweep.count", "sweep.scale")
+                   if k in raw]
+        if ignored:
+            violations.append(f"sweep.values: must be given alone, "
+                              f"not with {', '.join(ignored)}, which it would ignore")
+            return None
         values = _parse_list("sweep.values", raw["sweep.values"], violations)
         if values is None:
             return None
@@ -383,6 +389,8 @@ def parse_config(text: str, kind_hint: str | None = None) -> ScenarioConfig:
             seed = int(raw["seed"])
         except ValueError:
             violations.append(f"seed: non-integer value {raw['seed']!r}")
+        if not 0 <= seed < 2**64:  # a Philox key word is a uint64
+            violations.append(f"seed: must be in [0, 2**64), the Philox key range, got {seed}")
 
     if kind is None:
         raise ConfigError(violations)

@@ -4,8 +4,13 @@ energy M are canonical variables alongside the spatial pair (x, p).
 The system carries the second-class constraint pair phi1 = M - p_tau,
 phi2 = p_M; with the consistency-fixed multipliers the total Hamiltonian is
 
-    H = H0 - f M (M - p_tau) / sqrt(M^2 + c^2 g^{ij} u_i u_j),
-    H0 = f sqrt(M^2 + c^2 g^{ij} u_i u_j) - c e A_0,      u_i = p_i - e A_i.
+    H = H0 - f M (M - p_tau) / sqrt(M^2 + c^2 g^{ij} p_i p_j),
+    H0 = f sqrt(M^2 + c^2 g^{ij} p_i p_j) - c e A_0.
+
+The background has a lapse f, a conformal factor w of g_ij and a scalar
+potential A_0, but no vector potential A_i, so the kinetic momentum
+u = p - e A is p itself.  The code runs at c = 1; the formulas keep the
+symbol.
 
 On the constraint surface H reduces to H0, tau advances at the metric
 proper-time rate, and M, p_tau, p_M are conserved.  Integration is plain
@@ -21,7 +26,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .metric import StaticMetric, field_tensor, four_metric, inverse_four_metric
-from .units import NATURAL_UNITS, UnitContext
 
 CONSTRAINT_SURFACE_TOL = 1e-12
 _AUDIT_WINDOW = 512
@@ -98,80 +102,72 @@ def _column(value):
     return value[..., None] if isinstance(value, np.ndarray) else value
 
 
-def _kinetic(z: np.ndarray, metric: StaticMetric, charge: float, c: float):
+def _kinetic(z: np.ndarray, metric: StaticMetric):
     """Common kinetic pieces at states z of shape (..., 10), as (..., 1)
-    columns where per clock: g^{ij}u_j with u = p - eA, |u|^2_g, the root R
-    and the conformal factor w of g_ij."""
-    u = z[..., 7:10]
-    if metric.a_spatial is not None:
-        u = u - charge * metric.pot3(z[..., 4:7])
+    columns where per clock: g^{ij}p_j, |p|^2_g, the root R and the
+    conformal factor w of g_ij."""
+    p = z[..., 7:10]
     w = _column(metric.conformal(z[..., 4:7]))
-    gu = u / w if metric.w is not None else u + 0.0  # -0.0 -> 0.0, as g^{ij} u_j gives
-    qf = np.vecdot(u, gu, keepdims=True)
-    K2 = z[..., 2:3] * z[..., 2:3] + c * c * qf
+    gp = p / w if metric.w is not None else p + 0.0  # -0.0 -> 0.0, as g^{ij} p_j gives
+    qf = np.vecdot(p, gp, keepdims=True)
+    K2 = z[..., 2:3] * z[..., 2:3] + qf
     if K2.min() <= 0.0:
         raise ValueError("degenerate point: vanishing square-root argument")
-    return gu, qf, np.sqrt(K2), w
+    return gp, qf, np.sqrt(K2), w
 
 
-def _hamiltonian(pt, metric: StaticMetric, charge: float, c: float, constrained: bool):
+def _hamiltonian(pt, metric: StaticMetric, charge: float, constrained: bool):
     z = pt.as_vector() if isinstance(pt, ExtendedPhaseSpacePoint) else np.asarray(pt, float)
     x, M = z[..., 4:7], z[..., 2]
-    R = _kinetic(z, metric, charge, c)[2][..., 0]
+    R = _kinetic(z, metric)[2][..., 0]
     f = metric.lapse(x)
-    h = f * R - c * charge * metric.pot0(x)
+    h = f * R - charge * metric.pot0(x)
     if constrained:
         h = h - f * M * (M - z[..., 1]) / R
     return float(h) if z.ndim == 1 else h
 
 
-def base_hamiltonian(pt, metric: StaticMetric, charge: float = 0.0,
-                     units: UnitContext = NATURAL_UNITS):
-    """H0 = f sqrt(M^2 + c^2 g^{ij} u_i u_j) - c e A_0, at a point (a float)
+def base_hamiltonian(pt, metric: StaticMetric, charge: float = 0.0):
+    """H0 = f sqrt(M^2 + c^2 g^{ij} p_i p_j) - c e A_0, at a point (a float)
     or at every state of a (..., 10) array."""
-    return _hamiltonian(pt, metric, charge, units.c, constrained=False)
+    return _hamiltonian(pt, metric, charge, constrained=False)
 
 
-def total_hamiltonian(pt, metric: StaticMetric, charge: float = 0.0,
-                      units: UnitContext = NATURAL_UNITS):
+def total_hamiltonian(pt, metric: StaticMetric, charge: float = 0.0):
     """Constraint-consistent Hamiltonian H0 - f M (M - p_tau) / R, at a point
     (a float) or at every state of a (..., 10) array; coincides with H0 when
     phi1 = 0."""
-    return _hamiltonian(pt, metric, charge, units.c, constrained=True)
+    return _hamiltonian(pt, metric, charge, constrained=True)
 
 
-def _rhs_vector(z: np.ndarray, metric: StaticMetric, charge: float, c: float) -> np.ndarray:
+def _rhs_vector(z: np.ndarray, metric: StaticMetric, charge: float) -> np.ndarray:
     """Hamilton's equations at states z of shape (..., 10).  Per-clock
     quantities are (..., 1) columns; absent metric fields drop out.
     ``_rhs_floats`` repeats it operation for operation on one state, for the
     stepped flows; the tests pin the two bitwise equal, so change both."""
     p_tau, M = z[..., 1:2], z[..., 2:3]
     x = z[..., 4:7]
-    gu, qf, R, w = _kinetic(z, metric, charge, c)
+    gp, qf, R, w = _kinetic(z, metric)
     f = _column(metric.lapse(x))
     phi1 = M - p_tau
-    c2 = c * c
     R2 = R * R
     R3 = R2 * R
 
     out = np.empty(z.shape)
     out[..., 0:1] = f * M / R               # tau rate: dH/dp_tau
     out[..., 1:3] = 0.0                     # H is tau- and p_M-independent
-    out[..., 3:4] = f * phi1 * c2 * qf / R3  # p_M = -dH/dM; vanishes on surface
-    out[..., 4:7] = f * c2 * gu * (1.0 / R + M * phi1 / R3)
+    out[..., 3:4] = f * phi1 * qf / R3      # p_M = -dH/dM; vanishes on surface
+    out[..., 4:7] = f * gp * (1.0 / R + M * phi1 / R3)
 
     dH = 0.0
     if metric.f is not None:
         dH = metric.lapse_grad(x) * (R - M * phi1 / R)
-    if metric.w is not None or metric.a_spatial is not None:
-        # d g^{ij}/dx^k u_i u_j = -(dw/dx^k / w) |u|^2_g for g_ij = w delta_ij
-        dqf = -metric.grad_w(x) * (qf / w) if metric.w is not None else 0.0
-        if metric.a_spatial is not None:
-            dqf = dqf - 2.0 * charge * np.vecdot(metric.pot3_grad(x), gu[..., None, :])
-        dR = c2 * dqf / (2.0 * R)
+    if metric.w is not None:
+        # d g^{ij}/dx^k p_i p_j = -(dw/dx^k / w) |p|^2_g for g_ij = w delta_ij
+        dR = -metric.grad_w(x) * (qf / w) / (2.0 * R)
         dH = dH + dR * (f + f * M * phi1 / R2)
     if metric.a0 is not None:
-        dH = dH - c * charge * metric.pot0_grad(x)
+        dH = dH - charge * metric.pot0_grad(x)
     out[..., 7:10] = -dH
     return out
 
@@ -183,63 +179,50 @@ def _floats3(value) -> list[float]:
     return value.tolist() if value.shape == (3,) else np.broadcast_to(value, (3,)).tolist()
 
 
-def _rhs_floats(z: list[float], metric: StaticMetric, charge: float, c: float) -> list[float]:
+def _rhs_floats(z: list[float], metric: StaticMetric, charge: float) -> list[float]:
     """``_rhs_vector`` at one state given as ten Python floats, operation for
     operation, with its checks and messages.  Float + - * / and math.sqrt
     round as numpy's; the dot products stay ``np.vecdot``, which rounds
     unlike a plain sum.  So the rates are bitwise those of ``_rhs_vector``."""
     p_tau, M = z[1], z[2]
     x = np.array(z[4:7])
-    u = z[7:10]
-    if metric.a_spatial is not None:
-        u = [p - charge * a for p, a in zip(u, _floats3(metric.pot3(x)))]
+    p = z[7:10]
     if metric.w is not None:
         w = float(metric.conformal(x))
-        gu = [v / w for v in u]
+        gp = [v / w for v in p]
     else:
-        gu = [v + 0.0 for v in u]
-    gu_vec = np.array(gu)
-    qf = float(np.vecdot(np.array(u), gu_vec))
-    K2 = M * M + c * c * qf
+        gp = [v + 0.0 for v in p]
+    qf = float(np.vecdot(np.array(p), np.array(gp)))
+    K2 = M * M + qf
     if K2 <= 0.0:
         raise ValueError("degenerate point: vanishing square-root argument")
     R = math.sqrt(K2)
     f = float(metric.lapse(x))
     try:  # R^3 may underflow to 0, where numpy divides to inf or nan
         phi1 = M - p_tau
-        c2 = c * c
         R2 = R * R
         R3 = R2 * R
 
-        fc2, s = f * c2, 1.0 / R + M * phi1 / R3
-        rates = [f * M / R, 0.0, 0.0, f * phi1 * c2 * qf / R3, *(fc2 * v * s for v in gu)]
+        s = 1.0 / R + M * phi1 / R3
+        rates = [f * M / R, 0.0, 0.0, f * phi1 * qf / R3, *(f * v * s for v in gp)]
         dH = [0.0, 0.0, 0.0]
         if metric.f is not None:
             b = R - M * phi1 / R
             dH = [g * b for g in _floats3(metric.lapse_grad(x))]
-        if metric.w is not None or metric.a_spatial is not None:
-            dqf = [0.0, 0.0, 0.0]
-            if metric.w is not None:
-                q = qf / w
-                dqf = [-g * q for g in _floats3(metric.grad_w(x))]
-            if metric.a_spatial is not None:
-                e2 = 2.0 * charge
-                grad_a_gu = np.vecdot(metric.pot3_grad(x), gu_vec).tolist()
-                dqf = [d - e2 * v for d, v in zip(dqf, grad_a_gu)]
-            R2x, k = 2.0 * R, f + f * M * phi1 / R2
-            dH = [h + c2 * d / R2x * k for h, d in zip(dH, dqf)]
+        if metric.w is not None:
+            q, R2x, k = qf / w, 2.0 * R, f + f * M * phi1 / R2
+            dH = [h + -g * q / R2x * k for h, g in zip(dH, _floats3(metric.grad_w(x)))]
         if metric.a0 is not None:
-            ce = c * charge
-            dH = [h - ce * g for h, g in zip(dH, _floats3(metric.pot0_grad(x)))]
+            dH = [h - charge * g for h, g in zip(dH, _floats3(metric.pot0_grad(x)))]
         return rates + [-h for h in dH]
     except ZeroDivisionError:
-        return _rhs_vector(np.array(z), metric, charge, c).tolist()
+        return _rhs_vector(np.array(z), metric, charge).tolist()
 
 
 def hamilton_rhs(pt: ExtendedPhaseSpacePoint, metric: StaticMetric,
-                 charge: float = 0.0, units: UnitContext = NATURAL_UNITS) -> PhaseSpaceRates:
+                 charge: float = 0.0) -> PhaseSpaceRates:
     """Canonical equations of motion from analytic partials of H."""
-    z = _rhs_vector(pt.as_vector(), metric, charge, units.c)
+    z = _rhs_vector(pt.as_vector(), metric, charge)
     return PhaseSpaceRates(z[0], z[1], z[2], z[3], z[4:7], z[7:10])
 
 
@@ -295,26 +278,24 @@ def whole_steps(t_end: float, dt: float) -> int | None:
     return n_steps
 
 
-def _rk4_floats(states: np.ndarray, metric: StaticMetric, charge: float, c: float,
-                dt: float) -> None:
+def _rk4_floats(states: np.ndarray, metric: StaticMetric, charge: float, dt: float) -> None:
     """RK4 steps of one clock from ``states[0]`` into ``states[1:]``, with each
     stage on ten Python floats: on one clock, numpy's per-call dispatch would
     cost more than the arithmetic."""
     stage, half, sixth = _rhs_floats, 0.5 * dt, dt / 6.0
     z = states[0].tolist()
     for i in range(1, len(states)):
-        k1 = stage(z, metric, charge, c)
-        k2 = stage([a + half * k for a, k in zip(z, k1)], metric, charge, c)
-        k3 = stage([a + half * k for a, k in zip(z, k2)], metric, charge, c)
-        k4 = stage([a + dt * k for a, k in zip(z, k3)], metric, charge, c)
+        k1 = stage(z, metric, charge)
+        k2 = stage([a + half * k for a, k in zip(z, k1)], metric, charge)
+        k3 = stage([a + half * k for a, k in zip(z, k2)], metric, charge)
+        k4 = stage([a + dt * k for a, k in zip(z, k3)], metric, charge)
         z = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
              for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
         states[i] = z
 
 
 def integrate(pt0, metric: StaticMetric, charge: float, t_end: float, dt: float,
-              units: UnitContext = NATURAL_UNITS, hold_x: bool = False,
-              out: np.ndarray | None = None) -> Trajectory:
+              *, hold_x: bool = False, out: np.ndarray | None = None) -> Trajectory:
     """Fixed-step RK4 trajectory from on-surface initial data.
 
     ``pt0`` is one point, giving states of shape (n_steps + 1, 10), or a
@@ -347,8 +328,8 @@ def integrate(pt0, metric: StaticMetric, charge: float, t_end: float, dt: float,
 
     states = np.empty((n_steps + 1,) + z.shape) if out is None else out
     states[0] = z
-    if hold_x or all(getattr(metric, name) is None for name in ("f", "w", "a0", "a_spatial")):
-        k = _rhs_vector(z, metric, charge, units.c)
+    if hold_x or all(getattr(metric, name) is None for name in ("f", "w", "a0")):
+        k = _rhs_vector(z, metric, charge)
         if hold_x:
             k[..., 4:10] = 0.0
         states[1:] = dt / 6.0 * (k + 2.0 * k + 2.0 * k + k)
@@ -357,7 +338,7 @@ def integrate(pt0, metric: StaticMetric, charge: float, t_end: float, dt: float,
     else:
         clocks = states[:, None] if z.ndim == 1 else states
         for j in range(clocks.shape[1]):
-            _rk4_floats(clocks[:, j], metric, charge, units.c, dt)
+            _rk4_floats(clocks[:, j], metric, charge, dt)
         rhs_evals = 4 * n_steps * clocks.shape[1]
     times = dt * np.arange(n_steps + 1)
     return Trajectory(times=times, states=states, dt=dt, rhs_evals=rhs_evals)
@@ -369,10 +350,10 @@ def constraint_drift(traj: Trajectory):
     return np.abs(phi1).max(axis=0), np.abs(phi2).max(axis=0)
 
 
-def hamiltonian_series(traj: Trajectory, metric: StaticMetric, charge: float = 0.0,
-                       units: UnitContext = NATURAL_UNITS) -> np.ndarray:
+def hamiltonian_series(traj: Trajectory, metric: StaticMetric,
+                       charge: float = 0.0) -> np.ndarray:
     """Total Hamiltonian at every sample of the trajectory, in one pass."""
-    return total_hamiltonian(traj.states, metric, charge, units)
+    return total_hamiltonian(traj.states, metric, charge)
 
 
 def relative_drift(series: np.ndarray):
@@ -381,32 +362,28 @@ def relative_drift(series: np.ndarray):
     return (series.max(axis=0) - series.min(axis=0)) / np.maximum(np.abs(series[0]), 1e-300)
 
 
-def conservation_drift(traj: Trajectory, metric: StaticMetric, charge: float = 0.0,
-                       units: UnitContext = NATURAL_UNITS):
+def conservation_drift(traj: Trajectory, metric: StaticMetric, charge: float = 0.0):
     """Relative peak-to-peak drift of (H, M) along the trajectory."""
-    return (relative_drift(hamiltonian_series(traj, metric, charge, units)),
+    return (relative_drift(hamiltonian_series(traj, metric, charge)),
             relative_drift(traj.states[..., 2]))
 
 
-def proper_time_residual(traj: Trajectory, metric: StaticMetric,
-                         units: UnitContext = NATURAL_UNITS):
+def proper_time_residual(traj: Trajectory, metric: StaticMetric):
     """Peak deviation of the integrated tau rate from the metric rate
     sqrt(f^2 - g_ij xdot^i xdot^j / c^2), with rates taken by central
     differences of the trajectory itself."""
     if len(traj) < 3:
         raise ValueError("trajectory too short for central differences")
-    c = units.c
     tau_dot = (traj.tau[2:] - traj.tau[:-2]) / (2.0 * traj.dt)
     x_dot = (traj.x[2:] - traj.x[:-2]) / (2.0 * traj.dt)
     x = traj.x[1:-1]
     f = metric.lapse(x)
     speed2 = metric.conformal(x) * np.vecdot(x_dot, x_dot)
-    rate = np.sqrt(np.maximum(f * f - speed2 / (c * c), 0.0))
+    rate = np.sqrt(np.maximum(f * f - speed2, 0.0))
     return np.abs(tau_dot - rate).max(axis=0)
 
 
-def geodesic_lorentz_residual(traj: Trajectory, metric: StaticMetric, charge: float = 0.0,
-                              units: UnitContext = NATURAL_UNITS):
+def geodesic_lorentz_residual(traj: Trajectory, metric: StaticMetric, charge: float = 0.0):
     """Peak violation, per unit rest mass M/c^2, of the proper-time-
     parameterized equation of motion
 
@@ -422,27 +399,27 @@ def geodesic_lorentz_residual(traj: Trajectory, metric: StaticMetric, charge: fl
         raise ValueError("tau must be strictly increasing along the trajectory")
     # windows of _AUDIT_WINDOW samples plus one on each side bound the temporaries
     return np.max([_motion_residual(traj.states[a - 1:a + _AUDIT_WINDOW + 1], traj.dt, metric,
-                                    charge, units.c)
+                                    charge)
                    for a in range(1, len(traj) - 1, _AUDIT_WINDOW)], axis=0)
 
 
-def motion_rounding_floor(traj: Trajectory, units: UnitContext = NATURAL_UNITS):
+def motion_rounding_floor(traj: Trajectory):
     """Bound on the rounding part of ``geodesic_lorentz_residual``, per clock:
     each sample carries a relative rounding eps, which the second
     differences divide by dt^2 and the change to proper time by
     (dtau/dt)^3, so the bound grows with the reach |x|, |tau| of the samples."""
     dt = traj.dt
     rate = np.diff(traj.tau, axis=0).min(axis=0) / dt
-    speed = np.maximum(np.abs(np.diff(traj.x, axis=0)).max(axis=(0, -1)) / dt, units.c)
+    speed = np.maximum(np.abs(np.diff(traj.x, axis=0)).max(axis=(0, -1)) / dt, 1.0)  # >= c
     reach = rate * np.abs(traj.x).max(axis=(0, -1)) + speed * np.abs(traj.tau).max(axis=0)
     return 4.0 * np.finfo(float).eps * reach / (rate**3 * dt * dt)
 
 
-def _motion_residual(states: np.ndarray, dt: float, metric: StaticMetric, charge: float,
-                     c: float) -> np.ndarray:
+def _motion_residual(states: np.ndarray, dt: float, metric: StaticMetric,
+                     charge: float) -> np.ndarray:
     tau, x = states[..., 0], states[..., 4:7]
     time_first = [(0, 0)] * (x.ndim - 1) + [(1, 0)]  # prepends x^0 = c t: rate c, no curvature
-    dx_dt = np.pad((x[2:] - x[:-2]) / (2.0 * dt), time_first, constant_values=c)
+    dx_dt = np.pad((x[2:] - x[:-2]) / (2.0 * dt), time_first, constant_values=1.0)
     d2x_dt2 = np.pad((x[2:] - 2.0 * x[1:-1] + x[:-2]) / (dt * dt), time_first)
     dtau_dt = ((tau[2:] - tau[:-2]) / (2.0 * dt))[..., None]
     d2tau_dt2 = ((tau[2:] - 2.0 * tau[1:-1] + tau[:-2]) / (dt * dt))[..., None]
@@ -452,11 +429,11 @@ def _motion_residual(states: np.ndarray, dt: float, metric: StaticMetric, charge
     # Gamma^r_{mn} v^m v^n = g^{rs} (d_k g_{sn} v^k v^n - d_s g_{mn} v^m v^n / 2)
     # with d_0 = 0, contracted without forming Gamma; f^{rm} g_{mn} v^n = g^{ra} f_{an} v^n
     x = x[1:-1]
-    _, dg4 = four_metric(metric, x, c)
+    _, dg4 = four_metric(metric, x)
     dg_vv = np.einsum("...kmn,...m,...n->...k", dg4, xdot, xdot)
     lowered = (np.einsum("...ksn,...k,...n->...s", dg4, xdot[..., 1:], xdot)
                - np.pad(0.5 * dg_vv, time_first)
-               - (charge * c * c / states[1:-1, ..., 2, None])
+               - (charge / states[1:-1, ..., 2, None])
                * (field_tensor(metric, x) @ xdot[..., None])[..., 0])
     residual = xddot + (inverse_four_metric(metric, x) @ lowered[..., None])[..., 0]
     return np.abs(residual).max(axis=(0, -1))

@@ -7,6 +7,10 @@ and end up with the same product of rest-mass and proper-time latitudes.
 The reading-accuracy relation is sharpened to the equality dp = h/dq so the
 cancellation of the product is exact and testable; reports carry the product
 normalized both by h and by hbar/2 since both conventions are in use.
+
+Unlike the physics layers, which run at hbar = c = 1, these formulas take
+a ``UnitContext``: the runner passes natural units, and the tests and
+``scripts/weighing_sweep.py`` also check the cancellation in SI arithmetic.
 """
 from __future__ import annotations
 

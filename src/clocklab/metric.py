@@ -1,5 +1,6 @@
-"""Static background fields for the clock: lapse, spatial metric and
-electromagnetic potentials, all functions of the spatial position only.
+"""Static background fields for the clock, all functions of the spatial
+position only: the lapse f, the spatial conformal factor w and the scalar
+potential A_0.  Everything runs at c = 1; the formulas keep the symbol.
 
 The four-metric is diag(-f^2, g_ij) with x^0 = c*t and a conformally flat
 spatial metric g_ij = w(x) delta_ij, so its inverse is delta_ij / w and no
@@ -22,7 +23,6 @@ import numpy as np
 
 ScalarFn = Callable[[np.ndarray], np.ndarray]   # (..., 3) -> (...)
 VectorFn = Callable[[np.ndarray], np.ndarray]   # (..., 3) -> (..., 3)
-MatrixFn = Callable[[np.ndarray], np.ndarray]   # (..., 3) -> (..., 3, 3)
 
 
 def _positive(values: np.ndarray, what: str) -> np.ndarray:
@@ -33,29 +33,26 @@ def _positive(values: np.ndarray, what: str) -> np.ndarray:
 
 
 # field -> name of its gradient
-_GRADIENTS = {"f": "grad_f", "w": "grad_w", "a0": "grad_a0", "a_spatial": "grad_a_spatial"}
+_GRADIENTS = {"f": "grad_f", "w": "grad_w", "a0": "grad_a0"}
 
 
 @dataclass(frozen=True, eq=False)
 class StaticMetric:
-    """Lapse f (g_00 = -f^2), spatial metric g_ij = w delta_ij, potentials
-    A_0 and A_i.
+    """Lapse f (g_00 = -f^2), spatial metric g_ij = w delta_ij and scalar
+    potential A_0; the vector potential A_i is zero.
 
-    A field left as None is absent: f = w = 1 and A = 0, and the dynamics
+    A field left as None is absent: f = w = 1 and A_0 = 0, and the dynamics
     skip its terms.  A field that is given needs its gradient: ``grad_f``,
-    ``grad_w`` and ``grad_a0`` return values broadcastable to (..., 3),
-    ``grad_a_spatial`` to (..., 3, 3) indexed [..., k, i] = d A_i/dx^k.  The
+    ``grad_w`` and ``grad_a0`` return values broadcastable to (..., 3).  The
     accessors below return floats for absent fields, which broadcast.
     """
 
     f: ScalarFn | None = None
     w: ScalarFn | None = None
     a0: ScalarFn | None = None
-    a_spatial: VectorFn | None = None
     grad_f: VectorFn | None = None
     grad_w: VectorFn | None = None
     grad_a0: VectorFn | None = None
-    grad_a_spatial: MatrixFn | None = None
 
     def __post_init__(self) -> None:
         for name, grad_name in _GRADIENTS.items():
@@ -87,12 +84,6 @@ class StaticMetric:
     def pot0_grad(self, x: np.ndarray):
         return 0.0 if self.grad_a0 is None else self.grad_a0(x)
 
-    def pot3(self, x: np.ndarray):
-        return 0.0 if self.a_spatial is None else self.a_spatial(x)
-
-    def pot3_grad(self, x: np.ndarray):
-        return 0.0 if self.grad_a_spatial is None else self.grad_a_spatial(x)
-
 
 def _linear_a0(a0_slope: float) -> dict:
     """Scalar potential A_0 = a0_slope * x^1 and its gradient."""
@@ -108,32 +99,30 @@ def flat_metric(a0_slope: float = 0.0) -> StaticMetric:
     return StaticMetric(**_linear_a0(a0_slope))
 
 
-def uniform_lapse_metric(g_accel: float, c: float = 1.0, a0_slope: float = 0.0) -> StaticMetric:
+def uniform_lapse_metric(g_accel: float, *, a0_slope: float = 0.0) -> StaticMetric:
     """Weak-field lapse f = 1 + g x^1 / c^2 over flat spatial sections;
     a clock held at height q runs fast by g q / c^2 relative to one at 0.
     ``a0_slope`` adds the scalar potential of ``flat_metric``."""
-    slope = g_accel / c**2
-    direction = np.array([slope, 0.0, 0.0])
+    direction = np.array([g_accel, 0.0, 0.0])
     return StaticMetric(
-        f=lambda x: 1.0 + slope * x[..., 0],
+        f=lambda x: 1.0 + g_accel * x[..., 0],
         grad_f=lambda x: direction,
         **_linear_a0(a0_slope),
     )
 
 
-def isotropic_weak_field_metric(phi: ScalarFn, grad_phi: VectorFn, c: float = 1.0) -> StaticMetric:
+def isotropic_weak_field_metric(phi: ScalarFn, grad_phi: VectorFn) -> StaticMetric:
     """Isotropic weak field: f = 1 + phi/c^2, g_ij = (1 - 2 phi/c^2) delta_ij.
     ``phi`` and ``grad_phi`` take (..., 3) positions."""
-    inv_c2 = 1.0 / c**2
     return StaticMetric(
-        f=lambda x: 1.0 + inv_c2 * phi(x),
-        grad_f=lambda x: inv_c2 * grad_phi(x),
-        w=lambda x: 1.0 - 2.0 * inv_c2 * phi(x),
-        grad_w=lambda x: -2.0 * inv_c2 * grad_phi(x),
+        f=lambda x: 1.0 + phi(x),
+        grad_f=grad_phi,
+        w=lambda x: 1.0 - 2.0 * phi(x),
+        grad_w=lambda x: -2.0 * grad_phi(x),
     )
 
 
-def four_metric(metric: StaticMetric, x: np.ndarray, c: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def four_metric(metric: StaticMetric, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Four-metric g_{mu nu} = diag(-f^2, g_ij) and its spatial gradients at
     positions x of shape (..., 3).
 
@@ -163,9 +152,8 @@ def inverse_four_metric(metric: StaticMetric, x: np.ndarray) -> np.ndarray:
 
 def field_tensor(metric: StaticMetric, x: np.ndarray) -> np.ndarray:
     """Electromagnetic tensor f_{mu nu} = d_mu A_nu - d_nu A_mu for the
-    static potentials (time derivatives vanish), at positions x of shape
-    (..., 3); shape (..., 4, 4)."""
+    static scalar potential (time derivatives and A_i vanish), at positions
+    x of shape (..., 3); shape (..., 4, 4)."""
     dA = np.zeros(x.shape[:-1] + (4, 4))        # dA[..., mu, nu] = d_mu A_nu
     dA[..., 1:, 0] = metric.pot0_grad(x)
-    dA[..., 1:, 1:] = metric.pot3_grad(x)
     return dA - np.swapaxes(dA, -1, -2)

@@ -15,7 +15,8 @@ the two routes is one of the main self-checks of this module.  It is the
 one place where a state's t = 0 statistics are taken, from one |psi|^2,
 one E, H and D multiplier each and one tau psi, into a frozen
 ``StateMoments`` record; the bound check and the peaked-energy report are
-arithmetic on that record.
+arithmetic on that record.  The code runs at hbar = c = 1; the formulas
+keep the symbols.
 
 Readings are taken in a frame that moves with the clock.  The evolved state
 is translated in tau by -t v with the E-only phase exp(+i t v E / hbar),
@@ -116,7 +117,6 @@ class StateMoments:
     d_m: float                     # d_e / c^2
     spread_product: float          # d_tau d_E, at least spread_floor = hbar / 2
     spread_floor: float
-    hbar: float
 
     def _dilation(self) -> tuple[VarianceLawCoefficients, float]:
         if isinstance(self.dilation, str):
@@ -142,7 +142,7 @@ def tau_moments_simulated(state: MomentumSpaceState, t: float,
     shift = t * frame_velocity(state)
     if shift != 0.0:
         evolved = evolved.rephased(
-            np.exp((1j * shift / state.units.hbar) * state.e_grid.nodes)[:, None])
+            np.exp((1j * shift) * state.e_grid.nodes)[:, None])
     stats = tau_statistics(evolved, strict=strict)
     return TauMoments(t=t, mean_tau=stats.mean + shift,
                       var_tau=stats.second - stats.mean * stats.mean,
@@ -200,12 +200,11 @@ def state_moments(state: MomentumSpaceState) -> StateMoments:
         e_lin=anti_e - 2.0 * e_mean * stats.mean,
         h_mean=h_mean,
         sharpness=math.sqrt(max(mean(h * h) - h_mean**2, 0.0)) / h_mean,
-        p2c2=mean((state.units.c * P) ** 2),
+        p2c2=mean(P**2),
         d_e=d_e,
-        d_m=d_e / state.units.c**2,
+        d_m=d_e,
         spread_product=math.sqrt(max(const, 0.0)) * d_e,
-        spread_floor=0.5 * state.units.hbar,
-        hbar=state.units.hbar,
+        spread_floor=0.5,
     )
 
 
@@ -230,10 +229,9 @@ def salecker_wigner_check(moments: StateMoments, reading: TauMoments) -> BoundCh
     if t <= 0.0:
         raise ValueError("the bound applies for t > 0")
     lhs = reading.var_tau
-    hbar = moments.hbar
-    rhs = hbar * t / moments.h_mean
+    rhs = t / moments.h_mean
     slow = moments.p2c2 < SLOW_CLOCK_MOMENTUM_FRACTION * moments.e_mean**2
-    rhs_rest = hbar * t / moments.e_mean if moments.e_mean > 0.0 else math.inf
+    rhs_rest = t / moments.e_mean if moments.e_mean > 0.0 else math.inf
     return BoundCheck(lhs=lhs, rhs=rhs, satisfied=lhs >= rhs, margin=lhs - rhs,
                       rhs_rest_energy=rhs_rest, slow_clock=bool(slow),
                       sharpness=moments.sharpness)

@@ -13,6 +13,8 @@ reading whose tau content reaches the window edge wraps around it and comes
 out wrong with no other symptom, since |psi(E)| is unchanged by evolution;
 ``tau_statistics`` therefore reports the share of |psi~(tau)|^2 in the outer
 ``TAU_EDGE_BAND`` of the window, from the transform it takes anyway.
+
+The code runs at hbar = c = 1; the formulas keep the symbols.
 """
 from __future__ import annotations
 
@@ -57,14 +59,14 @@ def _axes(state: MomentumSpaceState) -> tuple[np.ndarray, np.ndarray]:
 def energy_multiplier(state: MomentumSpaceState) -> np.ndarray:
     """Total-energy values sqrt(E^2 + c^2 p^2) over the grid."""
     E, P = _axes(state)
-    return np.sqrt(E * E + (state.units.c * P) ** 2)
+    return np.sqrt(E * E + P**2)
 
 
 def dilation_multiplier(state: MomentumSpaceState) -> np.ndarray:
     """Dilation-rate values E / sqrt(E^2 + c^2 p^2) over the grid."""
     check_tip_clearance(state)
     E, P = _axes(state)
-    denom = np.sqrt(E * E + (state.units.c * P) ** 2)
+    denom = np.sqrt(E * E + P**2)
     return np.divide(E, denom, out=np.zeros_like(denom), where=denom > 0.0)
 
 
@@ -100,13 +102,13 @@ def _tau_and_window(state: MomentumSpaceState, strict: bool) -> tuple[np.ndarray
     if window > TAU_WINDOW_LIMIT:
         message = (f"share {window:.2e} of |psi(tau)|^2 lies in the outer "
                    f"{TAU_EDGE_BAND:.0%} of the proper-time window "
-                   f"|tau| < {math.pi * state.units.hbar / state.e_grid.step:.4g} "
+                   f"|tau| < {math.pi / state.e_grid.step:.4g} "
                    f"(limit {TAU_WINDOW_LIMIT:.0e}); the reading may wrap around it, "
                    "so refine the E grid")
         if strict:
             raise AliasingError(message)
         warnings.warn(message, NumericalHealthWarning, stacklevel=3)
-    return 1j * state.units.hbar * deriv, window
+    return 1j * deriv, window
 
 
 def evolve(state: MomentumSpaceState, t: float) -> MomentumSpaceState:
@@ -115,7 +117,7 @@ def evolve(state: MomentumSpaceState, t: float) -> MomentumSpaceState:
         raise ValueError("evolution time must be finite")
     if t == 0.0:
         return state
-    return state.rephased(np.exp((-1j * t / state.units.hbar) * energy_multiplier(state)))
+    return state.rephased(np.exp((-1j * t) * energy_multiplier(state)))
 
 
 class TauStatistics(NamedTuple):
@@ -156,11 +158,10 @@ def expectation(state: MomentumSpaceState, observable: Observable | str) -> floa
 def commutator_residual(state: MomentumSpaceState) -> float:
     """Relative norm of (tau E - E tau - i hbar) applied to the state."""
     E, _ = _axes(state)
-    hbar = state.units.hbar
 
     def tau_of(values: np.ndarray) -> np.ndarray:
-        return 1j * hbar * spectral_derivative_array(values, state.e_grid, axis=0)
+        return 1j * spectral_derivative_array(values, state.e_grid, axis=0)
 
-    resid = tau_of(E * state.values) - E * tau_of(state.values) - 1j * hbar * state.values
+    resid = tau_of(E * state.values) - E * tau_of(state.values) - 1j * state.values
     # the state itself has unit norm, so this is already the relative residual
     return float(np.sqrt(np.vdot(resid, resid).real * state.cell_measure()))

@@ -4,7 +4,7 @@ The optimizer scans the rest-energy spread sigma_e of a Gaussian clock on a
 log axis and minimizes the simulated variance of the reading at a fixed
 coordinate time, reporting the minimum next to the clock bound hbar t/<H>.
 Each trial state is built on freshly sized grids so long evolutions stay
-resolved.
+resolved.  The code runs at hbar = c = 1; the formulas keep the symbols.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from typing import Callable
 from .moments import state_moments, tau_moments_simulated
 from .operators import check_tip_clearance
 from .states import GaussianClockSpec, gaussian_state
-from .units import NATURAL_UNITS, UnitContext
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -79,7 +78,6 @@ class ClockWidthResult:
 
 
 def optimize_clock_width(e0: float, p0: float, sigma_p: float, t: float,
-                         units: UnitContext = NATURAL_UNITS,
                          sigma_bounds: tuple[float, float] | None = None,
                          n_e: int = 1024, n_p: int = 256,
                          log_tol: float = 5e-3) -> ClockWidthResult:
@@ -92,8 +90,7 @@ def optimize_clock_width(e0: float, p0: float, sigma_p: float, t: float,
     if t <= 0.0:
         raise ValueError("need t > 0")
     if sigma_bounds is None:
-        e_scale_guess = math.hypot(e0, units.c * p0)
-        center = math.sqrt(units.hbar * e_scale_guess / (2.0 * t))
+        center = math.sqrt(math.hypot(e0, p0) / (2.0 * t))
         sigma_bounds = (center / 10.0, center * 10.0)
     lo, hi = sigma_bounds
     if not (0.0 < lo < hi):
@@ -106,7 +103,7 @@ def optimize_clock_width(e0: float, p0: float, sigma_p: float, t: float,
         nonlocal grid_sizes
         sigma_e = math.exp(log_sigma)
         spec = GaussianClockSpec(e0=e0, sigma_e=sigma_e, p0=p0, sigma_p=sigma_p)
-        state = gaussian_state(spec, units, t_max=t, n_e=n_e, n_p=n_p)
+        state = gaussian_state(spec, t_max=t, n_e=n_e, n_p=n_p)
         check_tip_clearance(state)
         grid_sizes = (max(grid_sizes[0], state.e_grid.n), max(grid_sizes[1], state.p_grid.n))
         var = tau_moments_simulated(state, t).var_tau
@@ -121,11 +118,11 @@ def optimize_clock_width(e0: float, p0: float, sigma_p: float, t: float,
     sigma_opt = math.exp(log_opt)
     best = state_moments(gaussian_state(
         GaussianClockSpec(e0=e0, sigma_e=sigma_opt, p0=p0, sigma_p=sigma_p),
-        units, t_max=t, n_e=n_e, n_p=n_p))
+        t_max=t, n_e=n_e, n_p=n_p))
     return ClockWidthResult(
         sigma_e_opt=sigma_opt,
         min_var=min_var,
-        bound=units.hbar * t / best.h_mean,
+        bound=t / best.h_mean,
         energy_scale=best.h_mean,
         sharpness=best.sharpness,
         n_evals=evals,

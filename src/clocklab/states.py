@@ -5,6 +5,8 @@ generator depends only on p^2, so one axis exercises all of the dynamics).
 States are unit-normalized under grid quadrature and are expected to be
 numerically band-limited: substantial amplitude at the grid boundary breaks
 the accuracy of the spectral proper-time operator and is reported.
+
+The code runs at hbar = c = 1; the formulas keep the symbols.
 """
 from __future__ import annotations
 
@@ -23,7 +25,6 @@ from .grids import (
     boundary_amplitude_ratio,
     trapezoid_norm_squared,
 )
-from .units import NATURAL_UNITS, UnitContext
 
 NORM_TOL = 1e-10
 MIN_SIGMA_COVERAGE = 8.0     # window must span at least this many sigma per side
@@ -73,7 +74,6 @@ class GaussianClockSpec:
 @dataclass(frozen=True, eq=False)
 class MomentumSpaceState:
     psi: ComplexField2D
-    units: UnitContext
 
     def __post_init__(self) -> None:
         nrm2 = trapezoid_norm_squared(self.psi)
@@ -114,7 +114,6 @@ class MomentumSpaceState:
         repeated."""
         out = object.__new__(MomentumSpaceState)
         object.__setattr__(out, "psi", ComplexField2D(self.psi.grids, phase * self.values))
-        object.__setattr__(out, "units", self.units)
         return out
 
     def cell_measure(self) -> float:
@@ -122,8 +121,7 @@ class MomentumSpaceState:
 
 
 def state_from_values(e_grid: UniformGrid, p_grid: UniformGrid, values: np.ndarray,
-                      units: UnitContext = NATURAL_UNITS, normalize: bool = True
-                      ) -> MomentumSpaceState:
+                      normalize: bool = True) -> MomentumSpaceState:
     v = np.asarray(values, dtype=complex)
     fld = ComplexField2D((e_grid, p_grid), v)
     if normalize:
@@ -131,17 +129,16 @@ def state_from_values(e_grid: UniformGrid, p_grid: UniformGrid, values: np.ndarr
         if nrm2 <= 0.0:
             raise ValueError("cannot normalize a zero field")
         fld = ComplexField2D((e_grid, p_grid), v / math.sqrt(nrm2))
-    return MomentumSpaceState(psi=fld, units=units)
+    return MomentumSpaceState(psi=fld)
 
 
 def state_from_profiles(e_grid: UniformGrid, p_grid: UniformGrid,
                         e_profile: Callable[[np.ndarray], np.ndarray],
-                        p_profile: Callable[[np.ndarray], np.ndarray],
-                        units: UnitContext = NATURAL_UNITS) -> MomentumSpaceState:
+                        p_profile: Callable[[np.ndarray], np.ndarray]) -> MomentumSpaceState:
     """Product state from complex amplitude profiles over each axis."""
     values = np.outer(np.asarray(e_profile(e_grid.nodes), dtype=complex),
                       np.asarray(p_profile(p_grid.nodes), dtype=complex))
-    return state_from_values(e_grid, p_grid, values, units)
+    return state_from_values(e_grid, p_grid, values)
 
 
 def _check_axis(name: str, grid: UniformGrid, center: float, sigma: float) -> None:
@@ -157,30 +154,27 @@ def _check_axis(name: str, grid: UniformGrid, center: float, sigma: float) -> No
             f"{MIN_CELLS_PER_SIGMA:.0f} cells")
 
 
-def make_gaussian_state(spec: GaussianClockSpec, e_grid: UniformGrid, p_grid: UniformGrid,
-                        units: UnitContext = NATURAL_UNITS) -> MomentumSpaceState:
+def make_gaussian_state(spec: GaussianClockSpec, e_grid: UniformGrid,
+                        p_grid: UniformGrid) -> MomentumSpaceState:
     """Normalized product Gaussian with the phase offsets of the spec."""
     _check_axis("E", e_grid, spec.e0, spec.sigma_e)
     _check_axis("p", p_grid, spec.p0, spec.sigma_p)
-    hbar = units.hbar
 
     def e_profile(E: np.ndarray) -> np.ndarray:
-        return np.exp(-((E - spec.e0) ** 2) / (4.0 * spec.sigma_e**2)
-                      - 1j * E * spec.tau0 / hbar)
+        return np.exp(-((E - spec.e0) ** 2) / (4.0 * spec.sigma_e**2) - 1j * E * spec.tau0)
 
     def p_profile(p: np.ndarray) -> np.ndarray:
-        return np.exp(-((p - spec.p0) ** 2) / (4.0 * spec.sigma_p**2)
-                      + 1j * p * spec.x0 / hbar)
+        return np.exp(-((p - spec.p0) ** 2) / (4.0 * spec.sigma_p**2) + 1j * p * spec.x0)
 
-    return state_from_profiles(e_grid, p_grid, e_profile, p_profile, units)
+    return state_from_profiles(e_grid, p_grid, e_profile, p_profile)
 
 
 def _next_pow2(n: float) -> int:
     return 1 << max(3, math.ceil(math.log2(max(n, 8.0))))
 
 
-def _dilation_rate(e: float, p: float, c: float) -> float:
-    denom = math.hypot(e, c * p)
+def _dilation_rate(e: float, p: float) -> float:
+    denom = math.hypot(e, p)
     return 0.0 if denom == 0.0 else e / denom
 
 
@@ -189,21 +183,19 @@ def frame_velocity(state: MomentumSpaceState) -> float:
     grids, (e0, p0) for grids from ``suggest_grids``: the rate of the
     co-moving frame in which readings are measured."""
     eg, pg = state.e_grid, state.p_grid
-    return _dilation_rate(eg.lo + eg.step * (eg.n // 2), pg.lo + pg.step * (pg.n // 2),
-                          state.units.c)
+    return _dilation_rate(eg.lo + eg.step * (eg.n // 2), pg.lo + pg.step * (pg.n // 2))
 
 
-def _residual_dilation(spec: GaussianClockSpec, c: float) -> float:
+def _residual_dilation(spec: GaussianClockSpec) -> float:
     """Largest |D - v| over the 4-sigma corners of the state, with D the
     dilation rate and v its value at (e0, p0), the frame velocity."""
-    v = _dilation_rate(spec.e0, spec.p0, c)
+    v = _dilation_rate(spec.e0, spec.p0)
     return max(abs(_dilation_rate(spec.e0 + i * 4 * spec.sigma_e,
-                                  spec.p0 + j * 4 * spec.sigma_p, c) - v)
+                                  spec.p0 + j * 4 * spec.sigma_p) - v)
                for i in (-1, 0, 1) for j in (-1, 0, 1))
 
 
-def suggest_grids(spec: GaussianClockSpec, units: UnitContext = NATURAL_UNITS,
-                  t_max: float = 0.0, n_e: int = 1024, n_p: int = 256,
+def suggest_grids(spec: GaussianClockSpec, t_max: float = 0.0, n_e: int = 1024, n_p: int = 256,
                   sigma_margin: float = DEFAULT_SIGMA_MARGIN) -> tuple[UniformGrid, UniformGrid]:
     """Grids sized for a Gaussian spec and a target evolution span.
 
@@ -213,12 +205,10 @@ def suggest_grids(spec: GaussianClockSpec, units: UnitContext = NATURAL_UNITS,
     drift t*(D - v) and the initial spread.  The common drift t*v is added
     after the measurement and needs no window.
     """
-    hbar = units.hbar
     half_e = sigma_margin * spec.sigma_e
-    dtau0 = hbar / (2.0 * spec.sigma_e)
-    tau_reach = (abs(spec.tau0) + abs(t_max) * _residual_dilation(spec, units.c)
-                 + 10.0 * dtau0 + 2.0)
-    de_max = math.pi * hbar / (TAU_WINDOW_MARGIN * tau_reach)
+    dtau0 = 1.0 / (2.0 * spec.sigma_e)  # hbar / (2 sigma_e)
+    tau_reach = abs(spec.tau0) + abs(t_max) * _residual_dilation(spec) + 10.0 * dtau0 + 2.0
+    de_max = math.pi / (TAU_WINDOW_MARGIN * tau_reach)  # the half-window pi hbar / dE
     n_e_needed = max(n_e, _next_pow2(2.0 * half_e / de_max))
     if n_e_needed > MAX_GRID_SIZE:
         raise GridSizeError("requested evolution span needs an impractically large E grid")
@@ -227,18 +217,18 @@ def suggest_grids(spec: GaussianClockSpec, units: UnitContext = NATURAL_UNITS,
     half_p = sigma_margin * spec.sigma_p
     n_p_needed = n_p
     dp = 2.0 * half_p / n_p_needed
-    while dp * abs(spec.x0) / hbar > math.pi / 1.3 and n_p_needed < MAX_GRID_SIZE:
+    while dp * abs(spec.x0) > math.pi / 1.3 and n_p_needed < MAX_GRID_SIZE:
         n_p_needed *= 2
         dp = 2.0 * half_p / n_p_needed
     p_grid = UniformGrid(spec.p0 - half_p, spec.p0 + half_p, n_p_needed)
     return e_grid, p_grid
 
 
-def gaussian_state(spec: GaussianClockSpec, units: UnitContext = NATURAL_UNITS,
-                   t_max: float = 0.0, n_e: int = 1024, n_p: int = 256) -> MomentumSpaceState:
+def gaussian_state(spec: GaussianClockSpec, t_max: float = 0.0, n_e: int = 1024,
+                   n_p: int = 256) -> MomentumSpaceState:
     """Convenience wrapper: auto-sized grids plus the Gaussian state."""
-    e_grid, p_grid = suggest_grids(spec, units, t_max=t_max, n_e=n_e, n_p=n_p)
-    return make_gaussian_state(spec, e_grid, p_grid, units)
+    e_grid, p_grid = suggest_grids(spec, t_max=t_max, n_e=n_e, n_p=n_p)
+    return make_gaussian_state(spec, e_grid, p_grid)
 
 
 def probability_marginals(state: MomentumSpaceState) -> tuple[np.ndarray, np.ndarray,

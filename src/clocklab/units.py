@@ -1,7 +1,8 @@
 """Physical constants and unit-system bookkeeping.
 
 All simulation modules run in natural units (hbar = c = 1, with the SI
-second as the base of the system); SI values appear only at the I/O
+second as the base of the system) and take no unit context, except the
+closed-form ``gedanken`` weighings; SI values appear only at the I/O
 boundary of the command-line layer.
 """
 from __future__ import annotations

@@ -131,6 +131,10 @@ def exact_gaussian_variance_minimum(e0, p0, sigma_p, t, lo, hi, hbar=1.0, c=1.0,
     return math.exp(x), var(x)
 
 
+# The package's states carry no unit context: they are natural-unit states.
+HBAR = C = 1.0
+
+
 def _diagonal(state, mult):
     rho = np.abs(state.values) ** 2
     return float((mult * rho).sum() * state.cell_measure())
@@ -148,7 +152,7 @@ def _tau_statistics(state):
     k[grid.n // 2] = 0.0
     spec = np.fft.fft(state.values, axis=0)
     spec *= (1j * k).reshape(grid.n, 1)
-    tpsi = 1j * state.units.hbar * np.fft.ifft(spec, axis=0)
+    tpsi = 1j * HBAR * np.fft.ifft(spec, axis=0)
     cell = state.cell_measure()
     mean = complex(np.vdot(state.values, tpsi) * cell).real
     return mean, float(np.vdot(tpsi, tpsi).real * cell), tpsi
@@ -161,7 +165,7 @@ def _anti(state, mult, tpsi):
 def per_function_variance_law(state):
     """(quad, lin, const, <D>) as ``variance_law_predict`` took them."""
     E, P = _axes(state)
-    denom = np.sqrt(E * E + (state.units.c * P) ** 2)
+    denom = np.sqrt(E * E + (C * P) ** 2)
     d = np.divide(E, denom, out=np.zeros_like(denom), where=denom > 0.0)
     d_mean = _diagonal(state, d)
     tau_mean, tau_sq, tpsi = _tau_statistics(state)
@@ -172,7 +176,7 @@ def per_function_variance_law(state):
 def per_function_energy_sharpness(state):
     """(<H>, dH/<H>) as ``energy_sharpness`` took them."""
     E, P = _axes(state)
-    h = np.sqrt(E * E + (state.units.c * P) ** 2)
+    h = np.sqrt(E * E + (C * P) ** 2)
     h_mean = _diagonal(state, h)
     h_var = _diagonal(state, h * h) - h_mean**2
     return h_mean, math.sqrt(max(h_var, 0.0)) / h_mean
@@ -186,7 +190,7 @@ def per_function_uncertainty_product(state):
     e_mean = _diagonal(state, E)
     e2_mean = _diagonal(state, E * E)
     d_e = math.sqrt(max(e2_mean - e_mean**2, 0.0))
-    return d_tau, d_e, d_e / state.units.c**2, d_tau * d_e, 0.5 * state.units.hbar
+    return d_tau, d_e, d_e / C**2, d_tau * d_e, 0.5 * HBAR
 
 
 def per_function_energy_moments(state):
@@ -197,7 +201,7 @@ def per_function_energy_moments(state):
     e2_mean = _diagonal(state, E * E)
     tau_mean, _, tpsi = _tau_statistics(state)
     return (e_mean, e2_mean - e_mean**2, _anti(state, E, tpsi) - 2.0 * e_mean * tau_mean,
-            _diagonal(state, (state.units.c * P) ** 2))
+            _diagonal(state, (C * P) ** 2))
 
 
 ORACLE_COORDINATES = ("tau", "p_tau", "M", "p_M", "x1", "x2", "x3", "p1", "p2", "p3")
@@ -292,7 +296,7 @@ def per_sample_motion_residual(traj, metric, charge=0.0, c=1.0):
         xdot = dx_dt / w
         xddot = (d2x_dt2 * w - dx_dt * d2tau) / w**3
         xi = traj.x[i]
-        g4, dg4 = four_metric(metric, xi, c)
+        g4, dg4 = four_metric(metric, xi)
         g4_inv = np.linalg.inv(g4)
         f_up = g4_inv @ field_tensor(metric, xi) @ g4_inv.T
         lhs = xddot + np.einsum("rmn,m,n->r", christoffel(g4, dg4), xdot, xdot)
@@ -301,14 +305,14 @@ def per_sample_motion_residual(traj, metric, charge=0.0, c=1.0):
     return worst
 
 
-def rk4_reference(pt0, metric, charge, t_end, dt, hold_x=False, c=1.0):
+def rk4_reference(pt0, metric, charge, t_end, dt, hold_x=False):
     """States of the plain four-stage RK4 loop over ``dynamics._rhs_vector``
     for one point or a sequence of points: every step evaluates all four
     stages, whatever the metric."""
     from clocklab.dynamics import _rhs_vector
 
     def rhs(z):
-        dz = _rhs_vector(z, metric, charge, c)
+        dz = _rhs_vector(z, metric, charge)
         if hold_x:
             dz[..., 4:10] = 0.0
         return dz

@@ -116,6 +116,22 @@ def test_sweep_over_unknown_param():
         """)
 
 
+def test_sweep_values_with_range_keys_names_the_ignored_keys():
+    with pytest.raises(ConfigError) as err:
+        parse_config("""
+            kind = GEDANKEN_BOX
+            sweep.param = box.dq
+            sweep.values = 1, 2
+            sweep.min = 5
+            sweep.max = 9
+            sweep.count = 3
+            sweep.scale = log
+        """)
+    assert err.value.violations == [
+        "sweep.values: must be given alone, not with sweep.min, sweep.max, sweep.count, "
+        "sweep.scale, which it would ignore"]
+
+
 def test_times_list_parsed():
     cfg = parse_config("""
         kind = QUANTUM_MOMENTS

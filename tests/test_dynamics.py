@@ -235,20 +235,14 @@ def test_stationary_flows_equal_the_four_stage_loop(pt0, metric, charge, hold):
     assert traj.rhs_evals == 1
 
 
-_B = np.array([[0.0, 0.02, -0.01], [0.03, 0.0, 0.01], [-0.02, 0.01, 0.0]])
-_VECTOR_POTENTIAL = StaticMetric(a_spatial=lambda x: x @ _B, grad_a_spatial=lambda x: _B)
-
-
 @pytest.mark.parametrize("pt0, metric, charge", [
     (moving_clock(1.0, (0.3, -0.2, 0.1)), uniform_lapse_metric(0.05), 0.0),
     (moving_clock(1.0, (0.3, 0.0, 0.1)), uniform_lapse_metric(0.05, a0_slope=0.02), 0.5),
     (clock_at_rest(1.0), flat_metric(a0_slope=0.02), 0.5),
     (moving_clock(1.0, (0.1, 0.05, -0.0), x=(0.5, 0.2, 0.0)), _ISOTROPIC, 0.0),
-    (moving_clock(1.0, (0.2, 0.1, -0.1), x=(0.5, -0.3, 0.2)), _VECTOR_POTENTIAL, 0.7),
     ([moving_clock(1.0, (0.2, 0.0, 0.0)), moving_clock(2.0, (0.7, -0.3, 0.1), x=(1.0, 0.0, 0.5)),
       clock_at_rest(0.5, x=(-2.0, 1.0, 0.0))], uniform_lapse_metric(0.05), 0.0),
-], ids=["lapse", "lapse-charged", "constant-force", "isotropic", "vector-potential",
-        "lapse-batch"])
+], ids=["lapse", "lapse-charged", "constant-force", "isotropic", "lapse-batch"])
 def test_stepped_flows_equal_the_four_stage_loop(pt0, metric, charge):
     """A flow that is not stationary steps each clock on Python floats, and
     every sample is bitwise the loop's over ``_rhs_vector``."""
@@ -287,9 +281,9 @@ def _raised(fn, *args) -> str:
 ], ids=["lapse-non-positive", "degenerate", "conformal-non-positive"])
 def test_float_stages_raise_the_vector_messages(pt, metric, start):
     z = pt.as_vector()
-    message = _raised(_rhs_vector, z, metric, 0.0, 1.0)
+    message = _raised(_rhs_vector, z, metric, 0.0)
     assert message.startswith(start)
-    assert _raised(_rhs_floats, z.tolist(), metric, 0.0, 1.0) == message
+    assert _raised(_rhs_floats, z.tolist(), metric, 0.0) == message
     assert _raised(integrate, pt, metric, 0.0, 1.0, 1e-2) == message
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import platform
+import warnings
 
 import numpy as np
 import pytest
@@ -321,9 +322,13 @@ def test_cli_rejects_nonfinite_numbers_and_nonpositive_counts(tmp_path, capsys, 
     ("quantum", "optimize", ["optimize.sigma_lo=3", "optimize.sigma_hi=1"], "optimize.sigma_lo"),
     ("quantum", "optimize", ["optimize.sigma_lo=-1", "optimize.sigma_hi=20"],
      "optimize.sigma_lo"),
+    ("classical", "brackets", ["seed=-1"], "seed"),
+    ("classical", "brackets", [f"seed={2**64}"], "seed"),
+    ("gedanken", "box", ["sweep.param=box.dq", "sweep.values=1,2", "sweep.min=5"],
+     "sweep.values"),
 ], ids=["bound-t", "optimize-t", "box-dq", "efield-v", "efield-v-si", "h-step", "scale", "dt",
         "m", "sweep-m", "sweep-sigma-e", "bracket-hi-unset", "bracket-reversed",
-        "bracket-negative"])
+        "bracket-negative", "seed-negative", "seed-2**64", "sweep-values-with-min"])
 def test_cli_rejects_out_of_range_values(tmp_path, capsys, group, sub, settings, key):
     out = tmp_path / "x.csv"
     argv = [group, sub]
@@ -412,6 +417,20 @@ def test_cli_determinism_byte_identical(tmp_path):
     assert main(args + ["--output", str(out1)]) == 0
     assert main(args + ["--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_cli_seeds_keep_every_bit_up_to_the_top_of_the_key_range(tmp_path):
+    """A seed above 2**53 keys its own Philox stream, not a float-rounded
+    neighbour's, and 2**64 - 1 is a valid key."""
+    rows = {}
+    for seed in (2**53, 2**53 + 1, 2**64 - 1):
+        out = tmp_path / f"{seed}.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["classical", "brackets", "--set", "brackets.points=2",
+                         "--seed", str(seed), "--output", str(out)]) == 0
+        rows[seed] = out.read_bytes()
+    assert len(set(rows.values())) == 3
 
 
 _SHORT_RUN = "classical.t_end = 2\nclassical.dt = 1e-2\n"
