@@ -117,6 +117,6 @@ def spectral_derivative_array(values: np.ndarray, grid: UniformGrid, axis: int =
         total = np.vdot(spec, spec).real
         edge_fraction = float(np.vdot(edge, edge).real / total) if total > 0.0 else 0.0
     spec *= (1j * k).reshape(shape)
-    deriv = np.fft.ifft(spec, axis=axis)
+    deriv = np.fft.ifft(spec, axis=axis, out=spec)
     return deriv if edge_fraction is None else (deriv, edge_fraction)
 

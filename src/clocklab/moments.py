@@ -140,9 +140,9 @@ def tau_moments_simulated(state: MomentumSpaceState, t: float,
     ``strict``."""
     evolved = evolve(state, t)
     shift = t * frame_velocity(state)
-    if shift != 0.0:
-        evolved = evolved.rephased(
-            np.exp((1j * shift) * state.e_grid.nodes)[:, None])
+    if shift != 0.0:  # so t != 0, and evolve allocated evolved's values
+        np.multiply(np.exp((1j * shift) * state.e_grid.nodes)[:, None], evolved.values,
+                    out=evolved.values)
     stats = tau_statistics(evolved, strict=strict)
     return TauMoments(t=t, mean_tau=stats.mean + shift,
                       var_tau=stats.second - stats.mean * stats.mean,
@@ -159,47 +159,56 @@ def state_moments(state: MomentumSpaceState) -> StateMoments:
         d, dilation = None, str(err)
     E, P = _axes(state)
     cell = state.cell_measure()
-    stats = tau_statistics(state)
+    tau_mean, tau_second, tpsi, window = tau_statistics(state)
 
     def anti(mult: np.ndarray) -> float:
         """<[mult, tau]_+> of a real diagonal multiplier."""
-        return 2.0 * float((np.conj(mult * state.values) * stats.tpsi).sum().real * cell)
+        prod = mult * state.values
+        np.conj(prod, out=prod)
+        prod *= tpsi
+        return 2.0 * float(prod.sum().real * cell)
 
-    # before |psi|^2 and H exist, so that the complex temporaries share the
-    # memory peak with tau psi alone
+    # tau psi and the complex temporaries come and go before |psi|^2 and H
+    # exist, which keeps the memory peak, and the pages faulted back after
+    # each trim of the heap, low
     anti_e = anti(E)
     anti_d = None if d is None else anti(d)
+    del tpsi
     rho = state.density()
+    weighted = np.empty_like(rho)
 
     def mean(mult: np.ndarray) -> float:
-        return float((mult * rho).sum() * cell)
+        return float(np.multiply(mult, rho, out=weighted).sum() * cell)
 
-    const = stats.second - stats.mean**2
+    const = tau_second - tau_mean**2
     if d is not None:
         d_mean = mean(d)
+        # centred: <D^2> - <D>^2 loses every digit of Var D below 1e-16
+        # when D is pinned near 1, as for a clock at rest
+        d -= d_mean
         dilation = (VarianceLawCoefficients(
-            # centred: <D^2> - <D>^2 loses every digit of Var D below 1e-16
-            # when D is pinned near 1, as for a clock at rest
-            quad=mean((d - d_mean) ** 2),
-            lin=anti_d - 2.0 * d_mean * stats.mean,
+            quad=mean(np.square(d, out=d)),
+            lin=anti_d - 2.0 * d_mean * tau_mean,
             const=const,
         ), d_mean)
+    del d  # before H exists, for the same reason
     h = energy_multiplier(state)
     e_mean = mean(E)
     e_var = mean(E * E) - e_mean**2
     h_mean = mean(h)
+    h_spread = math.sqrt(max(mean(np.square(h, out=h)) - h_mean**2, 0.0))
     d_e = math.sqrt(max(e_var, 0.0))
     return StateMoments(
         # the shift is signed as tau_moments_simulated signs it at t = 0
-        reading=TauMoments(t=0.0, mean_tau=stats.mean + 0.0 * frame_velocity(state),
-                           var_tau=stats.second - stats.mean * stats.mean,
-                           tau_window=stats.window),
+        reading=TauMoments(t=0.0, mean_tau=tau_mean + 0.0 * frame_velocity(state),
+                           var_tau=tau_second - tau_mean * tau_mean,
+                           tau_window=window),
         dilation=dilation,
         e_mean=e_mean,
         e_var=e_var,
-        e_lin=anti_e - 2.0 * e_mean * stats.mean,
+        e_lin=anti_e - 2.0 * e_mean * tau_mean,
         h_mean=h_mean,
-        sharpness=math.sqrt(max(mean(h * h) - h_mean**2, 0.0)) / h_mean,
+        sharpness=h_spread / h_mean,
         p2c2=mean(P**2),
         d_e=d_e,
         d_m=d_e,

@@ -59,15 +59,17 @@ def _axes(state: MomentumSpaceState) -> tuple[np.ndarray, np.ndarray]:
 def energy_multiplier(state: MomentumSpaceState) -> np.ndarray:
     """Total-energy values sqrt(E^2 + c^2 p^2) over the grid."""
     E, P = _axes(state)
-    return np.sqrt(E * E + P**2)
+    h = E * E + P**2
+    return np.sqrt(h, out=h)
 
 
 def dilation_multiplier(state: MomentumSpaceState) -> np.ndarray:
     """Dilation-rate values E / sqrt(E^2 + c^2 p^2) over the grid."""
     check_tip_clearance(state)
     E, P = _axes(state)
-    denom = np.sqrt(E * E + P**2)
-    return np.divide(E, denom, out=np.zeros_like(denom), where=denom > 0.0)
+    denom = energy_multiplier(state)
+    # where denom is 0 the output keeps it, so D reads 0 at the cone tip
+    return np.divide(E, denom, out=denom, where=denom > 0.0)
 
 
 class TipClearanceError(ValueError):
@@ -108,7 +110,8 @@ def _tau_and_window(state: MomentumSpaceState, strict: bool) -> tuple[np.ndarray
         if strict:
             raise AliasingError(message)
         warnings.warn(message, NumericalHealthWarning, stacklevel=3)
-    return 1j * deriv, window
+    deriv *= 1j
+    return deriv, window
 
 
 def evolve(state: MomentumSpaceState, t: float) -> MomentumSpaceState:
@@ -117,7 +120,15 @@ def evolve(state: MomentumSpaceState, t: float) -> MomentumSpaceState:
         raise ValueError("evolution time must be finite")
     if t == 0.0:
         return state
-    return state.rephased(np.exp((-1j * t) * energy_multiplier(state)))
+    # exp(-itH) = cos(-tH) + i sin(-tH), the bits np.exp gives, taken without
+    # a complex temporary: the phase goes into one buffer, then psi into it
+    arg = energy_multiplier(state)
+    arg *= -t
+    values = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=values.real)
+    np.sin(arg, out=values.imag)
+    values *= state.values
+    return state._with_values(values)
 
 
 class TauStatistics(NamedTuple):

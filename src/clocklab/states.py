@@ -102,7 +102,8 @@ class MomentumSpaceState:
 
     def density(self) -> np.ndarray:
         """|psi|^2 over the grid."""
-        return np.abs(self.values) ** 2
+        rho = np.abs(self.values)
+        return np.square(rho, out=rho)
 
     def boundary_ratio(self) -> float:
         return boundary_amplitude_ratio(self.psi)
@@ -112,8 +113,13 @@ class MomentumSpaceState:
         grid).  |psi| is unchanged, so the normalization and boundary checks
         made when this state was built hold for the result and are not
         repeated."""
+        return self._with_values(phase * self.values)
+
+    def _with_values(self, values: np.ndarray) -> MomentumSpaceState:
+        """A state on these grids holding ``values``, which must have this
+        state's |psi| pointwise; the build checks are not repeated."""
         out = object.__new__(MomentumSpaceState)
-        object.__setattr__(out, "psi", ComplexField2D(self.psi.grids, phase * self.values))
+        object.__setattr__(out, "psi", ComplexField2D(self.psi.grids, values))
         return out
 
     def cell_measure(self) -> float:
@@ -122,13 +128,20 @@ class MomentumSpaceState:
 
 def state_from_values(e_grid: UniformGrid, p_grid: UniformGrid, values: np.ndarray,
                       normalize: bool = True) -> MomentumSpaceState:
-    v = np.asarray(values, dtype=complex)
-    fld = ComplexField2D((e_grid, p_grid), v)
     if normalize:
-        nrm2 = trapezoid_norm_squared(fld)
-        if nrm2 <= 0.0:
-            raise ValueError("cannot normalize a zero field")
-        fld = ComplexField2D((e_grid, p_grid), v / math.sqrt(nrm2))
+        return _normalized_state(e_grid, p_grid, np.array(values, dtype=complex))
+    return MomentumSpaceState(psi=ComplexField2D((e_grid, p_grid), values))
+
+
+def _normalized_state(e_grid: UniformGrid, p_grid: UniformGrid,
+                      values: np.ndarray) -> MomentumSpaceState:
+    """The unit-normalized state of ``values``, a complex array the caller
+    has just allocated; it is divided in place."""
+    fld = ComplexField2D((e_grid, p_grid), values)
+    nrm2 = trapezoid_norm_squared(fld)
+    if nrm2 <= 0.0:
+        raise ValueError("cannot normalize a zero field")
+    values /= math.sqrt(nrm2)
     return MomentumSpaceState(psi=fld)
 
 
@@ -138,7 +151,7 @@ def state_from_profiles(e_grid: UniformGrid, p_grid: UniformGrid,
     """Product state from complex amplitude profiles over each axis."""
     values = np.outer(np.asarray(e_profile(e_grid.nodes), dtype=complex),
                       np.asarray(p_profile(p_grid.nodes), dtype=complex))
-    return state_from_values(e_grid, p_grid, values)
+    return _normalized_state(e_grid, p_grid, values)
 
 
 def _check_axis(name: str, grid: UniformGrid, center: float, sigma: float) -> None:

@@ -8,6 +8,7 @@ from clocklab.operators import (
     TAU_WINDOW_LIMIT,
     AliasingError,
     Observable,
+    commutator_residual,
     evolve,
     expectation,
     tau_statistics,
@@ -359,3 +360,20 @@ def test_state_moments_at_the_cone_tip():
     for name in ("law", "d_mean"):
         with pytest.raises(ValueError, match="dilation rate undefined"):
             getattr(moments, name)
+
+
+@pytest.mark.parametrize("e0, p0", [(10.0, 0.0), (12.0, 1000.0), (-10.0, 3.0)],
+                         ids=["rest", "boosted", "negative-E"])
+def test_readings_leave_the_state_values_unwritten(e0, p0):
+    # the kernels write only into arrays they allocate: every statistic
+    # below reads the state, and none may write into its values
+    state = gaussian_state(GaussianClockSpec(e0=e0, sigma_e=0.5, p0=p0, sigma_p=0.05),
+                           t_max=100.0)
+    before = state.values.tobytes()
+    state_moments(state)
+    for t in (0.0, 1.0, 100.0, -50.0):
+        tau_moments_simulated(state, t)
+    commutator_residual(state)
+    for observable in Observable:
+        expectation(state, observable)
+    assert state.values.tobytes() == before

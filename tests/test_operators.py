@@ -7,6 +7,7 @@ from clocklab.operators import (
     AliasingError,
     Observable,
     commutator_residual,
+    energy_multiplier,
     evolve,
     expectation,
     tau_statistics,
@@ -48,6 +49,15 @@ def test_evolve_preserves_norm():
     evolved = evolve(state, 100.0)
     nrm = np.vdot(evolved.values, evolved.values).real * evolved.cell_measure()
     assert nrm == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("e0, p0", [(10.0, 0.0), (12.0, 1000.0), (-10.0, 3.0)],
+                         ids=["rest", "boosted", "negative-E"])
+@pytest.mark.parametrize("t", [100.0, -50.0, 1e-3])
+def test_evolve_phase_is_the_complex_exponential_bitwise(e0, p0, t):
+    state = _state(e0=e0, sigma_e=0.5, p0=p0, sigma_p=0.05, t_max=abs(t))
+    want = np.exp((-1j * t) * energy_multiplier(state)) * state.values
+    assert evolve(state, t).values.tobytes() == want.tobytes()
 
 
 @given(t1=st.floats(-20, 20, allow_nan=False), t2=st.floats(-20, 20, allow_nan=False))
