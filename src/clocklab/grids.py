@@ -62,11 +62,34 @@ class ComplexField2D:
         object.__setattr__(self, "values", v)
 
 
+def _float_parts(values: np.ndarray) -> np.ndarray:
+    """The real and imaginary parts of every element, interleaved in one
+    float64 vector (a view of contiguous complex data)."""
+    return np.ravel(values).view(np.float64)
+
+
+def norm_squared(values: np.ndarray) -> float:
+    """Sum of |v|^2 over every element of a complex array.
+
+    The sums here run in NumPy's own einsum loop, not in BLAS: OpenBLAS
+    splits a dot product across its threads, so its last bits would depend
+    on the thread count."""
+    parts = _float_parts(values)
+    return float(np.einsum("i,i->", parts, parts))
+
+
+def inner_product(a: np.ndarray, b: np.ndarray) -> complex:
+    """Sum of conj(a) * b over every element, summed as ``norm_squared``."""
+    fa, fb = _float_parts(a), _float_parts(b)
+    real = np.einsum("i,i->", fa, fb)
+    imag = np.einsum("i,i->", fa[::2], fb[1::2]) - np.einsum("i,i->", fa[1::2], fb[::2])
+    return complex(real, imag)
+
+
 def trapezoid_norm_squared(fld: ComplexField2D) -> float:
     """Grid quadrature of |psi|^2 (rectangle rule; identical to the trapezoid
     rule on periodic data that has decayed at the boundary)."""
-    v = fld.values
-    return float(np.vdot(v, v).real * (fld.grids[0].step * fld.grids[1].step))
+    return norm_squared(fld.values) * (fld.grids[0].step * fld.grids[1].step)
 
 
 def boundary_amplitude_ratio(fld: ComplexField2D) -> float:
@@ -113,9 +136,8 @@ def spectral_derivative_array(values: np.ndarray, grid: UniformGrid, axis: int =
         first_edge = math.ceil((1.0 - edge_band) * grid.n / 2)
         band = [slice(None)] * values.ndim
         band[axis] = slice(first_edge, grid.n - first_edge + 1)
-        edge = spec[tuple(band)]
-        total = np.vdot(spec, spec).real
-        edge_fraction = float(np.vdot(edge, edge).real / total) if total > 0.0 else 0.0
+        total = norm_squared(spec)
+        edge_fraction = norm_squared(spec[tuple(band)]) / total if total > 0.0 else 0.0
     spec *= (1j * k).reshape(shape)
     deriv = np.fft.ifft(spec, axis=axis, out=spec)
     return deriv if edge_fraction is None else (deriv, edge_fraction)

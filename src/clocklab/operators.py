@@ -28,6 +28,8 @@ import numpy as np
 from .grids import (
     BOUNDARY_HEALTH_LIMIT,
     NumericalHealthWarning,
+    inner_product,
+    norm_squared,
     spectral_derivative_array,
 )
 from .states import MomentumSpaceState
@@ -142,11 +144,11 @@ def tau_statistics(state: MomentumSpaceState, strict: bool = False) -> TauStatis
     """<tau>, <tau^2>, tau psi and the tau-window edge share, computed with
     one spectral derivative."""
     tpsi, window = _tau_and_window(state, strict)
-    mean = complex(np.vdot(state.values, tpsi) * state.cell_measure())
+    mean = inner_product(state.values, tpsi) * state.cell_measure()
     if abs(mean.imag) > IMAG_RESIDUE_LIMIT:
         raise ValueError(
             f"imaginary residue {mean.imag:.3e} of <tau> exceeds {IMAG_RESIDUE_LIMIT:.0e}")
-    second = float(np.vdot(tpsi, tpsi).real * state.cell_measure())
+    second = norm_squared(tpsi) * state.cell_measure()
     return TauStatistics(mean.real, second, tpsi, window)
 
 
@@ -175,4 +177,4 @@ def commutator_residual(state: MomentumSpaceState) -> float:
 
     resid = tau_of(E * state.values) - E * tau_of(state.values) - 1j * state.values
     # the state itself has unit norm, so this is already the relative residual
-    return float(np.sqrt(np.vdot(resid, resid).real * state.cell_measure()))
+    return math.sqrt(norm_squared(resid) * state.cell_measure())

@@ -154,8 +154,13 @@ def _tau_statistics(state):
     spec *= (1j * k).reshape(grid.n, 1)
     tpsi = 1j * HBAR * np.fft.ifft(spec, axis=0)
     cell = state.cell_measure()
-    mean = complex(np.vdot(state.values, tpsi) * cell).real
-    return mean, float(np.vdot(tpsi, tpsi).real * cell), tpsi
+    # summed by einsum over the interleaved float64 parts, as the package
+    # sums, so that the comparison stays bitwise (np.vdot goes through BLAS,
+    # whose sums depend on the thread count)
+    psi_parts = state.values.ravel().view(np.float64)
+    tpsi_parts = tpsi.ravel().view(np.float64)
+    mean = float(np.einsum("i,i->", psi_parts, tpsi_parts)) * cell
+    return mean, float(np.einsum("i,i->", tpsi_parts, tpsi_parts)) * cell, tpsi
 
 
 def _anti(state, mult, tpsi):

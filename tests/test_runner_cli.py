@@ -2,7 +2,10 @@ import hashlib
 import json
 import os
 import platform
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,8 @@ from clocklab.config import parse_config
 from clocklab.csvio import FloatBlock, emit_csv
 from clocklab.runner import run
 from clocklab.units import NATURAL_UNITS, SI_UNITS, convert_units
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _cfg(tmp_path, kind, body="", name="out.csv"):
@@ -578,17 +583,19 @@ def test_sweep_integrates_as_one_batch(tmp_path, monkeypatch):
 # Dirac brackets moved to one gradient matrix per point (the three quantum
 # ones re-recorded when readings moved to the co-moving frame and the law's
 # quad coefficient to a centred moment, which move the last digits of
-# mean_tau, var_tau_sim, var_tau_law and quad); a change to any of them must
-# be justified in CHANGES.md.
+# mean_tau, var_tau_sim, var_tau_law and quad, and again when the grid sums
+# moved from BLAS dot products to einsum, which moves the last digits of
+# every quantum column); a change to any of them must be justified in
+# CHANGES.md.
 GOLDEN_CSV_SHA256 = {
     ("gedanken", "box"): "ba3f2e47f9571ed247c570a49564d3c9a32e08a3618991dbdf82ddc2e5926b63",
     ("gedanken", "efield"): "7c4cf442d9d227228fdfd5b6183e6a8216a0abf370beb88d9dd945b352f93116",
     ("classical", "trajectory"):
         "954fd1869f7e4717491064471a419359e8bbd3eee953eadedfd3b23247554eae",
     ("classical", "brackets"): "16c0f3de7af22263db6e15ce1153b03334a9ff27c8ad5d3bd4f39c6da8d566ac",
-    ("quantum", "moments"): "50b6c5990090cc7a5c32a81dd115f7cb14e9323dd63073a6d4a23a5214211e10",
-    ("quantum", "bound"): "51cfaeab560e7e1c95f74efd361fc8395b5ad5fea2f99767af4a95744faea252",
-    ("quantum", "optimize"): "69489179d00b59d0ffb85b6a1f7ee73a42996cf303fcdf4adf4d5cc3c0f33961",
+    ("quantum", "moments"): "70203d5ff4c0576e083800de05bdb12531a8311c8f654414b99be98c8b3988ce",
+    ("quantum", "bound"): "6749c1af468f0aa0f8e98c6b8e001994af4f2a18a4daf4a28ed4eca3c1da01dc",
+    ("quantum", "optimize"): "e4761307bd6a1f28d9bc277e444c3a1bf231db57786bf3360e98e9ac6a2d5134",
 }
 
 
@@ -598,6 +605,32 @@ def test_default_scenario_csv_matches_golden_digest(tmp_path, group, sub):
     out = tmp_path / "default.csv"
     assert main([group, sub, "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV_SHA256[(group, sub)]
+
+
+# Every golden digest run in one child process with OpenBLAS held to one
+# thread: the CSV bytes must not depend on the BLAS thread count.
+_GOLDEN_DIGESTS_SCRIPT = """
+import hashlib, sys, tempfile
+from pathlib import Path
+from clocklab.cli import main
+with tempfile.TemporaryDirectory() as work:
+    for group, sub in (arg.split("-") for arg in sys.argv[1:]):
+        out = Path(work) / f"{group}-{sub}.csv"
+        assert main([group, sub, "--output", str(out)]) == 0
+        print("sha256", group, sub, hashlib.sha256(out.read_bytes()).hexdigest())
+"""
+
+
+def test_golden_digests_hold_on_one_blas_thread():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _GOLDEN_DIGESTS_SCRIPT] + [f"{g}-{s}" for g, s in GOLDEN_CSV_SHA256],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    got = {(group, sub): digest for tag, group, sub, digest
+           in (line.split() for line in done.stdout.splitlines() if line.startswith("sha256 "))}
+    assert got == GOLDEN_CSV_SHA256
 
 
 # The SI dimension of every dimensioned CSV column; the others carry no unit.
