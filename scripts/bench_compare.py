@@ -151,6 +151,14 @@ def summarize(runs: list[dict], spec: list[dict]) -> dict:
     return out
 
 
+def make_workdir(parent: Path | None) -> Path:
+    """A fresh directory for the two copies, inside ``parent`` (created if
+    it does not exist yet) or, when it is None, in the system's temp dir."""
+    if parent is not None:
+        parent.mkdir(parents=True, exist_ok=True)
+    return Path(tempfile.mkdtemp(prefix="bench-compare-", dir=parent))
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git revision of the parent")
@@ -165,7 +173,7 @@ def main() -> int:
     args = ap.parse_args()
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    workdir = Path(tempfile.mkdtemp(prefix="bench-compare-", dir=args.workdir))
+    workdir = make_workdir(args.workdir)
     trees = {"parent": workdir / "parent", "change": workdir / "change"}
     commits = {"parent": checkout(args.parent, trees["parent"]),
                "change": checkout(args.change, trees["change"])}

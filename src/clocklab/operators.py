@@ -68,7 +68,7 @@ def energy_multiplier(state: MomentumSpaceState) -> np.ndarray:
 def dilation_multiplier(state: MomentumSpaceState) -> np.ndarray:
     """Dilation-rate values E / sqrt(E^2 + c^2 p^2) over the grid."""
     check_tip_clearance(state)
-    E, P = _axes(state)
+    E, _ = _axes(state)
     denom = energy_multiplier(state)
     # where denom is 0 the output keeps it, so D reads 0 at the cone tip
     return np.divide(E, denom, out=denom, where=denom > 0.0)

@@ -1,6 +1,6 @@
 """Smoke test of the example scripts: each runs to completion and writes
 the CSV files it names; and the benchmark comparison's per-operation
-summary on synthetic runs."""
+summary on synthetic runs and its work directory."""
 import importlib.util
 import os
 import subprocess
@@ -27,11 +27,16 @@ def test_example_script_writes_its_csvs(tmp_path, script, outputs):
         assert (tmp_path / name).is_file(), name
 
 
-def test_bench_compare_per_operation_summary():
+def _bench_compare():
     spec = importlib.util.spec_from_file_location("bench_compare",
                                                   ROOT / "scripts" / "bench_compare.py")
     bench_compare = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_compare)
+    return bench_compare
+
+
+def test_bench_compare_per_operation_summary():
+    bench_compare = _bench_compare()
     labels = ["classical-trajectory", "gedanken-box"]
     # two seeds: the first ran two passes on the parent side and three on the
     # change side, the second one pass on each
@@ -41,3 +46,10 @@ def test_bench_compare_per_operation_summary():
         {"index": 0, "label": "classical-trajectory", "wall_s": {"parent": 7.0, "change": 3.0}},
         {"index": 1, "label": "gedanken-box", "wall_s": {"parent": 2.0, "change": 0.75}},
     ]
+
+
+def test_bench_compare_creates_a_missing_workdir(tmp_path):
+    parent = tmp_path / "not" / "yet"
+    workdir = _bench_compare().make_workdir(parent)
+    assert workdir.is_dir() and workdir.parent == parent
+    assert _bench_compare().make_workdir(parent) != workdir  # a fresh one each run
