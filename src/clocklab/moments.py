@@ -18,6 +18,12 @@ one E, H and D multiplier each and one tau psi, into a frozen
 arithmetic on that record.  The code runs at hbar = c = 1; the formulas
 keep the symbols.
 
+As in ``operators``, the kernels write only into arrays that the same call
+allocated, never into the state's values: ``state_moments`` takes each
+anti-commutator in one buffer and every diagonal mean in one reused
+buffer, and ``tau_moments_simulated`` multiplies the frame shift into the
+array that ``evolve`` allocated for it.
+
 Readings are taken in a frame that moves with the clock.  The evolved state
 is translated in tau by -t v with the E-only phase exp(+i t v E / hbar),
 where v = ``states.frame_velocity`` is the dilation rate at the centre node

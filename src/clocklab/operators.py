@@ -14,6 +14,16 @@ out wrong with no other symptom, since |psi(E)| is unchanged by evolution;
 ``tau_statistics`` therefore reports the share of |psi~(tau)|^2 in the outer
 ``TAU_EDGE_BAND`` of the window, from the transform it takes anyway.
 
+Two rules hold for every kernel here and in ``moments``.  A kernel writes
+only into arrays that the same call allocated (its own buffers, or fresh
+results of the helpers it called), never into an argument or a built
+state's values; so a multi-step expression runs in one buffer and does not
+fault in a new temporary for each step.  And ``evolve`` takes the phase as
+cos and sin of -tH written into the two halves of one complex buffer,
+which is bitwise equal to exp(-itH) as np.exp takes it.  Grid sums run in
+NumPy's einsum loop (``grids.norm_squared``, ``grids.inner_product``), so
+the bits do not depend on the BLAS thread count.
+
 The code runs at hbar = c = 1; the formulas keep the symbols.
 """
 from __future__ import annotations
