@@ -32,8 +32,9 @@ def main() -> None:
     for sigma_e in np.logspace(np.log10(0.05), np.log10(2.0), 12):
         state = gaussian_state(GaussianClockSpec(args.e0, sigma_e, p0=args.p0,
                                                  sigma_p=0.05), t_max=args.t)
-        chk = salecker_wigner_check(state_moments(state), tau_moments_simulated(state, args.t))
-        rows.append([sigma_e, chk.lhs, chk.rhs, int(chk.satisfied), chk.sharpness])
+        moments = state_moments(state)
+        chk = salecker_wigner_check(moments, tau_moments_simulated(state, args.t))
+        rows.append([sigma_e, chk.lhs, chk.rhs, int(chk.satisfied), moments.sharpness])
     path = args.out_dir / "bound_sweep.csv"
     emit_csv(rows, ["sigma_e", "var_tau", "bound", "satisfied", "sharpness"], path)
     print(f"wrote {path}")

@@ -30,23 +30,17 @@ from .gedanken import (
     efield_uncertainties,
     spring_mass,
 )
-from .grids import (
-    ComplexField2D,
-    UniformGrid,
-    boundary_amplitude_ratio,
-    trapezoid_norm_squared,
-)
+from .grids import UniformGrid, boundary_amplitude_ratio, trapezoid_norm_squared
 from .metric import StaticMetric, flat_metric, isotropic_weak_field_metric, uniform_lapse_metric
 from .moments import (
     StateMoments,
     TauMoments,
     VarianceLawCoefficients,
-    peaked_approximation_report,
     salecker_wigner_check,
     state_moments,
     tau_moments_simulated,
 )
-from .operators import Observable, commutator_residual, evolve, expectation
+from .operators import commutator_residual, evolve
 from .search import optimize_clock_width
 from .states import (
     GaussianClockSpec,
@@ -62,13 +56,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoxExperiment",
-    "ComplexField2D",
     "EFieldExperiment",
     "ExtendedPhaseSpacePoint",
     "GaussianClockSpec",
     "MomentumSpaceState",
     "NATURAL_UNITS",
-    "Observable",
     "SI_UNITS",
     "StateMoments",
     "StaticMetric",
@@ -90,7 +82,6 @@ __all__ = [
     "dirac_bracket",
     "efield_uncertainties",
     "evolve",
-    "expectation",
     "flat_metric",
     "gaussian_state",
     "geodesic_lorentz_residual",
@@ -100,7 +91,6 @@ __all__ = [
     "make_gaussian_state",
     "moving_clock",
     "optimize_clock_width",
-    "peaked_approximation_report",
     "poisson_bracket",
     "probability_marginals",
     "proper_time_residual",

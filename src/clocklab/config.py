@@ -340,10 +340,25 @@ def _lapse_horizon_violation(member: dict[str, Any],
             f"classical.x1 = {written('classical.x1')}")
 
 
+def _kinetic_root_violation(member: dict[str, Any],
+                            written: Callable[[str], str]) -> str | None:
+    """The clock's kinetic root sqrt(m^2 + |p|^2) is real and nonzero: the
+    sum the dynamics checks at run time, which a rest energy too small to
+    square (1e-200) leaves at 0 when the momentum is 0."""
+    m = member["classical.m"]
+    if m * m + sum(member[f"classical.p{i}"] ** 2 for i in (1, 2, 3)) > 0.0:
+        return None
+    return (f"classical.m: m^2 + p1^2 + p2^2 + p3^2 must be positive, got "
+            f"classical.m = {written('classical.m')}, classical.p1 = {written('classical.p1')}, "
+            f"classical.p2 = {written('classical.p2')} and "
+            f"classical.p3 = {written('classical.p3')}")
+
+
 # Rules that join keys, checked on every run member (natural units) once each
 # key has passed alone; a message quotes the member's values as the config
 # gives them.
-_CROSS_KEY_RULES = {"CLASSICAL_TRAJECTORY": (_step_rule_violation, _lapse_horizon_violation),
+_CROSS_KEY_RULES = {"CLASSICAL_TRAJECTORY": (_step_rule_violation, _lapse_horizon_violation,
+                                             _kinetic_root_violation),
                     "QUANTUM_OPTIMIZE": (_bracket_violation,)}
 
 

@@ -1,4 +1,4 @@
-"""Uniform grids, complex grid fields, quadrature and spectral derivatives.
+"""Uniform grids, quadrature and spectral derivatives of complex grid arrays.
 
 Grids are periodic-style (right endpoint excluded) with power-of-two node
 counts so the discrete Fourier transform applies directly.  Spectral
@@ -9,7 +9,7 @@ boundary it converges faster than any power of the step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,20 +48,6 @@ class UniformGrid:
         return self.lo + self.step * np.arange(self.n)
 
 
-@dataclass(frozen=True, eq=False)
-class ComplexField2D:
-    """Row-major field: values[i, j] lives at (grids[0].nodes[i], grids[1].nodes[j])."""
-
-    grids: tuple[UniformGrid, UniformGrid]
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.grids[0].n, self.grids[1].n):
-            raise ValueError("value array does not match grid sizes")
-        object.__setattr__(self, "values", v)
-
-
 def _float_parts(values: np.ndarray) -> np.ndarray:
     """The real and imaginary parts of every element, interleaved in one
     float64 vector (a view of contiguous complex data)."""
@@ -86,19 +72,21 @@ def inner_product(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(real, imag)
 
 
-def trapezoid_norm_squared(fld: ComplexField2D) -> float:
-    """Grid quadrature of |psi|^2 (rectangle rule; identical to the trapezoid
-    rule on periodic data that has decayed at the boundary)."""
-    return norm_squared(fld.values) * (fld.grids[0].step * fld.grids[1].step)
+def trapezoid_norm_squared(values: np.ndarray, cell: float) -> float:
+    """Grid quadrature of |psi|^2 over cells of measure ``cell`` (rectangle
+    rule; identical to the trapezoid rule on periodic data that has decayed
+    at the boundary)."""
+    return norm_squared(values) * cell
 
 
-def boundary_amplitude_ratio(fld: ComplexField2D) -> float:
-    """max |value| on the grid boundary divided by max |value| overall.
+def boundary_amplitude_ratio(values: np.ndarray) -> float:
+    """max |value| on the boundary of a 2-D grid array divided by max |value|
+    overall.
 
-    A small ratio certifies the field is numerically band-limited, which the
+    A small ratio certifies the array is numerically band-limited, which the
     spectral derivative needs for its accuracy claims.
     """
-    mag = np.abs(fld.values)
+    mag = np.abs(values)
     peak = mag.max()
     if peak == 0.0:
         return 0.0

@@ -6,13 +6,16 @@ phase.  The proper-time operator is the spectral derivative i*hbar d/dE,
 fixed by the canonical commutator [tau, E] = i*hbar.  The dilation-rate
 observable D = E / sqrt(E^2 + c^2 p^2) is the operator form of the inverse
 Lorentz factor and is singular at the cone tip E = p = 0, so states must
-keep clear of it.
+keep clear of it.  This module supplies the multipliers, the evolution and
+the tau transform; expectation values of a state are taken in one place,
+``moments.state_moments``.
 
 The E step fixes a periodic proper-time window |tau| < pi hbar / dE.  A
 reading whose tau content reaches the window edge wraps around it and comes
 out wrong with no other symptom, since |psi(E)| is unchanged by evolution;
 ``tau_statistics`` therefore reports the share of |psi~(tau)|^2 in the outer
-``TAU_EDGE_BAND`` of the window, from the transform it takes anyway.
+``TAU_EDGE_BAND`` of the window, from the transform it takes anyway, and
+warns with ``NumericalHealthWarning`` above ``TAU_WINDOW_LIMIT``.
 
 Two rules hold for every kernel here and in ``moments``.  A kernel writes
 only into arrays that the same call allocated (its own buffers, or fresh
@@ -28,20 +31,13 @@ The code runs at hbar = c = 1; the formulas keep the symbols.
 """
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from typing import NamedTuple
 
 import numpy as np
 
-from .grids import (
-    BOUNDARY_HEALTH_LIMIT,
-    NumericalHealthWarning,
-    inner_product,
-    norm_squared,
-    spectral_derivative_array,
-)
+from .grids import NumericalHealthWarning, inner_product, norm_squared, spectral_derivative_array
 from .states import MomentumSpaceState
 
 IMAG_RESIDUE_LIMIT = 1e-8
@@ -49,19 +45,6 @@ TIP_CLEARANCE_CELLS = 5.0
 TIP_AMPLITUDE_LIMIT = 1e-8
 TAU_EDGE_BAND = 0.1          # outer tenth of each half of the proper-time window
 TAU_WINDOW_LIMIT = 1e-8      # largest healthy share of |psi~(tau)|^2 in that band
-
-
-class AliasingError(RuntimeError):
-    """Strict-mode escalation of a band-limit health failure."""
-
-
-class Observable(enum.Enum):
-    E = "E"
-    P = "P"
-    H = "H"
-    D = "D"
-    TAU = "TAU"
-    TAU_SQ = "TAU_SQ"
 
 
 def _axes(state: MomentumSpaceState) -> tuple[np.ndarray, np.ndarray]:
@@ -104,24 +87,17 @@ def check_tip_clearance(state: MomentumSpaceState) -> None:
             f"{TIP_CLEARANCE_CELLS:.0f} grid cells of E = p = 0")
 
 
-def _tau_and_window(state: MomentumSpaceState, strict: bool) -> tuple[np.ndarray, float]:
+def _tau_and_window(state: MomentumSpaceState) -> tuple[np.ndarray, float]:
     """(tau psi values, tau-window edge share); an edge share above
-    TAU_WINDOW_LIMIT warns, or raises AliasingError under strict."""
-    if strict and state.boundary_ratio() > BOUNDARY_HEALTH_LIMIT:
-        raise AliasingError(
-            f"state boundary amplitude ratio {state.boundary_ratio():.2e} "
-            "is above the band-limit health threshold")
+    TAU_WINDOW_LIMIT warns."""
     deriv, window = spectral_derivative_array(state.values, state.e_grid, axis=0,
                                               edge_band=TAU_EDGE_BAND)
     if window > TAU_WINDOW_LIMIT:
-        message = (f"share {window:.2e} of |psi(tau)|^2 lies in the outer "
-                   f"{TAU_EDGE_BAND:.0%} of the proper-time window "
-                   f"|tau| < {math.pi / state.e_grid.step:.4g} "
-                   f"(limit {TAU_WINDOW_LIMIT:.0e}); the reading may wrap around it, "
-                   "so refine the E grid")
-        if strict:
-            raise AliasingError(message)
-        warnings.warn(message, NumericalHealthWarning, stacklevel=3)
+        warnings.warn(f"share {window:.2e} of |psi(tau)|^2 lies in the outer "
+                      f"{TAU_EDGE_BAND:.0%} of the proper-time window "
+                      f"|tau| < {math.pi / state.e_grid.step:.4g} "
+                      f"(limit {TAU_WINDOW_LIMIT:.0e}); the reading may wrap around it, "
+                      "so refine the E grid", NumericalHealthWarning, stacklevel=3)
     deriv *= 1j
     return deriv, window
 
@@ -150,32 +126,16 @@ class TauStatistics(NamedTuple):
     window: float  # share of |psi(tau)|^2 in the outer TAU_EDGE_BAND of the window
 
 
-def tau_statistics(state: MomentumSpaceState, strict: bool = False) -> TauStatistics:
+def tau_statistics(state: MomentumSpaceState) -> TauStatistics:
     """<tau>, <tau^2>, tau psi and the tau-window edge share, computed with
     one spectral derivative."""
-    tpsi, window = _tau_and_window(state, strict)
+    tpsi, window = _tau_and_window(state)
     mean = inner_product(state.values, tpsi) * state.cell_measure()
     if abs(mean.imag) > IMAG_RESIDUE_LIMIT:
         raise ValueError(
             f"imaginary residue {mean.imag:.3e} of <tau> exceeds {IMAG_RESIDUE_LIMIT:.0e}")
     second = norm_squared(tpsi) * state.cell_measure()
     return TauStatistics(mean.real, second, tpsi, window)
-
-
-def expectation(state: MomentumSpaceState, observable: Observable | str) -> float:
-    obs = Observable(observable)
-    if obs is Observable.TAU:
-        return tau_statistics(state).mean
-    if obs is Observable.TAU_SQ:
-        return tau_statistics(state).second
-    E, P = _axes(state)
-    if obs is Observable.H:
-        mult = energy_multiplier(state)
-    elif obs is Observable.D:
-        mult = dilation_multiplier(state)
-    else:
-        mult = E if obs is Observable.E else P
-    return float((mult * state.density()).sum() * state.cell_measure())
 
 
 def commutator_residual(state: MomentumSpaceState) -> float:

@@ -47,7 +47,13 @@ from .dynamics import (
 )
 from .gedanken import BoxExperiment, EFieldExperiment, box_uncertainties, efield_uncertainties
 from .metric import flat_metric, uniform_lapse_metric
-from .moments import StateMoments, salecker_wigner_check, state_moments, tau_moments_simulated
+from .moments import (
+    SPREAD_FLOOR,
+    StateMoments,
+    salecker_wigner_check,
+    state_moments,
+    tau_moments_simulated,
+)
 from .operators import TAU_WINDOW_LIMIT, TipClearanceError, commutator_residual
 from .search import optimize_clock_width
 from .states import GaussianClockSpec, GridAxisError, GridSizeError, gaussian_state
@@ -304,7 +310,7 @@ def _run_quantum_moments(params: dict[str, Any], seed: int):
         _check("variance_law", law_dev),
         _check("mean_linearity", lin_dev),
         _check("tau_window", window),
-        _check("uncertainty_floor", moments.spread_floor - moments.spread_product),
+        _check("uncertainty_floor", SPREAD_FLOOR - moments.spread_product),
         _check("commutator", commutator_residual(state)),
     ]
     return _MOMENT_COLS, rows, checks, _grid_sizes(state)
@@ -315,9 +321,9 @@ def _run_quantum_bound(params: dict[str, Any], seed: int):
     state, moments = _clock_state(params, t, "quantum.t")
     row, sim, bc = _moment_row(state, moments, t)
     checks = [
-        _check("sw_bound", (-bc.margin) if bc.sharpness <= PEAKED_SHARPNESS else 0.0),
+        _check("sw_bound", (-bc.margin) if moments.sharpness <= PEAKED_SHARPNESS else 0.0),
         _check("tau_window", sim.tau_window),
-        _check("uncertainty_floor", moments.spread_floor - moments.spread_product),
+        _check("uncertainty_floor", SPREAD_FLOOR - moments.spread_product),
     ]
     return _MOMENT_COLS, [row], checks, _grid_sizes(state)
 

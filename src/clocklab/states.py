@@ -2,9 +2,11 @@
 
 E is the rest-energy axis, p a single spatial-momentum axis (the evolution
 generator depends only on p^2, so one axis exercises all of the dynamics).
-States are unit-normalized under grid quadrature and are expected to be
-numerically band-limited: substantial amplitude at the grid boundary breaks
-the accuracy of the spectral proper-time operator and is reported.
+One record, ``MomentumSpaceState``, holds a state: its E grid, its p grid
+and the complex amplitudes ``values``.  States are unit-normalized under
+grid quadrature and are expected to be numerically band-limited:
+substantial amplitude at the grid boundary breaks the accuracy of the
+spectral proper-time operator and is reported when the state is built.
 
 The code runs at hbar = c = 1; the formulas keep the symbols.
 """
@@ -12,14 +14,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .grids import (
     BOUNDARY_HEALTH_LIMIT,
-    ComplexField2D,
     NumericalHealthWarning,
     UniformGrid,
     boundary_amplitude_ratio,
@@ -73,13 +74,22 @@ class GaussianClockSpec:
 
 @dataclass(frozen=True, eq=False)
 class MomentumSpaceState:
-    psi: ComplexField2D
+    """Row-major amplitudes: values[i, j] is psi at (e_grid.nodes[i],
+    p_grid.nodes[j])."""
+
+    e_grid: UniformGrid
+    p_grid: UniformGrid
+    values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        nrm2 = trapezoid_norm_squared(self.psi)
+        values = np.asarray(self.values, dtype=complex)
+        if values.shape != (self.e_grid.n, self.p_grid.n):
+            raise ValueError("value array does not match grid sizes")
+        object.__setattr__(self, "values", values)
+        nrm2 = trapezoid_norm_squared(values, self.cell_measure())
         if abs(nrm2 - 1.0) > NORM_TOL:
             raise ValueError(f"state is not unit-normalized: <psi|psi> = {nrm2!r}")
-        ratio = boundary_amplitude_ratio(self.psi)
+        ratio = boundary_amplitude_ratio(values)
         if ratio > BOUNDARY_HEALTH_LIMIT:
             warnings.warn(
                 f"state boundary amplitude ratio {ratio:.2e} exceeds "
@@ -88,38 +98,16 @@ class MomentumSpaceState:
                 stacklevel=2,
             )
 
-    @property
-    def e_grid(self) -> UniformGrid:
-        return self.psi.grids[0]
-
-    @property
-    def p_grid(self) -> UniformGrid:
-        return self.psi.grids[1]
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.psi.values
-
     def density(self) -> np.ndarray:
         """|psi|^2 over the grid."""
         rho = np.abs(self.values)
         return np.square(rho, out=rho)
 
-    def boundary_ratio(self) -> float:
-        return boundary_amplitude_ratio(self.psi)
-
-    def rephased(self, phase: np.ndarray) -> MomentumSpaceState:
-        """This state times a unimodular phase array (broadcast over the
-        grid).  |psi| is unchanged, so the normalization and boundary checks
-        made when this state was built hold for the result and are not
-        repeated."""
-        return self._with_values(phase * self.values)
-
     def _with_values(self, values: np.ndarray) -> MomentumSpaceState:
         """A state on these grids holding ``values``, which must have this
         state's |psi| pointwise; the build checks are not repeated."""
         out = object.__new__(MomentumSpaceState)
-        object.__setattr__(out, "psi", ComplexField2D(self.psi.grids, values))
+        out.__dict__.update(vars(self), values=values)
         return out
 
     def cell_measure(self) -> float:
@@ -130,19 +118,18 @@ def state_from_values(e_grid: UniformGrid, p_grid: UniformGrid, values: np.ndarr
                       normalize: bool = True) -> MomentumSpaceState:
     if normalize:
         return _normalized_state(e_grid, p_grid, np.array(values, dtype=complex))
-    return MomentumSpaceState(psi=ComplexField2D((e_grid, p_grid), values))
+    return MomentumSpaceState(e_grid, p_grid, values)
 
 
 def _normalized_state(e_grid: UniformGrid, p_grid: UniformGrid,
                       values: np.ndarray) -> MomentumSpaceState:
     """The unit-normalized state of ``values``, a complex array the caller
     has just allocated; it is divided in place."""
-    fld = ComplexField2D((e_grid, p_grid), values)
-    nrm2 = trapezoid_norm_squared(fld)
+    nrm2 = trapezoid_norm_squared(values, e_grid.step * p_grid.step)
     if nrm2 <= 0.0:
         raise ValueError("cannot normalize a zero field")
     values /= math.sqrt(nrm2)
-    return MomentumSpaceState(psi=fld)
+    return MomentumSpaceState(e_grid, p_grid, values)
 
 
 def state_from_profiles(e_grid: UniformGrid, p_grid: UniformGrid,

@@ -26,7 +26,7 @@ from clocklab.dynamics import (
 from clocklab.gedanken import BoxExperiment, EFieldExperiment, box_uncertainties, efield_uncertainties
 from clocklab.metric import flat_metric, uniform_lapse_metric
 from clocklab.moments import salecker_wigner_check, state_moments, tau_moments_simulated
-from clocklab.operators import Observable, commutator_residual, evolve, expectation
+from clocklab.operators import commutator_residual, evolve
 from clocklab.search import OptimizerBracketError, optimize_clock_width
 from clocklab.states import GaussianClockSpec, gaussian_state, state_from_profiles, suggest_grids
 from clocklab.units import NATURAL_UNITS, SI_UNITS
@@ -214,9 +214,8 @@ def test_criterion_07_exact_variance_law():
     with _Stopwatch() as sw:
         for spec in _LAW_SPECS:
             state = gaussian_state(spec, t_max=100.0)
-            law = state_moments(state).law
-            d_mean = expectation(state, Observable.D)
-            tau0 = expectation(state, Observable.TAU)
+            moments = state_moments(state)
+            law, d_mean, tau0 = moments.law, moments.d_mean, moments.reading.mean_tau
             for t in (1.0, 10.0, 100.0):
                 sim = tau_moments_simulated(state, t)
                 worst_var = max(worst_var, abs(sim.var_tau - law.predict(t)) / law.predict(t))
@@ -250,20 +249,22 @@ def test_criterion_09a_bound_on_peaked_families():
         for sigma_e in (0.05, 0.2, 0.7, 2.0):
             state = gaussian_state(
                 GaussianClockSpec(10.0, sigma_e, p0=1000.0, sigma_p=0.05), t_max=100.0)
+            moments = state_moments(state)
+            worst_sharp = max(worst_sharp, moments.sharpness)
+            assert moments.sharpness <= 0.05
             for t in (1.0, 10.0, 100.0):
-                check = salecker_wigner_check(state_moments(state), tau_moments_simulated(state, t))
-                worst_sharp = max(worst_sharp, check.sharpness)
+                check = salecker_wigner_check(moments, tau_moments_simulated(state, t))
                 worst_margin = min(worst_margin, check.margin)
-                assert check.sharpness <= 0.05
         # narrow rest clocks: the reading spread alone dominates the bound
         for sigma_e in (0.05, 0.1):
             state = gaussian_state(
                 GaussianClockSpec(10.0, sigma_e, p0=0.0, sigma_p=0.5), t_max=100.0)
+            moments = state_moments(state)
+            worst_sharp = max(worst_sharp, moments.sharpness)
+            assert moments.sharpness <= 0.05
             for t in (1.0, 10.0, 100.0):
-                check = salecker_wigner_check(state_moments(state), tau_moments_simulated(state, t))
-                worst_sharp = max(worst_sharp, check.sharpness)
+                check = salecker_wigner_check(moments, tau_moments_simulated(state, t))
                 worst_margin = min(worst_margin, check.margin)
-                assert check.sharpness <= 0.05
     ok = worst_margin >= 0.0
     _line("9a clock bound on peaked families", ok, sw.elapsed,
           f"min margin = {worst_margin:.3e}, max sharpness = {worst_sharp:.3f}")
@@ -358,7 +359,7 @@ def test_criterion_09c_rest_clock_saturation():
 def test_criterion_10_negative_rest_energy_clock():
     with _Stopwatch() as sw:
         state = gaussian_state(GaussianClockSpec(-10.0, 0.5, sigma_p=0.5), t_max=100.0)
-        d_mean = expectation(state, Observable.D)
+        d_mean = state_moments(state).d_mean
         evolved = evolve(state, 100.0)
         norm = float(np.vdot(evolved.values, evolved.values).real * evolved.cell_measure())
         means = [tau_moments_simulated(state, t).mean_tau for t in (0.0, 10.0, 100.0)]

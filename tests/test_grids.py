@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clocklab.grids import (
-    ComplexField2D,
     UniformGrid,
     boundary_amplitude_ratio,
     spectral_derivative_array,
@@ -13,10 +12,11 @@ from clocklab.grids import (
 UNIT = UniformGrid(0.0, 1.0, 8)
 
 
-def _field(grid, f):
-    """The profile f on ``grid`` as a 2-D field, constant over the unit
-    interval on the second axis, so its norm is the profile's own."""
-    return ComplexField2D((grid, UNIT), np.outer(f, np.ones(UNIT.n)))
+def _norm(grid, f):
+    """Quadrature norm of the profile f on ``grid`` as a 2-D array, constant
+    over the unit interval on the second axis, so the norm is the profile's
+    own."""
+    return trapezoid_norm_squared(np.outer(f, np.ones(UNIT.n)), grid.step * UNIT.step)
 
 
 def test_grid_nodes_and_step():
@@ -34,20 +34,19 @@ def test_grid_rejects_non_power_of_two(n):
 
 def test_norm_constant_field():
     grid = UniformGrid(0.0, 1.0, 8)
-    fld = _field(grid, np.ones(8, dtype=complex))
-    assert trapezoid_norm_squared(fld) == pytest.approx(1.0, abs=1e-15)
+    assert _norm(grid, np.ones(8, dtype=complex)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_norm_zero_field():
     grid = UniformGrid(0.0, 1.0, 8)
-    assert trapezoid_norm_squared(_field(grid, np.zeros(8))) == 0.0
+    assert _norm(grid, np.zeros(8, dtype=complex)) == 0.0
 
 
 def test_norm_unit_gaussian():
     grid = UniformGrid(-16.0, 16.0, 1024)
     # |psi|^2 is the standard normal density
     psi = (2.0 * np.pi) ** (-0.25) * np.exp(-grid.nodes**2 / 4.0)
-    assert trapezoid_norm_squared(_field(grid, psi)) == pytest.approx(1.0, abs=1e-12)
+    assert _norm(grid, psi.astype(complex)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_derivative_single_fourier_mode():
@@ -77,15 +76,14 @@ def test_derivative_2d_along_first_axis():
     E = ge.nodes[:, None]
     P = gp.nodes[None, :]
     f = np.exp(-(E**2) / 2.0) * np.exp(-(P**2))
-    fld = ComplexField2D((ge, gp), f)
-    df = spectral_derivative_array(fld.values, ge, axis=0)
+    df = spectral_derivative_array(f.astype(complex), ge, axis=0)
     assert np.abs(df - (-E * f)).max() < 1e-9
 
 
 def test_boundary_ratio():
     grid = UniformGrid(-16.0, 16.0, 256)
     f = np.exp(-grid.nodes**2 / 2.0)
-    ratio = boundary_amplitude_ratio(ComplexField2D((grid, grid), np.outer(f, f)))
+    ratio = boundary_amplitude_ratio(np.outer(f, f))
     assert ratio == pytest.approx(np.exp(-16.0**2 / 2.0), rel=1e-6)
 
 
@@ -110,10 +108,8 @@ def band_limited(draw):
 @settings(max_examples=30, deadline=None)
 def test_parseval_round_trip(data):
     grid, f = data
-    fld = _field(grid, f)
-    back = _field(grid, np.fft.ifft(np.fft.fft(f)))
-    nrm = trapezoid_norm_squared(fld)
-    assert trapezoid_norm_squared(back) == pytest.approx(nrm, rel=1e-12, abs=1e-15)
+    nrm = _norm(grid, f)
+    assert _norm(grid, np.fft.ifft(np.fft.fft(f))) == pytest.approx(nrm, rel=1e-12, abs=1e-15)
 
 
 @given(band_limited(), band_limited(),

@@ -585,16 +585,17 @@ def test_sweep_integrates_as_one_batch(tmp_path, monkeypatch):
 # quad coefficient to a centred moment, which move the last digits of
 # mean_tau, var_tau_sim, var_tau_law and quad, and again when the grid sums
 # moved from BLAS dot products to einsum, which moves the last digits of
-# every quantum column); a change to any of them must be justified in
-# CHANGES.md.
+# every quantum column, and the moments and bound ones again when sharpness
+# moved to a centred H spread, which moves only that column); a change to
+# any of them must be justified in CHANGES.md.
 GOLDEN_CSV_SHA256 = {
     ("gedanken", "box"): "ba3f2e47f9571ed247c570a49564d3c9a32e08a3618991dbdf82ddc2e5926b63",
     ("gedanken", "efield"): "7c4cf442d9d227228fdfd5b6183e6a8216a0abf370beb88d9dd945b352f93116",
     ("classical", "trajectory"):
         "954fd1869f7e4717491064471a419359e8bbd3eee953eadedfd3b23247554eae",
     ("classical", "brackets"): "16c0f3de7af22263db6e15ce1153b03334a9ff27c8ad5d3bd4f39c6da8d566ac",
-    ("quantum", "moments"): "70203d5ff4c0576e083800de05bdb12531a8311c8f654414b99be98c8b3988ce",
-    ("quantum", "bound"): "6749c1af468f0aa0f8e98c6b8e001994af4f2a18a4daf4a28ed4eca3c1da01dc",
+    ("quantum", "moments"): "ba9dd5d30922ce88774d9f4ae16cb4bec31d5e35880502a6cf5df9f8f945722a",
+    ("quantum", "bound"): "106b33de546670cee87c15ec15b4158f3e103d0e69195af5c68dc92b6dba1dec",
     ("quantum", "optimize"): "e4761307bd6a1f28d9bc277e444c3a1bf231db57786bf3360e98e9ac6a2d5134",
 }
 
@@ -700,6 +701,29 @@ def test_cli_start_below_the_lapse_horizon_is_a_config_error(tmp_path, capsys, s
     assert main(argv + ["--output", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error: classical.x1: must start where the lapse" in err
+    assert f"got {written}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("settings, written", [
+    (["classical.m=1e-200", "classical.p1=0"],
+     "classical.m = 1e-200, classical.p1 = 0.0, classical.p2 = 0.0 and classical.p3 = 0.0"),
+    (["units=SI", "classical.m=1e-200 J", "classical.p1=0"],
+     "classical.m = 1e-200 J, classical.p1 = 0.0 kg*m/s, classical.p2 = 0.0 kg*m/s and "
+     "classical.p3 = 0.0 kg*m/s"),
+], ids=["natural", "si"])
+def test_cli_rest_energy_too_small_to_square_is_a_config_error(tmp_path, capsys, settings,
+                                                              written):
+    """A clock whose m^2 underflows to 0 at zero momentum has no kinetic
+    root: it exits 2 naming classical.m, quoting the values as written, and
+    writes nothing."""
+    out = tmp_path / "x.csv"
+    argv = ["classical", "trajectory"]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert main(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: classical.m: m^2 + p1^2 + p2^2 + p3^2 must be positive" in err
     assert f"got {written}" in err
     assert not out.exists()
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from clocklab.grids import NumericalHealthWarning, UniformGrid
-from clocklab.operators import Observable, expectation
+from clocklab.moments import state_moments
 from clocklab.states import (
     GaussianClockSpec,
     gaussian_state,
@@ -12,14 +12,14 @@ from clocklab.states import (
     suggest_grids,
 )
 
-from oracles import dilation
+from oracles import _diagonal, dilation
 
 
 def test_gaussian_state_is_normalized_and_centered():
     spec = GaussianClockSpec(e0=10.0, sigma_e=0.5, sigma_p=0.5)
     state = gaussian_state(spec)
-    assert expectation(state, Observable.E) == pytest.approx(10.0, abs=1e-8)
-    assert expectation(state, Observable.P) == pytest.approx(0.0, abs=1e-10)
+    assert state_moments(state).e_mean == pytest.approx(10.0, abs=1e-8)
+    assert _diagonal(state, state.p_grid.nodes[None, :]) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_gaussian_energy_spread_matches_spec():
@@ -27,22 +27,21 @@ def test_gaussian_energy_spread_matches_spec():
     state = gaussian_state(spec)
     e2 = float((state.e_grid.nodes[:, None] ** 2 * np.abs(state.values) ** 2).sum()
                * state.cell_measure())
-    d_e = np.sqrt(e2 - expectation(state, Observable.E) ** 2)
+    d_e = np.sqrt(e2 - state_moments(state).e_mean ** 2)
     assert d_e == pytest.approx(0.5, rel=1e-6)
 
 
 def test_minimum_uncertainty_gaussian_spreads():
     spec = GaussianClockSpec(e0=10.0, sigma_e=0.5, sigma_p=0.5)
-    state = gaussian_state(spec)
-    assert expectation(state, Observable.TAU) == pytest.approx(0.0, abs=1e-8)
-    tau_sq = expectation(state, Observable.TAU_SQ)
-    assert np.sqrt(tau_sq) == pytest.approx(1.0, rel=1e-6)  # hbar / (2 sigma_e)
+    reading = state_moments(gaussian_state(spec)).reading
+    assert reading.mean_tau == pytest.approx(0.0, abs=1e-8)
+    assert np.sqrt(reading.var_tau) == pytest.approx(1.0, rel=1e-6)  # hbar / (2 sigma_e)
 
 
 def test_tau_offset_shifts_mean_reading():
     spec = GaussianClockSpec(e0=10.0, sigma_e=0.5, tau0=3.0, sigma_p=0.5)
     state = gaussian_state(spec)
-    assert expectation(state, Observable.TAU) == pytest.approx(3.0, abs=1e-8)
+    assert state_moments(state).reading.mean_tau == pytest.approx(3.0, abs=1e-8)
 
 
 def test_coverage_violation_raises():
