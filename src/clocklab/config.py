@@ -318,11 +318,11 @@ def _bracket_violation(member: dict[str, Any], written: Callable[[str], str]) ->
 
 def _step_rule_violation(member: dict[str, Any], written: Callable[[str], str]) -> str | None:
     """classical.t_end must be a whole number of classical.dt steps, at least
-    two (the trajectory audits take central differences)."""
+    four (the rate audit takes five-point central differences)."""
     n_steps = whole_steps(member["classical.t_end"], member["classical.dt"])
-    if n_steps is not None and n_steps >= 2:
+    if n_steps is not None and n_steps >= 4:
         return None
-    return (f"classical.t_end: must be a whole number of classical.dt steps, at least 2, "
+    return (f"classical.t_end: must be a whole number of classical.dt steps, at least 4, "
             f"got classical.t_end = {written('classical.t_end')} and "
             f"classical.dt = {written('classical.dt')}")
 
@@ -344,11 +344,19 @@ def _kinetic_root_violation(member: dict[str, Any],
                             written: Callable[[str], str]) -> str | None:
     """The clock's kinetic root sqrt(m^2 + |p|^2) is real and nonzero: the
     sum the dynamics checks at run time, which a rest energy too small to
-    square (1e-200) leaves at 0 when the momentum is 0."""
+    square (1e-200) leaves at 0 when the momentum is 0.  And the cube of the
+    clock's rate m / sqrt(m^2 + |p|^2) is nonzero: the motion audit divides
+    by it, and a rest energy far below the momentum (1e-150 beside 0.5)
+    leaves a clock with no proper time to audit."""
     m = member["classical.m"]
-    if m * m + sum(member[f"classical.p{i}"] ** 2 for i in (1, 2, 3)) > 0.0:
+    root2 = m * m + sum(member[f"classical.p{i}"] ** 2 for i in (1, 2, 3))
+    if not root2 > 0.0:
+        problem = "m^2 + p1^2 + p2^2 + p3^2 must be positive"
+    elif (m / math.sqrt(root2)) ** 3 == 0.0:
+        problem = "the rate (m / sqrt(m^2 + p1^2 + p2^2 + p3^2))^3 underflows to 0"
+    else:
         return None
-    return (f"classical.m: m^2 + p1^2 + p2^2 + p3^2 must be positive, got "
+    return (f"classical.m: {problem}, got "
             f"classical.m = {written('classical.m')}, classical.p1 = {written('classical.p1')}, "
             f"classical.p2 = {written('classical.p2')} and "
             f"classical.p3 = {written('classical.p3')}")

@@ -104,10 +104,11 @@ class RunReport:
 
 def _check(name: str, measured: float, floor: float = 0.0) -> CheckResult:
     """Check against the tolerance of ``name``, or against ``floor`` where the
-    audit's own rounding bound is larger."""
+    audit's own rounding bound is larger; no check passes against a
+    tolerance that is not finite."""
     tol = max(TOLERANCES[name], float(floor))
-    return CheckResult(name=name, passed=bool(measured <= tol), measured=float(measured),
-                       tolerance=tol)
+    return CheckResult(name=name, passed=bool(measured <= tol) and math.isfinite(tol),
+                       measured=float(measured), tolerance=tol)
 
 
 def _si_factor(dim: str) -> float | None:

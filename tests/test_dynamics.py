@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -310,7 +312,36 @@ def test_vectorized_audits_match_per_sample_loops(case):
     H = hamiltonian_series(traj, metric, charge)
     assert np.array_equal(H, [total_hamiltonian(ExtendedPhaseSpacePoint.from_vector(z), metric,
                                                 charge) for z in traj.states])
+    # the five-point rates leave a rounding-level residual (about 1e-12) on
+    # the trajectory itself, so the loops are also compared on a tau bent by
+    # a smooth 1e-3 wobble, where the residual stands far above rounding
     assert proper_time_residual(traj, metric) == pytest.approx(
-        per_sample_rate_residual(traj, metric), rel=1e-9, abs=1e-16)
+        per_sample_rate_residual(traj, metric), abs=1e-11)
+    states = traj.states.copy()
+    states[:, 0] += 1e-3 * np.sin(3.0 * traj.times)
+    bent = dataclasses.replace(traj, states=states)
+    assert proper_time_residual(bent, metric) > 1e-3
+    assert proper_time_residual(bent, metric) == pytest.approx(
+        per_sample_rate_residual(bent, metric), rel=1e-9)
     assert geodesic_lorentz_residual(traj, metric, charge) == pytest.approx(
         per_sample_motion_residual(traj, metric, charge), rel=1e-9, abs=1e-16)
+
+
+def test_rate_audit_is_exact_at_coarse_steps_and_sees_a_1e7_rate_error():
+    """At dt = 1e-2 the five-point rates leave the correct lapse trajectory
+    (g = 0.08, p1 = 0.8) far below the 1e-8 tolerance, where the three-point
+    rates read 1.6e-7; a tau whose rate is off by a relative 1e-7 still fails."""
+    metric = uniform_lapse_metric(0.08)
+    traj = integrate(moving_clock(1.0, (0.8, 0.0, 0.0)), metric, 0.0, 2.0, 1e-2)
+    assert proper_time_residual(traj, metric) < 1e-12
+    states = traj.states.copy()
+    states[:, 0] = states[0, 0] + (states[:, 0] - states[0, 0]) * (1.0 + 1e-7)
+    assert proper_time_residual(dataclasses.replace(traj, states=states), metric) > 1e-8
+
+
+def test_rate_audit_needs_five_samples():
+    traj = integrate(clock_at_rest(1.0), FLAT, 0.0, 0.04, 1e-2)
+    assert proper_time_residual(traj, FLAT) < 1e-12
+    short = dataclasses.replace(traj, times=traj.times[:4], states=traj.states[:4])
+    with pytest.raises(ValueError, match="five-point"):
+        proper_time_residual(short, FLAT)

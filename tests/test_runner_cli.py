@@ -9,12 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import clocklab
 from clocklab.cli import main
 from clocklab.config import parse_config
 from clocklab.csvio import FloatBlock, emit_csv
-from clocklab.runner import run
+from clocklab.runner import _TRAJ_COLS, _check, _si_factor, _to_si, run
 from clocklab.units import NATURAL_UNITS, SI_UNITS, convert_units
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,21 +48,87 @@ def test_emit_csv_rejects_ragged_rows(tmp_path):
         emit_csv([[1, 2], [3]], ["a", "b"], tmp_path / "bad.csv")
 
 
+def _cell_path_bytes(rows, header, path) -> bytes:
+    """The bytes of ``rows`` written cell by cell: every FloatBlock unrolled
+    into mixed rows."""
+    unrolled = []
+    for row in rows:
+        unrolled += ([[*row.lead, *cells] for cells in row.matrix.tolist()]
+                     if isinstance(row, FloatBlock) else [row])
+    emit_csv(unrolled, header, path)
+    return Path(path).read_bytes()
+
+
 def test_emit_csv_float_blocks_match_cell_path(tmp_path):
     rng = np.random.default_rng(3)
-    matrix = rng.standard_normal((5000, 4)) * 10.0 ** rng.integers(-300, 300, (5000, 4))
-    matrix[0] = [0.0, -0.0, np.inf, np.nan]
-    header = ["lead", "a", "b", "c", "d"]
-    fast, cells = tmp_path / "fast.csv", tmp_path / "cells.csv"
-    blocks = [FloatBlock((0.25,), matrix[:4097]), [7, "x|y", True, -1.5, 2.0],
+    matrix = rng.standard_normal((5000, 7)) * 10.0 ** rng.integers(-300, 300, (5000, 7))
+    matrix[0, :4] = [0.0, -0.0, np.inf, np.nan]
+    # constant columns, formatted once per block: a plain one, -0.0, and one
+    # that is constant in the first block only (its last row differs)
+    matrix[:, 4], matrix[:, 5], matrix[:4097, 6] = 2.5e-300, -0.0, 1.0 / 3.0
+    header = ["lead", "a", "b", "c", "d", "e", "f", "g"]
+    fast = tmp_path / "fast.csv"
+    blocks = [FloatBlock((0.25,), matrix[:4097]), [7, "x|y", True, -1.5, 2.0, 3.0, 4.0, 5.0],
               FloatBlock((-3e-7,), matrix[4097:])]
     assert emit_csv(blocks, header, fast) == 5001
-    rows = ([[0.25] + row for row in matrix[:4097].tolist()] + [[7, "x|y", True, -1.5, 2.0]]
-            + [[-3e-7] + row for row in matrix[4097:].tolist()])
-    assert emit_csv(rows, header, cells) == 5001
-    assert fast.read_bytes() == cells.read_bytes()
-    with pytest.raises(ValueError, match="row 0 has 4 cells, header has 5"):
+    assert fast.read_bytes() == _cell_path_bytes(blocks, header, tmp_path / "cells.csv")
+    with pytest.raises(ValueError, match="row 0 has 7 cells, header has 8"):
         emit_csv([FloatBlock((), matrix)], header, tmp_path / "bad.csv")
+
+
+# quiet NaNs of three payloads: they format alike but never share a cell
+_NAN_PAYLOADS = np.array([0x7FF8000000000000, 0x7FF80000DEADBEEF, 0xFFF8000000000001],
+                         dtype=np.uint64).view(np.float64).tolist()
+_FLOAT_CELLS = (st.sampled_from([0.0, -0.0, np.inf, -np.inf, 5e-324, 1.0 / 3.0, *_NAN_PAYLOADS])
+                | st.floats())
+
+
+@st.composite
+def _float_blocks(draw):
+    """1-3 FloatBlocks of one width, with 0-6 rows each, whose columns are
+    constant (one drawn cell repeated) or drawn cell by cell, in a C,
+    Fortran or strided layout, or scaled in place by runner._to_si."""
+    width = draw(st.integers(1, 5))
+    lead_cells = st.text(alphabet="ab%s.|-", max_size=4) | st.integers() | _FLOAT_CELLS
+    n_lead = draw(st.integers(0, 2))
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(0, 6))
+        columns = [[draw(_FLOAT_CELLS)] * n if draw(st.booleans())
+                   else draw(st.lists(_FLOAT_CELLS, min_size=n, max_size=n))
+                   for _ in range(width)]
+        matrix = np.array(columns, dtype=float).reshape(width, n).T
+        layout = draw(st.sampled_from(["c", "fortran", "strided", "si"]))
+        if layout == "c":
+            matrix = np.ascontiguousarray(matrix)
+        elif layout == "fortran":
+            matrix = np.asfortranarray(matrix)
+        elif layout == "strided":
+            wide = np.zeros((2 * n, 2 * width))
+            wide[::2, ::2] = matrix
+            matrix = wide[::2, ::2]
+        else:
+            matrix = _to_si(np.ascontiguousarray(matrix),
+                            [_si_factor(dim) for _, dim in _TRAJ_COLS[:width]])
+        blocks.append(FloatBlock(tuple(draw(lead_cells) for _ in range(n_lead)), matrix))
+    return blocks
+
+
+@given(blocks=_float_blocks())
+@example(blocks=[FloatBlock((), np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]))])
+@example(blocks=[FloatBlock((), np.array([_NAN_PAYLOADS, [np.inf, -np.inf, np.nan]]).T)])
+@example(blocks=[FloatBlock(("a%sb", 1), np.full((5, 3), -2.5)),
+                 FloatBlock(("%%", 2), np.array([[1.0, -0.0, np.nan]])),
+                 FloatBlock(("%(x)s", 3), np.empty((0, 3)))])
+@example(blocks=[FloatBlock((0.5,), np.arange(12.0).reshape(3, 4).T[:, ::2])])
+@settings(max_examples=150, deadline=None)
+def test_float_blocks_with_constant_columns_write_the_cell_path_bytes(tmp_path_factory, blocks):
+    """A FloatBlock writes exactly the bytes of its rows written cell by
+    cell, whichever of its columns hold one bit pattern throughout."""
+    out = tmp_path_factory.mktemp("blocks")
+    header = [f"c{i}" for i in range(len(blocks[0].lead) + blocks[0].matrix.shape[1])]
+    assert emit_csv(blocks, header, out / "fast.csv") == sum(len(b.matrix) for b in blocks)
+    assert (out / "fast.csv").read_bytes() == _cell_path_bytes(blocks, header, out / "cells.csv")
 
 
 def test_float_format_has_at_least_12_significant_digits(tmp_path):
@@ -378,9 +445,14 @@ def test_cli_cross_key_message_quotes_si_values_as_written(tmp_path, capsys):
     ["sweep.param=classical.dt", "sweep.values=0.001, 0.3"],
     ["classical.dt=0.25", "sweep.param=classical.t_end", "sweep.values=1, 1.1, 2"],
     ["classical.t_end=0.001"],
+    ["classical.t_end=0.002"],
+    ["classical.t_end=0.003"],
     ["sweep.param=classical.t_end", "sweep.values=1, 0.001"],
-], ids=["dt", "dt-si", "sweep-dt", "sweep-t-end", "one-step", "sweep-one-step"])
+], ids=["dt", "dt-si", "sweep-dt", "sweep-t-end", "one-step", "two-steps", "three-steps",
+        "sweep-one-step"])
 def test_cli_rejects_partial_integration_step(tmp_path, capsys, settings):
+    """A partial step, or fewer than the four steps the five-point rate
+    audit needs, is a config error naming classical.t_end."""
     out = tmp_path / "x.csv"
     argv = ["classical", "trajectory"]
     for setting in settings:
@@ -388,10 +460,18 @@ def test_cli_rejects_partial_integration_step(tmp_path, capsys, settings):
     code = main(argv + ["--output", str(out)])
     assert code == 2
     err = capsys.readouterr().err
-    assert "config error: classical.t_end: must be a whole number of classical.dt steps" in err
+    assert ("config error: classical.t_end: must be a whole number of classical.dt steps, "
+            "at least 4") in err
     assert "classical.dt = " in err
     assert err.count("config error") == 1
     assert not out.exists()
+
+
+def test_cli_four_steps_run_every_trajectory_audit(tmp_path):
+    out = tmp_path / "x.csv"
+    assert main(["classical", "trajectory", "--set", "classical.t_end=0.004",
+                 "--output", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 6
 
 
 def test_cli_missing_config_file(tmp_path, capsys):
@@ -726,6 +806,38 @@ def test_cli_rest_energy_too_small_to_square_is_a_config_error(tmp_path, capsys,
     assert "config error: classical.m: m^2 + p1^2 + p2^2 + p3^2 must be positive" in err
     assert f"got {written}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("settings, written", [
+    (["classical.m=1e-150", "classical.p1=0.5"],
+     "classical.m = 1e-150, classical.p1 = 0.5, classical.p2 = 0.0 and classical.p3 = 0.0"),
+    (["units=SI", "classical.m=1e-200 J"], "classical.m = 1e-200 J, classical.p1 = "),
+], ids=["natural", "si"])
+def test_cli_rest_energy_too_small_to_audit_is_a_config_error(tmp_path, capsys, settings,
+                                                              written):
+    """A clock whose rate m / sqrt(m^2 + |p|^2) cubes to 0 has no proper time
+    for the motion audit to divide by: it exits 2 naming classical.m, before
+    any arithmetic warns, and writes nothing."""
+    out = tmp_path / "x.csv"
+    argv = ["classical", "trajectory"]
+    for setting in settings:
+        argv += ["--set", setting]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: classical.m: the rate (m / sqrt(m^2 + p1^2 + p2^2 + p3^2))^3" in err
+    assert f"got {written}" in err
+    assert err.count("config error") == 1
+    assert not out.exists()
+
+
+def test_check_fails_against_a_tolerance_that_is_not_finite():
+    for measured in (0.0, 1e300, np.inf, np.nan):
+        result = _check("motion_residual", measured, floor=np.inf)
+        assert not result.passed and result.tolerance == np.inf
+    assert _check("motion_residual", 0.5, floor=1.0).passed
+    assert not _check("motion_residual", np.nan).passed
 
 
 @pytest.mark.parametrize("sub, settings, key", [
