@@ -390,6 +390,20 @@ def proper_time_residual(traj: Trajectory, metric: StaticMetric):
     return np.abs(tau_dot - rate).max(axis=0)
 
 
+def rate_rounding_floor(traj: Trajectory):
+    """Bound on the rounding part of ``proper_time_residual``, per clock:
+    each sample carries a relative rounding eps, which the five-point
+    weights (total 1.5) divide by dt; the metric rate sqrt(f^2 - v^2) takes
+    the error of v = dx/dt times |v| / rate, so a fast clock, whose rate is
+    small, loses digits as 1/rate."""
+    dt = traj.dt
+    rate = np.abs(np.diff(traj.tau, axis=0)).min(axis=0) / dt
+    speed = np.linalg.norm(np.diff(traj.x, axis=0), axis=-1).max(axis=0) / dt
+    reach = (np.abs(traj.tau).max(axis=0)
+             + speed * np.linalg.norm(traj.x, axis=-1).max(axis=0) / rate)
+    return 1.5 * np.finfo(float).eps * reach / dt
+
+
 def geodesic_lorentz_residual(traj: Trajectory, metric: StaticMetric, charge: float = 0.0):
     """Peak violation, per unit rest mass M/c^2, of the proper-time-
     parameterized equation of motion

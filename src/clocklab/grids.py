@@ -5,6 +5,11 @@ counts so the discrete Fourier transform applies directly.  Spectral
 differentiation is exact, up to rounding, for trigonometric polynomials
 below the Nyquist frequency; on smooth data that has decayed at the grid
 boundary it converges faster than any power of the step.
+
+Grid sums take the elements in memory order, C or Fortran.  A statistic
+that is a weighted sum over the spectrum is taken from the per-wavenumber
+power ``power_spectrum`` gives (Parseval's theorem), with no inverse
+transform.
 """
 from __future__ import annotations
 
@@ -50,26 +55,19 @@ class UniformGrid:
 
 def _float_parts(values: np.ndarray) -> np.ndarray:
     """The real and imaginary parts of every element, interleaved in one
-    float64 vector (a view of contiguous complex data)."""
-    return np.ravel(values).view(np.float64)
+    float64 vector in memory order (a view of contiguous complex data, C or
+    Fortran order)."""
+    return np.ravel(values, order="K").view(np.float64)
 
 
 def norm_squared(values: np.ndarray) -> float:
     """Sum of |v|^2 over every element of a complex array.
 
-    The sums here run in NumPy's own einsum loop, not in BLAS: OpenBLAS
-    splits a dot product across its threads, so its last bits would depend
-    on the thread count."""
+    The sums here run in NumPy's own einsum and reduce loops, not in BLAS:
+    OpenBLAS splits a dot product across its threads, so its last bits
+    would depend on the thread count."""
     parts = _float_parts(values)
     return float(np.einsum("i,i->", parts, parts))
-
-
-def inner_product(a: np.ndarray, b: np.ndarray) -> complex:
-    """Sum of conj(a) * b over every element, summed as ``norm_squared``."""
-    fa, fb = _float_parts(a), _float_parts(b)
-    real = np.einsum("i,i->", fa, fb)
-    imag = np.einsum("i,i->", fa[::2], fb[1::2]) - np.einsum("i,i->", fa[1::2], fb[::2])
-    return complex(real, imag)
 
 
 def trapezoid_norm_squared(values: np.ndarray, cell: float) -> float:
@@ -102,31 +100,40 @@ def wavenumbers(grid: UniformGrid) -> np.ndarray:
     return k
 
 
-def spectral_derivative_array(values: np.ndarray, grid: UniformGrid, axis: int = 0,
-                              edge_band: float | None = None
-                              ) -> np.ndarray | tuple[np.ndarray, float]:
-    """Derivative of ``values`` along ``axis`` by DFT.
+def power_spectrum(values: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(spec, power): the DFT of ``values`` along ``axis``, and its power
+    per wavenumber, |spec|^2 summed over every other axis, in DFT order.
 
-    With ``edge_band`` set, also return the share of the spectral power
-    whose wavenumber lies in the outer ``edge_band`` fraction of the
-    conjugate window, ``|k| >= (1 - edge_band) * k_Nyquist``, taken from the
-    same transform: content there is about to wrap around the window.
-    """
+    By Parseval's theorem sum |v|^2 = sum(power) / n, and a sum of
+    w(k) |v~(k)|^2 is a sum of w(k) power(k) / n."""
+    spec = np.fft.fft(values, axis=axis)
+    n = spec.shape[axis]
+    # rows of the transform axis, each (re, im) pair interleaved; a view
+    # when that axis is the contiguous one
+    parts = np.ascontiguousarray(np.moveaxis(spec, axis, -1)).view(np.float64).reshape(-1, 2 * n)
+    sums = np.einsum("ij,ij->j", parts, parts)
+    return spec, sums[::2] + sums[1::2]
+
+
+def edge_band_share(power: np.ndarray, edge_band: float) -> float:
+    """Share of ``power`` (DFT order) whose wavenumber lies in the outer
+    ``edge_band`` fraction of the conjugate window, ``|k| >= (1 -
+    edge_band) * k_Nyquist``: content there is about to wrap around the
+    window."""
+    n = power.shape[0]
+    # in DFT order |k| >= first_edge * dk is the one slice [first_edge, n - first_edge]
+    first_edge = math.ceil((1.0 - edge_band) * n / 2)
+    total = float(np.add.reduce(power))
+    return float(np.add.reduce(power[first_edge:n - first_edge + 1])) / total if total > 0.0 else 0.0
+
+
+def spectral_derivative_array(values: np.ndarray, grid: UniformGrid,
+                              axis: int = 0) -> np.ndarray:
+    """Derivative of ``values`` along ``axis`` by DFT."""
     if values.shape[axis] != grid.n:
         raise ValueError("axis length does not match the supplied grid")
-    k = wavenumbers(grid)
     shape = [1] * values.ndim
     shape[axis] = grid.n
     spec = np.fft.fft(values, axis=axis)
-    edge_fraction = None
-    if edge_band is not None:
-        # in DFT order |k| >= first_edge * dk is the one slice [first_edge, n - first_edge]
-        first_edge = math.ceil((1.0 - edge_band) * grid.n / 2)
-        band = [slice(None)] * values.ndim
-        band[axis] = slice(first_edge, grid.n - first_edge + 1)
-        total = norm_squared(spec)
-        edge_fraction = norm_squared(spec[tuple(band)]) / total if total > 0.0 else 0.0
-    spec *= (1j * k).reshape(shape)
-    deriv = np.fft.ifft(spec, axis=axis, out=spec)
-    return deriv if edge_fraction is None else (deriv, edge_fraction)
-
+    spec *= (1j * wavenumbers(grid)).reshape(shape)
+    return np.fft.ifft(spec, axis=axis, out=spec)

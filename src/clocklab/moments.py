@@ -13,14 +13,20 @@ the quadratic
 ``state_moments`` takes the coefficients from t = 0 data, and agreement of
 the two routes is one of the main self-checks of this module.  It is the
 one place where a state's t = 0 statistics are taken, from one |psi|^2,
-one E, H and D multiplier each and one tau psi, into a frozen
-``StateMoments`` record; the bound check is arithmetic on that record.  The
+one E, H and D multiplier each and one transform pair along E, into a
+frozen ``StateMoments`` record; the bound check is arithmetic on that record.  The
 spread product d_tau d_E it carries is at least ``SPREAD_FLOOR`` = hbar / 2.
 The code runs at hbar = c = 1; the formulas keep the symbols.
 
+A reading takes one forward transform along E and no inverse: <tau> and
+<tau^2> are Parseval sums over the spectrum (``operators.tau_statistics``).
+``state_moments`` alone turns that same spectrum into tau psi, with one
+inverse, for the cross term <[D, tau]_+>.
+
 As in ``operators``, the kernels write only into arrays that the same call
-allocated, never into the state's values: ``state_moments`` takes the
-anti-commutator in one buffer, every diagonal mean in one reused buffer
+allocated, never into the state's values: ``state_moments`` forms tau psi
+in the spectrum ``tau_statistics`` allocated and takes the anti-commutator
+in one buffer, every diagonal mean in one reused buffer
 and the centred D and H spreads in the buffers of their multipliers, and
 ``tau_moments_simulated`` multiplies the frame shift into the array that
 ``evolve`` allocated for it.
@@ -52,6 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grids import wavenumbers
 from .operators import _axes, dilation_multiplier, energy_multiplier, evolve, tau_statistics
 from .states import MomentumSpaceState, frame_velocity
 
@@ -149,17 +156,25 @@ def state_moments(state: MomentumSpaceState) -> StateMoments:
         d, dilation = None, str(err)
     E, _ = _axes(state)
     cell = state.cell_measure()
-    tau_mean, tau_second, tpsi, window = tau_statistics(state)
+    tau_mean, tau_second, spec, window = tau_statistics(state)
     # tau psi and the complex temporary of <[D, tau]_+> come and go before
     # |psi|^2 and H exist, which keeps the memory peak, and the pages
     # faulted back after each trim of the heap, low
     if d is not None:
+        # D is measured from the frame rate v: lin = <[D - v, tau]_+> -
+        # 2 <D - v> <tau>, whose rounding scales with |D - v|, not with |D|
+        # (about 1e-20 against 1e-17 for a clock at rest, where D ~ v ~ 1)
+        v = frame_velocity(state)
+        d -= v
+        # tau acts as -hbar k on the spectrum; tau psi is its one inverse
+        spec *= -wavenumbers(state.e_grid)[:, None]
+        tpsi = np.fft.ifft(spec, axis=0, out=spec)
         prod = d * state.values
         np.conj(prod, out=prod)
         prod *= tpsi
         anti_d = 2.0 * float(prod.sum().real * cell)
-        del prod
-    del tpsi
+        del prod, tpsi
+    del spec
     rho = state.density()
     weighted = np.empty_like(rho)
 
@@ -168,15 +183,15 @@ def state_moments(state: MomentumSpaceState) -> StateMoments:
 
     const = tau_second - tau_mean**2
     if d is not None:
-        d_mean = mean(d)
+        d_offset = mean(d)  # <D> - v
         # centred: <D^2> - <D>^2 loses every digit of Var D below 1e-16
         # when D is pinned near 1, as for a clock at rest
-        d -= d_mean
+        d -= d_offset
         dilation = (VarianceLawCoefficients(
             quad=mean(np.square(d, out=d)),
-            lin=anti_d - 2.0 * d_mean * tau_mean,
+            lin=anti_d - 2.0 * d_offset * tau_mean,
             const=const,
-        ), d_mean)
+        ), v + d_offset)
     del d  # before H exists, for the same reason
     h = energy_multiplier(state)
     # E and H are centred as D is: <X^2> - <X>^2 cancels the digits of a

@@ -10,12 +10,19 @@ keep clear of it.  This module supplies the multipliers, the evolution and
 the tau transform; expectation values of a state are taken in one place,
 ``moments.state_moments``.
 
+Every grid array here is E-contiguous (Fortran order), as state values
+are, so no arithmetic mixes memory orders and the transform along E runs on
+contiguous columns.  A reading is one forward transform along E: <tau> and
+<tau^2> are the sums -(cell/n) sum k P(k) and (cell/n) sum k^2 P(k) over its
+per-wavenumber power P(k) (Parseval's theorem; tau acts as -hbar k on the
+spectrum), so <tau> is real by construction and no inverse is taken.
+
 The E step fixes a periodic proper-time window |tau| < pi hbar / dE.  A
 reading whose tau content reaches the window edge wraps around it and comes
 out wrong with no other symptom, since |psi(E)| is unchanged by evolution;
-``tau_statistics`` therefore reports the share of |psi~(tau)|^2 in the outer
-``TAU_EDGE_BAND`` of the window, from the transform it takes anyway, and
-warns with ``NumericalHealthWarning`` above ``TAU_WINDOW_LIMIT``.
+``tau_statistics`` therefore reports the share of P(k) in the outer
+``TAU_EDGE_BAND`` of the window, from the same transform, and warns with
+``NumericalHealthWarning`` above ``TAU_WINDOW_LIMIT``.
 
 Two rules hold for every kernel here and in ``moments``.  A kernel writes
 only into arrays that the same call allocated (its own buffers, or fresh
@@ -24,8 +31,9 @@ state's values; so a multi-step expression runs in one buffer and does not
 fault in a new temporary for each step.  And ``evolve`` takes the phase as
 cos and sin of -tH written into the two halves of one complex buffer,
 which is bitwise equal to exp(-itH) as np.exp takes it.  Grid sums run in
-NumPy's einsum loop (``grids.norm_squared``, ``grids.inner_product``), so
-the bits do not depend on the BLAS thread count.
+NumPy's einsum and reduce loops (``grids.norm_squared``,
+``grids.power_spectrum``), so the bits do not depend on the BLAS thread
+count.
 
 The code runs at hbar = c = 1; the formulas keep the symbols.
 """
@@ -37,10 +45,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import NumericalHealthWarning, inner_product, norm_squared, spectral_derivative_array
+from .grids import (
+    NumericalHealthWarning,
+    edge_band_share,
+    norm_squared,
+    power_spectrum,
+    spectral_derivative_array,
+    wavenumbers,
+)
 from .states import MomentumSpaceState
 
-IMAG_RESIDUE_LIMIT = 1e-8
 TIP_CLEARANCE_CELLS = 5.0
 TIP_AMPLITUDE_LIMIT = 1e-8
 TAU_EDGE_BAND = 0.1          # outer tenth of each half of the proper-time window
@@ -54,7 +68,7 @@ def _axes(state: MomentumSpaceState) -> tuple[np.ndarray, np.ndarray]:
 def energy_multiplier(state: MomentumSpaceState) -> np.ndarray:
     """Total-energy values sqrt(E^2 + c^2 p^2) over the grid."""
     E, P = _axes(state)
-    h = E * E + P**2
+    h = np.add(E * E, P**2, out=state.grid_array(float))
     return np.sqrt(h, out=h)
 
 
@@ -87,21 +101,6 @@ def check_tip_clearance(state: MomentumSpaceState) -> None:
             f"{TIP_CLEARANCE_CELLS:.0f} grid cells of E = p = 0")
 
 
-def _tau_and_window(state: MomentumSpaceState) -> tuple[np.ndarray, float]:
-    """(tau psi values, tau-window edge share); an edge share above
-    TAU_WINDOW_LIMIT warns."""
-    deriv, window = spectral_derivative_array(state.values, state.e_grid, axis=0,
-                                              edge_band=TAU_EDGE_BAND)
-    if window > TAU_WINDOW_LIMIT:
-        warnings.warn(f"share {window:.2e} of |psi(tau)|^2 lies in the outer "
-                      f"{TAU_EDGE_BAND:.0%} of the proper-time window "
-                      f"|tau| < {math.pi / state.e_grid.step:.4g} "
-                      f"(limit {TAU_WINDOW_LIMIT:.0e}); the reading may wrap around it, "
-                      "so refine the E grid", NumericalHealthWarning, stacklevel=3)
-    deriv *= 1j
-    return deriv, window
-
-
 def evolve(state: MomentumSpaceState, t: float) -> MomentumSpaceState:
     """Unitary evolution by the diagonal phase exp(-i t sqrt(E^2+c^2p^2)/hbar)."""
     if not math.isfinite(t):
@@ -112,7 +111,7 @@ def evolve(state: MomentumSpaceState, t: float) -> MomentumSpaceState:
     # a complex temporary: the phase goes into one buffer, then psi into it
     arg = energy_multiplier(state)
     arg *= -t
-    values = np.empty(arg.shape, dtype=complex)
+    values = state.grid_array(complex)
     np.cos(arg, out=values.real)
     np.sin(arg, out=values.imag)
     values *= state.values
@@ -122,20 +121,27 @@ def evolve(state: MomentumSpaceState, t: float) -> MomentumSpaceState:
 class TauStatistics(NamedTuple):
     mean: float
     second: float
-    tpsi: np.ndarray
+    spectrum: np.ndarray  # the state's DFT along E, allocated for this reading
     window: float  # share of |psi(tau)|^2 in the outer TAU_EDGE_BAND of the window
 
 
 def tau_statistics(state: MomentumSpaceState) -> TauStatistics:
-    """<tau>, <tau^2>, tau psi and the tau-window edge share, computed with
-    one spectral derivative."""
-    tpsi, window = _tau_and_window(state)
-    mean = inner_product(state.values, tpsi) * state.cell_measure()
-    if abs(mean.imag) > IMAG_RESIDUE_LIMIT:
-        raise ValueError(
-            f"imaginary residue {mean.imag:.3e} of <tau> exceeds {IMAG_RESIDUE_LIMIT:.0e}")
-    second = norm_squared(tpsi) * state.cell_measure()
-    return TauStatistics(mean.real, second, tpsi, window)
+    """<tau>, <tau^2>, the spectrum along E and the tau-window edge share,
+    from one forward transform; an edge share above TAU_WINDOW_LIMIT warns."""
+    grid = state.e_grid
+    spec, power = power_spectrum(state.values, axis=0)
+    window = edge_band_share(power, TAU_EDGE_BAND)
+    if window > TAU_WINDOW_LIMIT:
+        warnings.warn(f"share {window:.2e} of |psi(tau)|^2 lies in the outer "
+                      f"{TAU_EDGE_BAND:.0%} of the proper-time window "
+                      f"|tau| < {math.pi / grid.step:.4g} "
+                      f"(limit {TAU_WINDOW_LIMIT:.0e}); the reading may wrap around it, "
+                      "so refine the E grid", NumericalHealthWarning, stacklevel=2)
+    k = wavenumbers(grid)
+    scale = state.cell_measure() / grid.n
+    mean = -scale * float(np.einsum("i,i->", k, power))
+    second = scale * float(np.einsum("i,i->", k * k, power))
+    return TauStatistics(mean, second, spec, window)
 
 
 def commutator_residual(state: MomentumSpaceState) -> float:

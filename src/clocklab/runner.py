@@ -16,7 +16,9 @@ sizes n_e and n_p, the largest over sweep members; classical trajectories:
 ``batch_members``, the largest batch),
 ``timings`` (``compute_s`` and ``write_s``; classical trajectories also
 ``integrate_s`` and ``audit_s``, the phases inside ``compute_s``, summed over
-batches) and the clocklab, numpy and Python ``versions``.
+batches; quantum runs ``build_s``, ``moments_s`` and ``read_s``, the state
+builds, the t = 0 moment passes and the evolved readings, summed over
+members) and the clocklab, numpy and Python ``versions``.
 """
 from __future__ import annotations
 
@@ -42,6 +44,7 @@ from .dynamics import (
     integrate,
     motion_rounding_floor,
     proper_time_residual,
+    rate_rounding_floor,
     relative_drift,
     whole_steps,
 )
@@ -125,6 +128,23 @@ def _each(fn: Callable) -> Callable:
     return lambda members, seed: [(*fn(params, seed), {}) for params in members]
 
 
+def _each_quantum(fn: Callable) -> Callable:
+    """A quantum scenario that runs its members one at a time; every member
+    reports the build, moments and reading phases of the whole call."""
+    def run_members(members: list[dict[str, Any]], seed: int) -> list:
+        phases = dict.fromkeys(("build_s", "moments_s", "read_s"), 0.0)
+        return [(*fn(params, phases), phases) for params in members]
+    return run_members
+
+
+def _timed(phases: dict[str, float], phase: str, fn: Callable, *args, **kwargs):
+    """fn(*args, **kwargs), its wall time added to ``phases[phase]``."""
+    start = time.perf_counter()
+    result = fn(*args, **kwargs)
+    phases[phase] += time.perf_counter() - start
+    return result
+
+
 # --- gedanken -------------------------------------------------------------
 
 def _run_gedanken(params: dict[str, Any], seed: int):
@@ -200,8 +220,9 @@ def _run_classical_trajectory(members: list[dict[str, Any]], seed: int):
             "constraint_drift": np.maximum(*constraint_drift(traj)),
             "h_conservation": relative_drift(H),
             "m_conservation": relative_drift(traj.states[..., 2]),
-            "proper_time_residual": proper_time_residual(traj, metric),
         }
+        rates = proper_time_residual(traj, metric)
+        rate_floor = rate_rounding_floor(traj)
         if not hold:  # a held clock is pushed off its free motion by the mount
             motion = geodesic_lorentz_residual(traj, metric, charge)
             floor = motion_rounding_floor(traj)
@@ -209,6 +230,7 @@ def _run_classical_trajectory(members: list[dict[str, Any]], seed: int):
         phases["audit_s"] += time.perf_counter() - integrated
         for k, (j, p) in enumerate(zip(indices, batch)):
             checks = [_check(name, values[k]) for name, values in audits.items()]
+            checks.append(_check("proper_time_residual", rates[k], rate_floor[k]))
             if not hold:
                 checks.append(_check("motion_residual", motion[k], floor[k]))
             if params["classical.metric"] == "flat" and charge == 0.0 and not hold:
@@ -243,7 +265,8 @@ _MOMENT_COLS = [("t", "time"), ("mean_tau", "time"), ("var_tau_sim", "time^2"),
                 ("sharpness", "")]
 
 
-def _clock_state(params: dict[str, Any], t_max: float, time_key: str):
+def _clock_state(params: dict[str, Any], t_max: float, time_key: str,
+                 phases: dict[str, float]):
     """The member's clock state and its t = 0 moments.  A state the runtime
     refuses is a config error naming the time key (an E grid too large for
     t_max), the grid key of an axis that does not resolve the state, or
@@ -252,27 +275,28 @@ def _clock_state(params: dict[str, Any], t_max: float, time_key: str):
         e0=params["quantum.e0"], sigma_e=params["quantum.sigma_e"], tau0=params["quantum.tau0"],
         p0=params["quantum.p0"], sigma_p=params["quantum.sigma_p"], x0=params["quantum.x0"])
     try:
-        state = gaussian_state(spec, t_max=t_max, n_e=params["grid.e.n"], n_p=params["grid.p.n"])
+        state = _timed(phases, "build_s", gaussian_state, spec, t_max=t_max,
+                       n_e=params["grid.e.n"], n_p=params["grid.p.n"])
     except GridSizeError as err:
         raise ConfigError([f"{time_key}: {err}"]) from None
     except GridAxisError as err:
         raise ConfigError([f"grid.{err.axis.lower()}.n: {err}"]) from None
-    moments = state_moments(state)
+    moments = _timed(phases, "moments_s", state_moments, state)
     if isinstance(moments.dilation, str):
         raise ConfigError([f"quantum.e0: {moments.dilation}"])
     return state, moments
 
 
-def _moment_row(state, moments: StateMoments, t: float):
+def _moment_row(state, moments: StateMoments, t: float, phases: dict[str, float]):
     """CSV row, reading and (for t > 0) bound check at time t, from at most
     one evolution of the state."""
     law = moments.law
+    sim = moments.reading if t == 0.0 else _timed(phases, "read_s", tau_moments_simulated,
+                                                  state, t)
     if t > 0.0:
-        sim = tau_moments_simulated(state, t)
         bc = salecker_wigner_check(moments, sim)
         bound, satisfied = bc.rhs, bc.satisfied
     else:
-        sim = moments.reading if t == 0.0 else tau_moments_simulated(state, t)
         bc, bound, satisfied = None, 0.0, True
     return ([t, sim.mean_tau, sim.var_tau, law.predict(t), law.quad, law.lin,
              law.const, bound, satisfied, moments.sharpness], sim, bc)
@@ -290,9 +314,9 @@ def _write_snapshot(state, path: str) -> None:
     emit_csv(rows, ["axis", "coordinate", "density"], path)
 
 
-def _run_quantum_moments(params: dict[str, Any], seed: int):
+def _run_quantum_moments(params: dict[str, Any], phases: dict[str, float]):
     times = params["quantum.times"]
-    state, moments = _clock_state(params, max(abs(t) for t in times), "quantum.times")
+    state, moments = _clock_state(params, max(abs(t) for t in times), "quantum.times", phases)
     if params.get("quantum.snapshot"):
         _write_snapshot(state, params["quantum.snapshot"])
     law, start = moments.law, moments.reading
@@ -301,7 +325,7 @@ def _run_quantum_moments(params: dict[str, Any], seed: int):
     lin_dev = 0.0
     window = start.tau_window
     for t in times:
-        row, sim, _ = _moment_row(state, moments, t)
+        row, sim, _ = _moment_row(state, moments, t, phases)
         rows.append(row)
         law_dev = max(law_dev, abs(sim.var_tau - law.predict(t)) / max(law.predict(t), 1e-300))
         expected_mean = start.mean_tau + moments.d_mean * t
@@ -317,10 +341,10 @@ def _run_quantum_moments(params: dict[str, Any], seed: int):
     return _MOMENT_COLS, rows, checks, _grid_sizes(state)
 
 
-def _run_quantum_bound(params: dict[str, Any], seed: int):
+def _run_quantum_bound(params: dict[str, Any], phases: dict[str, float]):
     t = params["quantum.t"]
-    state, moments = _clock_state(params, t, "quantum.t")
-    row, sim, bc = _moment_row(state, moments, t)
+    state, moments = _clock_state(params, t, "quantum.t", phases)
+    row, sim, bc = _moment_row(state, moments, t, phases)
     checks = [
         _check("sw_bound", (-bc.margin) if moments.sharpness <= PEAKED_SHARPNESS else 0.0),
         _check("tau_window", sim.tau_window),
@@ -329,7 +353,7 @@ def _run_quantum_bound(params: dict[str, Any], seed: int):
     return _MOMENT_COLS, [row], checks, _grid_sizes(state)
 
 
-def _run_quantum_optimize(params: dict[str, Any], seed: int):
+def _run_quantum_optimize(params: dict[str, Any], phases: dict[str, float]):
     lo, hi = params["optimize.sigma_lo"], params["optimize.sigma_hi"]
     bounds = None if lo == hi == 0.0 else (lo, hi)  # both 0: the default bracket
     try:
@@ -343,6 +367,8 @@ def _run_quantum_optimize(params: dict[str, Any], seed: int):
         raise ConfigError([f"grid.{err.axis.lower()}.n: {err}"]) from None
     except TipClearanceError as err:
         raise ConfigError([f"quantum.e0: {err}"]) from None
+    for phase, seconds in result.timings.items():
+        phases[phase] += seconds
     rows = [[i, sigma, var] for i, (sigma, var) in enumerate(result.trace)]
     checks = [
         _check("sw_bound_floor", result.bound - result.min_var),
@@ -361,9 +387,9 @@ _RUNNERS: dict[str, Callable] = {
     "GEDANKEN_EFIELD": _each(_run_gedanken),
     "CLASSICAL_TRAJECTORY": _run_classical_trajectory,
     "CLASSICAL_BRACKETS": _each(_run_classical_brackets),
-    "QUANTUM_MOMENTS": _each(_run_quantum_moments),
-    "QUANTUM_BOUND_SWEEP": _each(_run_quantum_bound),
-    "QUANTUM_OPTIMIZE": _each(_run_quantum_optimize),
+    "QUANTUM_MOMENTS": _each_quantum(_run_quantum_moments),
+    "QUANTUM_BOUND_SWEEP": _each_quantum(_run_quantum_bound),
+    "QUANTUM_OPTIMIZE": _each_quantum(_run_quantum_optimize),
 }
 
 

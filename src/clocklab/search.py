@@ -9,6 +9,7 @@ resolved.  The code runs at hbar = c = 1; the formulas keep the symbols.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -75,6 +76,7 @@ class ClockWidthResult:
     n_evals: int
     trace: tuple[tuple[float, float], ...]
     grid_sizes: tuple[int, int]  # largest (n_e, n_p) over the evaluated states
+    timings: dict[str, float]    # build_s, moments_s and read_s, summed over the states
 
 
 def optimize_clock_width(e0: float, p0: float, sigma_p: float, t: float,
@@ -98,15 +100,25 @@ def optimize_clock_width(e0: float, p0: float, sigma_p: float, t: float,
 
     trace: list[tuple[float, float]] = []
     grid_sizes = (n_e, n_p)
+    timings = dict.fromkeys(("build_s", "moments_s", "read_s"), 0.0)
+
+    def timed(phase: str, fn: Callable, *args, **kwargs):
+        start = time.perf_counter()
+        result = fn(*args, **kwargs)
+        timings[phase] += time.perf_counter() - start
+        return result
+
+    def build(sigma_e: float):
+        spec = GaussianClockSpec(e0=e0, sigma_e=sigma_e, p0=p0, sigma_p=sigma_p)
+        return timed("build_s", gaussian_state, spec, t_max=t, n_e=n_e, n_p=n_p)
 
     def var_at(log_sigma: float) -> float:
         nonlocal grid_sizes
         sigma_e = math.exp(log_sigma)
-        spec = GaussianClockSpec(e0=e0, sigma_e=sigma_e, p0=p0, sigma_p=sigma_p)
-        state = gaussian_state(spec, t_max=t, n_e=n_e, n_p=n_p)
+        state = build(sigma_e)
         check_tip_clearance(state)
         grid_sizes = (max(grid_sizes[0], state.e_grid.n), max(grid_sizes[1], state.p_grid.n))
-        var = tau_moments_simulated(state, t).var_tau
+        var = timed("read_s", tau_moments_simulated, state, t).var_tau
         trace.append((sigma_e, var))
         return var
 
@@ -116,9 +128,7 @@ def optimize_clock_width(e0: float, p0: float, sigma_p: float, t: float,
     if min(log_opt - log_lo, log_hi - log_opt) < 0.02 * span:
         raise OptimizerBracketError(math.exp(log_opt), (lo, hi))
     sigma_opt = math.exp(log_opt)
-    best = state_moments(gaussian_state(
-        GaussianClockSpec(e0=e0, sigma_e=sigma_opt, p0=p0, sigma_p=sigma_p),
-        t_max=t, n_e=n_e, n_p=n_p))
+    best = timed("moments_s", state_moments, build(sigma_opt))
     return ClockWidthResult(
         sigma_e_opt=sigma_opt,
         min_var=min_var,
@@ -128,4 +138,5 @@ def optimize_clock_width(e0: float, p0: float, sigma_p: float, t: float,
         n_evals=evals,
         trace=tuple(trace),
         grid_sizes=grid_sizes,
+        timings=timings,
     )

@@ -3,7 +3,10 @@
 E is the rest-energy axis, p a single spatial-momentum axis (the evolution
 generator depends only on p^2, so one axis exercises all of the dynamics).
 One record, ``MomentumSpaceState``, holds a state: its E grid, its p grid
-and the complex amplitudes ``values``.  States are unit-normalized under
+and the complex amplitudes ``values``, an (n_e, n_p) array stored with E as
+the contiguous axis (Fortran order): every reading is a transform along E,
+which then runs on contiguous columns.  A build copies values given in any
+other order into that layout.  States are unit-normalized under
 grid quadrature and are expected to be numerically band-limited:
 substantial amplitude at the grid boundary breaks the accuracy of the
 spectral proper-time operator and is reported when the state is built.
@@ -74,15 +77,15 @@ class GaussianClockSpec:
 
 @dataclass(frozen=True, eq=False)
 class MomentumSpaceState:
-    """Row-major amplitudes: values[i, j] is psi at (e_grid.nodes[i],
-    p_grid.nodes[j])."""
+    """E-contiguous amplitudes: values[i, j] is psi at (e_grid.nodes[i],
+    p_grid.nodes[j]), and values[:, j] is contiguous in memory."""
 
     e_grid: UniformGrid
     p_grid: UniformGrid
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=complex)
+        values = np.asfortranarray(self.values, dtype=complex)
         if values.shape != (self.e_grid.n, self.p_grid.n):
             raise ValueError("value array does not match grid sizes")
         object.__setattr__(self, "values", values)
@@ -110,6 +113,10 @@ class MomentumSpaceState:
         out.__dict__.update(vars(self), values=values)
         return out
 
+    def grid_array(self, dtype: type) -> np.ndarray:
+        """An uninitialized E-contiguous array over this state's grids."""
+        return np.empty((self.e_grid.n, self.p_grid.n), dtype=dtype, order="F")
+
     def cell_measure(self) -> float:
         return self.e_grid.step * self.p_grid.step
 
@@ -117,7 +124,7 @@ class MomentumSpaceState:
 def state_from_values(e_grid: UniformGrid, p_grid: UniformGrid, values: np.ndarray,
                       normalize: bool = True) -> MomentumSpaceState:
     if normalize:
-        return _normalized_state(e_grid, p_grid, np.array(values, dtype=complex))
+        return _normalized_state(e_grid, p_grid, np.array(values, dtype=complex, order="F"))
     return MomentumSpaceState(e_grid, p_grid, values)
 
 
@@ -136,8 +143,10 @@ def state_from_profiles(e_grid: UniformGrid, p_grid: UniformGrid,
                         e_profile: Callable[[np.ndarray], np.ndarray],
                         p_profile: Callable[[np.ndarray], np.ndarray]) -> MomentumSpaceState:
     """Product state from complex amplitude profiles over each axis."""
-    values = np.outer(np.asarray(e_profile(e_grid.nodes), dtype=complex),
-                      np.asarray(p_profile(p_grid.nodes), dtype=complex))
+    e_values = np.asarray(e_profile(e_grid.nodes), dtype=complex)
+    p_values = np.asarray(p_profile(p_grid.nodes), dtype=complex)
+    values = np.multiply(e_values[:, None], p_values[None, :],
+                         out=np.empty((e_grid.n, p_grid.n), dtype=complex, order="F"))
     return _normalized_state(e_grid, p_grid, values)
 
 

@@ -136,8 +136,10 @@ HBAR = C = 1.0
 
 
 def _diagonal(state, mult):
+    # products in the E-contiguous layout of the state, so that the sum
+    # takes the elements in the package's order
     rho = np.abs(state.values) ** 2
-    return float((mult * rho).sum() * state.cell_measure())
+    return float(np.multiply(mult, rho, order="F").sum() * state.cell_measure())
 
 
 def _axes(state):
@@ -145,37 +147,48 @@ def _axes(state):
 
 
 def _tau_statistics(state):
-    """(<tau>, <tau^2>, tau psi) with tau psi = i hbar dpsi/dE by DFT along
-    E, the Nyquist wavenumber zeroed."""
+    """(<tau>, <tau^2>, the DFT of psi along E) by Parseval's theorem: tau =
+    i hbar d/dE acts on the spectrum as -hbar k (the Nyquist wavenumber
+    zeroed), so <tau> = -(cell/n) sum k P(k) and <tau^2> = (cell/n) sum k^2
+    P(k), with P(k) the power |spectrum|^2 summed over p."""
     grid = state.e_grid
     k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.step)
     k[grid.n // 2] = 0.0
     spec = np.fft.fft(state.values, axis=0)
-    spec *= (1j * k).reshape(grid.n, 1)
-    tpsi = 1j * HBAR * np.fft.ifft(spec, axis=0)
-    cell = state.cell_measure()
-    # summed by einsum over the interleaved float64 parts, as the package
-    # sums, so that the comparison stays bitwise (np.vdot goes through BLAS,
-    # whose sums depend on the thread count)
-    psi_parts = state.values.ravel().view(np.float64)
-    tpsi_parts = tpsi.ravel().view(np.float64)
-    mean = float(np.einsum("i,i->", psi_parts, tpsi_parts)) * cell
-    return mean, float(np.einsum("i,i->", tpsi_parts, tpsi_parts)) * cell, tpsi
+    assert spec.flags.f_contiguous
+    # summed by einsum in memory order, column after column of the
+    # E-contiguous spectrum, as the package sums, so that the comparison
+    # stays bitwise (np.vdot goes through BLAS, whose sums depend on the
+    # thread count)
+    columns = spec.T.view(np.float64)  # (n_p, 2 n_e): each column's (re, im) pairs
+    sums = np.einsum("ij,ij->j", columns, columns)
+    power = sums[::2] + sums[1::2]
+    scale = state.cell_measure() / grid.n
+    mean = -scale * float(np.einsum("i,i->", k, power))
+    second = scale * float(np.einsum("i,i->", k * k, power))
+    return mean, second, HBAR * np.fft.ifft(spec * -k[:, None], axis=0)
 
 
 def _anti(state, mult, tpsi):
-    return 2.0 * float((np.conj(mult * state.values) * tpsi).sum().real * state.cell_measure())
+    return 2.0 * float((np.conj(np.multiply(mult, state.values, order="F")) * tpsi).sum().real
+                       * state.cell_measure())
 
 
 def per_function_variance_law(state):
-    """(quad, lin, const, <D>) as ``variance_law_predict`` took them."""
+    """(quad, lin, const, <D>), with D taken relative to the dilation rate v
+    at the centre node of the grids: quad = <(D - <D>)^2>, lin = <[D - v,
+    tau]_+> - 2 <D - v> <tau> and <D> = v + <D - v>."""
     E, P = _axes(state)
     denom = np.sqrt(E * E + (C * P) ** 2)
     d = np.divide(E, denom, out=np.zeros_like(denom), where=denom > 0.0)
-    d_mean = _diagonal(state, d)
+    eg, pg = state.e_grid, state.p_grid
+    e_c, p_c = eg.lo + eg.step * (eg.n // 2), pg.lo + pg.step * (pg.n // 2)
+    v = e_c / math.hypot(e_c, C * p_c)
+    d = d - v
+    offset = _diagonal(state, d)
     tau_mean, tau_sq, tpsi = _tau_statistics(state)
-    return (_diagonal(state, (d - d_mean) ** 2), _anti(state, d, tpsi) - 2.0 * d_mean * tau_mean,
-            tau_sq - tau_mean**2, d_mean)
+    return (_diagonal(state, (d - offset) ** 2), _anti(state, d, tpsi) - 2.0 * offset * tau_mean,
+            tau_sq - tau_mean**2, v + offset)
 
 
 def per_function_energy_sharpness(state):

@@ -18,6 +18,7 @@ from clocklab.dynamics import (
     integrate,
     moving_clock,
     proper_time_residual,
+    rate_rounding_floor,
     total_hamiltonian,
 )
 from clocklab.metric import StaticMetric, flat_metric, isotropic_weak_field_metric, uniform_lapse_metric
@@ -336,7 +337,20 @@ def test_rate_audit_is_exact_at_coarse_steps_and_sees_a_1e7_rate_error():
     assert proper_time_residual(traj, metric) < 1e-12
     states = traj.states.copy()
     states[:, 0] = states[0, 0] + (states[:, 0] - states[0, 0]) * (1.0 + 1e-7)
-    assert proper_time_residual(dataclasses.replace(traj, states=states), metric) > 1e-8
+    wrong = dataclasses.replace(traj, states=states)
+    # the rounding floor of this slow clock sits far below the error
+    assert rate_rounding_floor(wrong) < 1e-12
+    assert proper_time_residual(wrong, metric) > 1e-8
+
+
+@pytest.mark.parametrize("p1", [1e4, 1e5])
+def test_rate_rounding_floor_covers_a_fast_free_clock(p1):
+    # a free flat clock is exact to rounding, but its metric rate 1/|p1|
+    # magnifies the rounding of dx/dt; the floor bounds what is left
+    traj = integrate(moving_clock(1.0, (p1, 0.0, 0.0)), FLAT, 0.0, 10.0, 1e-3)
+    residual = proper_time_residual(traj, FLAT)
+    floor = rate_rounding_floor(traj)
+    assert 1e-8 < residual < floor < 10.0 * residual
 
 
 def test_rate_audit_needs_five_samples():

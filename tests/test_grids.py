@@ -5,6 +5,9 @@ from hypothesis import given, settings, strategies as st
 from clocklab.grids import (
     UniformGrid,
     boundary_amplitude_ratio,
+    edge_band_share,
+    norm_squared,
+    power_spectrum,
     spectral_derivative_array,
     trapezoid_norm_squared,
 )
@@ -131,10 +134,30 @@ def test_edge_band_share_of_spectral_power():
     grid = UniformGrid(0.0, 2.0 * np.pi, 64)
     low = np.exp(3j * grid.nodes)
     high = np.exp(-30j * grid.nodes)
-    deriv, share = spectral_derivative_array(low, grid, edge_band=0.1)
-    assert np.allclose(deriv, 3j * low, atol=1e-12)
-    assert share < 1e-28
-    assert spectral_derivative_array(high, grid, edge_band=0.1)[1] == pytest.approx(1.0)
+    spec, power = power_spectrum(low)
+    assert np.array_equal(spec, np.fft.fft(low))
+    assert power.argmax() == 3 and power[3] == pytest.approx(64.0**2)
+    assert edge_band_share(power, 0.1) < 1e-28
+    assert edge_band_share(power_spectrum(high)[1], 0.1) == pytest.approx(1.0)
     mixed = np.outer(np.ones(4), low + 1e-3 * high)  # the band is along axis 1
-    _, share = spectral_derivative_array(mixed, grid, axis=1, edge_band=0.1)
-    assert share == pytest.approx(1e-6 / (1.0 + 1e-6), rel=1e-9)
+    _, power = power_spectrum(mixed, axis=1)
+    assert power.shape == (64,)
+    assert edge_band_share(power, 0.1) == pytest.approx(1e-6 / (1.0 + 1e-6), rel=1e-9)
+    # the same values with the transform axis contiguous (Fortran order)
+    _, power_f = power_spectrum(np.asfortranarray(mixed.T), axis=0)
+    assert edge_band_share(power_f, 0.1) == pytest.approx(1e-6 / (1.0 + 1e-6), rel=1e-9)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_power_spectrum_sums_to_the_norm(order):
+    # Parseval: sum |v|^2 = sum P(k) / n, whichever axis is contiguous
+    rng = np.random.default_rng(3)
+    values = np.array(rng.standard_normal((32, 8)) + 1j * rng.standard_normal((32, 8)),
+                      order=order)
+    for axis in (0, 1):
+        _, power = power_spectrum(values, axis=axis)
+        assert power.shape == (values.shape[axis],)
+        assert power.sum() / values.shape[axis] == pytest.approx(norm_squared(values),
+                                                                  rel=1e-13)
+        assert np.allclose(power, (np.abs(np.fft.fft(values, axis=axis)) ** 2).sum(axis=1 - axis),
+                           rtol=1e-13, atol=0.0)

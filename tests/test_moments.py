@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from clocklab.grids import NumericalHealthWarning
+from clocklab.grids import NumericalHealthWarning, wavenumbers
 from clocklab.operators import TAU_WINDOW_LIMIT, commutator_residual, evolve, tau_statistics
 from clocklab.moments import (
     SPREAD_FLOOR,
@@ -16,6 +16,7 @@ from clocklab.states import (
     gaussian_state,
     make_gaussian_state,
     state_from_profiles,
+    state_from_values,
     suggest_grids,
 )
 
@@ -253,11 +254,13 @@ def test_frame_reading_matches_lab_frame_on_fine_grid(spec):
     reading = tau_moments_simulated(gaussian_state(spec, t_max=t), t)
     # lab frame: the whole drift t <D> fits the tau window of 8192 E nodes
     lab = evolve(make_gaussian_state(spec, *suggest_grids(spec, n_e=8192)), t)
-    tpsi = tau_statistics(lab).tpsi
-    mean = np.vdot(lab.values, tpsi).real * lab.cell_measure()
-    # centred, since <tau^2> - <tau>^2 loses digits to <tau> ~ t
-    centred = tpsi - mean * lab.values
-    var = np.vdot(centred, centred).real * lab.cell_measure()
+    stats = tau_statistics(lab)
+    mean = stats.mean
+    # centred, since <tau^2> - <tau>^2 loses digits to <tau> ~ t: tau acts
+    # on the spectrum as -k, so tau - <tau> acts as -(k + <tau>)
+    power = (np.abs(stats.spectrum) ** 2).sum(axis=1)
+    k = wavenumbers(lab.e_grid)
+    var = ((k + mean) ** 2 * power).sum() * lab.cell_measure() / lab.e_grid.n
     assert reading.mean_tau == pytest.approx(mean, rel=1e-9)
     assert reading.var_tau == pytest.approx(var, rel=1e-9)
 
@@ -339,6 +342,55 @@ def test_state_moments_equal_per_function_formulas_bitwise(make):
     assert ({name: float.hex(got) for name, (got, _) in fields.items()}
             == {name: float.hex(want) for name, (_, want) in fields.items()})
     assert moments.reading.t == 0.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _state(e0=10.0, sigma_e=0.5, tau0=1.5, sigma_p=0.5),
+    lambda: _state(e0=10.0, sigma_e=2.0, p0=1000.0, sigma_p=0.05, t_max=100.0),
+    _chirped_state,
+    lambda: _state(e0=-10.0, sigma_e=0.5, p0=3.0, sigma_p=0.4, t_max=50.0),
+], ids=["rest", "boosted", "chirped", "negative"])
+@pytest.mark.parametrize("t", [0.0, 50.0])
+def test_spectral_tau_moments_equal_the_position_space_sums(make, t):
+    # the Parseval sums against <psi|tau psi> and <tau psi|tau psi> with
+    # tau psi = i hbar dpsi/dE taken by an inverse transform, as readings
+    # were once taken; their imaginary residue of <tau> stays at rounding
+    state = evolve(make(), t)
+    stats = tau_statistics(state)
+    grid = state.e_grid
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.step)
+    k[grid.n // 2] = 0.0
+    tpsi = 1j * np.fft.ifft(1j * k[:, None] * np.fft.fft(state.values, axis=0), axis=0)
+    cell = state.cell_measure()
+    mean = (np.conj(state.values) * tpsi).sum() * cell
+    second = (np.abs(tpsi) ** 2).sum() * cell
+    assert abs(mean.imag) < 1e-8
+    # relative to the spread where <tau> sits near 0
+    scale = max(abs(mean.real), np.sqrt(second - mean.real**2))
+    assert abs(stats.mean - mean.real) <= 1e-13 * scale
+    assert stats.second == pytest.approx(second, rel=1e-13)
+
+
+def test_c_and_fortran_order_values_give_bitwise_equal_statistics():
+    made = _chirped_state()
+    c_values = np.ascontiguousarray(made.values)
+    assert c_values.flags.c_contiguous and not c_values.flags.f_contiguous
+    states = [state_from_values(made.e_grid, made.p_grid, values, normalize=False)
+              for values in (c_values, np.asfortranarray(c_values))]
+    assert all(state.values.flags.f_contiguous for state in states)
+    assert states[0].values.tobytes() == states[1].values.tobytes()
+
+    def statistics(state):
+        moments = state_moments(state)
+        readings = [tau_moments_simulated(state, t) for t in (0.0, 50.0)]
+        numbers = [moments.e_mean, moments.e_var, moments.h_mean, moments.sharpness,
+                   moments.d_e, moments.spread_product, moments.d_mean, moments.law.quad,
+                   moments.law.lin, moments.law.const]
+        for r in [moments.reading, *readings]:
+            numbers += [r.mean_tau, r.var_tau, r.tau_window]
+        return [float.hex(x) for x in numbers]
+
+    assert statistics(states[0]) == statistics(states[1])
 
 
 def test_state_moments_at_the_cone_tip():

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clocklab.moments import state_moments
-from clocklab.operators import commutator_residual, energy_multiplier, evolve
+from clocklab.operators import (
+    commutator_residual,
+    dilation_multiplier,
+    energy_multiplier,
+    evolve,
+    tau_statistics,
+)
 from clocklab.states import GaussianClockSpec, gaussian_state
 
 from oracles import dilation, gauss_hermite_mean
@@ -50,6 +56,21 @@ def test_evolve_phase_is_the_complex_exponential_bitwise(e0, p0, t):
     state = _state(e0=e0, sigma_e=0.5, p0=p0, sigma_p=0.05, t_max=abs(t))
     want = np.exp((-1j * t) * energy_multiplier(state)) * state.values
     assert evolve(state, t).values.tobytes() == want.tobytes()
+
+
+def test_state_arrays_keep_the_e_axis_contiguous():
+    # every reading transforms along E, so E runs down contiguous columns
+    state = _state(e0=12.0, p0=1000.0, sigma_p=0.05, t_max=100.0)
+    arrays = {
+        "state": state.values,
+        "evolve": evolve(state, 100.0).values,
+        "energy": energy_multiplier(state),
+        "dilation": dilation_multiplier(state),
+        "spectrum": tau_statistics(state).spectrum,
+    }
+    for name, values in arrays.items():
+        assert values.shape == (state.e_grid.n, state.p_grid.n), name
+        assert values.flags.f_contiguous and not values.flags.c_contiguous, name
 
 
 @given(t1=st.floats(-20, 20, allow_nan=False), t2=st.floats(-20, 20, allow_nan=False))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import platform
 import subprocess
@@ -301,8 +302,11 @@ def test_report_json_contents(tmp_path):
     run(cfg)
     payload = json.loads(out.with_suffix(".report.json").read_text())
     assert payload["diagnostics"] == {"n_e": 1024, "n_p": 256}
-    # every report says how long it computed and wrote, and with what
-    assert set(payload["timings"]) == {"compute_s", "write_s"}
+    # every report says how long it computed and wrote, and with what; a
+    # quantum run also splits compute_s into its build, moments and reading
+    # phases
+    assert set(payload["timings"]) == {"compute_s", "build_s", "moments_s", "read_s",
+                                       "write_s"}
     assert all(isinstance(v, float) and v >= 0.0 for v in payload["timings"].values())
     assert payload["versions"] == {"clocklab": clocklab.__version__, "numpy": np.__version__,
                                    "python": platform.python_version()}
@@ -604,6 +608,46 @@ def test_quantum_moments_snapshot_export(tmp_path):
     assert e_dens.sum() * de == pytest.approx(1.0, abs=1e-10)
 
 
+def test_bound_member_takes_one_transform_per_reading(tmp_path, monkeypatch):
+    # the reading is one forward transform along E (Parseval sums), and the
+    # moment pass one forward and the one inverse its cross term needs
+    forward = _count_calls(monkeypatch, np.fft, "fft")
+    inverse = _count_calls(monkeypatch, np.fft, "ifft")
+    cfg, _ = _cfg(tmp_path, "QUANTUM_BOUND_SWEEP", "quantum.t = 100\n")
+    assert run(cfg).all_passed
+    assert (len(forward), len(inverse)) == (1 + 1, 1)
+    assert all(args[0].shape == (1024, 256) for args in forward + inverse)
+
+
+@pytest.mark.parametrize("kind, body", [
+    ("QUANTUM_MOMENTS", "quantum.times = 0, 10, 100\n"),
+    ("QUANTUM_BOUND_SWEEP", "sweep.param = quantum.sigma_e\nsweep.values = 0.5, 1.0, 2.0\n"),
+    ("QUANTUM_OPTIMIZE", ""),
+])
+def test_quantum_reports_time_build_moments_and_readings(tmp_path, kind, body):
+    cfg, out = _cfg(tmp_path, kind, body)
+    assert run(cfg).all_passed
+    timings = json.loads(out.with_suffix(".report.json").read_text())["timings"]
+    phases = [timings[name] for name in ("build_s", "moments_s", "read_s")]
+    assert all(isinstance(v, float) and math.isfinite(v) and v >= 0.0 for v in phases)
+    # phases are summed over the members, and all of them lie inside compute_s
+    assert sum(phases) <= timings["compute_s"]
+    assert timings["read_s"] > 0.0 and timings["build_s"] > 0.0
+
+
+def test_fast_free_clocks_pass_the_rate_audit_above_its_rounding(tmp_path):
+    # dx/dt from differenced samples carries rounding of about eps |x| / dt,
+    # which the metric rate of a clock at rate 1e-4 or 1e-5 magnifies past
+    # 1e-8; the audit's floor tracks it, and the clock is exact to rounding
+    for p1 in ("1e4", "1e5"):
+        out = tmp_path / f"fast-{p1}.csv"
+        assert main(["classical", "trajectory", "--set", f"classical.p1={p1}",
+                     "--output", str(out)]) == 0
+        checks = json.loads(out.with_suffix(".report.json").read_text())["checks"]
+        rate = next(c for c in checks if c["name"] == "proper_time_residual")
+        assert rate["passed"] and 1e-8 < rate["tolerance"] < 1e-6
+
+
 def _count_calls(monkeypatch, module, name: str) -> list:
     """Record the arguments of every call to ``module.name``."""
     original = getattr(module, name)
@@ -666,17 +710,20 @@ def test_sweep_integrates_as_one_batch(tmp_path, monkeypatch):
 # mean_tau, var_tau_sim, var_tau_law and quad, and again when the grid sums
 # moved from BLAS dot products to einsum, which moves the last digits of
 # every quantum column, and the moments and bound ones again when sharpness
-# moved to a centred H spread, which moves only that column); a change to
-# any of them must be justified in CHANGES.md.
+# moved to a centred H spread, which moves only that column, and all three
+# when readings became Parseval sums over an E-contiguous spectrum and the
+# cross term was measured from the frame rate, which moves the last digits
+# of every quantum column); a change to any of them must be justified in
+# CHANGES.md.
 GOLDEN_CSV_SHA256 = {
     ("gedanken", "box"): "ba3f2e47f9571ed247c570a49564d3c9a32e08a3618991dbdf82ddc2e5926b63",
     ("gedanken", "efield"): "7c4cf442d9d227228fdfd5b6183e6a8216a0abf370beb88d9dd945b352f93116",
     ("classical", "trajectory"):
         "954fd1869f7e4717491064471a419359e8bbd3eee953eadedfd3b23247554eae",
     ("classical", "brackets"): "16c0f3de7af22263db6e15ce1153b03334a9ff27c8ad5d3bd4f39c6da8d566ac",
-    ("quantum", "moments"): "ba9dd5d30922ce88774d9f4ae16cb4bec31d5e35880502a6cf5df9f8f945722a",
-    ("quantum", "bound"): "106b33de546670cee87c15ec15b4158f3e103d0e69195af5c68dc92b6dba1dec",
-    ("quantum", "optimize"): "e4761307bd6a1f28d9bc277e444c3a1bf231db57786bf3360e98e9ac6a2d5134",
+    ("quantum", "moments"): "0a8a67d89acb932663b1b6221047a276ca315bab4f5b259f64faa1cc6932be30",
+    ("quantum", "bound"): "87a1b2a9c5fe7ac3e951db6fe98c71c734a85b56de10719fcb2aafa3764048ca",
+    ("quantum", "optimize"): "38c97c6adbbea518389e7aae600b4817ec0a20c380ac9c7e02f3a7ff7a6e1b03",
 }
 
 
