@@ -127,9 +127,8 @@ def _quantum_state_params(sigma_e: float, p0: float, sigma_p: float) -> list[Par
         ParamSpec("quantum.tau0", "time", 0.0),
         ParamSpec("quantum.p0", "momentum", p0),
         ParamSpec("quantum.sigma_p", "momentum", sigma_p, above=0.0),
-        ParamSpec("quantum.x0", "length", 0.0),
-        ParamSpec("grid.e.n", "dimensionless", 1024, kind="int", power_of_two=True),
-        ParamSpec("grid.p.n", "dimensionless", 256, kind="int", power_of_two=True),
+        ParamSpec("grid.e.n", "dimensionless", 8, kind="int", power_of_two=True),
+        ParamSpec("grid.p.n", "dimensionless", 8, kind="int", power_of_two=True),
     ]
 
 
@@ -182,8 +181,8 @@ SCHEMAS: dict[str, list[ParamSpec]] = {
         ParamSpec("quantum.t", "time", 100.0, above=0.0),
         ParamSpec("optimize.sigma_lo", "energy", 0.0),
         ParamSpec("optimize.sigma_hi", "energy", 0.0),
-        ParamSpec("grid.e.n", "dimensionless", 1024, kind="int", power_of_two=True),
-        ParamSpec("grid.p.n", "dimensionless", 256, kind="int", power_of_two=True),
+        ParamSpec("grid.e.n", "dimensionless", 8, kind="int", power_of_two=True),
+        ParamSpec("grid.p.n", "dimensionless", 8, kind="int", power_of_two=True),
     ],
 }
 

@@ -24,6 +24,7 @@ class NumericalHealthWarning(UserWarning):
 
 
 BOUNDARY_HEALTH_LIMIT = 1e-10
+TAU_WINDOW_LIMIT = 1e-8  # largest healthy share of a reading near its tau-window edge
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -77,14 +78,13 @@ def trapezoid_norm_squared(values: np.ndarray, cell: float) -> float:
     return norm_squared(values) * cell
 
 
-def boundary_amplitude_ratio(values: np.ndarray) -> float:
-    """max |value| on the boundary of a 2-D grid array divided by max |value|
-    overall.
+def boundary_amplitude_ratio(mag: np.ndarray) -> float:
+    """max of the magnitudes ``mag`` (|psi| over a 2-D grid) on the grid
+    boundary divided by their max overall.
 
     A small ratio certifies the array is numerically band-limited, which the
     spectral derivative needs for its accuracy claims.
     """
-    mag = np.abs(values)
     peak = mag.max()
     if peak == 0.0:
         return 0.0

@@ -158,8 +158,8 @@ def state_moments(state: MomentumSpaceState) -> StateMoments:
     cell = state.cell_measure()
     tau_mean, tau_second, spec, window = tau_statistics(state)
     # tau psi and the complex temporary of <[D, tau]_+> come and go before
-    # |psi|^2 and H exist, which keeps the memory peak, and the pages
-    # faulted back after each trim of the heap, low
+    # H exists, which keeps the memory peak, and the pages faulted back
+    # after each trim of the heap, low (|psi|^2 is the state's, from its build)
     if d is not None:
         # D is measured from the frame rate v: lin = <[D - v, tau]_+> -
         # 2 <D - v> <tau>, whose rounding scales with |D - v|, not with |D|

@@ -46,6 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grids import (
+    TAU_WINDOW_LIMIT,
     NumericalHealthWarning,
     edge_band_share,
     norm_squared,
@@ -58,7 +59,6 @@ from .states import MomentumSpaceState
 TIP_CLEARANCE_CELLS = 5.0
 TIP_AMPLITUDE_LIMIT = 1e-8
 TAU_EDGE_BAND = 0.1          # outer tenth of each half of the proper-time window
-TAU_WINDOW_LIMIT = 1e-8      # largest healthy share of |psi~(tau)|^2 in that band
 
 
 def _axes(state: MomentumSpaceState) -> tuple[np.ndarray, np.ndarray]:
@@ -94,8 +94,7 @@ def check_tip_clearance(state: MomentumSpaceState) -> None:
     near = (re[:, None] ** 2 + rp[None, :] ** 2) < 1.0
     if not near.any():
         return
-    mag = np.abs(state.values)
-    if mag[near].max() > TIP_AMPLITUDE_LIMIT * mag.max():
+    if np.abs(state.values[near]).max() > TIP_AMPLITUDE_LIMIT * state.peak:
         raise TipClearanceError(
             "dilation rate undefined: state support reaches within "
             f"{TIP_CLEARANCE_CELLS:.0f} grid cells of E = p = 0")

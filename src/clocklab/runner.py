@@ -59,7 +59,7 @@ from .moments import (
 )
 from .operators import TAU_WINDOW_LIMIT, TipClearanceError, commutator_residual
 from .search import optimize_clock_width
-from .states import GaussianClockSpec, GridAxisError, GridSizeError, gaussian_state
+from .states import GaussianClockSpec, GridSizeError, gaussian_state
 from .units import NATURAL_UNITS, SI_UNITS, UnitSystem, convert_units
 
 TOLERANCES = {
@@ -273,14 +273,12 @@ def _clock_state(params: dict[str, Any], t_max: float, time_key: str,
     quantum.e0 (support at the cone tip)."""
     spec = GaussianClockSpec(
         e0=params["quantum.e0"], sigma_e=params["quantum.sigma_e"], tau0=params["quantum.tau0"],
-        p0=params["quantum.p0"], sigma_p=params["quantum.sigma_p"], x0=params["quantum.x0"])
+        p0=params["quantum.p0"], sigma_p=params["quantum.sigma_p"])
     try:
         state = _timed(phases, "build_s", gaussian_state, spec, t_max=t_max,
                        n_e=params["grid.e.n"], n_p=params["grid.p.n"])
     except GridSizeError as err:
         raise ConfigError([f"{time_key}: {err}"]) from None
-    except GridAxisError as err:
-        raise ConfigError([f"grid.{err.axis.lower()}.n: {err}"]) from None
     moments = _timed(phases, "moments_s", state_moments, state)
     if isinstance(moments.dilation, str):
         raise ConfigError([f"quantum.e0: {moments.dilation}"])
@@ -363,8 +361,6 @@ def _run_quantum_optimize(params: dict[str, Any], phases: dict[str, float]):
             sigma_bounds=bounds, n_e=params["grid.e.n"], n_p=params["grid.p.n"])
     except GridSizeError as err:
         raise ConfigError([f"quantum.t: {err}"]) from None
-    except GridAxisError as err:
-        raise ConfigError([f"grid.{err.axis.lower()}.n: {err}"]) from None
     except TipClearanceError as err:
         raise ConfigError([f"quantum.e0: {err}"]) from None
     for phase, seconds in result.timings.items():

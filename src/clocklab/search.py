@@ -81,7 +81,7 @@ class ClockWidthResult:
 
 def optimize_clock_width(e0: float, p0: float, sigma_p: float, t: float,
                          sigma_bounds: tuple[float, float] | None = None,
-                         n_e: int = 1024, n_p: int = 256,
+                         n_e: int = 8, n_p: int = 8,
                          log_tol: float = 5e-3) -> ClockWidthResult:
     """Minimize the simulated reading variance at time t over sigma_e.
 

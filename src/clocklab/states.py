@@ -24,6 +24,7 @@ import numpy as np
 
 from .grids import (
     BOUNDARY_HEALTH_LIMIT,
+    TAU_WINDOW_LIMIT,
     NumericalHealthWarning,
     UniformGrid,
     boundary_amplitude_ratio,
@@ -35,13 +36,13 @@ MIN_SIGMA_COVERAGE = 8.0     # window must span at least this many sigma per sid
 MIN_CELLS_PER_SIGMA = 3.0
 DEFAULT_SIGMA_MARGIN = 12.0
 MAX_GRID_SIZE = 1 << 15
+# A product Gaussian holds mass exp(-k^2 / 2) outside the ellipse of k sigma
+# about its centre in (E, p); at TAIL_SIGMAS that mass is TAU_WINDOW_LIMIT.
+TAIL_SIGMAS = math.sqrt(2.0 * math.log(1.0 / TAU_WINDOW_LIMIT))
 # The proper-time half-window pi hbar / dE is at least this many times the
-# reach of the co-moving reading, which takes D at the 4-sigma corners.  A
-# rest clock has D - v ~ -p^2 / 2E^2, a heavy one-sided tail: read where the
-# power-of-two rounding of n_e leaves no headroom, it misses the exact
-# variance by about 1e-6 at a margin of 1.3 (e0 = 10, sigma_p = 0.5,
-# t = 6500); at 1.6 the worst case probed missed by 1e-7, and the tau-window
-# health check flags it.
+# reach of the co-moving reading, which takes D - v on that ellipse: a rest
+# clock's D - v ~ -p^2 / 2E^2 grows as p^2, and taken at 4 sigma the reach
+# missed the exact variance by 1e-7 (e0 = 20, sigma_p = 1.8, t = 9000).
 TAU_WINDOW_MARGIN = 1.6
 
 
@@ -50,25 +51,20 @@ class GridSizeError(ValueError):
 
 
 class GridAxisError(ValueError):
-    """A grid that does not resolve the state on one axis ("E" or "p")."""
-
-    def __init__(self, axis: str, message: str):
-        self.axis = axis
-        super().__init__(message)
+    """A grid that does not resolve the state on one axis."""
 
 
 @dataclass(frozen=True)
 class GaussianClockSpec:
     """Product Gaussian in (E, p): center e0 with spread sigma_e, proper-time
-    offset tau0 imprinted as the phase exp(-i E tau0 / hbar), momentum center
-    p0 with spread sigma_p, and position offset x0 as exp(+i p x0 / hbar)."""
+    offset tau0 imprinted as the phase exp(-i E tau0 / hbar), and momentum
+    center p0 with spread sigma_p."""
 
     e0: float
     sigma_e: float
     tau0: float = 0.0
     p0: float = 0.0
     sigma_p: float = 1.0
-    x0: float = 0.0
 
     def __post_init__(self) -> None:
         if self.sigma_e <= 0.0 or self.sigma_p <= 0.0:
@@ -78,11 +74,14 @@ class GaussianClockSpec:
 @dataclass(frozen=True, eq=False)
 class MomentumSpaceState:
     """E-contiguous amplitudes: values[i, j] is psi at (e_grid.nodes[i],
-    p_grid.nodes[j]), and values[:, j] is contiguous in memory."""
+    p_grid.nodes[j]), and values[:, j] is contiguous in memory.  The build
+    takes |psi| once, for the boundary check, ``peak`` and ``density``."""
 
     e_grid: UniformGrid
     p_grid: UniformGrid
     values: np.ndarray = field(repr=False)
+    peak: float = field(init=False, repr=False)  # max |psi|
+    _rho: np.ndarray = field(init=False, repr=False)  # |psi|^2
 
     def __post_init__(self) -> None:
         values = np.asfortranarray(self.values, dtype=complex)
@@ -92,7 +91,10 @@ class MomentumSpaceState:
         nrm2 = trapezoid_norm_squared(values, self.cell_measure())
         if abs(nrm2 - 1.0) > NORM_TOL:
             raise ValueError(f"state is not unit-normalized: <psi|psi> = {nrm2!r}")
-        ratio = boundary_amplitude_ratio(values)
+        mag = np.abs(values)
+        ratio = boundary_amplitude_ratio(mag)
+        object.__setattr__(self, "peak", float(mag.max()))
+        object.__setattr__(self, "_rho", np.square(mag, out=mag))
         if ratio > BOUNDARY_HEALTH_LIMIT:
             warnings.warn(
                 f"state boundary amplitude ratio {ratio:.2e} exceeds "
@@ -102,13 +104,14 @@ class MomentumSpaceState:
             )
 
     def density(self) -> np.ndarray:
-        """|psi|^2 over the grid."""
-        rho = np.abs(self.values)
-        return np.square(rho, out=rho)
+        """|psi|^2 over the grid, taken at the build; read it, never write
+        into it."""
+        return self._rho
 
     def _with_values(self, values: np.ndarray) -> MomentumSpaceState:
         """A state on these grids holding ``values``, which must have this
-        state's |psi| pointwise; the build checks are not repeated."""
+        state's |psi| pointwise; the build checks, ``peak`` and ``density``
+        are not taken again."""
         out = object.__new__(MomentumSpaceState)
         out.__dict__.update(vars(self), values=values)
         return out
@@ -155,11 +158,11 @@ def _check_axis(name: str, grid: UniformGrid, center: float, sigma: float) -> No
     right = grid.hi - center
     if min(left, right) < MIN_SIGMA_COVERAGE * sigma:
         raise GridAxisError(
-            name, f"grid too small on the {name} axis: window must extend at least "
+            f"grid too small on the {name} axis: window must extend at least "
             f"{MIN_SIGMA_COVERAGE:.0f} sigma on each side of the center")
     if sigma < MIN_CELLS_PER_SIGMA * grid.step:
         raise GridAxisError(
-            name, f"grid too coarse on the {name} axis: sigma spans fewer than "
+            f"grid too coarse on the {name} axis: sigma spans fewer than "
             f"{MIN_CELLS_PER_SIGMA:.0f} cells")
 
 
@@ -173,7 +176,7 @@ def make_gaussian_state(spec: GaussianClockSpec, e_grid: UniformGrid,
         return np.exp(-((E - spec.e0) ** 2) / (4.0 * spec.sigma_e**2) - 1j * E * spec.tau0)
 
     def p_profile(p: np.ndarray) -> np.ndarray:
-        return np.exp(-((p - spec.p0) ** 2) / (4.0 * spec.sigma_p**2) + 1j * p * spec.x0)
+        return np.exp(-((p - spec.p0) ** 2) / (4.0 * spec.sigma_p**2))
 
     return state_from_profiles(e_grid, p_grid, e_profile, p_profile)
 
@@ -196,45 +199,41 @@ def frame_velocity(state: MomentumSpaceState) -> float:
 
 
 def _residual_dilation(spec: GaussianClockSpec) -> float:
-    """Largest |D - v| over the 4-sigma corners of the state, with D the
-    dilation rate and v its value at (e0, p0), the frame velocity."""
+    """Largest |D - v| on the ellipse of TAIL_SIGMAS sigma about (e0, p0),
+    v = D(e0, p0); D has no extremum inside it off the line p = 0, where
+    D is constant."""
     v = _dilation_rate(spec.e0, spec.p0)
-    return max(abs(_dilation_rate(spec.e0 + i * 4 * spec.sigma_e,
-                                  spec.p0 + j * 4 * spec.sigma_p) - v)
-               for i in (-1, 0, 1) for j in (-1, 0, 1))
+    return max(abs(_dilation_rate(spec.e0 + TAIL_SIGMAS * spec.sigma_e * math.cos(a),
+                                  spec.p0 + TAIL_SIGMAS * spec.sigma_p * math.sin(a)) - v)
+               for a in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False))
 
 
-def suggest_grids(spec: GaussianClockSpec, t_max: float = 0.0, n_e: int = 1024, n_p: int = 256,
+def suggest_grids(spec: GaussianClockSpec, t_max: float = 0.0, n_e: int = 8, n_p: int = 8,
                   sigma_margin: float = DEFAULT_SIGMA_MARGIN) -> tuple[UniformGrid, UniformGrid]:
-    """Grids sized for a Gaussian spec and a target evolution span.
+    """Power-of-two grids sized by accuracy for a Gaussian spec and an
+    evolution span; ``n_e`` and ``n_p`` are floors the rule only raises.
 
-    The E window covers ``sigma_margin`` sigma each side of e0, and the E
-    resolution is raised until the conjugate proper-time window comfortably
-    contains the reading in the co-moving frame: tau0 plus the residual
-    drift t*(D - v) and the initial spread.  The common drift t*v is added
-    after the measurement and needs no window.
+    Each window covers ``sigma_margin`` sigma either side of the centre at
+    MIN_CELLS_PER_SIGMA cells per sigma or more.  The E grid is refined
+    until the proper-time window holds the co-moving reading (tau0, the
+    residual drift t |D - v| out to the tail, the initial spread) with
+    TAU_WINDOW_MARGIN to spare; the common drift t v needs no window.
     """
+    cells = 2.0 * sigma_margin * MIN_CELLS_PER_SIGMA
     half_e = sigma_margin * spec.sigma_e
     dtau0 = 1.0 / (2.0 * spec.sigma_e)  # hbar / (2 sigma_e)
     tau_reach = abs(spec.tau0) + abs(t_max) * _residual_dilation(spec) + 10.0 * dtau0 + 2.0
     de_max = math.pi / (TAU_WINDOW_MARGIN * tau_reach)  # the half-window pi hbar / dE
-    n_e_needed = max(n_e, _next_pow2(2.0 * half_e / de_max))
+    n_e_needed = max(n_e, _next_pow2(max(cells, 2.0 * half_e / de_max)))
     if n_e_needed > MAX_GRID_SIZE:
         raise GridSizeError("requested evolution span needs an impractically large E grid")
-    e_grid = UniformGrid(spec.e0 - half_e, spec.e0 + half_e, n_e_needed)
-
     half_p = sigma_margin * spec.sigma_p
-    n_p_needed = n_p
-    dp = 2.0 * half_p / n_p_needed
-    while dp * abs(spec.x0) > math.pi / 1.3 and n_p_needed < MAX_GRID_SIZE:
-        n_p_needed *= 2
-        dp = 2.0 * half_p / n_p_needed
-    p_grid = UniformGrid(spec.p0 - half_p, spec.p0 + half_p, n_p_needed)
-    return e_grid, p_grid
+    return (UniformGrid(spec.e0 - half_e, spec.e0 + half_e, n_e_needed),
+            UniformGrid(spec.p0 - half_p, spec.p0 + half_p, max(n_p, _next_pow2(cells))))
 
 
-def gaussian_state(spec: GaussianClockSpec, t_max: float = 0.0, n_e: int = 1024,
-                   n_p: int = 256) -> MomentumSpaceState:
+def gaussian_state(spec: GaussianClockSpec, t_max: float = 0.0, n_e: int = 8,
+                   n_p: int = 8) -> MomentumSpaceState:
     """Convenience wrapper: auto-sized grids plus the Gaussian state."""
     e_grid, p_grid = suggest_grids(spec, t_max=t_max, n_e=n_e, n_p=n_p)
     return make_gaussian_state(spec, e_grid, p_grid)

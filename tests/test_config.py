@@ -107,6 +107,12 @@ def test_sweep_with_explicit_values():
     assert cfg.sweep.values == (1e-7, 1e-6, 1e-5)
 
 
+def test_removed_position_offset_is_an_unknown_key():
+    # exp(i p x0) cancels in every observable, so quantum.x0 is gone
+    with pytest.raises(ConfigError, match="unknown key for QUANTUM_MOMENTS: quantum.x0"):
+        parse_config("kind = QUANTUM_MOMENTS\nquantum.x0 = 3\n")
+
+
 def test_sweep_over_unknown_param():
     with pytest.raises(ConfigError, match="sweepable"):
         parse_config("""

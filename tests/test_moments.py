@@ -35,8 +35,8 @@ from oracles import (
 )
 
 
-def _state(e0=10.0, sigma_e=0.5, tau0=0.0, p0=0.0, sigma_p=0.5, x0=0.0, t_max=0.0):
-    return gaussian_state(GaussianClockSpec(e0, sigma_e, tau0, p0, sigma_p, x0), t_max=t_max)
+def _state(e0=10.0, sigma_e=0.5, tau0=0.0, p0=0.0, sigma_p=0.5, t_max=0.0):
+    return gaussian_state(GaussianClockSpec(e0, sigma_e, tau0, p0, sigma_p), t_max=t_max)
 
 
 def test_rest_clock_mean_reading_tracks_time():
@@ -236,7 +236,7 @@ def test_negative_rest_energy_clock_runs_backwards():
 def test_frame_reading_matches_exact_variance_at_long_times(t):
     spec = GaussianClockSpec(e0=10.0, sigma_e=0.5, sigma_p=0.5)
     state = gaussian_state(spec, t_max=t)
-    assert state.e_grid.n <= 2048
+    assert state.e_grid.n <= 4096
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         reading = tau_moments_simulated(state, t)

@@ -15,8 +15,8 @@ from clocklab.states import GaussianClockSpec, gaussian_state
 from oracles import dilation, gauss_hermite_mean
 
 
-def _state(e0=10.0, sigma_e=0.5, tau0=0.0, p0=0.0, sigma_p=0.5, x0=0.0, t_max=0.0):
-    return gaussian_state(GaussianClockSpec(e0, sigma_e, tau0, p0, sigma_p, x0), t_max=t_max)
+def _state(e0=10.0, sigma_e=0.5, tau0=0.0, p0=0.0, sigma_p=0.5, t_max=0.0):
+    return gaussian_state(GaussianClockSpec(e0, sigma_e, tau0, p0, sigma_p), t_max=t_max)
 
 
 def test_tau_phase_eigenvalue():

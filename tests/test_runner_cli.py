@@ -277,14 +277,14 @@ def test_quantum_readings_report_tau_window_and_grids(tmp_path):
     report = run(cfg)
     window = {c.name: c for c in report.checks}["tau_window"]
     assert window.passed and 0.0 <= window.measured <= window.tolerance
-    assert report.diagnostics == {"n_e": 1024, "n_p": 256}
+    assert report.diagnostics == {"n_e": 128, "n_p": 128}
     # a sweep reports the largest grid of its members
     cfg, _ = _cfg(tmp_path, "QUANTUM_MOMENTS", "quantum.times = 0, 3000\n"
                   "sweep.param = quantum.sigma_p\nsweep.values = 0.5, 1.0\n", name="s.csv")
     report = run(cfg)
     assert report.all_passed
     assert "tau_window" in {c.name for c in report.checks}
-    assert report.diagnostics == {"n_e": 2048, "n_p": 256}
+    assert report.diagnostics == {"n_e": 4096, "n_p": 128}
 
 
 def test_report_json_contents(tmp_path):
@@ -296,12 +296,12 @@ def test_report_json_contents(tmp_path):
     assert payload["checks"][0]["name"] == "product_ratio"
     assert payload["diagnostics"] == {}
     # quantum runs report the grid they used: a rest clock read at t = 1000
-    # needs only the residual drift in its tau window, so n_e stays at 1024
-    # (sized for the whole drift t <D>, it would be 8192)
+    # needs only the residual drift in its tau window, so n_e is 512 (sized
+    # for the whole drift t <D>, it would be 8192)
     cfg, out = _cfg(tmp_path, "QUANTUM_MOMENTS", "quantum.times = 0, 1000\n", name="q.csv")
     run(cfg)
     payload = json.loads(out.with_suffix(".report.json").read_text())
-    assert payload["diagnostics"] == {"n_e": 1024, "n_p": 256}
+    assert payload["diagnostics"] == {"n_e": 512, "n_p": 128}
     # every report says how long it computed and wrote, and with what; a
     # quantum run also splits compute_s into its build, moments and reading
     # phases
@@ -419,10 +419,7 @@ def test_cli_rejects_out_of_range_values(tmp_path, capsys, group, sub, settings,
 @pytest.mark.parametrize("sub, settings, key, message", [
     ("moments", ["grid.p.n=4"], "grid.p.n", "must be a power of two, at least 8, got 4"),
     ("bound", ["grid.e.n=12"], "grid.e.n", "must be a power of two, at least 8, got 12"),
-    ("bound", ["grid.e.n=8", "quantum.sigma_e=0.05"], "grid.e.n",
-     "grid too coarse on the E axis"),
-    ("optimize", ["grid.p.n=64"], "grid.p.n", "grid too coarse on the p axis"),
-], ids=["p-not-grid-size", "e-not-power-of-two", "e-too-coarse", "optimize-p-too-coarse"])
+], ids=["p-not-grid-size", "e-not-power-of-two"])
 def test_cli_rejects_grid_counts_that_cannot_hold_the_state(tmp_path, capsys, sub, settings,
                                                             key, message):
     out = tmp_path / "x.csv"
@@ -432,6 +429,22 @@ def test_cli_rejects_grid_counts_that_cannot_hold_the_state(tmp_path, capsys, su
     assert main(argv + ["--output", str(out)]) == 2
     assert f"config error: {key}: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sub, settings, grids", [
+    ("bound", ["grid.e.n=8", "quantum.sigma_e=0.05"], {"n_e": 128, "n_p": 128}),
+    ("optimize", ["grid.p.n=64"], {"n_e": 1024, "n_p": 128}),
+    ("moments", ["grid.e.n=2048", "grid.p.n=256"], {"n_e": 2048, "n_p": 256}),
+], ids=["e-too-coarse", "optimize-p-too-coarse", "floors-above-the-rule"])
+def test_grid_floors_below_the_accuracy_rule_are_raised(tmp_path, sub, settings, grids):
+    # grid.e.n and grid.p.n are floors: one too coarse to resolve the state
+    # is raised to the size the accuracy rule needs, and one above it is kept
+    out = tmp_path / "x.csv"
+    argv = ["quantum", sub]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert main(argv + ["--output", str(out)]) == 0
+    assert json.loads(out.with_suffix(".report.json").read_text())["diagnostics"] == grids
 
 
 def test_cli_cross_key_message_quotes_si_values_as_written(tmp_path, capsys):
@@ -600,7 +613,8 @@ def test_quantum_moments_snapshot_export(tmp_path):
     assert lines[0] == "axis,coordinate,density"
     e_rows = [l.split(",") for l in lines[1:] if l.startswith("E,")]
     p_rows = [l.split(",") for l in lines[1:] if l.startswith("p,")]
-    assert len(e_rows) >= 1024 and len(p_rows) >= 256
+    grids = json.loads(out.with_suffix(".report.json").read_text())["diagnostics"]
+    assert (len(e_rows), len(p_rows)) == (grids["n_e"], grids["n_p"])
     # each marginal integrates to one on its own axis
     e_coords = np.array([float(r[1]) for r in e_rows])
     e_dens = np.array([float(r[2]) for r in e_rows])
@@ -616,7 +630,21 @@ def test_bound_member_takes_one_transform_per_reading(tmp_path, monkeypatch):
     cfg, _ = _cfg(tmp_path, "QUANTUM_BOUND_SWEEP", "quantum.t = 100\n")
     assert run(cfg).all_passed
     assert (len(forward), len(inverse)) == (1 + 1, 1)
-    assert all(args[0].shape == (1024, 256) for args in forward + inverse)
+    assert all(args[0].shape == (128, 128) for args in forward + inverse)
+
+
+def test_quantum_member_takes_abs_of_psi_once(tmp_path, monkeypatch):
+    # the build takes |psi| once, for the boundary check, the peak the tip
+    # check compares with and the density the moment pass weighs by; the
+    # tip check takes it again only on the cells near E = p = 0, which this
+    # grid holds (E spans -1 to 11)
+    calls = _count_calls(monkeypatch, np, "abs")
+    cfg, out = _cfg(tmp_path, "QUANTUM_MOMENTS", "quantum.e0 = 5\nquantum.times = 0, 1\n")
+    assert run(cfg).all_passed
+    grids = json.loads(out.with_suffix(".report.json").read_text())["diagnostics"]
+    full = [args[0].shape for args in calls if np.ndim(args[0]) == 2]
+    assert full == [(grids["n_e"], grids["n_p"])]
+    assert any(np.ndim(args[0]) == 1 for args in calls)
 
 
 @pytest.mark.parametrize("kind, body", [
@@ -713,17 +741,18 @@ def test_sweep_integrates_as_one_batch(tmp_path, monkeypatch):
 # moved to a centred H spread, which moves only that column, and all three
 # when readings became Parseval sums over an E-contiguous spectrum and the
 # cross term was measured from the frame rate, which moves the last digits
-# of every quantum column); a change to any of them must be justified in
-# CHANGES.md.
+# of every quantum column, and all three when the grid sizes came from the
+# accuracy rule alone, which moves the last digits of every quantum column);
+# a change to any of them must be justified in CHANGES.md.
 GOLDEN_CSV_SHA256 = {
     ("gedanken", "box"): "ba3f2e47f9571ed247c570a49564d3c9a32e08a3618991dbdf82ddc2e5926b63",
     ("gedanken", "efield"): "7c4cf442d9d227228fdfd5b6183e6a8216a0abf370beb88d9dd945b352f93116",
     ("classical", "trajectory"):
         "954fd1869f7e4717491064471a419359e8bbd3eee953eadedfd3b23247554eae",
     ("classical", "brackets"): "16c0f3de7af22263db6e15ce1153b03334a9ff27c8ad5d3bd4f39c6da8d566ac",
-    ("quantum", "moments"): "0a8a67d89acb932663b1b6221047a276ca315bab4f5b259f64faa1cc6932be30",
-    ("quantum", "bound"): "87a1b2a9c5fe7ac3e951db6fe98c71c734a85b56de10719fcb2aafa3764048ca",
-    ("quantum", "optimize"): "38c97c6adbbea518389e7aae600b4817ec0a20c380ac9c7e02f3a7ff7a6e1b03",
+    ("quantum", "moments"): "561abc2b2aa33c269ba9398da9bcaf7a758ce93cd8eb2a9443a4ed2a5904cf94",
+    ("quantum", "bound"): "57a77d2e17995f73ac24ac1811253518f1d323d33fc8ab9c1fe34b651202897e",
+    ("quantum", "optimize"): "7df50b4cc39c23721de781e88583746ab780383673404c2d77411ed0bda76530",
 }
 
 

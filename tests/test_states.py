@@ -100,6 +100,26 @@ def test_suggest_grids_scales_resolution_with_time():
         assert np.pi / grid.step >= 1.3 * _residual_reach(spread, t)
 
 
+def test_suggest_grids_sizes_by_accuracy_and_floors_only_raise():
+    spec = GaussianClockSpec(e0=10.0, sigma_e=0.5, sigma_p=0.5)
+    # 3 cells per sigma over +-12 sigma is 72 cells, rounded up to 128
+    assert [g.n for g in suggest_grids(spec)] == [128, 128]
+    assert [g.n for g in suggest_grids(spec, n_e=1024, n_p=256)] == [1024, 256]
+    assert [g.n for g in suggest_grids(spec, n_e=8, n_p=64)] == [128, 128]
+
+
+def test_suggest_grids_reach_holds_the_reading_tail():
+    # a rest clock with a wide momentum spread: D - v ~ -p^2 / 2E^2, so the
+    # window must reach the drift of the p tail where its mass is 1e-8
+    # (6.07 sigma in the (E, p) ellipse), not the drift at 4 sigma
+    spec = GaussianClockSpec(e0=20.0, sigma_e=0.5, sigma_p=1.8)
+    t = 9000.0
+    e_grid, _ = suggest_grids(spec, t_max=t)
+    tail = t * abs(dilation(20.0, 6.07 * 1.8) - 1.0)
+    assert np.pi / e_grid.step >= 1.6 * tail
+    assert tail > 1.5 * _residual_reach(spec, t)
+
+
 def test_profile_builder_normalizes():
     e_grid = UniformGrid(-16.0, 16.0, 256)
     p_grid = UniformGrid(-16.0, 16.0, 64)
