@@ -11,9 +11,7 @@ from .brackets import dirac_bracket, poisson_bracket, reduced_canonical_pair
 from .dynamics import (
     ExtendedPhaseSpacePoint,
     Trajectory,
-    base_hamiltonian,
     clock_at_rest,
-    constraints,
     geodesic_lorentz_residual,
     hamilton_rhs,
     integrate,
@@ -31,7 +29,7 @@ from .gedanken import (
     spring_mass,
 )
 from .grids import UniformGrid, boundary_amplitude_ratio, trapezoid_norm_squared
-from .metric import StaticMetric, flat_metric, isotropic_weak_field_metric, uniform_lapse_metric
+from .metric import StaticMetric, flat_metric, uniform_lapse_metric
 from .moments import (
     StateMoments,
     TauMoments,
@@ -50,7 +48,7 @@ from .states import (
     probability_marginals,
     suggest_grids,
 )
-from .units import NATURAL_UNITS, SI_UNITS, UnitContext, UnitSystem, convert_units, rest_energy
+from .units import NATURAL_UNITS, SI_UNITS, UnitContext, UnitSystem, convert_units
 
 __version__ = "0.1.0"
 
@@ -71,12 +69,10 @@ __all__ = [
     "UnitContext",
     "UnitSystem",
     "VarianceLawCoefficients",
-    "base_hamiltonian",
     "boundary_amplitude_ratio",
     "box_uncertainties",
     "clock_at_rest",
     "commutator_residual",
-    "constraints",
     "convert_units",
     "dilation_factor",
     "dirac_bracket",
@@ -87,7 +83,6 @@ __all__ = [
     "geodesic_lorentz_residual",
     "hamilton_rhs",
     "integrate",
-    "isotropic_weak_field_metric",
     "make_gaussian_state",
     "moving_clock",
     "optimize_clock_width",
@@ -95,7 +90,6 @@ __all__ = [
     "probability_marginals",
     "proper_time_residual",
     "reduced_canonical_pair",
-    "rest_energy",
     "salecker_wigner_check",
     "spring_mass",
     "state_moments",

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .dynamics import whole_steps
+from .states import MAX_GRID_SIZE
 from .units import NATURAL_UNITS, SI_UNITS, UnitContext, UnitSystem, convert_units
 
 UNIT_TAGS = {
@@ -72,12 +73,14 @@ class ParamSpec:
     choices: tuple[str, ...] | None = None
     above: float | None = None
     below: float | None = None
-    power_of_two: bool = False  # a grid size: a power of two, at least 8
+    power_of_two: bool = False  # a grid size: a power of two from 8 to MAX_GRID_SIZE
 
     def range_violation(self, value: float, ctx: UnitContext) -> str | None:
         """The config error for a value outside the bounds, or None."""
         if self.power_of_two and not (value >= 8 and value & (value - 1) == 0):
             return f"{self.key}: must be a power of two, at least 8, got {value!r}"
+        if self.power_of_two and value > MAX_GRID_SIZE:
+            return f"{self.key}: must be at most {MAX_GRID_SIZE}, got {value!r}"
         if self.above is None and self.below is None:
             return None
         scale = convert_units(1.0, self.dimension, NATURAL_UNITS, ctx)
@@ -317,7 +320,7 @@ def _bracket_violation(member: dict[str, Any], written: Callable[[str], str]) ->
 
 def _step_rule_violation(member: dict[str, Any], written: Callable[[str], str]) -> str | None:
     """classical.t_end must be a whole number of classical.dt steps, at least
-    four (the rate audit takes five-point central differences)."""
+    four (the rate and motion audits take five-point central differences)."""
     n_steps = whole_steps(member["classical.t_end"], member["classical.dt"])
     if n_steps is not None and n_steps >= 4:
         return None

@@ -4,13 +4,12 @@ energy M are canonical variables alongside the spatial pair (x, p).
 The system carries the second-class constraint pair phi1 = M - p_tau,
 phi2 = p_M; with the consistency-fixed multipliers the total Hamiltonian is
 
-    H = H0 - f M (M - p_tau) / sqrt(M^2 + c^2 g^{ij} p_i p_j),
-    H0 = f sqrt(M^2 + c^2 g^{ij} p_i p_j) - c e A_0.
+    H = H0 - f M (M - p_tau) / sqrt(M^2 + c^2 |p|^2),
+    H0 = f sqrt(M^2 + c^2 |p|^2) - c e A_0.
 
-The background has a lapse f, a conformal factor w of g_ij and a scalar
-potential A_0, but no vector potential A_i, so the kinetic momentum
-u = p - e A is p itself.  The code runs at c = 1; the formulas keep the
-symbol.
+The background has a lapse f and a scalar potential A_0 over flat spatial
+sections, but no vector potential A_i, so the kinetic momentum u = p - e A
+is p itself.  The code runs at c = 1; the formulas keep the symbol.
 
 On the constraint surface H reduces to H0, tau advances at the metric
 proper-time rate, and M, p_tau, p_M are conserved.  Integration is plain
@@ -72,15 +71,6 @@ def moving_clock(M: float, p, x=(0.0, 0.0, 0.0), tau: float = 0.0) -> ExtendedPh
     return ExtendedPhaseSpacePoint(tau, M, M, 0.0, np.asarray(x, float), np.asarray(p, float))
 
 
-class ConstraintPair(NamedTuple):
-    phi1: float  # M - p_tau
-    phi2: float  # p_M
-
-
-def constraints(pt: ExtendedPhaseSpacePoint) -> ConstraintPair:
-    return ConstraintPair(pt.M - pt.p_tau, pt.p_M)
-
-
 class PhaseSpaceRates(NamedTuple):
     tau_dot: float
     p_tau_dot: float
@@ -102,42 +92,28 @@ def _column(value):
     return value[..., None] if isinstance(value, np.ndarray) else value
 
 
-def _kinetic(z: np.ndarray, metric: StaticMetric):
+def _kinetic(z: np.ndarray):
     """Common kinetic pieces at states z of shape (..., 10), as (..., 1)
-    columns where per clock: g^{ij}p_j, |p|^2_g, the root R and the
-    conformal factor w of g_ij."""
+    columns: g^{ij}p_j = p, |p|^2 and the root R."""
     p = z[..., 7:10]
-    w = _column(metric.conformal(z[..., 4:7]))
-    gp = p / w if metric.w is not None else p + 0.0  # -0.0 -> 0.0, as g^{ij} p_j gives
+    gp = p + 0.0  # -0.0 -> 0.0, as g^{ij} p_j gives
     qf = np.vecdot(p, gp, keepdims=True)
     K2 = z[..., 2:3] * z[..., 2:3] + qf
     if K2.min() <= 0.0:
         raise ValueError("degenerate point: vanishing square-root argument")
-    return gp, qf, np.sqrt(K2), w
-
-
-def _hamiltonian(pt, metric: StaticMetric, charge: float, constrained: bool):
-    z = pt.as_vector() if isinstance(pt, ExtendedPhaseSpacePoint) else np.asarray(pt, float)
-    x, M = z[..., 4:7], z[..., 2]
-    R = _kinetic(z, metric)[2][..., 0]
-    f = metric.lapse(x)
-    h = f * R - charge * metric.pot0(x)
-    if constrained:
-        h = h - f * M * (M - z[..., 1]) / R
-    return float(h) if z.ndim == 1 else h
-
-
-def base_hamiltonian(pt, metric: StaticMetric, charge: float = 0.0):
-    """H0 = f sqrt(M^2 + c^2 g^{ij} p_i p_j) - c e A_0, at a point (a float)
-    or at every state of a (..., 10) array."""
-    return _hamiltonian(pt, metric, charge, constrained=False)
+    return gp, qf, np.sqrt(K2)
 
 
 def total_hamiltonian(pt, metric: StaticMetric, charge: float = 0.0):
     """Constraint-consistent Hamiltonian H0 - f M (M - p_tau) / R, at a point
-    (a float) or at every state of a (..., 10) array; coincides with H0 when
-    phi1 = 0."""
-    return _hamiltonian(pt, metric, charge, constrained=True)
+    (a float) or at every state of a (..., 10) array; coincides with
+    H0 = f R - c e A_0 when phi1 = 0."""
+    z = pt.as_vector() if isinstance(pt, ExtendedPhaseSpacePoint) else np.asarray(pt, float)
+    x, M = z[..., 4:7], z[..., 2]
+    R = _kinetic(z)[2][..., 0]
+    f = metric.lapse(x)
+    h = f * R - charge * metric.pot0(x) - f * M * (M - z[..., 1]) / R
+    return float(h) if z.ndim == 1 else h
 
 
 def _rhs_vector(z: np.ndarray, metric: StaticMetric, charge: float) -> np.ndarray:
@@ -147,11 +123,10 @@ def _rhs_vector(z: np.ndarray, metric: StaticMetric, charge: float) -> np.ndarra
     stepped flows; the tests pin the two bitwise equal, so change both."""
     p_tau, M = z[..., 1:2], z[..., 2:3]
     x = z[..., 4:7]
-    gp, qf, R, w = _kinetic(z, metric)
+    gp, qf, R = _kinetic(z)
     f = _column(metric.lapse(x))
     phi1 = M - p_tau
-    R2 = R * R
-    R3 = R2 * R
+    R3 = R * R * R
 
     out = np.empty(z.shape)
     out[..., 0:1] = f * M / R               # tau rate: dH/dp_tau
@@ -162,10 +137,6 @@ def _rhs_vector(z: np.ndarray, metric: StaticMetric, charge: float) -> np.ndarra
     dH = 0.0
     if metric.f is not None:
         dH = metric.lapse_grad(x) * (R - M * phi1 / R)
-    if metric.w is not None:
-        # d g^{ij}/dx^k p_i p_j = -(dw/dx^k / w) |p|^2_g for g_ij = w delta_ij
-        dR = -metric.grad_w(x) * (qf / w) / (2.0 * R)
-        dH = dH + dR * (f + f * M * phi1 / R2)
     if metric.a0 is not None:
         dH = dH - charge * metric.pot0_grad(x)
     out[..., 7:10] = -dH
@@ -187,11 +158,7 @@ def _rhs_floats(z: list[float], metric: StaticMetric, charge: float) -> list[flo
     p_tau, M = z[1], z[2]
     x = np.array(z[4:7])
     p = z[7:10]
-    if metric.w is not None:
-        w = float(metric.conformal(x))
-        gp = [v / w for v in p]
-    else:
-        gp = [v + 0.0 for v in p]
+    gp = [v + 0.0 for v in p]
     qf = float(np.vecdot(np.array(p), np.array(gp)))
     K2 = M * M + qf
     if K2 <= 0.0:
@@ -200,8 +167,7 @@ def _rhs_floats(z: list[float], metric: StaticMetric, charge: float) -> list[flo
     f = float(metric.lapse(x))
     try:  # R^3 may underflow to 0, where numpy divides to inf or nan
         phi1 = M - p_tau
-        R2 = R * R
-        R3 = R2 * R
+        R3 = R * R * R
 
         s = 1.0 / R + M * phi1 / R3
         rates = [f * M / R, 0.0, 0.0, f * phi1 * qf / R3, *(f * v * s for v in gp)]
@@ -209,9 +175,6 @@ def _rhs_floats(z: list[float], metric: StaticMetric, charge: float) -> list[flo
         if metric.f is not None:
             b = R - M * phi1 / R
             dH = [g * b for g in _floats3(metric.lapse_grad(x))]
-        if metric.w is not None:
-            q, R2x, k = qf / w, 2.0 * R, f + f * M * phi1 / R2
-            dH = [h + -g * q / R2x * k for h, g in zip(dH, _floats3(metric.grad_w(x)))]
         if metric.a0 is not None:
             dH = [h - charge * g for h, g in zip(dH, _floats3(metric.pot0_grad(x)))]
         return rates + [-h for h in dH]
@@ -328,7 +291,7 @@ def integrate(pt0, metric: StaticMetric, charge: float, t_end: float, dt: float,
 
     states = np.empty((n_steps + 1,) + z.shape) if out is None else out
     states[0] = z
-    if hold_x or all(getattr(metric, name) is None for name in ("f", "w", "a0")):
+    if hold_x or all(getattr(metric, name) is None for name in ("f", "a0")):
         k = _rhs_vector(z, metric, charge)
         if hold_x:
             k[..., 4:10] = 0.0
@@ -368,24 +331,38 @@ def conservation_drift(traj: Trajectory, metric: StaticMetric, charge: float = 0
             relative_drift(traj.states[..., 2]))
 
 
-def proper_time_residual(traj: Trajectory, metric: StaticMetric):
-    """Peak deviation of the integrated tau rate from the metric rate
-    sqrt(f^2 - g_ij xdot^i xdot^j / c^2), with rates taken from the
-    trajectory itself by the five-point central stencil
-    (-f[i+2] + 8 f[i+1] - 8 f[i-1] + f[i-2]) / 12 dt, whose dt^4 truncation
-    stays below the tolerance at the steps RK4 is run with (Fornberg, Math.
-    Comp. 51, 699 (1988)); the two samples at each end have no rate."""
+def _d_dt(series: np.ndarray, dt: float) -> np.ndarray:
+    """d/dt along axis 0 by the five-point central stencil
+    (-f[i+2] + 8 f[i+1] - 8 f[i-1] + f[i-2]) / 12 dt, at the samples two or
+    more steps from either end; truncation grows as dt^4 (Fornberg, Math.
+    Comp. 51, 699 (1988))."""
+    return (-series[4:] + 8.0 * series[3:-1] - 8.0 * series[1:-3] + series[:-4]) / (12.0 * dt)
+
+
+def _d2_dt2(series: np.ndarray, dt: float) -> np.ndarray:
+    """d^2/dt^2 along axis 0 by the five-point central stencil
+    (-f[i+2] + 16 f[i+1] - 30 f[i] + 16 f[i-1] - f[i-2]) / 12 dt^2, at the
+    samples of ``_d_dt``; truncation grows as dt^4."""
+    return (-series[4:] + 16.0 * series[3:-1] - 30.0 * series[2:-2] + 16.0 * series[1:-3]
+            - series[:-4]) / (12.0 * dt * dt)
+
+
+def _need_five_samples(traj: Trajectory) -> None:
     if len(traj) < 5:
         raise ValueError("trajectory too short for five-point differences")
 
-    def rate_of(series):
-        return (-series[4:] + 8.0 * series[3:-1] - 8.0 * series[1:-3] + series[:-4]) / (
-            12.0 * traj.dt)
 
-    tau_dot, x_dot = rate_of(traj.tau), rate_of(traj.x)
+def proper_time_residual(traj: Trajectory, metric: StaticMetric):
+    """Peak deviation of the integrated tau rate from the metric rate
+    sqrt(f^2 - |xdot|^2 / c^2), with rates taken from the trajectory itself
+    by the five-point stencil of ``_d_dt``, whose dt^4 truncation stays below
+    the tolerance at the steps RK4 is run with; the two samples at each end
+    have no rate."""
+    _need_five_samples(traj)
+    tau_dot, x_dot = _d_dt(traj.tau, traj.dt), _d_dt(traj.x, traj.dt)
     x = traj.x[2:-2]
     f = metric.lapse(x)
-    speed2 = metric.conformal(x) * np.vecdot(x_dot, x_dot)
+    speed2 = np.vecdot(x_dot, x_dot)
     rate = np.sqrt(np.maximum(f * f - speed2, 0.0))
     return np.abs(tau_dot - rate).max(axis=0)
 
@@ -412,49 +389,50 @@ def geodesic_lorentz_residual(traj: Trajectory, metric: StaticMetric, charge: fl
             = e f^{rho mu} g_{mu nu} xdot^nu,
 
     with derivatives with respect to tau rebuilt from the coordinate-time
-    samples by the chain rule (central differences).  Truncation grows as
-    dt^2 and rounding in the second differences as dt^-2."""
-    if len(traj) < 3:
-        raise ValueError("trajectory too short for second differences")
+    samples by the chain rule (the five-point stencils of ``_d_dt`` and
+    ``_d2_dt2``).  Truncation grows as dt^4 and rounding in the second
+    derivatives as dt^-2; the two samples at each end are not audited."""
+    _need_five_samples(traj)
     if np.any(np.diff(traj.tau, axis=0) <= 0.0):
         raise ValueError("tau must be strictly increasing along the trajectory")
-    # windows of _AUDIT_WINDOW samples plus one on each side bound the temporaries
-    return np.max([_motion_residual(traj.states[a - 1:a + _AUDIT_WINDOW + 1], traj.dt, metric,
+    # windows of _AUDIT_WINDOW samples plus two on each side bound the temporaries
+    return np.max([_motion_residual(traj.states[a - 2:a + _AUDIT_WINDOW + 2], traj.dt, metric,
                                     charge)
-                   for a in range(1, len(traj) - 1, _AUDIT_WINDOW)], axis=0)
+                   for a in range(2, len(traj) - 2, _AUDIT_WINDOW)], axis=0)
 
 
 def motion_rounding_floor(traj: Trajectory):
     """Bound on the rounding part of ``geodesic_lorentz_residual``, per clock:
-    each sample carries a relative rounding eps, which the second
-    differences divide by dt^2 and the change to proper time by
-    (dtau/dt)^3, so the bound grows with the reach |x|, |tau| of the samples."""
+    each sample carries a relative rounding eps, which the five-point second
+    derivative (weights totalling 64/12) divides by dt^2 and the change to
+    proper time by (dtau/dt)^3, so the bound grows with the reach |x|, |tau|
+    of the samples."""
     dt = traj.dt
     rate = np.diff(traj.tau, axis=0).min(axis=0) / dt
     speed = np.maximum(np.abs(np.diff(traj.x, axis=0)).max(axis=(0, -1)) / dt, 1.0)  # >= c
     reach = rate * np.abs(traj.x).max(axis=(0, -1)) + speed * np.abs(traj.tau).max(axis=0)
-    return 4.0 * np.finfo(float).eps * reach / (rate**3 * dt * dt)
+    return 64.0 / 12.0 * np.finfo(float).eps * reach / (rate**3 * dt * dt)
 
 
 def _motion_residual(states: np.ndarray, dt: float, metric: StaticMetric,
                      charge: float) -> np.ndarray:
     tau, x = states[..., 0], states[..., 4:7]
     time_first = [(0, 0)] * (x.ndim - 1) + [(1, 0)]  # prepends x^0 = c t: rate c, no curvature
-    dx_dt = np.pad((x[2:] - x[:-2]) / (2.0 * dt), time_first, constant_values=1.0)
-    d2x_dt2 = np.pad((x[2:] - 2.0 * x[1:-1] + x[:-2]) / (dt * dt), time_first)
-    dtau_dt = ((tau[2:] - tau[:-2]) / (2.0 * dt))[..., None]
-    d2tau_dt2 = ((tau[2:] - 2.0 * tau[1:-1] + tau[:-2]) / (dt * dt))[..., None]
+    dx_dt = np.pad(_d_dt(x, dt), time_first, constant_values=1.0)
+    d2x_dt2 = np.pad(_d2_dt2(x, dt), time_first)
+    dtau_dt = _d_dt(tau, dt)[..., None]
+    d2tau_dt2 = _d2_dt2(tau, dt)[..., None]
     xdot = dx_dt / dtau_dt
     xddot = (d2x_dt2 * dtau_dt - dx_dt * d2tau_dt2) / dtau_dt**3
 
     # Gamma^r_{mn} v^m v^n = g^{rs} (d_k g_{sn} v^k v^n - d_s g_{mn} v^m v^n / 2)
     # with d_0 = 0, contracted without forming Gamma; f^{rm} g_{mn} v^n = g^{ra} f_{an} v^n
-    x = x[1:-1]
+    x = x[2:-2]
     _, dg4 = four_metric(metric, x)
     dg_vv = np.einsum("...kmn,...m,...n->...k", dg4, xdot, xdot)
     lowered = (np.einsum("...ksn,...k,...n->...s", dg4, xdot[..., 1:], xdot)
                - np.pad(0.5 * dg_vv, time_first)
-               - (charge / states[1:-1, ..., 2, None])
+               - (charge / states[2:-2, ..., 2, None])
                * (field_tensor(metric, x) @ xdot[..., None])[..., 0])
     residual = xddot + (inverse_four_metric(metric, x) @ lowered[..., None])[..., 0]
     return np.abs(residual).max(axis=(0, -1))

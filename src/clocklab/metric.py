@@ -1,13 +1,12 @@
 """Static background fields for the clock, all functions of the spatial
-position only: the lapse f, the spatial conformal factor w and the scalar
-potential A_0.  Everything runs at c = 1; the formulas keep the symbol.
+position only: the lapse f and the scalar potential A_0.  Everything runs
+at c = 1; the formulas keep the symbol.
 
-The four-metric is diag(-f^2, g_ij) with x^0 = c*t and a conformally flat
-spatial metric g_ij = w(x) delta_ij, so its inverse is delta_ij / w and no
-matrix is inverted or checked per point.  Factories cover the cases the
-test problems need: flat space, a uniform weak-field lapse
-f = 1 + g x^1 / c^2, an isotropic weak field, and linear scalar potentials
-for constant-force motion.
+The four-metric is diag(-f^2, delta_ij) with x^0 = c*t: gravity acts on
+the clock only through the lapse, as in the paper's uniform field, and the
+spatial sections are flat.  Factories cover the cases the test problems
+need: flat space, a uniform weak-field lapse f = 1 + g x^1 / c^2, and
+linear scalar potentials for constant-force motion.
 
 Every callable takes positions of shape (..., 3) and returns values with the
 same leading shape, so one call serves a batch of clocks or a whole
@@ -33,25 +32,23 @@ def _positive(values: np.ndarray, what: str) -> np.ndarray:
 
 
 # field -> name of its gradient
-_GRADIENTS = {"f": "grad_f", "w": "grad_w", "a0": "grad_a0"}
+_GRADIENTS = {"f": "grad_f", "a0": "grad_a0"}
 
 
 @dataclass(frozen=True, eq=False)
 class StaticMetric:
-    """Lapse f (g_00 = -f^2), spatial metric g_ij = w delta_ij and scalar
-    potential A_0; the vector potential A_i is zero.
+    """Lapse f (g_00 = -f^2) and scalar potential A_0 over flat spatial
+    sections (g_ij = delta_ij); the vector potential A_i is zero.
 
-    A field left as None is absent: f = w = 1 and A_0 = 0, and the dynamics
-    skip its terms.  A field that is given needs its gradient: ``grad_f``,
-    ``grad_w`` and ``grad_a0`` return values broadcastable to (..., 3).  The
-    accessors below return floats for absent fields, which broadcast.
+    A field left as None is absent: f = 1 and A_0 = 0, and the dynamics skip
+    its terms.  A field that is given needs its gradient: ``grad_f`` and
+    ``grad_a0`` return values broadcastable to (..., 3).  The accessors
+    below return floats for absent fields, which broadcast.
     """
 
     f: ScalarFn | None = None
-    w: ScalarFn | None = None
     a0: ScalarFn | None = None
     grad_f: VectorFn | None = None
-    grad_w: VectorFn | None = None
     grad_a0: VectorFn | None = None
 
     def __post_init__(self) -> None:
@@ -65,18 +62,9 @@ class StaticMetric:
     def lapse_grad(self, x: np.ndarray):
         return 0.0 if self.grad_f is None else self.grad_f(x)
 
-    def conformal(self, x: np.ndarray):
-        return 1.0 if self.w is None else _positive(self.w(x), "spatial conformal factor")
-
-    def metric3(self, x: np.ndarray) -> np.ndarray:
-        return np.multiply.outer(self.conformal(x), np.eye(3))
-
     def inverse_metric3(self, x: np.ndarray) -> np.ndarray:
-        return np.multiply.outer(1.0 / self.conformal(x), np.eye(3))
-
-    def metric3_grad(self, x: np.ndarray):
-        """d g_ij / dx^k, broadcastable to (..., 3, 3, 3) indexed [..., k, i, j]."""
-        return 0.0 if self.grad_w is None else np.multiply.outer(self.grad_w(x), np.eye(3))
+        """g^ij = delta_ij, broadcastable to (..., 3, 3)."""
+        return np.eye(3)
 
     def pot0(self, x: np.ndarray):
         return 0.0 if self.a0 is None else self.a0(x)
@@ -111,19 +99,8 @@ def uniform_lapse_metric(g_accel: float, *, a0_slope: float = 0.0) -> StaticMetr
     )
 
 
-def isotropic_weak_field_metric(phi: ScalarFn, grad_phi: VectorFn) -> StaticMetric:
-    """Isotropic weak field: f = 1 + phi/c^2, g_ij = (1 - 2 phi/c^2) delta_ij.
-    ``phi`` and ``grad_phi`` take (..., 3) positions."""
-    return StaticMetric(
-        f=lambda x: 1.0 + phi(x),
-        grad_f=grad_phi,
-        w=lambda x: 1.0 - 2.0 * phi(x),
-        grad_w=lambda x: -2.0 * grad_phi(x),
-    )
-
-
 def four_metric(metric: StaticMetric, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Four-metric g_{mu nu} = diag(-f^2, g_ij) and its spatial gradients at
+    """Four-metric g_{mu nu} = diag(-f^2, delta_ij) and its spatial gradients at
     positions x of shape (..., 3).
 
     Returns ``(g4, dg4)`` of shapes (..., 4, 4) and (..., 3, 4, 4), with
@@ -134,15 +111,14 @@ def four_metric(metric: StaticMetric, x: np.ndarray) -> tuple[np.ndarray, np.nda
     lead = x.shape[:-1]
     g4 = np.zeros(lead + (4, 4))
     g4[..., 0, 0] = -f * f
-    g4[..., 1:, 1:] = metric.metric3(x)
+    g4[..., 1:, 1:] = np.eye(3)
     dg4 = np.zeros(lead + (3, 4, 4))
     dg4[..., 0, 0] = -2.0 * np.expand_dims(f, -1) * metric.lapse_grad(x)
-    dg4[..., 1:, 1:] = metric.metric3_grad(x)
     return g4, dg4
 
 
 def inverse_four_metric(metric: StaticMetric, x: np.ndarray) -> np.ndarray:
-    """g^{mu nu} = diag(-1/f^2, g^ij) at positions x of shape (..., 3)."""
+    """g^{mu nu} = diag(-1/f^2, delta_ij) at positions x of shape (..., 3)."""
     f = metric.lapse(x)
     inv = np.zeros(x.shape[:-1] + (4, 4))
     inv[..., 0, 0] = -1.0 / (f * f)

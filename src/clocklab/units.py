@@ -79,8 +79,3 @@ def convert_units(value: float, dimension: str, src: UnitContext, dst: UnitConte
     scale factor is applied forward and backward.
     """
     return value * (_unit_scale(dimension, src) / _unit_scale(dimension, dst))
-
-
-def rest_energy(mass: float, ctx: UnitContext) -> float:
-    """Energy equivalent m*c^2 of a mass in the given unit context."""
-    return mass * ctx.c**2

@@ -282,7 +282,7 @@ def per_sample_rate_residual(traj, metric, c=1.0):
         tau_dot = derivative(traj.tau, i)
         x_dot = derivative(traj.x, i)
         f = float(metric.lapse(traj.x[i]))
-        rate2 = f * f - float(x_dot @ metric.metric3(traj.x[i]) @ x_dot) / (c * c)
+        rate2 = f * f - float(x_dot @ x_dot) / (c * c)
         worst = max(worst, abs(tau_dot - math.sqrt(max(rate2, 0.0))))
     return worst
 
@@ -301,17 +301,25 @@ def christoffel(g4, dg4):
 def per_sample_motion_residual(traj, metric, charge=0.0, c=1.0):
     """Covariant equation-of-motion residual per unit rest mass of a single
     trajectory, one sample at a time, from the full connection and a
-    numerically inverted four-metric at each sample."""
+    numerically inverted four-metric at each sample.  First and second
+    derivatives come from the fourth-order central stencils with weights
+    (1, -8, 0, 8, -1)/12 and (-1, 16, -30, 16, -1)/12 over samples
+    i-2 .. i+2."""
     from clocklab.metric import field_tensor, four_metric
     dt = traj.dt
+    first = (1.0 / 12.0, -8.0 / 12.0, 0.0, 8.0 / 12.0, -1.0 / 12.0)
+    second = (-1.0 / 12.0, 16.0 / 12.0, -30.0 / 12.0, 16.0 / 12.0, -1.0 / 12.0)
+
+    def derivative(weights, series, i):
+        return sum(w * series[i + k - 2] for k, w in enumerate(weights) if w)
+
     worst = 0.0
-    for i in range(1, len(traj) - 1):
+    for i in range(2, len(traj) - 2):
         # x^0 = c t: its rate is c and its second derivative 0
-        x = traj.x
-        dx_dt = np.concatenate(([c], (x[i + 1] - x[i - 1]) / (2.0 * dt)))
-        d2x_dt2 = np.concatenate(([0.0], (x[i + 1] - 2.0 * x[i] + x[i - 1]) / (dt * dt)))
-        w = (traj.tau[i + 1] - traj.tau[i - 1]) / (2.0 * dt)
-        d2tau = (traj.tau[i + 1] - 2.0 * traj.tau[i] + traj.tau[i - 1]) / (dt * dt)
+        dx_dt = np.concatenate(([c], derivative(first, traj.x, i) / dt))
+        d2x_dt2 = np.concatenate(([0.0], derivative(second, traj.x, i) / (dt * dt)))
+        w = derivative(first, traj.tau, i) / dt
+        d2tau = derivative(second, traj.tau, i) / (dt * dt)
         xdot = dx_dt / w
         xddot = (d2x_dt2 * w - dx_dt * d2tau) / w**3
         xi = traj.x[i]

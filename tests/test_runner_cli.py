@@ -181,8 +181,8 @@ def test_trajectory_run_columns_and_checks(tmp_path):
 
 
 def test_motion_residual_passes_at_fine_steps(tmp_path, capsys):
-    # At dt = 1e-5 the second differences of the samples round to about
-    # 2e-5 here, above the fixed 1e-6; the tolerance follows the rounding bound.
+    # At dt = 1e-5 the second derivatives of the samples round to about
+    # 6e-5 here, above the fixed 1e-6; the tolerance follows the rounding bound.
     code = main(["classical", "trajectory", "--set", "classical.metric=uniform_lapse",
                  "--set", "classical.lapse_g=0.08", "--set", "classical.p1=0.8",
                  "--set", "classical.tau0=5", "--set", "classical.t_end=0.05",
@@ -419,7 +419,10 @@ def test_cli_rejects_out_of_range_values(tmp_path, capsys, group, sub, settings,
 @pytest.mark.parametrize("sub, settings, key, message", [
     ("moments", ["grid.p.n=4"], "grid.p.n", "must be a power of two, at least 8, got 4"),
     ("bound", ["grid.e.n=12"], "grid.e.n", "must be a power of two, at least 8, got 12"),
-], ids=["p-not-grid-size", "e-not-power-of-two"])
+    ("moments", ["grid.e.n=65536", "quantum.times=0,1"], "grid.e.n",
+     "must be at most 32768, got 65536"),
+    ("moments", ["grid.p.n=65536"], "grid.p.n", "must be at most 32768, got 65536"),
+], ids=["p-not-grid-size", "e-not-power-of-two", "e-above-max", "p-above-max"])
 def test_cli_rejects_grid_counts_that_cannot_hold_the_state(tmp_path, capsys, sub, settings,
                                                             key, message):
     out = tmp_path / "x.csv"

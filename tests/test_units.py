@@ -9,7 +9,6 @@ from clocklab.units import (
     UnitContext,
     UnitSystem,
     convert_units,
-    rest_energy,
 )
 
 DIMS = ("mass", "time", "energy", "length", "momentum", "speed", "acceleration")
@@ -41,10 +40,6 @@ def test_one_kilogram_in_natural_units():
 def test_zero_converts_to_zero():
     for dim in DIMS:
         assert convert_units(0.0, dim, SI_UNITS, NATURAL_UNITS) == 0.0
-
-
-def test_rest_energy_of_one_kilogram():
-    assert rest_energy(1.0, SI_UNITS) == pytest.approx(8.987551787368176e16, rel=1e-12)
 
 
 def test_unknown_dimension_rejected():
