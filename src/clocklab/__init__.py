@@ -7,7 +7,7 @@ constrained extended-phase-space clock dynamics (``metric``, ``dynamics``,
 ``operators``, ``moments``, ``search``), tied together by a scenario-driven
 command line (``config``, ``runner``, ``cli``).
 """
-from .brackets import dirac_bracket, poisson_bracket, reduced_canonical_pair
+from .brackets import reduced_canonical_pair
 from .dynamics import (
     ExtendedPhaseSpacePoint,
     Trajectory,
@@ -75,7 +75,6 @@ __all__ = [
     "commutator_residual",
     "convert_units",
     "dilation_factor",
-    "dirac_bracket",
     "efield_uncertainties",
     "evolve",
     "flat_metric",
@@ -86,7 +85,6 @@ __all__ = [
     "make_gaussian_state",
     "moving_clock",
     "optimize_clock_width",
-    "poisson_bracket",
     "probability_marginals",
     "proper_time_residual",
     "reduced_canonical_pair",

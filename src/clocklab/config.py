@@ -167,8 +167,10 @@ SCHEMAS: dict[str, list[ParamSpec]] = {
     ],
     "CLASSICAL_BRACKETS": [
         ParamSpec("brackets.points", "dimensionless", 50, kind="int", above=0),
-        ParamSpec("brackets.h_step", "dimensionless", 1e-5, above=0.0),
-        ParamSpec("brackets.scale", "dimensionless", 2.0, above=0.0),
+        # a step of h_step max(1, |z_i|) >= |z_i| is no difference quotient
+        ParamSpec("brackets.h_step", "dimensionless", 1e-5, above=0.0, below=1.0),
+        # the probes reach M = 3 scale, and their range 2 scale must be finite
+        ParamSpec("brackets.scale", "dimensionless", 2.0, above=0.0, below=1e307),
     ],
     "QUANTUM_MOMENTS": _quantum_state_params(0.5, 0.0, 0.5) + [
         ParamSpec("quantum.times", "time", (0.0, 1.0, 10.0, 100.0), kind="list"),

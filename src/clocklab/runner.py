@@ -3,7 +3,9 @@ write CSV rows, and self-check the run against the module tolerances.
 
 Check names are stable identifiers for the invariants they verify:
 ``product_ratio`` (weighing cancellation), ``dirac_table`` (canonical
-bracket table), trajectory constraint/conservation/rate checks and
+bracket table), ``dirac_flow`` (the equations of motion against the Dirac
+flow of the total Hamiltonian), ``reduced_pair`` (the Dirac bracket of the
+reduced pair (T, E)), trajectory constraint/conservation/rate checks and
 ``motion_residual`` (the covariant equation of motion, for unheld clocks),
 ``commutator``, ``uncertainty_floor``, ``variance_law``/``mean_linearity``
 (exact reading statistics), ``tau_window`` (share of a reading in the
@@ -33,7 +35,13 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__
-from .brackets import dirac_table, expected_dirac_table, random_points
+from .brackets import (
+    dirac_table,
+    expected_dirac_table,
+    flow_residuals,
+    flow_tolerance,
+    random_points,
+)
 from .config import ConfigError, ScenarioConfig
 from .csvio import FloatBlock, emit_csv
 from .dynamics import (
@@ -65,6 +73,8 @@ from .units import NATURAL_UNITS, SI_UNITS, UnitSystem, convert_units
 TOLERANCES = {
     "product_ratio": 1e-12,
     "dirac_table": 1e-6,
+    "dirac_flow": 0.0,  # flow_tolerance(brackets.h_step), passed as the floor
+    "reduced_pair": 1e-6,
     "constraint_drift": 1e-9,
     "h_conservation": 1e-9,
     "m_conservation": 1e-9,
@@ -242,19 +252,37 @@ def _run_classical_trajectory(members: list[dict[str, Any]], seed: int):
     return results
 
 
+# The flow check's background: a lapse and a scalar potential acting on a
+# charged clock, so that every term of the rates is compared.  Its states have
+# |x1| <= 1, where the lapse stays between 0.8 and 1.2 for any step h_step < 1.
+_FLOW_METRIC = uniform_lapse_metric(0.1, a0_slope=0.3)
+_FLOW_CHARGE = 1.0
+
+
 def _run_classical_brackets(params: dict[str, Any], seed: int):
-    points = random_points(seed, params["brackets.points"], params["brackets.scale"])
+    """The Dirac table at the probe states, then the flow and reduced-pair
+    checks at the probes taken onto the constraint surface.  Those are divided
+    by brackets.scale first: with coordinates of order 1 at every scale, no
+    square in H overflows or underflows."""
+    scale, h_step = params["brackets.scale"], params["brackets.h_step"]
+    states = random_points(seed, params["brackets.points"], scale)
+    table = dirac_table(states, h_step)
     expected = expected_dirac_table()
-    rows = []
-    worst = 0.0
-    for i, pt in enumerate(points):
-        table = dirac_table(pt, params["brackets.h_step"])
-        for (a, b), value in table.items():
-            err = abs(value - expected[(a, b)])
-            worst = max(worst, err)
-            rows.append([i, f"{a}|{b}", value, expected[(a, b)], err])
+    wanted = list(expected.values())
+    errors = np.abs(table - wanted)
+    labels = [f"{a}|{b}" for a, b in expected]
+    rows = [[i, label, value, want, err]
+            for i, (values, errs) in enumerate(zip(table.tolist(), errors.tolist()))
+            for label, value, want, err in zip(labels, values, wanted, errs)]
+    surface = states / scale
+    surface[:, 1] = surface[:, 2]  # p_tau = M
+    surface[:, 3] = 0.0            # p_M = 0
+    flow, pair = flow_residuals(surface, _FLOW_METRIC, _FLOW_CHARGE, h_step)
+    checks = [_check("dirac_table", errors.max()),
+              _check("dirac_flow", flow, flow_tolerance(h_step)),
+              _check("reduced_pair", pair)]
     cols = [(name, "") for name in ("point", "pair", "value", "expected", "error")]
-    return cols, rows, [_check("dirac_table", worst)], {}
+    return cols, rows, checks, {}
 
 
 # --- quantum ----------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import clocklab
+from clocklab.brackets import flow_tolerance
 from clocklab.cli import main
 from clocklab.config import parse_config
 from clocklab.csvio import FloatBlock, emit_csv
@@ -198,6 +199,61 @@ def test_brackets_run(tmp_path):
     report = run(cfg)
     assert report.all_passed
     assert report.rows_written == 3 * 45
+    assert [c.name for c in report.checks] == ["dirac_table", "dirac_flow", "reduced_pair"]
+
+
+@pytest.mark.parametrize("settings", [[], ["brackets.h_step=1e-3"]], ids=["default", "coarse"])
+def test_brackets_flow_check_passes(tmp_path, capsys, settings):
+    """Every bracket run checks the rates of the dynamics against the Dirac
+    flow of the total Hamiltonian, at a tolerance that follows the step."""
+    out = tmp_path / "x.csv"
+    argv = ["classical", "brackets"]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert main(argv + ["--output", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "[PASS] dirac_flow: " in printed and "[PASS] reduced_pair: " in printed
+    checks = {c["name"]: c for c in
+              json.loads(out.with_suffix(".report.json").read_text())["checks"]}
+    h_step = 1e-3 if settings else 1e-5
+    assert checks["dirac_flow"]["tolerance"] == flow_tolerance(h_step)
+    assert 0.0 < checks["dirac_flow"]["measured"] < checks["dirac_flow"]["tolerance"]
+
+
+def test_brackets_flow_check_fails_a_mutant_lapse_gradient(tmp_path, capsys, monkeypatch):
+    """Rates whose lapse gradient is off by 1e-6 relative fail the flow check
+    (H reads the lapse, only the rates its gradient), and the CSV still holds
+    the table."""
+    import clocklab.runner as runner
+    from clocklab.metric import StaticMetric
+
+    good = runner._FLOW_METRIC
+    monkeypatch.setattr(runner, "_FLOW_METRIC", StaticMetric(
+        f=good.f, grad_f=lambda x: (1.0 + 1e-6) * good.grad_f(x), a0=good.a0,
+        grad_a0=good.grad_a0))
+    out = tmp_path / "x.csv"
+    assert main(["classical", "brackets", "--output", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert "[FAIL] dirac_flow: " in printed
+    assert "[PASS] dirac_table: " in printed and "[PASS] reduced_pair: " in printed
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV_SHA256[
+        ("classical", "brackets")]
+
+
+@pytest.mark.parametrize("scale", ["1e-300", "1e-160", "1e150", "1e300"])
+def test_cli_extreme_bracket_scales_run_every_check(tmp_path, capsys, scale):
+    """At any scale the probes may take, every bracket check reads a finite
+    value and passes: the flow check runs at the probes divided by the
+    scale, so no square in H overflows or underflows."""
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["classical", "brackets", "--set", f"brackets.scale={scale}",
+                     "--set", "brackets.points=10", "--output", str(out)])
+    assert code == 0, capsys.readouterr().err
+    checks = json.loads(out.with_suffix(".report.json").read_text())["checks"]
+    assert [c["name"] for c in checks] == ["dirac_table", "dirac_flow", "reduced_pair"]
+    assert all(c["passed"] and math.isfinite(c["measured"]) for c in checks)
 
 
 def test_quantum_moments_run(tmp_path):
@@ -389,6 +445,8 @@ def test_cli_rejects_nonfinite_numbers_and_nonpositive_counts(tmp_path, capsys, 
     ("gedanken", "efield", ["units=SI", "efield.v=299792458"], "efield.v"),
     ("classical", "brackets", ["brackets.h_step=0"], "brackets.h_step"),
     ("classical", "brackets", ["brackets.scale=-2"], "brackets.scale"),
+    ("classical", "brackets", ["brackets.h_step=1"], "brackets.h_step"),
+    ("classical", "brackets", ["brackets.scale=1e308"], "brackets.scale"),
     ("classical", "trajectory", ["classical.dt=0"], "classical.dt"),
     ("classical", "trajectory", ["classical.m=0", "classical.p1=0.75"], "classical.m"),
     ("classical", "trajectory", ["sweep.param=classical.m", "sweep.values=1, -1"], "classical.m"),
@@ -402,7 +460,8 @@ def test_cli_rejects_nonfinite_numbers_and_nonpositive_counts(tmp_path, capsys, 
     ("classical", "brackets", [f"seed={2**64}"], "seed"),
     ("gedanken", "box", ["sweep.param=box.dq", "sweep.values=1,2", "sweep.min=5"],
      "sweep.values"),
-], ids=["bound-t", "optimize-t", "box-dq", "efield-v", "efield-v-si", "h-step", "scale", "dt",
+], ids=["bound-t", "optimize-t", "box-dq", "efield-v", "efield-v-si", "h-step", "scale",
+        "h-step-above", "scale-above", "dt",
         "m", "sweep-m", "sweep-sigma-e", "bracket-hi-unset", "bracket-reversed",
         "bracket-negative", "seed-negative", "seed-2**64", "sweep-values-with-min"])
 def test_cli_rejects_out_of_range_values(tmp_path, capsys, group, sub, settings, key):
@@ -772,6 +831,7 @@ def test_default_scenario_csv_matches_golden_digest(tmp_path, group, sub):
 _GOLDEN_DIGESTS_SCRIPT = """
 import hashlib, sys, tempfile
 from pathlib import Path
+from clocklab.brackets import flow_tolerance
 from clocklab.cli import main
 with tempfile.TemporaryDirectory() as work:
     for group, sub in (arg.split("-") for arg in sys.argv[1:]):
