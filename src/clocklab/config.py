@@ -331,12 +331,19 @@ def _step_rule_violation(member: dict[str, Any], written: Callable[[str], str]) 
             f"classical.dt = {written('classical.dt')}")
 
 
+def _flat_lapse_violation(member: dict[str, Any], written: Callable[[str], str]) -> str | None:
+    """A flat metric has no lapse field: classical.lapse_g is 0 there."""
+    if member["classical.metric"] != "flat" or member["classical.lapse_g"] == 0.0:
+        return None
+    return (f"classical.lapse_g: must be 0 under classical.metric = flat, "
+            f"got {written('classical.lapse_g')}")
+
+
 def _lapse_horizon_violation(member: dict[str, Any],
                              written: Callable[[str], str]) -> str | None:
-    """A uniform_lapse clock starts where the lapse 1 + g x^1 / c^2 is
-    positive, the same sum the metric checks at run time (c = 1 in a member)."""
-    if (member["classical.metric"] != "uniform_lapse"
-            or 1.0 + member["classical.lapse_g"] * member["classical.x1"] > 0.0):
+    """A clock starts where the lapse 1 + g x^1 / c^2 is positive, the same
+    sum the metric checks at run time (c = 1 in a member)."""
+    if 1.0 + member["classical.lapse_g"] * member["classical.x1"] > 0.0:
         return None
     return (f"classical.x1: must start where the lapse "
             f"1 + classical.lapse_g * classical.x1 / c^2 is positive, "
@@ -369,8 +376,8 @@ def _kinetic_root_violation(member: dict[str, Any],
 # Rules that join keys, checked on every run member (natural units) once each
 # key has passed alone; a message quotes the member's values as the config
 # gives them.
-_CROSS_KEY_RULES = {"CLASSICAL_TRAJECTORY": (_step_rule_violation, _lapse_horizon_violation,
-                                             _kinetic_root_violation),
+_CROSS_KEY_RULES = {"CLASSICAL_TRAJECTORY": (_step_rule_violation, _flat_lapse_violation,
+                                             _lapse_horizon_violation, _kinetic_root_violation),
                     "QUANTUM_OPTIMIZE": (_bracket_violation,)}
 
 

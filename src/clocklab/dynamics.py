@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .metric import StaticMetric, field_tensor, four_metric, inverse_four_metric
+from .metric import StaticMetric, check_lapse, field_tensor, four_metric, inverse_four_metric
 
 CONSTRAINT_SURFACE_TOL = 1e-12
 _AUDIT_WINDOW = 512
@@ -87,11 +87,6 @@ class PhaseSpaceRates(NamedTuple):
         return z
 
 
-def _column(value):
-    """A per-clock field as a (..., 1) column; a constant passes through."""
-    return value[..., None] if isinstance(value, np.ndarray) else value
-
-
 def _kinetic(z: np.ndarray):
     """Common kinetic pieces at states z of shape (..., 10), as (..., 1)
     columns: g^{ij}p_j = p, |p|^2 and the root R."""
@@ -124,7 +119,7 @@ def _rhs_vector(z: np.ndarray, metric: StaticMetric, charge: float) -> np.ndarra
     p_tau, M = z[..., 1:2], z[..., 2:3]
     x = z[..., 4:7]
     gp, qf, R = _kinetic(z)
-    f = _column(metric.lapse(x))
+    f = metric.lapse(x[..., None, :])  # a (..., 1) column, or 1.0
     phi1 = M - p_tau
     R3 = R * R * R
 
@@ -135,28 +130,21 @@ def _rhs_vector(z: np.ndarray, metric: StaticMetric, charge: float) -> np.ndarra
     out[..., 4:7] = f * gp * (1.0 / R + M * phi1 / R3)
 
     dH = 0.0
-    if metric.f is not None:
+    if metric.lapse_g != 0.0:
         dH = metric.lapse_grad(x) * (R - M * phi1 / R)
-    if metric.a0 is not None:
+    if metric.a0_slope != 0.0:
         dH = dH - charge * metric.pot0_grad(x)
     out[..., 7:10] = -dH
     return out
 
 
-def _floats3(value) -> list[float]:
-    """A vector field or gradient at one point as three floats; the metric
-    may give it broadcastable to (3,)."""
-    value = np.asarray(value, dtype=float)
-    return value.tolist() if value.shape == (3,) else np.broadcast_to(value, (3,)).tolist()
-
-
 def _rhs_floats(z: list[float], metric: StaticMetric, charge: float) -> list[float]:
     """``_rhs_vector`` at one state given as ten Python floats, operation for
-    operation, with its checks and messages.  Float + - * / and math.sqrt
-    round as numpy's; the dot products stay ``np.vecdot``, which rounds
-    unlike a plain sum.  So the rates are bitwise those of ``_rhs_vector``."""
+    operation, with its checks and messages; the fields are read from the
+    metric's two slopes.  Float + - * / and math.sqrt round as numpy's; the
+    dot products stay ``np.vecdot``, which rounds unlike a plain sum.  So the
+    rates are bitwise those of ``_rhs_vector``."""
     p_tau, M = z[1], z[2]
-    x = np.array(z[4:7])
     p = z[7:10]
     gp = [v + 0.0 for v in p]
     qf = float(np.vecdot(np.array(p), np.array(gp)))
@@ -164,7 +152,8 @@ def _rhs_floats(z: list[float], metric: StaticMetric, charge: float) -> list[flo
     if K2 <= 0.0:
         raise ValueError("degenerate point: vanishing square-root argument")
     R = math.sqrt(K2)
-    f = float(metric.lapse(x))
+    g, slope = metric.lapse_g, metric.a0_slope
+    f = 1.0 if g == 0.0 else check_lapse(1.0 + g * z[4])
     try:  # R^3 may underflow to 0, where numpy divides to inf or nan
         phi1 = M - p_tau
         R3 = R * R * R
@@ -172,11 +161,11 @@ def _rhs_floats(z: list[float], metric: StaticMetric, charge: float) -> list[flo
         s = 1.0 / R + M * phi1 / R3
         rates = [f * M / R, 0.0, 0.0, f * phi1 * qf / R3, *(f * v * s for v in gp)]
         dH = [0.0, 0.0, 0.0]
-        if metric.f is not None:
+        if g != 0.0:  # the gradient (g, 0, 0) times R - M phi1 / R
             b = R - M * phi1 / R
-            dH = [g * b for g in _floats3(metric.lapse_grad(x))]
-        if metric.a0 is not None:
-            dH = [h - charge * g for h, g in zip(dH, _floats3(metric.pot0_grad(x)))]
+            dH = [g * b, 0.0 * b, 0.0 * b]
+        if slope != 0.0:
+            dH = [dH[0] - charge * slope, dH[1] - charge * 0.0, dH[2] - charge * 0.0]
         return rates + [-h for h in dH]
     except ZeroDivisionError:
         return _rhs_vector(np.array(z), metric, charge).tolist()
@@ -271,10 +260,10 @@ def integrate(pt0, metric: StaticMetric, charge: float, t_end: float, dt: float,
 
     The rates read x and p only through the metric's fields, and p_tau and M
     do not move, so a held clock, or any clock in flat space without
-    potentials, has the same rates at every RK4 stage.  Such a stationary
-    flow takes one evaluation for the batch, and the samples are summed step
-    by step with the loop's own increment, so they are bitwise those of the
-    loop.  Every other flow steps clock by clock, its stages on Python floats
+    potentials (both metric slopes 0), has the same rates at every RK4
+    stage.  Such a stationary flow takes one evaluation for the batch, and
+    the samples are summed step by step with the loop's own increment, so
+    they are bitwise those of the loop.  Every other flow steps clock by clock, its stages on Python floats
     (``_rhs_floats``), bitwise equal to the loop over ``_rhs_vector``.
     """
     z = pt0.as_vector() if isinstance(pt0, ExtendedPhaseSpacePoint) else np.array(
@@ -291,7 +280,7 @@ def integrate(pt0, metric: StaticMetric, charge: float, t_end: float, dt: float,
 
     states = np.empty((n_steps + 1,) + z.shape) if out is None else out
     states[0] = z
-    if hold_x or all(getattr(metric, name) is None for name in ("f", "a0")):
+    if hold_x or metric.lapse_g == metric.a0_slope == 0.0:
         k = _rhs_vector(z, metric, charge)
         if hold_x:
             k[..., 4:10] = 0.0
@@ -391,14 +380,15 @@ def geodesic_lorentz_residual(traj: Trajectory, metric: StaticMetric, charge: fl
     with derivatives with respect to tau rebuilt from the coordinate-time
     samples by the chain rule (the five-point stencils of ``_d_dt`` and
     ``_d2_dt2``).  Truncation grows as dt^4 and rounding in the second
-    derivatives as dt^-2; the two samples at each end are not audited."""
+    derivatives as dt^-2; the two samples at each end are not audited.  A
+    clock whose tau does not strictly increase has no d/dtau and reads inf."""
     _need_five_samples(traj)
-    if np.any(np.diff(traj.tau, axis=0) <= 0.0):
-        raise ValueError("tau must be strictly increasing along the trajectory")
+    stalled = np.any(np.diff(traj.tau, axis=0) <= 0.0, axis=0)
     # windows of _AUDIT_WINDOW samples plus two on each side bound the temporaries
-    return np.max([_motion_residual(traj.states[a - 2:a + _AUDIT_WINDOW + 2], traj.dt, metric,
-                                    charge)
-                   for a in range(2, len(traj) - 2, _AUDIT_WINDOW)], axis=0)
+    residual = np.max([_motion_residual(traj.states[a - 2:a + _AUDIT_WINDOW + 2], traj.dt, metric,
+                                        charge)
+                       for a in range(2, len(traj) - 2, _AUDIT_WINDOW)], axis=0)
+    return np.where(stalled, np.inf, residual)[()]
 
 
 def motion_rounding_floor(traj: Trajectory):

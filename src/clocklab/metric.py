@@ -1,102 +1,74 @@
-"""Static background fields for the clock, all functions of the spatial
-position only: the lapse f and the scalar potential A_0.  Everything runs
-at c = 1; the formulas keep the symbol.
+"""Static background fields for the clock, functions of the spatial
+position only.  Everything runs at c = 1; the formulas keep the symbol.
 
 The four-metric is diag(-f^2, delta_ij) with x^0 = c*t: gravity acts on
 the clock only through the lapse, as in the paper's uniform field, and the
-spatial sections are flat.  Factories cover the cases the test problems
-need: flat space, a uniform weak-field lapse f = 1 + g x^1 / c^2, and
-linear scalar potentials for constant-force motion.
-
-Every callable takes positions of shape (..., 3) and returns values with the
-same leading shape, so one call serves a batch of clocks or a whole
-trajectory.  Each field comes with its analytic spatial gradient; the
-derivative direction is the first axis after the leading ones.
+spatial sections are flat.  A background is two numbers: the lapse
+f = 1 + g x^1 / c^2 of a uniform field g, and the scalar potential
+A_0 = a0_slope x^1, which exerts a constant force on a charged clock.  The
+accessors take positions of shape (..., 3) and return values with the same
+leading shape, so one call serves a batch of clocks or a whole trajectory.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-ScalarFn = Callable[[np.ndarray], np.ndarray]   # (..., 3) -> (...)
-VectorFn = Callable[[np.ndarray], np.ndarray]   # (..., 3) -> (..., 3)
+
+class LapseHorizonError(ValueError):
+    """A position at or past the lapse horizon, where f <= 0."""
 
 
-def _positive(values: np.ndarray, what: str) -> np.ndarray:
-    low = values.min() if isinstance(values, np.ndarray) else values  # a scalar at one point
+def check_lapse(f):
+    """f, a lapse value or array of them, once every value is positive."""
+    low = f.min() if isinstance(f, np.ndarray) else f  # a scalar at one point
     if low <= 0.0:
-        raise ValueError(f"{what} must stay positive; got {low}")
-    return values
+        raise LapseHorizonError(f"lapse must stay positive; got {low}")
+    return f
 
 
-# field -> name of its gradient
-_GRADIENTS = {"f": "grad_f", "a0": "grad_a0"}
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class StaticMetric:
-    """Lapse f (g_00 = -f^2) and scalar potential A_0 over flat spatial
-    sections (g_ij = delta_ij); the vector potential A_i is zero.
+    """Lapse f = 1 + lapse_g x^1 (g_00 = -f^2) and scalar potential
+    A_0 = a0_slope x^1 over flat spatial sections (g_ij = delta_ij); the
+    vector potential A_i is zero.
 
-    A field left as None is absent: f = 1 and A_0 = 0, and the dynamics skip
-    its terms.  A field that is given needs its gradient: ``grad_f`` and
-    ``grad_a0`` return values broadcastable to (..., 3).  The accessors
-    below return floats for absent fields, which broadcast.
+    A field whose slope is 0 is absent: its accessors return the floats
+    f = 1 and 0, which broadcast, and the dynamics skip its terms.
     """
 
-    f: ScalarFn | None = None
-    a0: ScalarFn | None = None
-    grad_f: VectorFn | None = None
-    grad_a0: VectorFn | None = None
-
-    def __post_init__(self) -> None:
-        for name, grad_name in _GRADIENTS.items():
-            if (getattr(self, name) is None) != (getattr(self, grad_name) is None):
-                raise ValueError(f"StaticMetric.{name} and {grad_name} go together")
+    lapse_g: float = 0.0
+    a0_slope: float = 0.0
 
     def lapse(self, x: np.ndarray):
-        return 1.0 if self.f is None else _positive(self.f(x), "lapse")
+        return 1.0 if self.lapse_g == 0.0 else check_lapse(1.0 + self.lapse_g * x[..., 0])
 
     def lapse_grad(self, x: np.ndarray):
-        return 0.0 if self.grad_f is None else self.grad_f(x)
+        return 0.0 if self.lapse_g == 0.0 else np.array([self.lapse_g, 0.0, 0.0])
 
     def inverse_metric3(self, x: np.ndarray) -> np.ndarray:
         """g^ij = delta_ij, broadcastable to (..., 3, 3)."""
         return np.eye(3)
 
     def pot0(self, x: np.ndarray):
-        return 0.0 if self.a0 is None else self.a0(x)
+        return 0.0 if self.a0_slope == 0.0 else self.a0_slope * x[..., 0]
 
     def pot0_grad(self, x: np.ndarray):
-        return 0.0 if self.grad_a0 is None else self.grad_a0(x)
-
-
-def _linear_a0(a0_slope: float) -> dict:
-    """Scalar potential A_0 = a0_slope * x^1 and its gradient."""
-    if a0_slope == 0.0:
-        return {}
-    direction = np.array([a0_slope, 0.0, 0.0])
-    return dict(a0=lambda x: a0_slope * x[..., 0], grad_a0=lambda x: direction)
+        return 0.0 if self.a0_slope == 0.0 else np.array([self.a0_slope, 0.0, 0.0])
 
 
 def flat_metric(a0_slope: float = 0.0) -> StaticMetric:
     """Flat space; optionally with a scalar potential A_0 = a0_slope * x^1,
     which exerts a constant force on a charged clock."""
-    return StaticMetric(**_linear_a0(a0_slope))
+    return StaticMetric(a0_slope=a0_slope)
 
 
 def uniform_lapse_metric(g_accel: float, *, a0_slope: float = 0.0) -> StaticMetric:
     """Weak-field lapse f = 1 + g x^1 / c^2 over flat spatial sections;
     a clock held at height q runs fast by g q / c^2 relative to one at 0.
     ``a0_slope`` adds the scalar potential of ``flat_metric``."""
-    direction = np.array([g_accel, 0.0, 0.0])
-    return StaticMetric(
-        f=lambda x: 1.0 + g_accel * x[..., 0],
-        grad_f=lambda x: direction,
-        **_linear_a0(a0_slope),
-    )
+    return StaticMetric(lapse_g=g_accel, a0_slope=a0_slope)
 
 
 def four_metric(metric: StaticMetric, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

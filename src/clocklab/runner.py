@@ -57,7 +57,7 @@ from .dynamics import (
     whole_steps,
 )
 from .gedanken import BoxExperiment, EFieldExperiment, box_uncertainties, efield_uncertainties
-from .metric import flat_metric, uniform_lapse_metric
+from .metric import LapseHorizonError, StaticMetric, uniform_lapse_metric
 from .moments import (
     SPREAD_FLOOR,
     StateMoments,
@@ -67,7 +67,7 @@ from .moments import (
 )
 from .operators import TAU_WINDOW_LIMIT, TipClearanceError, commutator_residual
 from .search import optimize_clock_width
-from .states import GaussianClockSpec, GridSizeError, gaussian_state
+from .states import GaussianClockSpec, GridAxisError, GridSizeError, gaussian_state
 from .units import NATURAL_UNITS, SI_UNITS, UnitSystem, convert_units
 
 TOLERANCES = {
@@ -183,8 +183,8 @@ _TRAJ_COLS = [("t", "time"), ("tau", "time"), ("p_tau", "energy"), ("M", "energy
 
 
 # Members that agree on these keys share their dynamics and integrate as one batch.
-_DYNAMICS_KEYS = ("classical.metric", "classical.lapse_g", "classical.a0_slope",
-                  "classical.charge", "classical.t_end", "classical.dt", "classical.hold")
+_DYNAMICS_KEYS = ("classical.lapse_g", "classical.a0_slope", "classical.charge",
+                  "classical.t_end", "classical.dt", "classical.hold")
 
 
 def _run_classical_trajectory(members: list[dict[str, Any]], seed: int):
@@ -200,11 +200,7 @@ def _run_classical_trajectory(members: list[dict[str, Any]], seed: int):
     for indices in batches.values():
         batch = [members[j] for j in indices]
         params = batch[0]
-        a0_slope = params["classical.a0_slope"]
-        if params["classical.metric"] == "uniform_lapse":
-            metric = uniform_lapse_metric(params["classical.lapse_g"], a0_slope=a0_slope)
-        else:
-            metric = flat_metric(a0_slope)
+        metric = StaticMetric(params["classical.lapse_g"], params["classical.a0_slope"])
         charge = params["classical.charge"]
         hold = params["classical.hold"] != 0.0
         points = [ExtendedPhaseSpacePoint(
@@ -216,13 +212,18 @@ def _run_classical_trajectory(members: list[dict[str, Any]], seed: int):
         n_steps = whole_steps(params["classical.t_end"], params["classical.dt"])
         table = np.empty((len(batch), n_steps + 1, len(_TRAJ_COLS)))
         start = time.perf_counter()
-        traj = integrate(points, metric, charge, params["classical.t_end"],
-                         params["classical.dt"], hold_x=hold,
-                         out=np.moveaxis(table[..., 1:11], 0, 1))
-        integrated = time.perf_counter()
+        try:
+            traj = integrate(points, metric, charge, params["classical.t_end"],
+                             params["classical.dt"], hold_x=hold,
+                             out=np.moveaxis(table[..., 1:11], 0, 1))
+            integrated = time.perf_counter()
+            # H takes the lapse at every sample, the last one too, where no stage ran
+            H = hamiltonian_series(traj, metric, charge)
+        except LapseHorizonError as err:  # the exact motion never reaches the horizon
+            raise ConfigError([f"classical.dt: too coarse, a step crossed the lapse horizon "
+                               f"({err})"]) from None
         diagnostics["rk4_steps"] += n_steps
         diagnostics["rhs_evals"] += traj.rhs_evals
-        H = hamiltonian_series(traj, metric, charge)
         table[..., 0] = traj.times
         phi1, phi2 = traj.constraint_values()
         table[..., 11], table[..., 12], table[..., 13] = phi1.T, phi2.T, H.T
@@ -231,11 +232,14 @@ def _run_classical_trajectory(members: list[dict[str, Any]], seed: int):
             "h_conservation": relative_drift(H),
             "m_conservation": relative_drift(traj.states[..., 2]),
         }
-        rates = proper_time_residual(traj, metric)
-        rate_floor = rate_rounding_floor(traj)
-        if not hold:  # a held clock is pushed off its free motion by the mount
-            motion = geodesic_lorentz_residual(traj, metric, charge)
-            floor = motion_rounding_floor(traj)
+        # a clock whose tau stalls divides by a zero rate: its values and
+        # bounds read inf or nan, which fail their checks
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rates = proper_time_residual(traj, metric)
+            rate_floor = rate_rounding_floor(traj)
+            if not hold:  # a held clock is pushed off its free motion by the mount
+                motion = geodesic_lorentz_residual(traj, metric, charge)
+                floor = motion_rounding_floor(traj)
         phases["integrate_s"] += integrated - start
         phases["audit_s"] += time.perf_counter() - integrated
         for k, (j, p) in enumerate(zip(indices, batch)):
@@ -243,7 +247,7 @@ def _run_classical_trajectory(members: list[dict[str, Any]], seed: int):
             checks.append(_check("proper_time_residual", rates[k], rate_floor[k]))
             if not hold:
                 checks.append(_check("motion_residual", motion[k], floor[k]))
-            if params["classical.metric"] == "flat" and charge == 0.0 and not hold:
+            if metric.lapse_g == 0.0 and charge == 0.0 and not hold:
                 m, p_vec = p["classical.m"], points[k].p
                 h0 = math.sqrt(m * m + float(p_vec @ p_vec))
                 expected_tau = p["classical.tau0"] + p["classical.t_end"] * m / h0
@@ -297,8 +301,9 @@ def _clock_state(params: dict[str, Any], t_max: float, time_key: str,
                  phases: dict[str, float]):
     """The member's clock state and its t = 0 moments.  A state the runtime
     refuses is a config error naming the time key (an E grid too large for
-    t_max), the grid key of an axis that does not resolve the state, or
-    quantum.e0 (support at the cone tip)."""
+    t_max), the width key of an axis whose window does not resolve the state
+    (quantum.sigma_e or quantum.sigma_p), or quantum.e0 (support at the cone
+    tip)."""
     spec = GaussianClockSpec(
         e0=params["quantum.e0"], sigma_e=params["quantum.sigma_e"], tau0=params["quantum.tau0"],
         p0=params["quantum.p0"], sigma_p=params["quantum.sigma_p"])
@@ -307,6 +312,8 @@ def _clock_state(params: dict[str, Any], t_max: float, time_key: str,
                        n_e=params["grid.e.n"], n_p=params["grid.p.n"])
     except GridSizeError as err:
         raise ConfigError([f"{time_key}: {err}"]) from None
+    except GridAxisError as err:
+        raise ConfigError([f"quantum.sigma_{err.axis.lower()}: {err}"]) from None
     moments = _timed(phases, "moments_s", state_moments, state)
     if isinstance(moments.dilation, str):
         raise ConfigError([f"quantum.e0: {moments.dilation}"])
@@ -389,6 +396,9 @@ def _run_quantum_optimize(params: dict[str, Any], phases: dict[str, float]):
             sigma_bounds=bounds, n_e=params["grid.e.n"], n_p=params["grid.p.n"])
     except GridSizeError as err:
         raise ConfigError([f"quantum.t: {err}"]) from None
+    except GridAxisError as err:  # the trial widths come from the bracket
+        key = "optimize.sigma_lo" if err.axis == "E" else "quantum.sigma_p"
+        raise ConfigError([f"{key}: {err}"]) from None
     except TipClearanceError as err:
         raise ConfigError([f"quantum.e0: {err}"]) from None
     for phase, seconds in result.timings.items():

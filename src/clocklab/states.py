@@ -51,7 +51,11 @@ class GridSizeError(ValueError):
 
 
 class GridAxisError(ValueError):
-    """A grid that does not resolve the state on one axis."""
+    """A grid that does not resolve the state on one axis, ``axis`` "E" or "p"."""
+
+    def __init__(self, axis: str, message: str) -> None:
+        super().__init__(message)
+        self.axis = axis
 
 
 @dataclass(frozen=True)
@@ -158,11 +162,11 @@ def _check_axis(name: str, grid: UniformGrid, center: float, sigma: float) -> No
     right = grid.hi - center
     if min(left, right) < MIN_SIGMA_COVERAGE * sigma:
         raise GridAxisError(
-            f"grid too small on the {name} axis: window must extend at least "
+            name, f"grid too small on the {name} axis: window must extend at least "
             f"{MIN_SIGMA_COVERAGE:.0f} sigma on each side of the center")
     if sigma < MIN_CELLS_PER_SIGMA * grid.step:
         raise GridAxisError(
-            f"grid too coarse on the {name} axis: sigma spans fewer than "
+            name, f"grid too coarse on the {name} axis: sigma spans fewer than "
             f"{MIN_CELLS_PER_SIGMA:.0f} cells")
 
 
@@ -217,17 +221,21 @@ def suggest_grids(spec: GaussianClockSpec, t_max: float = 0.0, n_e: int = 8, n_p
     MIN_CELLS_PER_SIGMA cells per sigma or more.  The E grid is refined
     until the proper-time window holds the co-moving reading (tau0, the
     residual drift t |D - v| out to the tail, the initial spread) with
-    TAU_WINDOW_MARGIN to spare; the common drift t v needs no window.
+    TAU_WINDOW_MARGIN to spare; the common drift t v needs no window.  A
+    window whose ends are not finite and apart raises GridAxisError.
     """
+    half_e, half_p = sigma_margin * spec.sigma_e, sigma_margin * spec.sigma_p
+    for axis, center, half in (("E", spec.e0, half_e), ("p", spec.p0, half_p)):
+        if not -math.inf < center - half < center + half < math.inf:
+            raise GridAxisError(axis, f"grid needs finite lo < hi on the {axis} axis, "
+                                      f"got {center!r} -+ {half!r}")
     cells = 2.0 * sigma_margin * MIN_CELLS_PER_SIGMA
-    half_e = sigma_margin * spec.sigma_e
     dtau0 = 1.0 / (2.0 * spec.sigma_e)  # hbar / (2 sigma_e)
     tau_reach = abs(spec.tau0) + abs(t_max) * _residual_dilation(spec) + 10.0 * dtau0 + 2.0
     de_max = math.pi / (TAU_WINDOW_MARGIN * tau_reach)  # the half-window pi hbar / dE
     n_e_needed = max(n_e, _next_pow2(max(cells, 2.0 * half_e / de_max)))
     if n_e_needed > MAX_GRID_SIZE:
         raise GridSizeError("requested evolution span needs an impractically large E grid")
-    half_p = sigma_margin * spec.sigma_p
     return (UniformGrid(spec.e0 - half_e, spec.e0 + half_e, n_e_needed),
             UniformGrid(spec.p0 - half_p, spec.p0 + half_p, max(n_p, _next_pow2(cells))))
 

@@ -15,7 +15,8 @@ the D, E and H spreads as centred second moments.  The bracket oracle is the
 scalar finite-difference algorithm the package replaced with its gradient
 matrix: fresh gradients for every Poisson bracket and a Python sum over the
 conjugate pairs.  The RK4 oracle is the plain four-stage loop, which
-``integrate`` no longer runs for stationary flows.
+``integrate`` no longer runs for stationary flows.  One mutant sits beside
+them: a metric whose lapse gradient is off, for the flow checks to catch.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ import math
 import numpy as np
 
 from clocklab.dynamics import ExtendedPhaseSpacePoint
+from clocklab.metric import StaticMetric
 
 
 def gauss_hermite_mean(fn, e0, sigma_e, p0, sigma_p, n=120):
@@ -358,3 +360,13 @@ def rk4_reference(pt0, metric, charge, t_end, dt, hold_x=False):
         z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         states[i + 1] = z
     return states
+
+
+def lapse_gradient_off(metric: StaticMetric, relative: float) -> StaticMetric:
+    """The metric with the lapse gradient that the rates read off by
+    ``relative``; H reads the lapse itself, which stays as it is."""
+    class LapseGradientOff(type(metric)):
+        def lapse_grad(self, x):
+            return (1.0 + relative) * super().lapse_grad(x)
+
+    return LapseGradientOff(metric.lapse_g, metric.a0_slope)

@@ -17,8 +17,9 @@ from clocklab.brackets import (
     reduced_canonical_pair,
 )
 from clocklab.dynamics import ExtendedPhaseSpacePoint
-from clocklab.metric import StaticMetric, uniform_lapse_metric
+from clocklab.metric import uniform_lapse_metric
 from oracles import (
+    lapse_gradient_off,
     oracle_phi1,
     oracle_phi2,
     per_pair_dirac_bracket,
@@ -263,13 +264,6 @@ def _surface_states(seed, count):
     return states
 
 
-def _lapse_gradient_off(metric, relative):
-    """The metric with its lapse gradient, which only the rates read, off by
-    ``relative``."""
-    return StaticMetric(f=metric.f, grad_f=lambda x: (1.0 + relative) * metric.grad_f(x),
-                        a0=metric.a0, grad_a0=metric.grad_a0)
-
-
 @pytest.mark.parametrize("h_step", [1e-3, 1e-5, 1e-8])
 def test_flow_matches_the_equations_of_motion(h_step):
     flow, pair = flow_residuals(_surface_states(1, 50), FLOW_METRIC, 1.0, h_step)
@@ -281,7 +275,7 @@ def test_flow_matches_the_equations_of_motion(h_step):
 
 def test_flow_check_fails_a_mutant_lapse_gradient():
     states = _surface_states(1, 50)
-    mutant = _lapse_gradient_off(FLOW_METRIC, 1e-6)
+    mutant = lapse_gradient_off(FLOW_METRIC, 1e-6)
     flow, _ = flow_residuals(states, mutant, 1.0, brackets.DEFAULT_H_STEP)
     assert flow > 100.0 * flow_tolerance(brackets.DEFAULT_H_STEP)
 

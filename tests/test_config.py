@@ -197,9 +197,12 @@ def test_every_schema_key_is_reachable():
                 value = "8"  # the smallest grid size
             else:
                 value = "1"
-            # the optimizer bracket takes both ends, 0 < lo < hi
+            # the optimizer bracket takes both ends, 0 < lo < hi; a lapse
+            # needs the uniform_lapse metric
             partner = {"optimize.sigma_lo": "\noptimize.sigma_hi = 2",
-                       "optimize.sigma_hi": "\noptimize.sigma_lo = 0.5"}.get(spec.key, "")
+                       "optimize.sigma_hi": "\noptimize.sigma_lo = 0.5",
+                       "classical.lapse_g": "\nclassical.metric = uniform_lapse"}
+            partner = partner.get(spec.key, "")
             cfg = parse_config(f"kind = {kind}\n{spec.key} = {value}{partner}")
             assert spec.key in cfg.params
 

@@ -20,7 +20,7 @@ from clocklab.dynamics import (
     rate_rounding_floor,
     total_hamiltonian,
 )
-from clocklab.metric import StaticMetric, flat_metric, uniform_lapse_metric
+from clocklab.metric import LapseHorizonError, flat_metric, uniform_lapse_metric
 
 from oracles import (
     hyperbolic_motion,
@@ -30,12 +30,6 @@ from oracles import (
 )
 
 FLAT = flat_metric()
-
-
-def _weak_field_lapse(phi, grad_phi) -> StaticMetric:
-    """The lapse f = 1 + phi / c^2 of an isotropic weak field, over the flat
-    spatial sections the package models."""
-    return StaticMetric(f=lambda x: 1.0 + phi(x), grad_f=grad_phi)
 
 
 # on the constraint surface the total Hamiltonian is the base Hamiltonian
@@ -50,8 +44,8 @@ def test_base_hamiltonian_three_four_five():
 
 
 def test_base_hamiltonian_potential_shift():
-    metric = StaticMetric(a0=lambda x: 2.0, grad_a0=lambda x: np.zeros(3))
-    pt = clock_at_rest(1.0)
+    metric = flat_metric(a0_slope=2.0)  # A_0 = 2 at x^1 = 1
+    pt = clock_at_rest(1.0, x=(1.0, 0.0, 0.0))
     assert total_hamiltonian(pt, metric, charge=1.0) == pytest.approx(-1.0, abs=1e-15)
 
 
@@ -178,7 +172,7 @@ def test_weak_field_fall_newtonian_limit():
 
 
 def test_isotropic_weak_field_residuals():
-    metric = _weak_field_lapse(lambda x: 1e-3 * x[..., 0], lambda x: np.array([1e-3, 0.0, 0.0]))
+    metric = uniform_lapse_metric(1e-3)
     traj = integrate(moving_clock(1.0, (0.1, 0.05, 0.0)), metric, 0.0, 5.0, 1e-3)
     assert proper_time_residual(traj, metric) < 1e-8
     assert geodesic_lorentz_residual(traj, metric) < 1e-5
@@ -189,13 +183,6 @@ def test_prepared_points_require_positive_rest_energy():
         clock_at_rest(-1.0)
     with pytest.raises(ValueError):
         moving_clock(0.0, (0.1, 0.0, 0.0))
-
-
-def test_metric_fields_need_their_gradients():
-    with pytest.raises(ValueError, match="grad_a0"):
-        StaticMetric(a0=lambda x: 2.0 * x[..., 0])
-    with pytest.raises(ValueError, match="grad_f"):
-        StaticMetric(grad_f=lambda x: np.zeros(3))
 
 
 def test_batch_integration_matches_one_clock_at_a_time():
@@ -216,9 +203,20 @@ def test_batch_integration_matches_one_clock_at_a_time():
         assert motion[j] == geodesic_lorentz_residual(single, metric)
 
 
-# a lapse that varies along two directions
-_ISOTROPIC = _weak_field_lapse(
-    lambda x: 1e-2 * x[..., 0] + 5e-3 * x[..., 1], lambda x: np.array([1e-2, 5e-3, 0.0]))
+def test_a_stalled_clock_reads_inf_and_leaves_its_batch_alone():
+    """At tau0 = 1e13 a step of tau rounds away: that clock's motion residual
+    reads inf, and its batch mate keeps its own."""
+    free, stalled = moving_clock(1.0, (0.75, 0.0, 0.0)), moving_clock(1.0, (0.75, 0.0, 0.0),
+                                                                       tau=1e13)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        motion = geodesic_lorentz_residual(integrate([free, stalled], FLAT, 0.0, 1.0, 1e-3), FLAT)
+        assert geodesic_lorentz_residual(integrate(stalled, FLAT, 0.0, 1.0, 1e-3), FLAT) == np.inf
+    assert motion[1] == np.inf
+    assert motion[0] == geodesic_lorentz_residual(integrate(free, FLAT, 0.0, 1.0, 1e-3), FLAT)
+
+
+# a steeper lapse for the clocks off the x^1 axis
+_OFF_AXIS_LAPSE = uniform_lapse_metric(1e-2)
 
 
 @pytest.mark.parametrize("pt0, metric, charge, hold", [
@@ -226,7 +224,7 @@ _ISOTROPIC = _weak_field_lapse(
     ([moving_clock(1.0, (p1, 0.0, 0.0)) for p1 in (0.0, -0.0, 0.3, -0.7)], FLAT, 0.0, False),
     (moving_clock(1.0, (0.4, -0.0, 0.2)), FLAT, 0.7, False),
     (clock_at_rest(1.0, x=(1.5, -0.0, 0.0)), uniform_lapse_metric(0.05), 0.0, True),
-    (clock_at_rest(2.0, x=(0.5, 0.2, -0.0)), _ISOTROPIC, 0.0, True),
+    (clock_at_rest(2.0, x=(0.5, 0.2, -0.0)), _OFF_AXIS_LAPSE, 0.0, True),
 ], ids=["flat-free", "flat-batch", "flat-charged", "lapse-held", "isotropic-held"])
 def test_stationary_flows_equal_the_four_stage_loop(pt0, metric, charge, hold):
     """A held clock, or a free one in flat space without potentials, takes
@@ -241,7 +239,7 @@ def test_stationary_flows_equal_the_four_stage_loop(pt0, metric, charge, hold):
     (moving_clock(1.0, (0.3, -0.2, 0.1)), uniform_lapse_metric(0.05), 0.0),
     (moving_clock(1.0, (0.3, 0.0, 0.1)), uniform_lapse_metric(0.05, a0_slope=0.02), 0.5),
     (clock_at_rest(1.0), flat_metric(a0_slope=0.02), 0.5),
-    (moving_clock(1.0, (0.1, 0.05, -0.0), x=(0.5, 0.2, 0.0)), _ISOTROPIC, 0.0),
+    (moving_clock(1.0, (0.1, 0.05, -0.0), x=(0.5, 0.2, 0.0)), _OFF_AXIS_LAPSE, 0.0),
     ([moving_clock(1.0, (0.2, 0.0, 0.0)), moving_clock(2.0, (0.7, -0.3, 0.1), x=(1.0, 0.0, 0.5)),
       clock_at_rest(0.5, x=(-2.0, 1.0, 0.0))], uniform_lapse_metric(0.05), 0.0),
 ], ids=["lapse", "lapse-charged", "constant-force", "isotropic", "lapse-batch"])
@@ -266,24 +264,24 @@ def test_unheld_clock_in_a_field_takes_four_evaluations_per_step(monkeypatch):
         assert len(calls) == traj.rhs_evals == 4 * 100 * clocks
 
 
-def _raised(fn, *args) -> str:
-    with pytest.raises(ValueError) as err:
+def _raised(error, fn, *args) -> str:
+    with pytest.raises(error) as err:
         fn(*args)
     return str(err.value)
 
 
-@pytest.mark.parametrize("pt, metric, start", [
-    (clock_at_rest(1.0, x=(-20.0, 0.0, 0.0)), uniform_lapse_metric(0.08),
+@pytest.mark.parametrize("pt, metric, error, start", [
+    (clock_at_rest(1.0, x=(-20.0, 0.0, 0.0)), uniform_lapse_metric(0.08), LapseHorizonError,
      "lapse must stay positive; got -0.6"),
     (ExtendedPhaseSpacePoint(0.0, 0.0, 0.0, 0.0, np.zeros(3), np.zeros(3)),
-     uniform_lapse_metric(0.05), "degenerate point"),
+     uniform_lapse_metric(0.05), ValueError, "degenerate point"),
 ], ids=["lapse-non-positive", "degenerate"])
-def test_float_stages_raise_the_vector_messages(pt, metric, start):
+def test_float_stages_raise_the_vector_messages(pt, metric, error, start):
     z = pt.as_vector()
-    message = _raised(_rhs_vector, z, metric, 0.0)
+    message = _raised(error, _rhs_vector, z, metric, 0.0)
     assert message.startswith(start)
-    assert _raised(_rhs_floats, z.tolist(), metric, 0.0) == message
-    assert _raised(integrate, pt, metric, 0.0, 1.0, 1e-2) == message
+    assert _raised(error, _rhs_floats, z.tolist(), metric, 0.0) == message
+    assert _raised(error, integrate, pt, metric, 0.0, 1.0, 1e-2) == message
 
 
 def test_float_stages_divide_as_numpy_where_a_product_underflows():
@@ -300,7 +298,7 @@ def test_float_stages_divide_as_numpy_where_a_product_underflows():
 @pytest.mark.parametrize("case", ["isotropic", "constant-force"])
 def test_vectorized_audits_match_per_sample_loops(case):
     if case == "isotropic":
-        metric, charge = _ISOTROPIC, 0.0
+        metric, charge = _OFF_AXIS_LAPSE, 0.0
     else:
         metric, charge = flat_metric(a0_slope=0.02), 0.5
     # 5001 samples: the motion audit takes them in several windows

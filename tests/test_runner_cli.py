@@ -225,12 +225,9 @@ def test_brackets_flow_check_fails_a_mutant_lapse_gradient(tmp_path, capsys, mon
     (H reads the lapse, only the rates its gradient), and the CSV still holds
     the table."""
     import clocklab.runner as runner
-    from clocklab.metric import StaticMetric
+    from oracles import lapse_gradient_off
 
-    good = runner._FLOW_METRIC
-    monkeypatch.setattr(runner, "_FLOW_METRIC", StaticMetric(
-        f=good.f, grad_f=lambda x: (1.0 + 1e-6) * good.grad_f(x), a0=good.a0,
-        grad_a0=good.grad_a0))
+    monkeypatch.setattr(runner, "_FLOW_METRIC", lapse_gradient_off(runner._FLOW_METRIC, 1e-6))
     out = tmp_path / "x.csv"
     assert main(["classical", "brackets", "--output", str(out)]) == 1
     printed = capsys.readouterr().out
@@ -779,13 +776,13 @@ def test_sweep_integrates_as_one_batch(tmp_path, monkeypatch):
     # one integration of the whole batch: the stationary flat flow takes one
     # (4, 10) RHS evaluation; under a lapse each member steps on floats, four
     # stage evaluations per RK4 step
-    for metric, vector_shapes, stages in (("uniform_lapse", [], 4 * 200 * 4),
-                                          ("flat", [(4, 10)], 0)):
+    for metric, vector_shapes, stages in (
+            ("classical.metric = uniform_lapse\nclassical.lapse_g = 0.05\n", [], 4 * 200 * 4),
+            ("classical.metric = flat\n", [(4, 10)], 0)):
         vector_calls.clear()
         float_calls.clear()
         cfg, _ = _cfg(tmp_path, "CLASSICAL_TRAJECTORY",
-                      "classical.t_end = 0.2\nclassical.dt = 1e-3\n"
-                      f"classical.metric = {metric}\nclassical.lapse_g = 0.05\n"
+                      "classical.t_end = 0.2\nclassical.dt = 1e-3\n" + metric +
                       "sweep.param = classical.p1\nsweep.values = 0.2, 0.4, 0.6, 0.8\n")
         report = run(cfg)
         assert report.all_passed and report.diagnostics["batch_members"] == 4
@@ -824,6 +821,19 @@ def test_default_scenario_csv_matches_golden_digest(tmp_path, group, sub):
     out = tmp_path / "default.csv"
     assert main([group, sub, "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV_SHA256[(group, sub)]
+
+
+def test_uniform_lapse_at_zero_is_the_flat_stationary_flow(tmp_path):
+    """At lapse_g = 0 (the default) a uniform_lapse clock is the flat one: the
+    same CSV bytes, one RHS evaluation and the tau_final check."""
+    out = tmp_path / "x.csv"
+    assert main(["classical", "trajectory", "--set", "classical.metric=uniform_lapse",
+                 "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV_SHA256[
+        ("classical", "trajectory")]
+    report = json.loads(out.with_suffix(".report.json").read_text())
+    assert report["diagnostics"]["rhs_evals"] == 1
+    assert "tau_final" in {c["name"] for c in report["checks"]}
 
 
 # Every golden digest run in one child process with OpenBLAS held to one
@@ -922,6 +932,47 @@ def test_cli_start_below_the_lapse_horizon_is_a_config_error(tmp_path, capsys, s
     assert "config error: classical.x1: must start where the lapse" in err
     assert f"got {written}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("settings, code, message", [
+    (["classical trajectory", "classical.lapse_g=0.5"], 2,
+     "config error: classical.lapse_g: must be 0 under classical.metric = flat, got 0.5"),
+    (["classical trajectory", "sweep.param=classical.lapse_g", "sweep.values=0, 0.5"], 2,
+     "config error: classical.lapse_g: must be 0 under classical.metric = flat, got 0.5"),
+    (["classical trajectory", "classical.tau0=1e13"], 1, "[FAIL] motion_residual: measured=inf"),
+    (["classical trajectory", "classical.a0_slope=1e18", "classical.charge=1"], 1,
+     "[FAIL] motion_residual: measured=inf"),
+    (["classical trajectory", "classical.metric=uniform_lapse", "classical.lapse_g=5",
+      "classical.p1=-1e8"], 1, "[FAIL] motion_residual: measured=inf"),
+    (["classical trajectory", "classical.metric=uniform_lapse", "classical.lapse_g=1e12",
+      "classical.x1=1"], 2,
+     "config error: classical.dt: too coarse, a step crossed the lapse horizon (lapse must "
+     "stay positive; got -1.5"),
+    (["quantum moments", "quantum.sigma_e=1e-300"], 2,
+     "config error: quantum.sigma_e: grid needs finite lo < hi on the E axis"),
+    (["quantum moments", "quantum.e0=1e300"], 2,
+     "config error: quantum.sigma_e: grid needs finite lo < hi on the E axis"),
+    (["quantum bound", "quantum.p0=1e300"], 2,
+     "config error: quantum.sigma_p: grid needs finite lo < hi on the p axis"),
+    (["quantum optimize", "quantum.p0=1e300"], 2,
+     "config error: quantum.sigma_p: grid needs finite lo < hi on the p axis"),
+    (["quantum optimize", "quantum.e0=1e20", "quantum.p0=0", "quantum.t=1e30"], 2,
+     "config error: optimize.sigma_lo: grid needs finite lo < hi on the E axis"),
+], ids=["flat-lapse", "flat-lapse-sweep", "tau-stalls-at-tau0", "tau-stalls-under-force",
+        "tau-stalls-under-lapse", "step-past-horizon", "sigma-e-rounds", "e0-rounds",
+        "p0-rounds", "optimize-p0-rounds", "optimize-sigma-rounds"])
+def test_cli_bad_inputs_end_in_a_config_error_or_a_failed_check(tmp_path, capsys, settings,
+                                                                code, message):
+    """Each input ends as a config error naming its key, with no CSV, or as
+    a failed check; none in a runtime error."""
+    out = tmp_path / "x.csv"
+    argv = settings[0].split()
+    for setting in settings[1:]:
+        argv += ["--set", setting]
+    assert main(argv + ["--output", str(out)]) == code
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err
+    assert out.exists() == (code == 1)
 
 
 @pytest.mark.parametrize("settings, written", [
