@@ -48,7 +48,9 @@ class StaticMetric:
         return 0.0 if self.lapse_g == 0.0 else np.array([self.lapse_g, 0.0, 0.0])
 
     def inverse_metric3(self, x: np.ndarray) -> np.ndarray:
-        """g^ij = delta_ij, broadcastable to (..., 3, 3)."""
+        """g^ij = delta_ij, broadcastable to (..., 3, 3).  Nothing in the
+        package calls it; it stays because the benchmark tracer wraps it by
+        name (``perfbench/tracer.py``, ``METHODS``)."""
         return np.eye(3)
 
     def pot0(self, x: np.ndarray):
@@ -69,39 +71,3 @@ def uniform_lapse_metric(g_accel: float, *, a0_slope: float = 0.0) -> StaticMetr
     a clock held at height q runs fast by g q / c^2 relative to one at 0.
     ``a0_slope`` adds the scalar potential of ``flat_metric``."""
     return StaticMetric(lapse_g=g_accel, a0_slope=a0_slope)
-
-
-def four_metric(metric: StaticMetric, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Four-metric g_{mu nu} = diag(-f^2, delta_ij) and its spatial gradients at
-    positions x of shape (..., 3).
-
-    Returns ``(g4, dg4)`` of shapes (..., 4, 4) and (..., 3, 4, 4), with
-    ``dg4[..., k, :, :]`` the derivative with respect to x^k (k = 1..3 stored
-    at index 0..2); time derivatives vanish.
-    """
-    f = metric.lapse(x)
-    lead = x.shape[:-1]
-    g4 = np.zeros(lead + (4, 4))
-    g4[..., 0, 0] = -f * f
-    g4[..., 1:, 1:] = np.eye(3)
-    dg4 = np.zeros(lead + (3, 4, 4))
-    dg4[..., 0, 0] = -2.0 * np.expand_dims(f, -1) * metric.lapse_grad(x)
-    return g4, dg4
-
-
-def inverse_four_metric(metric: StaticMetric, x: np.ndarray) -> np.ndarray:
-    """g^{mu nu} = diag(-1/f^2, delta_ij) at positions x of shape (..., 3)."""
-    f = metric.lapse(x)
-    inv = np.zeros(x.shape[:-1] + (4, 4))
-    inv[..., 0, 0] = -1.0 / (f * f)
-    inv[..., 1:, 1:] = metric.inverse_metric3(x)
-    return inv
-
-
-def field_tensor(metric: StaticMetric, x: np.ndarray) -> np.ndarray:
-    """Electromagnetic tensor f_{mu nu} = d_mu A_nu - d_nu A_mu for the
-    static scalar potential (time derivatives and A_i vanish), at positions
-    x of shape (..., 3); shape (..., 4, 4)."""
-    dA = np.zeros(x.shape[:-1] + (4, 4))        # dA[..., mu, nu] = d_mu A_nu
-    dA[..., 1:, 0] = metric.pot0_grad(x)
-    return dA - np.swapaxes(dA, -1, -2)

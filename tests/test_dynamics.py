@@ -295,13 +295,15 @@ def test_float_stages_divide_as_numpy_where_a_product_underflows():
     assert np.array_equal(traj.states, reference, equal_nan=True)
 
 
-@pytest.mark.parametrize("case", ["isotropic", "constant-force"])
-def test_vectorized_audits_match_per_sample_loops(case):
-    if case == "isotropic":
-        metric, charge = _OFF_AXIS_LAPSE, 0.0
-    else:
-        metric, charge = flat_metric(a0_slope=0.02), 0.5
-    # 5001 samples: the motion audit takes them in several windows
+@pytest.mark.parametrize("metric, charge", [
+    (_OFF_AXIS_LAPSE, 0.0),
+    (flat_metric(a0_slope=0.02), 0.5),
+    (uniform_lapse_metric(1e-2, a0_slope=0.02), 0.5),
+], ids=["lapse", "constant-force", "charged-lapse"])
+def test_vectorized_audits_match_per_sample_loops(metric, charge):
+    # 5001 samples, audited in one pass against the general per-sample
+    # formulas; only the charged lapse has both the force terms q x^1'/f^2
+    # and q v^0 and the lapse terms 2 g v^0 x^1'/f and f g (v^0)^2
     traj = integrate(moving_clock(1.0, (0.3, 0.1, 0.0)), metric, charge, 5.0, 1e-3)
     H = hamiltonian_series(traj, metric, charge)
     assert np.array_equal(H, [total_hamiltonian(ExtendedPhaseSpacePoint.from_vector(z), metric,

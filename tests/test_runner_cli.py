@@ -944,6 +944,9 @@ def test_cli_start_below_the_lapse_horizon_is_a_config_error(tmp_path, capsys, s
      "[FAIL] motion_residual: measured=inf"),
     (["classical trajectory", "classical.metric=uniform_lapse", "classical.lapse_g=5",
       "classical.p1=-1e8"], 1, "[FAIL] motion_residual: measured=inf"),
+    (["classical trajectory", "classical.metric=uniform_lapse", "classical.lapse_g=0.05",
+      "classical.tau0=1e13", "classical.p1=0", "classical.t_end=1"], 1,
+     "[FAIL] proper_time_residual: measured=1.281102e+00 tolerance=inf"),
     (["classical trajectory", "classical.metric=uniform_lapse", "classical.lapse_g=1e12",
       "classical.x1=1"], 2,
      "config error: classical.dt: too coarse, a step crossed the lapse horizon (lapse must "
@@ -959,8 +962,9 @@ def test_cli_start_below_the_lapse_horizon_is_a_config_error(tmp_path, capsys, s
     (["quantum optimize", "quantum.e0=1e20", "quantum.p0=0", "quantum.t=1e30"], 2,
      "config error: optimize.sigma_lo: grid needs finite lo < hi on the E axis"),
 ], ids=["flat-lapse", "flat-lapse-sweep", "tau-stalls-at-tau0", "tau-stalls-under-force",
-        "tau-stalls-under-lapse", "step-past-horizon", "sigma-e-rounds", "e0-rounds",
-        "p0-rounds", "optimize-p0-rounds", "optimize-sigma-rounds"])
+        "tau-stalls-under-lapse", "tau-rounds-under-lapse", "step-past-horizon",
+        "sigma-e-rounds", "e0-rounds", "p0-rounds", "optimize-p0-rounds",
+        "optimize-sigma-rounds"])
 def test_cli_bad_inputs_end_in_a_config_error_or_a_failed_check(tmp_path, capsys, settings,
                                                                 code, message):
     """Each input ends as a config error naming its key, with no CSV, or as
