@@ -6,8 +6,7 @@ import argparse
 from pathlib import Path
 
 from clocklab import (
-    clock_at_rest,
-    flat_metric,
+    StaticMetric,
     geodesic_lorentz_residual,
     integrate,
     moving_clock,
@@ -26,10 +25,10 @@ def main() -> None:
     args = ap.parse_args()
 
     cases = {
-        "cruise_v06": (flat_metric(), 0.0, moving_clock(1.0, (0.75, 0.0, 0.0)), False),
+        "cruise_v06": (StaticMetric(), 0.0, moving_clock(1.0, (0.75, 0.0, 0.0)), False),
         "held_weak_field": (uniform_lapse_metric(0.05), 0.0,
-                            clock_at_rest(1.0, x=(2.0, 0.0, 0.0)), True),
-        "constant_force": (flat_metric(a0_slope=0.02), 0.5, clock_at_rest(1.0), False),
+                            moving_clock(1.0, x=(2.0, 0.0, 0.0)), True),
+        "constant_force": (StaticMetric(a0_slope=0.02), 0.5, moving_clock(1.0), False),
     }
     for name, (metric, charge, pt0, hold) in cases.items():
         traj = integrate(pt0, metric, charge, args.t_end, args.dt, hold_x=hold)

@@ -9,9 +9,7 @@ command line (``config``, ``runner``, ``cli``).
 """
 from .brackets import reduced_canonical_pair
 from .dynamics import (
-    ExtendedPhaseSpacePoint,
     Trajectory,
-    clock_at_rest,
     geodesic_lorentz_residual,
     hamilton_rhs,
     integrate,
@@ -29,7 +27,7 @@ from .gedanken import (
     spring_mass,
 )
 from .grids import UniformGrid, boundary_amplitude_ratio, trapezoid_norm_squared
-from .metric import StaticMetric, flat_metric, uniform_lapse_metric
+from .metric import StaticMetric, uniform_lapse_metric
 from .moments import (
     StateMoments,
     TauMoments,
@@ -55,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoxExperiment",
     "EFieldExperiment",
-    "ExtendedPhaseSpacePoint",
     "GaussianClockSpec",
     "MomentumSpaceState",
     "NATURAL_UNITS",
@@ -71,13 +68,11 @@ __all__ = [
     "VarianceLawCoefficients",
     "boundary_amplitude_ratio",
     "box_uncertainties",
-    "clock_at_rest",
     "commutator_residual",
     "convert_units",
     "dilation_factor",
     "efield_uncertainties",
     "evolve",
-    "flat_metric",
     "gaussian_state",
     "geodesic_lorentz_residual",
     "hamilton_rhs",

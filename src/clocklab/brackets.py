@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import _rhs_vector, total_hamiltonian
+from .dynamics import hamilton_rhs, total_hamiltonian
 from .metric import StaticMetric
 
 Observable = Callable[[np.ndarray], np.ndarray]  # (..., 10) -> (...)
@@ -139,7 +139,7 @@ def flow_residuals(states: np.ndarray, metric: StaticMetric, charge: float,
                     lambda z: reduced_canonical_pair(z)[0],
                     lambda z: reduced_canonical_pair(z)[1]]
     _, D = _bracket_matrices(observables, states, h_step)
-    flow = np.abs(D[:, :10, 10] - _rhs_vector(states, metric, charge)).max()
+    flow = np.abs(D[:, :10, 10] - hamilton_rhs(states, metric, charge)).max()
     pair = np.abs(D[:, 11, 12] - 1.0).max()
     return float(flow), float(pair)
 

@@ -358,11 +358,14 @@ def _kinetic_root_violation(member: dict[str, Any],
     square (1e-200) leaves at 0 when the momentum is 0.  And the cube of the
     clock's rate m / sqrt(m^2 + |p|^2) is nonzero: the motion audit divides
     by it, and a rest energy far below the momentum (1e-150 beside 0.5)
-    leaves a clock with no proper time to audit."""
-    m = member["classical.m"]
-    root2 = m * m + sum(member[f"classical.p{i}"] ** 2 for i in (1, 2, 3))
+    leaves a clock with no proper time to audit.  The squares are products,
+    as the dynamics forms them, so a sum past the float range reads inf."""
+    m, p = member["classical.m"], [member[f"classical.p{i}"] for i in (1, 2, 3)]
+    root2 = m * m + sum(v * v for v in p)
     if not root2 > 0.0:
         problem = "m^2 + p1^2 + p2^2 + p3^2 must be positive"
+    elif root2 == math.inf:
+        problem = "m^2 + p1^2 + p2^2 + p3^2 overflows to inf"
     elif (m / math.sqrt(root2)) ** 3 == 0.0:
         problem = "the rate (m / sqrt(m^2 + p1^2 + p2^2 + p3^2))^3 underflows to 0"
     else:

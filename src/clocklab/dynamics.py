@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,61 +28,15 @@ from .metric import StaticMetric, check_lapse
 CONSTRAINT_SURFACE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ExtendedPhaseSpacePoint:
-    """Canonical coordinates (tau, p_tau, M, p_M, x^i, p_i)."""
-
-    tau: float
-    p_tau: float
-    M: float
-    p_M: float
-    x: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float).reshape(3))
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=float).reshape(3))
-
-    def as_vector(self) -> np.ndarray:
-        z = np.empty(10)
-        z[0], z[1], z[2], z[3] = self.tau, self.p_tau, self.M, self.p_M
-        z[4:7] = self.x
-        z[7:10] = self.p
-        return z
-
-    @staticmethod
-    def from_vector(z: np.ndarray) -> "ExtendedPhaseSpacePoint":
-        return ExtendedPhaseSpacePoint(z[0], z[1], z[2], z[3], z[4:7].copy(), z[7:10].copy())
-
-
-def clock_at_rest(M: float, x=(0.0, 0.0, 0.0), tau: float = 0.0) -> ExtendedPhaseSpacePoint:
-    """On-surface initial data for a clock of rest energy M at rest at x."""
+def moving_clock(M: float, p=(0.0, 0.0, 0.0), x=(0.0, 0.0, 0.0), tau: float = 0.0) -> np.ndarray:
+    """On-surface initial data for a clock of rest energy M with spatial
+    momentum p at x: the state (tau, p_tau = M, M, p_M = 0, x^i, p_i)."""
     if M <= 0.0:
         raise ValueError("rest energy must be positive for prepared initial data")
-    return ExtendedPhaseSpacePoint(tau, M, M, 0.0, np.asarray(x, float), np.zeros(3))
-
-
-def moving_clock(M: float, p, x=(0.0, 0.0, 0.0), tau: float = 0.0) -> ExtendedPhaseSpacePoint:
-    """On-surface initial data for a clock with spatial momentum p."""
-    if M <= 0.0:
-        raise ValueError("rest energy must be positive for prepared initial data")
-    return ExtendedPhaseSpacePoint(tau, M, M, 0.0, np.asarray(x, float), np.asarray(p, float))
-
-
-class PhaseSpaceRates(NamedTuple):
-    tau_dot: float
-    p_tau_dot: float
-    M_dot: float
-    p_M_dot: float
-    x_dot: np.ndarray
-    p_dot: np.ndarray
-
-    def as_vector(self) -> np.ndarray:
-        z = np.empty(10)
-        z[0], z[1], z[2], z[3] = self.tau_dot, self.p_tau_dot, self.M_dot, self.p_M_dot
-        z[4:7] = self.x_dot
-        z[7:10] = self.p_dot
-        return z
+    z = np.empty(10)
+    z[0:4] = tau, M, M, 0.0
+    z[4:7], z[7:10] = x, p
+    return z
 
 
 def _kinetic(z: np.ndarray):
@@ -98,11 +51,11 @@ def _kinetic(z: np.ndarray):
     return gp, qf, np.sqrt(K2)
 
 
-def total_hamiltonian(pt, metric: StaticMetric, charge: float = 0.0):
-    """Constraint-consistent Hamiltonian H0 - f M (M - p_tau) / R, at a point
-    (a float) or at every state of a (..., 10) array; coincides with
+def total_hamiltonian(z, metric: StaticMetric, charge: float = 0.0):
+    """Constraint-consistent Hamiltonian H0 - f M (M - p_tau) / R at every
+    state of a (..., 10) array, a float at one (10,) state; coincides with
     H0 = f R - c e A_0 when phi1 = 0."""
-    z = pt.as_vector() if isinstance(pt, ExtendedPhaseSpacePoint) else np.asarray(pt, float)
+    z = np.asarray(z, float)
     x, M = z[..., 4:7], z[..., 2]
     R = _kinetic(z)[2][..., 0]
     f = metric.lapse(x)
@@ -110,8 +63,9 @@ def total_hamiltonian(pt, metric: StaticMetric, charge: float = 0.0):
     return float(h) if z.ndim == 1 else h
 
 
-def _rhs_vector(z: np.ndarray, metric: StaticMetric, charge: float) -> np.ndarray:
-    """Hamilton's equations at states z of shape (..., 10).  Per-clock
+def hamilton_rhs(z: np.ndarray, metric: StaticMetric, charge: float = 0.0) -> np.ndarray:
+    """Hamilton's equations, from analytic partials of H, at states z of
+    shape (..., 10): the rates dz/dt, of the same shape.  Per-clock
     quantities are (..., 1) columns; absent metric fields drop out.
     ``_rhs_floats`` repeats it operation for operation on one state, for the
     stepped flows; the tests pin the two bitwise equal, so change both."""
@@ -138,11 +92,11 @@ def _rhs_vector(z: np.ndarray, metric: StaticMetric, charge: float) -> np.ndarra
 
 
 def _rhs_floats(z: list[float], metric: StaticMetric, charge: float) -> list[float]:
-    """``_rhs_vector`` at one state given as ten Python floats, operation for
+    """``hamilton_rhs`` at one state given as ten Python floats, operation for
     operation, with its checks and messages; the fields are read from the
     metric's two slopes.  Float + - * / and math.sqrt round as numpy's; the
     dot products stay ``np.vecdot``, which rounds unlike a plain sum.  So the
-    rates are bitwise those of ``_rhs_vector``."""
+    rates are bitwise those of ``hamilton_rhs``."""
     p_tau, M = z[1], z[2]
     p = z[7:10]
     gp = [v + 0.0 for v in p]
@@ -167,14 +121,7 @@ def _rhs_floats(z: list[float], metric: StaticMetric, charge: float) -> list[flo
             dH = [dH[0] - charge * slope, dH[1] - charge * 0.0, dH[2] - charge * 0.0]
         return rates + [-h for h in dH]
     except ZeroDivisionError:
-        return _rhs_vector(np.array(z), metric, charge).tolist()
-
-
-def hamilton_rhs(pt: ExtendedPhaseSpacePoint, metric: StaticMetric,
-                 charge: float = 0.0) -> PhaseSpaceRates:
-    """Canonical equations of motion from analytic partials of H."""
-    z = _rhs_vector(pt.as_vector(), metric, charge)
-    return PhaseSpaceRates(z[0], z[1], z[2], z[3], z[4:7], z[7:10])
+        return hamilton_rhs(np.array(z), metric, charge).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,28 +192,29 @@ def _rk4_floats(states: np.ndarray, metric: StaticMetric, charge: float, dt: flo
         states[i] = z
 
 
-def integrate(pt0, metric: StaticMetric, charge: float, t_end: float, dt: float,
+def integrate(z0, metric: StaticMetric, charge: float, t_end: float, dt: float,
               *, hold_x: bool = False, out: np.ndarray | None = None) -> Trajectory:
     """Fixed-step RK4 trajectory from on-surface initial data.
 
-    ``pt0`` is one point, giving states of shape (n_steps + 1, 10), or a
-    sequence of N points that share the metric, charge and step, integrated
-    as one batch with states of shape (n_steps + 1, N, 10).  With ``hold_x``
-    the spatial pair is frozen, modeling a clock pinned by an external mount
-    (the weighing setups hold the clock in place); only the
-    (tau, p_tau, M, p_M) sector then evolves.  ``out``, if given, receives
-    the states (it may be a strided view into a larger table).
+    ``z0`` is one (10,) state, giving states of shape (n_steps + 1, 10), or
+    the (N, 10) states (or a sequence of N states) of clocks that share the
+    metric, charge and step, integrated as one batch with states of shape
+    (n_steps + 1, N, 10).  With ``hold_x`` the spatial pair is frozen,
+    modeling a clock pinned by an external mount (the weighing setups hold
+    the clock in place); only the (tau, p_tau, M, p_M) sector then evolves.
+    ``out``, if given, receives the states (it may be a strided view into a
+    larger table).
 
     The rates read x and p only through the metric's fields, and p_tau and M
     do not move, so a held clock, or any clock in flat space without
     potentials (both metric slopes 0), has the same rates at every RK4
     stage.  Such a stationary flow takes one evaluation for the batch, and
     the samples are summed step by step with the loop's own increment, so
-    they are bitwise those of the loop.  Every other flow steps clock by clock, its stages on Python floats
-    (``_rhs_floats``), bitwise equal to the loop over ``_rhs_vector``.
+    they are bitwise those of the loop.  Every other flow steps clock by
+    clock, its stages on Python floats (``_rhs_floats``), bitwise equal to
+    the loop over ``hamilton_rhs``.
     """
-    z = pt0.as_vector() if isinstance(pt0, ExtendedPhaseSpacePoint) else np.array(
-        [pt.as_vector() for pt in pt0])
+    z = np.array(z0, dtype=float)
     phi1, phi2 = (np.abs(v).max() for v in (z[..., 2] - z[..., 1], z[..., 3]))
     if phi1 > CONSTRAINT_SURFACE_TOL or phi2 > CONSTRAINT_SURFACE_TOL:
         raise ValueError(
@@ -280,7 +228,7 @@ def integrate(pt0, metric: StaticMetric, charge: float, t_end: float, dt: float,
     states = np.empty((n_steps + 1,) + z.shape) if out is None else out
     states[0] = z
     if hold_x or metric.lapse_g == metric.a0_slope == 0.0:
-        k = _rhs_vector(z, metric, charge)
+        k = hamilton_rhs(z, metric, charge)
         if hold_x:
             k[..., 4:10] = 0.0
         states[1:] = dt / 6.0 * (k + 2.0 * k + 2.0 * k + k)

@@ -60,14 +60,8 @@ class StaticMetric:
         return 0.0 if self.a0_slope == 0.0 else np.array([self.a0_slope, 0.0, 0.0])
 
 
-def flat_metric(a0_slope: float = 0.0) -> StaticMetric:
-    """Flat space; optionally with a scalar potential A_0 = a0_slope * x^1,
-    which exerts a constant force on a charged clock."""
-    return StaticMetric(a0_slope=a0_slope)
-
-
 def uniform_lapse_metric(g_accel: float, *, a0_slope: float = 0.0) -> StaticMetric:
     """Weak-field lapse f = 1 + g x^1 / c^2 over flat spatial sections;
     a clock held at height q runs fast by g q / c^2 relative to one at 0.
-    ``a0_slope`` adds the scalar potential of ``flat_metric``."""
+    ``a0_slope`` adds the scalar potential A_0 = a0_slope x^1."""
     return StaticMetric(lapse_g=g_accel, a0_slope=a0_slope)

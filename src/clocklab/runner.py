@@ -45,12 +45,12 @@ from .brackets import (
 from .config import ConfigError, ScenarioConfig
 from .csvio import FloatBlock, emit_csv
 from .dynamics import (
-    ExtendedPhaseSpacePoint,
     constraint_drift,
     geodesic_lorentz_residual,
     hamiltonian_series,
     integrate,
     motion_rounding_floor,
+    moving_clock,
     proper_time_residual,
     rate_rounding_floor,
     relative_drift,
@@ -203,17 +203,17 @@ def _run_classical_trajectory(members: list[dict[str, Any]], seed: int):
         metric = StaticMetric(params["classical.lapse_g"], params["classical.a0_slope"])
         charge = params["classical.charge"]
         hold = params["classical.hold"] != 0.0
-        points = [ExtendedPhaseSpacePoint(
-            tau=p["classical.tau0"], p_tau=p["classical.m"], M=p["classical.m"], p_M=0.0,
-            x=[p["classical.x1"], p["classical.x2"], p["classical.x3"]],
-            p=[p["classical.p1"], p["classical.p2"], p["classical.p3"]]) for p in batch]
+        clocks = np.array([moving_clock(
+            p["classical.m"], [p["classical.p1"], p["classical.p2"], p["classical.p3"]],
+            [p["classical.x1"], p["classical.x2"], p["classical.x3"]], p["classical.tau0"])
+            for p in batch])
         # every member's rows, (members, samples, columns), in one allocation that
         # also receives the integrated states
         n_steps = whole_steps(params["classical.t_end"], params["classical.dt"])
         table = np.empty((len(batch), n_steps + 1, len(_TRAJ_COLS)))
         start = time.perf_counter()
         try:
-            traj = integrate(points, metric, charge, params["classical.t_end"],
+            traj = integrate(clocks, metric, charge, params["classical.t_end"],
                              params["classical.dt"], hold_x=hold,
                              out=np.moveaxis(table[..., 1:11], 0, 1))
             integrated = time.perf_counter()
@@ -248,7 +248,7 @@ def _run_classical_trajectory(members: list[dict[str, Any]], seed: int):
             if not hold:
                 checks.append(_check("motion_residual", motion[k], floor[k]))
             if metric.lapse_g == 0.0 and charge == 0.0 and not hold:
-                m, p_vec = p["classical.m"], points[k].p
+                m, p_vec = p["classical.m"], clocks[k, 7:10]
                 h0 = math.sqrt(m * m + float(p_vec @ p_vec))
                 expected_tau = p["classical.tau0"] + p["classical.t_end"] * m / h0
                 checks.append(_check("tau_final", abs(traj.tau[-1, k] - expected_tau)))

@@ -19,6 +19,7 @@ from .states import GaussianClockSpec, gaussian_state
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+LOG_TOL = 5e-3  # the width of the final log sigma_e bracket
 
 
 class OptimizerBracketError(RuntimeError):
@@ -37,8 +38,9 @@ class OptimizerBracketError(RuntimeError):
 
 
 def golden_section_min(fn: Callable[[float], float], lo: float, hi: float,
-                       tol: float = 1e-3, max_iter: int = 200) -> tuple[float, float, int]:
-    """Minimize a unimodal function on [lo, hi]; returns (x, fn(x), n_evals)."""
+                       tol: float = 1e-3) -> tuple[float, float, int]:
+    """Minimize a unimodal function on [lo, hi], in at most 200 shrinking
+    steps; returns (x, fn(x), n_evals)."""
     if hi <= lo:
         raise ValueError("need lo < hi")
     a, b = lo, hi
@@ -47,7 +49,7 @@ def golden_section_min(fn: Callable[[float], float], lo: float, hi: float,
     d = a + _INV_PHI * h
     yc, yd = fn(c), fn(d)
     evals = 2
-    for _ in range(max_iter):
+    for _ in range(200):
         if h <= tol:
             break
         if yc < yd:
@@ -81,8 +83,7 @@ class ClockWidthResult:
 
 def optimize_clock_width(e0: float, p0: float, sigma_p: float, t: float,
                          sigma_bounds: tuple[float, float] | None = None,
-                         n_e: int = 8, n_p: int = 8,
-                         log_tol: float = 5e-3) -> ClockWidthResult:
+                         n_e: int = 8, n_p: int = 8) -> ClockWidthResult:
     """Minimize the simulated reading variance at time t over sigma_e.
 
     The default bracket spans a factor of ten either side of the
@@ -123,7 +124,7 @@ def optimize_clock_width(e0: float, p0: float, sigma_p: float, t: float,
         return var
 
     log_lo, log_hi = math.log(lo), math.log(hi)
-    log_opt, min_var, evals = golden_section_min(var_at, log_lo, log_hi, tol=log_tol)
+    log_opt, min_var, evals = golden_section_min(var_at, log_lo, log_hi, tol=LOG_TOL)
     span = log_hi - log_lo
     if min(log_opt - log_lo, log_hi - log_opt) < 0.02 * span:
         raise OptimizerBracketError(math.exp(log_opt), (lo, hi))

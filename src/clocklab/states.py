@@ -128,33 +128,20 @@ class MomentumSpaceState:
         return self.e_grid.step * self.p_grid.step
 
 
-def state_from_values(e_grid: UniformGrid, p_grid: UniformGrid, values: np.ndarray,
-                      normalize: bool = True) -> MomentumSpaceState:
-    if normalize:
-        return _normalized_state(e_grid, p_grid, np.array(values, dtype=complex, order="F"))
-    return MomentumSpaceState(e_grid, p_grid, values)
-
-
-def _normalized_state(e_grid: UniformGrid, p_grid: UniformGrid,
-                      values: np.ndarray) -> MomentumSpaceState:
-    """The unit-normalized state of ``values``, a complex array the caller
-    has just allocated; it is divided in place."""
+def state_from_profiles(e_grid: UniformGrid, p_grid: UniformGrid,
+                        e_profile: Callable[[np.ndarray], np.ndarray],
+                        p_profile: Callable[[np.ndarray], np.ndarray]) -> MomentumSpaceState:
+    """Unit-normalized product state from complex amplitude profiles over
+    each axis."""
+    e_values = np.asarray(e_profile(e_grid.nodes), dtype=complex)
+    p_values = np.asarray(p_profile(p_grid.nodes), dtype=complex)
+    values = np.multiply(e_values[:, None], p_values[None, :],
+                         out=np.empty((e_grid.n, p_grid.n), dtype=complex, order="F"))
     nrm2 = trapezoid_norm_squared(values, e_grid.step * p_grid.step)
     if nrm2 <= 0.0:
         raise ValueError("cannot normalize a zero field")
     values /= math.sqrt(nrm2)
     return MomentumSpaceState(e_grid, p_grid, values)
-
-
-def state_from_profiles(e_grid: UniformGrid, p_grid: UniformGrid,
-                        e_profile: Callable[[np.ndarray], np.ndarray],
-                        p_profile: Callable[[np.ndarray], np.ndarray]) -> MomentumSpaceState:
-    """Product state from complex amplitude profiles over each axis."""
-    e_values = np.asarray(e_profile(e_grid.nodes), dtype=complex)
-    p_values = np.asarray(p_profile(p_grid.nodes), dtype=complex)
-    values = np.multiply(e_values[:, None], p_values[None, :],
-                         out=np.empty((e_grid.n, p_grid.n), dtype=complex, order="F"))
-    return _normalized_state(e_grid, p_grid, values)
 
 
 def _check_axis(name: str, grid: UniformGrid, center: float, sigma: float) -> None:
@@ -212,24 +199,24 @@ def _residual_dilation(spec: GaussianClockSpec) -> float:
                for a in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False))
 
 
-def suggest_grids(spec: GaussianClockSpec, t_max: float = 0.0, n_e: int = 8, n_p: int = 8,
-                  sigma_margin: float = DEFAULT_SIGMA_MARGIN) -> tuple[UniformGrid, UniformGrid]:
+def suggest_grids(spec: GaussianClockSpec, t_max: float = 0.0, n_e: int = 8,
+                  n_p: int = 8) -> tuple[UniformGrid, UniformGrid]:
     """Power-of-two grids sized by accuracy for a Gaussian spec and an
     evolution span; ``n_e`` and ``n_p`` are floors the rule only raises.
 
-    Each window covers ``sigma_margin`` sigma either side of the centre at
+    Each window covers DEFAULT_SIGMA_MARGIN sigma either side of the centre at
     MIN_CELLS_PER_SIGMA cells per sigma or more.  The E grid is refined
     until the proper-time window holds the co-moving reading (tau0, the
     residual drift t |D - v| out to the tail, the initial spread) with
     TAU_WINDOW_MARGIN to spare; the common drift t v needs no window.  A
     window whose ends are not finite and apart raises GridAxisError.
     """
-    half_e, half_p = sigma_margin * spec.sigma_e, sigma_margin * spec.sigma_p
+    half_e, half_p = DEFAULT_SIGMA_MARGIN * spec.sigma_e, DEFAULT_SIGMA_MARGIN * spec.sigma_p
     for axis, center, half in (("E", spec.e0, half_e), ("p", spec.p0, half_p)):
         if not -math.inf < center - half < center + half < math.inf:
             raise GridAxisError(axis, f"grid needs finite lo < hi on the {axis} axis, "
                                       f"got {center!r} -+ {half!r}")
-    cells = 2.0 * sigma_margin * MIN_CELLS_PER_SIGMA
+    cells = 2.0 * DEFAULT_SIGMA_MARGIN * MIN_CELLS_PER_SIGMA
     dtau0 = 1.0 / (2.0 * spec.sigma_e)  # hbar / (2 sigma_e)
     tau_reach = abs(spec.tau0) + abs(t_max) * _residual_dilation(spec) + 10.0 * dtau0 + 2.0
     de_max = math.pi / (TAU_WINDOW_MARGIN * tau_reach)  # the half-window pi hbar / dE

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 PLANCK_SI = 6.62607015e-34          # J s (exact, SI definition)
 HBAR_SI = PLANCK_SI / (2.0 * math.pi)
@@ -23,27 +23,21 @@ class UnitSystem(enum.Enum):
 
 @dataclass(frozen=True)
 class UnitContext:
-    """Constants in force for a calculation plus the unit-system tag.
-
-    ``h`` is always 2*pi*hbar; it is filled in automatically and validated
-    if passed explicitly.
-    """
+    """Constants in force for a calculation plus the unit-system tag."""
 
     hbar: float
     c: float
     system: UnitSystem
-    h: float = field(default=0.0)
 
     def __post_init__(self) -> None:
         if self.hbar <= 0.0 or self.c <= 0.0:
             raise ValueError("hbar and c must be positive")
         if self.system is UnitSystem.NATURAL and (self.hbar != 1.0 or self.c != 1.0):
             raise ValueError("natural units require hbar = c = 1 exactly")
-        two_pi_hbar = 2.0 * math.pi * self.hbar
-        if self.h == 0.0:
-            object.__setattr__(self, "h", two_pi_hbar)
-        elif abs(self.h - two_pi_hbar) > 8.0 * math.ulp(two_pi_hbar):
-            raise ValueError("h must equal 2*pi*hbar")
+
+    @property
+    def h(self) -> float:
+        return 2.0 * math.pi * self.hbar
 
 
 SI_UNITS = UnitContext(hbar=HBAR_SI, c=LIGHT_SPEED_SI, system=UnitSystem.SI)

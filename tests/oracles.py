@@ -24,7 +24,6 @@ import math
 
 import numpy as np
 
-from clocklab.dynamics import ExtendedPhaseSpacePoint
 from clocklab.metric import StaticMetric
 
 
@@ -225,15 +224,15 @@ _ORACLE_PAIRS = ((0, 1), (2, 3), (4, 7), (5, 8), (6, 9))
 
 def oracle_coordinate(name):
     idx = ORACLE_COORDINATES.index(name)
-    return lambda pt: pt.as_vector()[idx]
+    return lambda z: z[idx]
 
 
-def oracle_phi1(pt):
-    return pt.M - pt.p_tau
+def oracle_phi1(z):
+    return z[2] - z[1]
 
 
-def oracle_phi2(pt):
-    return pt.p_M
+def oracle_phi2(z):
+    return z[3]
 
 
 def _fd_gradient(obs, z, h_step):
@@ -242,30 +241,29 @@ def _fd_gradient(obs, z, h_step):
         h = h_step * max(1.0, abs(z[i]))
         zp = z.copy(); zp[i] += h
         zm = z.copy(); zm[i] -= h
-        g[i] = (obs(ExtendedPhaseSpacePoint.from_vector(zp))
-                - obs(ExtendedPhaseSpacePoint.from_vector(zm))) / (2.0 * h)
+        g[i] = (obs(zp) - obs(zm)) / (2.0 * h)
     return g
 
 
-def per_pair_poisson_bracket(obs_a, obs_b, pt, h_step=1e-5):
-    """Central-difference canonical bracket, both gradients taken afresh."""
-    z = pt.as_vector()
+def per_pair_poisson_bracket(obs_a, obs_b, z, h_step=1e-5):
+    """Central-difference canonical bracket at one (10,) state, both
+    gradients taken afresh."""
     ga = _fd_gradient(obs_a, z, h_step)
     gb = _fd_gradient(obs_b, z, h_step)
     return float(sum(ga[q] * gb[p] - ga[p] * gb[q] for q, p in _ORACLE_PAIRS))
 
 
-def per_pair_dirac_bracket(obs_a, obs_b, pt, h_step=1e-5):
+def per_pair_dirac_bracket(obs_a, obs_b, z, h_step=1e-5):
     """{A, B} + {A, phi1}{phi2, B} - {A, phi2}{phi1, B} from five Poisson brackets."""
-    pb = lambda f, g: per_pair_poisson_bracket(f, g, pt, h_step)
+    pb = lambda f, g: per_pair_poisson_bracket(f, g, z, h_step)
     return (pb(obs_a, obs_b) + pb(obs_a, oracle_phi1) * pb(oracle_phi2, obs_b)
             - pb(obs_a, oracle_phi2) * pb(oracle_phi1, obs_b))
 
 
-def per_pair_dirac_table(pt, h_step=1e-5):
+def per_pair_dirac_table(z, h_step=1e-5):
     """Dirac brackets of the coordinate pairs (upper triangle, name order)."""
     names = ORACLE_COORDINATES
-    return {(a, b): per_pair_dirac_bracket(oracle_coordinate(a), oracle_coordinate(b), pt, h_step)
+    return {(a, b): per_pair_dirac_bracket(oracle_coordinate(a), oracle_coordinate(b), z, h_step)
             for i, a in enumerate(names) for b in names[i + 1:]}
 
 
@@ -340,20 +338,19 @@ def per_sample_motion_residual(traj, metric, charge=0.0, c=1.0):
     return worst
 
 
-def rk4_reference(pt0, metric, charge, t_end, dt, hold_x=False):
-    """States of the plain four-stage RK4 loop over ``dynamics._rhs_vector``
-    for one point or a sequence of points: every step evaluates all four
+def rk4_reference(z0, metric, charge, t_end, dt, hold_x=False):
+    """States of the plain four-stage RK4 loop over ``dynamics.hamilton_rhs``
+    for one (10,) state or a sequence of them: every step evaluates all four
     stages, whatever the metric."""
-    from clocklab.dynamics import _rhs_vector
+    from clocklab.dynamics import hamilton_rhs
 
     def rhs(z):
-        dz = _rhs_vector(z, metric, charge)
+        dz = hamilton_rhs(z, metric, charge)
         if hold_x:
             dz[..., 4:10] = 0.0
         return dz
 
-    z = pt0.as_vector() if isinstance(pt0, ExtendedPhaseSpacePoint) else np.array(
-        [pt.as_vector() for pt in pt0])
+    z = np.array(z0, dtype=float)
     n_steps = int(round(t_end / dt))
     half, sixth = 0.5 * dt, dt / 6.0
     states = np.empty((n_steps + 1,) + z.shape)

@@ -16,7 +16,6 @@ from clocklab.brackets import dirac_table, expected_dirac_table, random_points
 from clocklab.cli import main
 from clocklab.config import parse_config
 from clocklab.dynamics import (
-    clock_at_rest,
     conservation_drift,
     constraint_drift,
     integrate,
@@ -24,7 +23,7 @@ from clocklab.dynamics import (
     proper_time_residual,
 )
 from clocklab.gedanken import BoxExperiment, EFieldExperiment, box_uncertainties, efield_uncertainties
-from clocklab.metric import flat_metric, uniform_lapse_metric
+from clocklab.metric import StaticMetric, uniform_lapse_metric
 from clocklab.moments import salecker_wigner_check, state_moments, tau_moments_simulated
 from clocklab.operators import commutator_residual, evolve
 from clocklab.search import OptimizerBracketError, optimize_clock_width
@@ -85,15 +84,15 @@ def test_criterion_02_dirac_bracket_table():
 
 def test_criterion_03_proper_time_identification():
     with _Stopwatch() as sw:
-        flat = flat_metric()
+        flat = StaticMetric()
         traj = integrate(moving_clock(1.0, (0.75, 0.0, 0.0)), flat, 0.0, 10.0, 1e-3)
         tau_err = abs(traj.tau[-1] - 8.0)
         residual = proper_time_residual(traj, flat)
         g_acc, q, t_end = 0.05, 2.0, 10.0
         lapse = uniform_lapse_metric(g_acc)
-        high = integrate(clock_at_rest(1.0, x=(q, 0.0, 0.0)), lapse, 0.0, t_end, 1e-3,
+        high = integrate(moving_clock(1.0, x=(q, 0.0, 0.0)), lapse, 0.0, t_end, 1e-3,
                          hold_x=True)
-        low = integrate(clock_at_rest(1.0), lapse, 0.0, t_end, 1e-3, hold_x=True)
+        low = integrate(moving_clock(1.0), lapse, 0.0, t_end, 1e-3, hold_x=True)
         rate = (high.tau[-1] - low.tau[-1]) / t_end
         redshift_err = abs(rate - g_acc * q) / (g_acc * q)
     ok = tau_err <= 1e-9 and residual <= 1e-8 and redshift_err <= 1e-8
@@ -107,9 +106,9 @@ def test_criterion_03_proper_time_identification():
 
 def test_criterion_04_constraint_and_conservation_drift():
     cases = [
-        (flat_metric(), 0.0, moving_clock(1.0, (0.75, 0.0, 0.0))),
-        (uniform_lapse_metric(0.1), 0.0, clock_at_rest(1.0)),
-        (flat_metric(a0_slope=0.02), 0.5, clock_at_rest(1.0)),
+        (StaticMetric(), 0.0, moving_clock(1.0, (0.75, 0.0, 0.0))),
+        (uniform_lapse_metric(0.1), 0.0, moving_clock(1.0)),
+        (StaticMetric(a0_slope=0.02), 0.5, moving_clock(1.0)),
     ]
     worst = 0.0
     with _Stopwatch() as sw:

@@ -85,7 +85,7 @@ def test_dilation_monotone_decreasing(frac, step):
     assert dilation_factor(v2, NATURAL_UNITS) <= dilation_factor(v1, NATURAL_UNITS)
 
 
-def test_cannot_weigh_clock_at_rest():
+def test_efield_cannot_weigh_a_resting_clock():
     with pytest.raises(ValueError, match="rest"):
         EFieldExperiment(delta_q=1e-6, t=1.0, v=0.0)
 

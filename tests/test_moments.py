@@ -13,10 +13,10 @@ from clocklab.moments import (
 )
 from clocklab.states import (
     GaussianClockSpec,
+    MomentumSpaceState,
     gaussian_state,
     make_gaussian_state,
     state_from_profiles,
-    state_from_values,
     suggest_grids,
 )
 
@@ -375,7 +375,7 @@ def test_c_and_fortran_order_values_give_bitwise_equal_statistics():
     made = _chirped_state()
     c_values = np.ascontiguousarray(made.values)
     assert c_values.flags.c_contiguous and not c_values.flags.f_contiguous
-    states = [state_from_values(made.e_grid, made.p_grid, values, normalize=False)
+    states = [MomentumSpaceState(made.e_grid, made.p_grid, values)
               for values in (c_values, np.asfortranarray(c_values))]
     assert all(state.values.flags.f_contiguous for state in states)
     assert states[0].values.tobytes() == states[1].values.tobytes()

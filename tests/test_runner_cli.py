@@ -771,7 +771,7 @@ def test_one_hamiltonian_pass_per_trajectory(tmp_path, monkeypatch):
 
 def test_sweep_integrates_as_one_batch(tmp_path, monkeypatch):
     import clocklab.dynamics as dynamics
-    vector_calls = _count_calls(monkeypatch, dynamics, "_rhs_vector")
+    vector_calls = _count_calls(monkeypatch, dynamics, "hamilton_rhs")
     float_calls = _count_calls(monkeypatch, dynamics, "_rhs_floats")
     # one integration of the whole batch: the stationary flat flow takes one
     # (4, 10) RHS evaluation; under a lapse each member steps on floats, four
@@ -1022,6 +1022,28 @@ def test_cli_rest_energy_too_small_to_audit_is_a_config_error(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert "config error: classical.m: the rate (m / sqrt(m^2 + p1^2 + p2^2 + p3^2))^3" in err
     assert f"got {written}" in err
+    assert err.count("config error") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("settings, written", [
+    (["classical.p1=1e160"], "classical.m = 1.0, classical.p1 = 1e+160, "),
+    (["classical.p1=1e155", "classical.m=1e155"], "classical.m = 1e+155, classical.p1 = 1e+155, "),
+    (["sweep.param=classical.p1", "sweep.values=0.5,1e300"], "classical.p1 = 1e+300, "),
+], ids=["momentum", "both", "sweep-member"])
+def test_cli_kinetic_root_that_overflows_is_a_config_error(tmp_path, capsys, settings, written):
+    """A clock whose m^2 + |p|^2 passes the float range has no finite kinetic
+    root: it exits 2 naming classical.m and saying so, and writes nothing."""
+    out = tmp_path / "x.csv"
+    argv = ["classical", "trajectory"]
+    for setting in settings:
+        argv += ["--set", setting]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: classical.m: m^2 + p1^2 + p2^2 + p3^2 overflows to inf" in err
+    assert written in err
     assert err.count("config error") == 1
     assert not out.exists()
 

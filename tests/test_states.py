@@ -5,10 +5,10 @@ from clocklab.grids import NumericalHealthWarning, UniformGrid
 from clocklab.moments import state_moments
 from clocklab.states import (
     GaussianClockSpec,
+    MomentumSpaceState,
     gaussian_state,
     make_gaussian_state,
     state_from_profiles,
-    state_from_values,
     suggest_grids,
 )
 
@@ -65,7 +65,7 @@ def test_non_normalized_values_rejected():
     p_grid = UniformGrid(-16.0, 16.0, 64)
     vals = np.exp(-(e_grid.nodes[:, None] ** 2 + p_grid.nodes[None, :] ** 2) / 4.0)
     with pytest.raises(ValueError, match="normalized"):
-        state_from_values(e_grid, p_grid, vals, normalize=False)
+        MomentumSpaceState(e_grid, p_grid, vals)
 
 
 def test_boundary_health_warning_for_wide_state():

@@ -26,11 +26,6 @@ def test_natural_units_are_exactly_unity():
         UnitContext(hbar=2.0, c=1.0, system=UnitSystem.NATURAL)
 
 
-def test_explicit_h_must_match():
-    with pytest.raises(ValueError):
-        UnitContext(hbar=1.0, c=1.0, system=UnitSystem.NATURAL, h=6.0)
-
-
 def test_one_kilogram_in_natural_units():
     # 1 kg scales by c^2/hbar (second-based natural system)
     assert convert_units(1.0, "mass", SI_UNITS, NATURAL_UNITS) == pytest.approx(
