@@ -11,10 +11,11 @@ from clocklab import (
     integrate,
     moving_clock,
     proper_time_residual,
+    total_hamiltonian,
     uniform_lapse_metric,
 )
 from clocklab.csvio import emit_csv
-from clocklab.dynamics import conservation_drift, constraint_drift
+from clocklab.dynamics import constraint_drift, relative_drift
 
 
 def main() -> None:
@@ -31,16 +32,18 @@ def main() -> None:
         "constant_force": (StaticMetric(a0_slope=0.02), 0.5, moving_clock(1.0), False),
     }
     for name, (metric, charge, pt0, hold) in cases.items():
-        traj = integrate(pt0, metric, charge, args.t_end, args.dt, hold_x=hold)
-        phi1, phi2 = constraint_drift(traj)
-        h_drift, m_drift = conservation_drift(traj, metric, charge)
-        ptr = proper_time_residual(traj, metric)
-        geo = float("nan") if hold else geodesic_lorentz_residual(traj, metric, charge)
-        rows = [[traj.times[i], traj.tau[i], *traj.x[i], *traj.p[i]]
-                for i in range(0, len(traj), 10)]
+        states = integrate(pt0, metric, charge, args.t_end, args.dt, hold_x=hold)
+        phi1, phi2 = constraint_drift(states)
+        h_drift = relative_drift(total_hamiltonian(states, metric, charge))
+        m_drift = relative_drift(states[:, 2])
+        ptr = proper_time_residual(states, args.dt, metric)
+        geo = (float("nan") if hold
+               else geodesic_lorentz_residual(states, args.dt, metric, charge))
+        rows = [[args.dt * i, states[i, 0], *states[i, 4:10]]
+                for i in range(0, len(states), 10)]
         path = args.out_dir / f"{name}.csv"
         emit_csv(rows, ["t", "tau", "x1", "x2", "x3", "p1", "p2", "p3"], path)
-        print(f"{name}: tau({args.t_end}) = {traj.tau[-1]:.9f}  "
+        print(f"{name}: tau({args.t_end}) = {states[-1, 0]:.9f}  "
               f"phi = {max(phi1, phi2):.1e}  dH/H = {h_drift:.1e}  dM/M = {m_drift:.1e}  "
               f"rate residual = {ptr:.1e}  motion residual = {geo:.1e}  -> {path}")
 

@@ -9,7 +9,6 @@ command line (``config``, ``runner``, ``cli``).
 """
 from .brackets import reduced_canonical_pair
 from .dynamics import (
-    Trajectory,
     geodesic_lorentz_residual,
     hamilton_rhs,
     integrate,
@@ -60,7 +59,6 @@ __all__ = [
     "StateMoments",
     "StaticMetric",
     "TauMoments",
-    "Trajectory",
     "UncertaintyReport",
     "UniformGrid",
     "UnitContext",

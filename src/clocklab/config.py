@@ -376,10 +376,31 @@ def _kinetic_root_violation(member: dict[str, Any],
             f"classical.p3 = {written('classical.p3')}")
 
 
+def _latitude_violation(member: dict[str, Any], written: Callable[[str], str]) -> str | None:
+    """The weighing's product c^2 dm dtau / h is finite.  Its latitudes are
+    products of the keys, formed as ``gedanken`` forms them at c = 1, so keys
+    far from 1 take one past the float range and the product to inf or nan."""
+    if "box.dq" in member:
+        keys = ("box.dq", "box.t", "box.g")
+        dq, t, g = (member[key] for key in keys)
+        product = NATURAL_UNITS.h / dq / (g * t) * (g * dq * t)  # dm = (h / dq) / (g t)
+    else:
+        keys = ("efield.dq", "efield.v")
+        dq, v = (member[key] for key in keys)
+        product = NATURAL_UNITS.h / dq / v * (v * dq)  # dm = (h / dq) / v
+    if math.isfinite(product):
+        return None
+    got = [f"{key} = {written(key)}" for key in keys]
+    return (f"{keys[0]}: the latitudes dm and dtau leave the float range, so c^2 dm dtau / h "
+            f"is not finite, got {', '.join(got[:-1])} and {got[-1]}")
+
+
 # Rules that join keys, checked on every run member (natural units) once each
 # key has passed alone; a message quotes the member's values as the config
 # gives them.
-_CROSS_KEY_RULES = {"CLASSICAL_TRAJECTORY": (_step_rule_violation, _flat_lapse_violation,
+_CROSS_KEY_RULES = {"GEDANKEN_BOX": (_latitude_violation,),
+                    "GEDANKEN_EFIELD": (_latitude_violation,),
+                    "CLASSICAL_TRAJECTORY": (_step_rule_violation, _flat_lapse_violation,
                                              _lapse_horizon_violation, _kinetic_root_violation),
                     "QUANTUM_OPTIMIZE": (_bracket_violation,)}
 

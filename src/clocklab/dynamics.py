@@ -19,7 +19,6 @@ something to hide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -124,49 +123,6 @@ def _rhs_floats(z: list[float], metric: StaticMetric, charge: float) -> list[flo
         return hamilton_rhs(np.array(z), metric, charge).tolist()
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Coordinate times and the matching states: ``states[i]`` is the
-    10-component state at ``times[i]``, or the (N, 10) states of a batch of
-    N clocks integrated together.  ``rhs_evals`` counts the right-hand-side
-    evaluations that made them, over all clocks: 4 n_steps N for a stepped
-    batch, one for a stationary one.  The audits below reduce over time and
-    return one value per clock of a batch."""
-
-    times: np.ndarray
-    states: np.ndarray = field(repr=False)
-    dt: float
-    rhs_evals: int
-
-    def __post_init__(self) -> None:
-        t = np.asarray(self.times, dtype=float)
-        s = np.asarray(self.states, dtype=float)
-        if s.ndim not in (2, 3) or s.shape[0] != t.size or s.shape[-1] != 10:
-            raise ValueError("states must be (len(times), 10) or (len(times), N, 10)")
-        if np.any(np.diff(t) <= 0.0):
-            raise ValueError("times must be strictly increasing")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "states", s)
-
-    def __len__(self) -> int:
-        return self.times.size
-
-    @property
-    def tau(self) -> np.ndarray:
-        return self.states[..., 0]
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.states[..., 4:7]
-
-    @property
-    def p(self) -> np.ndarray:
-        return self.states[..., 7:10]
-
-    def constraint_values(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.states[..., 2] - self.states[..., 1], self.states[..., 3]
-
-
 def whole_steps(t_end: float, dt: float) -> int | None:
     """Number of dt steps that make up t_end (natural units), or None when
     t_end is not a whole positive number of steps to within 1e-9 max(1, t_end)."""
@@ -192,9 +148,19 @@ def _rk4_floats(states: np.ndarray, metric: StaticMetric, charge: float, dt: flo
         states[i] = z
 
 
+def stationary_flow(metric: StaticMetric, hold_x: bool = False) -> bool:
+    """Whether every RK4 stage has the same rates: the rates read x and p
+    only through the metric's fields, and p_tau and M do not move, so a held
+    clock, or any clock in flat space without potentials (both metric slopes
+    0), never changes them.  ``integrate`` then takes one right-hand-side
+    evaluation per batch, else four per step and clock."""
+    return hold_x or metric.lapse_g == metric.a0_slope == 0.0
+
+
 def integrate(z0, metric: StaticMetric, charge: float, t_end: float, dt: float,
-              *, hold_x: bool = False, out: np.ndarray | None = None) -> Trajectory:
-    """Fixed-step RK4 trajectory from on-surface initial data.
+              *, hold_x: bool = False, out: np.ndarray | None = None) -> np.ndarray:
+    """Fixed-step RK4 states from on-surface initial data; ``states[i]`` is
+    the state at coordinate time ``i * dt``.
 
     ``z0`` is one (10,) state, giving states of shape (n_steps + 1, 10), or
     the (N, 10) states (or a sequence of N states) of clocks that share the
@@ -203,19 +169,16 @@ def integrate(z0, metric: StaticMetric, charge: float, t_end: float, dt: float,
     modeling a clock pinned by an external mount (the weighing setups hold
     the clock in place); only the (tau, p_tau, M, p_M) sector then evolves.
     ``out``, if given, receives the states (it may be a strided view into a
-    larger table).
+    larger table) and is returned.
 
-    The rates read x and p only through the metric's fields, and p_tau and M
-    do not move, so a held clock, or any clock in flat space without
-    potentials (both metric slopes 0), has the same rates at every RK4
-    stage.  Such a stationary flow takes one evaluation for the batch, and
-    the samples are summed step by step with the loop's own increment, so
-    they are bitwise those of the loop.  Every other flow steps clock by
-    clock, its stages on Python floats (``_rhs_floats``), bitwise equal to
-    the loop over ``hamilton_rhs``.
+    A ``stationary_flow`` takes one evaluation for the batch, and the
+    samples are summed step by step with the loop's own increment, so they
+    are bitwise those of the loop.  Every other flow steps clock by clock,
+    its stages on Python floats (``_rhs_floats``), bitwise equal to the loop
+    over ``hamilton_rhs``.
     """
     z = np.array(z0, dtype=float)
-    phi1, phi2 = (np.abs(v).max() for v in (z[..., 2] - z[..., 1], z[..., 3]))
+    phi1, phi2 = constraint_drift(z.reshape(-1, 10))
     if phi1 > CONSTRAINT_SURFACE_TOL or phi2 > CONSTRAINT_SURFACE_TOL:
         raise ValueError(
             f"initial data off the constraint surface: phi1={phi1:.3e}, phi2={phi2:.3e}")
@@ -227,32 +190,24 @@ def integrate(z0, metric: StaticMetric, charge: float, t_end: float, dt: float,
 
     states = np.empty((n_steps + 1,) + z.shape) if out is None else out
     states[0] = z
-    if hold_x or metric.lapse_g == metric.a0_slope == 0.0:
+    if stationary_flow(metric, hold_x):
         k = hamilton_rhs(z, metric, charge)
         if hold_x:
             k[..., 4:10] = 0.0
         states[1:] = dt / 6.0 * (k + 2.0 * k + 2.0 * k + k)
         np.add.accumulate(states, axis=0, out=states)
-        rhs_evals = 1
     else:
         clocks = states[:, None] if z.ndim == 1 else states
         for j in range(clocks.shape[1]):
             _rk4_floats(clocks[:, j], metric, charge, dt)
-        rhs_evals = 4 * n_steps * clocks.shape[1]
-    times = dt * np.arange(n_steps + 1)
-    return Trajectory(times=times, states=states, dt=dt, rhs_evals=rhs_evals)
+    return states
 
 
-def constraint_drift(traj: Trajectory):
-    """Peak |phi1| and |phi2| along the trajectory."""
-    phi1, phi2 = traj.constraint_values()
-    return np.abs(phi1).max(axis=0), np.abs(phi2).max(axis=0)
-
-
-def hamiltonian_series(traj: Trajectory, metric: StaticMetric,
-                       charge: float = 0.0) -> np.ndarray:
-    """Total Hamiltonian at every sample of the trajectory, in one pass."""
-    return total_hamiltonian(traj.states, metric, charge)
+def constraint_drift(states: np.ndarray):
+    """Peak |phi1| = |M - p_tau| and |phi2| = |p_M| over the samples
+    (axis 0) of a states array."""
+    return (np.abs(states[..., 2] - states[..., 1]).max(axis=0),
+            np.abs(states[..., 3]).max(axis=0))
 
 
 def relative_drift(series: np.ndarray):
@@ -261,17 +216,13 @@ def relative_drift(series: np.ndarray):
     return (series.max(axis=0) - series.min(axis=0)) / np.maximum(np.abs(series[0]), 1e-300)
 
 
-def conservation_drift(traj: Trajectory, metric: StaticMetric, charge: float = 0.0):
-    """Relative peak-to-peak drift of (H, M) along the trajectory."""
-    return (relative_drift(hamiltonian_series(traj, metric, charge)),
-            relative_drift(traj.states[..., 2]))
-
-
 def _d_dt(series: np.ndarray, dt: float) -> np.ndarray:
     """d/dt along axis 0 by the five-point central stencil
     (-f[i+2] + 8 f[i+1] - 8 f[i-1] + f[i-2]) / 12 dt, at the samples two or
     more steps from either end; truncation grows as dt^4 (Fornberg, Math.
     Comp. 51, 699 (1988))."""
+    if len(series) < 5:
+        raise ValueError("trajectory too short for five-point differences")
     return (-series[4:] + 8.0 * series[3:-1] - 8.0 * series[1:-3] + series[:-4]) / (12.0 * dt)
 
 
@@ -283,43 +234,39 @@ def _d2_dt2(series: np.ndarray, dt: float) -> np.ndarray:
             - series[:-4]) / (12.0 * dt * dt)
 
 
-def _need_five_samples(traj: Trajectory) -> None:
-    if len(traj) < 5:
-        raise ValueError("trajectory too short for five-point differences")
-
-
-def proper_time_residual(traj: Trajectory, metric: StaticMetric):
+# The audits take the states of ``integrate``, sampled every dt: one value per clock.
+def proper_time_residual(states: np.ndarray, dt: float, metric: StaticMetric):
     """Peak deviation of the integrated tau rate from the metric rate
     sqrt(f^2 - |xdot|^2 / c^2), with rates taken from the trajectory itself
     by the five-point stencil of ``_d_dt``, whose dt^4 truncation stays below
     the tolerance at the steps RK4 is run with; the two samples at each end
     have no rate."""
-    _need_five_samples(traj)
-    tau_dot, x_dot = _d_dt(traj.tau, traj.dt), _d_dt(traj.x, traj.dt)
-    x = traj.x[2:-2]
-    f = metric.lapse(x)
+    tau, x = states[..., 0], states[..., 4:7]
+    tau_dot, x_dot = _d_dt(tau, dt), _d_dt(x, dt)
+    f = metric.lapse(x[2:-2])
     speed2 = np.vecdot(x_dot, x_dot)
     rate = np.sqrt(np.maximum(f * f - speed2, 0.0))
     return np.abs(tau_dot - rate).max(axis=0)
 
 
-def rate_rounding_floor(traj: Trajectory):
+def rate_rounding_floor(states: np.ndarray, dt: float):
     """Bound on the rounding part of ``proper_time_residual``, per clock:
     each sample carries a relative rounding eps, which the five-point
     weights (total 1.5) divide by dt; the metric rate sqrt(f^2 - v^2) takes
     the error of v = dx/dt times |v| / rate, so a fast clock, whose rate is
     small, loses digits as 1/rate.  A floor at or above the clock's smallest
     rate could pass any tau, so that clock reads inf, a failed check."""
-    dt = traj.dt
-    rate = np.abs(np.diff(traj.tau, axis=0)).min(axis=0) / dt
-    speed = np.linalg.norm(np.diff(traj.x, axis=0), axis=-1).max(axis=0) / dt
-    reach = (np.abs(traj.tau).max(axis=0)
-             + speed * np.linalg.norm(traj.x, axis=-1).max(axis=0) / rate)
+    tau, x = states[..., 0], states[..., 4:7]
+    rate = np.abs(np.diff(tau, axis=0)).min(axis=0) / dt
+    speed = np.linalg.norm(np.diff(x, axis=0), axis=-1).max(axis=0) / dt
+    reach = (np.abs(tau).max(axis=0)
+             + speed * np.linalg.norm(x, axis=-1).max(axis=0) / rate)
     floor = 1.5 * np.finfo(float).eps * reach / dt
     return np.where(floor < rate, floor, np.inf)[()]
 
 
-def geodesic_lorentz_residual(traj: Trajectory, metric: StaticMetric, charge: float = 0.0):
+def geodesic_lorentz_residual(states: np.ndarray, dt: float, metric: StaticMetric,
+                              charge: float = 0.0):
     """Peak violation, per unit rest mass M/c^2, of the proper-time-
     parameterized equation of motion
 
@@ -338,8 +285,7 @@ def geodesic_lorentz_residual(traj: Trajectory, metric: StaticMetric, charge: fl
     Truncation grows as dt^4 and rounding in the second derivatives as
     dt^-2; the two samples at each end are not audited.  A clock whose tau
     does not strictly increase has no d/dtau and reads inf."""
-    _need_five_samples(traj)
-    dt, tau, x = traj.dt, traj.tau, traj.x
+    tau, x = states[..., 0], states[..., 4:7]
     stalled = np.any(np.diff(tau, axis=0) <= 0.0, axis=0)
     rate, accel = _d_dt(tau, dt), _d2_dt2(tau, dt)  # dtau/dt and d^2tau/dt^2
     rate3, dx_dt = rate**3, _d_dt(x, dt)
@@ -347,21 +293,21 @@ def geodesic_lorentz_residual(traj: Trajectory, metric: StaticMetric, charge: fl
     v1 = dx_dt[..., 0] / rate  # x^1'
     r = (_d2_dt2(x, dt) * rate[..., None] - dx_dt * accel[..., None]) / rate3[..., None]  # x^i''
     f, g = metric.lapse(x[2:-2]), metric.lapse_g
-    q = charge * metric.a0_slope / traj.states[2:-2, ..., 2]
+    q = charge * metric.a0_slope / states[2:-2, ..., 2]
     r0 = t2 + (2.0 * g / f) * v0 * v1 - q * v1 / (f * f)
     r[..., 0] += f * g * v0 * v0 - q * v0
     residual = np.maximum(np.abs(r0).max(axis=0), np.abs(r).max(axis=(0, -1)))
     return np.where(stalled, np.inf, residual)[()]
 
 
-def motion_rounding_floor(traj: Trajectory):
+def motion_rounding_floor(states: np.ndarray, dt: float):
     """Bound on the rounding part of ``geodesic_lorentz_residual``, per clock:
     each sample carries a relative rounding eps, which the five-point second
     derivative (weights totalling 64/12) divides by dt^2 and the change to
     proper time by (dtau/dt)^3, so the bound grows with the reach |x|, |tau|
     of the samples."""
-    dt = traj.dt
-    rate = np.diff(traj.tau, axis=0).min(axis=0) / dt
-    speed = np.maximum(np.abs(np.diff(traj.x, axis=0)).max(axis=(0, -1)) / dt, 1.0)  # >= c
-    reach = rate * np.abs(traj.x).max(axis=(0, -1)) + speed * np.abs(traj.tau).max(axis=0)
+    tau, x = states[..., 0], states[..., 4:7]
+    rate = np.diff(tau, axis=0).min(axis=0) / dt
+    speed = np.maximum(np.abs(np.diff(x, axis=0)).max(axis=(0, -1)) / dt, 1.0)  # >= c
+    reach = rate * np.abs(x).max(axis=(0, -1)) + speed * np.abs(tau).max(axis=0)
     return 64.0 / 12.0 * np.finfo(float).eps * reach / (rate**3 * dt * dt)

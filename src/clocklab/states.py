@@ -145,6 +145,9 @@ def state_from_profiles(e_grid: UniformGrid, p_grid: UniformGrid,
 
 
 def _check_axis(name: str, grid: UniformGrid, center: float, sigma: float) -> None:
+    if not math.isfinite(4.0 * (sigma * sigma)):  # the profile's denominator
+        raise GridAxisError(name, f"width too large on the {name} axis: 4 sigma^2 overflows, "
+                                  f"got sigma = {sigma!r}")
     left = center - grid.lo
     right = grid.hi - center
     if min(left, right) < MIN_SIGMA_COVERAGE * sigma:

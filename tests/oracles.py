@@ -267,7 +267,7 @@ def per_pair_dirac_table(z, h_step=1e-5):
             for i, a in enumerate(names) for b in names[i + 1:]}
 
 
-def per_sample_rate_residual(traj, metric, c=1.0):
+def per_sample_rate_residual(states, dt, metric, c=1.0):
     """Proper-time rate residual of a single trajectory, one sample at a
     time: the loop the package replaced with array arithmetic.  Rates come
     from the fourth-order central stencil with weights (1, -8, 0, 8, -1)/12
@@ -275,13 +275,14 @@ def per_sample_rate_residual(traj, metric, c=1.0):
     weights = (1.0 / 12.0, -8.0 / 12.0, 0.0, 8.0 / 12.0, -1.0 / 12.0)
 
     def derivative(series, i):
-        return sum(w * series[i + k - 2] for k, w in enumerate(weights) if w) / traj.dt
+        return sum(w * series[i + k - 2] for k, w in enumerate(weights) if w) / dt
 
+    tau, x = states[:, 0], states[:, 4:7]
     worst = 0.0
-    for i in range(2, len(traj) - 2):
-        tau_dot = derivative(traj.tau, i)
-        x_dot = derivative(traj.x, i)
-        f = float(metric.lapse(traj.x[i]))
+    for i in range(2, len(states) - 2):
+        tau_dot = derivative(tau, i)
+        x_dot = derivative(x, i)
+        f = float(metric.lapse(x[i]))
         rate2 = f * f - float(x_dot @ x_dot) / (c * c)
         worst = max(worst, abs(tau_dot - math.sqrt(max(rate2, 0.0))))
     return worst
@@ -298,7 +299,7 @@ def christoffel(g4, dg4):
     return 0.5 * np.einsum("rs,mns->rmn", np.linalg.inv(g4), term)
 
 
-def per_sample_motion_residual(traj, metric, charge=0.0, c=1.0):
+def per_sample_motion_residual(states, dt, metric, charge=0.0, c=1.0):
     """Covariant equation-of-motion residual per unit rest mass of a single
     trajectory, one sample at a time, from the full connection and a
     numerically inverted four-metric at each sample.  First and second
@@ -308,7 +309,7 @@ def per_sample_motion_residual(traj, metric, charge=0.0, c=1.0):
     background, g_00 = -(1 + lapse_g x^1)^2 and A_0 = a0_slope x^1, with
     nothing taken from ``clocklab.metric``."""
     g, slope = metric.lapse_g, metric.a0_slope
-    dt = traj.dt
+    tau, x = states[:, 0], states[:, 4:7]
     first = (1.0 / 12.0, -8.0 / 12.0, 0.0, 8.0 / 12.0, -1.0 / 12.0)
     second = (-1.0 / 12.0, 16.0 / 12.0, -30.0 / 12.0, 16.0 / 12.0, -1.0 / 12.0)
 
@@ -316,15 +317,15 @@ def per_sample_motion_residual(traj, metric, charge=0.0, c=1.0):
         return sum(w * series[i + k - 2] for k, w in enumerate(weights) if w)
 
     worst = 0.0
-    for i in range(2, len(traj) - 2):
+    for i in range(2, len(states) - 2):
         # x^0 = c t: its rate is c and its second derivative 0
-        dx_dt = np.concatenate(([c], derivative(first, traj.x, i) / dt))
-        d2x_dt2 = np.concatenate(([0.0], derivative(second, traj.x, i) / (dt * dt)))
-        w = derivative(first, traj.tau, i) / dt
-        d2tau = derivative(second, traj.tau, i) / (dt * dt)
+        dx_dt = np.concatenate(([c], derivative(first, x, i) / dt))
+        d2x_dt2 = np.concatenate(([0.0], derivative(second, x, i) / (dt * dt)))
+        w = derivative(first, tau, i) / dt
+        d2tau = derivative(second, tau, i) / (dt * dt)
         xdot = dx_dt / w
         xddot = (d2x_dt2 * w - dx_dt * d2tau) / w**3
-        f = 1.0 + g * traj.x[i, 0]
+        f = 1.0 + g * x[i, 0]
         g4 = np.diag([-f * f, 1.0, 1.0, 1.0])
         dg4 = np.zeros((3, 4, 4))  # dg4[k] = d g4 / d x^(k+1)
         dg4[0, 0, 0] = -2.0 * f * g
@@ -333,7 +334,7 @@ def per_sample_motion_residual(traj, metric, charge=0.0, c=1.0):
         g4_inv = np.linalg.inv(g4)
         f_up = g4_inv @ f_low @ g4_inv.T
         lhs = xddot + np.einsum("rmn,m,n->r", christoffel(g4, dg4), xdot, xdot)
-        rhs = (charge * c * c / traj.states[i, 2]) * (f_up @ (g4 @ xdot))
+        rhs = (charge * c * c / states[i, 2]) * (f_up @ (g4 @ xdot))
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
 

@@ -1,21 +1,18 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from clocklab.brackets import random_points
 from clocklab.dynamics import (
     _rhs_floats,
-    conservation_drift,
     constraint_drift,
     geodesic_lorentz_residual,
     hamilton_rhs,
-    hamiltonian_series,
     integrate,
     motion_rounding_floor,
     moving_clock,
     proper_time_residual,
     rate_rounding_floor,
+    relative_drift,
     total_hamiltonian,
 )
 from clocklab.metric import LapseHorizonError, StaticMetric, uniform_lapse_metric
@@ -103,15 +100,15 @@ def test_integrate_requires_on_surface_data():
 
 
 def test_flat_rest_clock_tracks_coordinate_time():
-    traj = integrate(moving_clock(1.0), FLAT, 0.0, 10.0, 1e-2)
-    assert traj.tau[-1] == pytest.approx(10.0, abs=1e-10)
+    states = integrate(moving_clock(1.0), FLAT, 0.0, 10.0, 1e-2)
+    assert states[-1, 0] == pytest.approx(10.0, abs=1e-10)
 
 
 def test_flat_v06_time_dilation():
-    traj = integrate(moving_clock(1.0, (0.75, 0.0, 0.0)), FLAT, 0.0, 10.0, 1e-3)
-    assert traj.tau[-1] == pytest.approx(8.0, abs=1e-9)
-    assert traj.x[-1, 0] == pytest.approx(6.0, abs=1e-9)
-    assert proper_time_residual(traj, FLAT) < 1e-8
+    states = integrate(moving_clock(1.0, (0.75, 0.0, 0.0)), FLAT, 0.0, 10.0, 1e-3)
+    assert states[-1, 0] == pytest.approx(8.0, abs=1e-9)
+    assert states[-1, 4] == pytest.approx(6.0, abs=1e-9)
+    assert proper_time_residual(states, 1e-3, FLAT) < 1e-8
 
 
 def test_held_clock_redshift_rate():
@@ -120,9 +117,9 @@ def test_held_clock_redshift_rate():
     t_end = 10.0
     high = integrate(moving_clock(1.0, x=(q, 0.0, 0.0)), metric, 0.0, t_end, 1e-3, hold_x=True)
     low = integrate(moving_clock(1.0), metric, 0.0, t_end, 1e-3, hold_x=True)
-    rate_diff = (high.tau[-1] - low.tau[-1]) / t_end
+    rate_diff = (high[-1, 0] - low[-1, 0]) / t_end
     assert rate_diff == pytest.approx(g_acc * q, rel=1e-8)
-    assert proper_time_residual(high, metric) < 1e-8
+    assert proper_time_residual(high, 1e-3, metric) < 1e-8
 
 
 def test_constraints_and_conservation_along_trajectories():
@@ -132,45 +129,46 @@ def test_constraints_and_conservation_along_trajectories():
         (StaticMetric(a0_slope=0.02), 0.5, moving_clock(1.0)),
     ]
     for metric, charge, pt0 in cases:
-        traj = integrate(pt0, metric, charge, 5.0, 1e-3)
-        phi1, phi2 = constraint_drift(traj)
-        h_drift, m_drift = conservation_drift(traj, metric, charge)
+        states = integrate(pt0, metric, charge, 5.0, 1e-3)
+        phi1, phi2 = constraint_drift(states)
+        h_drift = relative_drift(total_hamiltonian(states, metric, charge))
+        m_drift = relative_drift(states[:, 2])
         assert max(phi1, phi2) <= 1e-9
         assert h_drift <= 1e-9
         assert m_drift <= 1e-9
 
 
 def test_geodesic_residual_flat_free_particle():
-    traj = integrate(moving_clock(1.0, (0.75, 0.0, 0.0)), FLAT, 0.0, 5.0, 1e-3)
-    assert geodesic_lorentz_residual(traj, FLAT) < 1e-6
+    states = integrate(moving_clock(1.0, (0.75, 0.0, 0.0)), FLAT, 0.0, 5.0, 1e-3)
+    assert geodesic_lorentz_residual(states, 1e-3, FLAT) < 1e-6
 
 
 def test_constant_force_matches_hyperbolic_motion():
     charge, slope = 0.5, 0.02
     metric = StaticMetric(a0_slope=slope)
     force = charge * slope
-    traj = integrate(moving_clock(1.0), metric, charge, 10.0, 1e-3)
+    states = integrate(moving_clock(1.0), metric, charge, 10.0, 1e-3)
     x_exp, tau_exp = hyperbolic_motion(1.0, force, 10.0)
-    assert traj.x[-1, 0] == pytest.approx(x_exp, abs=1e-9)
-    assert traj.tau[-1] == pytest.approx(tau_exp, abs=1e-9)
-    assert geodesic_lorentz_residual(traj, metric, charge) < 1e-5
+    assert states[-1, 4] == pytest.approx(x_exp, abs=1e-9)
+    assert states[-1, 0] == pytest.approx(tau_exp, abs=1e-9)
+    assert geodesic_lorentz_residual(states, 1e-3, metric, charge) < 1e-5
 
 
 def test_weak_field_fall_newtonian_limit():
     g_acc = 1e-3
     metric = uniform_lapse_metric(g_acc)
-    traj = integrate(moving_clock(1.0), metric, 0.0, 4.0, 1e-3)
+    states = integrate(moving_clock(1.0), metric, 0.0, 4.0, 1e-3)
     # slow fall: x ~ -g t^2 / 2 with O(v^2) corrections
-    assert traj.x[-1, 0] == pytest.approx(-0.5 * g_acc * 16.0, rel=1e-4)
-    assert geodesic_lorentz_residual(traj, metric) < 1e-5
-    assert proper_time_residual(traj, metric) < 1e-8
+    assert states[-1, 4] == pytest.approx(-0.5 * g_acc * 16.0, rel=1e-4)
+    assert geodesic_lorentz_residual(states, 1e-3, metric) < 1e-5
+    assert proper_time_residual(states, 1e-3, metric) < 1e-8
 
 
 def test_isotropic_weak_field_residuals():
     metric = uniform_lapse_metric(1e-3)
-    traj = integrate(moving_clock(1.0, (0.1, 0.05, 0.0)), metric, 0.0, 5.0, 1e-3)
-    assert proper_time_residual(traj, metric) < 1e-8
-    assert geodesic_lorentz_residual(traj, metric) < 1e-5
+    states = integrate(moving_clock(1.0, (0.1, 0.05, 0.0)), metric, 0.0, 5.0, 1e-3)
+    assert proper_time_residual(states, 1e-3, metric) < 1e-8
+    assert geodesic_lorentz_residual(states, 1e-3, metric) < 1e-5
 
 
 def test_prepared_points_require_positive_rest_energy():
@@ -185,17 +183,17 @@ def test_batch_integration_matches_one_clock_at_a_time():
     points = [moving_clock(1.0, (0.2, 0.0, 0.0)), moving_clock(2.0, (0.7, -0.3, 0.1), x=(1.0, 0.0, 0.5)),
               moving_clock(0.5, x=(-2.0, 1.0, 0.0))]
     batch = integrate(points, metric, 0.0, 1.0, 1e-3)
-    assert batch.states.shape == (1001, 3, 10)
-    H = hamiltonian_series(batch, metric)
-    rate = proper_time_residual(batch, metric)
-    motion = geodesic_lorentz_residual(batch, metric)
+    assert batch.shape == (1001, 3, 10)
+    H = total_hamiltonian(batch, metric)
+    rate = proper_time_residual(batch, 1e-3, metric)
+    motion = geodesic_lorentz_residual(batch, 1e-3, metric)
     assert H.shape == (1001, 3) and rate.shape == motion.shape == (3,)
     for j, z in enumerate(points):
         single = integrate(z, metric, 0.0, 1.0, 1e-3)
-        assert np.array_equal(batch.states[:, j], single.states)
-        assert np.array_equal(H[:, j], hamiltonian_series(single, metric))
-        assert rate[j] == proper_time_residual(single, metric)
-        assert motion[j] == geodesic_lorentz_residual(single, metric)
+        assert np.array_equal(batch[:, j], single)
+        assert np.array_equal(H[:, j], total_hamiltonian(single, metric))
+        assert rate[j] == proper_time_residual(single, 1e-3, metric)
+        assert motion[j] == geodesic_lorentz_residual(single, 1e-3, metric)
 
 
 def test_a_stalled_clock_reads_inf_and_leaves_its_batch_alone():
@@ -204,14 +202,29 @@ def test_a_stalled_clock_reads_inf_and_leaves_its_batch_alone():
     free, stalled = moving_clock(1.0, (0.75, 0.0, 0.0)), moving_clock(1.0, (0.75, 0.0, 0.0),
                                                                        tau=1e13)
     with np.errstate(divide="ignore", invalid="ignore"):
-        motion = geodesic_lorentz_residual(integrate([free, stalled], FLAT, 0.0, 1.0, 1e-3), FLAT)
-        assert geodesic_lorentz_residual(integrate(stalled, FLAT, 0.0, 1.0, 1e-3), FLAT) == np.inf
+        motion = geodesic_lorentz_residual(integrate([free, stalled], FLAT, 0.0, 1.0, 1e-3),
+                                           1e-3, FLAT)
+        assert geodesic_lorentz_residual(integrate(stalled, FLAT, 0.0, 1.0, 1e-3),
+                                         1e-3, FLAT) == np.inf
     assert motion[1] == np.inf
-    assert motion[0] == geodesic_lorentz_residual(integrate(free, FLAT, 0.0, 1.0, 1e-3), FLAT)
+    assert motion[0] == geodesic_lorentz_residual(integrate(free, FLAT, 0.0, 1.0, 1e-3),
+                                                  1e-3, FLAT)
 
 
 # a steeper lapse for the clocks off the x^1 axis
 _OFF_AXIS_LAPSE = uniform_lapse_metric(1e-2)
+
+
+def _count_stages(monkeypatch) -> tuple[list, list]:
+    """Record the arguments of every call to the array right-hand side
+    ``hamilton_rhs`` and to its float twin ``_rhs_floats``."""
+    import clocklab.dynamics as dynamics
+    counts = ([], [])
+    for calls, name in zip(counts, ("hamilton_rhs", "_rhs_floats")):
+        original = getattr(dynamics, name)
+        monkeypatch.setattr(dynamics, name, lambda *a, calls=calls, original=original:
+                            calls.append(a) or original(*a))
+    return counts
 
 
 @pytest.mark.parametrize("pt0, metric, charge, hold", [
@@ -221,13 +234,14 @@ _OFF_AXIS_LAPSE = uniform_lapse_metric(1e-2)
     (moving_clock(1.0, x=(1.5, -0.0, 0.0)), uniform_lapse_metric(0.05), 0.0, True),
     (moving_clock(2.0, x=(0.5, 0.2, -0.0)), _OFF_AXIS_LAPSE, 0.0, True),
 ], ids=["flat-free", "flat-batch", "flat-charged", "lapse-held", "isotropic-held"])
-def test_stationary_flows_equal_the_four_stage_loop(pt0, metric, charge, hold):
+def test_stationary_flows_equal_the_four_stage_loop(pt0, metric, charge, hold, monkeypatch):
     """A held clock, or a free one in flat space without potentials, takes
     one RHS evaluation per batch, and every sample is bitwise the loop's."""
-    traj = integrate(pt0, metric, charge, 2.0, 1e-3, hold_x=hold)
+    vector_calls, float_calls = _count_stages(monkeypatch)
+    states = integrate(pt0, metric, charge, 2.0, 1e-3, hold_x=hold)
+    assert (len(vector_calls), len(float_calls)) == (1, 0)
     reference = rk4_reference(pt0, metric, charge, 2.0, 1e-3, hold_x=hold)
-    assert traj.states.tobytes() == reference.tobytes()
-    assert traj.rhs_evals == 1
+    assert states.tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("pt0, metric, charge", [
@@ -238,25 +252,25 @@ def test_stationary_flows_equal_the_four_stage_loop(pt0, metric, charge, hold):
     ([moving_clock(1.0, (0.2, 0.0, 0.0)), moving_clock(2.0, (0.7, -0.3, 0.1), x=(1.0, 0.0, 0.5)),
       moving_clock(0.5, x=(-2.0, 1.0, 0.0))], uniform_lapse_metric(0.05), 0.0),
 ], ids=["lapse", "lapse-charged", "constant-force", "isotropic", "lapse-batch"])
-def test_stepped_flows_equal_the_four_stage_loop(pt0, metric, charge):
+def test_stepped_flows_equal_the_four_stage_loop(pt0, metric, charge, monkeypatch):
     """A flow that is not stationary steps each clock on Python floats, and
     every sample is bitwise the loop's over ``hamilton_rhs``."""
-    traj = integrate(pt0, metric, charge, 1.0, 2e-3)
+    vector_calls, float_calls = _count_stages(monkeypatch)
+    states = integrate(pt0, metric, charge, 1.0, 2e-3)
+    assert len(vector_calls) == 0
+    assert len(float_calls) == 4 * 500 * (1 if np.ndim(pt0) == 1 else 3)
     reference = rk4_reference(pt0, metric, charge, 1.0, 2e-3)
-    assert traj.states.tobytes() == reference.tobytes()
-    assert traj.rhs_evals == 4 * 500 * (1 if np.ndim(pt0) == 1 else 3)
+    assert states.tobytes() == reference.tobytes()
 
 
 def test_unheld_clock_in_a_field_takes_four_evaluations_per_step(monkeypatch):
-    import clocklab.dynamics as dynamics
     metric = uniform_lapse_metric(0.05)
-    calls, original = [], dynamics._rhs_floats
-    monkeypatch.setattr(dynamics, "_rhs_floats", lambda *a: calls.append(a) or original(*a))
+    _, calls = _count_stages(monkeypatch)
     for clocks in (1, 3):  # four stage evaluations per step per clock
         calls.clear()
-        traj = integrate([moving_clock(1.0, (0.1 * (j + 1), 0.0, 0.0)) for j in range(clocks)],
-                         metric, 0.0, 1.0, 1e-2)
-        assert len(calls) == traj.rhs_evals == 4 * 100 * clocks
+        integrate([moving_clock(1.0, (0.1 * (j + 1), 0.0, 0.0)) for j in range(clocks)],
+                  metric, 0.0, 1.0, 1e-2)
+        assert len(calls) == 4 * 100 * clocks
 
 
 def _raised(error, fn, *args) -> str:
@@ -282,10 +296,10 @@ def test_float_stages_divide_as_numpy_where_a_product_underflows():
     ``hamilton_rhs``, whose 0/0 gives nan (a failed check, not a crash)."""
     pt0, metric = moving_clock(1e-120), uniform_lapse_metric(0.01)
     with np.errstate(all="ignore"):
-        traj = integrate(pt0, metric, 0.0, 0.1, 1e-3)
+        states = integrate(pt0, metric, 0.0, 0.1, 1e-3)
         reference = rk4_reference(pt0, metric, 0.0, 0.1, 1e-3)
-    assert np.isnan(traj.states[1:, 3]).all()
-    assert np.array_equal(traj.states, reference, equal_nan=True)
+    assert np.isnan(states[1:, 3]).all()
+    assert np.array_equal(states, reference, equal_nan=True)
 
 
 @pytest.mark.parametrize("metric, charge", [
@@ -315,31 +329,32 @@ def test_vectorized_audits_match_per_sample_loops(metric, charge):
     # 5001 samples, audited in one pass against the general per-sample
     # formulas; only the charged lapse has both the force terms q x^1'/f^2
     # and q v^0 and the lapse terms 2 g v^0 x^1'/f and f g (v^0)^2
-    traj = integrate(moving_clock(1.0, (0.3, 0.1, 0.0)), metric, charge, 5.0, 1e-3)
-    H = hamiltonian_series(traj, metric, charge)
-    assert np.array_equal(H, [total_hamiltonian(z, metric, charge) for z in traj.states])
+    dt = 1e-3
+    states = integrate(moving_clock(1.0, (0.3, 0.1, 0.0)), metric, charge, 5.0, dt)
+    times = dt * np.arange(len(states))
+    H = total_hamiltonian(states, metric, charge)
+    assert np.array_equal(H, [total_hamiltonian(z, metric, charge) for z in states])
     # the five-point rates leave a rounding-level residual (about 1e-12) on
     # the trajectory itself, so the loops are also compared on a tau bent by
     # a smooth 1e-3 wobble, where the residual stands far above rounding
-    assert proper_time_residual(traj, metric) == pytest.approx(
-        per_sample_rate_residual(traj, metric), abs=1e-11)
-    states = traj.states.copy()
-    states[:, 0] += 1e-3 * np.sin(3.0 * traj.times)
-    bent = dataclasses.replace(traj, states=states)
-    assert proper_time_residual(bent, metric) > 1e-3
-    assert proper_time_residual(bent, metric) == pytest.approx(
-        per_sample_rate_residual(bent, metric), rel=1e-9)
+    assert proper_time_residual(states, dt, metric) == pytest.approx(
+        per_sample_rate_residual(states, dt, metric), abs=1e-11)
+    bent = states.copy()
+    bent[:, 0] += 1e-3 * np.sin(3.0 * times)
+    assert proper_time_residual(bent, dt, metric) > 1e-3
+    assert proper_time_residual(bent, dt, metric) == pytest.approx(
+        per_sample_rate_residual(bent, dt, metric), rel=1e-9)
     # the five-point motion residual of the trajectory is rounding too, so
     # the loops agree there to within its rounding bound, and to 1e-7 on x^1
     # bent by a smooth 1e-2 wobble, where it reads about 0.1
-    assert geodesic_lorentz_residual(traj, metric, charge) == pytest.approx(
-        per_sample_motion_residual(traj, metric, charge), abs=motion_rounding_floor(traj).item())
-    states = traj.states.copy()
-    states[:, 4] += 1e-2 * np.sin(3.0 * traj.times)
-    bent_x = dataclasses.replace(traj, states=states)
-    assert geodesic_lorentz_residual(bent_x, metric, charge) > 1e-2
-    assert geodesic_lorentz_residual(bent_x, metric, charge) == pytest.approx(
-        per_sample_motion_residual(bent_x, metric, charge), rel=1e-7)
+    assert geodesic_lorentz_residual(states, dt, metric, charge) == pytest.approx(
+        per_sample_motion_residual(states, dt, metric, charge),
+        abs=motion_rounding_floor(states, dt).item())
+    bent_x = states.copy()
+    bent_x[:, 4] += 1e-2 * np.sin(3.0 * times)
+    assert geodesic_lorentz_residual(bent_x, dt, metric, charge) > 1e-2
+    assert geodesic_lorentz_residual(bent_x, dt, metric, charge) == pytest.approx(
+        per_sample_motion_residual(bent_x, dt, metric, charge), rel=1e-7)
 
 
 def test_rate_audit_is_exact_at_coarse_steps_and_sees_a_1e7_rate_error():
@@ -347,36 +362,34 @@ def test_rate_audit_is_exact_at_coarse_steps_and_sees_a_1e7_rate_error():
     (g = 0.08, p1 = 0.8) far below the 1e-8 tolerance, where the three-point
     rates read 1.6e-7; a tau whose rate is off by a relative 1e-7 still fails."""
     metric = uniform_lapse_metric(0.08)
-    traj = integrate(moving_clock(1.0, (0.8, 0.0, 0.0)), metric, 0.0, 2.0, 1e-2)
-    assert proper_time_residual(traj, metric) < 1e-12
-    states = traj.states.copy()
-    states[:, 0] = states[0, 0] + (states[:, 0] - states[0, 0]) * (1.0 + 1e-7)
-    wrong = dataclasses.replace(traj, states=states)
+    states = integrate(moving_clock(1.0, (0.8, 0.0, 0.0)), metric, 0.0, 2.0, 1e-2)
+    assert proper_time_residual(states, 1e-2, metric) < 1e-12
+    wrong = states.copy()
+    wrong[:, 0] = wrong[0, 0] + (wrong[:, 0] - wrong[0, 0]) * (1.0 + 1e-7)
     # the rounding floor of this slow clock sits far below the error
-    assert rate_rounding_floor(wrong) < 1e-12
-    assert proper_time_residual(wrong, metric) > 1e-8
+    assert rate_rounding_floor(wrong, 1e-2) < 1e-12
+    assert proper_time_residual(wrong, 1e-2, metric) > 1e-8
 
 
 @pytest.mark.parametrize("p1", [1e4, 1e5])
 def test_rate_rounding_floor_covers_a_fast_free_clock(p1):
     # a free flat clock is exact to rounding, but its metric rate 1/|p1|
     # magnifies the rounding of dx/dt; the floor bounds what is left
-    traj = integrate(moving_clock(1.0, (p1, 0.0, 0.0)), FLAT, 0.0, 10.0, 1e-3)
-    residual = proper_time_residual(traj, FLAT)
-    floor = rate_rounding_floor(traj)
+    states = integrate(moving_clock(1.0, (p1, 0.0, 0.0)), FLAT, 0.0, 10.0, 1e-3)
+    residual = proper_time_residual(states, 1e-3, FLAT)
+    floor = rate_rounding_floor(states, 1e-3)
     assert 1e-8 < residual < floor < 10.0 * residual
 
 
 def test_rate_audit_needs_five_samples():
     # and so does the motion audit
-    traj = integrate(moving_clock(1.0, (0.3, 0.0, 0.0)), FLAT, 0.0, 0.04, 1e-2)
-    assert proper_time_residual(traj, FLAT) < 1e-12
-    assert geodesic_lorentz_residual(traj, FLAT) < 1e-12
-    short = dataclasses.replace(traj, times=traj.times[:4], states=traj.states[:4])
+    states = integrate(moving_clock(1.0, (0.3, 0.0, 0.0)), FLAT, 0.0, 0.04, 1e-2)
+    assert proper_time_residual(states, 1e-2, FLAT) < 1e-12
+    assert geodesic_lorentz_residual(states, 1e-2, FLAT) < 1e-12
     with pytest.raises(ValueError, match="five-point"):
-        proper_time_residual(short, FLAT)
+        proper_time_residual(states[:4], 1e-2, FLAT)
     with pytest.raises(ValueError, match="five-point"):
-        geodesic_lorentz_residual(short, FLAT)
+        geodesic_lorentz_residual(states[:4], 1e-2, FLAT)
 
 
 def test_motion_audit_is_exact_at_coarse_steps_and_stays_below_its_floor_at_fine_ones():
@@ -386,11 +399,11 @@ def test_motion_audit_is_exact_at_coarse_steps_and_stays_below_its_floor_at_fine
     stays below ``motion_rounding_floor``.  A path bent off the free motion
     by a relative 1e-4 still fails."""
     metric = uniform_lapse_metric(0.2)
-    traj = integrate(moving_clock(1.0, (0.8, 0.0, 0.0)), metric, 0.0, 2.0, 0.02)
-    assert geodesic_lorentz_residual(traj, metric) < 1e-10
-    states = traj.states.copy()
-    states[:, 4] *= 1.0 + 1e-4 * np.sin(traj.times)
-    assert geodesic_lorentz_residual(dataclasses.replace(traj, states=states), metric) > 1e-6
+    states = integrate(moving_clock(1.0, (0.8, 0.0, 0.0)), metric, 0.0, 2.0, 0.02)
+    assert geodesic_lorentz_residual(states, 0.02, metric) < 1e-10
+    bent = states.copy()
+    bent[:, 4] *= 1.0 + 1e-4 * np.sin(0.02 * np.arange(len(states)))
+    assert geodesic_lorentz_residual(bent, 0.02, metric) > 1e-6
     metric = uniform_lapse_metric(0.08)
     fine = integrate(moving_clock(1.0, (0.8, 0.0, 0.0)), metric, 0.0, 2.0, 1e-4)
-    assert geodesic_lorentz_residual(fine, metric) < motion_rounding_floor(fine)
+    assert geodesic_lorentz_residual(fine, 1e-4, metric) < motion_rounding_floor(fine, 1e-4)

@@ -750,8 +750,8 @@ def _count_calls(monkeypatch, module, name: str) -> list:
 
 def test_one_hamiltonian_pass_per_trajectory(tmp_path, monkeypatch):
     # one vectorized pass over all samples of each integrated batch
-    import clocklab.dynamics as dynamics
-    calls = _count_calls(monkeypatch, dynamics, "total_hamiltonian")
+    import clocklab.runner as runner
+    calls = _count_calls(monkeypatch, runner, "total_hamiltonian")
     cfg, _ = _cfg(tmp_path, "CLASSICAL_TRAJECTORY", _SHORT_RUN)
     report = run(cfg)
     assert report.all_passed
@@ -961,10 +961,39 @@ def test_cli_start_below_the_lapse_horizon_is_a_config_error(tmp_path, capsys, s
      "config error: quantum.sigma_p: grid needs finite lo < hi on the p axis"),
     (["quantum optimize", "quantum.e0=1e20", "quantum.p0=0", "quantum.t=1e30"], 2,
      "config error: optimize.sigma_lo: grid needs finite lo < hi on the E axis"),
+    (["quantum moments", "quantum.sigma_p=1e160"], 2,
+     "config error: quantum.sigma_p: width too large on the p axis: 4 sigma^2 overflows"),
+    (["quantum moments", "quantum.sigma_p=1e154"], 2,
+     "config error: quantum.sigma_p: width too large on the p axis: 4 sigma^2 overflows"),
+    (["quantum bound", "quantum.sigma_p=1e160"], 2,
+     "config error: quantum.sigma_p: width too large on the p axis: 4 sigma^2 overflows"),
+    (["quantum optimize", "quantum.sigma_p=1e160"], 2,
+     "config error: quantum.sigma_p: width too large on the p axis: 4 sigma^2 overflows"),
+    (["gedanken box", "box.dq=1e-320"], 2,
+     "config error: box.dq: the latitudes dm and dtau leave the float range, so c^2 dm dtau / h "
+     "is not finite, got box.dq = 1e-320, box.t = 1.0 and box.g = 9.81"),
+    (["gedanken box", "box.t=1e-320"], 2,
+     "config error: box.dq: the latitudes dm and dtau leave the float range"),
+    (["gedanken box", "box.g=1e-320"], 2,
+     "config error: box.dq: the latitudes dm and dtau leave the float range"),
+    (["gedanken box", "box.dq=1e300", "box.g=1e300"], 2,
+     "config error: box.dq: the latitudes dm and dtau leave the float range"),
+    (["gedanken box", "units=SI", "box.dq=1e-300"], 2,
+     "is not finite, got box.dq = 1e-300 m, box.t = 1.0 s and box.g = "),
+    (["gedanken efield", "efield.dq=1e-320"], 2,
+     "config error: efield.dq: the latitudes dm and dtau leave the float range, so c^2 dm dtau "
+     "/ h is not finite, got efield.dq = 1e-320 and efield.v = 0.5"),
+    (["gedanken efield", "efield.v=1e-320"], 2,
+     "config error: efield.dq: the latitudes dm and dtau leave the float range"),
+    (["classical trajectory", "classical.p1=1e11", "classical.tau0=1"], 1,
+     "[FAIL] tau_final: measured=7.993606e-14 tolerance=1.000000e-19"),
 ], ids=["flat-lapse", "flat-lapse-sweep", "tau-stalls-at-tau0", "tau-stalls-under-force",
         "tau-stalls-under-lapse", "tau-rounds-under-lapse", "step-past-horizon",
         "sigma-e-rounds", "e0-rounds", "p0-rounds", "optimize-p0-rounds",
-        "optimize-sigma-rounds"])
+        "optimize-sigma-rounds", "sigma-p-squares-past-range", "sigma-p-4-squares-past-range",
+        "bound-sigma-p-squares-past-range", "optimize-sigma-p-squares-past-range",
+        "box-dq-tiny", "box-t-tiny", "box-g-tiny", "box-dq-g-huge", "box-si-dq-tiny",
+        "efield-dq-tiny", "efield-v-tiny", "tau-final-below-its-advance"])
 def test_cli_bad_inputs_end_in_a_config_error_or_a_failed_check(tmp_path, capsys, settings,
                                                                 code, message):
     """Each input ends as a config error naming its key, with no CSV, or as
