@@ -31,7 +31,6 @@ from .moments import (
     StateMoments,
     TauMoments,
     VarianceLawCoefficients,
-    salecker_wigner_check,
     state_moments,
     tau_moments_simulated,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "probability_marginals",
     "proper_time_residual",
     "reduced_canonical_pair",
-    "salecker_wigner_check",
     "spring_mass",
     "state_moments",
     "suggest_grids",

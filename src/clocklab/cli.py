@@ -55,12 +55,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _compose_config_text(args: argparse.Namespace) -> str:
-    pieces = []
+def _config_documents(args: argparse.Namespace) -> tuple[str, str]:
+    """The config file's text and the command line's entries, which replace
+    the file's values."""
+    text, pieces = "", []
     if args.config:
         try:
             with open(args.config) as fh:
-                pieces.append(fh.read())
+                text = fh.read()
         except OSError as err:
             raise ConfigError([str(err)]) from None
     for entry in args.set:
@@ -71,7 +73,7 @@ def _compose_config_text(args: argparse.Namespace) -> str:
         pieces.append(f"output = {args.output}")
     if args.seed is not None:
         pieces.append(f"seed = {args.seed}")
-    return "\n".join(pieces)
+    return text, "\n".join(pieces)
 
 
 def _print_report(report: RunReport) -> None:
@@ -86,7 +88,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = parse_config(_compose_config_text(args), kind_hint=args.kind)
+        text, overrides = _config_documents(args)
+        config = parse_config(text, kind_hint=args.kind, overrides=overrides)
         report = run(config)  # may also raise ConfigError, for an input its physics refuses
     except ConfigError as err:
         for violation in err.violations:

@@ -414,16 +414,21 @@ def _convert(spec: ParamSpec, value: Any, src: UnitContext, dst: UnitContext) ->
     return convert_units(value, spec.dimension, src, dst)
 
 
-def parse_config(text: str, kind_hint: str | None = None) -> ScenarioConfig:
-    """Validate a config document: every per-key violation is reported
-    together in one ConfigError, then the rules joining keys are checked on
-    the run members."""
+def parse_config(text: str, kind_hint: str | None = None, overrides: str = "") -> ScenarioConfig:
+    """Validate a config document, whose keys the entries of ``overrides``
+    (a second document, such as the command line's) replace; a key given
+    twice in one document is a violation.  Every per-key violation is
+    reported together in one ConfigError, then the rules joining keys are
+    checked on the run members."""
     violations: list[str] = []
     raw: dict[str, str] = {}
-    for key, value in _split_lines(text):
-        if key in raw:
-            violations.append(f"duplicate key: {key}")
-        raw[key] = value
+    for document in (text, overrides):
+        given: dict[str, str] = {}
+        for key, value in _split_lines(document):
+            if key in given:
+                violations.append(f"duplicate key: {key}")
+            given[key] = value
+        raw.update(given)
 
     kind = raw.get("kind", kind_hint)
     if kind is None:

@@ -148,13 +148,13 @@ def _rk4_floats(states: np.ndarray, metric: StaticMetric, charge: float, dt: flo
         states[i] = z
 
 
-def stationary_flow(metric: StaticMetric, hold_x: bool = False) -> bool:
+def stationary_flow(metric: StaticMetric, charge: float, hold_x: bool = False) -> bool:
     """Whether every RK4 stage has the same rates: the rates read x and p
     only through the metric's fields, and p_tau and M do not move, so a held
-    clock, or any clock in flat space without potentials (both metric slopes
-    0), never changes them.  ``integrate`` then takes one right-hand-side
-    evaluation per batch, else four per step and clock."""
-    return hold_x or metric.lapse_g == metric.a0_slope == 0.0
+    clock, or a free one (no lapse slope, and no potential slope or no
+    charge to feel it), never changes them.  ``integrate`` then takes one
+    right-hand-side evaluation per batch, else four per step and clock."""
+    return hold_x or (metric.lapse_g == 0.0 and (metric.a0_slope == 0.0 or charge == 0.0))
 
 
 def integrate(z0, metric: StaticMetric, charge: float, t_end: float, dt: float,
@@ -190,7 +190,7 @@ def integrate(z0, metric: StaticMetric, charge: float, t_end: float, dt: float,
 
     states = np.empty((n_steps + 1,) + z.shape) if out is None else out
     states[0] = z
-    if stationary_flow(metric, hold_x):
+    if stationary_flow(metric, charge, hold_x):
         k = hamilton_rhs(z, metric, charge)
         if hold_x:
             k[..., 4:10] = 0.0

@@ -9,8 +9,8 @@ cancellation of the product is exact and testable; reports carry the product
 normalized both by h and by hbar/2 since both conventions are in use.
 
 Unlike the physics layers, which run at hbar = c = 1, these formulas take
-a ``UnitContext``: the runner passes natural units, and the tests and
-``scripts/weighing_sweep.py`` also check the cancellation in SI arithmetic.
+a ``UnitContext``: the runner passes natural units, and the tests also
+check the cancellation in SI arithmetic (acceptance criterion 1).
 """
 from __future__ import annotations
 

@@ -14,9 +14,10 @@ the quadratic
 the two routes is one of the main self-checks of this module.  It is the
 one place where a state's t = 0 statistics are taken, from one |psi|^2,
 one E, H and D multiplier each and one transform pair along E, into a
-frozen ``StateMoments`` record; the bound check is arithmetic on that record.  The
-spread product d_tau d_E it carries is at least ``SPREAD_FLOOR`` = hbar / 2.
-The code runs at hbar = c = 1; the formulas keep the symbols.
+frozen ``StateMoments`` record; the clock bound is arithmetic on that
+record (``StateMoments.clock_bound``).  The spread product d_tau d_E it
+carries is at least ``SPREAD_FLOOR`` = hbar / 2.  The code runs at
+hbar = c = 1; the formulas keep the symbols.
 
 A reading takes one forward transform along E and no inverse: <tau> and
 <tau^2> are Parseval sums over the spectrum (``operators.tau_statistics``).
@@ -95,14 +96,6 @@ class VarianceLawCoefficients:
 
 
 @dataclass(frozen=True)
-class BoundCheck:
-    lhs: float
-    rhs: float
-    satisfied: bool
-    margin: float
-
-
-@dataclass(frozen=True)
 class StateMoments:
     """Every t = 0 statistic of one state.  ``law`` and ``d_mean`` need the
     dilation rate D: where the support reaches the cone tip, D is undefined
@@ -129,6 +122,12 @@ class StateMoments:
     @property
     def d_mean(self) -> float:
         return self._dilation()[1]
+
+    def clock_bound(self, t: float) -> float:
+        """The clock bound hbar t / <H> on the variance of a reading at time t > 0."""
+        if t <= 0.0:
+            raise ValueError("the bound applies for t > 0")
+        return t / self.h_mean
 
 
 def tau_moments_simulated(state: MomentumSpaceState, t: float) -> TauMoments:
@@ -216,13 +215,3 @@ def state_moments(state: MomentumSpaceState) -> StateMoments:
         spread_product=math.sqrt(max(const, 0.0)) * d_e,
     )
 
-
-def salecker_wigner_check(moments: StateMoments, reading: TauMoments) -> BoundCheck:
-    """Compare the simulated variance of a reading at time t > 0 against the
-    clock bound hbar t / <H> of the state it was evolved from."""
-    t = reading.t
-    if t <= 0.0:
-        raise ValueError("the bound applies for t > 0")
-    lhs = reading.var_tau
-    rhs = t / moments.h_mean
-    return BoundCheck(lhs=lhs, rhs=rhs, satisfied=lhs >= rhs, margin=lhs - rhs)

@@ -61,15 +61,9 @@ from .dynamics import (
 )
 from .gedanken import BoxExperiment, EFieldExperiment, box_uncertainties, efield_uncertainties
 from .metric import LapseHorizonError, StaticMetric, uniform_lapse_metric
-from .moments import (
-    SPREAD_FLOOR,
-    StateMoments,
-    salecker_wigner_check,
-    state_moments,
-    tau_moments_simulated,
-)
+from .moments import SPREAD_FLOOR, StateMoments, state_moments, tau_moments_simulated
 from .operators import TAU_WINDOW_LIMIT, TipClearanceError, commutator_residual
-from .search import optimize_clock_width
+from .search import OptimizerBracketError, optimize_clock_width
 from .states import GaussianClockSpec, GridAxisError, GridSizeError, gaussian_state
 from .units import NATURAL_UNITS, SI_UNITS, UnitSystem, convert_units
 
@@ -225,8 +219,8 @@ def _run_classical_trajectory(members: list[dict[str, Any]], seed: int):
             raise ConfigError([f"classical.dt: too coarse, a step crossed the lapse horizon "
                                f"({err})"]) from None
         diagnostics["rk4_steps"] += n_steps
-        diagnostics["rhs_evals"] += (1 if stationary_flow(metric, hold)
-                                     else 4 * n_steps * len(batch))
+        free = stationary_flow(metric, charge) and not hold
+        diagnostics["rhs_evals"] += 1 if free or hold else 4 * n_steps * len(batch)
         table[..., 0] = dt * np.arange(n_steps + 1)
         table[..., 11] = table[..., 3] - table[..., 2]  # phi1 = M - p_tau
         table[..., 12], table[..., 13] = table[..., 4], H.T  # phi2 = p_M
@@ -248,7 +242,7 @@ def _run_classical_trajectory(members: list[dict[str, Any]], seed: int):
             checks.append(_check("proper_time_residual", rates[k], rate_floor[k]))
             if not hold:
                 checks.append(_check("motion_residual", motion[k], floor[k]))
-            if metric.lapse_g == 0.0 and charge == 0.0 and not hold:
+            if free:
                 m, p_vec = p["classical.m"], clocks[k, 7:10]
                 advance = t_end * m / math.sqrt(m * m + float(p_vec @ p_vec))
                 error = abs(states[-1, k, 0] - (p["classical.tau0"] + advance))
@@ -303,7 +297,8 @@ def _clock_state(params: dict[str, Any], t_max: float, time_key: str,
                  phases: dict[str, float]):
     """The member's clock state and its t = 0 moments.  A state the runtime
     refuses is a config error naming the time key (an E grid too large for
-    t_max), the width key of an axis whose window does not resolve the state
+    t_max), or quantum.tau0 where its offset is the largest term of that
+    reach, the width key of an axis whose window does not resolve the state
     (quantum.sigma_e or quantum.sigma_p), or quantum.e0 (support at the cone
     tip)."""
     spec = GaussianClockSpec(
@@ -313,7 +308,7 @@ def _clock_state(params: dict[str, Any], t_max: float, time_key: str,
         state = _timed(phases, "build_s", gaussian_state, spec, t_max=t_max,
                        n_e=params["grid.e.n"], n_p=params["grid.p.n"])
     except GridSizeError as err:
-        raise ConfigError([f"{time_key}: {err}"]) from None
+        raise ConfigError([f"{'quantum.tau0' if err.by_tau0 else time_key}: {err}"]) from None
     except GridAxisError as err:
         raise ConfigError([f"quantum.sigma_{err.axis.lower()}: {err}"]) from None
     moments = _timed(phases, "moments_s", state_moments, state)
@@ -323,18 +318,14 @@ def _clock_state(params: dict[str, Any], t_max: float, time_key: str,
 
 
 def _moment_row(state, moments: StateMoments, t: float, phases: dict[str, float]):
-    """CSV row, reading and (for t > 0) bound check at time t, from at most
-    one evolution of the state."""
+    """CSV row and reading at time t, from at most one evolution of the
+    state; the clock bound is checked for t > 0."""
     law = moments.law
     sim = moments.reading if t == 0.0 else _timed(phases, "read_s", tau_moments_simulated,
                                                   state, t)
-    if t > 0.0:
-        bc = salecker_wigner_check(moments, sim)
-        bound, satisfied = bc.rhs, bc.satisfied
-    else:
-        bc, bound, satisfied = None, 0.0, True
+    bound = moments.clock_bound(t) if t > 0.0 else 0.0
     return ([t, sim.mean_tau, sim.var_tau, law.predict(t), law.quad, law.lin,
-             law.const, bound, satisfied, moments.sharpness], sim, bc)
+             law.const, bound, t <= 0.0 or sim.var_tau >= bound, moments.sharpness], sim)
 
 
 def _grid_sizes(state) -> dict[str, int]:
@@ -351,6 +342,8 @@ def _write_snapshot(state, path: str) -> None:
 
 def _run_quantum_moments(params: dict[str, Any], phases: dict[str, float]):
     times = params["quantum.times"]
+    if not any(times):  # the laws come from the t = 0 reading: only a later one tests them
+        raise ConfigError(["quantum.times: needs a time other than 0, got only t = 0"])
     state, moments = _clock_state(params, max(abs(t) for t in times), "quantum.times", phases)
     if params.get("quantum.snapshot"):
         _write_snapshot(state, params["quantum.snapshot"])
@@ -360,7 +353,7 @@ def _run_quantum_moments(params: dict[str, Any], phases: dict[str, float]):
     lin_dev = 0.0
     window = start.tau_window
     for t in times:
-        row, sim, _ = _moment_row(state, moments, t, phases)
+        row, sim = _moment_row(state, moments, t, phases)
         rows.append(row)
         law_dev = max(law_dev, abs(sim.var_tau - law.predict(t)) / max(law.predict(t), 1e-300))
         expected_mean = start.mean_tau + moments.d_mean * t
@@ -379,9 +372,10 @@ def _run_quantum_moments(params: dict[str, Any], phases: dict[str, float]):
 def _run_quantum_bound(params: dict[str, Any], phases: dict[str, float]):
     t = params["quantum.t"]
     state, moments = _clock_state(params, t, "quantum.t", phases)
-    row, sim, bc = _moment_row(state, moments, t, phases)
+    row, sim = _moment_row(state, moments, t, phases)
     checks = [
-        _check("sw_bound", (-bc.margin) if moments.sharpness <= PEAKED_SHARPNESS else 0.0),
+        _check("sw_bound", (moments.clock_bound(t) - sim.var_tau)
+               if moments.sharpness <= PEAKED_SHARPNESS else 0.0),
         _check("tau_window", sim.tau_window),
         _check("uncertainty_floor", SPREAD_FLOOR - moments.spread_product),
     ]
@@ -403,6 +397,10 @@ def _run_quantum_optimize(params: dict[str, Any], phases: dict[str, float]):
         raise ConfigError([f"{key}: {err}"]) from None
     except TipClearanceError as err:
         raise ConfigError([f"quantum.e0: {err}"]) from None
+    except OptimizerBracketError as err:  # the two keys set the bracket, the default one too
+        lo, hi = err.bounds
+        edge = "optimize.sigma_lo" if err.sigma_e / lo < hi / err.sigma_e else "optimize.sigma_hi"
+        raise ConfigError([f"{edge}: {err}"]) from None
     for phase, seconds in result.timings.items():
         phases[phase] += seconds
     rows = [[i, sigma, var] for i, (sigma, var) in enumerate(result.trace)]

@@ -34,7 +34,7 @@ class OptimizerBracketError(RuntimeError):
         self.bounds = bounds
         super().__init__(
             f"variance minimum sits at the bracket edge (sigma_e = {sigma_e:.4g}); "
-            "widen sigma_bounds")
+            "widen the bracket")
 
 
 def golden_section_min(fn: Callable[[float], float], lo: float, hi: float,
@@ -133,7 +133,7 @@ def optimize_clock_width(e0: float, p0: float, sigma_p: float, t: float,
     return ClockWidthResult(
         sigma_e_opt=sigma_opt,
         min_var=min_var,
-        bound=t / best.h_mean,
+        bound=best.clock_bound(t),
         energy_scale=best.h_mean,
         sharpness=best.sharpness,
         n_evals=evals,

@@ -25,7 +25,7 @@ from clocklab.dynamics import (
 )
 from clocklab.gedanken import BoxExperiment, EFieldExperiment, box_uncertainties, efield_uncertainties
 from clocklab.metric import StaticMetric, uniform_lapse_metric
-from clocklab.moments import salecker_wigner_check, state_moments, tau_moments_simulated
+from clocklab.moments import state_moments, tau_moments_simulated
 from clocklab.operators import commutator_residual, evolve
 from clocklab.search import OptimizerBracketError, optimize_clock_width
 from clocklab.states import GaussianClockSpec, gaussian_state, state_from_profiles, suggest_grids
@@ -253,8 +253,8 @@ def test_criterion_09a_bound_on_peaked_families():
             worst_sharp = max(worst_sharp, moments.sharpness)
             assert moments.sharpness <= 0.05
             for t in (1.0, 10.0, 100.0):
-                check = salecker_wigner_check(moments, tau_moments_simulated(state, t))
-                worst_margin = min(worst_margin, check.margin)
+                var = tau_moments_simulated(state, t).var_tau
+                worst_margin = min(worst_margin, var - moments.clock_bound(t))
         # narrow rest clocks: the reading spread alone dominates the bound
         for sigma_e in (0.05, 0.1):
             state = gaussian_state(
@@ -263,8 +263,8 @@ def test_criterion_09a_bound_on_peaked_families():
             worst_sharp = max(worst_sharp, moments.sharpness)
             assert moments.sharpness <= 0.05
             for t in (1.0, 10.0, 100.0):
-                check = salecker_wigner_check(moments, tau_moments_simulated(state, t))
-                worst_margin = min(worst_margin, check.margin)
+                var = tau_moments_simulated(state, t).var_tau
+                worst_margin = min(worst_margin, var - moments.clock_bound(t))
     ok = worst_margin >= 0.0
     _line("9a clock bound on peaked families", ok, sw.elapsed,
           f"min margin = {worst_margin:.3e}, max sharpness = {worst_sharp:.3f}")
@@ -391,9 +391,14 @@ _DETERMINISM_BODIES = {
 }
 
 
-def test_criterion_11_cli_determinism_and_exit_codes(tmp_path, capsys):
+def _raise_runtime_error(members, seed):
+    raise RuntimeError("a fault of the program")
+
+
+def test_criterion_11_cli_determinism_and_exit_codes(tmp_path, capsys, monkeypatch):
     import json
 
+    import clocklab.runner
     from clocklab.runner import run as run_scenario
     identical = True
     with _Stopwatch() as sw:
@@ -419,10 +424,10 @@ def test_criterion_11_cli_determinism_and_exit_codes(tmp_path, capsys):
         code_check = main(["quantum", "bound", "--set", "quantum.p0=0",
                            "--set", "quantum.sigma_e=0.5",
                            "--output", str(tmp_path / "cli_fail.csv")])
-        code_runtime = main(["quantum", "optimize", "--set", "quantum.p0=0",
-                             "--set", "optimize.sigma_lo=0.05",
-                             "--set", "optimize.sigma_hi=1.0",
-                             "--output", str(tmp_path / "cli_rt.csv")])
+        # every bad input ends in exit 2 or 1, so a runner that raises stands
+        # in for a fault of the program
+        monkeypatch.setitem(clocklab.runner._RUNNERS, "QUANTUM_OPTIMIZE", _raise_runtime_error)
+        code_runtime = main(["quantum", "optimize", "--output", str(tmp_path / "cli_rt.csv")])
     capsys.readouterr()
     ok = identical and (code_ok, code_cfg, code_check, code_runtime) == (0, 2, 1, 3)
     _line("11 CLI determinism and exit codes", ok, sw.elapsed,

@@ -231,12 +231,16 @@ def _count_stages(monkeypatch) -> tuple[list, list]:
     (moving_clock(1.0, (0.75, 0.1, 0.0)), FLAT, 0.0, False),
     ([moving_clock(1.0, (p1, 0.0, 0.0)) for p1 in (0.0, -0.0, 0.3, -0.7)], FLAT, 0.0, False),
     (moving_clock(1.0, (0.4, -0.0, 0.2)), FLAT, 0.7, False),
+    (moving_clock(1.0, (0.31, -0.27, 0.44)), StaticMetric(a0_slope=0.3), 0.0, False),
+    (moving_clock(1.0, (0.31, -0.27, 0.44)), StaticMetric(a0_slope=0.3), -0.0, False),
     (moving_clock(1.0, x=(1.5, -0.0, 0.0)), uniform_lapse_metric(0.05), 0.0, True),
     (moving_clock(2.0, x=(0.5, 0.2, -0.0)), _OFF_AXIS_LAPSE, 0.0, True),
-], ids=["flat-free", "flat-batch", "flat-charged", "lapse-held", "isotropic-held"])
+], ids=["flat-free", "flat-batch", "flat-charged", "potential-neutral",
+        "potential-negative-zero-charge", "lapse-held", "isotropic-held"])
 def test_stationary_flows_equal_the_four_stage_loop(pt0, metric, charge, hold, monkeypatch):
-    """A held clock, or a free one in flat space without potentials, takes
-    one RHS evaluation per batch, and every sample is bitwise the loop's."""
+    """A held clock, or a free one (no lapse slope, and no potential slope
+    or no charge), takes one RHS evaluation per batch, and every sample is
+    bitwise the loop's."""
     vector_calls, float_calls = _count_stages(monkeypatch)
     states = integrate(pt0, metric, charge, 2.0, 1e-3, hold_x=hold)
     assert (len(vector_calls), len(float_calls)) == (1, 0)

@@ -7,7 +7,6 @@ from clocklab.grids import NumericalHealthWarning, wavenumbers
 from clocklab.operators import TAU_WINDOW_LIMIT, commutator_residual, evolve, tau_statistics
 from clocklab.moments import (
     SPREAD_FLOOR,
-    salecker_wigner_check,
     state_moments,
     tau_moments_simulated,
 )
@@ -146,22 +145,21 @@ def test_boosted_clock_sharpness_matches_quadrature():
 
 
 def test_bound_check_fields():
-    state = _state(e0=10.0, sigma_e=0.2, sigma_p=0.5, t_max=10.0)
-    check = salecker_wigner_check(state_moments(state), tau_moments_simulated(state, 10.0))
-    assert check.margin == pytest.approx(check.lhs - check.rhs)
-    assert check.satisfied == (check.lhs >= check.rhs)
+    moments = state_moments(_state(e0=10.0, sigma_e=0.2, sigma_p=0.5, t_max=10.0))
+    assert moments.clock_bound(10.0) == 10.0 / moments.h_mean  # hbar t / <H>
 
 
 def test_bound_trivial_as_time_vanishes():
     state = _state(sigma_e=0.2)
-    check = salecker_wigner_check(state_moments(state), tau_moments_simulated(state, 1e-9))
-    assert check.satisfied  # var(0) > 0 while the bound goes to zero
+    # var(0) > 0 while the bound goes to zero
+    assert tau_moments_simulated(state, 1e-9).var_tau >= state_moments(state).clock_bound(1e-9)
 
 
 def test_bound_rejects_nonpositive_time():
-    state = _state()
-    with pytest.raises(ValueError):
-        salecker_wigner_check(state_moments(state), tau_moments_simulated(state, 0.0))
+    moments = state_moments(_state())
+    for t in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            moments.clock_bound(t)
 
 
 def test_bound_satisfied_across_boosted_family():
@@ -170,15 +168,15 @@ def test_bound_satisfied_across_boosted_family():
         moments = state_moments(state)
         assert moments.sharpness <= 0.05
         for t in (1.0, 10.0, 100.0):
-            check = salecker_wigner_check(moments, tau_moments_simulated(state, t))
-            assert check.satisfied, (sigma_e, t, check.margin)
+            var, bound = tau_moments_simulated(state, t).var_tau, moments.clock_bound(t)
+            assert var >= bound, (sigma_e, t, var - bound)
 
 
 def test_near_saturation_width_for_boosted_clock():
     # sigma_e = sqrt(hbar <H> / 2t) should sit within a few percent of the bound
     state = _state(e0=10.0, sigma_e=2.236, p0=1000.0, sigma_p=0.05, t_max=100.0)
-    check = salecker_wigner_check(state_moments(state), tau_moments_simulated(state, 100.0))
-    assert check.lhs == pytest.approx(check.rhs, rel=0.05)
+    assert tau_moments_simulated(state, 100.0).var_tau == pytest.approx(
+        state_moments(state).clock_bound(100.0), rel=0.05)
 
 
 def test_gaussian_saturates_uncertainty_floor():

@@ -408,6 +408,35 @@ def test_cli_config_file_and_overrides(tmp_path):
     assert out.exists()
 
 
+@pytest.mark.parametrize("flag, value, echoed", [
+    ("--set", "classical.x1=3", (3.0, "file.csv", 4)),
+    ("--output", "cli.csv", (2.0, "cli.csv", 4)),
+    ("--seed", "5", (2.0, "file.csv", 5)),
+], ids=["set", "output", "seed"])
+def test_cli_entry_replaces_the_config_file_value(tmp_path, monkeypatch, flag, value, echoed):
+    """A command-line entry replaces the value the config file gives its key."""
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text("classical.x1 = 2\noutput = file.csv\nseed = 4\n")
+    assert main(["classical", "trajectory", "--config", "run.cfg", flag, value]) == 0
+    report = json.loads(Path(echoed[1]).with_suffix(".report.json").read_text())
+    scenario = report["scenario"]
+    assert (scenario["params"]["classical.x1"], scenario["output"], scenario["seed"]) == echoed
+
+
+@pytest.mark.parametrize("text, flags", [
+    ("classical.x1 = 2\nclassical.x1 = 3\n", ["--set", "classical.x1=4"]),
+    ("", ["--set", "classical.x1=3", "--set", "classical.x1=4"]),
+    ("", ["--set", "seed=3", "--seed", "4"]),
+], ids=["twice-in-the-file", "twice-on-the-command-line", "set-and-flag"])
+def test_cli_key_given_twice_in_one_source_is_a_duplicate(tmp_path, capsys, text, flags):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(text)
+    argv = ["classical", "trajectory", "--config", str(cfg_file), "--output",
+            str(tmp_path / "x.csv")]
+    assert main(argv + flags) == 2
+    assert "config error: duplicate key: " in capsys.readouterr().err
+
+
 def test_cli_rejects_bad_config(tmp_path, capsys):
     code = main(["gedanken", "box", "--set", "box.dq=not_a_number",
                  "--output", str(tmp_path / "x.csv")])
@@ -555,13 +584,17 @@ def test_cli_missing_config_file(tmp_path, capsys):
     assert code == 2
 
 
-def test_cli_runtime_error_exit(tmp_path, capsys):
-    # a rest-clock optimizer bracket cannot reach the bound: bracket failure
-    code = main(["quantum", "optimize", "--set", "quantum.p0=0",
-                 "--set", "optimize.sigma_lo=0.05", "--set", "optimize.sigma_hi=1.0",
-                 "--output", str(tmp_path / "x.csv")])
+def test_cli_runtime_error_exit(tmp_path, capsys, monkeypatch):
+    # every bad input ends in a config error or a failed check, so a runner
+    # that raises stands in for a fault of the program
+    def fault(members, seed):
+        raise RuntimeError("a fault of the program")
+
+    monkeypatch.setitem(clocklab.runner._RUNNERS, "QUANTUM_OPTIMIZE", fault)
+    code = main(["quantum", "optimize", "--output", str(tmp_path / "x.csv")])
     assert code == 3
-    assert "runtime error" in capsys.readouterr().err
+    assert "runtime error in QUANTUM_OPTIMIZE: a fault of the program" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_kind_conflict_between_config_and_subcommand(tmp_path, capsys):
@@ -836,6 +869,28 @@ def test_uniform_lapse_at_zero_is_the_flat_stationary_flow(tmp_path):
     assert "tau_final" in {c["name"] for c in report["checks"]}
 
 
+@pytest.mark.parametrize("settings, rhs_evals, free", [
+    (["classical.charge=1"], 1, True),
+    (["classical.a0_slope=0.3", "classical.charge=0"], 1, True),
+    (["classical.a0_slope=0.3", "classical.charge=1"], 40000, False),
+    (["classical.metric=uniform_lapse", "classical.lapse_g=0.05", "classical.x1=1",
+      "classical.p1=0", "classical.hold=1"], 1, False),
+], ids=["charged-without-a-field", "neutral-in-a-potential", "charged-in-a-potential", "held"])
+def test_free_clocks_take_one_evaluation_and_the_tau_final_check(tmp_path, settings, rhs_evals,
+                                                                free):
+    """A clock no field acts on (no lapse slope, and no potential slope or no
+    charge) takes one RHS evaluation and gets the tau_final check; a held
+    clock takes one evaluation without that check."""
+    out = tmp_path / "x.csv"
+    argv = ["classical", "trajectory", "--output", str(out)]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert main(argv) == 0
+    report = json.loads(out.with_suffix(".report.json").read_text())
+    assert report["diagnostics"]["rhs_evals"] == rhs_evals
+    assert ("tau_final" in {c["name"] for c in report["checks"]}) == free
+
+
 # Every golden digest run in one child process with OpenBLAS held to one
 # thread: the CSV bytes must not depend on the BLAS thread count.
 _GOLDEN_DIGESTS_SCRIPT = """
@@ -987,13 +1042,29 @@ def test_cli_start_below_the_lapse_horizon_is_a_config_error(tmp_path, capsys, s
      "config error: efield.dq: the latitudes dm and dtau leave the float range"),
     (["classical trajectory", "classical.p1=1e11", "classical.tau0=1"], 1,
      "[FAIL] tau_final: measured=7.993606e-14 tolerance=1.000000e-19"),
+    (["quantum optimize", "quantum.p0=0", "optimize.sigma_lo=0.05", "optimize.sigma_hi=1.0"], 2,
+     "config error: optimize.sigma_hi: variance minimum sits at the bracket edge "
+     "(sigma_e = 0.9986)"),
+    (["quantum optimize", "quantum.p0=0", "quantum.e0=100"], 2,
+     "config error: optimize.sigma_hi: variance minimum sits at the bracket edge"),
+    (["quantum optimize", "optimize.sigma_lo=5", "optimize.sigma_hi=50"], 2,
+     "config error: optimize.sigma_lo: variance minimum sits at the bracket edge"),
+    (["quantum moments", "quantum.times=0"], 2,
+     "config error: quantum.times: needs a time other than 0"),
+    (["quantum moments", "quantum.tau0=1e300"], 2,
+     "config error: quantum.tau0: requested proper-time reach needs an impractically large"),
+    (["quantum bound", "quantum.tau0=1e6"], 2,
+     "config error: quantum.tau0: requested proper-time reach needs an impractically large"),
 ], ids=["flat-lapse", "flat-lapse-sweep", "tau-stalls-at-tau0", "tau-stalls-under-force",
         "tau-stalls-under-lapse", "tau-rounds-under-lapse", "step-past-horizon",
         "sigma-e-rounds", "e0-rounds", "p0-rounds", "optimize-p0-rounds",
         "optimize-sigma-rounds", "sigma-p-squares-past-range", "sigma-p-4-squares-past-range",
         "bound-sigma-p-squares-past-range", "optimize-sigma-p-squares-past-range",
         "box-dq-tiny", "box-t-tiny", "box-g-tiny", "box-dq-g-huge", "box-si-dq-tiny",
-        "efield-dq-tiny", "efield-v-tiny", "tau-final-below-its-advance"])
+        "efield-dq-tiny", "efield-v-tiny", "tau-final-below-its-advance",
+        "optimize-rest-clock-wide-edge", "optimize-default-bracket-wide-edge",
+        "optimize-narrow-edge", "moments-only-t-0", "moments-tau0-sets-the-grid",
+        "bound-tau0-sets-the-grid"])
 def test_cli_bad_inputs_end_in_a_config_error_or_a_failed_check(tmp_path, capsys, settings,
                                                                 code, message):
     """Each input ends as a config error naming its key, with no CSV, or as

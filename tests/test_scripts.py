@@ -1,30 +1,30 @@
-"""Smoke test of the example scripts: each runs to completion and writes
-the CSV files it names; and the benchmark comparison's per-operation
-summary on synthetic runs and its work directory."""
+"""Every example config runs through the command line with its checks
+passing and the rows it implies; and the benchmark comparison's
+per-operation summary on synthetic runs and its work directory."""
 import importlib.util
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
+from clocklab import cli
+from clocklab.config import parse_config
+from clocklab.dynamics import whole_steps
+
 ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = sorted((ROOT / "examples").glob("*.cfg"))
 
 
-@pytest.mark.parametrize("script, outputs", [
-    ("bound_saturation.py", ["bound_sweep.csv"]),
-    ("weighing_sweep.py", ["box_weighing.csv", "efield_weighing.csv"]),
-    ("trajectory_gallery.py", ["cruise_v06.csv", "held_weak_field.csv", "constant_force.csv"]),
-])
-def test_example_script_writes_its_csvs(tmp_path, script, outputs):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), "--out-dir",
-                           str(tmp_path)], env=env, capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    for name in outputs:
-        assert (tmp_path / name).is_file(), name
+@pytest.mark.parametrize("path", EXAMPLES, ids=[path.stem for path in EXAMPLES])
+def test_example_config_runs(tmp_path, path):
+    config = parse_config(path.read_text())
+    (group, sub), = [command for command, kind in cli._SUBCOMMANDS.items()
+                     if kind == config.kind]
+    out = tmp_path / "out.csv"
+    assert cli.main([group, sub, "--config", str(path), "--output", str(out)]) == 0
+    # a trajectory writes a row per sample, a weighing or a bound reading one
+    rows = sum(whole_steps(member["classical.t_end"], member["classical.dt"]) + 1
+               if config.kind == "CLASSICAL_TRAJECTORY" else 1 for member in config.members)
+    assert len(out.read_text().splitlines()) == 1 + rows
 
 
 def _bench_compare():
