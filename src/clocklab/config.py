@@ -376,6 +376,17 @@ def _kinetic_root_violation(member: dict[str, Any],
             f"classical.p3 = {written('classical.p3')}")
 
 
+def _held_at_rest_violation(member: dict[str, Any], written: Callable[[str], str]) -> str | None:
+    """A held clock is at rest: ``hold`` freezes x, while the clock's tau rate
+    f M / sqrt(M^2 + |p|^2) would still read a momentum."""
+    momenta = [f"classical.p{i}" for i in (1, 2, 3)]
+    if member["classical.hold"] == 0.0 or not any(member[key] for key in momenta):
+        return None
+    got = [f"{key} = {written(key)}" for key in momenta]
+    return (f"classical.hold: a held clock must be at rest (p1 = p2 = p3 = 0), "
+            f"got {', '.join(got[:-1])} and {got[-1]}")
+
+
 def _latitude_violation(member: dict[str, Any], written: Callable[[str], str]) -> str | None:
     """The weighing's product c^2 dm dtau / h is finite.  Its latitudes are
     products of the keys, formed as ``gedanken`` forms them at c = 1, so keys
@@ -401,7 +412,8 @@ def _latitude_violation(member: dict[str, Any], written: Callable[[str], str]) -
 _CROSS_KEY_RULES = {"GEDANKEN_BOX": (_latitude_violation,),
                     "GEDANKEN_EFIELD": (_latitude_violation,),
                     "CLASSICAL_TRAJECTORY": (_step_rule_violation, _flat_lapse_violation,
-                                             _lapse_horizon_violation, _kinetic_root_violation),
+                                             _lapse_horizon_violation, _kinetic_root_violation,
+                                             _held_at_rest_violation),
                     "QUANTUM_OPTIMIZE": (_bracket_violation,)}
 
 

@@ -45,7 +45,7 @@ from .brackets import (
     random_points,
 )
 from .config import ConfigError, ScenarioConfig
-from .csvio import FloatBlock, emit_csv
+from .csvio import emit_csv
 from .dynamics import (
     constraint_drift,
     geodesic_lorentz_residual,
@@ -168,7 +168,7 @@ def _run_gedanken(params: dict[str, Any], seed: int):
             ("product_ratio_half_hbar", "")]
     row = [exp.delta_q, exp.t, value, rep.delta_p, rep.delta_m, rep.delta_tau,
            rep.product_ratio, rep.product_ratio_half_hbar]
-    return cols, [row], [_check("product_ratio", abs(rep.product_ratio - 1.0))], {}
+    return cols, np.array([row]).T, [_check("product_ratio", abs(rep.product_ratio - 1.0))], {}
 
 
 # --- classical ------------------------------------------------------------
@@ -248,7 +248,7 @@ def _run_classical_trajectory(members: list[dict[str, Any]], seed: int):
                 error = abs(states[-1, k, 0] - (p["classical.tau0"] + advance))
                 # to a share of the advance itself, so that a tau standing still fails
                 checks.append(_check("tau_final", error, scale=min(1.0, advance)))
-            results[j] = (_TRAJ_COLS, table[k], checks, diagnostics, phases)
+            results[j] = (_TRAJ_COLS, table[k].T, checks, diagnostics, phases)
     return results
 
 
@@ -268,12 +268,13 @@ def _run_classical_brackets(params: dict[str, Any], seed: int):
     states = random_points(seed, params["brackets.points"], scale)
     table = dirac_table(states, h_step)
     expected = expected_dirac_table()
-    wanted = list(expected.values())
+    wanted = np.array(list(expected.values()))
     errors = np.abs(table - wanted)
-    labels = [f"{a}|{b}" for a, b in expected]
-    rows = [[i, label, value, want, err]
-            for i, (values, errs) in enumerate(zip(table.tolist(), errors.tolist()))
-            for label, value, want, err in zip(labels, values, wanted, errs)]
+    # one row per (point, pair), the pairs of a point in the table's order
+    n = len(states)
+    columns = [np.repeat(np.arange(n), len(expected)),
+               np.tile([f"{a}|{b}" for a, b in expected], n), table.ravel(),
+               np.tile(wanted, n), errors.ravel()]
     surface = states / scale
     surface[:, 1] = surface[:, 2]  # p_tau = M
     surface[:, 3] = 0.0            # p_M = 0
@@ -282,7 +283,7 @@ def _run_classical_brackets(params: dict[str, Any], seed: int):
               _check("dirac_flow", flow, flow_tolerance(h_step)),
               _check("reduced_pair", pair)]
     cols = [(name, "") for name in ("point", "pair", "value", "expected", "error")]
-    return cols, rows, checks, {}
+    return cols, columns, checks, {}
 
 
 # --- quantum ----------------------------------------------------------------
@@ -335,9 +336,12 @@ def _grid_sizes(state) -> dict[str, int]:
 def _write_snapshot(state, path: str) -> None:
     from .states import probability_marginals
     e_nodes, e_density, p_nodes, p_density = probability_marginals(state)
-    rows = [["E", float(x), float(d)] for x, d in zip(e_nodes, e_density)]
-    rows += [["p", float(x), float(d)] for x, d in zip(p_nodes, p_density)]
-    emit_csv(rows, ["axis", "coordinate", "density"], path)
+    tables = [[np.full(len(nodes), axis), nodes, density]
+              for axis, nodes, density in (("E", e_nodes, e_density), ("p", p_nodes, p_density))]
+    try:
+        emit_csv(tables, ["axis", "coordinate", "density"], path)
+    except OSError as err:
+        raise ConfigError([f"quantum.snapshot: cannot write the snapshot: {err}"]) from None
 
 
 def _run_quantum_moments(params: dict[str, Any], phases: dict[str, float]):
@@ -366,7 +370,7 @@ def _run_quantum_moments(params: dict[str, Any], phases: dict[str, float]):
         _check("uncertainty_floor", SPREAD_FLOOR - moments.spread_product),
         _check("commutator", commutator_residual(state)),
     ]
-    return _MOMENT_COLS, rows, checks, _grid_sizes(state)
+    return _MOMENT_COLS, [np.array(column) for column in zip(*rows)], checks, _grid_sizes(state)
 
 
 def _run_quantum_bound(params: dict[str, Any], phases: dict[str, float]):
@@ -379,7 +383,7 @@ def _run_quantum_bound(params: dict[str, Any], phases: dict[str, float]):
         _check("tau_window", sim.tau_window),
         _check("uncertainty_floor", SPREAD_FLOOR - moments.spread_product),
     ]
-    return _MOMENT_COLS, [row], checks, _grid_sizes(state)
+    return _MOMENT_COLS, [np.array([cell]) for cell in row], checks, _grid_sizes(state)
 
 
 def _run_quantum_optimize(params: dict[str, Any], phases: dict[str, float]):
@@ -403,19 +407,19 @@ def _run_quantum_optimize(params: dict[str, Any], phases: dict[str, float]):
         raise ConfigError([f"{edge}: {err}"]) from None
     for phase, seconds in result.timings.items():
         phases[phase] += seconds
-    rows = [[i, sigma, var] for i, (sigma, var) in enumerate(result.trace)]
     checks = [
         _check("sw_bound_floor", result.bound - result.min_var),
         _check("sw_saturation", result.min_var / result.bound - 1.0),
     ]
     n_e, n_p = result.grid_sizes
     cols = [("eval", ""), ("sigma_e", "energy"), ("var_tau", "time^2")]
-    return cols, rows, checks, {"n_e": n_e, "n_p": n_p}
+    columns = [np.arange(len(result.trace)), *np.array(result.trace).T]
+    return cols, columns, checks, {"n_e": n_e, "n_p": n_p}
 
 
-# kind -> runner(member params, seed) -> one (columns, rows, checks,
+# kind -> runner(member params, seed) -> one (columns, table, checks,
 # diagnostics, phase timings) per member; columns are (name, output dimension)
-# pairs, rows are a float matrix or a list of mixed rows
+# pairs, and the table holds one 1-D array per column (csvio.emit_csv)
 _RUNNERS: dict[str, Callable] = {
     "GEDANKEN_BOX": _each(_run_gedanken),
     "GEDANKEN_EFIELD": _each(_run_gedanken),
@@ -446,14 +450,12 @@ def _merge_diagnostics(all_diagnostics: list[dict[str, float]]) -> dict[str, flo
     return merged
 
 
-def _to_si(rows, factors: list[float | None]):
-    """Rows with each float cell scaled by its column's natural-to-SI factor;
-    a float matrix is scaled in place."""
-    if isinstance(rows, np.ndarray):
-        rows *= np.array([1.0 if factor is None else factor for factor in factors])
-        return rows
-    return [[value * factor if factor is not None and isinstance(value, float) else value
-             for value, factor in zip(row, factors)] for row in rows]
+def _to_si(table, factors: list[float | None]):
+    """The table, each column scaled in place by its natural-to-SI factor."""
+    for column, factor in zip(table, factors):
+        if factor is not None:
+            column *= factor
+    return table
 
 
 def run(config: ScenarioConfig) -> RunReport:
@@ -463,24 +465,23 @@ def run(config: ScenarioConfig) -> RunReport:
     start = time.perf_counter()
     results = _RUNNERS[config.kind](config.members, config.seed)
     cols = results[0][0]
-    header, leads = [name for name, _ in cols], [()]
-    if config.sweep is not None:  # the swept value, as given, leads each row
-        header, leads = ["sweep_value"] + header, [(value,) for value in config.sweep.values]
+    header = [name for name, _ in cols]
     # one factor per column, not per cell: SI trajectories have 10k rows
-    factors = ([_si_factor(dim) for _, dim in cols]
-               if config.units is UnitSystem.SI else None)
-    rows = []
-    for lead, (_, member_rows, *_) in zip(leads, results):
-        if factors is not None:
-            member_rows = _to_si(member_rows, factors)
-        rows += ([FloatBlock(lead, member_rows)] if isinstance(member_rows, np.ndarray)
-                 else [[*lead, *row] for row in member_rows])
+    factors = [_si_factor(dim) for _, dim in cols] if config.units is UnitSystem.SI else []
+    tables = [_to_si(table, factors) for _, table, *_ in results]
+    if config.sweep is not None:  # the swept value, as given, is one more constant column
+        header = ["sweep_value", *header]
+        tables = [[np.full(len(table[0]), value), *table]
+                  for value, table in zip(config.sweep.values, tables)]
     checks = _merge_checks([r[2] for r in results])
     diagnostics = _merge_diagnostics([r[3] for r in results])
     phases = _merge_diagnostics([r[4] for r in results])
 
     written = time.perf_counter()
-    count = emit_csv(rows, header, config.output)
+    try:
+        count = emit_csv(tables, header, config.output)
+    except OSError as err:
+        raise ConfigError([f"output: cannot write the CSV: {err}"]) from None
     timings = {"compute_s": written - start, **phases, "write_s": time.perf_counter() - written}
     report = RunReport(scenario=config, rows_written=count, checks=tuple(checks),
                        diagnostics=diagnostics, timings=timings)

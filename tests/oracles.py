@@ -15,11 +15,15 @@ the D, E and H spreads as centred second moments.  The bracket oracle is the
 scalar finite-difference algorithm the package replaced with its gradient
 matrix: fresh gradients for every Poisson bracket and a Python sum over the
 conjugate pairs.  The RK4 oracle is the plain four-stage loop, which
-``integrate`` no longer runs for stationary flows.  One mutant sits beside
+``integrate`` no longer runs for stationary flows.  The CSV oracle is the
+cell-by-cell writer the package replaced with its row template: every row
+through ``csv.writer``, each cell formatted alone.  One mutant sits beside
 them: a metric whose lapse gradient is off, for the flow checks to catch.
 """
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -374,3 +378,26 @@ def lapse_gradient_off(metric: StaticMetric, relative: float) -> StaticMetric:
             return (1.0 + relative) * super().lapse_grad(x)
 
     return LapseGradientOff(metric.lapse_g, metric.a0_slope)
+
+
+def format_cell(value) -> str:
+    """One CSV cell: a bool as 1 or 0, an int in decimal, a float as %.14e."""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return f"{value:.14e}"
+    return str(value)
+
+
+def reference_csv(tables, header) -> bytes:
+    """The bytes of ``header`` and the rows of ``tables`` (lists of equal-length
+    columns), written row by row through ``csv.writer``."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    for table in tables:
+        for row in zip(*(np.asarray(column).tolist() for column in table)):
+            writer.writerow([format_cell(cell) for cell in row])
+    return text.getvalue().encode()

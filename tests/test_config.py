@@ -198,10 +198,11 @@ def test_every_schema_key_is_reachable():
             else:
                 value = "1"
             # the optimizer bracket takes both ends, 0 < lo < hi; a lapse
-            # needs the uniform_lapse metric
+            # needs the uniform_lapse metric; a held clock is at rest
             partner = {"optimize.sigma_lo": "\noptimize.sigma_hi = 2",
                        "optimize.sigma_hi": "\noptimize.sigma_lo = 0.5",
-                       "classical.lapse_g": "\nclassical.metric = uniform_lapse"}
+                       "classical.lapse_g": "\nclassical.metric = uniform_lapse",
+                       "classical.hold": "\nclassical.p1 = 0"}
             partner = partner.get(spec.key, "")
             cfg = parse_config(f"kind = {kind}\n{spec.key} = {value}{partner}")
             assert spec.key in cfg.params

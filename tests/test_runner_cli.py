@@ -16,9 +16,10 @@ import clocklab
 from clocklab.brackets import flow_tolerance
 from clocklab.cli import main
 from clocklab.config import parse_config
-from clocklab.csvio import FloatBlock, emit_csv
+from clocklab.csvio import emit_csv
 from clocklab.runner import _TRAJ_COLS, _check, _si_factor, _to_si, run
 from clocklab.units import NATURAL_UNITS, SI_UNITS, convert_units
+from oracles import reference_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -38,44 +39,37 @@ def test_emit_csv_header_only(tmp_path):
 
 def test_emit_csv_counts_rows(tmp_path):
     path = tmp_path / "three.csv"
-    rows = [[1, 2.0, "x", True]] * 3
-    assert emit_csv(rows, ["i", "f", "s", "flag"], path) == 3
+    table = [np.full(3, 1), np.full(3, 2.0), np.full(3, "x"), np.full(3, True)]
+    assert emit_csv([table], ["i", "f", "s", "flag"], path) == 3
     lines = path.read_text().splitlines()
     assert len(lines) == 4
     assert lines[1] == "1,2.00000000000000e+00,x,1"
 
 
 def test_emit_csv_rejects_ragged_rows(tmp_path):
-    with pytest.raises(ValueError, match="row 1"):
-        emit_csv([[1, 2], [3]], ["a", "b"], tmp_path / "bad.csv")
+    with pytest.raises(ValueError, match="table 1 is not 2 columns of one length"):
+        emit_csv([[np.ones(2), np.ones(2)], [np.ones(3)]], ["a", "b"], tmp_path / "bad.csv")
+    with pytest.raises(ValueError, match="table 0 is not 2 columns of one length"):
+        emit_csv([[np.ones(2), np.ones(3)]], ["a", "b"], tmp_path / "bad.csv")
 
 
-def _cell_path_bytes(rows, header, path) -> bytes:
-    """The bytes of ``rows`` written cell by cell: every FloatBlock unrolled
-    into mixed rows."""
-    unrolled = []
-    for row in rows:
-        unrolled += ([[*row.lead, *cells] for cells in row.matrix.tolist()]
-                     if isinstance(row, FloatBlock) else [row])
-    emit_csv(unrolled, header, path)
-    return Path(path).read_bytes()
-
-
-def test_emit_csv_float_blocks_match_cell_path(tmp_path):
+def test_emit_csv_tables_match_the_reference(tmp_path):
     rng = np.random.default_rng(3)
     matrix = rng.standard_normal((5000, 7)) * 10.0 ** rng.integers(-300, 300, (5000, 7))
     matrix[0, :4] = [0.0, -0.0, np.inf, np.nan]
-    # constant columns, formatted once per block: a plain one, -0.0, and one
-    # that is constant in the first block only (its last row differs)
+    # constant columns, formatted once per table: a plain one, -0.0, and one
+    # that is constant in the first table only (4097 rows, two chunks)
     matrix[:, 4], matrix[:, 5], matrix[:4097, 6] = 2.5e-300, -0.0, 1.0 / 3.0
     header = ["lead", "a", "b", "c", "d", "e", "f", "g"]
+    # a float matrix's column views, led by a constant column as a sweep leads
+    # them, and a table of mixed integer, str, bool and float columns
+    tables = [[np.full(4097, 0.25), *matrix[:4097].T],
+              [np.arange(3), np.array(["x|y", "a%sb", "x|y"]), np.array([True, False, True]),
+               *np.full((5, 3), -1.5)],
+              [np.full(903, -3e-7), *matrix[4097:].T]]
     fast = tmp_path / "fast.csv"
-    blocks = [FloatBlock((0.25,), matrix[:4097]), [7, "x|y", True, -1.5, 2.0, 3.0, 4.0, 5.0],
-              FloatBlock((-3e-7,), matrix[4097:])]
-    assert emit_csv(blocks, header, fast) == 5001
-    assert fast.read_bytes() == _cell_path_bytes(blocks, header, tmp_path / "cells.csv")
-    with pytest.raises(ValueError, match="row 0 has 7 cells, header has 8"):
-        emit_csv([FloatBlock((), matrix)], header, tmp_path / "bad.csv")
+    assert emit_csv(tables, header, fast) == 5003
+    assert fast.read_bytes() == reference_csv(tables, header)
 
 
 # quiet NaNs of three payloads: they format alike but never share a cell
@@ -83,59 +77,61 @@ _NAN_PAYLOADS = np.array([0x7FF8000000000000, 0x7FF80000DEADBEEF, 0xFFF800000000
                          dtype=np.uint64).view(np.float64).tolist()
 _FLOAT_CELLS = (st.sampled_from([0.0, -0.0, np.inf, -np.inf, 5e-324, 1.0 / 3.0, *_NAN_PAYLOADS])
                 | st.floats())
+# strings the csv module writes unquoted, '%' among them
+_CELLS = {"float": _FLOAT_CELLS, "int": st.integers(-2**63, 2**63 - 1), "bool": st.booleans(),
+          "str": st.text(alphabet="ab%s.|-()", min_size=1, max_size=4)}
 
 
 @st.composite
-def _float_blocks(draw):
-    """1-3 FloatBlocks of one width, with 0-6 rows each, whose columns are
-    constant (one drawn cell repeated) or drawn cell by cell, in a C,
-    Fortran or strided layout, or scaled in place by runner._to_si."""
-    width = draw(st.integers(1, 5))
-    lead_cells = st.text(alphabet="ab%s.|-", max_size=4) | st.integers() | _FLOAT_CELLS
-    n_lead = draw(st.integers(0, 2))
-    blocks = []
+def _tables(draw):
+    """1-3 tables of one width, with 0-6 rows each, whose columns are float,
+    integer, bool or str, constant (one drawn cell repeated) or drawn cell by
+    cell; a float column is contiguous, a strided view into a wider matrix
+    (as a trajectory's columns are), or scaled in place by runner._to_si."""
+    kinds = draw(st.lists(st.sampled_from(list(_CELLS)), min_size=1, max_size=5))
+    tables = []
     for _ in range(draw(st.integers(1, 3))):
         n = draw(st.integers(0, 6))
-        columns = [[draw(_FLOAT_CELLS)] * n if draw(st.booleans())
-                   else draw(st.lists(_FLOAT_CELLS, min_size=n, max_size=n))
-                   for _ in range(width)]
-        matrix = np.array(columns, dtype=float).reshape(width, n).T
-        layout = draw(st.sampled_from(["c", "fortran", "strided", "si"]))
-        if layout == "c":
-            matrix = np.ascontiguousarray(matrix)
-        elif layout == "fortran":
-            matrix = np.asfortranarray(matrix)
-        elif layout == "strided":
-            wide = np.zeros((2 * n, 2 * width))
-            wide[::2, ::2] = matrix
-            matrix = wide[::2, ::2]
-        else:
-            matrix = _to_si(np.ascontiguousarray(matrix),
-                            [_si_factor(dim) for _, dim in _TRAJ_COLS[:width]])
-        blocks.append(FloatBlock(tuple(draw(lead_cells) for _ in range(n_lead)), matrix))
-    return blocks
+        table = []
+        for i, kind in enumerate(kinds):
+            cells = ([draw(_CELLS[kind])] * n if draw(st.booleans())
+                     else draw(st.lists(_CELLS[kind], min_size=n, max_size=n)))
+            column = np.array(cells, dtype={"float": float, "int": np.int64, "bool": bool,
+                                            "str": str}[kind])
+            layout = draw(st.sampled_from(["contiguous", "strided", "si"]))
+            if kind == "float" and layout == "strided":
+                wide = np.zeros((n, 3))
+                wide[:, 1] = column
+                column = wide[:, 1]
+            elif kind == "float" and layout == "si":
+                column = _to_si([column], [_si_factor(_TRAJ_COLS[i][1])])[0]
+            table.append(column)
+        tables.append(table)
+    return tables
 
 
-@given(blocks=_float_blocks())
-@example(blocks=[FloatBlock((), np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]))])
-@example(blocks=[FloatBlock((), np.array([_NAN_PAYLOADS, [np.inf, -np.inf, np.nan]]).T)])
-@example(blocks=[FloatBlock(("a%sb", 1), np.full((5, 3), -2.5)),
-                 FloatBlock(("%%", 2), np.array([[1.0, -0.0, np.nan]])),
-                 FloatBlock(("%(x)s", 3), np.empty((0, 3)))])
-@example(blocks=[FloatBlock((0.5,), np.arange(12.0).reshape(3, 4).T[:, ::2])])
+@given(tables=_tables())
+@example(tables=[[np.array([0.0, -0.0, 0.0]), np.ones(3)]])
+@example(tables=[[np.array(_NAN_PAYLOADS), np.array([np.inf, -np.inf, np.nan])]])
+@example(tables=[[np.full(5, "a%sb"), np.full(5, 1), np.full(5, -2.5)],
+                 [np.array(["%%"]), np.array([2]), np.array([np.nan])],
+                 [np.array([], dtype=str), np.array([], dtype=int), np.array([])]])
+@example(tables=[[np.array([0.5]), np.array(["%(x)s"]), np.array([False])]])
+@example(tables=[[np.arange(12.0).reshape(3, 4).T[:, 0], np.array([7, 7, 7, -8])]])
 @settings(max_examples=150, deadline=None)
-def test_float_blocks_with_constant_columns_write_the_cell_path_bytes(tmp_path_factory, blocks):
-    """A FloatBlock writes exactly the bytes of its rows written cell by
-    cell, whichever of its columns hold one bit pattern throughout."""
-    out = tmp_path_factory.mktemp("blocks")
-    header = [f"c{i}" for i in range(len(blocks[0].lead) + blocks[0].matrix.shape[1])]
-    assert emit_csv(blocks, header, out / "fast.csv") == sum(len(b.matrix) for b in blocks)
-    assert (out / "fast.csv").read_bytes() == _cell_path_bytes(blocks, header, out / "cells.csv")
+def test_tables_with_constant_columns_write_the_reference_bytes(tmp_path_factory, tables):
+    """A table writes exactly the bytes of its rows written cell by cell
+    through csv.writer, whichever of its columns hold one value (for a float,
+    one bit pattern) throughout, a one-row or zero-row table too."""
+    out = tmp_path_factory.mktemp("tables") / "fast.csv"
+    header = [f"c{i}" for i in range(len(tables[0]))]
+    assert emit_csv(tables, header, out) == sum(len(table[0]) for table in tables)
+    assert out.read_bytes() == reference_csv(tables, header)
 
 
 def test_float_format_has_at_least_12_significant_digits(tmp_path):
     path = tmp_path / "prec.csv"
-    emit_csv([[1.0 / 3.0]], ["x"], path)
+    emit_csv([[np.array([1.0 / 3.0])]], ["x"], path)
     cell = path.read_text().splitlines()[1]
     assert float(cell) == pytest.approx(1.0 / 3.0, rel=1e-14)
 
@@ -847,6 +843,41 @@ GOLDEN_CSV_SHA256 = {
     ("quantum", "optimize"): "7df50b4cc39c23721de781e88583746ab780383673404c2d77411ed0bda76530",
 }
 
+# sha256 of the CSVs of runs off the defaults, one for each way a run builds
+# its rows: a sweep column before SI-scaled columns, an integer column SI
+# leaves alone, a flag that reads 0 (the rest clock), a str column after the
+# sweep column, a swept run with its snapshot ("{snapshot}" stands for the
+# snapshot's path; the last member's state is written there) and an SI
+# trajectory sweep.  Recorded when the CSV writer took tables of typed
+# columns, on the code before that change.
+GOLDEN_RUN_SHA256 = {
+    "gedanken-box-si-sweep": (
+        ["gedanken", "box", "--set", "units=SI", "--set", "box.t=1.0 s",
+         "--set", "box.g=9.81 m/s^2", "--set", "sweep.param=box.dq",
+         "--set", "sweep.min=1e-9 m", "--set", "sweep.max=1e-3 m",
+         "--set", "sweep.count=4", "--set", "sweep.scale=log"],
+        {"csv": "d84953a8b76f5d364e37801a5502d24e53a4bc2fadb188b2c66c3d277eb0e823"}),
+    "quantum-optimize-si": (
+        ["quantum", "optimize", "--set", "units=SI"],
+        {"csv": "717becb94d24e9d00a8f7189f32b1aa92c02caf57f7a7c8392ac306d972ec8d0"}),
+    "quantum-bound-rest-clock": (
+        ["quantum", "bound", "--set", "quantum.p0=0", "--set", "quantum.sigma_e=1"],
+        {"csv": "7601736455c7b8363aeccaa03325a67cf2e8465ade2344dc8fa3bc20516ce004"}),
+    "classical-brackets-sweep": (
+        ["classical", "brackets", "--set", "brackets.points=3",
+         "--set", "sweep.param=brackets.scale", "--set", "sweep.values=1, 100"],
+        {"csv": "a15d32c56ace6984c07664b86483a474b6b5bc97dd4db52774b9c8c95997044a"}),
+    "quantum-moments-sweep-snapshot": (
+        ["quantum", "moments", "--set", "sweep.param=quantum.sigma_e",
+         "--set", "sweep.values=0.5, 1", "--set", "quantum.snapshot={snapshot}"],
+        {"csv": "d0ad21cccb562c45330b7c8ca679d96d3ac04682d640a6d45a20ceb2c559ac55",
+         "snapshot": "8f9ec279d9e7405e6c4b1b512b9e378dc149febdbec3f5f96827f59137e4635c"}),
+    "classical-trajectory-si-p1-sweep": (
+        ["classical", "trajectory", "--set", "units=SI",
+         "--set", "sweep.param=classical.p1", "--set", "sweep.values=1e-43, 2e-43"],
+        {"csv": "dd03e54b3b425ee21831e9f783ff88813d2376d6a92485bf56a406f0ff634b19"}),
+}
+
 
 @pytest.mark.parametrize("group, sub", list(GOLDEN_CSV_SHA256),
                          ids=[f"{g}-{s}" for g, s in GOLDEN_CSV_SHA256])
@@ -854,6 +885,16 @@ def test_default_scenario_csv_matches_golden_digest(tmp_path, group, sub):
     out = tmp_path / "default.csv"
     assert main([group, sub, "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV_SHA256[(group, sub)]
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_RUN_SHA256))
+def test_run_csv_matches_golden_digest(tmp_path, name):
+    argv, digests = GOLDEN_RUN_SHA256[name]
+    out, snapshot = tmp_path / "run.csv", tmp_path / "snapshot.csv"
+    argv = [arg.replace("{snapshot}", str(snapshot)) for arg in argv]
+    assert main(argv + ["--output", str(out)]) == 0
+    assert {file: hashlib.sha256(path.read_bytes()).hexdigest()
+            for file, path in (("csv", out), ("snapshot", snapshot)) if path.exists()} == digests
 
 
 def test_uniform_lapse_at_zero_is_the_flat_stationary_flow(tmp_path):
@@ -894,28 +935,34 @@ def test_free_clocks_take_one_evaluation_and_the_tau_final_check(tmp_path, setti
 # Every golden digest run in one child process with OpenBLAS held to one
 # thread: the CSV bytes must not depend on the BLAS thread count.
 _GOLDEN_DIGESTS_SCRIPT = """
-import hashlib, sys, tempfile
+import hashlib, json, sys, tempfile
 from pathlib import Path
-from clocklab.brackets import flow_tolerance
 from clocklab.cli import main
 with tempfile.TemporaryDirectory() as work:
-    for group, sub in (arg.split("-") for arg in sys.argv[1:]):
-        out = Path(work) / f"{group}-{sub}.csv"
-        assert main([group, sub, "--output", str(out)]) == 0
-        print("sha256", group, sub, hashlib.sha256(out.read_bytes()).hexdigest())
+    for name, argv in json.loads(sys.argv[1]).items():
+        out, snapshot = Path(work) / f"{name}.csv", Path(work) / f"{name}.snapshot.csv"
+        argv = [arg.replace("{snapshot}", str(snapshot)) for arg in argv]
+        assert main(argv + ["--output", str(out)]) == 0
+        for file, path in (("csv", out), ("snapshot", snapshot)):
+            if path.exists():
+                print("sha256", name, file, hashlib.sha256(path.read_bytes()).hexdigest())
 """
 
 
 def test_golden_digests_hold_on_one_blas_thread():
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", _GOLDEN_DIGESTS_SCRIPT] + [f"{g}-{s}" for g, s in GOLDEN_CSV_SHA256],
-        env=env, capture_output=True, text=True, timeout=600)
+    runs = {f"{g}-{s}": [g, s] for g, s in GOLDEN_CSV_SHA256}
+    runs.update({name: argv for name, (argv, _) in GOLDEN_RUN_SHA256.items()})
+    done = subprocess.run([sys.executable, "-c", _GOLDEN_DIGESTS_SCRIPT, json.dumps(runs)],
+                          env=env, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
-    got = {(group, sub): digest for tag, group, sub, digest
+    got = {(name, file): digest for tag, name, file, digest
            in (line.split() for line in done.stdout.splitlines() if line.startswith("sha256 "))}
-    assert got == GOLDEN_CSV_SHA256
+    want = {(f"{g}-{s}", "csv"): digest for (g, s), digest in GOLDEN_CSV_SHA256.items()}
+    want.update({(name, file): digest for name, (_, digests) in GOLDEN_RUN_SHA256.items()
+                 for file, digest in digests.items()})
+    assert got == want
 
 
 # The SI dimension of every dimensioned CSV column; the others carry no unit.
@@ -1055,6 +1102,19 @@ def test_cli_start_below_the_lapse_horizon_is_a_config_error(tmp_path, capsys, s
      "config error: quantum.tau0: requested proper-time reach needs an impractically large"),
     (["quantum bound", "quantum.tau0=1e6"], 2,
      "config error: quantum.tau0: requested proper-time reach needs an impractically large"),
+    (["classical trajectory", "classical.metric=uniform_lapse", "classical.lapse_g=0.05",
+      "classical.x1=1", "classical.hold=1"], 2,
+     "config error: classical.hold: a held clock must be at rest (p1 = p2 = p3 = 0), "
+     "got classical.p1 = 0.75, classical.p2 = 0.0 and classical.p3 = 0.0"),
+    (["classical trajectory", "classical.p1=0", "classical.p3=-1e-300", "classical.hold=1"], 2,
+     "config error: classical.hold: a held clock must be at rest (p1 = p2 = p3 = 0), "
+     "got classical.p1 = 0.0, classical.p2 = 0.0 and classical.p3 = -1e-300"),
+    (["classical trajectory", "units=SI", "classical.hold=1", "sweep.param=classical.p1",
+      "sweep.values=0, 1e-43"], 2,
+     "config error: classical.hold: a held clock must be at rest (p1 = p2 = p3 = 0), "
+     "got classical.p1 = 1e-43 kg*m/s, classical.p2 = 0.0 kg*m/s and classical.p3 = 0.0 kg*m/s"),
+    (["classical trajectory", "classical.hold=1", "classical.t_end=0.01",
+      "sweep.param=classical.p1", "sweep.values=0, -0.0"], 0, "[PASS] proper_time_residual"),
 ], ids=["flat-lapse", "flat-lapse-sweep", "tau-stalls-at-tau0", "tau-stalls-under-force",
         "tau-stalls-under-lapse", "tau-rounds-under-lapse", "step-past-horizon",
         "sigma-e-rounds", "e0-rounds", "p0-rounds", "optimize-p0-rounds",
@@ -1064,7 +1124,8 @@ def test_cli_start_below_the_lapse_horizon_is_a_config_error(tmp_path, capsys, s
         "efield-dq-tiny", "efield-v-tiny", "tau-final-below-its-advance",
         "optimize-rest-clock-wide-edge", "optimize-default-bracket-wide-edge",
         "optimize-narrow-edge", "moments-only-t-0", "moments-tau0-sets-the-grid",
-        "bound-tau0-sets-the-grid"])
+        "bound-tau0-sets-the-grid", "held-clock-moving", "held-clock-p3",
+        "held-clock-p1-sweep-si", "held-clock-p1-sweep-at-rest"])
 def test_cli_bad_inputs_end_in_a_config_error_or_a_failed_check(tmp_path, capsys, settings,
                                                                 code, message):
     """Each input ends as a config error naming its key, with no CSV, or as
@@ -1076,7 +1137,28 @@ def test_cli_bad_inputs_end_in_a_config_error_or_a_failed_check(tmp_path, capsys
     assert main(argv + ["--output", str(out)]) == code
     captured = capsys.readouterr()
     assert message in captured.out + captured.err
-    assert out.exists() == (code == 1)
+    assert out.exists() == (code != 2)
+
+
+@pytest.mark.parametrize("argv, output, message", [
+    (["gedanken", "box"], "{dir}",
+     "config error: output: cannot write the CSV: [Errno 21] Is a directory"),
+    (["gedanken", "box"], "{file}/x.csv",
+     "config error: output: cannot write the CSV: [Errno 20] Not a directory"),
+    (["quantum", "moments", "--set", "quantum.snapshot={file}/s.csv"], "{dir}/x.csv",
+     "config error: quantum.snapshot: cannot write the snapshot: [Errno 20] Not a directory"),
+], ids=["output-is-a-directory", "output-under-a-file", "snapshot-under-a-file"])
+def test_cli_path_the_writer_cannot_open_is_a_config_error(tmp_path, capsys, argv, output,
+                                                           message):
+    """An output or snapshot path that cannot be opened for writing is a
+    config error naming its key, and the run writes no report."""
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    argv = [arg.replace("{file}", str(tmp_path / "file")) for arg in argv]
+    output = output.replace("{dir}", str(tmp_path / "dir"))
+    assert main(argv + ["--output", output.replace("{file}", str(tmp_path / "file"))]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.report.json"))
 
 
 @pytest.mark.parametrize("settings, written", [
