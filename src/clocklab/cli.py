@@ -79,8 +79,10 @@ def _config_documents(args: argparse.Namespace) -> tuple[str, str]:
 def _print_report(report: RunReport) -> None:
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
+        member = ("" if check.member is None else
+                  f" member={check.member} {report.scenario.sweep.param}={check.sweep_value!r}")
         print(f"[{status}] {check.name}: measured={check.measured:.6e} "
-              f"tolerance={check.tolerance:.6e}")
+              f"tolerance={check.tolerance:.6e}{member}")
     print(f"rows written: {report.rows_written} -> {report.scenario.output}")
 
 

@@ -26,6 +26,10 @@ from .metric import StaticMetric, check_lapse
 
 CONSTRAINT_SURFACE_TOL = 1e-12
 
+# a stepped batch of this many clocks or more steps on (N,) columns, a smaller one clock by
+# clock on floats; on a 2-core host the two cost the same near 20 clocks (0.26 s per 2,000 steps)
+COLUMN_CLOCKS = 20
+
 
 def moving_clock(M: float, p=(0.0, 0.0, 0.0), x=(0.0, 0.0, 0.0), tau: float = 0.0) -> np.ndarray:
     """On-surface initial data for a clock of rest energy M with spatial
@@ -38,16 +42,14 @@ def moving_clock(M: float, p=(0.0, 0.0, 0.0), x=(0.0, 0.0, 0.0), tau: float = 0.
     return z
 
 
-def _kinetic(z: np.ndarray):
-    """Common kinetic pieces at states z of shape (..., 10), as (..., 1)
-    columns: g^{ij}p_j = p, |p|^2 and the root R."""
-    p = z[..., 7:10]
-    gp = p + 0.0  # -0.0 -> 0.0, as g^{ij} p_j gives
-    qf = np.vecdot(p, gp, keepdims=True)
-    K2 = z[..., 2:3] * z[..., 2:3] + qf
-    if K2.min() <= 0.0:
+def _root(M, p1, p2, p3, sqrt):
+    """|p|^2 = p1 p1 + p2 p2 + p3 p3 and the root R = sqrt(M^2 + c^2 |p|^2),
+    on floats or on columns, once the root's argument is positive."""
+    qf = p1 * p1 + p2 * p2 + p3 * p3
+    K2 = M * M + qf
+    if (K2.min() if isinstance(K2, np.ndarray) else K2) <= 0.0:
         raise ValueError("degenerate point: vanishing square-root argument")
-    return gp, qf, np.sqrt(K2)
+    return qf, sqrt(K2)
 
 
 def total_hamiltonian(z, metric: StaticMetric, charge: float = 0.0):
@@ -56,71 +58,51 @@ def total_hamiltonian(z, metric: StaticMetric, charge: float = 0.0):
     H0 = f R - c e A_0 when phi1 = 0."""
     z = np.asarray(z, float)
     x, M = z[..., 4:7], z[..., 2]
-    R = _kinetic(z)[2][..., 0]
+    R = _root(M, z[..., 7], z[..., 8], z[..., 9], np.sqrt)[1]
     f = metric.lapse(x)
     h = f * R - charge * metric.pot0(x) - f * M * (M - z[..., 1]) / R
     return float(h) if z.ndim == 1 else h
 
 
-def hamilton_rhs(z: np.ndarray, metric: StaticMetric, charge: float = 0.0) -> np.ndarray:
-    """Hamilton's equations, from analytic partials of H, at states z of
-    shape (..., 10): the rates dz/dt, of the same shape.  Per-clock
-    quantities are (..., 1) columns; absent metric fields drop out.
-    ``_rhs_floats`` repeats it operation for operation on one state, for the
-    stepped flows; the tests pin the two bitwise equal, so change both."""
-    p_tau, M = z[..., 1:2], z[..., 2:3]
-    x = z[..., 4:7]
-    gp, qf, R = _kinetic(z)
-    f = metric.lapse(x[..., None, :])  # a (..., 1) column, or 1.0
-    phi1 = M - p_tau
-    R3 = R * R * R
-
-    out = np.empty(z.shape)
-    out[..., 0:1] = f * M / R               # tau rate: dH/dp_tau
-    out[..., 1:3] = 0.0                     # H is tau- and p_M-independent
-    out[..., 3:4] = f * phi1 * qf / R3      # p_M = -dH/dM; vanishes on surface
-    out[..., 4:7] = f * gp * (1.0 / R + M * phi1 / R3)
-
-    dH = 0.0
-    if metric.lapse_g != 0.0:
-        dH = metric.lapse_grad(x) * (R - M * phi1 / R)
-    if metric.a0_slope != 0.0:
-        dH = dH - charge * metric.pot0_grad(x)
-    out[..., 7:10] = -dH
-    return out
+# the coordinates H reads: p_tau, M, x^1 and p_i
+_READ = (1, 2, 4, 7, 8, 9)
 
 
-def _rhs_floats(z: list[float], metric: StaticMetric, charge: float) -> list[float]:
-    """``hamilton_rhs`` at one state given as ten Python floats, operation for
-    operation, with its checks and messages; the fields are read from the
-    metric's two slopes.  Float + - * / and math.sqrt round as numpy's; the
-    dot products stay ``np.vecdot``, which rounds unlike a plain sum.  So the
-    rates are bitwise those of ``hamilton_rhs``."""
-    p_tau, M = z[1], z[2]
-    p = z[7:10]
-    gp = [v + 0.0 for v in p]
-    qf = float(np.vecdot(np.array(p), np.array(gp)))
-    K2 = M * M + qf
-    if K2 <= 0.0:
-        raise ValueError("degenerate point: vanishing square-root argument")
-    R = math.sqrt(K2)
-    g, slope = metric.lapse_g, metric.a0_slope
-    f = 1.0 if g == 0.0 else check_lapse(1.0 + g * z[4])
-    try:  # R^3 may underflow to 0, where numpy divides to inf or nan
+def _rates(p_tau, M, x1, p1, p2, p3, g: float, slope: float, charge: float, sqrt):
+    """Hamilton's equations, from analytic partials of H: the ten rates dz/dt
+    from the six coordinates H reads, as floats (``sqrt = math.sqrt``) or as
+    the (N,) columns of N clocks (``sqrt = np.sqrt``), which round alike.  The
+    background is the lapse slope ``g`` and the potential slope ``slope``; an
+    absent field's terms drop out, and a rate no coordinate enters is a float."""
+    qf, R = _root(M, p1, p2, p3, sqrt)
+    f = 1.0 if g == 0.0 else check_lapse(1.0 + g * x1)
+    try:
         phi1 = M - p_tau
         R3 = R * R * R
-
         s = 1.0 / R + M * phi1 / R3
-        rates = [f * M / R, 0.0, 0.0, f * phi1 * qf / R3, *(f * v * s for v in gp)]
-        dH = [0.0, 0.0, 0.0]
-        if g != 0.0:  # the gradient (g, 0, 0) times R - M phi1 / R
+        dH1 = dH2 = dH3 = 0.0
+        if g != 0.0:  # the lapse gradient (g, 0, 0) times R - M phi1 / R
             b = R - M * phi1 / R
-            dH = [g * b, 0.0 * b, 0.0 * b]
-        if slope != 0.0:
-            dH = [dH[0] - charge * slope, dH[1] - charge * 0.0, dH[2] - charge * 0.0]
-        return rates + [-h for h in dH]
-    except ZeroDivisionError:
-        return hamilton_rhs(np.array(z), metric, charge).tolist()
+            dH1, dH2, dH3 = g * b, 0.0 * b, 0.0 * b
+        if slope != 0.0:  # the potential gradient (slope, 0, 0) times the charge
+            dH1, dH2, dH3 = dH1 - charge * slope, dH2 - charge * 0.0, dH3 - charge * 0.0
+        # tau: dH/dp_tau; p_tau, M: 0, H has no tau or p_M; p_M: -dH/dM, 0 on the
+        # surface; x^i: dH/dp_i, g^{ij} p_j = p + 0.0 (-0.0 -> 0.0); p_i: -dH/dx^i
+        return (f * M / R, 0.0, 0.0, f * phi1 * qf / R3, f * (p1 + 0.0) * s,
+                f * (p2 + 0.0) * s, f * (p3 + 0.0) * s, -dH1, -dH2, -dH3)
+    except ZeroDivisionError:  # R^3 underflowed to 0 on floats: divide as numpy does
+        return tuple(map(float, _rates(*map(np.float64, (p_tau, M, x1, p1, p2, p3)),
+                                       g, slope, charge, np.sqrt)))
+
+
+def hamilton_rhs(z: np.ndarray, metric: StaticMetric, charge: float = 0.0) -> np.ndarray:
+    """Hamilton's equations at states z of shape (..., 10): the rates dz/dt,
+    of the same shape, each one ``_rates`` of the columns of z."""
+    out = np.empty(z.shape)
+    for i, rate in enumerate(_rates(*(z[..., i] for i in _READ), metric.lapse_g,
+                                     metric.a0_slope, charge, np.sqrt)):
+        out[..., i] = rate
+    return out
 
 
 def whole_steps(t_end: float, dt: float) -> int | None:
@@ -132,20 +114,28 @@ def whole_steps(t_end: float, dt: float) -> int | None:
     return n_steps
 
 
-def _rk4_floats(states: np.ndarray, metric: StaticMetric, charge: float, dt: float) -> None:
-    """RK4 steps of one clock from ``states[0]`` into ``states[1:]``, with each
-    stage on ten Python floats: on one clock, numpy's per-call dispatch would
-    cost more than the arithmetic."""
-    stage, half, sixth = _rhs_floats, 0.5 * dt, dt / 6.0
-    z = states[0].tolist()
+def _rk4(states: np.ndarray, metric: StaticMetric, charge: float, dt: float, sqrt) -> None:
+    """RK4 steps from ``states[0]`` into ``states[1:]``: one clock's (10,)
+    states on floats (``sqrt = math.sqrt``), or the (N, 10) states of N
+    clocks on (N,) columns (``sqrt = np.sqrt``).  A stage input is formed
+    only for the coordinates that ``_rates`` reads."""
+    rates, half, sixth = _rates, 0.5 * dt, dt / 6.0
+    fields = metric.lapse_g, metric.a0_slope, charge, sqrt
+    # a state as its ten coordinates: floats, or the rows of the (10, N) transpose
+    columns = states if states.ndim == 2 else states.transpose(0, 2, 1)
+    z = columns[0].tolist() if states.ndim == 2 else list(columns[0])
     for i in range(1, len(states)):
-        k1 = stage(z, metric, charge)
-        k2 = stage([a + half * k for a, k in zip(z, k1)], metric, charge)
-        k3 = stage([a + half * k for a, k in zip(z, k2)], metric, charge)
-        k4 = stage([a + dt * k for a, k in zip(z, k3)], metric, charge)
+        _, p_tau, M, _, x1, _, _, p1, p2, p3 = z
+        k1 = rates(p_tau, M, x1, p1, p2, p3, *fields)
+        k2 = rates(p_tau + half * k1[1], M + half * k1[2], x1 + half * k1[4],
+                   p1 + half * k1[7], p2 + half * k1[8], p3 + half * k1[9], *fields)
+        k3 = rates(p_tau + half * k2[1], M + half * k2[2], x1 + half * k2[4],
+                   p1 + half * k2[7], p2 + half * k2[8], p3 + half * k2[9], *fields)
+        k4 = rates(p_tau + dt * k3[1], M + dt * k3[2], x1 + dt * k3[4],
+                   p1 + dt * k3[7], p2 + dt * k3[8], p3 + dt * k3[9], *fields)
         z = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
              for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
-        states[i] = z
+        columns[i] = z
 
 
 def stationary_flow(metric: StaticMetric, charge: float, hold_x: bool = False) -> bool:
@@ -173,9 +163,11 @@ def integrate(z0, metric: StaticMetric, charge: float, t_end: float, dt: float,
 
     A ``stationary_flow`` takes one evaluation for the batch, and the
     samples are summed step by step with the loop's own increment, so they
-    are bitwise those of the loop.  Every other flow steps clock by clock,
-    its stages on Python floats (``_rhs_floats``), bitwise equal to the loop
-    over ``hamilton_rhs``.
+    are bitwise those of the loop.  Every other flow steps its stages through
+    ``_rates``: a batch of fewer than ``COLUMN_CLOCKS`` clocks clock by clock
+    on Python floats, where numpy's per-call dispatch would cost more than
+    the arithmetic, and a larger one on (N,) columns.  Either way the samples
+    are bitwise those of the four-stage loop over ``hamilton_rhs``.
     """
     z = np.array(z0, dtype=float)
     phi1, phi2 = constraint_drift(z.reshape(-1, 10))
@@ -198,8 +190,11 @@ def integrate(z0, metric: StaticMetric, charge: float, t_end: float, dt: float,
         np.add.accumulate(states, axis=0, out=states)
     else:
         clocks = states[:, None] if z.ndim == 1 else states
-        for j in range(clocks.shape[1]):
-            _rk4_floats(clocks[:, j], metric, charge, dt)
+        if clocks.shape[1] >= COLUMN_CLOCKS:
+            _rk4(clocks, metric, charge, dt, np.sqrt)
+        else:
+            for j in range(clocks.shape[1]):
+                _rk4(clocks[:, j], metric, charge, dt, math.sqrt)
     return states
 
 

@@ -44,9 +44,6 @@ class StaticMetric:
     def lapse(self, x: np.ndarray):
         return 1.0 if self.lapse_g == 0.0 else check_lapse(1.0 + self.lapse_g * x[..., 0])
 
-    def lapse_grad(self, x: np.ndarray):
-        return 0.0 if self.lapse_g == 0.0 else np.array([self.lapse_g, 0.0, 0.0])
-
     def inverse_metric3(self, x: np.ndarray) -> np.ndarray:
         """g^ij = delta_ij, broadcastable to (..., 3, 3).  Nothing in the
         package calls it; it stays because the benchmark tracer wraps it by
@@ -55,9 +52,6 @@ class StaticMetric:
 
     def pot0(self, x: np.ndarray):
         return 0.0 if self.a0_slope == 0.0 else self.a0_slope * x[..., 0]
-
-    def pot0_grad(self, x: np.ndarray):
-        return 0.0 if self.a0_slope == 0.0 else np.array([self.a0_slope, 0.0, 0.0])
 
 
 def uniform_lapse_metric(g_accel: float, *, a0_slope: float = 0.0) -> StaticMetric:

@@ -30,7 +30,7 @@ import json
 import math
 import platform
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -44,7 +44,7 @@ from .brackets import (
     flow_tolerance,
     random_points,
 )
-from .config import ConfigError, ScenarioConfig
+from .config import ConfigError, ScenarioConfig, SweepSpec
 from .csvio import emit_csv
 from .dynamics import (
     constraint_drift,
@@ -97,6 +97,8 @@ class CheckResult:
     passed: bool
     measured: float
     tolerance: float
+    member: int | None = None  # on a sweep, the member the merged check came from
+    sweep_value: float | None = None
 
 
 @dataclass(frozen=True)
@@ -431,14 +433,20 @@ _RUNNERS: dict[str, Callable] = {
 }
 
 
-def _merge_checks(all_checks: list[list[CheckResult]]) -> list[CheckResult]:
-    merged: dict[str, CheckResult] = {}
-    for checks in all_checks:
-        for c in checks:
-            prev = merged.get(c.name)
-            if prev is None or c.measured > prev.measured:
-                merged[c.name] = c
-    return list(merged.values())
+def _merge_checks(all_checks: list[list[CheckResult]],
+                  sweep: SweepSpec | None) -> list[CheckResult]:
+    """One check per name, the worst member's: a failure first, then the
+    largest share of the tolerance (the reading itself against a tolerance of
+    0, nan as inf), so that a sweep passes only when every member passes.  On
+    a sweep each check names its member and the member's swept value."""
+    def severity(c: CheckResult) -> tuple[bool, float]:
+        share = c.measured / c.tolerance if c.tolerance > 0.0 else c.measured
+        return not c.passed, math.inf if math.isnan(share) else share
+
+    tagged = [c if sweep is None else replace(c, member=j, sweep_value=sweep.values[j])
+              for j, checks in enumerate(all_checks) for c in checks]
+    return [max((c for c in tagged if c.name == name), key=severity)
+            for name in dict.fromkeys(c.name for c in tagged)]
 
 
 def _merge_diagnostics(all_diagnostics: list[dict[str, float]]) -> dict[str, float]:
@@ -473,7 +481,7 @@ def run(config: ScenarioConfig) -> RunReport:
         header = ["sweep_value", *header]
         tables = [[np.full(len(table[0]), value), *table]
                   for value, table in zip(config.sweep.values, tables)]
-    checks = _merge_checks([r[2] for r in results])
+    checks = _merge_checks([r[2] for r in results], config.sweep)
     diagnostics = _merge_diagnostics([r[3] for r in results])
     phases = _merge_diagnostics([r[4] for r in results])
 
@@ -493,8 +501,8 @@ def _write_json_report(report: RunReport) -> None:
     payload = {
         "scenario": report.scenario.echo(),
         "rows_written": report.rows_written,
-        "checks": [{"name": c.name, "passed": c.passed, "measured": c.measured,
-                    "tolerance": c.tolerance} for c in report.checks],
+        "checks": [{key: value for key, value in asdict(c).items() if value is not None}
+                   for c in report.checks],
         "all_passed": report.all_passed,
         "diagnostics": report.diagnostics,
         "timings": report.timings,

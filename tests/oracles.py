@@ -18,7 +18,7 @@ conjugate pairs.  The RK4 oracle is the plain four-stage loop, which
 ``integrate`` no longer runs for stationary flows.  The CSV oracle is the
 cell-by-cell writer the package replaced with its row template: every row
 through ``csv.writer``, each cell formatted alone.  One mutant sits beside
-them: a metric whose lapse gradient is off, for the flow checks to catch.
+them: rates whose lapse force is off, for the flow checks to catch.
 """
 from __future__ import annotations
 
@@ -27,8 +27,6 @@ import io
 import math
 
 import numpy as np
-
-from clocklab.metric import StaticMetric
 
 
 def gauss_hermite_mean(fn, e0, sigma_e, p0, sigma_p, n=120):
@@ -370,14 +368,21 @@ def rk4_reference(z0, metric, charge, t_end, dt, hold_x=False):
     return states
 
 
-def lapse_gradient_off(metric: StaticMetric, relative: float) -> StaticMetric:
-    """The metric with the lapse gradient that the rates read off by
-    ``relative``; H reads the lapse itself, which stays as it is."""
-    class LapseGradientOff(type(metric)):
-        def lapse_grad(self, x):
-            return (1.0 + relative) * super().lapse_grad(x)
+def lapse_gradient_off(monkeypatch, relative: float) -> None:
+    """Patch ``dynamics._rates`` so that the lapse force in dp1/dt, the
+    lapse gradient times R - M phi1 / R, is off by ``relative``; the field
+    force and every other rate stay as they are, and so does H, which does
+    not read the rates."""
+    import clocklab.dynamics as dynamics
+    rates = dynamics._rates
 
-    return LapseGradientOff(metric.lapse_g, metric.a0_slope)
+    def mutant(p_tau, M, x1, p1, p2, p3, g, slope, charge, sqrt):
+        k = list(rates(p_tau, M, x1, p1, p2, p3, g, slope, charge, sqrt))
+        lapse_force = rates(p_tau, M, x1, p1, p2, p3, g, 0.0, charge, sqrt)[7]
+        k[7] = k[7] + relative * lapse_force
+        return tuple(k)
+
+    monkeypatch.setattr(dynamics, "_rates", mutant)
 
 
 def format_cell(value) -> str:

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from clocklab.brackets import random_points
 from clocklab.dynamics import (
-    _rhs_floats,
+    _READ,
+    COLUMN_CLOCKS,
+    _rates,
     constraint_drift,
     geodesic_lorentz_residual,
     hamilton_rhs,
@@ -196,6 +200,15 @@ def test_batch_integration_matches_one_clock_at_a_time():
         assert motion[j] == geodesic_lorentz_residual(single, 1e-3, metric)
 
 
+def test_column_batch_equals_one_clock_at_a_time():
+    """64 clocks with three nonzero momenta in a charged lapse step as one
+    batch on columns, and each clock's samples are bitwise its own float loop's."""
+    metric, clocks = uniform_lapse_metric(0.05, a0_slope=0.3), _clocks(64)
+    batch = integrate(clocks, metric, 0.5, 0.5, 1e-3)
+    for j, z in enumerate(clocks):
+        assert batch[:, j].tobytes() == integrate(z, metric, 0.5, 0.5, 1e-3).tobytes()
+
+
 def test_a_stalled_clock_reads_inf_and_leaves_its_batch_alone():
     """At tau0 = 1e13 a step of tau rounds away: that clock's motion residual
     reads inf, and its batch mate keeps its own."""
@@ -217,14 +230,20 @@ _OFF_AXIS_LAPSE = uniform_lapse_metric(1e-2)
 
 def _count_stages(monkeypatch) -> tuple[list, list]:
     """Record the arguments of every call to the array right-hand side
-    ``hamilton_rhs`` and to its float twin ``_rhs_floats``."""
+    ``hamilton_rhs`` and to the rates ``_rates`` that every stage takes."""
     import clocklab.dynamics as dynamics
     counts = ([], [])
-    for calls, name in zip(counts, ("hamilton_rhs", "_rhs_floats")):
+    for calls, name in zip(counts, ("hamilton_rhs", "_rates")):
         original = getattr(dynamics, name)
         monkeypatch.setattr(dynamics, name, lambda *a, calls=calls, original=original:
                             calls.append(a) or original(*a))
     return counts
+
+
+def _clocks(count: int) -> list[np.ndarray]:
+    """``count`` clocks with three nonzero momenta, spread in x^1 and M."""
+    return [moving_clock(1.0 + 0.1 * j, (0.31 - 0.03 * j, -0.27, 0.44), x=(0.1 * j, 0.0, 0.5))
+            for j in range(count)]
 
 
 @pytest.mark.parametrize("pt0, metric, charge, hold", [
@@ -241,9 +260,9 @@ def test_stationary_flows_equal_the_four_stage_loop(pt0, metric, charge, hold, m
     """A held clock, or a free one (no lapse slope, and no potential slope
     or no charge), takes one RHS evaluation per batch, and every sample is
     bitwise the loop's."""
-    vector_calls, float_calls = _count_stages(monkeypatch)
+    vector_calls, rate_calls = _count_stages(monkeypatch)
     states = integrate(pt0, metric, charge, 2.0, 1e-3, hold_x=hold)
-    assert (len(vector_calls), len(float_calls)) == (1, 0)
+    assert (len(vector_calls), len(rate_calls)) == (1, 1)  # hamilton_rhs takes _rates once
     reference = rk4_reference(pt0, metric, charge, 2.0, 1e-3, hold_x=hold)
     assert states.tobytes() == reference.tobytes()
 
@@ -255,14 +274,25 @@ def test_stationary_flows_equal_the_four_stage_loop(pt0, metric, charge, hold, m
     (moving_clock(1.0, (0.1, 0.05, -0.0), x=(0.5, 0.2, 0.0)), _OFF_AXIS_LAPSE, 0.0),
     ([moving_clock(1.0, (0.2, 0.0, 0.0)), moving_clock(2.0, (0.7, -0.3, 0.1), x=(1.0, 0.0, 0.5)),
       moving_clock(0.5, x=(-2.0, 1.0, 0.0))], uniform_lapse_metric(0.05), 0.0),
-], ids=["lapse", "lapse-charged", "constant-force", "isotropic", "lapse-batch"])
+    (_clocks(COLUMN_CLOCKS - 1), uniform_lapse_metric(0.05, a0_slope=0.3), 0.5),
+    (_clocks(COLUMN_CLOCKS), uniform_lapse_metric(0.05), 0.0),
+    (_clocks(COLUMN_CLOCKS), uniform_lapse_metric(0.05, a0_slope=0.3), 0.5),
+    (_clocks(COLUMN_CLOCKS), StaticMetric(a0_slope=0.02), 0.5),
+], ids=["lapse", "lapse-charged", "constant-force", "isotropic", "lapse-batch",
+        "charged-lapse-below-columns", "lapse-columns", "charged-lapse-columns",
+        "constant-force-columns"])
 def test_stepped_flows_equal_the_four_stage_loop(pt0, metric, charge, monkeypatch):
-    """A flow that is not stationary steps each clock on Python floats, and
-    every sample is bitwise the loop's over ``hamilton_rhs``."""
-    vector_calls, float_calls = _count_stages(monkeypatch)
+    """A flow that is not stationary steps a batch below ``COLUMN_CLOCKS``
+    clock by clock on Python floats, and a larger one on (N,) columns; on
+    either side of the crossover every sample is bitwise the loop's over
+    ``hamilton_rhs``."""
+    vector_calls, rate_calls = _count_stages(monkeypatch)
     states = integrate(pt0, metric, charge, 1.0, 2e-3)
     assert len(vector_calls) == 0
-    assert len(float_calls) == 4 * 500 * (1 if np.ndim(pt0) == 1 else 3)
+    clocks = 1 if np.ndim(pt0) == 1 else len(pt0)
+    on_columns = clocks >= COLUMN_CLOCKS
+    assert len(rate_calls) == 4 * 500 * (1 if on_columns else clocks)
+    assert all(np.shape(args[0]) == ((clocks,) if on_columns else ()) for args in rate_calls)
     reference = rk4_reference(pt0, metric, charge, 1.0, 2e-3)
     assert states.tobytes() == reference.tobytes()
 
@@ -270,11 +300,12 @@ def test_stepped_flows_equal_the_four_stage_loop(pt0, metric, charge, monkeypatc
 def test_unheld_clock_in_a_field_takes_four_evaluations_per_step(monkeypatch):
     metric = uniform_lapse_metric(0.05)
     _, calls = _count_stages(monkeypatch)
-    for clocks in (1, 3):  # four stage evaluations per step per clock
+    # four stage evaluations per step per clock, or per step for a batch on columns
+    for clocks, stages in ((1, 4 * 100), (3, 4 * 100 * 3), (COLUMN_CLOCKS, 4 * 100)):
         calls.clear()
         integrate([moving_clock(1.0, (0.1 * (j + 1), 0.0, 0.0)) for j in range(clocks)],
                   metric, 0.0, 1.0, 1e-2)
-        assert len(calls) == 4 * 100 * clocks
+        assert len(calls) == stages
 
 
 def _raised(error, fn, *args) -> str:
@@ -289,21 +320,31 @@ def _raised(error, fn, *args) -> str:
     (np.zeros(10), uniform_lapse_metric(0.05), ValueError, "degenerate point"),
 ], ids=["lapse-non-positive", "degenerate"])
 def test_float_stages_raise_the_vector_messages(z, metric, error, start):
+    """The rates raise the same message on floats, on columns, in
+    ``hamilton_rhs`` and in a stepped flow on either side of the crossover."""
     message = _raised(error, hamilton_rhs, z, metric, 0.0)
     assert message.startswith(start)
-    assert _raised(error, _rhs_floats, z.tolist(), metric, 0.0) == message
+    fields = metric.lapse_g, metric.a0_slope, 0.0
+    assert _raised(error, _rates, *z[list(_READ)].tolist(), *fields, math.sqrt) == message
+    assert _raised(error, _rates, *z[list(_READ), None], *fields, np.sqrt) == message
     assert _raised(error, integrate, z, metric, 0.0, 1.0, 1e-2) == message
+    assert _raised(error, integrate, [z] * COLUMN_CLOCKS, metric, 0.0, 1.0, 1e-2) == message
 
 
 def test_float_stages_divide_as_numpy_where_a_product_underflows():
-    """At rest energy 1e-120, R^3 underflows to 0: the stage falls back to
-    ``hamilton_rhs``, whose 0/0 gives nan (a failed check, not a crash)."""
+    """At rest energy 1e-120, R^3 underflows to 0: a float stage falls back
+    to numpy scalars, whose 0/0 gives nan (a failed check, not a crash), as
+    the columns do."""
     pt0, metric = moving_clock(1e-120), uniform_lapse_metric(0.01)
     with np.errstate(all="ignore"):
-        states = integrate(pt0, metric, 0.0, 0.1, 1e-3)
-        reference = rk4_reference(pt0, metric, 0.0, 0.1, 1e-3)
-    assert np.isnan(states[1:, 3]).all()
-    assert np.array_equal(states, reference, equal_nan=True)
+        rates = _rates(*pt0[list(_READ)].tolist(), 0.01, 0.0, 0.0, math.sqrt)
+        assert all(type(rate) is float for rate in rates) and math.isnan(rates[3])
+        assert np.array(rates).tobytes() == hamilton_rhs(pt0, metric).tobytes()
+        for batch in (pt0, [pt0] * COLUMN_CLOCKS):
+            states = integrate(batch, metric, 0.0, 0.1, 1e-3)
+            reference = rk4_reference(batch, metric, 0.0, 0.1, 1e-3)
+            assert np.isnan(states[1:, ..., 3]).all()
+            assert np.array_equal(states, reference, equal_nan=True)
 
 
 @pytest.mark.parametrize("metric, charge", [
@@ -313,15 +354,23 @@ def test_float_stages_divide_as_numpy_where_a_product_underflows():
 ], ids=["charged-lapse", "lapse", "constant-force"])
 def test_float_stages_equal_the_array_rhs_off_the_constraint_surface(metric, charge):
     """Off the constraint surface (phi1 != 0, p_M != 0), with three nonzero
-    momenta, every term of the rates is live: one float stage is bitwise
-    ``hamilton_rhs`` at that state, alone and as a row of a batch."""
-    states = random_points(seed=7, count=1000) / 2.0  # coordinates of order 1
-    assert (states[:, 7:10] != 0.0).all()
-    assert (states[:, 2] != states[:, 1]).all() and (states[:, 3] != 0.0).all()
-    batch = hamilton_rhs(states, metric, charge)
-    for z, rates in zip(states, batch):
-        assert np.array(_rhs_floats(z.tolist(), metric, charge)).tobytes() == rates.tobytes()
-        assert hamilton_rhs(z, metric, charge).tobytes() == rates.tobytes()
+    momenta, every term of the rates is live: ``_rates`` on one state's
+    floats, ``_rates`` on the columns of a batch and the rows of
+    ``hamilton_rhs`` are bitwise equal, there and on the surface."""
+    off = random_points(seed=7, count=1000) / 2.0  # coordinates of order 1
+    assert (off[:, 7:10] != 0.0).all()
+    assert (off[:, 2] != off[:, 1]).all() and (off[:, 3] != 0.0).all()
+    on = off.copy()
+    on[:, 1], on[:, 3] = on[:, 2], 0.0
+    fields = metric.lapse_g, metric.a0_slope, charge
+    for states in (off, on):
+        batch = hamilton_rhs(states, metric, charge)
+        columns = _rates(*states.T[list(_READ)], *fields, np.sqrt)
+        assert np.stack(np.broadcast_arrays(*columns), axis=-1).tobytes() == batch.tobytes()
+        for z, rates in zip(states, batch):
+            floats = _rates(*z[list(_READ)].tolist(), *fields, math.sqrt)
+            assert np.array(floats).tobytes() == rates.tobytes()
+            assert hamilton_rhs(z, metric, charge).tobytes() == rates.tobytes()
 
 
 @pytest.mark.parametrize("metric, charge", [

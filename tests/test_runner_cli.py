@@ -6,6 +6,7 @@ import platform
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -220,10 +221,9 @@ def test_brackets_flow_check_fails_a_mutant_lapse_gradient(tmp_path, capsys, mon
     """Rates whose lapse gradient is off by 1e-6 relative fail the flow check
     (H reads the lapse, only the rates its gradient), and the CSV still holds
     the table."""
-    import clocklab.runner as runner
     from oracles import lapse_gradient_off
 
-    monkeypatch.setattr(runner, "_FLOW_METRIC", lapse_gradient_off(runner._FLOW_METRIC, 1e-6))
+    lapse_gradient_off(monkeypatch, 1e-6)
     out = tmp_path / "x.csv"
     assert main(["classical", "brackets", "--output", str(out)]) == 1
     printed = capsys.readouterr().out
@@ -655,10 +655,45 @@ def test_sweep_matches_member_runs(tmp_path, kind, base, sweep):
             expected_lines = ["sweep_value," + header]
         expected_lines += [f"{value:.14e}," + row for row in rows]
         for c in member_report.checks:
-            if c.name not in worst or c.measured > worst[c.name].measured:
-                worst[c.name] = c
+            c = replace(c, member=i, sweep_value=value)
+            # a failure first, then the largest share of the tolerance
+            share = c.measured / c.tolerance if c.tolerance > 0.0 else c.measured
+            if c.name not in worst or (not c.passed, share) > worst[c.name][0]:
+                worst[c.name] = ((not c.passed, share), c)
     assert sweep_lines == expected_lines
-    assert {c.name: c for c in report.checks} == worst
+    assert {c.name: c for c in report.checks} == {name: c for name, (_, c) in worst.items()}
+
+
+@pytest.mark.parametrize("settings, failing, member", [
+    (["classical.tau0=1000", "sweep.param=classical.p1", "sweep.values=0.75,1e5"],
+     "tau_final", "member=1 classical.p1=100000.0"),
+    (["classical.tau0=1000", "sweep.param=classical.p1", "sweep.values=1e5,0.75"],
+     "tau_final", "member=0 classical.p1=100000.0"),
+    (["classical.metric=uniform_lapse", "classical.lapse_g=0.05", "classical.p1=0",
+      "classical.t_end=1", "sweep.param=classical.tau0", "sweep.values=0,1e13"],
+     "proper_time_residual", "member=1 classical.tau0=10000000000000.0"),
+    (["sweep.param=classical.tau0", "sweep.values=0,1e13"],
+     "motion_residual", "member=1 classical.tau0=10000000000000.0"),
+], ids=["tau-final", "tau-final-first", "rate", "motion"])
+def test_cli_sweep_fails_on_its_failing_member(tmp_path, capsys, settings, failing, member):
+    """A sweep of a member that fails alone beside one that passes alone exits
+    1, and the failed check names the failing member and its value, on the
+    printed line and in the report, although the passing member may read
+    more against a larger tolerance."""
+    out = tmp_path / "x.csv"
+    argv = ["classical", "trajectory", "--output", str(out)]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert main(argv) == 1
+    line, = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith(f"[FAIL] {failing}: ")]
+    assert line.endswith(f" {member}")
+    checks = {c["name"]: c for c in
+              json.loads(out.with_suffix(".report.json").read_text())["checks"]}
+    index, value = member.split()
+    assert (checks[failing]["member"], checks[failing]["sweep_value"]) == (
+        int(index.partition("=")[2]), float(value.partition("=")[2]))
+    assert checks[failing]["passed"] is False
 
 
 def test_one_evolve_per_reading(tmp_path, monkeypatch):
@@ -801,22 +836,51 @@ def test_one_hamiltonian_pass_per_trajectory(tmp_path, monkeypatch):
 def test_sweep_integrates_as_one_batch(tmp_path, monkeypatch):
     import clocklab.dynamics as dynamics
     vector_calls = _count_calls(monkeypatch, dynamics, "hamilton_rhs")
-    float_calls = _count_calls(monkeypatch, dynamics, "_rhs_floats")
+    rate_calls = _count_calls(monkeypatch, dynamics, "_rates")
+    columns = dynamics.COLUMN_CLOCKS
     # one integration of the whole batch: the stationary flat flow takes one
-    # (4, 10) RHS evaluation; under a lapse each member steps on floats, four
-    # stage evaluations per RK4 step
-    for metric, vector_shapes, stages in (
-            ("classical.metric = uniform_lapse\nclassical.lapse_g = 0.05\n", [], 4 * 200 * 4),
-            ("classical.metric = flat\n", [(4, 10)], 0)):
+    # (4, 10) RHS evaluation; under a lapse a small batch steps each member
+    # on floats, four stage evaluations per RK4 step, and a batch of
+    # COLUMN_CLOCKS members steps on columns, four per step for the batch
+    lapse = "classical.metric = uniform_lapse\nclassical.lapse_g = 0.05\n"
+    for setting, members, vector_shapes, stages, rate_shape in (
+            (lapse, 4, [], 4 * 200 * 4, ()),
+            (lapse, columns, [], 4 * 200, (columns,)),
+            ("classical.metric = flat\n", 4, [(4, 10)], 1, (4,))):
         vector_calls.clear()
-        float_calls.clear()
+        rate_calls.clear()
         cfg, _ = _cfg(tmp_path, "CLASSICAL_TRAJECTORY",
-                      "classical.t_end = 0.2\nclassical.dt = 1e-3\n" + metric +
-                      "sweep.param = classical.p1\nsweep.values = 0.2, 0.4, 0.6, 0.8\n")
+                      "classical.t_end = 0.2\nclassical.dt = 1e-3\n" + setting +
+                      "sweep.param = classical.p1\nsweep.min = 0.2\nsweep.max = 0.8\n"
+                      f"sweep.count = {members}\n")
         report = run(cfg)
-        assert report.all_passed and report.diagnostics["batch_members"] == 4
+        assert report.all_passed and report.diagnostics["batch_members"] == members
         assert [args[0].shape for args in vector_calls] == vector_shapes
-        assert len(float_calls) == stages
+        assert len(rate_calls) == stages
+        assert {np.shape(args[0]) for args in rate_calls} == {rate_shape}
+
+
+def test_cli_column_sweep_past_the_horizon_is_a_config_error(tmp_path, capsys, monkeypatch):
+    """A lapse sweep large enough to step on columns, where only the member
+    falling at p1 = -1e3 crosses the horizon in one coarse step: the run
+    exits 2 naming classical.dt, writes nothing and raises nothing stray;
+    without that member it runs and writes its rows."""
+    import clocklab.dynamics as dynamics
+    rate_calls = _count_calls(monkeypatch, dynamics, "_rates")
+    rising = [str(1e3 * (j + 1)) for j in range(dynamics.COLUMN_CLOCKS)]
+    out = tmp_path / "x.csv"
+    argv = ["classical", "trajectory", "--set", "classical.metric=uniform_lapse",
+            "--set", "classical.lapse_g=1", "--set", "classical.dt=1.5",
+            "--set", "classical.t_end=6", "--set", "sweep.param=classical.p1",
+            "--output", str(out)]
+    assert main(argv + ["--set", "sweep.values=" + ",".join(["-1e3"] + rising[1:])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: classical.dt: too coarse, a step crossed the lapse "
+                          "horizon (lapse must stay positive; got ")
+    assert "runtime error" not in err and not out.exists()
+    assert rate_calls and all(np.shape(args[0]) == (len(rising),) for args in rate_calls)
+    assert main(argv + ["--set", "sweep.values=" + ",".join(rising)]) == 1  # too coarse to pass
+    assert len(out.read_text().splitlines()) == 1 + 5 * len(rising)
 
 
 # sha256 of each scenario's CSV at its default config, recorded before the
