@@ -203,7 +203,7 @@ def _run_classical_trajectory(members: list[dict[str, Any]], seed: int):
         charge = params["classical.charge"]
         hold = params["classical.hold"] != 0.0
         clocks = np.array([moving_clock(p["classical.m"], [p[f"classical.p{i}"] for i in "123"],
-                                        [p[f"classical.x{i}"] for i in "123"], p["classical.tau0"])
+                                        [p[f"classical.x{i}"] for i in "123"])
                            for p in batch])
         # every member's rows, (members, samples, columns), in one allocation that
         # also receives the integrated states
@@ -247,9 +247,11 @@ def _run_classical_trajectory(members: list[dict[str, Any]], seed: int):
             if free:
                 m, p_vec = p["classical.m"], clocks[k, 7:10]
                 advance = t_end * m / math.sqrt(m * m + float(p_vec @ p_vec))
-                error = abs(states[-1, k, 0] - (p["classical.tau0"] + advance))
+                error = abs(states[-1, k, 0] - advance)
                 # to a share of the advance itself, so that a tau standing still fails
                 checks.append(_check("tau_final", error, scale=min(1.0, advance)))
+            # tau starts at 0; states is a view, so the offset comes after every check
+            table[k, :, 1] += p["classical.tau0"]
             results[j] = (_TRAJ_COLS, table[k].T, checks, diagnostics, phases)
     return results
 
@@ -298,20 +300,18 @@ _MOMENT_COLS = [("t", "time"), ("mean_tau", "time"), ("var_tau_sim", "time^2"),
 
 def _clock_state(params: dict[str, Any], t_max: float, time_key: str,
                  phases: dict[str, float]):
-    """The member's clock state and its t = 0 moments.  A state the runtime
-    refuses is a config error naming the time key (an E grid too large for
-    t_max), or quantum.tau0 where its offset is the largest term of that
-    reach, the width key of an axis whose window does not resolve the state
-    (quantum.sigma_e or quantum.sigma_p), or quantum.e0 (support at the cone
-    tip)."""
-    spec = GaussianClockSpec(
-        e0=params["quantum.e0"], sigma_e=params["quantum.sigma_e"], tau0=params["quantum.tau0"],
-        p0=params["quantum.p0"], sigma_p=params["quantum.sigma_p"])
+    """The member's clock state, at tau0 = 0, and its t = 0 moments.  A state
+    the runtime refuses is a config error naming the time key (an E grid too
+    large for t_max), the width key of an axis whose window does not resolve
+    the state (quantum.sigma_e or quantum.sigma_p), or quantum.e0 (support at
+    the cone tip)."""
+    spec = GaussianClockSpec(e0=params["quantum.e0"], sigma_e=params["quantum.sigma_e"],
+                             p0=params["quantum.p0"], sigma_p=params["quantum.sigma_p"])
     try:
         state = _timed(phases, "build_s", gaussian_state, spec, t_max=t_max,
                        n_e=params["grid.e.n"], n_p=params["grid.p.n"])
     except GridSizeError as err:
-        raise ConfigError([f"{'quantum.tau0' if err.by_tau0 else time_key}: {err}"]) from None
+        raise ConfigError([f"{time_key}: {err}"]) from None
     except GridAxisError as err:
         raise ConfigError([f"quantum.sigma_{err.axis.lower()}: {err}"]) from None
     moments = _timed(phases, "moments_s", state_moments, state)
@@ -320,14 +320,16 @@ def _clock_state(params: dict[str, Any], t_max: float, time_key: str,
     return state, moments
 
 
-def _moment_row(state, moments: StateMoments, t: float, phases: dict[str, float]):
+def _moment_row(state, moments: StateMoments, t: float, tau0: float,
+                phases: dict[str, float]):
     """CSV row and reading at time t, from at most one evolution of the
-    state; the clock bound is checked for t > 0."""
+    state; the clock bound is checked for t > 0.  The row's mean_tau is the
+    reading's plus the offset tau0, which no check reads."""
     law = moments.law
     sim = moments.reading if t == 0.0 else _timed(phases, "read_s", tau_moments_simulated,
                                                   state, t)
     bound = moments.clock_bound(t) if t > 0.0 else 0.0
-    return ([t, sim.mean_tau, sim.var_tau, law.predict(t), law.quad, law.lin,
+    return ([t, tau0 + sim.mean_tau, sim.var_tau, law.predict(t), law.quad, law.lin,
              law.const, bound, t <= 0.0 or sim.var_tau >= bound, moments.sharpness], sim)
 
 
@@ -359,7 +361,7 @@ def _run_quantum_moments(params: dict[str, Any], phases: dict[str, float]):
     lin_dev = 0.0
     window = start.tau_window
     for t in times:
-        row, sim = _moment_row(state, moments, t, phases)
+        row, sim = _moment_row(state, moments, t, params["quantum.tau0"], phases)
         rows.append(row)
         law_dev = max(law_dev, abs(sim.var_tau - law.predict(t)) / max(law.predict(t), 1e-300))
         expected_mean = start.mean_tau + moments.d_mean * t
@@ -378,7 +380,7 @@ def _run_quantum_moments(params: dict[str, Any], phases: dict[str, float]):
 def _run_quantum_bound(params: dict[str, Any], phases: dict[str, float]):
     t = params["quantum.t"]
     state, moments = _clock_state(params, t, "quantum.t", phases)
-    row, sim = _moment_row(state, moments, t, phases)
+    row, sim = _moment_row(state, moments, t, params["quantum.tau0"], phases)
     checks = [
         _check("sw_bound", (moments.clock_bound(t) - sim.var_tau)
                if moments.sharpness <= PEAKED_SHARPNESS else 0.0),

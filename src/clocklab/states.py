@@ -47,12 +47,7 @@ TAU_WINDOW_MARGIN = 1.6
 
 
 class GridSizeError(ValueError):
-    """The proper-time reach needs an E grid larger than MAX_GRID_SIZE;
-    ``by_tau0`` says whether the offset |tau0| is its largest term."""
-
-    def __init__(self, message: str, by_tau0: bool) -> None:
-        super().__init__(message)
-        self.by_tau0 = by_tau0
+    """The proper-time reach needs an E grid larger than MAX_GRID_SIZE."""
 
 
 class GridAxisError(ValueError):
@@ -226,13 +221,11 @@ def suggest_grids(spec: GaussianClockSpec, t_max: float = 0.0, n_e: int = 8,
                                       f"got {center!r} -+ {half!r}")
     cells = 2.0 * DEFAULT_SIGMA_MARGIN * MIN_CELLS_PER_SIGMA
     dtau0 = 1.0 / (2.0 * spec.sigma_e)  # hbar / (2 sigma_e)
-    drift = abs(t_max) * _residual_dilation(spec)
-    tau_reach = abs(spec.tau0) + drift + 10.0 * dtau0 + 2.0
+    tau_reach = abs(spec.tau0) + abs(t_max) * _residual_dilation(spec) + 10.0 * dtau0 + 2.0
     de_max = math.pi / (TAU_WINDOW_MARGIN * tau_reach)  # the half-window pi hbar / dE
     n_e_needed = max(n_e, _next_pow2(max(cells, 2.0 * half_e / de_max)))
     if n_e_needed > MAX_GRID_SIZE:
-        raise GridSizeError("requested proper-time reach needs an impractically large E grid",
-                            by_tau0=abs(spec.tau0) >= max(drift, 10.0 * dtau0, 2.0))
+        raise GridSizeError("requested proper-time reach needs an impractically large E grid")
     return (UniformGrid(spec.e0 - half_e, spec.e0 + half_e, n_e_needed),
             UniformGrid(spec.p0 - half_p, spec.p0 + half_p, max(n_p, _next_pow2(cells))))
 

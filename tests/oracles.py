@@ -17,8 +17,9 @@ matrix: fresh gradients for every Poisson bracket and a Python sum over the
 conjugate pairs.  The RK4 oracle is the plain four-stage loop, which
 ``integrate`` no longer runs for stationary flows.  The CSV oracle is the
 cell-by-cell writer the package replaced with its row template: every row
-through ``csv.writer``, each cell formatted alone.  One mutant sits beside
-them: rates whose lapse force is off, for the flow checks to catch.
+through ``csv.writer``, each cell formatted alone.  Two mutants sit beside
+them: rates whose lapse force is off, for the flow checks to catch, and
+rates whose tau rate is off, for the closed-form tau check.
 """
 from __future__ import annotations
 
@@ -381,6 +382,19 @@ def lapse_gradient_off(monkeypatch, relative: float) -> None:
         lapse_force = rates(p_tau, M, x1, p1, p2, p3, g, 0.0, charge, sqrt)[7]
         k[7] = k[7] + relative * lapse_force
         return tuple(k)
+
+    monkeypatch.setattr(dynamics, "_rates", mutant)
+
+
+def tau_rate_off(monkeypatch, absolute: float) -> None:
+    """Patch ``dynamics._rates`` so that the tau rate dtau/dt is off by
+    ``absolute``; every other rate stays as it is."""
+    import clocklab.dynamics as dynamics
+    rates = dynamics._rates
+
+    def mutant(*args):
+        k = rates(*args)
+        return (k[0] + absolute, *k[1:])
 
     monkeypatch.setattr(dynamics, "_rates", mutant)
 

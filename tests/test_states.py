@@ -44,6 +44,16 @@ def test_tau_offset_shifts_mean_reading():
     assert state_moments(state).reading.mean_tau == pytest.approx(3.0, abs=1e-8)
 
 
+def test_tau_offset_widens_the_proper_time_window():
+    """A state built with its tau0 needs a tau window that reaches |tau0|:
+    suggest_grids sizes the E grid for it, at t_max = 0 too."""
+    state = gaussian_state(GaussianClockSpec(e0=10.0, sigma_e=0.5, tau0=40.0, sigma_p=0.5),
+                           t_max=0.0)
+    reading = state_moments(state).reading
+    assert reading.mean_tau == pytest.approx(40.0, abs=1e-12)
+    assert reading.tau_window < 1e-8
+
+
 def test_coverage_violation_raises():
     spec = GaussianClockSpec(e0=10.0, sigma_e=1.0, sigma_p=0.5)
     e_grid = UniformGrid(5.0, 15.0, 256)   # only 5 sigma either side
