@@ -18,7 +18,8 @@ The JSON run report also carries ``diagnostics`` (quantum runs: the grid
 sizes n_e and n_p, the largest over sweep members; classical trajectories:
 ``rk4_steps`` and ``rhs_evals`` over all batches and clocks, the latter one
 per batch for a ``stationary_flow``, and ``batch_members``, the largest batch),
-``timings`` (``compute_s`` and ``write_s``; classical trajectories also
+``timings`` (``compute_s`` and ``write_s``, the CSV's and the snapshot's
+write; classical trajectories also
 ``integrate_s`` and ``audit_s``, the phases inside ``compute_s``, summed over
 batches; quantum runs ``build_s``, ``moments_s`` and ``read_s``, the state
 builds, the t = 0 moment passes and the evolved readings, summed over
@@ -32,7 +33,7 @@ import platform
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -64,7 +65,13 @@ from .metric import LapseHorizonError, StaticMetric, uniform_lapse_metric
 from .moments import SPREAD_FLOOR, StateMoments, state_moments, tau_moments_simulated
 from .operators import TAU_WINDOW_LIMIT, TipClearanceError, commutator_residual
 from .search import OptimizerBracketError, optimize_clock_width
-from .states import GaussianClockSpec, GridAxisError, GridSizeError, gaussian_state
+from .states import (
+    GaussianClockSpec,
+    GridAxisError,
+    GridSizeError,
+    gaussian_state,
+    probability_marginals,
+)
 from .units import NATURAL_UNITS, SI_UNITS, UnitSystem, convert_units
 
 TOLERANCES = {
@@ -107,11 +114,33 @@ class RunReport:
     rows_written: int
     checks: tuple[CheckResult, ...]
     diagnostics: dict[str, int]  # grid sizes or RK4 work, empty for the other kinds
-    timings: dict[str, float]    # compute_s (everything before the CSV), phases in it, write_s
+    timings: dict[str, float]    # compute_s (everything before the files), phases in it, write_s
 
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
+
+
+class _Member(NamedTuple):
+    """One member's output: its (name, output dimension) columns, its table
+    (one 1-D array per column, csvio.emit_csv), checks, diagnostics and phase
+    timings, and for a quantum moments run with quantum.snapshot the
+    snapshot's path and tables, which ``run`` writes with the CSV."""
+    cols: list
+    table: Any
+    checks: list
+    diagnostics: dict
+    phases: dict
+    snapshot: tuple[str, list] | None = None
+
+
+class _MemberError(ConfigError):
+    """A config error that one member's values cause; on a sweep ``run``
+    names the member and its swept value, as a failing check line does."""
+
+    def __init__(self, violation: str, member: int):
+        super().__init__([violation])
+        self.member = member
 
 
 def _check(name: str, measured: float, floor: float = 0.0, scale: float = 1.0) -> CheckResult:
@@ -134,7 +163,7 @@ def _si_factor(dim: str) -> float | None:
 
 def _each(fn: Callable) -> Callable:
     """A scenario that runs its members one at a time, reporting no phases."""
-    return lambda members, seed: [(*fn(params, seed), {}) for params in members]
+    return lambda members, seed: [_Member(*fn(params, seed), {}) for params in members]
 
 
 def _each_quantum(fn: Callable) -> Callable:
@@ -142,7 +171,7 @@ def _each_quantum(fn: Callable) -> Callable:
     reports the build, moments and reading phases of the whole call."""
     def run_members(members: list[dict[str, Any]], seed: int) -> list:
         phases = dict.fromkeys(("build_s", "moments_s", "read_s"), 0.0)
-        return [(*fn(params, phases), phases) for params in members]
+        return [fn(params, phases) for params in members]
     return run_members
 
 
@@ -217,9 +246,10 @@ def _run_classical_trajectory(members: list[dict[str, Any]], seed: int):
             integrated = time.perf_counter()
             # H takes the lapse at every sample, the last one too, where no stage ran
             H = total_hamiltonian(states, metric, charge)
-        except LapseHorizonError as err:  # the exact motion never reaches the horizon
-            raise ConfigError([f"classical.dt: too coarse, a step crossed the lapse horizon "
-                               f"({err})"]) from None
+        except LapseHorizonError:  # the exact motion never reaches the horizon
+            k, err = _first_crossing(clocks, metric, charge, t_end, dt, hold)
+            raise _MemberError(f"classical.dt: too coarse, a step crossed the lapse horizon "
+                               f"({err})", indices[k]) from None
         diagnostics["rk4_steps"] += n_steps
         free = stationary_flow(metric, charge) and not hold
         diagnostics["rhs_evals"] += 1 if free or hold else 4 * n_steps * len(batch)
@@ -252,8 +282,22 @@ def _run_classical_trajectory(members: list[dict[str, Any]], seed: int):
                 checks.append(_check("tau_final", error, scale=min(1.0, advance)))
             # tau starts at 0; states is a view, so the offset comes after every check
             table[k, :, 1] += p["classical.tau0"]
-            results[j] = (_TRAJ_COLS, table[k].T, checks, diagnostics, phases)
+            results[j] = _Member(_TRAJ_COLS, table[k].T, checks, diagnostics, phases)
     return results
+
+
+def _first_crossing(clocks: np.ndarray, metric: StaticMetric, charge: float, t_end: float,
+                    dt: float, hold: bool) -> tuple[int, LapseHorizonError]:
+    """The first clock of a batch that crosses the lapse horizon integrated
+    alone, and its error.  A batch's samples are bitwise those of each clock
+    alone, so one of its clocks does; only a batch that crossed pays this."""
+    for k, clock in enumerate(clocks):
+        try:
+            total_hamiltonian(integrate(clock, metric, charge, t_end, dt, hold_x=hold),
+                              metric, charge)
+        except LapseHorizonError as err:
+            return k, err
+    raise AssertionError("no clock of the batch crosses the lapse horizon alone")
 
 
 # The flow check's background: a lapse and a scalar potential acting on a
@@ -337,15 +381,11 @@ def _grid_sizes(state) -> dict[str, int]:
     return {"n_e": state.e_grid.n, "n_p": state.p_grid.n}
 
 
-def _write_snapshot(state, path: str) -> None:
-    from .states import probability_marginals
+def _snapshot_tables(state) -> list:
+    """The state's E and p marginals, one table per axis of the snapshot CSV."""
     e_nodes, e_density, p_nodes, p_density = probability_marginals(state)
-    tables = [[np.full(len(nodes), axis), nodes, density]
-              for axis, nodes, density in (("E", e_nodes, e_density), ("p", p_nodes, p_density))]
-    try:
-        emit_csv(tables, ["axis", "coordinate", "density"], path)
-    except OSError as err:
-        raise ConfigError([f"quantum.snapshot: cannot write the snapshot: {err}"]) from None
+    return [[np.full(len(nodes), axis), nodes, density]
+            for axis, nodes, density in (("E", e_nodes, e_density), ("p", p_nodes, p_density))]
 
 
 def _run_quantum_moments(params: dict[str, Any], phases: dict[str, float]):
@@ -353,8 +393,8 @@ def _run_quantum_moments(params: dict[str, Any], phases: dict[str, float]):
     if not any(times):  # the laws come from the t = 0 reading: only a later one tests them
         raise ConfigError(["quantum.times: needs a time other than 0, got only t = 0"])
     state, moments = _clock_state(params, max(abs(t) for t in times), "quantum.times", phases)
-    if params.get("quantum.snapshot"):
-        _write_snapshot(state, params["quantum.snapshot"])
+    path = params.get("quantum.snapshot")
+    snapshot = (path, _snapshot_tables(state)) if path else None
     law, start = moments.law, moments.reading
     rows = []
     law_dev = 0.0
@@ -374,7 +414,8 @@ def _run_quantum_moments(params: dict[str, Any], phases: dict[str, float]):
         _check("uncertainty_floor", SPREAD_FLOOR - moments.spread_product),
         _check("commutator", commutator_residual(state)),
     ]
-    return _MOMENT_COLS, [np.array(column) for column in zip(*rows)], checks, _grid_sizes(state)
+    return _Member(_MOMENT_COLS, [np.array(column) for column in zip(*rows)], checks,
+                   _grid_sizes(state), phases, snapshot)
 
 
 def _run_quantum_bound(params: dict[str, Any], phases: dict[str, float]):
@@ -387,7 +428,8 @@ def _run_quantum_bound(params: dict[str, Any], phases: dict[str, float]):
         _check("tau_window", sim.tau_window),
         _check("uncertainty_floor", SPREAD_FLOOR - moments.spread_product),
     ]
-    return _MOMENT_COLS, [np.array([cell]) for cell in row], checks, _grid_sizes(state)
+    return _Member(_MOMENT_COLS, [np.array([cell]) for cell in row], checks, _grid_sizes(state),
+                   phases)
 
 
 def _run_quantum_optimize(params: dict[str, Any], phases: dict[str, float]):
@@ -418,12 +460,10 @@ def _run_quantum_optimize(params: dict[str, Any], phases: dict[str, float]):
     n_e, n_p = result.grid_sizes
     cols = [("eval", ""), ("sigma_e", "energy"), ("var_tau", "time^2")]
     columns = [np.arange(len(result.trace)), *np.array(result.trace).T]
-    return cols, columns, checks, {"n_e": n_e, "n_p": n_p}
+    return _Member(cols, columns, checks, {"n_e": n_e, "n_p": n_p}, phases)
 
 
-# kind -> runner(member params, seed) -> one (columns, table, checks,
-# diagnostics, phase timings) per member; columns are (name, output dimension)
-# pairs, and the table holds one 1-D array per column (csvio.emit_csv)
+# kind -> runner(member params, seed) -> one _Member per member
 _RUNNERS: dict[str, Callable] = {
     "GEDANKEN_BOX": _each(_run_gedanken),
     "GEDANKEN_EFIELD": _each(_run_gedanken),
@@ -473,30 +513,52 @@ def run(config: ScenarioConfig) -> RunReport:
     returning the per-invariant check results.  A single run is a sweep of
     one member without the sweep_value column."""
     start = time.perf_counter()
-    results = _RUNNERS[config.kind](config.members, config.seed)
-    cols = results[0][0]
+    try:
+        results = _RUNNERS[config.kind](config.members, config.seed)
+    except _MemberError as err:
+        if config.sweep is None:
+            raise
+        tag = f"member={err.member} {config.sweep.param}={config.sweep.values[err.member]!r}"
+        raise ConfigError([f"{err.violations[0]} {tag}"]) from None
+    cols = results[0].cols
     header = [name for name, _ in cols]
     # one factor per column, not per cell: SI trajectories have 10k rows
     factors = [_si_factor(dim) for _, dim in cols] if config.units is UnitSystem.SI else []
-    tables = [_to_si(table, factors) for _, table, *_ in results]
+    tables = [_to_si(r.table, factors) for r in results]
     if config.sweep is not None:  # the swept value, as given, is one more constant column
         header = ["sweep_value", *header]
         tables = [[np.full(len(table[0]), value), *table]
                   for value, table in zip(config.sweep.values, tables)]
-    checks = _merge_checks([r[2] for r in results], config.sweep)
-    diagnostics = _merge_diagnostics([r[3] for r in results])
-    phases = _merge_diagnostics([r[4] for r in results])
+    checks = _merge_checks([r.checks for r in results], config.sweep)
+    diagnostics = _merge_diagnostics([r.diagnostics for r in results])
+    phases = _merge_diagnostics([r.phases for r in results])
 
     written = time.perf_counter()
+    snapshot = results[-1].snapshot  # a sweep's members share the path: the last one's state
+    if snapshot is not None:
+        path, snapshot_tables = snapshot
+        _emit(snapshot_tables, ["axis", "coordinate", "density"], path, "quantum.snapshot",
+              "the snapshot")
     try:
-        count = emit_csv(tables, header, config.output)
-    except OSError as err:
-        raise ConfigError([f"output: cannot write the CSV: {err}"]) from None
+        count = _emit(tables, header, config.output, "output", "the CSV")
+    except ConfigError:
+        if snapshot is not None:  # a run that exits on its output leaves no file behind
+            Path(path).unlink()
+        raise
     timings = {"compute_s": written - start, **phases, "write_s": time.perf_counter() - written}
     report = RunReport(scenario=config, rows_written=count, checks=tuple(checks),
                        diagnostics=diagnostics, timings=timings)
     _write_json_report(report)
     return report
+
+
+def _emit(tables, header: list[str], path: str, key: str, what: str) -> int:
+    """csvio.emit_csv, where a path the writer cannot open is a config error
+    naming its key."""
+    try:
+        return emit_csv(tables, header, path)
+    except OSError as err:
+        raise ConfigError([f"{key}: cannot write {what}: {err}"]) from None
 
 
 def _write_json_report(report: RunReport) -> None:

@@ -137,6 +137,83 @@ def test_float_format_has_at_least_12_significant_digits(tmp_path):
     assert float(cell) == pytest.approx(1.0 / 3.0, rel=1e-14)
 
 
+def _around(centres, steps=8):
+    """Each centre and its ``steps`` nextafter neighbours on either side."""
+    down = up = np.asarray(centres, dtype=float)
+    cells = [down]
+    for _ in range(steps):
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        cells += [down, up]
+    return np.concatenate(cells)
+
+
+def _float_families():
+    """At least 10^4 float cells from each family the fast float formatter
+    must get right, or hand to '%.14e' itself."""
+    rng = np.random.default_rng(28)
+    decades = [float(f"1e{k}") for k in range(-323, 309)]
+    specials = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, np.inf, -np.inf, np.nan]
+    return {
+        # NaN payloads, infinities, subnormals and every sign among them
+        "bit-patterns": rng.integers(0, 2**64, 20000, dtype=np.uint64).view(np.float64),
+        # a 5 in the 16th digit: an exact tie at 15 digits
+        "16-digit-integers": (rng.integers(10**15, 9 * 10**15, 20000) * rng.choice([-1, 1], 20000)
+                              ).astype(float),
+        "half-integers": rng.integers(0, 2**52, 20000) + 0.5,
+        # the doubles nearest to 15-digit ties at every scale, led by five whose
+        # long double scaled value falls on the wrong side of the tie, 2^-16 to
+        # 2^-14 from it (found by a search against exact fractions)
+        "near-ties": np.array([4.412956524485885e-64, 4.312268597914515e-70,
+                               9.588348071071115e+256, 2.665872858992425e+278,
+                               9.052372674317815e-73] + [float(f"{n}5e{k}") for n, k in zip(
+            rng.integers(10**14, 10**15, 20000).tolist(), rng.integers(-320, 290, 20000).tolist())]),
+        # every 10^k, for 10^k printed exactly or not, and its neighbours
+        "powers-of-ten": _around(decades),
+        "next-decade-carries": np.concatenate(
+            [_around([float(f"9.999999999999995e{k}") for k in range(-323, 308)]),
+             [9.999999999999995e-5, 999999999999999.5, -9.999999999999995e-5]]),
+        "extremes": np.array(specials * 1250),
+        "si-sized": np.concatenate([rng.uniform(1.0, 10.0, 10000) * 1e-34,
+                                    rng.uniform(1.0, 10.0, 10000) * 1e-43]),
+    }
+
+
+_FAMILIES = _float_families()
+
+
+def _written_cells(tmp_path, cells) -> bytes:
+    path = tmp_path / "cells.csv"
+    assert emit_csv([[cells]], ["x"], path) == len(cells)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_float_cells_are_those_of_percent_format(tmp_path, family):
+    """Every float cell of a varying column reads exactly '%.14e' % x, for
+    at least 10^4 cells of each family of hard or edge cases."""
+    cells = _FAMILIES[family]
+    assert len(cells) >= 10**4
+    assert _written_cells(tmp_path, cells) == b"x\n" + b"".join(
+        b"%.14e\n" % x for x in cells.tolist())
+
+
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_float_cells_write_the_same_bytes_when_every_cell_falls_back(tmp_path, monkeypatch,
+                                                                      family):
+    """With a margin of 1 every cell goes to '%.14e' itself and the file is
+    the same.  With no margin at all, the near-ties of the 16-digit integers
+    take the fast path and some of them round the wrong way, so the margin is
+    what keeps those cells exact."""
+    import clocklab.csvio as csvio
+    cells = _FAMILIES[family]
+    fast = _written_cells(tmp_path, cells)
+    monkeypatch.setattr(csvio, "_MARGIN", 1.0)
+    assert _written_cells(tmp_path, cells) == fast
+    if family == "16-digit-integers":
+        monkeypatch.setattr(csvio, "_MARGIN", -1.0)
+        assert _written_cells(tmp_path, cells) != fast
+
+
 # --- runner ------------------------------------------------------------------
 
 def test_gedanken_box_run(tmp_path):
@@ -866,27 +943,46 @@ def test_sweep_integrates_as_one_batch(tmp_path, monkeypatch):
         assert {np.shape(args[0]) for args in rate_calls} == {rate_shape}
 
 
+_HORIZON_ARGV = ["classical", "trajectory", "--set", "classical.metric=uniform_lapse",
+                 "--set", "classical.lapse_g=1", "--set", "classical.dt=1.5",
+                 "--set", "classical.t_end=6", "--set", "sweep.param=classical.p1"]
+
+
 def test_cli_column_sweep_past_the_horizon_is_a_config_error(tmp_path, capsys, monkeypatch):
     """A lapse sweep large enough to step on columns, where only the member
     falling at p1 = -1e3 crosses the horizon in one coarse step: the run
-    exits 2 naming classical.dt, writes nothing and raises nothing stray;
-    without that member it runs and writes its rows."""
+    exits 2 naming classical.dt and that member, writes nothing and raises
+    nothing stray; without that member it runs and writes its rows.  The
+    batch steps on columns; only then, to find the member, are its clocks
+    stepped alone on floats."""
     import clocklab.dynamics as dynamics
     rate_calls = _count_calls(monkeypatch, dynamics, "_rates")
     rising = [str(1e3 * (j + 1)) for j in range(dynamics.COLUMN_CLOCKS)]
     out = tmp_path / "x.csv"
-    argv = ["classical", "trajectory", "--set", "classical.metric=uniform_lapse",
-            "--set", "classical.lapse_g=1", "--set", "classical.dt=1.5",
-            "--set", "classical.t_end=6", "--set", "sweep.param=classical.p1",
-            "--output", str(out)]
+    argv = _HORIZON_ARGV + ["--output", str(out)]
     assert main(argv + ["--set", "sweep.values=" + ",".join(["-1e3"] + rising[1:])]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: classical.dt: too coarse, a step crossed the lapse "
                           "horizon (lapse must stay positive; got ")
+    assert err.endswith(") member=0 classical.p1=-1000.0\n")
     assert "runtime error" not in err and not out.exists()
-    assert rate_calls and all(np.shape(args[0]) == (len(rising),) for args in rate_calls)
+    shapes = [np.shape(args[0]) for args in rate_calls]
+    batch = shapes.count((len(rising),))
+    assert batch and set(shapes[:batch]) == {(len(rising),)} and set(shapes[batch:]) == {()}
     assert main(argv + ["--set", "sweep.values=" + ",".join(rising)]) == 1  # too coarse to pass
     assert len(out.read_text().splitlines()) == 1 + 5 * len(rising)
+
+
+def test_cli_float_sweep_past_the_horizon_names_its_member(tmp_path, capsys):
+    """A 2-member lapse sweep, stepped clock by clock on floats, whose second
+    member crosses the horizon: the config error names that member."""
+    out = tmp_path / "x.csv"
+    assert main(_HORIZON_ARGV + ["--set", "sweep.values=1e3, -1e3", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: classical.dt: too coarse, a step crossed the lapse "
+                          "horizon (lapse must stay positive; got ")
+    assert err.endswith(") member=1 classical.p1=-1000.0\n")
+    assert not out.exists()
 
 
 # sha256 of each scenario's CSV at its default config, recorded before the
@@ -1271,18 +1367,25 @@ def test_tau0_is_an_offset(tmp_path, monkeypatch, settings, offsets):
      "config error: output: cannot write the CSV: [Errno 20] Not a directory"),
     (["quantum", "moments", "--set", "quantum.snapshot={file}/s.csv"], "{dir}/x.csv",
      "config error: quantum.snapshot: cannot write the snapshot: [Errno 20] Not a directory"),
-], ids=["output-is-a-directory", "output-under-a-file", "snapshot-under-a-file"])
+    (["quantum", "moments", "--set", "quantum.snapshot={dir}/s.csv"], "{dir}",
+     "config error: output: cannot write the CSV: [Errno 21] Is a directory"),
+], ids=["output-is-a-directory", "output-under-a-file", "snapshot-under-a-file",
+        "output-is-a-directory-with-a-snapshot"])
 def test_cli_path_the_writer_cannot_open_is_a_config_error(tmp_path, capsys, argv, output,
                                                            message):
     """An output or snapshot path that cannot be opened for writing is a
-    config error naming its key, and the run writes no report."""
+    config error naming its key, and the run leaves neither the CSV, nor the
+    snapshot, nor a report behind."""
     (tmp_path / "dir").mkdir()
     (tmp_path / "file").write_text("")
-    argv = [arg.replace("{file}", str(tmp_path / "file")) for arg in argv]
-    output = output.replace("{dir}", str(tmp_path / "dir"))
-    assert main(argv + ["--output", output.replace("{file}", str(tmp_path / "file"))]) == 2
+    paths = {"{file}": str(tmp_path / "file"), "{dir}": str(tmp_path / "dir")}
+    for mark, path in paths.items():
+        argv = [arg.replace(mark, path) for arg in argv]
+        output = output.replace(mark, path)
+    assert main(argv + ["--output", output]) == 2
     assert message in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.report.json"))
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 @pytest.mark.parametrize("settings, written", [
