@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .dynamics import whole_steps
+from .grids import MAX_NODES
 from .states import MAX_GRID_SIZE
 from .units import NATURAL_UNITS, SI_UNITS, UnitContext, UnitSystem, convert_units
 
@@ -73,14 +74,15 @@ class ParamSpec:
     choices: tuple[str, ...] | None = None
     above: float | None = None
     below: float | None = None
-    power_of_two: bool = False  # a grid size: a power of two from 8 to MAX_GRID_SIZE
+    power_of_two: bool = False  # a grid size: a power of two from 8 to max_size
+    max_size: int = MAX_GRID_SIZE
 
     def range_violation(self, value: float, ctx: UnitContext) -> str | None:
         """The config error for a value outside the bounds, or None."""
         if self.power_of_two and not (value >= 8 and value & (value - 1) == 0):
             return f"{self.key}: must be a power of two, at least 8, got {value!r}"
-        if self.power_of_two and value > MAX_GRID_SIZE:
-            return f"{self.key}: must be at most {MAX_GRID_SIZE}, got {value!r}"
+        if self.power_of_two and value > self.max_size:
+            return f"{self.key}: must be at most {self.max_size}, got {value!r}"
         if self.above is None and self.below is None:
             return None
         scale = convert_units(1.0, self.dimension, NATURAL_UNITS, ctx)
@@ -131,7 +133,8 @@ def _quantum_state_params(sigma_e: float, p0: float, sigma_p: float) -> list[Par
         ParamSpec("quantum.p0", "momentum", p0),
         ParamSpec("quantum.sigma_p", "momentum", sigma_p, above=0.0),
         ParamSpec("grid.e.n", "dimensionless", 8, kind="int", power_of_two=True),
-        ParamSpec("grid.p.n", "dimensionless", 8, kind="int", power_of_two=True),
+        ParamSpec("grid.p.n", "dimensionless", 8, kind="int", power_of_two=True,
+                  max_size=MAX_NODES),
     ]
 
 
@@ -187,7 +190,8 @@ SCHEMAS: dict[str, list[ParamSpec]] = {
         ParamSpec("optimize.sigma_lo", "energy", 0.0),
         ParamSpec("optimize.sigma_hi", "energy", 0.0),
         ParamSpec("grid.e.n", "dimensionless", 8, kind="int", power_of_two=True),
-        ParamSpec("grid.p.n", "dimensionless", 8, kind="int", power_of_two=True),
+        ParamSpec("grid.p.n", "dimensionless", 8, kind="int", power_of_two=True,
+                  max_size=MAX_NODES),
     ],
 }
 

@@ -34,15 +34,23 @@ and the centred D and H spreads in the buffers of their multipliers, and
 
 Readings are taken in a frame that moves with the clock.  The evolved state
 is translated in tau by -t v with the E-only phase exp(+i t v E / hbar),
-where v = ``states.frame_velocity`` is the dilation rate at the centre node
-of the grids; the frame mean plus t v is the lab-frame mean, and the
-variance is the same in every frame.  The proper-time window of the E grid
-then has to hold only the residual drift t (D - v), not the whole drift
-t D, so ``suggest_grids`` keeps the E grid small at long times.  v is a
-property of the grids, not an expectation of the state, so the runner's
-``mean_linearity`` check against <D> stays independent of the frame.  Each
-reading carries the share of it that lies near the edge of the window
-(``TauMoments.tau_window``).
+where v = ``states.frame_velocity`` is the dilation rate at the centre of
+the state's axes, (e0, p0) for suggested ones; the frame mean plus t v is
+the lab-frame mean, and the variance is the same in every frame.  The
+proper-time window of the E grid then has to hold only the residual drift
+t (D - v), not the whole drift t D, so ``suggest_grids`` keeps the E grid
+small at long times.  v is a property of the grids, not an expectation of
+the state, so the runner's ``mean_linearity`` check against <D> stays
+independent of the frame.  Each reading carries the share of it that lies
+near the edge of the window (``TauMoments.tau_window``).
+
+The evolved state lacks the p-only phase exp(-i t H_c(p) / hbar) that
+``operators.evolve`` drops; no statistic here sees it, since each is
+diagonal in p or a transform along E.  The p axis is a quadrature whose
+weights the state's values carry (``states``), so every mean below is a
+plain sum over the grid array times the E step.  A workload state's 16
+Gauss-Hermite p nodes make its arrays an eighth the size the former
+128-node uniform p window did.
 
 The sharp-energy approximation replaces D by E / <H>; its quality, the
 sharpness dH / <H>, is reported, not assumed.  The clock bound

@@ -2,11 +2,14 @@
 
 E and p act by multiplication; the total-energy generator is the diagonal
 multiplier sqrt(E^2 + c^2 p^2) so time evolution is an exact pointwise
-phase.  The proper-time operator is the spectral derivative i*hbar d/dE,
-fixed by the canonical commutator [tau, E] = i*hbar.  The dilation-rate
-observable D = E / sqrt(E^2 + c^2 p^2) is the operator form of the inverse
-Lorentz factor and is singular at the cone tip E = p = 0, so states must
-keep clear of it.  This module supplies the multipliers, the evolution and
+phase, taken relative to the energy H_c(p) at the E grid's centre node
+(``evolve``).  A p axis is quadrature nodes whose weights the state's
+values carry (``states``), so every kernel reads a state as a grid array
+whose cell is the E step.  The proper-time operator is the spectral
+derivative i*hbar d/dE, fixed by the canonical commutator [tau, E] =
+i*hbar.  The dilation-rate observable D = E / sqrt(E^2 + c^2 p^2) is the
+operator form of the inverse Lorentz factor and is singular at the cone tip
+E = p = 0, so states must keep clear of it.  This module supplies the multipliers, the evolution and
 the tau transform; expectation values of a state are taken in one place,
 ``moments.state_moments``.
 
@@ -29,9 +32,9 @@ only into arrays that the same call allocated (its own buffers, or fresh
 results of the helpers it called), never into an argument or a built
 state's values; so a multi-step expression runs in one buffer and does not
 fault in a new temporary for each step.  And ``evolve`` takes the phase as
-cos and sin of -tH written into the two halves of one complex buffer,
-which is bitwise equal to exp(-itH) as np.exp takes it.  Grid sums run in
-NumPy's einsum and reduce loops (``grids.norm_squared``,
+cos and sin of -t(H - H_c) written into the two halves of one complex
+buffer, which is bitwise equal to exp(-it(H - H_c)) as np.exp takes it.
+Grid sums run in NumPy's einsum and reduce loops (``grids.norm_squared``,
 ``grids.power_spectrum``), so the bits do not depend on the BLAS thread
 count.
 
@@ -90,7 +93,7 @@ def check_tip_clearance(state: MomentumSpaceState) -> None:
     is an ill-defined 0/0."""
     eg, pg = state.e_grid, state.p_grid
     re = eg.nodes / (TIP_CLEARANCE_CELLS * eg.step)
-    rp = pg.nodes / (TIP_CLEARANCE_CELLS * pg.step)
+    rp = pg.nodes / (TIP_CLEARANCE_CELLS * pg.weights)  # a node's weight is its cell
     near = (re[:, None] ** 2 + rp[None, :] ** 2) < 1.0
     if not near.any():
         return
@@ -101,14 +104,31 @@ def check_tip_clearance(state: MomentumSpaceState) -> None:
 
 
 def evolve(state: MomentumSpaceState, t: float) -> MomentumSpaceState:
-    """Unitary evolution by the diagonal phase exp(-i t sqrt(E^2+c^2p^2)/hbar)."""
+    """Evolution by exp(-i t (H - H_c(p)) / hbar): the propagator of H =
+    sqrt(E^2 + c^2 p^2) less the factor exp(-i t H_c / hbar), where H_c(p)
+    = sqrt(e_c^2 + c^2 p^2) at the E grid's centre node e_c.
+
+    The dropped factor depends on p alone.  Every observable here is
+    diagonal in p while tau acts along E, so no expectation value within
+    one state sees it; the phase argument is then at most t |E - e_c| in
+    size, not t H, and rounds that much less.  An overlap between two
+    states does see it: <phi|evolve(psi, t)> lacks exp(-i t H_c / hbar) in
+    every p column, and two states evolved for different times differ by
+    that factor's ratio.  Multiply by it for the lab-frame state."""
     if not math.isfinite(t):
         raise ValueError("evolution time must be finite")
     if t == 0.0:
         return state
-    # exp(-itH) = cos(-tH) + i sin(-tH), the bits np.exp gives, taken without
-    # a complex temporary: the phase goes into one buffer, then psi into it
+    # H - H_c = (E - e_c)(E + e_c) / (H + H_c) keeps the digits the
+    # difference would cancel (0 where H + H_c is)
+    E, P = _axes(state)
+    e_c = state.e_grid.center
     arg = energy_multiplier(state)
+    arg += np.sqrt(e_c * e_c + P**2)
+    np.divide((E - e_c) * (E + e_c), arg, out=arg, where=arg > 0.0)
+    # exp(-it(H - H_c)) = cos + i sin of -t(H - H_c), the bits np.exp gives,
+    # taken without a complex temporary: the phase goes into one buffer,
+    # then psi into it
     arg *= -t
     values = state.grid_array(complex)
     np.cos(arg, out=values.real)

@@ -125,7 +125,8 @@ class _Member(NamedTuple):
     """One member's output: its (name, output dimension) columns, its table
     (one 1-D array per column, csvio.emit_csv), checks, diagnostics and phase
     timings, and for a quantum moments run with quantum.snapshot the
-    snapshot's path and tables, which ``run`` writes with the CSV."""
+    snapshot's path and tables, which ``run`` writes with the CSV, every
+    member's in one file."""
     cols: list
     table: Any
     checks: list
@@ -168,10 +169,17 @@ def _each(fn: Callable) -> Callable:
 
 def _each_quantum(fn: Callable) -> Callable:
     """A quantum scenario that runs its members one at a time; every member
-    reports the build, moments and reading phases of the whole call."""
+    reports the build, moments and reading phases of the whole call, and a
+    config error a member's values cause names that member."""
     def run_members(members: list[dict[str, Any]], seed: int) -> list:
         phases = dict.fromkeys(("build_s", "moments_s", "read_s"), 0.0)
-        return [fn(params, phases) for params in members]
+        results = []
+        for j, params in enumerate(members):
+            try:
+                results.append(fn(params, phases))
+            except ConfigError as err:
+                raise _MemberError(err.violations[0], j) from None
+        return results
     return run_members
 
 
@@ -346,16 +354,21 @@ def _clock_state(params: dict[str, Any], t_max: float, time_key: str,
                  phases: dict[str, float]):
     """The member's clock state, at tau0 = 0, and its t = 0 moments.  A state
     the runtime refuses is a config error naming the time key (an E grid too
-    large for t_max), the width key of an axis whose window does not resolve
-    the state (quantum.sigma_e or quantum.sigma_p), or quantum.e0 (support at
-    the cone tip)."""
+    large for t_max, or a p quadrature of more than MAX_NODES nodes), the
+    width key of an axis whose window does not resolve the state
+    (quantum.sigma_e or quantum.sigma_p), or quantum.e0 (support at the cone
+    tip, where no p quadrature converges)."""
     spec = GaussianClockSpec(e0=params["quantum.e0"], sigma_e=params["quantum.sigma_e"],
                              p0=params["quantum.p0"], sigma_p=params["quantum.sigma_p"])
     try:
         state = _timed(phases, "build_s", gaussian_state, spec, t_max=t_max,
                        n_e=params["grid.e.n"], n_p=params["grid.p.n"])
     except GridSizeError as err:
-        raise ConfigError([f"{time_key}: {err}"]) from None
+        # near the cone tip the p quadrature never converges: the tip names e0
+        tip = state_moments(gaussian_state(spec, n_e=params["grid.e.n"],
+                                           n_p=params["grid.p.n"])).dilation
+        raise ConfigError([f"quantum.e0: {tip}" if isinstance(tip, str)
+                           else f"{time_key}: {err}"]) from None
     except GridAxisError as err:
         raise ConfigError([f"quantum.sigma_{err.axis.lower()}: {err}"]) from None
     moments = _timed(phases, "moments_s", state_moments, state)
@@ -382,7 +395,9 @@ def _grid_sizes(state) -> dict[str, int]:
 
 
 def _snapshot_tables(state) -> list:
-    """The state's E and p marginals, one table per axis of the snapshot CSV."""
+    """The state's E and p marginals, one table per axis of the snapshot CSV
+    (the p marginal at the p axis's nodes, as ``probability_marginals``
+    takes it)."""
     e_nodes, e_density, p_nodes, p_density = probability_marginals(state)
     return [[np.full(len(nodes), axis), nodes, density]
             for axis, nodes, density in (("E", e_nodes, e_density), ("p", p_nodes, p_density))]
@@ -524,23 +539,25 @@ def run(config: ScenarioConfig) -> RunReport:
     header = [name for name, _ in cols]
     # one factor per column, not per cell: SI trajectories have 10k rows
     factors = [_si_factor(dim) for _, dim in cols] if config.units is UnitSystem.SI else []
-    tables = [_to_si(r.table, factors) for r in results]
+    tables = [[_to_si(r.table, factors)] for r in results]
+    # a sweep's members share the snapshot path: the file holds each member's state
+    snapshot = results[0].snapshot
+    snapshot_header = ["axis", "coordinate", "density"]
+    snapshot_tables = [r.snapshot[1] for r in results] if snapshot is not None else []
     if config.sweep is not None:  # the swept value, as given, is one more constant column
-        header = ["sweep_value", *header]
-        tables = [[np.full(len(table[0]), value), *table]
-                  for value, table in zip(config.sweep.values, tables)]
+        header, snapshot_header = ["sweep_value", *header], ["sweep_value", *snapshot_header]
+        tables = _led_by(config.sweep.values, tables)
+        snapshot_tables = _led_by(config.sweep.values, snapshot_tables)
     checks = _merge_checks([r.checks for r in results], config.sweep)
     diagnostics = _merge_diagnostics([r.diagnostics for r in results])
     phases = _merge_diagnostics([r.phases for r in results])
 
     written = time.perf_counter()
-    snapshot = results[-1].snapshot  # a sweep's members share the path: the last one's state
     if snapshot is not None:
-        path, snapshot_tables = snapshot
-        _emit(snapshot_tables, ["axis", "coordinate", "density"], path, "quantum.snapshot",
-              "the snapshot")
+        path = snapshot[0]
+        _emit(sum(snapshot_tables, []), snapshot_header, path, "quantum.snapshot", "the snapshot")
     try:
-        count = _emit(tables, header, config.output, "output", "the CSV")
+        count = _emit(sum(tables, []), header, config.output, "output", "the CSV")
     except ConfigError:
         if snapshot is not None:  # a run that exits on its output leaves no file behind
             Path(path).unlink()
@@ -550,6 +567,13 @@ def run(config: ScenarioConfig) -> RunReport:
                        diagnostics=diagnostics, timings=timings)
     _write_json_report(report)
     return report
+
+
+def _led_by(values, per_member: list[list]) -> list[list]:
+    """Each member's tables, every one led by the member's swept value as
+    one more constant column."""
+    return [[[np.full(len(table[0]), value), *table] for table in member]
+            for value, member in zip(values, per_member)]
 
 
 def _emit(tables, header: list[str], path: str, key: str, what: str) -> int:

@@ -185,8 +185,10 @@ def per_function_variance_law(state):
     E, P = _axes(state)
     denom = np.sqrt(E * E + (C * P) ** 2)
     d = np.divide(E, denom, out=np.zeros_like(denom), where=denom > 0.0)
-    eg, pg = state.e_grid, state.p_grid
-    e_c, p_c = eg.lo + eg.step * (eg.n // 2), pg.lo + pg.step * (pg.n // 2)
+    # the E grid's centre node, and the p axis's centre: p0 for Gauss-Hermite
+    # nodes, the centre node for a uniform grid
+    eg = state.e_grid
+    e_c, p_c = eg.lo + eg.step * (eg.n // 2), state.p_grid.center
     v = e_c / math.hypot(e_c, C * p_c)
     d = d - v
     offset = _diagonal(state, d)

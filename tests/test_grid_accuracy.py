@@ -92,3 +92,17 @@ def test_wide_momentum_rest_clock_passes_at_long_times(tmp_path):
         t = float(row["t"])
         assert float(row["var_tau_sim"]) == pytest.approx(
             exact_gaussian_variance(20.0, 0.5, 0.0, 1.8, t), rel=1e-12)
+
+
+def test_wide_momentum_rest_clock_takes_the_p_nodes_it_needs(tmp_path):
+    # sigma_p / e0 = 0.2: 16 Gauss-Hermite nodes on p miss the exact variance
+    # at t = 100 by 1.2e-9, so the node rule must take more (it takes 32)
+    out = tmp_path / "wide.csv"
+    assert main(["quantum", "moments", "--set", "quantum.e0=10", "--set", "quantum.sigma_p=2",
+                 "--set", "quantum.times=0,100", "--output", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(row["t"]) for row in rows] == [0.0, 100.0]
+    for row in rows:
+        assert float(row["var_tau_sim"]) == pytest.approx(
+            exact_gaussian_variance(10.0, 0.5, 0.0, 2.0, float(row["t"])), rel=1e-12)

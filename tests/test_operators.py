@@ -54,8 +54,20 @@ def test_evolve_preserves_norm():
 @pytest.mark.parametrize("t", [100.0, -50.0, 1e-3])
 def test_evolve_phase_is_the_complex_exponential_bitwise(e0, p0, t):
     state = _state(e0=e0, sigma_e=0.5, p0=p0, sigma_p=0.05, t_max=abs(t))
-    want = np.exp((-1j * t) * energy_multiplier(state)) * state.values
-    assert evolve(state, t).values.tobytes() == want.tobytes()
+    eg = state.e_grid
+    E, P = eg.nodes[:, None], state.p_grid.nodes[None, :]
+    e_c = eg.lo + eg.step * (eg.n // 2)
+    H, H_c = np.sqrt(E * E + P**2), np.sqrt(e_c * e_c + P**2)
+    # the phase relative to H_c(p), H - H_c = (E - e_c)(E + e_c) / (H + H_c)
+    relative = (E - e_c) * (E + e_c) / (H + H_c)
+    evolved = evolve(state, t).values
+    assert evolved.tobytes() == (np.exp((-1j * t) * relative) * state.values).tobytes()
+    # the factor exp(-i t H_c) it drops restores exp(-itH), to the rounding of
+    # t H and of the complex products
+    restored = evolved * np.exp((-1j * t) * H_c)
+    exact = np.exp((-1j * t) * H) * state.values
+    bound = 4.0 * np.finfo(float).eps * (abs(t) * H + 1.0) * np.abs(state.values)
+    assert (np.abs(restored - exact) <= bound).all()
 
 
 def test_state_arrays_keep_the_e_axis_contiguous():

@@ -403,14 +403,14 @@ def test_quantum_readings_report_tau_window_and_grids(tmp_path):
     report = run(cfg)
     window = {c.name: c for c in report.checks}["tau_window"]
     assert window.passed and 0.0 <= window.measured <= window.tolerance
-    assert report.diagnostics == {"n_e": 128, "n_p": 128}
+    assert report.diagnostics == {"n_e": 128, "n_p": 16}
     # a sweep reports the largest grid of its members
     cfg, _ = _cfg(tmp_path, "QUANTUM_MOMENTS", "quantum.times = 0, 3000\n"
                   "sweep.param = quantum.sigma_p\nsweep.values = 0.5, 1.0\n", name="s.csv")
     report = run(cfg)
     assert report.all_passed
     assert "tau_window" in {c.name for c in report.checks}
-    assert report.diagnostics == {"n_e": 4096, "n_p": 128}
+    assert report.diagnostics == {"n_e": 4096, "n_p": 16}
 
 
 def test_report_json_contents(tmp_path):
@@ -427,7 +427,7 @@ def test_report_json_contents(tmp_path):
     cfg, out = _cfg(tmp_path, "QUANTUM_MOMENTS", "quantum.times = 0, 1000\n", name="q.csv")
     run(cfg)
     payload = json.loads(out.with_suffix(".report.json").read_text())
-    assert payload["diagnostics"] == {"n_e": 512, "n_p": 128}
+    assert payload["diagnostics"] == {"n_e": 512, "n_p": 16}
     # every report says how long it computed and wrote, and with what; a
     # quantum run also splits compute_s into its build, moments and reading
     # phases
@@ -579,8 +579,11 @@ def test_cli_rejects_out_of_range_values(tmp_path, capsys, group, sub, settings,
     ("bound", ["grid.e.n=12"], "grid.e.n", "must be a power of two, at least 8, got 12"),
     ("moments", ["grid.e.n=65536", "quantum.times=0,1"], "grid.e.n",
      "must be at most 32768, got 65536"),
-    ("moments", ["grid.p.n=65536"], "grid.p.n", "must be at most 32768, got 65536"),
-], ids=["p-not-grid-size", "e-not-power-of-two", "e-above-max", "p-above-max"])
+    # the p axis takes at most 256 Gauss-Hermite nodes; no larger node set is built
+    ("moments", ["grid.p.n=65536"], "grid.p.n", "must be at most 256, got 65536"),
+    ("bound", ["grid.p.n=512"], "grid.p.n", "must be at most 256, got 512"),
+], ids=["p-not-grid-size", "e-not-power-of-two", "e-above-max", "p-above-max",
+        "p-above-node-max"])
 def test_cli_rejects_grid_counts_that_cannot_hold_the_state(tmp_path, capsys, sub, settings,
                                                             key, message):
     out = tmp_path / "x.csv"
@@ -593,13 +596,15 @@ def test_cli_rejects_grid_counts_that_cannot_hold_the_state(tmp_path, capsys, su
 
 
 @pytest.mark.parametrize("sub, settings, grids", [
-    ("bound", ["grid.e.n=8", "quantum.sigma_e=0.05"], {"n_e": 128, "n_p": 128}),
-    ("optimize", ["grid.p.n=64"], {"n_e": 1024, "n_p": 128}),
+    ("bound", ["grid.e.n=8", "quantum.sigma_e=0.05"], {"n_e": 128, "n_p": 16}),
+    # a wide rest clock read at t = 100 needs 32 Gauss-Hermite nodes on p
+    ("moments", ["quantum.sigma_p=2", "grid.p.n=16"], {"n_e": 512, "n_p": 32}),
+    ("optimize", ["grid.p.n=8"], {"n_e": 1024, "n_p": 16}),
     ("moments", ["grid.e.n=2048", "grid.p.n=256"], {"n_e": 2048, "n_p": 256}),
-], ids=["e-too-coarse", "optimize-p-too-coarse", "floors-above-the-rule"])
+], ids=["e-too-coarse", "p-too-few-nodes", "optimize-p-too-coarse", "floors-above-the-rule"])
 def test_grid_floors_below_the_accuracy_rule_are_raised(tmp_path, sub, settings, grids):
     # grid.e.n and grid.p.n are floors: one too coarse to resolve the state
-    # is raised to the size the accuracy rule needs, and one above it is kept
+    # is raised to the size the accuracy rules need, and one above it is kept
     out = tmp_path / "x.csv"
     argv = ["quantum", sub]
     for setting in settings:
@@ -826,6 +831,34 @@ def test_quantum_moments_snapshot_export(tmp_path):
     e_dens = np.array([float(r[2]) for r in e_rows])
     de = e_coords[1] - e_coords[0]
     assert e_dens.sum() * de == pytest.approx(1.0, abs=1e-10)
+    # the p marginal at each Gauss-Hermite node is the momentum density
+    # itself, a Gaussian of sigma_p = 0.5 about p0 = 0
+    p_coords = np.array([float(r[1]) for r in p_rows])
+    p_dens = np.array([float(r[2]) for r in p_rows])
+    gaussian = np.exp(-p_coords**2 / (2 * 0.5**2)) / (np.sqrt(2 * np.pi) * 0.5)
+    np.testing.assert_allclose(p_dens, gaussian, rtol=1e-10)
+
+
+def test_swept_snapshot_holds_every_member(tmp_path):
+    # each member's marginals, led by its swept value, are the rows the
+    # member's own run writes
+    snap = tmp_path / "sweep_state.csv"
+    cfg, _ = _cfg(tmp_path, "QUANTUM_MOMENTS", f"quantum.times = 0, 1\nquantum.snapshot = {snap}\n"
+                  "sweep.param = quantum.sigma_e\nsweep.values = 0.5, 1\n", name="sweep.csv")
+    assert run(cfg).all_passed
+    lines = snap.read_text().splitlines()
+    assert lines[0] == "sweep_value,axis,coordinate,density"
+    rows = lines[1:]
+    for value in ("0.5", "1"):
+        single = tmp_path / f"state_{value}.csv"
+        cfg, _ = _cfg(tmp_path, "QUANTUM_MOMENTS", f"quantum.times = 0, 1\nquantum.sigma_e = "
+                      f"{value}\nquantum.snapshot = {single}\n", name=f"single_{value}.csv")
+        assert run(cfg).all_passed
+        own = single.read_text().splitlines()[1:]
+        led = f"{float(value):.14e},"
+        assert rows[:len(own)] == [led + row for row in own]
+        rows = rows[len(own):]
+    assert rows == []
 
 
 def test_bound_member_takes_one_transform_per_reading(tmp_path, monkeypatch):
@@ -836,7 +869,7 @@ def test_bound_member_takes_one_transform_per_reading(tmp_path, monkeypatch):
     cfg, _ = _cfg(tmp_path, "QUANTUM_BOUND_SWEEP", "quantum.t = 100\n")
     assert run(cfg).all_passed
     assert (len(forward), len(inverse)) == (1 + 1, 1)
-    assert all(args[0].shape == (128, 128) for args in forward + inverse)
+    assert all(args[0].shape == (128, 16) for args in forward + inverse)
 
 
 def test_quantum_member_takes_abs_of_psi_once(tmp_path, monkeypatch):
@@ -985,6 +1018,30 @@ def test_cli_float_sweep_past_the_horizon_names_its_member(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sub, settings, message", [
+    ("moments", ["sweep.param=quantum.sigma_e", "sweep.values=1, 1e-300"],
+     "quantum.sigma_e: grid needs finite lo < hi on the E axis, got 10.0 -+ 1.2e-299 "
+     "member=1 quantum.sigma_e=1e-300"),
+    ("bound", ["sweep.param=quantum.p0", "sweep.values=1e300, 1000"],
+     "quantum.sigma_p: grid needs finite lo < hi on the p axis, got 1e+300 -+ "
+     "0.6000000000000001 member=0 quantum.p0=1e+300"),
+    ("optimize", ["sweep.param=quantum.p0", "sweep.values=1000, 1e300"],
+     "quantum.sigma_p: grid needs finite lo < hi on the p axis, got 1e+300 -+ "
+     "0.6000000000000001 member=1 quantum.p0=1e+300"),
+], ids=["moments", "bound", "optimize"])
+def test_cli_quantum_sweep_config_error_names_its_member(tmp_path, capsys, sub, settings,
+                                                         message):
+    """A config error one member of a quantum sweep causes names that member
+    and its swept value, as a failing check line does."""
+    out = tmp_path / "x.csv"
+    argv = ["quantum", sub]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert main(argv + ["--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 # sha256 of each scenario's CSV at its default config, recorded before the
 # Dirac brackets moved to one gradient matrix per point (the three quantum
 # ones re-recorded when readings moved to the co-moving frame and the law's
@@ -996,7 +1053,9 @@ def test_cli_float_sweep_past_the_horizon_names_its_member(tmp_path, capsys):
 # when readings became Parseval sums over an E-contiguous spectrum and the
 # cross term was measured from the frame rate, which moves the last digits
 # of every quantum column, and all three when the grid sizes came from the
-# accuracy rule alone, which moves the last digits of every quantum column);
+# accuracy rule alone, which moves the last digits of every quantum column,
+# and all three when p moved to Gauss-Hermite nodes and evolution to a phase
+# relative to H_c(p), which moves the last digits of every quantum column);
 # a change to any of them must be justified in CHANGES.md.
 GOLDEN_CSV_SHA256 = {
     ("gedanken", "box"): "ba3f2e47f9571ed247c570a49564d3c9a32e08a3618991dbdf82ddc2e5926b63",
@@ -1004,18 +1063,19 @@ GOLDEN_CSV_SHA256 = {
     ("classical", "trajectory"):
         "954fd1869f7e4717491064471a419359e8bbd3eee953eadedfd3b23247554eae",
     ("classical", "brackets"): "16c0f3de7af22263db6e15ce1153b03334a9ff27c8ad5d3bd4f39c6da8d566ac",
-    ("quantum", "moments"): "561abc2b2aa33c269ba9398da9bcaf7a758ce93cd8eb2a9443a4ed2a5904cf94",
-    ("quantum", "bound"): "57a77d2e17995f73ac24ac1811253518f1d323d33fc8ab9c1fe34b651202897e",
-    ("quantum", "optimize"): "7df50b4cc39c23721de781e88583746ab780383673404c2d77411ed0bda76530",
+    ("quantum", "moments"): "77ae71ae09583809356b851f68bf2b653d8f3d4ab76089fae92f5b5ddc7e60ef",
+    ("quantum", "bound"): "9cb2e05009d4c6f9eae16dd28671b12638943f35266b6202666c76ac3a27586d",
+    ("quantum", "optimize"): "75594869736c593e85d6060d865ae0131813819f5fd5580dd0d5799eda4573c3",
 }
 
 # sha256 of the CSVs of runs off the defaults, one for each way a run builds
 # its rows: a sweep column before SI-scaled columns, an integer column SI
 # leaves alone, a flag that reads 0 (the rest clock), a str column after the
 # sweep column, a swept run with its snapshot ("{snapshot}" stands for the
-# snapshot's path; the last member's state is written there) and an SI
+# snapshot's path; every member's state is written there) and an SI
 # trajectory sweep.  Recorded when the CSV writer took tables of typed
-# columns, on the code before that change.
+# columns, on the code before that change; the quantum ones re-recorded when
+# p moved to Gauss-Hermite nodes, and the snapshot when it took every member.
 GOLDEN_RUN_SHA256 = {
     "gedanken-box-si-sweep": (
         ["gedanken", "box", "--set", "units=SI", "--set", "box.t=1.0 s",
@@ -1025,10 +1085,10 @@ GOLDEN_RUN_SHA256 = {
         {"csv": "d84953a8b76f5d364e37801a5502d24e53a4bc2fadb188b2c66c3d277eb0e823"}),
     "quantum-optimize-si": (
         ["quantum", "optimize", "--set", "units=SI"],
-        {"csv": "717becb94d24e9d00a8f7189f32b1aa92c02caf57f7a7c8392ac306d972ec8d0"}),
+        {"csv": "d8c4658792f70ccf266c2adc0d051e8724cced280727865af5a134112f5f9b79"}),
     "quantum-bound-rest-clock": (
         ["quantum", "bound", "--set", "quantum.p0=0", "--set", "quantum.sigma_e=1"],
-        {"csv": "7601736455c7b8363aeccaa03325a67cf2e8465ade2344dc8fa3bc20516ce004"}),
+        {"csv": "1d1b98032bdafa7f84a988e7c762612e25fd4738c0dd78eab732de7b3a3938a1"}),
     "classical-brackets-sweep": (
         ["classical", "brackets", "--set", "brackets.points=3",
          "--set", "sweep.param=brackets.scale", "--set", "sweep.values=1, 100"],
@@ -1036,8 +1096,8 @@ GOLDEN_RUN_SHA256 = {
     "quantum-moments-sweep-snapshot": (
         ["quantum", "moments", "--set", "sweep.param=quantum.sigma_e",
          "--set", "sweep.values=0.5, 1", "--set", "quantum.snapshot={snapshot}"],
-        {"csv": "d0ad21cccb562c45330b7c8ca679d96d3ac04682d640a6d45a20ceb2c559ac55",
-         "snapshot": "8f9ec279d9e7405e6c4b1b512b9e378dc149febdbec3f5f96827f59137e4635c"}),
+        {"csv": "e9cbc0eb84ef412a6ddaceff9af8da273ea21bd967300b38824c5c412785cd58",
+         "snapshot": "81e72c274c1889c719f3a2222d407772b13676807350c286b1ec7b6bfcd77fd0"}),
     "classical-trajectory-si-p1-sweep": (
         ["classical", "trajectory", "--set", "units=SI",
          "--set", "sweep.param=classical.p1", "--set", "sweep.values=1e-43, 2e-43"],
@@ -1469,10 +1529,12 @@ def test_check_fails_against_a_tolerance_that_is_not_finite():
     ("moments", ["quantum.e0=0"], "quantum.e0"),
     ("optimize", ["quantum.e0=0.5", "quantum.p0=0"], "quantum.e0"),
     ("moments", ["quantum.times=0,1e7"], "quantum.times"),
-], ids=["moments-tip", "optimize-tip", "moments-e-grid"])
+    ("moments", ["quantum.sigma_p=10"], "quantum.times"),
+], ids=["moments-tip", "optimize-tip", "moments-e-grid", "moments-p-nodes"])
 def test_cli_refused_clock_state_is_a_config_error(tmp_path, capsys, sub, settings, key):
     """A clock state the runtime refuses (support at the cone tip, or an E
-    grid too large to build) exits 2 naming the key, and writes nothing."""
+    grid or p quadrature too large to build) exits 2 naming the key, and
+    writes nothing."""
     out, snapshot = tmp_path / "x.csv", tmp_path / "snapshot.csv"
     argv = ["quantum", sub]
     for setting in settings + ([f"quantum.snapshot={snapshot}"] if sub == "moments" else []):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from clocklab.grids import NumericalHealthWarning, UniformGrid
+from clocklab.grids import MAX_NODES, NumericalHealthWarning, UniformGrid
 from clocklab.moments import state_moments
 from clocklab.states import (
     GaussianClockSpec,
+    GridSizeError,
     MomentumSpaceState,
     gaussian_state,
     make_gaussian_state,
@@ -112,10 +113,26 @@ def test_suggest_grids_scales_resolution_with_time():
 
 def test_suggest_grids_sizes_by_accuracy_and_floors_only_raise():
     spec = GaussianClockSpec(e0=10.0, sigma_e=0.5, sigma_p=0.5)
-    # 3 cells per sigma over +-12 sigma is 72 cells, rounded up to 128
-    assert [g.n for g in suggest_grids(spec)] == [128, 128]
+    # 3 cells per sigma over +-12 sigma is 72 cells, rounded up to 128; p
+    # takes 16 Gauss-Hermite nodes
+    assert [g.n for g in suggest_grids(spec)] == [128, 16]
     assert [g.n for g in suggest_grids(spec, n_e=1024, n_p=256)] == [1024, 256]
-    assert [g.n for g in suggest_grids(spec, n_e=8, n_p=64)] == [128, 128]
+    assert [g.n for g in suggest_grids(spec, n_e=8, n_p=64)] == [128, 64]
+
+
+def test_p_node_rule_stops_at_max_nodes():
+    # at t = 100 on e0 = 10, a spread sigma_p = 8 needs every node an axis
+    # may take (256 agree with 512 where 128 do not); at sigma_p = 10 no
+    # count up to MAX_NODES agrees with twice as many, which is an error,
+    # not a state on fewer nodes than the rule asks
+    wide = GaussianClockSpec(e0=10.0, sigma_e=0.5, sigma_p=8.0)
+    assert suggest_grids(wide, t_max=100.0)[1].n == MAX_NODES
+    wider = GaussianClockSpec(e0=10.0, sigma_e=0.5, sigma_p=10.0)
+    with pytest.raises(GridSizeError, match=f"more than {MAX_NODES} nodes"):
+        suggest_grids(wider, t_max=100.0)
+    with pytest.raises(GridSizeError, match=f"more than {MAX_NODES} nodes"):
+        suggest_grids(wider, t_max=100.0, n_p=MAX_NODES)
+    assert suggest_grids(wider, n_p=MAX_NODES)[1].n == MAX_NODES  # t = 0 reads no drift
 
 
 def test_suggest_grids_reach_holds_the_reading_tail():
