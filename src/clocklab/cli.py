@@ -14,6 +14,7 @@ reaches the cone tip), and 3 on a runtime error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .config import ConfigError, parse_config
@@ -35,7 +36,10 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.  A parse leaves it
+    unchanged: ``--set`` appends to a copy of its default list."""
     parser = argparse.ArgumentParser(
         prog="clocklab",
         description="Proper-time/rest-mass uncertainty laboratory")
@@ -87,8 +91,7 @@ def _print_report(report: RunReport) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         text, overrides = _config_documents(args)
         config = parse_config(text, kind_hint=args.kind, overrides=overrides)

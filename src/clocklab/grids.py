@@ -10,8 +10,7 @@ boundary it converges faster than any power of the step.
 An axis along which no transform or derivative runs needs only quadrature:
 ``NodeAxis`` holds nodes and weights, and ``hermite_axis`` puts them at the
 Gauss-Hermite nodes of a Gaussian profile (G. H. Golub and J. H. Welsch,
-Math. Comp. 23, 221 (1969)).  A uniform grid is the same kind of axis, with
-the weight ``step`` at every node.
+Math. Comp. 23, 221 (1969)).
 
 Grid sums take the elements in memory order, C or Fortran.  A statistic
 that is a weighted sum over the spectrum is taken from the per-wavenumber
@@ -23,7 +22,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
@@ -46,11 +44,8 @@ def _is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class UniformGrid:
-    """n evenly spaced nodes lo + k*step, k = 0..n-1, with step = (hi-lo)/n.
-    ``edges`` are the indices of its end nodes, where a band-limited field
-    has decayed."""
+    """n evenly spaced nodes lo + k*step, k = 0..n-1, with step = (hi-lo)/n."""
 
-    edges: ClassVar[tuple[int, ...]] = (0, -1)
     lo: float
     hi: float
     n: int
@@ -70,11 +65,6 @@ class UniformGrid:
         return self.lo + self.step * np.arange(self.n)
 
     @property
-    def weights(self) -> np.ndarray:
-        """The quadrature weight of every node: the step."""
-        return np.full(self.n, self.step)
-
-    @property
     def center(self) -> float:
         """The centre node, lo + step (n // 2)."""
         return self.lo + self.step * (self.n // 2)
@@ -84,10 +74,8 @@ class UniformGrid:
 class NodeAxis:
     """Quadrature nodes: sum_j weights[j] f(nodes[j]) stands for the
     integral of f along the axis.  ``center`` is the point readings take as
-    the axis's frame, as a uniform grid's centre node is.  Nodes fitted to a
-    profile have no edge where it must decay: ``edges`` is empty."""
+    the axis's frame, as the centre node of a ``UniformGrid`` is."""
 
-    edges: ClassVar[tuple[int, ...]] = ()
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     center: float
@@ -163,21 +151,18 @@ def trapezoid_norm_squared(values: np.ndarray, cell: float) -> float:
     return norm_squared(values) * cell
 
 
-def boundary_amplitude_ratio(mag: np.ndarray,
-                             edges: tuple[tuple[int, ...], ...] = ((0, -1), (0, -1))) -> float:
-    """max of the magnitudes ``mag`` (|psi| over a 2-D grid) on the edge
-    nodes of each axis, ``edges[axis]`` (its grid's ``edges``), divided by
-    their max overall.
+def boundary_amplitude_ratio(mag: np.ndarray) -> float:
+    """max of the magnitudes ``mag`` (|psi| over an (E, p) array) on the
+    first and last E nodes, divided by their max overall.
 
-    A small ratio certifies the array is numerically band-limited, which the
-    spectral derivative needs for its accuracy claims.
+    A small ratio certifies the array is numerically band-limited along E,
+    which the spectral derivative needs for its accuracy claims; p nodes
+    have no edge where a field must decay.
     """
     peak = mag.max()
     if peak == 0.0:
         return 0.0
-    edge = max((np.take(mag, end, axis=axis).max()
-                for axis, ends in enumerate(edges) for end in ends), default=0.0)
-    return float(edge / peak)
+    return float(max(mag[0].max(), mag[-1].max()) / peak)
 
 
 def wavenumbers(grid: UniformGrid) -> np.ndarray:

@@ -48,9 +48,7 @@ The evolved state lacks the p-only phase exp(-i t H_c(p) / hbar) that
 ``operators.evolve`` drops; no statistic here sees it, since each is
 diagonal in p or a transform along E.  The p axis is a quadrature whose
 weights the state's values carry (``states``), so every mean below is a
-plain sum over the grid array times the E step.  A workload state's 16
-Gauss-Hermite p nodes make its arrays an eighth the size the former
-128-node uniform p window did.
+plain sum over the grid array times the E step.
 
 The sharp-energy approximation replaces D by E / <H>; its quality, the
 sharpness dH / <H>, is reported, not assumed.  The clock bound

@@ -10,19 +10,17 @@ other order into that layout.
 
 The E axis is a ``UniformGrid``: tau acts along it through the FFT.  Every
 operator is diagonal in p and no transform runs along it, so the p axis is
-a quadrature: nodes p_j with weights w_j, and ``values[i, j]`` is
-psi(E_i, p_j) sqrt(w_j).  A sum over p of |values|^2 times a multiplier is
-then the p integral, and every kernel reads the array as it would a grid
-array whose cell is the E step alone.  ``make_gaussian_state`` takes any p
-axis, and ``suggest_grids`` gives it Gauss-Hermite nodes fitted to the p
-profile (``grids.hermite_axis``): a Gaussian clock reads on 16 of them
-where a uniform window took 128.  A uniform p grid has the weight ``step``
-at every node.
+a quadrature, a ``grids.NodeAxis``: nodes p_j with weights w_j, and
+``values[i, j]`` is psi(E_i, p_j) sqrt(w_j).  A sum over p of |values|^2
+times a multiplier is then the p integral, and every kernel reads the array
+as it would a grid array whose cell is the E step alone.  ``suggest_grids``
+gives the axis Gauss-Hermite nodes fitted to the p profile
+(``grids.hermite_axis``); a Gaussian clock reads on 16 of them.
 
 States are unit-normalized under this quadrature and are expected to be
-numerically band-limited on their uniform axes: substantial amplitude at a
-grid edge breaks the accuracy of the spectral proper-time operator and is
-reported when the state is built.  Gauss-Hermite nodes have no edge.
+numerically band-limited along E: substantial amplitude at an E grid edge
+breaks the accuracy of the spectral proper-time operator and is reported
+when the state is built.
 
 The code runs at hbar = c = 1; the formulas keep the symbols.
 """
@@ -104,7 +102,7 @@ class MomentumSpaceState:
     check, ``peak`` and ``density``."""
 
     e_grid: UniformGrid
-    p_grid: UniformGrid | NodeAxis
+    p_grid: NodeAxis
     values: np.ndarray = field(repr=False)
     peak: float = field(init=False, repr=False)  # max |values|
     _rho: np.ndarray = field(init=False, repr=False)  # |values|^2
@@ -118,7 +116,7 @@ class MomentumSpaceState:
         if abs(nrm2 - 1.0) > NORM_TOL:
             raise ValueError(f"state is not unit-normalized: <psi|psi> = {nrm2!r}")
         mag = np.abs(values)
-        ratio = boundary_amplitude_ratio(mag, (self.e_grid.edges, self.p_grid.edges))
+        ratio = boundary_amplitude_ratio(mag)
         object.__setattr__(self, "peak", float(mag.max()))
         object.__setattr__(self, "_rho", np.square(mag, out=mag))
         if ratio > BOUNDARY_HEALTH_LIMIT:
@@ -151,7 +149,7 @@ class MomentumSpaceState:
         return self.e_grid.step
 
 
-def state_from_profiles(e_grid: UniformGrid, p_grid: UniformGrid | NodeAxis,
+def state_from_profiles(e_grid: UniformGrid, p_grid: NodeAxis,
                         e_profile: Callable[[np.ndarray], np.ndarray],
                         p_profile: Callable[[np.ndarray], np.ndarray]) -> MomentumSpaceState:
     """Unit-normalized product state from complex amplitude profiles over
@@ -167,32 +165,38 @@ def state_from_profiles(e_grid: UniformGrid, p_grid: UniformGrid | NodeAxis,
     return MomentumSpaceState(e_grid, p_grid, values)
 
 
-def _check_axis(name: str, grid: UniformGrid | NodeAxis, center: float, sigma: float) -> None:
-    """The profile's width must be finite, and a grid with edges must hold
-    and resolve it; nodes with none (Gauss-Hermite) are fitted to the
-    profile."""
+def _check_width(name: str, sigma: float) -> None:
+    """The profile's width must be finite."""
     if not math.isfinite(4.0 * (sigma * sigma)):  # the profile's denominator
         raise GridAxisError(name, f"width too large on the {name} axis: 4 sigma^2 overflows, "
                                   f"got sigma = {sigma!r}")
-    if not grid.edges:
-        return
-    left = center - grid.lo
-    right = grid.hi - center
-    if min(left, right) < MIN_SIGMA_COVERAGE * sigma:
-        raise GridAxisError(
-            name, f"grid too small on the {name} axis: window must extend at least "
-            f"{MIN_SIGMA_COVERAGE:.0f} sigma on each side of the center")
-    if sigma < MIN_CELLS_PER_SIGMA * grid.step:
-        raise GridAxisError(
-            name, f"grid too coarse on the {name} axis: sigma spans fewer than "
-            f"{MIN_CELLS_PER_SIGMA:.0f} cells")
 
 
 def make_gaussian_state(spec: GaussianClockSpec, e_grid: UniformGrid,
-                        p_grid: UniformGrid | NodeAxis) -> MomentumSpaceState:
-    """Normalized product Gaussian with the phase offsets of the spec."""
-    _check_axis("E", e_grid, spec.e0, spec.sigma_e)
-    _check_axis("p", p_grid, spec.p0, spec.sigma_p)
+                        p_grid: NodeAxis) -> MomentumSpaceState:
+    """Normalized product Gaussian with the phase offsets of the spec.  The
+    E grid must hold and resolve the E profile, and the p nodes must
+    integrate the p density exp(-(p - p0)^2 / (2 sigma_p^2)) to its
+    integral sqrt(2 pi) sigma_p within NORM_TOL, which nodes fitted to
+    another profile do not."""
+    _check_width("E", spec.sigma_e)
+    _check_width("p", spec.sigma_p)
+    if min(spec.e0 - e_grid.lo, e_grid.hi - spec.e0) < MIN_SIGMA_COVERAGE * spec.sigma_e:
+        raise GridAxisError(
+            "E", f"grid too small on the E axis: window must extend at least "
+            f"{MIN_SIGMA_COVERAGE:.0f} sigma on each side of the center")
+    if spec.sigma_e < MIN_CELLS_PER_SIGMA * e_grid.step:
+        raise GridAxisError(
+            "E", f"grid too coarse on the E axis: sigma spans fewer than "
+            f"{MIN_CELLS_PER_SIGMA:.0f} cells")
+    with np.errstate(all="ignore"):
+        z = (p_grid.nodes - spec.p0) / spec.sigma_p
+        share = float(np.dot(p_grid.weights / spec.sigma_p, np.exp(-0.5 * z * z)))
+    share /= math.sqrt(2.0 * math.pi)
+    if not abs(share - 1.0) <= NORM_TOL:
+        raise GridAxisError(
+            "p", f"nodes do not fit the state on the p axis: they integrate its p "
+            f"density to {share:.6g} of its integral")
 
     def e_profile(E: np.ndarray) -> np.ndarray:
         return np.exp(-((E - spec.e0) ** 2) / (4.0 * spec.sigma_e**2) - 1j * E * spec.tau0)
@@ -221,12 +225,13 @@ def frame_velocity(state: MomentumSpaceState) -> float:
 
 def _residual_dilation(spec: GaussianClockSpec) -> float:
     """Largest |D - v| on the ellipse of TAIL_SIGMAS sigma about (e0, p0),
-    v = D(e0, p0); D has no extremum inside it off the line p = 0, where
-    D is constant."""
-    v = _dilation_rate(spec.e0, spec.p0)
-    return max(abs(_dilation_rate(spec.e0 + TAIL_SIGMAS * spec.sigma_e * math.cos(a),
-                                  spec.p0 + TAIL_SIGMAS * spec.sigma_p * math.sin(a)) - v)
-               for a in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False))
+    v = D(e0, p0), taken at 64 points; D has no extremum inside it off the
+    line p = 0, where D is constant."""
+    a = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    e = spec.e0 + TAIL_SIGMAS * spec.sigma_e * np.cos(a)
+    h = np.hypot(e, spec.p0 + TAIL_SIGMAS * spec.sigma_p * np.sin(a))
+    rate = np.divide(e, h, out=np.zeros_like(h), where=h > 0.0)
+    return float(np.abs(rate - _dilation_rate(spec.e0, spec.p0)).max())
 
 
 def _normal_rule(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -162,12 +162,12 @@ def _floor_corpus():
             lambda E, e0=e0, s=sigma, b=beta: np.exp(
                 -(E - e0) ** 2 / (4 * s * s) + 1j * b * E * E),
             lambda p: np.exp(-p * p))))
-    from clocklab.grids import UniformGrid
+    from clocklab.grids import UniformGrid, hermite_axis
     for _ in range(10):
         e0 = rng.uniform(8.0, 12.0)
         a = rng.uniform(4.0, 6.0)
         e_grid = UniformGrid(e0 - a - 16.0, e0 + a + 16.0, 2048)
-        p_grid = UniformGrid(-10.0, 10.0, 64)
+        p_grid = hermite_axis(0.0, 1.0, 16)
         states.append(("two-hump", state_from_profiles(
             e_grid, p_grid,
             lambda E, e0=e0, a=a: (np.exp(-(E - e0 - a) ** 2 / 4.0)

@@ -87,7 +87,10 @@ def test_boundary_ratio():
     grid = UniformGrid(-16.0, 16.0, 256)
     f = np.exp(-grid.nodes**2 / 2.0)
     ratio = boundary_amplitude_ratio(np.outer(f, f))
-    assert ratio == pytest.approx(np.exp(-16.0**2 / 2.0), rel=1e-6)
+    # the larger E edge is the last node, at 16 - step
+    assert ratio == pytest.approx(np.exp(-15.875**2 / 2.0), rel=1e-6, abs=0.0)
+    # amplitude on the p edge columns is not read: p nodes have no edge
+    assert boundary_amplitude_ratio(np.outer(f, np.ones(16))) == ratio
 
 
 @st.composite

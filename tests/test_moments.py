@@ -205,9 +205,9 @@ def test_two_hump_superposition_far_above_floor():
     g, dg = two_hump_profile(e0, a, sigma)
     d_e, d_tau, prod = profile_spreads(g, dg, lambda E: np.zeros_like(E),
                                        e0 - a - 30 * sigma, e0 + a + 30 * sigma)
-    from clocklab.grids import UniformGrid
+    from clocklab.grids import UniformGrid, hermite_axis
     e_grid = UniformGrid(e0 - 32.0, e0 + 32.0, 2048)
-    p_grid = UniformGrid(-10.0, 10.0, 64)
+    p_grid = hermite_axis(0.0, 1.0, 16)
     state = state_from_profiles(e_grid, p_grid, lambda E: g(E) + 0j,
                                 lambda p: np.exp(-p**2 / 4.0))
     product = state_moments(state)

@@ -481,6 +481,17 @@ def test_cli_config_file_and_overrides(tmp_path):
     assert out.exists()
 
 
+def test_cli_calls_in_one_process_see_only_their_own_entries(tmp_path):
+    """The parser is built once per process; a ``--set`` entry of one call
+    does not reach the next."""
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    assert main(["gedanken", "box", "--set", "box.t=2.0", "--output", str(first)]) == 0
+    assert main(["gedanken", "box", "--output", str(second)]) == 0
+    params = [json.loads(out.with_suffix(".report.json").read_text())["scenario"]["params"]
+              for out in (first, second)]
+    assert [p["box.t"] for p in params] == [2.0, 1.0]  # 1.0 is the default
+
+
 @pytest.mark.parametrize("flag, value, echoed", [
     ("--set", "classical.x1=3", (3.0, "file.csv", 4)),
     ("--output", "cli.csv", (2.0, "cli.csv", 4)),
@@ -1530,11 +1541,14 @@ def test_check_fails_against_a_tolerance_that_is_not_finite():
     ("optimize", ["quantum.e0=0.5", "quantum.p0=0"], "quantum.e0"),
     ("moments", ["quantum.times=0,1e7"], "quantum.times"),
     ("moments", ["quantum.sigma_p=10"], "quantum.times"),
-], ids=["moments-tip", "optimize-tip", "moments-e-grid", "moments-p-nodes"])
+    ("moments", ["quantum.p0=1e8", "quantum.sigma_p=1e-6"], "quantum.sigma_p"),
+], ids=["moments-tip", "optimize-tip", "moments-e-grid", "moments-p-nodes",
+        "moments-p-nodes-rounded"])
 def test_cli_refused_clock_state_is_a_config_error(tmp_path, capsys, sub, settings, key):
-    """A clock state the runtime refuses (support at the cone tip, or an E
-    grid or p quadrature too large to build) exits 2 naming the key, and
-    writes nothing."""
+    """A clock state the runtime refuses (support at the cone tip, an E grid
+    or p quadrature too large to build, or p nodes rounded so far off the
+    spec's density that they no longer integrate it) exits 2 naming the
+    key, and writes nothing."""
     out, snapshot = tmp_path / "x.csv", tmp_path / "snapshot.csv"
     argv = ["quantum", sub]
     for setting in settings + ([f"quantum.snapshot={snapshot}"] if sub == "moments" else []):

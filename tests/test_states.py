@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from clocklab.grids import MAX_NODES, NumericalHealthWarning, UniformGrid
+from clocklab.grids import MAX_NODES, NumericalHealthWarning, UniformGrid, hermite_axis
 from clocklab.moments import state_moments
 from clocklab.states import (
     GaussianClockSpec,
+    GridAxisError,
     GridSizeError,
     MomentumSpaceState,
     gaussian_state,
@@ -58,7 +59,7 @@ def test_tau_offset_widens_the_proper_time_window():
 def test_coverage_violation_raises():
     spec = GaussianClockSpec(e0=10.0, sigma_e=1.0, sigma_p=0.5)
     e_grid = UniformGrid(5.0, 15.0, 256)   # only 5 sigma either side
-    p_grid = UniformGrid(-6.0, 6.0, 64)
+    p_grid = hermite_axis(0.0, 0.5, 16)
     with pytest.raises(ValueError, match="grid too small"):
         make_gaussian_state(spec, e_grid, p_grid)
 
@@ -66,23 +67,34 @@ def test_coverage_violation_raises():
 def test_resolution_violation_raises():
     spec = GaussianClockSpec(e0=0.0, sigma_e=0.01, sigma_p=1.0)
     e_grid = UniformGrid(-16.0, 16.0, 256)  # sigma_e is far below one cell
-    p_grid = UniformGrid(-16.0, 16.0, 64)
+    p_grid = hermite_axis(0.0, 1.0, 16)
     with pytest.raises(ValueError, match="grid too coarse"):
         make_gaussian_state(spec, e_grid, p_grid)
 
 
 def test_non_normalized_values_rejected():
     e_grid = UniformGrid(-16.0, 16.0, 64)
-    p_grid = UniformGrid(-16.0, 16.0, 64)
+    p_grid = hermite_axis(0.0, 1.0, 16)
     vals = np.exp(-(e_grid.nodes[:, None] ** 2 + p_grid.nodes[None, :] ** 2) / 4.0)
     with pytest.raises(ValueError, match="normalized"):
         MomentumSpaceState(e_grid, p_grid, vals)
 
 
+def test_nodes_fitted_to_another_profile_raise():
+    # nodes fitted to sigma_p = 0.05 integrate the sigma_p = 2 density to
+    # about 0.15 of its integral; the state's own nodes integrate it exactly
+    spec = GaussianClockSpec(10.0, 0.5, sigma_p=2.0)
+    e_grid, p_grid = suggest_grids(spec)
+    make_gaussian_state(spec, e_grid, p_grid)
+    with pytest.raises(GridAxisError, match="p axis") as err:
+        make_gaussian_state(spec, e_grid, hermite_axis(0.0, 0.05, 16))
+    assert err.value.axis == "p"
+
+
 def test_boundary_health_warning_for_wide_state():
     spec = GaussianClockSpec(e0=0.0, sigma_e=2.0, sigma_p=2.0)
     e_grid = UniformGrid(-17.0, 17.0, 256)  # 8.5 sigma: legal but unhealthy
-    p_grid = UniformGrid(-17.0, 17.0, 64)
+    p_grid = hermite_axis(0.0, 2.0, 16)
     with pytest.warns(NumericalHealthWarning):
         make_gaussian_state(spec, e_grid, p_grid)
 
@@ -149,7 +161,7 @@ def test_suggest_grids_reach_holds_the_reading_tail():
 
 def test_profile_builder_normalizes():
     e_grid = UniformGrid(-16.0, 16.0, 256)
-    p_grid = UniformGrid(-16.0, 16.0, 64)
+    p_grid = hermite_axis(0.0, 1.0, 16)
     state = state_from_profiles(
         e_grid, p_grid,
         lambda E: np.exp(-(E - 3.0) ** 2 / 4.0) + np.exp(-(E + 3.0) ** 2 / 4.0),
