@@ -14,7 +14,11 @@ is p itself.  The code runs at c = 1; the formulas keep the symbol.
 On the constraint surface H reduces to H0, tau advances at the metric
 proper-time rate, and M, p_tau, p_M are conserved.  Integration is plain
 fixed-step RK4 with no constraint projection: drift is a diagnostic, not
-something to hide.
+something to hide.  H reads x only through x^1, and of the coordinates it
+reads only x^1 and p_1 have rates that are not identically zero, so a
+stepped flow steps that pair alone and sums all ten coordinates' RK4
+increments on columns afterwards; the samples are bitwise those of the
+four-stage loop over all ten.
 """
 from __future__ import annotations
 
@@ -27,8 +31,11 @@ from .metric import StaticMetric, check_lapse
 CONSTRAINT_SURFACE_TOL = 1e-12
 
 # a stepped batch of this many clocks or more steps on (N,) columns, a smaller one clock by
-# clock on floats; on a 2-core host the two cost the same near 20 clocks (0.26 s per 2,000 steps)
-COLUMN_CLOCKS = 20
+# clock on floats; on a 2-core host the two cost the same near 23 clocks (0.14 s per 2,000 steps)
+COLUMN_CLOCKS = 23
+# clock-steps (steps times clocks stepped together) whose stages the stepped loop records
+# before it sums them: the record and the column pass then take a few MB at any length
+STAGE_BLOCK = 4096
 
 
 def moving_clock(M: float, p=(0.0, 0.0, 0.0), x=(0.0, 0.0, 0.0), tau: float = 0.0) -> np.ndarray:
@@ -47,7 +54,7 @@ def _root(M, p1, p2, p3, sqrt):
     on floats or on columns, once the root's argument is positive."""
     qf = p1 * p1 + p2 * p2 + p3 * p3
     K2 = M * M + qf
-    if (K2.min() if isinstance(K2, np.ndarray) else K2) <= 0.0:
+    if (K2 if K2.__class__ is float else K2.min()) <= 0.0:
         raise ValueError("degenerate point: vanishing square-root argument")
     return qf, sqrt(K2)
 
@@ -68,28 +75,56 @@ def total_hamiltonian(z, metric: StaticMetric, charge: float = 0.0):
 _READ = (1, 2, 4, 7, 8, 9)
 
 
+def _pair_rates(M, phi1, p2, p3, g: float, slope: float, charge: float, sqrt):
+    """The rates of x^1 and p_1, the two coordinates H reads that move: H reads
+    x only through x^1, and the rates of p_tau and M are 0.0, those of p_2 and
+    p_3 -0.0.  At fixed M, phi1 = M - p_tau, p_2 and p_3 (floats, or the (N,)
+    columns of N clocks, as in ``_rates``) it is a function of (x^1, p_1) that
+    returns dx^1/dt, dp_1/dt and the terms the other rates share,
+    (f, |p|^2, R, R^3, s, b)."""
+    Mphi, force = M * phi1, charge * slope
+
+    def rates(x1, p1):
+        qf, R = _root(M, p1, p2, p3, sqrt)
+        f = 1.0 if g == 0.0 else check_lapse(1.0 + g * x1)
+        try:
+            R3 = R * R * R
+            s = 1.0 / R + Mphi / R3
+            b = dH1 = 0.0
+            if g != 0.0:  # the lapse gradient (g, 0, 0) times b = R - M phi1 / R
+                b = R - Mphi / R
+                dH1 = g * b
+            if slope != 0.0:  # the potential gradient (slope, 0, 0) times the charge
+                dH1 = dH1 - force
+            # x^1: dH/dp_1, g^{11} p_1 = p_1 + 0.0 (-0.0 -> 0.0); p_1: -dH/dx^1
+            return f * (p1 + 0.0) * s, -dH1, (f, qf, R, R3, s, b)
+        except ZeroDivisionError:  # R^3 underflowed to 0 on floats: divide as numpy does
+            dx1, dp1, terms = _pair_rates(*map(np.float64, (M, phi1, p2, p3)), g, slope,
+                                          charge, np.sqrt)(np.float64(x1), np.float64(p1))
+            return float(dx1), float(dp1), tuple(map(float, terms))
+    return rates
+
+
 def _rates(p_tau, M, x1, p1, p2, p3, g: float, slope: float, charge: float, sqrt):
     """Hamilton's equations, from analytic partials of H: the ten rates dz/dt
     from the six coordinates H reads, as floats (``sqrt = math.sqrt``) or as
     the (N,) columns of N clocks (``sqrt = np.sqrt``), which round alike.  The
     background is the lapse slope ``g`` and the potential slope ``slope``; an
-    absent field's terms drop out, and a rate no coordinate enters is a float."""
-    qf, R = _root(M, p1, p2, p3, sqrt)
-    f = 1.0 if g == 0.0 else check_lapse(1.0 + g * x1)
+    absent field's terms drop out, and a rate no coordinate enters is a float.
+    The x^1 and p_1 rates, and the terms the others share, are ``_pair_rates``'s."""
+    phi1 = M - p_tau
+    dx1, dp1, (f, qf, R, R3, s, b) = _pair_rates(M, phi1, p2, p3, g, slope, charge,
+                                                 sqrt)(x1, p1)
     try:
-        phi1 = M - p_tau
-        R3 = R * R * R
-        s = 1.0 / R + M * phi1 / R3
-        dH1 = dH2 = dH3 = 0.0
-        if g != 0.0:  # the lapse gradient (g, 0, 0) times R - M phi1 / R
-            b = R - M * phi1 / R
-            dH1, dH2, dH3 = g * b, 0.0 * b, 0.0 * b
-        if slope != 0.0:  # the potential gradient (slope, 0, 0) times the charge
-            dH1, dH2, dH3 = dH1 - charge * slope, dH2 - charge * 0.0, dH3 - charge * 0.0
+        dH2 = dH3 = 0.0
+        if g != 0.0:
+            dH2, dH3 = 0.0 * b, 0.0 * b
+        if slope != 0.0:
+            dH2, dH3 = dH2 - charge * 0.0, dH3 - charge * 0.0
         # tau: dH/dp_tau; p_tau, M: 0, H has no tau or p_M; p_M: -dH/dM, 0 on the
         # surface; x^i: dH/dp_i, g^{ij} p_j = p + 0.0 (-0.0 -> 0.0); p_i: -dH/dx^i
-        return (f * M / R, 0.0, 0.0, f * phi1 * qf / R3, f * (p1 + 0.0) * s,
-                f * (p2 + 0.0) * s, f * (p3 + 0.0) * s, -dH1, -dH2, -dH3)
+        return (f * M / R, 0.0, 0.0, f * phi1 * qf / R3, dx1,
+                f * (p2 + 0.0) * s, f * (p3 + 0.0) * s, dp1, -dH2, -dH3)
     except ZeroDivisionError:  # R^3 underflowed to 0 on floats: divide as numpy does
         return tuple(map(float, _rates(*map(np.float64, (p_tau, M, x1, p1, p2, p3)),
                                        g, slope, charge, np.sqrt)))
@@ -117,25 +152,50 @@ def whole_steps(t_end: float, dt: float) -> int | None:
 def _rk4(states: np.ndarray, metric: StaticMetric, charge: float, dt: float, sqrt) -> None:
     """RK4 steps from ``states[0]`` into ``states[1:]``: one clock's (10,)
     states on floats (``sqrt = math.sqrt``), or the (N, 10) states of N
-    clocks on (N,) columns (``sqrt = np.sqrt``).  A stage input is formed
-    only for the coordinates that ``_rates`` reads."""
-    rates, half, sixth = _rates, 0.5 * dt, dt / 6.0
-    fields = metric.lapse_g, metric.a0_slope, charge, sqrt
+    clocks on (N,) columns (``sqrt = np.sqrt``).
+
+    The loop steps only the pair (x^1, p_1), through ``_pair_rates``, and
+    records the pair's four stage inputs at every step; every other
+    coordinate H reads keeps its value at every stage.  Every
+    ``STAGE_BLOCK`` clock-steps, one ``_rates`` call on the recorded
+    (steps, 4) or (steps, 4, N) stage columns gives all ten rates at every
+    stage, the increments ``sixth (k1 + 2 k2 + 2 k3 + k4)`` are formed on
+    those columns, and ``np.add.accumulate`` sums them into the samples:
+    the adds of the loop over all ten coordinates, in its order.  p_tau and
+    M enter as ``p_tau + 0.0`` and ``M + 0.0``, their stage inputs after
+    the first stage; a -0.0 there changes no rate of the pair and no
+    increment.  Where R = sqrt(M^2 + c^2 |p|^2) overflows to inf, the rates
+    of p_2 and p_3 are nan (0.0 * inf): the ten-coordinate loop then carried
+    nan into every later stage, while here p_1 reads -inf or inf where that
+    loop read nan; every other sample is the same."""
+    g, slope = metric.lapse_g, metric.a0_slope
+    half, sixth = 0.5 * dt, dt / 6.0
     # a state as its ten coordinates: floats, or the rows of the (10, N) transpose
-    columns = states if states.ndim == 2 else states.transpose(0, 2, 1)
-    z = columns[0].tolist() if states.ndim == 2 else list(columns[0])
-    for i in range(1, len(states)):
-        _, p_tau, M, _, x1, _, _, p1, p2, p3 = z
-        k1 = rates(p_tau, M, x1, p1, p2, p3, *fields)
-        k2 = rates(p_tau + half * k1[1], M + half * k1[2], x1 + half * k1[4],
-                   p1 + half * k1[7], p2 + half * k1[8], p3 + half * k1[9], *fields)
-        k3 = rates(p_tau + half * k2[1], M + half * k2[2], x1 + half * k2[4],
-                   p1 + half * k2[7], p2 + half * k2[8], p3 + half * k2[9], *fields)
-        k4 = rates(p_tau + dt * k3[1], M + dt * k3[2], x1 + dt * k3[4],
-                   p1 + dt * k3[7], p2 + dt * k3[8], p3 + dt * k3[9], *fields)
-        z = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-             for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
-        columns[i] = z
+    z = states[0].tolist() if states.ndim == 2 else np.array(states[0].T)
+    _, p_tau, M, _, x, _, _, p, p2, p3 = z
+    p_tau, M = p_tau + 0.0, M + 0.0
+    pair = _pair_rates(M, M - p_tau, p2, p3, g, slope, charge, sqrt)
+    block = max(1, STAGE_BLOCK // (1 if states.ndim == 2 else states.shape[1]))
+    for lo in range(1, len(states), block):
+        record = []
+        for _ in range(min(block, len(states) - lo)):
+            a1, b1, _ = pair(x, p)
+            x2, q2 = x + half * a1, p + half * b1
+            a2, b2, _ = pair(x2, q2)
+            x3, q3 = x + half * a2, p + half * b2
+            a3, b3, _ = pair(x3, q3)
+            x4, q4 = x + dt * a3, p + dt * b3
+            a4, b4, _ = pair(x4, q4)
+            record += x, x2, x3, x4, p, q2, q3, q4
+            x = x + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            p = p + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        stages = np.array(record, float).reshape((-1, 2, 4) + np.shape(x))
+        samples = states[lo - 1:lo + len(stages)]
+        for i, k in enumerate(_rates(p_tau, M, stages[:, 0], stages[:, 1], p2, p3, g, slope,
+                                     charge, np.sqrt)):
+            k = np.broadcast_to(k, stages[:, 0].shape)
+            samples[1:, ..., i] = sixth * (k[:, 0] + 2.0 * k[:, 1] + 2.0 * k[:, 2] + k[:, 3])
+        np.add.accumulate(samples, axis=0, out=samples)
 
 
 def stationary_flow(metric: StaticMetric, charge: float, hold_x: bool = False) -> bool:
@@ -143,7 +203,8 @@ def stationary_flow(metric: StaticMetric, charge: float, hold_x: bool = False) -
     only through the metric's fields, and p_tau and M do not move, so a held
     clock, or a free one (no lapse slope, and no potential slope or no
     charge to feel it), never changes them.  ``integrate`` then takes one
-    right-hand-side evaluation per batch, else four per step and clock."""
+    right-hand-side evaluation per batch, else four stage evaluations (of
+    the pair rates) per step and clock."""
     return hold_x or (metric.lapse_g == 0.0 and (metric.a0_slope == 0.0 or charge == 0.0))
 
 
@@ -163,11 +224,14 @@ def integrate(z0, metric: StaticMetric, charge: float, t_end: float, dt: float,
 
     A ``stationary_flow`` takes one evaluation for the batch, and the
     samples are summed step by step with the loop's own increment, so they
-    are bitwise those of the loop.  Every other flow steps its stages through
-    ``_rates``: a batch of fewer than ``COLUMN_CLOCKS`` clocks clock by clock
+    are bitwise those of the loop.  Every other flow steps the pair
+    (x^1, p_1) through ``_pair_rates`` and then sums every coordinate's
+    increments from one ``_rates`` call on the recorded stage columns
+    (``_rk4``): a batch of fewer than ``COLUMN_CLOCKS`` clocks clock by clock
     on Python floats, where numpy's per-call dispatch would cost more than
     the arithmetic, and a larger one on (N,) columns.  Either way the samples
-    are bitwise those of the four-stage loop over ``hamilton_rhs``.
+    are bitwise those of the four-stage loop over ``hamilton_rhs`` while R
+    stays finite (``_rk4``).
     """
     z = np.array(z0, dtype=float)
     phi1, phi2 = constraint_drift(z.reshape(-1, 10))

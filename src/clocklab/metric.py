@@ -22,7 +22,7 @@ class LapseHorizonError(ValueError):
 
 def check_lapse(f):
     """f, a lapse value or array of them, once every value is positive."""
-    low = f.min() if isinstance(f, np.ndarray) else f  # a scalar at one point
+    low = f if f.__class__ is float else f.min()  # a float at one point
     if low <= 0.0:
         raise LapseHorizonError(f"lapse must stay positive; got {low}")
     return f

@@ -7,6 +7,7 @@ from clocklab.brackets import random_points
 from clocklab.dynamics import (
     _READ,
     COLUMN_CLOCKS,
+    STAGE_BLOCK,
     _rates,
     constraint_drift,
     geodesic_lorentz_residual,
@@ -228,16 +229,31 @@ def test_a_stalled_clock_reads_inf_and_leaves_its_batch_alone():
 _OFF_AXIS_LAPSE = uniform_lapse_metric(1e-2)
 
 
-def _count_stages(monkeypatch) -> tuple[list, list]:
+def _count_stages(monkeypatch) -> tuple[list, list, list]:
     """Record the arguments of every call to the array right-hand side
-    ``hamilton_rhs`` and to the rates ``_rates`` that every stage takes."""
+    ``hamilton_rhs`` and to the rates ``_rates``, and the (x1, p1) of every
+    evaluation of the pair rates that ``_pair_rates`` builds: each RK4 stage
+    takes one, and so does each ``_rates`` call."""
     import clocklab.dynamics as dynamics
-    counts = ([], [])
+    counts = ([], [], [])
     for calls, name in zip(counts, ("hamilton_rhs", "_rates")):
         original = getattr(dynamics, name)
         monkeypatch.setattr(dynamics, name, lambda *a, calls=calls, original=original:
                             calls.append(a) or original(*a))
+    pair_rates = dynamics._pair_rates
+
+    def counting(*fixed):
+        rates = pair_rates(*fixed)
+        return lambda x1, p1: counts[2].append((x1, p1)) or rates(x1, p1)
+
+    monkeypatch.setattr(dynamics, "_pair_rates", counting)
     return counts
+
+
+def _blocks(n_steps: int, clocks: int) -> list[int]:
+    """The steps of each block whose stages one ``_rates`` call sums."""
+    block = max(1, STAGE_BLOCK // clocks)
+    return [min(block, n_steps - lo) for lo in range(0, n_steps, block)]
 
 
 def _clocks(count: int) -> list[np.ndarray]:
@@ -260,11 +276,21 @@ def test_stationary_flows_equal_the_four_stage_loop(pt0, metric, charge, hold, m
     """A held clock, or a free one (no lapse slope, and no potential slope
     or no charge), takes one RHS evaluation per batch, and every sample is
     bitwise the loop's."""
-    vector_calls, rate_calls = _count_stages(monkeypatch)
+    vector_calls, rate_calls, _ = _count_stages(monkeypatch)
     states = integrate(pt0, metric, charge, 2.0, 1e-3, hold_x=hold)
     assert (len(vector_calls), len(rate_calls)) == (1, 1)  # hamilton_rhs takes _rates once
     reference = rk4_reference(pt0, metric, charge, 2.0, 1e-3, hold_x=hold)
     assert states.tobytes() == reference.tobytes()
+
+
+def _signed_zero_clocks(count: int) -> list[np.ndarray]:
+    """``count`` clocks with -0.0 in every momentum and in x^2, x^3, and one
+    whose M and p_tau are -0.0 too, moving off the x^1 axis."""
+    clocks = [moving_clock(1.0 + 0.1 * j, (-0.0, -0.0, -0.0), x=(0.1 * j, -0.0, -0.0))
+              for j in range(count - 1)]
+    rest_free = moving_clock(1.0, (0.5, -0.0, 0.2), x=(-0.0, -0.0, -0.0))
+    rest_free[1:3] = -0.0
+    return clocks + [rest_free]
 
 
 @pytest.mark.parametrize("pt0, metric, charge", [
@@ -278,34 +304,71 @@ def test_stationary_flows_equal_the_four_stage_loop(pt0, metric, charge, hold, m
     (_clocks(COLUMN_CLOCKS), uniform_lapse_metric(0.05), 0.0),
     (_clocks(COLUMN_CLOCKS), uniform_lapse_metric(0.05, a0_slope=0.3), 0.5),
     (_clocks(COLUMN_CLOCKS), StaticMetric(a0_slope=0.02), 0.5),
+    (moving_clock(1.0, (-0.0, -0.0, -0.0), x=(-0.0, -0.0, -0.0)),
+     uniform_lapse_metric(0.05, a0_slope=0.3), -0.0),
+    (_signed_zero_clocks(3), uniform_lapse_metric(0.05, a0_slope=0.3), -0.0),
+    (_signed_zero_clocks(COLUMN_CLOCKS), uniform_lapse_metric(0.05, a0_slope=0.3), -0.0),
+    (moving_clock(1.0, (0.3, -0.2, 0.1), x=(2.0, 0.0, 0.0)),
+     uniform_lapse_metric(-0.05, a0_slope=-0.3), -1.0),
+    (_clocks(3), uniform_lapse_metric(-0.05, a0_slope=-0.3), -1.0),
+    (_clocks(COLUMN_CLOCKS), uniform_lapse_metric(-0.05, a0_slope=-0.3), -1.0),
+    (moving_clock(1.0, (1e3, 0.0, 0.0)), uniform_lapse_metric(0.08), 0.0),
+    ([moving_clock(1.0, (1e3 - j, 0.0, 0.0)) for j in range(3)], uniform_lapse_metric(0.08), 0.0),
+    ([moving_clock(1.0, (1e3 - j, 0.0, 0.0)) for j in range(COLUMN_CLOCKS)],
+     uniform_lapse_metric(0.08), 0.0),
 ], ids=["lapse", "lapse-charged", "constant-force", "isotropic", "lapse-batch",
         "charged-lapse-below-columns", "lapse-columns", "charged-lapse-columns",
-        "constant-force-columns"])
+        "constant-force-columns", "signed-zeros", "signed-zeros-batch", "signed-zeros-columns",
+        "negative-fields", "negative-fields-batch", "negative-fields-columns",
+        "fast", "fast-batch", "fast-columns"])
 def test_stepped_flows_equal_the_four_stage_loop(pt0, metric, charge, monkeypatch):
     """A flow that is not stationary steps a batch below ``COLUMN_CLOCKS``
-    clock by clock on Python floats, and a larger one on (N,) columns; on
-    either side of the crossover every sample is bitwise the loop's over
-    ``hamilton_rhs``."""
-    vector_calls, rate_calls = _count_stages(monkeypatch)
+    clock by clock on Python floats, and a larger one on (N,) columns: four
+    pair evaluations per step for each, and one ``_rates`` call on the
+    stage columns of each block of steps.  On either side of the crossover
+    every sample is bitwise the loop's over ``hamilton_rhs``."""
+    vector_calls, rate_calls, pair_calls = _count_stages(monkeypatch)
     states = integrate(pt0, metric, charge, 1.0, 2e-3)
     assert len(vector_calls) == 0
     clocks = 1 if np.ndim(pt0) == 1 else len(pt0)
     on_columns = clocks >= COLUMN_CLOCKS
-    assert len(rate_calls) == 4 * 500 * (1 if on_columns else clocks)
-    assert all(np.shape(args[0]) == ((clocks,) if on_columns else ()) for args in rate_calls)
+    column = (clocks,) if on_columns else ()
+    steps = [args for args in pair_calls if np.shape(args[0]) == column]
+    assert len(steps) == 4 * 500 * (1 if on_columns else clocks)
+    blocks = _blocks(500, clocks if on_columns else 1) * (1 if on_columns else clocks)
+    assert [np.shape(args[2]) for args in rate_calls] == [(n, 4) + column for n in blocks]
+    assert len(pair_calls) == len(steps) + len(rate_calls)
     reference = rk4_reference(pt0, metric, charge, 1.0, 2e-3)
     assert states.tobytes() == reference.tobytes()
 
 
+def test_stepped_flows_sum_every_block(monkeypatch):
+    """Blocks of seven steps, the last one short, give the samples of one
+    block, on floats and on columns."""
+    import clocklab.dynamics as dynamics
+    metric = uniform_lapse_metric(0.05, a0_slope=0.3)
+    for pt0, stepped in ((_clocks(3), 1), (_clocks(COLUMN_CLOCKS), COLUMN_CLOCKS)):
+        whole = integrate(pt0, metric, 0.5, 1.0, 1e-2)
+        monkeypatch.setattr(dynamics, "STAGE_BLOCK", 7 * stepped)
+        _, rate_calls, _ = _count_stages(monkeypatch)
+        assert integrate(pt0, metric, 0.5, 1.0, 1e-2).tobytes() == whole.tobytes()
+        # 100 steps: 14 blocks of 7 and one of 2, for each clock or for the batch
+        assert [len(args[2]) for args in rate_calls] == ([7] * 14 + [2]) * (len(pt0) // stepped)
+        monkeypatch.undo()
+
+
 def test_unheld_clock_in_a_field_takes_four_evaluations_per_step(monkeypatch):
     metric = uniform_lapse_metric(0.05)
-    _, calls = _count_stages(monkeypatch)
-    # four stage evaluations per step per clock, or per step for a batch on columns
-    for clocks, stages in ((1, 4 * 100), (3, 4 * 100 * 3), (COLUMN_CLOCKS, 4 * 100)):
-        calls.clear()
+    _, rate_calls, pair_calls = _count_stages(monkeypatch)
+    # four pair evaluations per step per clock, or per step for a batch on columns,
+    # and one _rates call per clock, or per batch, on the stage columns
+    for clocks, stages, batches in ((1, 4 * 100, 1), (3, 4 * 100 * 3, 3),
+                                    (COLUMN_CLOCKS, 4 * 100, 1)):
+        rate_calls.clear()
+        pair_calls.clear()
         integrate([moving_clock(1.0, (0.1 * (j + 1), 0.0, 0.0)) for j in range(clocks)],
                   metric, 0.0, 1.0, 1e-2)
-        assert len(calls) == stages
+        assert (len(pair_calls), len(rate_calls)) == (stages + batches, batches)
 
 
 def _raised(error, fn, *args) -> str:

@@ -27,15 +27,15 @@ def test_spring_mass_rejects_zero_gravity():
 def test_box_reference_values():
     rep = box_uncertainties(BoxExperiment(delta_q=1e-6, t=1.0, g=9.81), SI_UNITS)
     # frozen arithmetic with h = 6.62607015e-34 J s and exact c
-    assert rep.delta_m == pytest.approx(6.754403822629969e-29, rel=1e-12)
-    assert rep.delta_tau == pytest.approx(1.091509705e-22, rel=1e-9)
+    assert rep.delta_m == pytest.approx(6.754403822629969e-29, rel=1e-12, abs=0)
+    assert rep.delta_tau == pytest.approx(1.091509705e-22, rel=1e-9, abs=0)
     assert rep.product_ratio == pytest.approx(1.0, abs=1e-15)
 
 
 def test_efield_reference_values():
     rep = efield_uncertainties(EFieldExperiment(delta_q=1e-6, t=1.0, v=1e3), SI_UNITS)
-    assert rep.delta_m == pytest.approx(6.62607015e-31, rel=1e-12)
-    assert rep.delta_tau == pytest.approx(1.112650056e-20, rel=1e-9)
+    assert rep.delta_m == pytest.approx(6.62607015e-31, rel=1e-12, abs=0)
+    assert rep.delta_tau == pytest.approx(1.112650056e-20, rel=1e-9, abs=0)
     assert rep.product_ratio == pytest.approx(1.0, abs=1e-15)
 
 
@@ -61,8 +61,8 @@ def test_efield_cancellation_is_exact(dq, t, v):
 def test_box_scaling_in_reading_accuracy(dq, t, g):
     one = box_uncertainties(BoxExperiment(delta_q=dq, t=t, g=g), NATURAL_UNITS)
     two = box_uncertainties(BoxExperiment(delta_q=2.0 * dq, t=t, g=g), NATURAL_UNITS)
-    assert two.delta_m == pytest.approx(0.5 * one.delta_m, rel=1e-12)
-    assert two.delta_tau == pytest.approx(2.0 * one.delta_tau, rel=1e-12)
+    assert two.delta_m == pytest.approx(0.5 * one.delta_m, rel=1e-12, abs=0)
+    assert two.delta_tau == pytest.approx(2.0 * one.delta_tau, rel=1e-12, abs=0)
     assert two.product_ratio == pytest.approx(one.product_ratio, rel=1e-13)
 
 

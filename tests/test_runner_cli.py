@@ -960,31 +960,51 @@ def test_one_hamiltonian_pass_per_trajectory(tmp_path, monkeypatch):
     assert [args[0].shape for args in calls] == [(201, 1, 10)] * 2
 
 
+def _count_pair_rates(monkeypatch) -> list:
+    """Record the (x1, p1) of every evaluation of the pair rates that
+    ``dynamics._pair_rates`` builds."""
+    import clocklab.dynamics as dynamics
+    original, calls = dynamics._pair_rates, []
+
+    def counting(*fixed):
+        rates = original(*fixed)
+        return lambda x1, p1: calls.append((x1, p1)) or rates(x1, p1)
+
+    monkeypatch.setattr(dynamics, "_pair_rates", counting)
+    return calls
+
+
 def test_sweep_integrates_as_one_batch(tmp_path, monkeypatch):
     import clocklab.dynamics as dynamics
     vector_calls = _count_calls(monkeypatch, dynamics, "hamilton_rhs")
     rate_calls = _count_calls(monkeypatch, dynamics, "_rates")
+    pair_calls = _count_pair_rates(monkeypatch)
     columns = dynamics.COLUMN_CLOCKS
     # one integration of the whole batch: the stationary flat flow takes one
     # (4, 10) RHS evaluation; under a lapse a small batch steps each member
-    # on floats, four stage evaluations per RK4 step, and a batch of
-    # COLUMN_CLOCKS members steps on columns, four per step for the batch
+    # on floats, four pair evaluations per RK4 step and one _rates call on its
+    # (200, 4) stage columns, and a batch of COLUMN_CLOCKS members steps on
+    # columns, four per step for the batch and one _rates call per block
     lapse = "classical.metric = uniform_lapse\nclassical.lapse_g = 0.05\n"
-    for setting, members, vector_shapes, stages, rate_shape in (
-            (lapse, 4, [], 4 * 200 * 4, ()),
-            (lapse, columns, [], 4 * 200, (columns,)),
-            ("classical.metric = flat\n", 4, [(4, 10)], 1, (4,))):
+    block = dynamics.STAGE_BLOCK // columns
+    for setting, members, vector_shapes, stages, rate_shapes in (
+            (lapse, 4, [], 4 * 200 * 4, [(200, 4)] * 4),
+            (lapse, columns, [], 4 * 200, [(min(block, 200 - lo), 4, columns)
+                                          for lo in range(0, 200, block)]),
+            ("classical.metric = flat\n", 4, [(4, 10)], 0, [(4,)])):
         vector_calls.clear()
         rate_calls.clear()
+        pair_calls.clear()
         cfg, _ = _cfg(tmp_path, "CLASSICAL_TRAJECTORY",
                       "classical.t_end = 0.2\nclassical.dt = 1e-3\n" + setting +
                       "sweep.param = classical.p1\nsweep.min = 0.2\nsweep.max = 0.8\n"
                       f"sweep.count = {members}\n")
         report = run(cfg)
         assert report.all_passed and report.diagnostics["batch_members"] == members
+        assert report.diagnostics["rhs_evals"] == (4 * 200 * members if stages else 1)
         assert [args[0].shape for args in vector_calls] == vector_shapes
-        assert len(rate_calls) == stages
-        assert {np.shape(args[0]) for args in rate_calls} == {rate_shape}
+        assert [np.shape(args[2]) for args in rate_calls] == rate_shapes
+        assert len(pair_calls) == stages + len(rate_calls)
 
 
 _HORIZON_ARGV = ["classical", "trajectory", "--set", "classical.metric=uniform_lapse",
@@ -1000,7 +1020,7 @@ def test_cli_column_sweep_past_the_horizon_is_a_config_error(tmp_path, capsys, m
     batch steps on columns; only then, to find the member, are its clocks
     stepped alone on floats."""
     import clocklab.dynamics as dynamics
-    rate_calls = _count_calls(monkeypatch, dynamics, "_rates")
+    pair_calls = _count_pair_rates(monkeypatch)
     rising = [str(1e3 * (j + 1)) for j in range(dynamics.COLUMN_CLOCKS)]
     out = tmp_path / "x.csv"
     argv = _HORIZON_ARGV + ["--output", str(out)]
@@ -1010,7 +1030,7 @@ def test_cli_column_sweep_past_the_horizon_is_a_config_error(tmp_path, capsys, m
                           "horizon (lapse must stay positive; got ")
     assert err.endswith(") member=0 classical.p1=-1000.0\n")
     assert "runtime error" not in err and not out.exists()
-    shapes = [np.shape(args[0]) for args in rate_calls]
+    shapes = [np.shape(args[0]) for args in pair_calls]
     batch = shapes.count((len(rising),))
     assert batch and set(shapes[:batch]) == {(len(rising),)} and set(shapes[batch:]) == {()}
     assert main(argv + ["--set", "sweep.values=" + ",".join(rising)]) == 1  # too coarse to pass

@@ -15,7 +15,7 @@ DIMS = ("mass", "time", "energy", "length", "momentum", "speed", "acceleration")
 
 
 def test_h_is_two_pi_hbar():
-    assert SI_UNITS.h == pytest.approx(2.0 * math.pi * SI_UNITS.hbar, rel=1e-15)
+    assert SI_UNITS.h == pytest.approx(2.0 * math.pi * SI_UNITS.hbar, rel=1e-15, abs=0)
     assert NATURAL_UNITS.h == 2.0 * math.pi
 
 
@@ -46,4 +46,4 @@ def test_unknown_dimension_rejected():
 def test_round_trip_is_identity(value, dim):
     there = convert_units(value, dim, SI_UNITS, NATURAL_UNITS)
     back = convert_units(there, dim, NATURAL_UNITS, SI_UNITS)
-    assert back == pytest.approx(value, rel=1e-14)
+    assert back == pytest.approx(value, rel=1e-14, abs=0)
