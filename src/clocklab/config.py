@@ -26,8 +26,9 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .dynamics import whole_steps
+from .dynamics import MAX_STEPS, whole_steps
 from .grids import MAX_NODES
+from .search import default_bracket
 from .states import MAX_GRID_SIZE
 from .units import NATURAL_UNITS, SI_UNITS, UnitContext, UnitSystem, convert_units
 
@@ -315,23 +316,34 @@ def _resolve_sweep(raw: dict[str, str], schema: dict[str, ParamSpec], units: Uni
 
 
 def _bracket_violation(member: dict[str, Any], written: Callable[[str], str]) -> str | None:
-    """The optimizer bracket is the default (both ends 0) or 0 < lo < hi."""
+    """The optimizer bracket is the default (both ends 0) or 0 < lo < hi;
+    the default one, ``search.default_bracket``, must have 0 < lo < hi <
+    inf, which keys far from 1 round away."""
     lo, hi = member["optimize.sigma_lo"], member["optimize.sigma_hi"]
-    if lo == hi == 0.0 or 0.0 < lo < hi:
+    if 0.0 < lo < hi:
         return None
-    return (f"optimize.sigma_lo: must be 0 with optimize.sigma_hi (the default bracket) "
-            f"or satisfy 0 < optimize.sigma_lo < optimize.sigma_hi, "
-            f"got {written('optimize.sigma_lo')} and {written('optimize.sigma_hi')}")
+    if lo != 0.0 or hi != 0.0:
+        return (f"optimize.sigma_lo: must be 0 with optimize.sigma_hi (the default bracket) "
+                f"or satisfy 0 < optimize.sigma_lo < optimize.sigma_hi, "
+                f"got {written('optimize.sigma_lo')} and {written('optimize.sigma_hi')}")
+    lo, hi = default_bracket(member["quantum.e0"], member["quantum.p0"], member["quantum.t"])
+    if 0.0 < lo < hi < math.inf:
+        return None
+    return (f"optimize.sigma_lo: the default bracket (both ends 0), a factor of ten either "
+            f"side of sqrt(|(e0, p0)| / (2 t)), must satisfy 0 < lo < hi < inf; give both "
+            f"ends, got quantum.e0 = {written('quantum.e0')}, quantum.p0 = "
+            f"{written('quantum.p0')} and quantum.t = {written('quantum.t')}")
 
 
 def _step_rule_violation(member: dict[str, Any], written: Callable[[str], str]) -> str | None:
     """classical.t_end must be a whole number of classical.dt steps, at least
-    four (the rate and motion audits take five-point central differences)."""
+    four (the rate and motion audits take five-point central differences)
+    and at most MAX_STEPS (the memory of the trajectory's table)."""
     n_steps = whole_steps(member["classical.t_end"], member["classical.dt"])
-    if n_steps is not None and n_steps >= 4:
+    if n_steps is not None and 4 <= n_steps <= MAX_STEPS:
         return None
-    return (f"classical.t_end: must be a whole number of classical.dt steps, at least 4, "
-            f"got classical.t_end = {written('classical.t_end')} and "
+    return (f"classical.t_end: must be a whole number of classical.dt steps, at least 4 "
+            f"and at most {MAX_STEPS}, got classical.t_end = {written('classical.t_end')} and "
             f"classical.dt = {written('classical.dt')}")
 
 

@@ -140,10 +140,20 @@ def hamilton_rhs(z: np.ndarray, metric: StaticMetric, charge: float = 0.0) -> np
     return out
 
 
+# The most steps a configured trajectory takes: the runner's table holds 14 float64
+# columns, 112 bytes per step and member, so 10^6 steps take 112 MB per member before
+# the audits' arrays of the same length (the default run takes 10^4 steps)
+MAX_STEPS = 10**6
+
+
 def whole_steps(t_end: float, dt: float) -> int | None:
     """Number of dt steps that make up t_end (natural units), or None when
-    t_end is not a whole positive number of steps to within 1e-9 max(1, t_end)."""
-    n_steps = int(round(t_end / dt))
+    t_end is not a whole positive number of steps to within 1e-9 max(1, t_end),
+    or t_end / dt is not finite."""
+    quotient = t_end / dt
+    if not math.isfinite(quotient):
+        return None
+    n_steps = int(round(quotient))
     if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
         return None
     return n_steps

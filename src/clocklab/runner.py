@@ -23,7 +23,9 @@ write; classical trajectories also
 ``integrate_s`` and ``audit_s``, the phases inside ``compute_s``, summed over
 batches; quantum runs ``build_s``, ``moments_s`` and ``read_s``, the state
 builds, the t = 0 moment passes and the evolved readings, summed over
-members) and the clocklab, numpy and Python ``versions``.
+members) and the clocklab, numpy and Python ``versions``.  Every clock state
+a quantum run reads, each optimizer trial's too, is built, timed and refused
+in one place, ``_clock_state``; ``search`` only searches.
 """
 from __future__ import annotations
 
@@ -63,8 +65,13 @@ from .dynamics import (
 from .gedanken import BoxExperiment, EFieldExperiment, box_uncertainties, efield_uncertainties
 from .metric import LapseHorizonError, StaticMetric, uniform_lapse_metric
 from .moments import SPREAD_FLOOR, StateMoments, state_moments, tau_moments_simulated
-from .operators import TAU_WINDOW_LIMIT, TipClearanceError, commutator_residual
-from .search import OptimizerBracketError, optimize_clock_width
+from .operators import (
+    TAU_WINDOW_LIMIT,
+    TipClearanceError,
+    check_tip_clearance,
+    commutator_residual,
+)
+from .search import OptimizerBracketError, default_bracket, optimize_clock_width
 from .states import (
     GaussianClockSpec,
     GridAxisError,
@@ -350,31 +357,41 @@ _MOMENT_COLS = [("t", "time"), ("mean_tau", "time"), ("var_tau_sim", "time^2"),
                 ("sharpness", "")]
 
 
-def _clock_state(params: dict[str, Any], t_max: float, time_key: str,
-                 phases: dict[str, float]):
-    """The member's clock state, at tau0 = 0, and its t = 0 moments.  A state
-    the runtime refuses is a config error naming the time key (an E grid too
-    large for t_max, or a p quadrature of more than MAX_NODES nodes), the
-    width key of an axis whose window does not resolve the state
-    (quantum.sigma_e or quantum.sigma_p), or quantum.e0 (support at the cone
-    tip, where no p quadrature converges)."""
-    spec = GaussianClockSpec(e0=params["quantum.e0"], sigma_e=params["quantum.sigma_e"],
+def _clock_state(params: dict[str, Any], sigma_e: float, t_max: float, time_key: str,
+                 width_key: str, phases: dict[str, float], sizes: dict[str, int],
+                 moments: bool = True):
+    """The one build of a clock state for a reading: the member's Gaussian
+    of width sigma_e at tau0 = 0, sized for readings up to t_max, and its
+    t = 0 moments (None unless ``moments``).  The build and the moments are
+    timed into ``phases``, ``sizes`` keeps the largest grid sizes, and the
+    cone tip is checked once per state, by ``state_moments`` where it runs.
+    A refused state is a config error naming the time key (an E grid or p
+    quadrature too large for t_max), the width key (an E grid too large even
+    at t = 0, where no time enters, or an E window that does not resolve the
+    state), quantum.sigma_p (a p axis that does not) or quantum.e0 (support
+    at the cone tip)."""
+    spec = GaussianClockSpec(e0=params["quantum.e0"], sigma_e=sigma_e,
                              p0=params["quantum.p0"], sigma_p=params["quantum.sigma_p"])
+    floors = {"n_e": params["grid.e.n"], "n_p": params["grid.p.n"]}
     try:
-        state = _timed(phases, "build_s", gaussian_state, spec, t_max=t_max,
-                       n_e=params["grid.e.n"], n_p=params["grid.p.n"])
+        state = _timed(phases, "build_s", gaussian_state, spec, t_max=t_max, **floors)
+        record = _timed(phases, "moments_s", state_moments, state) if moments else None
+        if record is None:
+            check_tip_clearance(state)
+        elif isinstance(record.dilation, str):
+            raise TipClearanceError(record.dilation)
     except GridSizeError as err:
-        # near the cone tip the p quadrature never converges: the tip names e0
-        tip = state_moments(gaussian_state(spec, n_e=params["grid.e.n"],
-                                           n_p=params["grid.p.n"])).dilation
-        raise ConfigError([f"quantum.e0: {tip}" if isinstance(tip, str)
-                           else f"{time_key}: {err}"]) from None
+        if t_max > 0.0:  # no time enters at t = 0: a tip there names e0, a grid too big the width
+            _clock_state(params, sigma_e, 0.0, time_key, width_key, phases, sizes, moments=False)
+        raise ConfigError([f"{time_key if t_max > 0.0 else width_key}: {err}"]) from None
     except GridAxisError as err:
-        raise ConfigError([f"quantum.sigma_{err.axis.lower()}: {err}"]) from None
-    moments = _timed(phases, "moments_s", state_moments, state)
-    if isinstance(moments.dilation, str):
-        raise ConfigError([f"quantum.e0: {moments.dilation}"])
-    return state, moments
+        key = width_key if err.axis == "E" else "quantum.sigma_p"
+        raise ConfigError([f"{key}: {err}"]) from None
+    except TipClearanceError as err:
+        raise ConfigError([f"quantum.e0: {err}"]) from None
+    for name, n in (("n_e", state.e_grid.n), ("n_p", state.p_grid.n)):
+        sizes[name] = max(sizes.get(name, n), n)
+    return state, record
 
 
 def _moment_row(state, moments: StateMoments, t: float, tau0: float,
@@ -390,10 +407,6 @@ def _moment_row(state, moments: StateMoments, t: float, tau0: float,
              law.const, bound, t <= 0.0 or sim.var_tau >= bound, moments.sharpness], sim)
 
 
-def _grid_sizes(state) -> dict[str, int]:
-    return {"n_e": state.e_grid.n, "n_p": state.p_grid.n}
-
-
 def _snapshot_tables(state) -> list:
     """The state's E and p marginals, one table per axis of the snapshot CSV
     (the p marginal at the p axis's nodes, as ``probability_marginals``
@@ -407,7 +420,9 @@ def _run_quantum_moments(params: dict[str, Any], phases: dict[str, float]):
     times = params["quantum.times"]
     if not any(times):  # the laws come from the t = 0 reading: only a later one tests them
         raise ConfigError(["quantum.times: needs a time other than 0, got only t = 0"])
-    state, moments = _clock_state(params, max(abs(t) for t in times), "quantum.times", phases)
+    sizes: dict[str, int] = {}
+    state, moments = _clock_state(params, params["quantum.sigma_e"], max(abs(t) for t in times),
+                                  "quantum.times", "quantum.sigma_e", phases, sizes)
     path = params.get("quantum.snapshot")
     snapshot = (path, _snapshot_tables(state)) if path else None
     law, start = moments.law, moments.reading
@@ -429,13 +444,15 @@ def _run_quantum_moments(params: dict[str, Any], phases: dict[str, float]):
         _check("uncertainty_floor", SPREAD_FLOOR - moments.spread_product),
         _check("commutator", commutator_residual(state)),
     ]
-    return _Member(_MOMENT_COLS, [np.array(column) for column in zip(*rows)], checks,
-                   _grid_sizes(state), phases, snapshot)
+    return _Member(_MOMENT_COLS, [np.array(column) for column in zip(*rows)], checks, sizes,
+                   phases, snapshot)
 
 
 def _run_quantum_bound(params: dict[str, Any], phases: dict[str, float]):
     t = params["quantum.t"]
-    state, moments = _clock_state(params, t, "quantum.t", phases)
+    sizes: dict[str, int] = {}
+    state, moments = _clock_state(params, params["quantum.sigma_e"], t, "quantum.t",
+                                  "quantum.sigma_e", phases, sizes)
     row, sim = _moment_row(state, moments, t, params["quantum.tau0"], phases)
     checks = [
         _check("sw_bound", (moments.clock_bound(t) - sim.var_tau)
@@ -443,39 +460,32 @@ def _run_quantum_bound(params: dict[str, Any], phases: dict[str, float]):
         _check("tau_window", sim.tau_window),
         _check("uncertainty_floor", SPREAD_FLOOR - moments.spread_product),
     ]
-    return _Member(_MOMENT_COLS, [np.array([cell]) for cell in row], checks, _grid_sizes(state),
-                   phases)
+    return _Member(_MOMENT_COLS, [np.array([cell]) for cell in row], checks, sizes, phases)
 
 
 def _run_quantum_optimize(params: dict[str, Any], phases: dict[str, float]):
+    # a trial width comes from the bracket, so the E axis's refusals name its lower end
+    t, keys, sizes = params["quantum.t"], ("quantum.t", "optimize.sigma_lo"), {}
     lo, hi = params["optimize.sigma_lo"], params["optimize.sigma_hi"]
-    bounds = None if lo == hi == 0.0 else (lo, hi)  # both 0: the default bracket
+    if lo == hi == 0.0:  # the default bracket, which the config has checked
+        lo, hi = default_bracket(params["quantum.e0"], params["quantum.p0"], t)
+
+    def var_at(sigma_e: float) -> float:
+        state, _ = _clock_state(params, sigma_e, t, *keys, phases, sizes, moments=False)
+        return _timed(phases, "read_s", tau_moments_simulated, state, t).var_tau
+
     try:
-        result = optimize_clock_width(
-            e0=params["quantum.e0"], p0=params["quantum.p0"],
-            sigma_p=params["quantum.sigma_p"], t=params["quantum.t"],
-            sigma_bounds=bounds, n_e=params["grid.e.n"], n_p=params["grid.p.n"])
-    except GridSizeError as err:
-        raise ConfigError([f"quantum.t: {err}"]) from None
-    except GridAxisError as err:  # the trial widths come from the bracket
-        key = "optimize.sigma_lo" if err.axis == "E" else "quantum.sigma_p"
-        raise ConfigError([f"{key}: {err}"]) from None
-    except TipClearanceError as err:
-        raise ConfigError([f"quantum.e0: {err}"]) from None
+        result = optimize_clock_width(var_at, (lo, hi))
     except OptimizerBracketError as err:  # the two keys set the bracket, the default one too
-        lo, hi = err.bounds
-        edge = "optimize.sigma_lo" if err.sigma_e / lo < hi / err.sigma_e else "optimize.sigma_hi"
-        raise ConfigError([f"{edge}: {err}"]) from None
-    for phase, seconds in result.timings.items():
-        phases[phase] += seconds
+        raise ConfigError([f"optimize.sigma_{err.edge}: {err}"]) from None
+    bound = _clock_state(params, result.sigma_e_opt, t, *keys, phases, sizes)[1].clock_bound(t)
     checks = [
-        _check("sw_bound_floor", result.bound - result.min_var),
-        _check("sw_saturation", result.min_var / result.bound - 1.0),
+        _check("sw_bound_floor", bound - result.min_var),
+        _check("sw_saturation", result.min_var / bound - 1.0),
     ]
-    n_e, n_p = result.grid_sizes
     cols = [("eval", ""), ("sigma_e", "energy"), ("var_tau", "time^2")]
     columns = [np.arange(len(result.trace)), *np.array(result.trace).T]
-    return _Member(cols, columns, checks, {"n_e": n_e, "n_p": n_p}, phases)
+    return _Member(cols, columns, checks, sizes, phases)
 
 
 # kind -> runner(member params, seed) -> one _Member per member

@@ -27,7 +27,7 @@ from clocklab.gedanken import BoxExperiment, EFieldExperiment, box_uncertainties
 from clocklab.metric import StaticMetric, uniform_lapse_metric
 from clocklab.moments import state_moments, tau_moments_simulated
 from clocklab.operators import commutator_residual, evolve
-from clocklab.search import OptimizerBracketError, optimize_clock_width
+from clocklab.search import OptimizerBracketError, default_bracket, optimize_clock_width
 from clocklab.states import GaussianClockSpec, gaussian_state, state_from_profiles, suggest_grids
 from clocklab.units import NATURAL_UNITS, SI_UNITS
 
@@ -52,6 +52,16 @@ class _Stopwatch:
 def _line(criterion: str, passed: bool, elapsed: float, detail: str) -> None:
     status = "PASS" if passed else "FAIL"
     print(f"[{status}] {criterion} ({elapsed:.2f}s): {detail}")
+
+
+def _width_search(e0, p0, sigma_p, t, bracket):
+    """The optimizer on simulated readings at t of Gaussian clocks sized for
+    t, and the t = 0 moments of the best state."""
+    def state(sigma_e):
+        return gaussian_state(GaussianClockSpec(e0, sigma_e, p0=p0, sigma_p=sigma_p), t_max=t)
+
+    result = optimize_clock_width(lambda s: tau_moments_simulated(state(s), t).var_tau, bracket)
+    return result, state_moments(state(result.sigma_e_opt))
 
 
 def test_criterion_01_weighing_cancellation():
@@ -273,16 +283,18 @@ def test_criterion_09a_bound_on_peaked_families():
 
 def test_criterion_09b_optimizer_saturates_bound():
     with _Stopwatch() as sw:
-        result = optimize_clock_width(e0=10.0, p0=1000.0, sigma_p=0.05, t=100.0)
-        sigma_pred, _ = sharp_energy_minimum(result.energy_scale, 100.0)
-        rel_gap = abs(result.min_var - result.bound) / result.bound
-    ok = (rel_gap <= 0.05 and result.min_var >= result.bound - 1e-3
+        result, best = _width_search(10.0, 1000.0, 0.05, 100.0,
+                                     default_bracket(10.0, 1000.0, 100.0))
+        bound = best.clock_bound(100.0)
+        sigma_pred, _ = sharp_energy_minimum(best.h_mean, 100.0)
+        rel_gap = abs(result.min_var - bound) / bound
+    ok = (rel_gap <= 0.05 and result.min_var >= bound - 1e-3
           and abs(result.sigma_e_opt - sigma_pred) <= 0.1 * sigma_pred)
     _line("9b optimizer saturation (boosted clock)", ok, sw.elapsed,
-          f"min_var = {result.min_var:.6f}, bound = {result.bound:.6f}, "
+          f"min_var = {result.min_var:.6f}, bound = {bound:.6f}, "
           f"sigma_opt = {result.sigma_e_opt:.4f} (sharp-energy {sigma_pred:.4f})")
     assert rel_gap <= 0.05
-    assert result.min_var >= result.bound - 1e-3
+    assert result.min_var >= bound - 1e-3
     assert result.sigma_e_opt == pytest.approx(sigma_pred, rel=0.10)
 
 
@@ -310,8 +322,7 @@ def test_criterion_09c_rest_clock_saturation():
         scan = [exact_gaussian_variance(e0, s, 0.0, sigma_p, t)
                 for s in np.geomspace(*bracket, 41)]
         with pytest.raises(OptimizerBracketError) as edge:
-            optimize_clock_width(e0=e0, p0=0.0, sigma_p=sigma_p, t=t,
-                                 sigma_bounds=bracket)
+            _width_search(e0, 0.0, sigma_p, t, bracket)
         sigma_edge = edge.value.sigma_e
         var_wide = tau_moments_simulated(
             gaussian_state(GaussianClockSpec(e0, bracket[1], p0=0.0, sigma_p=sigma_p),
@@ -321,8 +332,7 @@ def test_criterion_09c_rest_clock_saturation():
         bound_a = hbar * t / e0  # <E> = e0 for the Gaussian
         # (b) a slow clock whose exact optimum sits inside the bracket
         e0_b, sigma_p_b, t_b, bracket_b = 20.0, 1.8, 400.0, (0.3, 1.5)
-        result = optimize_clock_width(e0=e0_b, p0=0.0, sigma_p=sigma_p_b, t=t_b,
-                                      sigma_bounds=bracket_b)
+        result, _ = _width_search(e0_b, 0.0, sigma_p_b, t_b, bracket_b)
         sigma_exact, var_exact = exact_gaussian_variance_minimum(
             e0_b, 0.0, sigma_p_b, t_b, *bracket_b)
         law_b = state_moments(gaussian_state(

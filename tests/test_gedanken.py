@@ -48,13 +48,13 @@ def test_both_normalizations_reported():
 @given(dq=positive, t=positive, g=positive)
 def test_box_cancellation_is_exact(dq, t, g):
     rep = box_uncertainties(BoxExperiment(delta_q=dq, t=t, g=g), NATURAL_UNITS)
-    assert rep.product_ratio == pytest.approx(1.0, rel=1e-13)
+    assert rep.product_ratio == pytest.approx(1.0, rel=1e-13, abs=0)
 
 
 @given(dq=positive, t=positive, v=st.floats(min_value=1e-9, max_value=0.999))
 def test_efield_cancellation_is_exact(dq, t, v):
     rep = efield_uncertainties(EFieldExperiment(delta_q=dq, t=t, v=v), NATURAL_UNITS)
-    assert rep.product_ratio == pytest.approx(1.0, rel=1e-13)
+    assert rep.product_ratio == pytest.approx(1.0, rel=1e-13, abs=0)
 
 
 @given(dq=positive, t=positive, g=positive)
@@ -63,13 +63,13 @@ def test_box_scaling_in_reading_accuracy(dq, t, g):
     two = box_uncertainties(BoxExperiment(delta_q=2.0 * dq, t=t, g=g), NATURAL_UNITS)
     assert two.delta_m == pytest.approx(0.5 * one.delta_m, rel=1e-12, abs=0)
     assert two.delta_tau == pytest.approx(2.0 * one.delta_tau, rel=1e-12, abs=0)
-    assert two.product_ratio == pytest.approx(one.product_ratio, rel=1e-13)
+    assert two.product_ratio == pytest.approx(one.product_ratio, rel=1e-13, abs=0)
 
 
 def test_dilation_reference_points():
     c = SI_UNITS.c
     assert dilation_factor(0.0, SI_UNITS) == 1.0
-    assert dilation_factor(0.6 * c, SI_UNITS) == pytest.approx(0.8, rel=1e-15)
+    assert dilation_factor(0.6 * c, SI_UNITS) == pytest.approx(0.8, rel=1e-15, abs=0)
     assert dilation_factor(0.99 * c, SI_UNITS) == pytest.approx(0.141067359797, rel=1e-10)
 
 

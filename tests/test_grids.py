@@ -145,10 +145,10 @@ def test_edge_band_share_of_spectral_power():
     mixed = np.outer(np.ones(4), low + 1e-3 * high)  # the band is along axis 1
     _, power = power_spectrum(mixed, axis=1)
     assert power.shape == (64,)
-    assert edge_band_share(power, 0.1) == pytest.approx(1e-6 / (1.0 + 1e-6), rel=1e-9)
+    assert edge_band_share(power, 0.1) == pytest.approx(1e-6 / (1.0 + 1e-6), rel=1e-9, abs=0)
     # the same values with the transform axis contiguous (Fortran order)
     _, power_f = power_spectrum(np.asfortranarray(mixed.T), axis=0)
-    assert edge_band_share(power_f, 0.1) == pytest.approx(1e-6 / (1.0 + 1e-6), rel=1e-9)
+    assert edge_band_share(power_f, 0.1) == pytest.approx(1e-6 / (1.0 + 1e-6), rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

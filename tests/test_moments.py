@@ -141,7 +141,7 @@ def test_boosted_clock_sharpness_matches_quadrature():
     h_mean = gauss_hermite_mean(h, e0, sigma_e, p0, sigma_p)
     h_var = gauss_hermite_mean(lambda E, P: (h(E, P) - h_mean) ** 2, e0, sigma_e, p0, sigma_p)
     moments = state_moments(_state(e0=e0, sigma_e=sigma_e, p0=p0, sigma_p=sigma_p))
-    assert moments.sharpness == pytest.approx(np.sqrt(h_var) / h_mean, rel=1e-10)
+    assert moments.sharpness == pytest.approx(np.sqrt(h_var) / h_mean, rel=1e-10, abs=0)
 
 
 def test_bound_check_fields():
@@ -366,7 +366,7 @@ def test_spectral_tau_moments_equal_the_position_space_sums(make, t):
     # relative to the spread where <tau> sits near 0
     scale = max(abs(mean.real), np.sqrt(second - mean.real**2))
     assert abs(stats.mean - mean.real) <= 1e-13 * scale
-    assert stats.second == pytest.approx(second, rel=1e-13)
+    assert stats.second == pytest.approx(second, rel=1e-13, abs=0)
 
 
 def test_c_and_fortran_order_values_give_bitwise_equal_statistics():

@@ -15,8 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import clocklab
 from clocklab.brackets import flow_tolerance
-from clocklab.cli import main
-from clocklab.config import parse_config
+from clocklab.cli import _SUBCOMMANDS, main
+from clocklab.config import SCHEMAS, parse_config
 from clocklab.csvio import emit_csv
 from clocklab.runner import _TRAJ_COLS, _check, _si_factor, _to_si, run
 from clocklab.units import NATURAL_UNITS, SI_UNITS, convert_units
@@ -134,7 +134,7 @@ def test_float_format_has_at_least_12_significant_digits(tmp_path):
     path = tmp_path / "prec.csv"
     emit_csv([[np.array([1.0 / 3.0])]], ["x"], path)
     cell = path.read_text().splitlines()[1]
-    assert float(cell) == pytest.approx(1.0 / 3.0, rel=1e-14)
+    assert float(cell) == pytest.approx(1.0 / 3.0, rel=1e-14, abs=0)
 
 
 def _around(centres, steps=8):
@@ -1364,6 +1364,32 @@ def test_cli_start_below_the_lapse_horizon_is_a_config_error(tmp_path, capsys, s
      "got classical.p1 = 1e-43 kg*m/s, classical.p2 = 0.0 kg*m/s and classical.p3 = 0.0 kg*m/s"),
     (["classical trajectory", "classical.hold=1", "classical.t_end=0.01",
       "sweep.param=classical.p1", "sweep.values=0, -0.0"], 0, "[PASS] proper_time_residual"),
+    (["quantum optimize", "quantum.e0=0", "quantum.p0=0"], 2,
+     "config error: optimize.sigma_lo: the default bracket (both ends 0), a factor of ten "
+     "either side of sqrt(|(e0, p0)| / (2 t)), must satisfy 0 < lo < hi < inf; give both ends, "
+     "got quantum.e0 = 0.0, quantum.p0 = 0.0 and quantum.t = 100.0"),
+    (["quantum optimize", "quantum.t=5e-324"], 2,
+     "config error: optimize.sigma_lo: the default bracket (both ends 0)"),
+    (["quantum optimize", "quantum.e0=1e-300", "quantum.p0=0", "quantum.t=1e300"], 2,
+     "got quantum.e0 = 1e-300, quantum.p0 = 0.0 and quantum.t = 1e+300"),
+    (["quantum optimize", "units=SI", "quantum.e0=1e300", "quantum.p0=0", "quantum.t=1e-300"], 2,
+     "got quantum.e0 = 1e+300 J, quantum.p0 = 0.0 kg*m/s and quantum.t = 1e-300 s"),
+    (["classical trajectory", "classical.t_end=1e12"], 2,
+     "config error: classical.t_end: must be a whole number of classical.dt steps, at least 4 "
+     "and at most 1000000, got classical.t_end = 1000000000000.0 and classical.dt = 0.001"),
+    (["classical trajectory", "classical.t_end=1e300"], 2,
+     "config error: classical.t_end: must be a whole number of classical.dt steps"),
+    (["classical trajectory", "classical.dt=5e-324", "classical.t_end=0.05"], 2,
+     "config error: classical.t_end: must be a whole number of classical.dt steps"),
+    (["quantum moments", "quantum.sigma_e=1e5", "quantum.times=0,1e-9"], 2,
+     "config error: quantum.sigma_e: requested proper-time reach needs an impractically large "
+     "E grid"),
+    (["quantum bound", "quantum.sigma_e=1e6"], 2,
+     "config error: quantum.sigma_e: requested proper-time reach needs an impractically large "
+     "E grid"),
+    (["quantum optimize", "optimize.sigma_lo=1e6", "optimize.sigma_hi=1e7"], 2,
+     "config error: optimize.sigma_lo: requested proper-time reach needs an impractically large "
+     "E grid"),
 ], ids=["flat-lapse", "flat-lapse-sweep", "tau-stalls-under-force",
         "tau-stalls-under-lapse", "step-past-horizon",
         "sigma-e-rounds", "e0-rounds", "p0-rounds", "optimize-p0-rounds",
@@ -1373,7 +1399,10 @@ def test_cli_start_below_the_lapse_horizon_is_a_config_error(tmp_path, capsys, s
         "efield-dq-tiny", "efield-v-tiny", "tau-final-below-its-advance",
         "optimize-rest-clock-wide-edge", "optimize-default-bracket-wide-edge",
         "optimize-narrow-edge", "moments-only-t-0", "held-clock-moving", "held-clock-p3",
-        "held-clock-p1-sweep-si", "held-clock-p1-sweep-at-rest"])
+        "held-clock-p1-sweep-si", "held-clock-p1-sweep-at-rest", "default-bracket-at-the-tip",
+        "default-bracket-tiny-t", "default-bracket-underflows", "default-bracket-overflows-si",
+        "steps-past-the-ceiling", "steps-past-the-int-range", "steps-not-finite",
+        "moments-too-wide-at-t-0", "bound-too-wide-at-t-0", "optimize-too-wide-at-t-0"])
 def test_cli_bad_inputs_end_in_a_config_error_or_a_failed_check(tmp_path, capsys, settings,
                                                                 code, message):
     """Each input ends as a config error naming its key, with no CSV, or as
@@ -1386,6 +1415,36 @@ def test_cli_bad_inputs_end_in_a_config_error_or_a_failed_check(tmp_path, capsys
     captured = capsys.readouterr()
     assert message in captured.out + captured.err
     assert out.exists() == (code != 2)
+
+
+_EXTREMES = ("0", "-1", "5e-324", "1e-300", "1e300", "-1e300")
+
+
+@pytest.mark.parametrize("group, sub", list(_SUBCOMMANDS))
+def test_cli_extreme_values_of_every_numeric_key_end_in_exit_0_1_or_2(tmp_path, capsys,
+                                                                       group, sub):
+    """Every numeric key of the kind, set alone to each of ``_EXTREMES``,
+    passes, fails a check or is a config error; none ends in a runtime
+    error.  Trajectories run 50 steps and bracket tables 3 points, so that
+    the values under test, not the run's length, set the work."""
+    kind = _SUBCOMMANDS[group, sub]
+    runtime_errors = []
+    for spec in SCHEMAS[kind]:
+        if spec.kind == "string":
+            continue
+        for value in _EXTREMES:
+            argv = [group, sub, "--set", f"{spec.key}={value}"]
+            if kind == "CLASSICAL_TRAJECTORY" and spec.key != "classical.t_end":
+                argv += ["--set", "classical.t_end=0.05"]
+            if kind == "CLASSICAL_BRACKETS":
+                argv += ["--set", "brackets.points=3"]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # numpy overflow on the extremes
+                code = main(argv + ["--output", str(tmp_path / "x.csv")])
+            if code not in (0, 1, 2):
+                runtime_errors.append((spec.key, value, code, capsys.readouterr().err))
+            capsys.readouterr()
+    assert runtime_errors == []
 
 
 def _offset_run(tmp_path, monkeypatch, argv, name):
