@@ -315,6 +315,16 @@ def _resolve_sweep(raw: dict[str, str], schema: dict[str, ParamSpec], units: Uni
     return SweepSpec(param=param, values=values)
 
 
+_MOMENTA = ("classical.p1", "classical.p2", "classical.p3")
+
+
+def _got(written: Callable[[str], str], *keys: str) -> str:
+    """The tail "got a = x, b = y and c = z" of a rule's message: each key
+    and its value as the config gives it."""
+    got = [f"{key} = {written(key)}" for key in keys]
+    return f"got {', '.join(got[:-1])} and {got[-1]}"
+
+
 def _bracket_violation(member: dict[str, Any], written: Callable[[str], str]) -> str | None:
     """The optimizer bracket is the default (both ends 0) or 0 < lo < hi;
     the default one, ``search.default_bracket``, must have 0 < lo < hi <
@@ -331,8 +341,7 @@ def _bracket_violation(member: dict[str, Any], written: Callable[[str], str]) ->
         return None
     return (f"optimize.sigma_lo: the default bracket (both ends 0), a factor of ten either "
             f"side of sqrt(|(e0, p0)| / (2 t)), must satisfy 0 < lo < hi < inf; give both "
-            f"ends, got quantum.e0 = {written('quantum.e0')}, quantum.p0 = "
-            f"{written('quantum.p0')} and quantum.t = {written('quantum.t')}")
+            f"ends, {_got(written, 'quantum.e0', 'quantum.p0', 'quantum.t')}")
 
 
 def _step_rule_violation(member: dict[str, Any], written: Callable[[str], str]) -> str | None:
@@ -343,8 +352,7 @@ def _step_rule_violation(member: dict[str, Any], written: Callable[[str], str]) 
     if n_steps is not None and 4 <= n_steps <= MAX_STEPS:
         return None
     return (f"classical.t_end: must be a whole number of classical.dt steps, at least 4 "
-            f"and at most {MAX_STEPS}, got classical.t_end = {written('classical.t_end')} and "
-            f"classical.dt = {written('classical.dt')}")
+            f"and at most {MAX_STEPS}, {_got(written, 'classical.t_end', 'classical.dt')}")
 
 
 def _flat_lapse_violation(member: dict[str, Any], written: Callable[[str], str]) -> str | None:
@@ -363,8 +371,7 @@ def _lapse_horizon_violation(member: dict[str, Any],
         return None
     return (f"classical.x1: must start where the lapse "
             f"1 + classical.lapse_g * classical.x1 / c^2 is positive, "
-            f"got classical.lapse_g = {written('classical.lapse_g')} and "
-            f"classical.x1 = {written('classical.x1')}")
+            f"{_got(written, 'classical.lapse_g', 'classical.x1')}")
 
 
 def _kinetic_root_violation(member: dict[str, Any],
@@ -376,7 +383,7 @@ def _kinetic_root_violation(member: dict[str, Any],
     by it, and a rest energy far below the momentum (1e-150 beside 0.5)
     leaves a clock with no proper time to audit.  The squares are products,
     as the dynamics forms them, so a sum past the float range reads inf."""
-    m, p = member["classical.m"], [member[f"classical.p{i}"] for i in (1, 2, 3)]
+    m, p = member["classical.m"], [member[key] for key in _MOMENTA]
     root2 = m * m + sum(v * v for v in p)
     if not root2 > 0.0:
         problem = "m^2 + p1^2 + p2^2 + p3^2 must be positive"
@@ -386,21 +393,16 @@ def _kinetic_root_violation(member: dict[str, Any],
         problem = "the rate (m / sqrt(m^2 + p1^2 + p2^2 + p3^2))^3 underflows to 0"
     else:
         return None
-    return (f"classical.m: {problem}, got "
-            f"classical.m = {written('classical.m')}, classical.p1 = {written('classical.p1')}, "
-            f"classical.p2 = {written('classical.p2')} and "
-            f"classical.p3 = {written('classical.p3')}")
+    return f"classical.m: {problem}, {_got(written, 'classical.m', *_MOMENTA)}"
 
 
 def _held_at_rest_violation(member: dict[str, Any], written: Callable[[str], str]) -> str | None:
     """A held clock is at rest: ``hold`` freezes x, while the clock's tau rate
     f M / sqrt(M^2 + |p|^2) would still read a momentum."""
-    momenta = [f"classical.p{i}" for i in (1, 2, 3)]
-    if member["classical.hold"] == 0.0 or not any(member[key] for key in momenta):
+    if member["classical.hold"] == 0.0 or not any(member[key] for key in _MOMENTA):
         return None
-    got = [f"{key} = {written(key)}" for key in momenta]
     return (f"classical.hold: a held clock must be at rest (p1 = p2 = p3 = 0), "
-            f"got {', '.join(got[:-1])} and {got[-1]}")
+            f"{_got(written, *_MOMENTA)}")
 
 
 def _latitude_violation(member: dict[str, Any], written: Callable[[str], str]) -> str | None:
@@ -417,9 +419,8 @@ def _latitude_violation(member: dict[str, Any], written: Callable[[str], str]) -
         product = NATURAL_UNITS.h / dq / v * (v * dq)  # dm = (h / dq) / v
     if math.isfinite(product):
         return None
-    got = [f"{key} = {written(key)}" for key in keys]
     return (f"{keys[0]}: the latitudes dm and dtau leave the float range, so c^2 dm dtau / h "
-            f"is not finite, got {', '.join(got[:-1])} and {got[-1]}")
+            f"is not finite, {_got(written, *keys)}")
 
 
 # Rules that join keys, checked on every run member (natural units) once each

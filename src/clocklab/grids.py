@@ -192,12 +192,12 @@ def edge_band_share(power: np.ndarray, edge_band: float) -> float:
     """Share of ``power`` (DFT order) whose wavenumber lies in the outer
     ``edge_band`` fraction of the conjugate window, ``|k| >= (1 -
     edge_band) * k_Nyquist``: content there is about to wrap around the
-    window."""
+    window.  A power of 0 has share 0, a nan one a nan share."""
     n = power.shape[0]
     # in DFT order |k| >= first_edge * dk is the one slice [first_edge, n - first_edge]
     first_edge = math.ceil((1.0 - edge_band) * n / 2)
     total = float(np.add.reduce(power))
-    return float(np.add.reduce(power[first_edge:n - first_edge + 1])) / total if total > 0.0 else 0.0
+    return float(np.add.reduce(power[first_edge:n - first_edge + 1])) / total if total else 0.0
 
 
 def spectral_derivative_array(values: np.ndarray, grid: UniformGrid,

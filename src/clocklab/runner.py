@@ -130,25 +130,20 @@ class RunReport:
 
 class _Member(NamedTuple):
     """One member's output: its (name, output dimension) columns, its table
-    (one 1-D array per column, csvio.emit_csv), checks, diagnostics and phase
-    timings, and for a quantum moments run with quantum.snapshot the
-    snapshot's path and tables, which ``run`` writes with the CSV, every
-    member's in one file."""
+    (one 1-D array per column, csvio.emit_csv) and checks, and for a quantum
+    moments run with quantum.snapshot the snapshot's tables, which ``run``
+    writes with the CSV, every member's in one file."""
     cols: list
     table: Any
     checks: list
-    diagnostics: dict
-    phases: dict
-    snapshot: tuple[str, list] | None = None
+    snapshot: list | None = None
 
 
-class _MemberError(ConfigError):
-    """A config error that one member's values cause; on a sweep ``run``
-    names the member and its swept value, as a failing check line does."""
-
-    def __init__(self, violation: str, member: int):
-        super().__init__([violation])
-        self.member = member
+def _member_error(violation: str, sweep: SweepSpec | None, member: int) -> ConfigError:
+    """The config error that one member's values cause; on a sweep it names
+    the member and its swept value, as a failing check line does."""
+    tag = "" if sweep is None else f" member={member} {sweep.param}={sweep.values[member]!r}"
+    return ConfigError([violation + tag])
 
 
 def _check(name: str, measured: float, floor: float = 0.0, scale: float = 1.0) -> CheckResult:
@@ -170,22 +165,16 @@ def _si_factor(dim: str) -> float | None:
 
 
 def _each(fn: Callable) -> Callable:
-    """A scenario that runs its members one at a time, reporting no phases."""
-    return lambda members, seed: [_Member(*fn(params, seed), {}) for params in members]
-
-
-def _each_quantum(fn: Callable) -> Callable:
-    """A quantum scenario that runs its members one at a time; every member
-    reports the build, moments and reading phases of the whole call, and a
-    config error a member's values cause names that member."""
-    def run_members(members: list[dict[str, Any]], seed: int) -> list:
-        phases = dict.fromkeys(("build_s", "moments_s", "read_s"), 0.0)
+    """A scenario that runs its members one at a time, each one
+    fn(params, seed, diagnostics, phases); a config error a member's values
+    cause names that member."""
+    def run_members(config: ScenarioConfig, diagnostics: dict, phases: dict) -> list:
         results = []
-        for j, params in enumerate(members):
+        for j, params in enumerate(config.members):
             try:
-                results.append(fn(params, phases))
+                results.append(fn(params, config.seed, diagnostics, phases))
             except ConfigError as err:
-                raise _MemberError(err.violations[0], j) from None
+                raise _member_error(err.violations[0], config.sweep, j) from None
         return results
     return run_members
 
@@ -194,13 +183,13 @@ def _timed(phases: dict[str, float], phase: str, fn: Callable, *args, **kwargs):
     """fn(*args, **kwargs), its wall time added to ``phases[phase]``."""
     start = time.perf_counter()
     result = fn(*args, **kwargs)
-    phases[phase] += time.perf_counter() - start
+    phases[phase] = phases.get(phase, 0.0) + time.perf_counter() - start
     return result
 
 
 # --- gedanken -------------------------------------------------------------
 
-def _run_gedanken(params: dict[str, Any], seed: int):
+def _run_gedanken(params: dict[str, Any], seed: int, diagnostics: dict, phases: dict):
     """One weighing: the box (third column g) or the moved clock (third column v)."""
     if "box.dq" in params:
         exp = BoxExperiment(delta_q=params["box.dq"], t=params["box.t"], g=params["box.g"])
@@ -214,7 +203,7 @@ def _run_gedanken(params: dict[str, Any], seed: int):
             ("product_ratio_half_hbar", "")]
     row = [exp.delta_q, exp.t, value, rep.delta_p, rep.delta_m, rep.delta_tau,
            rep.product_ratio, rep.product_ratio_half_hbar]
-    return cols, np.array([row]).T, [_check("product_ratio", abs(rep.product_ratio - 1.0))], {}
+    return _Member(cols, np.array([row]).T, [_check("product_ratio", abs(rep.product_ratio - 1.0))])
 
 
 # --- classical ------------------------------------------------------------
@@ -230,15 +219,14 @@ _DYNAMICS_KEYS = ("classical.lapse_g", "classical.a0_slope", "classical.charge",
                   "classical.t_end", "classical.dt", "classical.hold")
 
 
-def _run_classical_trajectory(members: list[dict[str, Any]], seed: int):
+def _run_classical_trajectory(config: ScenarioConfig, diagnostics: dict, phases: dict):
     """Integrate the members that share their dynamics as one batch each."""
+    members = config.members
     batches: dict[tuple, list[int]] = {}
     for j, params in enumerate(members):
         batches.setdefault(tuple(params[key] for key in _DYNAMICS_KEYS), []).append(j)
-    # every member reports the RK4 work and the phase timings of the whole call
-    diagnostics = {"rk4_steps": 0, "rhs_evals": 0,
-                   "batch_members": max(map(len, batches.values()))}
-    phases = {"integrate_s": 0.0, "audit_s": 0.0}
+    diagnostics.update(rk4_steps=0, rhs_evals=0, batch_members=max(map(len, batches.values())))
+    phases.update(integrate_s=0.0, audit_s=0.0)
     results: list = [None] * len(members)
     for indices in batches.values():
         batch = [members[j] for j in indices]
@@ -263,8 +251,8 @@ def _run_classical_trajectory(members: list[dict[str, Any]], seed: int):
             H = total_hamiltonian(states, metric, charge)
         except LapseHorizonError:  # the exact motion never reaches the horizon
             k, err = _first_crossing(clocks, metric, charge, t_end, dt, hold)
-            raise _MemberError(f"classical.dt: too coarse, a step crossed the lapse horizon "
-                               f"({err})", indices[k]) from None
+            raise _member_error(f"classical.dt: too coarse, a step crossed the lapse horizon "
+                                f"({err})", config.sweep, indices[k]) from None
         diagnostics["rk4_steps"] += n_steps
         free = stationary_flow(metric, charge) and not hold
         diagnostics["rhs_evals"] += 1 if free or hold else 4 * n_steps * len(batch)
@@ -297,7 +285,7 @@ def _run_classical_trajectory(members: list[dict[str, Any]], seed: int):
                 checks.append(_check("tau_final", error, scale=min(1.0, advance)))
             # tau starts at 0; states is a view, so the offset comes after every check
             table[k, :, 1] += p["classical.tau0"]
-            results[j] = _Member(_TRAJ_COLS, table[k].T, checks, diagnostics, phases)
+            results[j] = _Member(_TRAJ_COLS, table[k].T, checks)
     return results
 
 
@@ -322,7 +310,8 @@ _FLOW_METRIC = uniform_lapse_metric(0.1, a0_slope=0.3)
 _FLOW_CHARGE = 1.0
 
 
-def _run_classical_brackets(params: dict[str, Any], seed: int):
+def _run_classical_brackets(params: dict[str, Any], seed: int, diagnostics: dict,
+                            phases: dict):
     """The Dirac table at the probe states, then the flow and reduced-pair
     checks at the probes taken onto the constraint surface.  Those are divided
     by brackets.scale first: with coordinates of order 1 at every scale, no
@@ -346,7 +335,7 @@ def _run_classical_brackets(params: dict[str, Any], seed: int):
               _check("dirac_flow", flow, flow_tolerance(h_step)),
               _check("reduced_pair", pair)]
     cols = [(name, "") for name in ("point", "pair", "value", "expected", "error")]
-    return cols, columns, checks, {}
+    return _Member(cols, columns, checks)
 
 
 # --- quantum ----------------------------------------------------------------
@@ -416,87 +405,82 @@ def _snapshot_tables(state) -> list:
             for axis, nodes, density in (("E", e_nodes, e_density), ("p", p_nodes, p_density))]
 
 
-def _run_quantum_moments(params: dict[str, Any], phases: dict[str, float]):
+def _run_quantum_moments(params: dict[str, Any], seed: int, diagnostics: dict, phases: dict):
     times = params["quantum.times"]
     if not any(times):  # the laws come from the t = 0 reading: only a later one tests them
         raise ConfigError(["quantum.times: needs a time other than 0, got only t = 0"])
-    sizes: dict[str, int] = {}
     state, moments = _clock_state(params, params["quantum.sigma_e"], max(abs(t) for t in times),
-                                  "quantum.times", "quantum.sigma_e", phases, sizes)
-    path = params.get("quantum.snapshot")
-    snapshot = (path, _snapshot_tables(state)) if path else None
+                                  "quantum.times", "quantum.sigma_e", phases, diagnostics)
+    snapshot = _snapshot_tables(state) if params["quantum.snapshot"] else None
     law, start = moments.law, moments.reading
-    rows = []
-    law_dev = 0.0
-    lin_dev = 0.0
-    window = start.tau_window
+    rows, law_devs, lin_devs, windows = [], [], [], [start.tau_window]
     for t in times:
         row, sim = _moment_row(state, moments, t, params["quantum.tau0"], phases)
         rows.append(row)
-        law_dev = max(law_dev, abs(sim.var_tau - law.predict(t)) / max(law.predict(t), 1e-300))
+        law_devs.append(abs(sim.var_tau - law.predict(t)) / max(law.predict(t), 1e-300))
         expected_mean = start.mean_tau + moments.d_mean * t
-        lin_dev = max(lin_dev, abs(sim.mean_tau - expected_mean) / max(abs(expected_mean), 1.0))
-        window = max(window, sim.tau_window)
-    checks = [
-        _check("variance_law", law_dev),
-        _check("mean_linearity", lin_dev),
-        _check("tau_window", window),
+        lin_devs.append(abs(sim.mean_tau - expected_mean) / max(abs(expected_mean), 1.0))
+        windows.append(sim.tau_window)
+    checks = [  # np.max, not max: a nan among the readings stays nan and fails its check
+        _check("variance_law", np.max(law_devs)),
+        _check("mean_linearity", np.max(lin_devs)),
+        _check("tau_window", np.max(windows)),
         _check("uncertainty_floor", SPREAD_FLOOR - moments.spread_product),
         _check("commutator", commutator_residual(state)),
     ]
-    return _Member(_MOMENT_COLS, [np.array(column) for column in zip(*rows)], checks, sizes,
-                   phases, snapshot)
+    return _Member(_MOMENT_COLS, [np.array(column) for column in zip(*rows)], checks, snapshot)
 
 
-def _run_quantum_bound(params: dict[str, Any], phases: dict[str, float]):
+def _run_quantum_bound(params: dict[str, Any], seed: int, diagnostics: dict, phases: dict):
     t = params["quantum.t"]
-    sizes: dict[str, int] = {}
     state, moments = _clock_state(params, params["quantum.sigma_e"], t, "quantum.t",
-                                  "quantum.sigma_e", phases, sizes)
+                                  "quantum.sigma_e", phases, diagnostics)
     row, sim = _moment_row(state, moments, t, params["quantum.tau0"], phases)
     checks = [
         _check("sw_bound", (moments.clock_bound(t) - sim.var_tau)
-               if moments.sharpness <= PEAKED_SHARPNESS else 0.0),
+               if not moments.sharpness > PEAKED_SHARPNESS else 0.0),  # a nan one is checked
         _check("tau_window", sim.tau_window),
         _check("uncertainty_floor", SPREAD_FLOOR - moments.spread_product),
     ]
-    return _Member(_MOMENT_COLS, [np.array([cell]) for cell in row], checks, sizes, phases)
+    return _Member(_MOMENT_COLS, [np.array([cell]) for cell in row], checks)
 
 
-def _run_quantum_optimize(params: dict[str, Any], phases: dict[str, float]):
+def _run_quantum_optimize(params: dict[str, Any], seed: int, diagnostics: dict, phases: dict):
     # a trial width comes from the bracket, so the E axis's refusals name its lower end
-    t, keys, sizes = params["quantum.t"], ("quantum.t", "optimize.sigma_lo"), {}
+    t, keys = params["quantum.t"], ("quantum.t", "optimize.sigma_lo")
     lo, hi = params["optimize.sigma_lo"], params["optimize.sigma_hi"]
     if lo == hi == 0.0:  # the default bracket, which the config has checked
         lo, hi = default_bracket(params["quantum.e0"], params["quantum.p0"], t)
 
     def var_at(sigma_e: float) -> float:
-        state, _ = _clock_state(params, sigma_e, t, *keys, phases, sizes, moments=False)
+        state, _ = _clock_state(params, sigma_e, t, *keys, phases, diagnostics, moments=False)
         return _timed(phases, "read_s", tau_moments_simulated, state, t).var_tau
 
     try:
         result = optimize_clock_width(var_at, (lo, hi))
     except OptimizerBracketError as err:  # the two keys set the bracket, the default one too
         raise ConfigError([f"optimize.sigma_{err.edge}: {err}"]) from None
-    bound = _clock_state(params, result.sigma_e_opt, t, *keys, phases, sizes)[1].clock_bound(t)
+    bound = _clock_state(params, result.sigma_e_opt, t, *keys, phases,
+                         diagnostics)[1].clock_bound(t)
     checks = [
         _check("sw_bound_floor", bound - result.min_var),
         _check("sw_saturation", result.min_var / bound - 1.0),
     ]
     cols = [("eval", ""), ("sigma_e", "energy"), ("var_tau", "time^2")]
     columns = [np.arange(len(result.trace)), *np.array(result.trace).T]
-    return _Member(cols, columns, checks, sizes, phases)
+    return _Member(cols, columns, checks)
 
 
-# kind -> runner(member params, seed) -> one _Member per member
+# kind -> runner(config, diagnostics, phases) -> one _Member per member; the
+# runner records its work in the run's diagnostics and phase timings
 _RUNNERS: dict[str, Callable] = {
     "GEDANKEN_BOX": _each(_run_gedanken),
     "GEDANKEN_EFIELD": _each(_run_gedanken),
     "CLASSICAL_TRAJECTORY": _run_classical_trajectory,
     "CLASSICAL_BRACKETS": _each(_run_classical_brackets),
-    "QUANTUM_MOMENTS": _each_quantum(_run_quantum_moments),
-    "QUANTUM_BOUND_SWEEP": _each_quantum(_run_quantum_bound),
-    "QUANTUM_OPTIMIZE": _each_quantum(_run_quantum_optimize),
+    "QUANTUM_MOMENTS": _each(_run_quantum_moments),
+    "QUANTUM_BOUND_SWEEP": _each(_run_quantum_bound),
+    "QUANTUM_OPTIMIZE": _each(_run_quantum_optimize),
 }
 
 
@@ -516,15 +500,6 @@ def _merge_checks(all_checks: list[list[CheckResult]],
             for name in dict.fromkeys(c.name for c in tagged)]
 
 
-def _merge_diagnostics(all_diagnostics: list[dict[str, float]]) -> dict[str, float]:
-    """The largest value of each name over the members."""
-    merged: dict[str, float] = {}
-    for diagnostics in all_diagnostics:
-        for name, value in diagnostics.items():
-            merged[name] = max(merged.get(name, value), value)
-    return merged
-
-
 def _to_si(table, factors: list[float | None]):
     """The table, each column scaled in place by its natural-to-SI factor."""
     for column, factor in zip(table, factors):
@@ -538,38 +513,31 @@ def run(config: ScenarioConfig) -> RunReport:
     returning the per-invariant check results.  A single run is a sweep of
     one member without the sweep_value column."""
     start = time.perf_counter()
-    try:
-        results = _RUNNERS[config.kind](config.members, config.seed)
-    except _MemberError as err:
-        if config.sweep is None:
-            raise
-        tag = f"member={err.member} {config.sweep.param}={config.sweep.values[err.member]!r}"
-        raise ConfigError([f"{err.violations[0]} {tag}"]) from None
+    diagnostics: dict[str, int] = {}
+    phases: dict[str, float] = {}
+    results = _RUNNERS[config.kind](config, diagnostics, phases)
     cols = results[0].cols
     header = [name for name, _ in cols]
     # one factor per column, not per cell: SI trajectories have 10k rows
     factors = [_si_factor(dim) for _, dim in cols] if config.units is UnitSystem.SI else []
     tables = [[_to_si(r.table, factors)] for r in results]
     # a sweep's members share the snapshot path: the file holds each member's state
-    snapshot = results[0].snapshot
+    path = config.params.get("quantum.snapshot")
     snapshot_header = ["axis", "coordinate", "density"]
-    snapshot_tables = [r.snapshot[1] for r in results] if snapshot is not None else []
+    snapshot_tables = [r.snapshot for r in results] if path else []
     if config.sweep is not None:  # the swept value, as given, is one more constant column
         header, snapshot_header = ["sweep_value", *header], ["sweep_value", *snapshot_header]
         tables = _led_by(config.sweep.values, tables)
         snapshot_tables = _led_by(config.sweep.values, snapshot_tables)
     checks = _merge_checks([r.checks for r in results], config.sweep)
-    diagnostics = _merge_diagnostics([r.diagnostics for r in results])
-    phases = _merge_diagnostics([r.phases for r in results])
 
     written = time.perf_counter()
-    if snapshot is not None:
-        path = snapshot[0]
+    if path:
         _emit(sum(snapshot_tables, []), snapshot_header, path, "quantum.snapshot", "the snapshot")
     try:
         count = _emit(sum(tables, []), header, config.output, "output", "the CSV")
     except ConfigError:
-        if snapshot is not None:  # a run that exits on its output leaves no file behind
+        if path:  # a run that exits on its output leaves no file behind
             Path(path).unlink()
         raise
     timings = {"compute_s": written - start, **phases, "write_s": time.perf_counter() - written}

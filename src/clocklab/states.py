@@ -113,7 +113,7 @@ class MomentumSpaceState:
             raise ValueError("value array does not match grid sizes")
         object.__setattr__(self, "values", values)
         nrm2 = trapezoid_norm_squared(values, self.cell_measure())
-        if abs(nrm2 - 1.0) > NORM_TOL:
+        if not abs(nrm2 - 1.0) <= NORM_TOL:  # nan values fail too
             raise ValueError(f"state is not unit-normalized: <psi|psi> = {nrm2!r}")
         mag = np.abs(values)
         ratio = boundary_amplitude_ratio(mag)
@@ -166,9 +166,10 @@ def state_from_profiles(e_grid: UniformGrid, p_grid: NodeAxis,
 
 
 def _check_width(name: str, sigma: float) -> None:
-    """The profile's width must be finite."""
-    if not math.isfinite(4.0 * (sigma * sigma)):  # the profile's denominator
-        raise GridAxisError(name, f"width too large on the {name} axis: 4 sigma^2 overflows, "
+    """The profile's denominator 4 sigma^2 must be finite and nonzero."""
+    if not 0.0 < 4.0 * (sigma * sigma) < math.inf:
+        size, fault = ("large", "overflows") if sigma > 1.0 else ("small", "underflows to 0")
+        raise GridAxisError(name, f"width too {size} on the {name} axis: 4 sigma^2 {fault}, "
                                   f"got sigma = {sigma!r}")
 
 
@@ -305,14 +306,17 @@ def suggest_grids(spec: GaussianClockSpec, t_max: float = 0.0, n_e: int = 8,
     residual drift t |D - v| out to the tail, the initial spread) with
     TAU_WINDOW_MARGIN to spare; the common drift t v needs no window.  The
     p nodes follow ``_p_node_count``.  A window, E or p, whose ends
-    DEFAULT_SIGMA_MARGIN sigma out are not finite and apart raises
-    GridAxisError.
+    DEFAULT_SIGMA_MARGIN sigma out are not finite and apart, or a profile
+    whose denominator 4 sigma^2 overflows or underflows to 0, raises
+    GridAxisError before any sizing.
     """
     half_e, half_p = DEFAULT_SIGMA_MARGIN * spec.sigma_e, DEFAULT_SIGMA_MARGIN * spec.sigma_p
     for axis, center, half in (("E", spec.e0, half_e), ("p", spec.p0, half_p)):
         if not -math.inf < center - half < center + half < math.inf:
             raise GridAxisError(axis, f"grid needs finite lo < hi on the {axis} axis, "
                                       f"got {center!r} -+ {half!r}")
+    _check_width("E", spec.sigma_e)
+    _check_width("p", spec.sigma_p)
     cells = 2.0 * DEFAULT_SIGMA_MARGIN * MIN_CELLS_PER_SIGMA
     dtau0 = 1.0 / (2.0 * spec.sigma_e)  # hbar / (2 sigma_e)
     tau_reach = abs(spec.tau0) + abs(t_max) * _residual_dilation(spec) + 10.0 * dtau0 + 2.0

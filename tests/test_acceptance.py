@@ -401,7 +401,7 @@ _DETERMINISM_BODIES = {
 }
 
 
-def _raise_runtime_error(members, seed):
+def _raise_runtime_error(*args):
     raise RuntimeError("a fault of the program")
 
 

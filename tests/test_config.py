@@ -265,3 +265,60 @@ def test_si_and_natural_configs_give_the_same_members(kind):
                                                          rel=1e-15, abs=0.0)
         else:
             assert natural.params[key] == spec.default
+
+
+_LATITUDES = "the latitudes dm and dtau leave the float range, so c^2 dm dtau / h is not finite"
+_KINETIC_KEYS = ("classical.m = {}, classical.p1 = {}, classical.p2 = 0.0 and "
+                 "classical.p3 = 0.0")
+_DEFAULT_BRACKET = ("optimize.sigma_lo: the default bracket (both ends 0), a factor of ten "
+                    "either side of sqrt(|(e0, p0)| / (2 t)), must satisfy 0 < lo < hi < inf; "
+                    "give both ends, got ")
+
+
+@pytest.mark.parametrize("kind, body, message", [
+    ("GEDANKEN_BOX", "box.dq = 1e-320",
+     f"box.dq: {_LATITUDES}, got box.dq = 1e-320, box.t = 1.0 and box.g = 9.81"),
+    ("GEDANKEN_BOX", "units = SI\nbox.dq = 1e-300",
+     f"box.dq: {_LATITUDES}, got box.dq = 1e-300 m, box.t = 1.0 s and "
+     f"box.g = 2940964012.98 m/s^2"),
+    ("GEDANKEN_EFIELD", "efield.dq = 1e-320",
+     f"efield.dq: {_LATITUDES}, got efield.dq = 1e-320 and efield.v = 0.5"),
+    ("CLASSICAL_TRAJECTORY", "classical.t_end = 1e12",
+     "classical.t_end: must be a whole number of classical.dt steps, at least 4 and at most "
+     "1000000, got classical.t_end = 1000000000000.0 and classical.dt = 0.001"),
+    ("CLASSICAL_TRAJECTORY", "classical.lapse_g = 0.5",
+     "classical.lapse_g: must be 0 under classical.metric = flat, got 0.5"),
+    ("CLASSICAL_TRAJECTORY",
+     "classical.metric = uniform_lapse\nclassical.lapse_g = 0.08\nclassical.x1 = -20",
+     "classical.x1: must start where the lapse 1 + classical.lapse_g * classical.x1 / c^2 is "
+     "positive, got classical.lapse_g = 0.08 and classical.x1 = -20.0"),
+    ("CLASSICAL_TRAJECTORY", "classical.m = 1e-200\nclassical.p1 = 0",
+     "classical.m: m^2 + p1^2 + p2^2 + p3^2 must be positive, got "
+     + _KINETIC_KEYS.format("1e-200", "0.0")),
+    ("CLASSICAL_TRAJECTORY", "classical.p1 = 1e155",
+     "classical.m: m^2 + p1^2 + p2^2 + p3^2 overflows to inf, got "
+     + _KINETIC_KEYS.format("1.0", "1e+155")),
+    ("CLASSICAL_TRAJECTORY", "classical.m = 1e-150",
+     "classical.m: the rate (m / sqrt(m^2 + p1^2 + p2^2 + p3^2))^3 underflows to 0, got "
+     + _KINETIC_KEYS.format("1e-150", "0.75")),
+    ("CLASSICAL_TRAJECTORY",
+     "classical.metric = uniform_lapse\nclassical.lapse_g = 0.05\nclassical.hold = 1",
+     "classical.hold: a held clock must be at rest (p1 = p2 = p3 = 0), got "
+     "classical.p1 = 0.75, classical.p2 = 0.0 and classical.p3 = 0.0"),
+    ("QUANTUM_OPTIMIZE", "optimize.sigma_lo = 2\noptimize.sigma_hi = 1",
+     "optimize.sigma_lo: must be 0 with optimize.sigma_hi (the default bracket) or satisfy "
+     "0 < optimize.sigma_lo < optimize.sigma_hi, got 2.0 and 1.0"),
+    ("QUANTUM_OPTIMIZE", "quantum.e0 = 0\nquantum.p0 = 0",
+     _DEFAULT_BRACKET + "quantum.e0 = 0.0, quantum.p0 = 0.0 and quantum.t = 100.0"),
+    ("QUANTUM_OPTIMIZE", "units = SI\nquantum.e0 = 1e300\nquantum.p0 = 0\nquantum.t = 1e-300",
+     _DEFAULT_BRACKET + "quantum.e0 = 1e+300 J, quantum.p0 = 0.0 kg*m/s and "
+     "quantum.t = 1e-300 s"),
+], ids=["latitude-box", "latitude-box-si", "latitude-efield", "step-rule", "flat-lapse",
+        "lapse-horizon", "kinetic-root-zero", "kinetic-root-inf", "kinetic-rate-underflows",
+        "held-at-rest", "bracket-order", "default-bracket", "default-bracket-si"])
+def test_cross_key_rule_messages(kind, body, message):
+    """The full message of each rule that joins keys, its values quoted as
+    the config gives them."""
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"kind = {kind}\n{body}")
+    assert err.value.violations == [message]

@@ -149,6 +149,9 @@ def test_edge_band_share_of_spectral_power():
     # the same values with the transform axis contiguous (Fortran order)
     _, power_f = power_spectrum(np.asfortranarray(mixed.T), axis=0)
     assert edge_band_share(power_f, 0.1) == pytest.approx(1e-6 / (1.0 + 1e-6), rel=1e-9, abs=0)
+    # a nan spectrum has a nan share, which fails the check that reads it
+    power[3] = np.nan
+    assert np.isnan(edge_band_share(power, 0.1))
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

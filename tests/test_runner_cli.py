@@ -461,6 +461,33 @@ def test_report_json_contents(tmp_path):
         assert timings["integrate_s"] + timings["audit_s"] <= timings["compute_s"]
 
 
+_QUANTUM_PHASES = {"compute_s", "build_s", "moments_s", "read_s", "write_s"}
+
+
+@pytest.mark.parametrize("kind, body, diagnostics, timings", [
+    ("GEDANKEN_BOX", "", {}, {"compute_s", "write_s"}),
+    ("GEDANKEN_EFIELD", "", {}, {"compute_s", "write_s"}),
+    ("CLASSICAL_TRAJECTORY", "", {"rk4_steps": 10000, "rhs_evals": 1, "batch_members": 1},
+     {"compute_s", "integrate_s", "audit_s", "write_s"}),
+    ("CLASSICAL_BRACKETS", "", {}, {"compute_s", "write_s"}),
+    ("QUANTUM_MOMENTS", "", {"n_e": 128, "n_p": 16}, _QUANTUM_PHASES),
+    ("QUANTUM_BOUND_SWEEP", "", {"n_e": 128, "n_p": 16}, _QUANTUM_PHASES),
+    ("QUANTUM_BOUND_SWEEP", "sweep.param = quantum.sigma_e\nsweep.values = 0.5, 1, 2\n",
+     {"n_e": 256, "n_p": 16}, _QUANTUM_PHASES),
+    ("QUANTUM_OPTIMIZE", "", {"n_e": 1024, "n_p": 16}, _QUANTUM_PHASES),
+], ids=["box", "efield", "trajectory", "brackets", "moments", "bound", "bound-sweep",
+        "optimize"])
+def test_report_diagnostics_and_timing_keys_of_every_kind(tmp_path, kind, body, diagnostics,
+                                                           timings):
+    """Each kind's report at its defaults: the diagnostics it records (a
+    sweep's largest grid) and the phases its timings split compute_s into."""
+    cfg, out = _cfg(tmp_path, kind, body)
+    assert run(cfg).all_passed
+    payload = json.loads(out.with_suffix(".report.json").read_text())
+    assert payload["diagnostics"] == diagnostics
+    assert set(payload["timings"]) == timings
+
+
 # --- cli ---------------------------------------------------------------------
 
 def test_cli_box_exit_zero(tmp_path, capsys):
@@ -676,7 +703,7 @@ def test_cli_missing_config_file(tmp_path, capsys):
 def test_cli_runtime_error_exit(tmp_path, capsys, monkeypatch):
     # every bad input ends in a config error or a failed check, so a runner
     # that raises stands in for a fault of the program
-    def fault(members, seed):
+    def fault(*args):
         raise RuntimeError("a fault of the program")
 
     monkeypatch.setitem(clocklab.runner._RUNNERS, "QUANTUM_OPTIMIZE", fault)
@@ -1621,13 +1648,22 @@ def test_check_fails_against_a_tolerance_that_is_not_finite():
     ("moments", ["quantum.times=0,1e7"], "quantum.times"),
     ("moments", ["quantum.sigma_p=10"], "quantum.times"),
     ("moments", ["quantum.p0=1e8", "quantum.sigma_p=1e-6"], "quantum.sigma_p"),
+    ("moments", ["quantum.e0=0", "quantum.p0=1000", "quantum.sigma_e=1e-300"], "quantum.sigma_e"),
+    ("moments", ["quantum.sigma_p=1e-300"], "quantum.sigma_p"),
+    ("bound", ["quantum.e0=0", "quantum.sigma_e=1e-300"], "quantum.sigma_e"),
+    ("bound", ["quantum.p0=0", "quantum.sigma_p=1e-300"], "quantum.sigma_p"),
+    ("optimize", ["quantum.e0=0", "optimize.sigma_lo=1e-300", "optimize.sigma_hi=1"],
+     "optimize.sigma_lo"),
+    ("optimize", ["quantum.p0=0", "quantum.sigma_p=1e-300"], "quantum.sigma_p"),
 ], ids=["moments-tip", "optimize-tip", "moments-e-grid", "moments-p-nodes",
-        "moments-p-nodes-rounded"])
+        "moments-p-nodes-rounded", "moments-sigma-e-underflows", "moments-sigma-p-underflows",
+        "bound-sigma-e-underflows", "bound-sigma-p-underflows", "optimize-sigma-lo-underflows",
+        "optimize-sigma-p-underflows"])
 def test_cli_refused_clock_state_is_a_config_error(tmp_path, capsys, sub, settings, key):
     """A clock state the runtime refuses (support at the cone tip, an E grid
-    or p quadrature too large to build, or p nodes rounded so far off the
-    spec's density that they no longer integrate it) exits 2 naming the
-    key, and writes nothing."""
+    or p quadrature too large to build, p nodes rounded so far off the
+    spec's density that they no longer integrate it, or a width whose
+    4 sigma^2 underflows to 0) exits 2 naming the key, and writes nothing."""
     out, snapshot = tmp_path / "x.csv", tmp_path / "snapshot.csv"
     argv = ["quantum", sub]
     for setting in settings + ([f"quantum.snapshot={snapshot}"] if sub == "moments" else []):
@@ -1636,3 +1672,25 @@ def test_cli_refused_clock_state_is_a_config_error(tmp_path, capsys, sub, settin
     assert code == 2
     assert f"config error: {key}: " in capsys.readouterr().err
     assert not out.exists() and not snapshot.exists()
+
+
+@pytest.mark.parametrize("sub, failed", [
+    ("moments", ["variance_law", "mean_linearity", "tau_window"]),
+    ("bound", ["sw_bound", "tau_window"]),
+])
+def test_cli_no_check_passes_on_a_nan_reading(tmp_path, capsys, monkeypatch, sub, failed):
+    """A reading of nan, and a nan sharpness behind the bound's peaked-state
+    gate, fail the checks that read them: no running maximum or gate drops
+    the nan."""
+    simulated, moments = clocklab.runner.tau_moments_simulated, clocklab.runner.state_moments
+
+    def nan_reading(state, t):
+        return replace(simulated(state, t), mean_tau=np.nan, var_tau=np.nan, tau_window=np.nan)
+
+    monkeypatch.setattr(clocklab.runner, "tau_moments_simulated", nan_reading)
+    monkeypatch.setattr(clocklab.runner, "state_moments",
+                        lambda state: replace(moments(state), sharpness=np.nan))
+    assert main(["quantum", sub, "--output", str(tmp_path / "x.csv")]) == 1
+    out = capsys.readouterr().out
+    for name in failed:
+        assert f"[FAIL] {name}: measured=nan" in out

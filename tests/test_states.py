@@ -78,6 +78,21 @@ def test_non_normalized_values_rejected():
     vals = np.exp(-(e_grid.nodes[:, None] ** 2 + p_grid.nodes[None, :] ** 2) / 4.0)
     with pytest.raises(ValueError, match="normalized"):
         MomentumSpaceState(e_grid, p_grid, vals)
+    with pytest.raises(ValueError, match="normalized"):
+        MomentumSpaceState(e_grid, p_grid, np.full_like(vals, np.nan))
+
+
+@pytest.mark.parametrize("axis, spec", [
+    ("E", GaussianClockSpec(e0=0.0, sigma_e=1e-300, p0=1000.0)),
+    ("p", GaussianClockSpec(e0=10.0, sigma_e=0.5, sigma_p=1e-300)),
+    ("p", GaussianClockSpec(e0=10.0, sigma_e=0.5, sigma_p=1e160)),
+])
+def test_suggest_grids_refuses_a_width_whose_square_leaves_the_float_range(axis, spec):
+    """4 sigma^2, the profile's denominator, must lie in (0, inf): a width
+    that underflows or overflows it is refused on its axis before sizing."""
+    with pytest.raises(GridAxisError, match="4 sigma\\^2") as err:
+        suggest_grids(spec, t_max=100.0)
+    assert err.value.axis == axis
 
 
 def test_nodes_fitted_to_another_profile_raise():
