@@ -36,6 +36,11 @@ Observable = Callable[[np.ndarray], np.ndarray]  # (..., 10) -> (...)
 
 DEFAULT_H_STEP = 1e-5
 
+# The most probe points a configured bracket run takes: the run's arrays and CSV columns
+# take about 12 kB per point, so 10^4 points peak near 123 MB (tracemalloc), about the
+# budget of dynamics.MAX_STEPS (the default run takes 50 points)
+MAX_POINTS = 10**4
+
 # (coordinate index, momentum index) within the flat 10-vector layout
 _CONJUGATE_PAIRS = ((0, 1), (2, 3), (4, 7), (5, 8), (6, 9))
 

@@ -1,7 +1,7 @@
 """Scenario configuration: a flat-key text format with unit tags.
 
 A config document is a sequence of ``key = value`` lines ('#' starts a
-comment).  Keys are dotted names (``quantum.e0``, ``grid.e.n``).  Values
+comment).  Keys are dotted names (``quantum.e0``, ``brackets.points``).  Values
 are numbers, comma-separated number lists, or enumerated strings; in SI
 configs a numeric value may carry a unit tag, e.g. ``box.g = 9.81 m/s^2``,
 which must match the dimension the schema declares for that key.
@@ -26,10 +26,9 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from .brackets import MAX_POINTS
 from .dynamics import MAX_STEPS, whole_steps
-from .grids import MAX_NODES
 from .search import default_bracket
-from .states import MAX_GRID_SIZE
 from .units import NATURAL_UNITS, SI_UNITS, UnitContext, UnitSystem, convert_units
 
 UNIT_TAGS = {
@@ -75,15 +74,9 @@ class ParamSpec:
     choices: tuple[str, ...] | None = None
     above: float | None = None
     below: float | None = None
-    power_of_two: bool = False  # a grid size: a power of two from 8 to max_size
-    max_size: int = MAX_GRID_SIZE
 
     def range_violation(self, value: float, ctx: UnitContext) -> str | None:
         """The config error for a value outside the bounds, or None."""
-        if self.power_of_two and not (value >= 8 and value & (value - 1) == 0):
-            return f"{self.key}: must be a power of two, at least 8, got {value!r}"
-        if self.power_of_two and value > self.max_size:
-            return f"{self.key}: must be at most {self.max_size}, got {value!r}"
         if self.above is None and self.below is None:
             return None
         scale = convert_units(1.0, self.dimension, NATURAL_UNITS, ctx)
@@ -133,9 +126,6 @@ def _quantum_state_params(sigma_e: float, p0: float, sigma_p: float) -> list[Par
         ParamSpec("quantum.tau0", "time", 0.0),
         ParamSpec("quantum.p0", "momentum", p0),
         ParamSpec("quantum.sigma_p", "momentum", sigma_p, above=0.0),
-        ParamSpec("grid.e.n", "dimensionless", 8, kind="int", power_of_two=True),
-        ParamSpec("grid.p.n", "dimensionless", 8, kind="int", power_of_two=True,
-                  max_size=MAX_NODES),
     ]
 
 
@@ -170,7 +160,8 @@ SCHEMAS: dict[str, list[ParamSpec]] = {
         ParamSpec("classical.hold", "dimensionless", 0.0),
     ],
     "CLASSICAL_BRACKETS": [
-        ParamSpec("brackets.points", "dimensionless", 50, kind="int", above=0),
+        ParamSpec("brackets.points", "dimensionless", 50, kind="int", above=0,
+                  below=MAX_POINTS + 1),
         # a step of h_step max(1, |z_i|) >= |z_i| is no difference quotient
         ParamSpec("brackets.h_step", "dimensionless", 1e-5, above=0.0, below=1.0),
         # the probes reach M = 3 scale, and their range 2 scale must be finite
@@ -190,9 +181,6 @@ SCHEMAS: dict[str, list[ParamSpec]] = {
         ParamSpec("quantum.t", "time", 100.0, above=0.0),
         ParamSpec("optimize.sigma_lo", "energy", 0.0),
         ParamSpec("optimize.sigma_hi", "energy", 0.0),
-        ParamSpec("grid.e.n", "dimensionless", 8, kind="int", power_of_two=True),
-        ParamSpec("grid.p.n", "dimensionless", 8, kind="int", power_of_two=True,
-                  max_size=MAX_NODES),
     ],
 }
 

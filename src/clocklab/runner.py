@@ -346,24 +346,29 @@ _MOMENT_COLS = [("t", "time"), ("mean_tau", "time"), ("var_tau_sim", "time^2"),
                 ("sharpness", "")]
 
 
+# The keys a width too small and too large for its E grid name (``_clock_state``).
+_WIDTH_KEYS = ("quantum.sigma_e", "quantum.sigma_e")
+_BRACKET_KEYS = ("optimize.sigma_lo", "optimize.sigma_hi")
+
+
 def _clock_state(params: dict[str, Any], sigma_e: float, t_max: float, time_key: str,
-                 width_key: str, phases: dict[str, float], sizes: dict[str, int],
-                 moments: bool = True):
+                 width_keys: tuple[str, str], phases: dict[str, float],
+                 sizes: dict[str, int], moments: bool = True):
     """The one build of a clock state for a reading: the member's Gaussian
     of width sigma_e at tau0 = 0, sized for readings up to t_max, and its
     t = 0 moments (None unless ``moments``).  The build and the moments are
     timed into ``phases``, ``sizes`` keeps the largest grid sizes, and the
     cone tip is checked once per state, by ``state_moments`` where it runs.
     A refused state is a config error naming the time key (an E grid or p
-    quadrature too large for t_max), the width key (an E grid too large even
+    quadrature too large for t_max), a width key (an E grid too large even
     at t = 0, where no time enters, or an E window that does not resolve the
-    state), quantum.sigma_p (a p axis that does not) or quantum.e0 (support
-    at the cone tip)."""
+    state: the first of ``width_keys`` for a width too small, the second for
+    one too large), quantum.sigma_p (a p axis that does not) or quantum.e0
+    (support at the cone tip)."""
     spec = GaussianClockSpec(e0=params["quantum.e0"], sigma_e=sigma_e,
                              p0=params["quantum.p0"], sigma_p=params["quantum.sigma_p"])
-    floors = {"n_e": params["grid.e.n"], "n_p": params["grid.p.n"]}
     try:
-        state = _timed(phases, "build_s", gaussian_state, spec, t_max=t_max, **floors)
+        state = _timed(phases, "build_s", gaussian_state, spec, t_max=t_max)
         record = _timed(phases, "moments_s", state_moments, state) if moments else None
         if record is None:
             check_tip_clearance(state)
@@ -371,10 +376,11 @@ def _clock_state(params: dict[str, Any], sigma_e: float, t_max: float, time_key:
             raise TipClearanceError(record.dilation)
     except GridSizeError as err:
         if t_max > 0.0:  # no time enters at t = 0: a tip there names e0, a grid too big the width
-            _clock_state(params, sigma_e, 0.0, time_key, width_key, phases, sizes, moments=False)
-        raise ConfigError([f"{time_key if t_max > 0.0 else width_key}: {err}"]) from None
+            _clock_state(params, sigma_e, 0.0, time_key, width_keys, phases, sizes,
+                         moments=False)
+        raise ConfigError([f"{time_key if t_max > 0.0 else width_keys[1]}: {err}"]) from None
     except GridAxisError as err:
-        key = width_key if err.axis == "E" else "quantum.sigma_p"
+        key = width_keys[err.wide] if err.axis == "E" else "quantum.sigma_p"
         raise ConfigError([f"{key}: {err}"]) from None
     except TipClearanceError as err:
         raise ConfigError([f"quantum.e0: {err}"]) from None
@@ -410,7 +416,7 @@ def _run_quantum_moments(params: dict[str, Any], seed: int, diagnostics: dict, p
     if not any(times):  # the laws come from the t = 0 reading: only a later one tests them
         raise ConfigError(["quantum.times: needs a time other than 0, got only t = 0"])
     state, moments = _clock_state(params, params["quantum.sigma_e"], max(abs(t) for t in times),
-                                  "quantum.times", "quantum.sigma_e", phases, diagnostics)
+                                  "quantum.times", _WIDTH_KEYS, phases, diagnostics)
     snapshot = _snapshot_tables(state) if params["quantum.snapshot"] else None
     law, start = moments.law, moments.reading
     rows, law_devs, lin_devs, windows = [], [], [], [start.tau_window]
@@ -434,7 +440,7 @@ def _run_quantum_moments(params: dict[str, Any], seed: int, diagnostics: dict, p
 def _run_quantum_bound(params: dict[str, Any], seed: int, diagnostics: dict, phases: dict):
     t = params["quantum.t"]
     state, moments = _clock_state(params, params["quantum.sigma_e"], t, "quantum.t",
-                                  "quantum.sigma_e", phases, diagnostics)
+                                  _WIDTH_KEYS, phases, diagnostics)
     row, sim = _moment_row(state, moments, t, params["quantum.tau0"], phases)
     checks = [
         _check("sw_bound", (moments.clock_bound(t) - sim.var_tau)
@@ -446,22 +452,33 @@ def _run_quantum_bound(params: dict[str, Any], seed: int, diagnostics: dict, pha
 
 
 def _run_quantum_optimize(params: dict[str, Any], seed: int, diagnostics: dict, phases: dict):
-    # a trial width comes from the bracket, so the E axis's refusals name its lower end
-    t, keys = params["quantum.t"], ("quantum.t", "optimize.sigma_lo")
+    t = params["quantum.t"]
     lo, hi = params["optimize.sigma_lo"], params["optimize.sigma_hi"]
     if lo == hi == 0.0:  # the default bracket, which the config has checked
         lo, hi = default_bracket(params["quantum.e0"], params["quantum.p0"], t)
 
+    def trial(sigma_e: float, moments: bool):
+        """The state at a trial width from the bracket: a width too small
+        for its E grid names the bracket's lower end, one too large its upper,
+        and the message says that the width is a trial's, not a key's."""
+        try:
+            return _clock_state(params, sigma_e, t, "quantum.t", _BRACKET_KEYS, phases,
+                                diagnostics, moments)
+        except ConfigError as err:
+            if not err.violations[0].startswith(_BRACKET_KEYS):
+                raise
+            raise ConfigError([f"{err.violations[0]} (sigma = {sigma_e!r} is a trial width "
+                               f"inside the bracket)"]) from None
+
     def var_at(sigma_e: float) -> float:
-        state, _ = _clock_state(params, sigma_e, t, *keys, phases, diagnostics, moments=False)
+        state, _ = trial(sigma_e, moments=False)
         return _timed(phases, "read_s", tau_moments_simulated, state, t).var_tau
 
     try:
         result = optimize_clock_width(var_at, (lo, hi))
     except OptimizerBracketError as err:  # the two keys set the bracket, the default one too
         raise ConfigError([f"optimize.sigma_{err.edge}: {err}"]) from None
-    bound = _clock_state(params, result.sigma_e_opt, t, *keys, phases,
-                         diagnostics)[1].clock_bound(t)
+    bound = trial(result.sigma_e_opt, moments=True)[1].clock_bound(t)
     checks = [
         _check("sw_bound_floor", bound - result.min_var),
         _check("sw_saturation", result.min_var / bound - 1.0),

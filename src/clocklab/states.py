@@ -70,11 +70,13 @@ class GridSizeError(ValueError):
 
 
 class GridAxisError(ValueError):
-    """A grid that does not resolve the state on one axis, ``axis`` "E" or "p"."""
+    """A grid that does not resolve the state on one axis, ``axis`` "E" or
+    "p"; ``wide`` where the state's width is too large for it, not too small."""
 
-    def __init__(self, axis: str, message: str) -> None:
+    def __init__(self, axis: str, message: str, wide: bool = False) -> None:
         super().__init__(message)
         self.axis = axis
+        self.wide = wide
 
 
 @dataclass(frozen=True)
@@ -170,7 +172,7 @@ def _check_width(name: str, sigma: float) -> None:
     if not 0.0 < 4.0 * (sigma * sigma) < math.inf:
         size, fault = ("large", "overflows") if sigma > 1.0 else ("small", "underflows to 0")
         raise GridAxisError(name, f"width too {size} on the {name} axis: 4 sigma^2 {fault}, "
-                                  f"got sigma = {sigma!r}")
+                                  f"got sigma = {sigma!r}", wide=sigma > 1.0)
 
 
 def make_gaussian_state(spec: GaussianClockSpec, e_grid: UniformGrid,
@@ -185,7 +187,7 @@ def make_gaussian_state(spec: GaussianClockSpec, e_grid: UniformGrid,
     if min(spec.e0 - e_grid.lo, e_grid.hi - spec.e0) < MIN_SIGMA_COVERAGE * spec.sigma_e:
         raise GridAxisError(
             "E", f"grid too small on the E axis: window must extend at least "
-            f"{MIN_SIGMA_COVERAGE:.0f} sigma on each side of the center")
+            f"{MIN_SIGMA_COVERAGE:.0f} sigma on each side of the center", wide=True)
     if spec.sigma_e < MIN_CELLS_PER_SIGMA * e_grid.step:
         raise GridAxisError(
             "E", f"grid too coarse on the E axis: sigma spans fewer than "
@@ -313,8 +315,10 @@ def suggest_grids(spec: GaussianClockSpec, t_max: float = 0.0, n_e: int = 8,
     half_e, half_p = DEFAULT_SIGMA_MARGIN * spec.sigma_e, DEFAULT_SIGMA_MARGIN * spec.sigma_p
     for axis, center, half in (("E", spec.e0, half_e), ("p", spec.p0, half_p)):
         if not -math.inf < center - half < center + half < math.inf:
+            # ends past the float range, or rounded onto one another
+            wide = not (math.isfinite(center - half) and math.isfinite(center + half))
             raise GridAxisError(axis, f"grid needs finite lo < hi on the {axis} axis, "
-                                      f"got {center!r} -+ {half!r}")
+                                      f"got {center!r} -+ {half!r}", wide)
     _check_width("E", spec.sigma_e)
     _check_width("p", spec.sigma_p)
     cells = 2.0 * DEFAULT_SIGMA_MARGIN * MIN_CELLS_PER_SIGMA
@@ -328,10 +332,9 @@ def suggest_grids(spec: GaussianClockSpec, t_max: float = 0.0, n_e: int = 8,
             hermite_axis(spec.p0, spec.sigma_p, _p_node_count(spec, abs(t_max), n_p)))
 
 
-def gaussian_state(spec: GaussianClockSpec, t_max: float = 0.0, n_e: int = 8,
-                   n_p: int = 8) -> MomentumSpaceState:
-    """Convenience wrapper: auto-sized grids plus the Gaussian state."""
-    e_grid, p_grid = suggest_grids(spec, t_max=t_max, n_e=n_e, n_p=n_p)
+def gaussian_state(spec: GaussianClockSpec, t_max: float = 0.0) -> MomentumSpaceState:
+    """The Gaussian state on the grids ``suggest_grids`` sizes for it."""
+    e_grid, p_grid = suggest_grids(spec, t_max=t_max)
     return make_gaussian_state(spec, e_grid, p_grid)
 
 

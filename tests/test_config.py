@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -191,10 +194,10 @@ def test_every_schema_key_is_reachable():
                 value = spec.choices[0] if spec.choices else "flat"
             elif spec.kind == "list":
                 value = "1, 2"
+            elif spec.kind == "int":
+                value = "1"
             elif spec.below is not None:
                 value = "0.5"  # inside the open bound (efield.v < c = 1)
-            elif spec.power_of_two:
-                value = "8"  # the smallest grid size
             else:
                 value = "1"
             # the optimizer bracket takes both ends, 0 < lo < hi; a lapse
@@ -206,6 +209,16 @@ def test_every_schema_key_is_reachable():
             partner = partner.get(spec.key, "")
             cfg = parse_config(f"kind = {kind}\n{spec.key} = {value}{partner}")
             assert spec.key in cfg.params
+
+
+def test_readme_key_table_is_the_schema():
+    """The README's table of each kind's keys names every key of the
+    kind's schema, written out in full, and no other."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([A-Z_]+)` \(`[a-z ]+`\) \| (.*) \|$", readme, re.MULTILINE)
+    table = {kind: {key for key in re.findall(r"`([^`]+)`", keys) if "." in key}
+             for kind, keys in rows}
+    assert table == {kind: {spec.key for spec in SCHEMAS[kind]} for kind in KINDS}
 
 
 # One key per kind to sweep, for the member comparison below.

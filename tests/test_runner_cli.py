@@ -562,8 +562,6 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ("classical", "trajectory", "classical.dt=nan"),
     ("classical", "brackets", "brackets.points=0"),
     ("classical", "brackets", "brackets.points=-3"),
-    ("quantum", "bound", "grid.e.n=0"),
-    ("quantum", "moments", "grid.p.n=-4"),
 ])
 def test_cli_rejects_nonfinite_numbers_and_nonpositive_counts(tmp_path, capsys, group, sub,
                                                               setting):
@@ -612,37 +610,26 @@ def test_cli_rejects_out_of_range_values(tmp_path, capsys, group, sub, settings,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("sub, settings, key, message", [
-    ("moments", ["grid.p.n=4"], "grid.p.n", "must be a power of two, at least 8, got 4"),
-    ("bound", ["grid.e.n=12"], "grid.e.n", "must be a power of two, at least 8, got 12"),
-    ("moments", ["grid.e.n=65536", "quantum.times=0,1"], "grid.e.n",
-     "must be at most 32768, got 65536"),
-    # the p axis takes at most 256 Gauss-Hermite nodes; no larger node set is built
-    ("moments", ["grid.p.n=65536"], "grid.p.n", "must be at most 256, got 65536"),
-    ("bound", ["grid.p.n=512"], "grid.p.n", "must be at most 256, got 512"),
-], ids=["p-not-grid-size", "e-not-power-of-two", "e-above-max", "p-above-max",
-        "p-above-node-max"])
-def test_cli_rejects_grid_counts_that_cannot_hold_the_state(tmp_path, capsys, sub, settings,
-                                                            key, message):
+@pytest.mark.parametrize("sub", ["moments", "bound", "optimize"])
+@pytest.mark.parametrize("key", ["grid.e.n", "grid.p.n"])
+def test_cli_rejects_the_removed_grid_size_keys(tmp_path, capsys, sub, key):
+    # the accuracy rules of states.suggest_grids alone size a state: no key sets a grid
     out = tmp_path / "x.csv"
-    argv = ["quantum", sub]
-    for setting in settings:
-        argv += ["--set", setting]
-    assert main(argv + ["--output", str(out)]) == 2
-    assert f"config error: {key}: {message}" in capsys.readouterr().err
+    assert main(["quantum", sub, "--set", f"{key}=16", "--output", str(out)]) == 2
+    kind = _SUBCOMMANDS["quantum", sub]
+    assert f"config error: unknown key for {kind}: {key}" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("sub, settings, grids", [
-    ("bound", ["grid.e.n=8", "quantum.sigma_e=0.05"], {"n_e": 128, "n_p": 16}),
+    ("bound", ["quantum.sigma_e=0.05"], {"n_e": 128, "n_p": 16}),
     # a wide rest clock read at t = 100 needs 32 Gauss-Hermite nodes on p
-    ("moments", ["quantum.sigma_p=2", "grid.p.n=16"], {"n_e": 512, "n_p": 32}),
-    ("optimize", ["grid.p.n=8"], {"n_e": 1024, "n_p": 16}),
-    ("moments", ["grid.e.n=2048", "grid.p.n=256"], {"n_e": 2048, "n_p": 256}),
-], ids=["e-too-coarse", "p-too-few-nodes", "optimize-p-too-coarse", "floors-above-the-rule"])
+    ("moments", ["quantum.sigma_p=2"], {"n_e": 512, "n_p": 32}),
+    ("optimize", [], {"n_e": 1024, "n_p": 16}),
+], ids=["e-too-coarse", "p-too-few-nodes", "optimize-p-too-coarse"])
 def test_grid_floors_below_the_accuracy_rule_are_raised(tmp_path, sub, settings, grids):
-    # grid.e.n and grid.p.n are floors: one too coarse to resolve the state
-    # is raised to the size the accuracy rules need, and one above it is kept
+    # the accuracy rules size each grid above the smallest one a state can
+    # take, 8 cells or nodes: these are the sizes they choose
     out = tmp_path / "x.csv"
     argv = ["quantum", sub]
     for setting in settings:
@@ -1408,15 +1395,26 @@ def test_cli_start_below_the_lapse_horizon_is_a_config_error(tmp_path, capsys, s
      "config error: classical.t_end: must be a whole number of classical.dt steps"),
     (["classical trajectory", "classical.dt=5e-324", "classical.t_end=0.05"], 2,
      "config error: classical.t_end: must be a whole number of classical.dt steps"),
+    (["classical brackets", "brackets.points=10001"], 2,
+     "config error: brackets.points: must be less than 10001.0, got 10001"),
     (["quantum moments", "quantum.sigma_e=1e5", "quantum.times=0,1e-9"], 2,
      "config error: quantum.sigma_e: requested proper-time reach needs an impractically large "
      "E grid"),
     (["quantum bound", "quantum.sigma_e=1e6"], 2,
      "config error: quantum.sigma_e: requested proper-time reach needs an impractically large "
      "E grid"),
+    # a trial width too large for any E grid names the bracket's upper end
     (["quantum optimize", "optimize.sigma_lo=1e6", "optimize.sigma_hi=1e7"], 2,
-     "config error: optimize.sigma_lo: requested proper-time reach needs an impractically large "
-     "E grid"),
+     "config error: optimize.sigma_hi: requested proper-time reach needs an impractically large "
+     "E grid (sigma = 2409716.8320749057 is a trial width inside the bracket)"),
+    (["quantum optimize", "optimize.sigma_lo=1e-3", "optimize.sigma_hi=1e200"], 2,
+     "config error: optimize.sigma_hi: requested proper-time reach needs an impractically large "
+     "E grid (sigma = 3.4601926857450564e+74 is a trial width inside the bracket)"),
+    # and one too small its lower end; the message quotes the trial, not the key
+    (["quantum optimize", "quantum.e0=0", "optimize.sigma_lo=1e-300", "optimize.sigma_hi=1"], 2,
+     "config error: optimize.sigma_lo: width too small on the E axis: 4 sigma^2 underflows to 0, "
+     "got sigma = 3.888690463364476e-186 (sigma = 3.888690463364476e-186 is a trial width "
+     "inside the bracket)"),
 ], ids=["flat-lapse", "flat-lapse-sweep", "tau-stalls-under-force",
         "tau-stalls-under-lapse", "step-past-horizon",
         "sigma-e-rounds", "e0-rounds", "p0-rounds", "optimize-p0-rounds",
@@ -1429,7 +1427,9 @@ def test_cli_start_below_the_lapse_horizon_is_a_config_error(tmp_path, capsys, s
         "held-clock-p1-sweep-si", "held-clock-p1-sweep-at-rest", "default-bracket-at-the-tip",
         "default-bracket-tiny-t", "default-bracket-underflows", "default-bracket-overflows-si",
         "steps-past-the-ceiling", "steps-past-the-int-range", "steps-not-finite",
-        "moments-too-wide-at-t-0", "bound-too-wide-at-t-0", "optimize-too-wide-at-t-0"])
+        "points-past-the-ceiling",
+        "moments-too-wide-at-t-0", "bound-too-wide-at-t-0", "optimize-too-wide-at-t-0",
+        "optimize-trial-too-wide", "optimize-trial-too-narrow"])
 def test_cli_bad_inputs_end_in_a_config_error_or_a_failed_check(tmp_path, capsys, settings,
                                                                 code, message):
     """Each input ends as a config error naming its key, with no CSV, or as

@@ -95,6 +95,19 @@ def test_suggest_grids_refuses_a_width_whose_square_leaves_the_float_range(axis,
     assert err.value.axis == axis
 
 
+@pytest.mark.parametrize("spec, axis, wide", [
+    (GaussianClockSpec(e0=0.0, sigma_e=1e-300), "E", False),      # 4 sigma^2 underflows
+    (GaussianClockSpec(e0=1e20, sigma_e=1e-6), "E", False),       # the ends round together
+    (GaussianClockSpec(e0=10.0, sigma_e=1e160), "E", True),       # 4 sigma^2 overflows
+    (GaussianClockSpec(e0=10.0, sigma_e=1e308), "E", True),       # the ends overflow
+    (GaussianClockSpec(e0=10.0, sigma_e=0.5, sigma_p=1e160), "p", True),
+])
+def test_grid_axis_refusals_say_whether_the_width_is_too_large(spec, axis, wide):
+    with pytest.raises(GridAxisError) as err:
+        suggest_grids(spec)
+    assert (err.value.axis, err.value.wide) == (axis, wide)
+
+
 def test_nodes_fitted_to_another_profile_raise():
     # nodes fitted to sigma_p = 0.05 integrate the sigma_p = 2 density to
     # about 0.15 of its integral; the state's own nodes integrate it exactly
